@@ -65,7 +65,6 @@ from .construct import (
     SolveFailure,
     bracket_interpolate,
     construct_sequence,
-    enumerate_dense,
     make_bumps,
     solve_on_discrete_set,
     taylor_from_jet,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -19,6 +20,7 @@ from .construct import (
     DensePointStream,
     construct_sequence,
 )
+from .expr import EvaluationError, ExactnessUnavailable
 from .jets import load_pde_file, prolong
 from .parser import ParseError
 from .printer import to_text
@@ -60,8 +62,6 @@ def _points_for(op, args) -> list[tuple[Fraction, ...]]:
 
 def _emit(args, name: str, data: dict):
     if args.out:
-        import os
-
         os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, name)
         mf.write_json(path, data, header=_header())
@@ -130,8 +130,6 @@ def cmd_construct(args) -> int:
     data = mf.sequence_to_json(seq)
     _emit(args, "sequence.json", data)
     if args.out and args.resolution:
-        import os
-
         path = os.path.join(args.out, "samples.csv")
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
@@ -280,7 +278,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, NotLinearError, ValueError, OSError, KeyError) as exc:
+    except (
+        ParseError, NotLinearError, ValueError, OSError, KeyError,
+        ExactnessUnavailable, EvaluationError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
@@ -17,18 +17,14 @@ from .expr import (
     Const,
     Expr,
     Var,
-    differentiate_multi,
     evaluate_exact,
     evaluate_float,
-    is_rational_closed,
     simplify,
     spow,
     sprod,
     ssum,
-    ExactnessUnavailable,
     ONE,
     MINUS_ONE,
-    ZERO,
 )
 from .jets import Jet, PdeOperator, ProlongedSystem, apply_operator, prolong
 from .multiindex import MultiIndex, multi_indices, zero_index
@@ -114,10 +110,6 @@ def _compositions(total: int, n: int) -> Iterator[tuple[int, ...]]:
             yield (head,) + rest
 
 
-def enumerate_dense(box: Box, scheme: str = "dyadic", count: int = 1) -> list[Point]:
-    return DensePointStream(box, scheme).prefix(count)
-
-
 # ---------------------------------------------------------------------------
 # bump functions
 
@@ -141,11 +133,6 @@ class BumpFunction:
     def value(self, point: Sequence) -> float:
         assignment = {v: x for v, x in zip(self.context.space_vars(), point)}
         return evaluate_float(self.node(), assignment)
-
-    def region(self, point: Sequence[Fraction]) -> str:
-        from .expr import _bump_region
-
-        return _bump_region(self.node(), tuple(Fraction(c) for c in point))
 
 
 def _sqrt_lower(f: Fraction) -> Fraction:
@@ -206,8 +193,7 @@ def taylor_from_jet(context: Context, a: Point, jet: Jet) -> list[Expr]:
             coeff = jet.value(unknown, p)
             if coeff == 0:
                 continue
-            c = Fraction(coeff) if isinstance(coeff, (int, Fraction)) else Fraction(coeff)
-            monomial = [Const(c / p.factorial())]
+            monomial = [Const(Fraction(coeff) / p.factorial())]
             for axis, count in enumerate(p.entries):
                 if count:
                     monomial.append(

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .expr import (
+    ZERO,
     Expr,
-    JetVar,
     SpaceVar,
     Var,
     differentiate,
-    differentiate_multi,
     evaluate_exact,
     evaluate_float,
     free_variables,
@@ -22,10 +22,8 @@ from .expr import (
     spow,
     sprod,
     ssum,
-    substitute,
-    ExactnessUnavailable,
 )
-from .multiindex import MultiIndex, jet_count, multi_indices, zero_index
+from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 
 Point = tuple[Fraction, ...]
@@ -115,11 +113,6 @@ class PdeOperator:
     def r(self) -> int:
         return len(self.equations)
 
-    @property
-    def m_star(self) -> int:
-        """Number of dense jet arguments, k * C(n + m, n)."""
-        return jet_count(self.n, self.k, self.order)
-
     def contains(self, point: Sequence) -> bool:
         return all(lo < x < hi for x, (lo, hi) in zip(point, self.domain))
 
@@ -131,28 +124,52 @@ def normalize_homogeneous(F: Expr, f: Expr) -> Expr:
     return simplify(F - f)
 
 
+def jet_gradient(e: Expr) -> dict[tuple[int, MultiIndex], Expr]:
+    """Partial derivative of e in each jet coordinate it contains, keyed
+    by (unknown, index) in the order of unknown, then graded-lex index.
+
+    This is the only place an equation is differentiated in its jet
+    coordinates: total derivatives, affine splits and Newton Jacobians
+    all read these partials, through ProlongedSystem.gradient for rows
+    of a prolonged system."""
+    return {
+        (v.unknown, v.index): differentiate(e, v)
+        for v in sorted(jet_variables(e), key=lambda v: (v.unknown, v.index.grlex_key()))
+    }
+
+
 def total_derivative(e: Expr, context: Context, axis: int) -> Expr:
     """Total derivative D_i along space axis i, with the jet-coordinate
     chain rule: D_i = d/dx_i + sum over jets of xi_{u,q+e_i} * d/d xi_{u,q}."""
     if not 1 <= axis <= context.n:
         raise ValueError(f"axis {axis} outside [1, {context.n}]")
+    return _lift(e, jet_gradient(e), context, axis)
+
+
+def _lift(e: Expr, gradient, context: Context, axis: int) -> Expr:
+    """total_derivative of e, given its jet gradient."""
     terms = [differentiate(e, context.space(axis))]
-    for v in sorted(jet_variables(e), key=lambda v: (v.unknown, v.index.grlex_key())):
-        partial = differentiate(e, v)
-        if partial == ssum([]):
+    for (u, q), partial in gradient.items():
+        if partial == ZERO:
             continue
-        lifted = Var(context.jet(v.unknown, v.index.plus_axis(axis)))
+        lifted = Var(context.jet(u, q.plus_axis(axis)))
         terms.append(sprod([lifted, partial]))
     return simplify(ssum(terms))
 
 
 @dataclass(frozen=True)
 class ProlongedSystem:
-    """All prolonged equations F_{j,p} = D^p G_j for |p| <= level."""
+    """All prolonged equations F_{j,p} = D^p G_j for |p| <= level.
+
+    The jet gradient of each row is computed on first use and shared
+    with every restriction of the system, so no row is differentiated in
+    its jet coordinates twice.
+    """
 
     operator: PdeOperator
     level: int
     equations: Mapping[tuple[int, MultiIndex], Expr]
+    _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top_order(self) -> int:
@@ -175,7 +192,15 @@ class ProlongedSystem:
         eqs = {
             (j, p): e for (j, p), e in self.equations.items() if p.order <= level
         }
-        return ProlongedSystem(self.operator, level, eqs)
+        restricted = ProlongedSystem(self.operator, level, eqs)
+        object.__setattr__(restricted, "_gradients", self._gradients)
+        return restricted
+
+    def gradient(self, j: int, p: MultiIndex) -> dict[tuple[int, MultiIndex], Expr]:
+        """jet_gradient of F_{j,p}, computed at most once per row."""
+        if (j, p) not in self._gradients:
+            self._gradients[(j, p)] = jet_gradient(self.equations[(j, p)])
+        return self._gradients[(j, p)]
 
 
 def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
@@ -190,6 +215,7 @@ def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
         raise ValueError("level must be >= 0")
     n = op.n
     eqs: dict[tuple[int, MultiIndex], Expr] = {}
+    system = ProlongedSystem(op, level, eqs)
     for j, g in enumerate(op.equations, start=1):
         eqs[(j, zero_index(n))] = g
     for p in multi_indices(n, level):
@@ -198,8 +224,9 @@ def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
         axis = p.first_nonzero_axis()
         prev = p.minus_axis(axis)
         for j in range(1, op.r + 1):
-            eqs[(j, p)] = total_derivative(eqs[(j, prev)], op.context, axis)
-    return ProlongedSystem(op, level, eqs)
+            gradient = system.gradient(j, prev)
+            eqs[(j, p)] = _lift(eqs[(j, prev)], gradient, op.context, axis)
+    return system
 
 
 def sum_of_squares(sys: ProlongedSystem) -> Expr:
@@ -329,8 +356,6 @@ def load_pde_file(path) -> PdeOperator:
 
 
 def _parse_domain(text: str, n: int, name: str):
-    import re
-
     intervals = re.findall(r"\(([^)]*)\)", text)
     if len(intervals) != n:
         raise ValueError(f"{name}: domain needs {n} intervals, got {len(intervals)}")

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import tempfile
 from fractions import Fraction
-from typing import Sequence
-
 from .construct import (
     AssembledFunction,
     BumpFunction,
@@ -219,8 +218,6 @@ def sample_grid(
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(ctx.space_names) + ["unknown", "value"])
-    import itertools
-
     for point in itertools.product(*axes):
         for name, fn in zip(ctx.unknown_names, functions):
             writer.writerow(

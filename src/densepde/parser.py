@@ -19,7 +19,7 @@ from .expr import (
     JetVar,
     MINUS_ONE,
     SpaceVar,
-    Variable,
+    Var,
     sfn,
     spow,
     sprod,
@@ -234,8 +234,6 @@ class _Parser:
 
     def variable(self, name: str, at: int) -> Expr:
         ctx = self.context
-        from .expr import Var
-
         if name in ctx.space_names:
             return Var(ctx.space(ctx.space_names.index(name) + 1))
         base, _, subscript = name.partition("_")

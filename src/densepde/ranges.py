@@ -1,33 +1,34 @@
-"""Range-condition certification: exact rank certificates for linear
-operators and the triangular level-by-level jet solver for nonlinear ones.
+"""The affine layer of the range analysis: exact rank certificates for
+linear operators and the triangular level-by-level jet solver.
 
-The key algorithmic fact used throughout: every prolongation level is
-affine in the jet coordinates it newly introduces, so solvability in jet
-space reduces to one order-m root search plus a chain of linear solves.
+Every prolongation level is affine in the jet coordinates it newly
+introduces, so solvability in jet space reduces to one order-m root
+search plus a chain of linear solves.  One AffineSplit carries that
+structure for a set of prolonged rows and chosen jet columns: its
+coefficients are the rows' jet gradients (ProlongedSystem.gradient,
+computed once per row and shared with prolongation), its offsets the rows
+with the columns set to zero.  One routine, _matrices, turns a split into
+a coefficient matrix and right-hand side at a point with the other jets
+known; rank certificates take the ranks of those matrices, the jet solver
+their least-norm solution, after a Newton root search at level 0 when the
+base equations are not affine.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
 
 from .expr import (
-    Const,
-    EvaluationError,
-    ExactnessUnavailable,
+    ZERO,
     Expr,
-    JetVar,
-    Var,
-    differentiate,
     evaluate_exact,
     evaluate_float,
     is_rational_closed,
     jet_variables,
-    substitute,
-    ZERO,
 )
 from .jets import Jet, PdeOperator, ProlongedSystem, prolong
 from .linalg import (
@@ -38,101 +39,106 @@ from .linalg import (
     float_rank,
     residual_floor,
 )
-from .multiindex import MultiIndex, jet_count, multi_indices, multi_indices_of_order
+from .multiindex import MultiIndex, multi_indices, multi_indices_of_order
 from .newton import multistart_newton
+
+Column = tuple[int, MultiIndex]
 
 
 class NotLinearError(Exception):
     """The operator is not affine in its jet coordinates."""
 
 
-def jet_columns(n: int, k: int, order: int) -> list[tuple[int, MultiIndex]]:
+def jet_columns(n: int, k: int, order: int) -> list[Column]:
     """Column layout of the linear systems: jet coordinates of order <=
     `order`, graded-lex in the multi-index, then by unknown."""
     return [(u, p) for p in multi_indices(n, order) for u in range(1, k + 1)]
 
 
 @dataclass(frozen=True)
-class LinearDecomposition:
-    """Affine form of every prolonged equation: offset + sum coeff * jet."""
+class AffineSplit:
+    """Rows F_{j,p} of a prolonged system as offset + sum over `columns`
+    of coefficient * jet.  coefficients[i] is row i's jet gradient
+    restricted to the columns; no coefficient involves a column, so the
+    offset is the row with every column set to zero."""
 
     system: ProlongedSystem
-    offsets: dict[tuple[int, MultiIndex], Expr]
-    coefficients: dict[tuple[int, MultiIndex], dict[tuple[int, MultiIndex], Expr]]
+    rows: tuple[tuple[int, MultiIndex], ...]
+    columns: tuple[Column, ...]
+    coefficients: tuple[dict[Column, Expr], ...]
 
     @property
-    def columns(self) -> list[tuple[int, MultiIndex]]:
-        op = self.system.operator
-        return jet_columns(op.n, op.k, self.system.top_order)
+    def equations(self) -> list[Expr]:
+        return [self.system.equations[row] for row in self.rows]
 
-    def rows(self) -> list[tuple[int, MultiIndex]]:
-        return [(j, p) for j, p, _ in self.system.items()]
-
-    def reassemble(self, row: tuple[int, MultiIndex]) -> Expr:
-        op = self.system.operator
-        terms = [self.offsets[row]]
-        for (u, q), c in self.coefficients[row].items():
-            terms.append(c * Var(op.context.jet(u, q)))
-        out = ZERO
-        for t in terms:
-            out = out + t
-        return out
-
-
-def linearize(sys: ProlongedSystem) -> LinearDecomposition | None:
-    """Extract the affine structure of the system, or None when some
-    equation is nonlinear in a jet coordinate."""
-    offsets = {}
-    coefficients = {}
-    for j, p, e in sys.items():
-        jvars = sorted(
-            jet_variables(e), key=lambda v: (v.index.grlex_key(), v.unknown)
+    def restrict(self, level: int) -> "AffineSplit":
+        """The rows of level <= `level` in the columns of order <= m +
+        `level`: for a split in all jet columns (linearize), the split of
+        the restricted system."""
+        top = self.system.operator.order + level
+        keep = [i for i, (_, p) in enumerate(self.rows) if p.order <= level]
+        return AffineSplit(
+            self.system.restrict(level),
+            tuple(self.rows[i] for i in keep),
+            tuple(c for c in self.columns if c[1].order <= top),
+            tuple(self.coefficients[i] for i in keep),
         )
-        coeffs = {}
-        for v in jvars:
-            c = differentiate(e, v)
-            if jet_variables(c):
+
+
+def _affine_split(
+    system: ProlongedSystem,
+    rows: Sequence[tuple[int, MultiIndex]],
+    columns: Sequence[Column],
+) -> AffineSplit | None:
+    """Split the rows (keys (j, p)) in the jet columns; None when some row
+    is not affine in them."""
+    col_set = set(columns)
+    coefficients = []
+    for j, p in rows:
+        coeffs = {c: d for c, d in system.gradient(j, p).items() if c in col_set}
+        for d in coeffs.values():
+            if any((v.unknown, v.index) in col_set for v in jet_variables(d)):
                 return None
-            coeffs[(v.unknown, v.index)] = c
-        offsets[(j, p)] = substitute(e, {v: ZERO for v in jvars})
-        coefficients[(j, p)] = coeffs
-    return LinearDecomposition(sys, offsets, coefficients)
+        coefficients.append(coeffs)
+    return AffineSplit(system, tuple(rows), tuple(columns), tuple(coefficients))
 
 
-def _eval_entry(e: Expr, assignment, exact: bool):
-    if exact:
-        return evaluate_exact(e, assignment)
-    return evaluate_float(e, assignment)
+def linearize(sys: ProlongedSystem) -> AffineSplit | None:
+    """Split of the whole system in all its jet coordinates, or None when
+    some equation is nonlinear in a jet coordinate."""
+    op = sys.operator
+    rows = [(j, p) for j, p, _ in sys.items()]
+    return _affine_split(sys, rows, jet_columns(op.n, op.k, sys.top_order))
 
 
-def assemble_linear_system(dec: LinearDecomposition, x: Sequence):
-    """Numeric coefficient matrix P and augmented matrix Q at the point x.
-
-    Returns (P, Q, arithmetic) where the matrices are lists of rows of
-    Fractions in exact mode, floats otherwise; Q appends the column of
-    negated offsets.
-    """
-    op = dec.system.operator
-    if not op.contains(x):
-        raise ValueError(f"point {tuple(x)} outside the domain box")
-    assignment = {v: xi for v, xi in zip(op.context.space_vars(), x)}
-    exact = all(isinstance(xi, (int, Fraction)) for xi in x) and all(
-        is_rational_closed(e)
-        for row in dec.rows()
-        for e in [dec.offsets[row], *dec.coefficients[row].values()]
+def _exact(split: AffineSplit, values) -> bool:
+    """Exact arithmetic applies: rational values and rational-closed rows."""
+    return all(isinstance(v, (int, Fraction)) for v in values) and all(
+        is_rational_closed(e) for e in split.equations
     )
-    columns = dec.columns
-    col_index = {uq: i for i, uq in enumerate(columns)}
-    p_rows, q_rows = [], []
+
+
+def _matrices(split: AffineSplit, values: dict, exact: bool):
+    """Coefficient matrix A and right-hand side b = -offset of the split.
+
+    `values` assigns the space variables and every jet coordinate of the
+    rows that is not a column.  Entries are Fractions when `exact`,
+    floats otherwise.
+    """
+    context = split.system.operator.context
     zero = Fraction(0) if exact else 0.0
-    for row_key in dec.rows():
-        row = [zero] * len(columns)
-        for uq, c in dec.coefficients[row_key].items():
-            row[col_index[uq]] = _eval_entry(c, assignment, exact)
-        offset = _eval_entry(dec.offsets[row_key], assignment, exact)
-        p_rows.append(row)
-        q_rows.append(row + [-offset])
-    return p_rows, q_rows, ("exact" if exact else "float")
+    assignment = dict(values)
+    assignment.update({context.jet(u, q): zero for u, q in split.columns})
+    evaluate = evaluate_exact if exact else evaluate_float
+    index = {c: i for i, c in enumerate(split.columns)}
+    a, b = [], []
+    for e, coeffs in zip(split.equations, split.coefficients):
+        row = [zero] * len(index)
+        for c, d in coeffs.items():
+            row[index[c]] = evaluate(d, assignment)
+        a.append(row)
+        b.append(-evaluate(e, assignment))
+    return a, b
 
 
 @dataclass(frozen=True)
@@ -182,33 +188,40 @@ class RankCertificate:
 def rank_condition(op: PdeOperator, x: Sequence, level: int) -> RankCertificate:
     """Certify rank P^l(x) = rank Q^l(x) by exact elimination when the
     data is rational, float elimination with a disclosed tolerance else."""
-    sys = prolong(op, level)
-    dec = linearize(sys)
-    if dec is None:
+    split = linearize(prolong(op, level))
+    if split is None:
         raise NotLinearError("operator is not linear in its jet coordinates")
-    p_rows, q_rows, arithmetic = assemble_linear_system(dec, x)
-    if arithmetic == "exact":
-        rank_p = exact_rank(p_rows)
-        rank_q = exact_rank(q_rows)
-        tol = None
+    return _certify(split, x)[0]
+
+
+def _certify(split: AffineSplit, x: Sequence):
+    """(certificate, A, b) of a linear split at the point x: P = A and Q
+    is A with the column b appended."""
+    op = split.system.operator
+    if not op.contains(x):
+        raise ValueError(f"point {tuple(x)} outside the domain box")
+    space = dict(zip(op.context.space_vars(), x))
+    exact = _exact(split, space.values())
+    a, b = _matrices(split, space, exact)
+    q = [row + [v] for row, v in zip(a, b)]
+    if exact:
+        rank_p, rank_q, tol = exact_rank(a), exact_rank(q), None
     else:
-        rank_p = float_rank(p_rows)
-        rank_q = float_rank(q_rows)
-        tol = FLOAT_RANK_TOL
+        rank_p, rank_q, tol = float_rank(a), float_rank(q), FLOAT_RANK_TOL
     holds = rank_p == rank_q
-    strict = holds and rank_p == len(p_rows)
-    return RankCertificate(
+    cert = RankCertificate(
         point=tuple(x),
-        level=level,
+        level=split.system.level,
         rank_p=rank_p,
         rank_q=rank_q,
-        n_rows=len(p_rows),
-        n_cols=len(p_rows[0]) if p_rows else 0,
+        n_rows=len(a),
+        n_cols=len(split.columns),
         holds=holds,
-        strict=strict,
-        arithmetic=arithmetic,
+        strict=holds and rank_p == len(a),
+        arithmetic="exact" if exact else "float",
         tolerance=tol,
     )
+    return cert, a, b
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +241,16 @@ class JetSolveResult:
         return self.status == "solved"
 
 
-SeedLike = "Jet | dict[tuple[int, MultiIndex], Fraction | float] | None"
+@dataclass
+class _LevelResult:
+    status: str  # ok | no-solution | solver-failed
+    values: dict
+    residual: float
+    arithmetic: str
+    detail: str = ""
 
 
-def _seed_values(seed, n) -> dict:
+def _seed_values(seed) -> dict:
     if seed is None:
         return {}
     if isinstance(seed, Jet):
@@ -262,186 +281,93 @@ def solve_jets_triangular(
     if not op.contains(x):
         raise ValueError(f"point {tuple(x)} outside the domain box")
     n, k, m = op.n, op.k, op.order
-    context = op.context
-    space_assignment = {v: xi for v, xi in zip(context.space_vars(), x)}
-    point_rational = all(isinstance(xi, (int, Fraction)) for xi in x)
-    seed_vals = _seed_values(seed, n)
-
-    known: dict[tuple[int, MultiIndex], Fraction | float] = {}
-    exact_so_far = point_rational
-
-    # --- level 0: base equations, jets of order <= m
-    base_eqs = [e for j, p, e in sys.items_at_level(0)]
+    space = dict(zip(op.context.space_vars(), x))
+    seed_vals = _seed_values(seed)
     base_cols = jet_columns(n, k, m)
-    base_result = _solve_base_level(
-        base_eqs, base_cols, context, space_assignment, point_rational, seed_vals, tol
-    )
-    if base_result.status != "ok":
-        return JetSolveResult(
-            status=base_result.status,
-            jet=None,
-            residual=base_result.residual,
-            arithmetic=base_result.arithmetic,
-            failed_level=0,
-            detail=base_result.detail,
-        )
-    known.update(base_result.values)
-    exact_so_far = exact_so_far and base_result.arithmetic == "exact"
-
-    # --- levels >= 1: affine in the new top-order jets
-    for lam in range(1, sys.level + 1):
-        top = m + lam
-        new_cols = [
-            (u, q)
-            for q in multi_indices_of_order(n, top)
-            for u in range(1, k + 1)
-        ]
-        eqs = [e for j, p, e in sys.items_at_level(lam)]
-        ok, values, arithmetic, floor, detail = _solve_affine_level(
-            eqs, new_cols, context, space_assignment, known, exact_so_far, tol
-        )
-        if not ok:
-            return JetSolveResult(
-                status="no-solution",
-                jet=None,
-                residual=floor,
-                arithmetic=arithmetic,
-                failed_level=lam,
-                detail=detail,
+    known = {c: seed_vals[c] for c in base_cols if c in seed_vals}
+    for lam in range(sys.level + 1):
+        rows = [(j, p) for j, p, _ in sys.items_at_level(lam)]
+        if lam > 0:
+            new_cols = [
+                (u, q)
+                for q in multi_indices_of_order(n, m + lam)
+                for u in range(1, k + 1)
+            ]
+            result = _solve_affine(
+                _affine_split(sys, rows, new_cols), space, known, tol,
+                "inconsistent level",
             )
-        known.update(values)
-        exact_so_far = exact_so_far and arithmetic == "exact"
+        elif _affine_split(sys, rows, base_cols) is None:
+            result = _solve_newton_base(sys, rows, base_cols, space, seed_vals, tol)
+        else:
+            free_cols = [c for c in base_cols if c not in known]
+            result = _solve_affine(
+                _affine_split(sys, rows, free_cols), space, known, tol,
+                "inconsistent affine system at level 0",
+            )
+            cast = Fraction if result.arithmetic == "exact" else float
+            known = {c: cast(v) for c, v in known.items()}
+        if result.status != "ok":
+            return JetSolveResult(
+                status=result.status,
+                jet=None,
+                residual=result.residual,
+                arithmetic=result.arithmetic,
+                failed_level=lam,
+                detail=result.detail,
+            )
+        known.update(result.values)
 
     jet = Jet(n, k, sys.top_order, known)
-    residual = _max_residual(sys, context, space_assignment, jet)
-    if exact_so_far:
+    residual = _max_residual(sys, space, jet)
+    if jet.exact:
         status = "solved" if residual == 0 else "solver-failed"
     else:
         status = "solved" if residual <= tol else "solver-failed"
     return JetSolveResult(
         status=status,
-        jet=jet if status == "solved" else jet,
+        jet=jet,
         residual=float(residual),
-        arithmetic="exact" if exact_so_far else "float",
+        arithmetic="exact" if jet.exact else "float",
     )
 
 
-@dataclass
-class _BaseResult:
-    status: str  # ok | no-solution | solver-failed
-    values: dict = field(default_factory=dict)
-    residual: float = 0.0
-    arithmetic: str = "exact"
-    detail: str = ""
-
-
-def _affine_coefficients(eqs, cols, context):
-    """Affine (offset, coefficient) expressions of eqs in the given jet
-    columns; None when some equation is not affine in them."""
-    offsets, rows = [], []
-    col_set = set(cols)
-    zero_map = {context.jet(u, q): ZERO for (u, q) in cols}
-    for e in eqs:
-        coeffs = {}
-        for v in jet_variables(e):
-            uq = (v.unknown, v.index)
-            if uq not in col_set:
-                continue
-            c = differentiate(e, v)
-            if any((w.unknown, w.index) in col_set for w in jet_variables(c)):
-                return None
-            coeffs[uq] = c
-        offsets.append(substitute(e, zero_map))
-        rows.append(coeffs)
-    return offsets, rows
-
-
-def _solve_base_level(
-    eqs, cols, context, space_assignment, point_rational, seed_vals, tol
-) -> _BaseResult:
-    affine = _affine_coefficients(eqs, cols, context)
-    if affine is not None:
-        offsets, rows = affine
-        return _solve_affine_base(
-            offsets, rows, cols, context, space_assignment, point_rational,
-            seed_vals, tol,
-        )
-    return _solve_newton_base(eqs, cols, context, space_assignment, seed_vals, tol)
-
-
-def _solve_affine_base(
-    offsets, rows, cols, context, space_assignment, point_rational, seed_vals, tol
-):
-    exprs = list(offsets)
-    for r in rows:
-        exprs.extend(r.values())
-    exact = point_rational and all(is_rational_closed(e) for e in exprs)
-    exact = exact and all(
-        isinstance(v, (int, Fraction)) for v in seed_vals.values()
-    )
-    col_index = {uq: i for i, uq in enumerate(cols)}
-    pinned = {uq: seed_vals[uq] for uq in cols if uq in seed_vals}
-    free_cols = [uq for uq in cols if uq not in pinned]
-    free_index = {uq: i for i, uq in enumerate(free_cols)}
-
-    def build(exact_mode):
-        zero = Fraction(0) if exact_mode else 0.0
-        a, b = [], []
-        for offset, coeffs in zip(offsets, rows):
-            row = [zero] * len(free_cols)
-            rhs = -_eval_entry(offset, space_assignment, exact_mode)
-            for uq, c in coeffs.items():
-                val = _eval_entry(c, space_assignment, exact_mode)
-                if uq in pinned:
-                    pv = pinned[uq]
-                    rhs -= val * (Fraction(pv) if exact_mode else float(pv))
-                else:
-                    row[free_index[uq]] = val
-            a.append(row)
-            b.append(rhs)
-        return a, b
-
-    if exact:
-        a, b = build(True)
-        solution = exact_least_norm(a, b)
+def _solve_affine(
+    split: AffineSplit, space: dict, known: dict, tol: float, detail: str
+) -> _LevelResult:
+    """Minimum-norm solve of the split for its columns, the other jets
+    fixed at their known values: exact when the data is rational, float
+    otherwise, with the residual floor deciding consistency."""
+    context = split.system.operator.context
+    values = dict(space)
+    values.update({context.jet(u, q): v for (u, q), v in known.items()})
+    if _exact(split, values.values()):
+        solution = exact_least_norm(*_matrices(split, values, True))
         if solution is None:
-            af, bf = build(False)
-            return _BaseResult(
-                "no-solution",
-                residual=residual_floor(af, bf),
-                arithmetic="exact",
-                detail="inconsistent affine system at level 0",
-            )
-        values = {uq: Fraction(pinned[uq]) for uq in pinned}
-        values.update({uq: solution[free_index[uq]] for uq in free_cols})
-        return _BaseResult("ok", values, 0.0, "exact")
-    a, b = build(False)
+            floor = residual_floor(*_matrices(split, values, False))
+            return _LevelResult("no-solution", {}, floor, "exact", detail)
+        return _LevelResult("ok", dict(zip(split.columns, solution)), 0.0, "exact")
+    a, b = _matrices(split, values, False)
     floor = residual_floor(a, b)
     if floor > max(tol, 1e-9):
-        return _BaseResult(
-            "no-solution", residual=floor, arithmetic="float",
-            detail="inconsistent affine system at level 0",
-        )
+        return _LevelResult("no-solution", {}, floor, "float", detail)
     xsol = float_least_norm(a, b)
-    values = {uq: float(pinned[uq]) for uq in pinned}
-    values.update({uq: float(xsol[free_index[uq]]) for uq in free_cols})
-    return _BaseResult("ok", values, floor, "float")
+    values = {c: float(v) for c, v in zip(split.columns, xsol)}
+    return _LevelResult("ok", values, floor, "float")
 
 
-def _solve_newton_base(eqs, cols, context, space_assignment, seed_vals, tol):
-    present: list[tuple[int, MultiIndex]] = []
-    seen = set()
-    for e in eqs:
-        for v in jet_variables(e):
-            uq = (v.unknown, v.index)
-            if uq not in seen and uq in set(cols):
-                seen.add(uq)
-                present.append(uq)
-    present.sort(key=lambda uq: (uq[1].grlex_key(), uq[0]))
-    index = {uq: i for i, uq in enumerate(present)}
+def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
+    context = sys.operator.context
+    eqs = [sys.equations[row] for row in rows]
+    gradients = [sys.gradient(j, p) for j, p in rows]
+    col_set = set(cols)
+    present = sorted(
+        {c for g in gradients for c in g if c in col_set},
+        key=lambda uq: (uq[1].grlex_key(), uq[0]),
+    )
     jvars = [context.jet(u, q) for u, q in present]
-    space_f = {v: float(val) for v, val in space_assignment.items()}
-    partials = [[differentiate(e, v) for v in jvars] for e in eqs]
+    partials = [[g.get(c, ZERO) for c in present] for g in gradients]
+    space_f = {v: float(val) for v, val in space.items()}
 
     def assignment(vec):
         a = dict(space_f)
@@ -466,97 +392,31 @@ def _solve_newton_base(eqs, cols, context, space_assignment, seed_vals, tol):
         stationary = [r for r in results if r.stationary]
         if stationary:
             floor = min(r.residual for r in stationary)
-            return _BaseResult(
-                "no-solution", residual=floor, arithmetic="float",
-                detail="all Newton starts reached a stationary residual floor",
+            return _LevelResult(
+                "no-solution", {}, floor, "float",
+                "all Newton starts reached a stationary residual floor",
             )
         floor = min(r.residual for r in results)
-        return _BaseResult(
-            "solver-failed", residual=floor, arithmetic="float",
-            detail="Newton did not converge from any start",
+        return _LevelResult(
+            "solver-failed", {}, floor, "float",
+            "Newton did not converge from any start",
         )
     values = {uq: float(seed_vals.get(uq, 0.0)) for uq in cols}
-    values.update({uq: float(best.x[i]) for uq, i in index.items()})
-    return _BaseResult("ok", values, best.residual, "float")
+    values.update({uq: float(v) for uq, v in zip(present, best.x)})
+    return _LevelResult("ok", values, best.residual, "float")
 
 
-def _solve_affine_level(eqs, new_cols, context, space_assignment, known, exact, tol):
-    """Solve the equations of one prolongation level for the new top-order
-    jets, lower-order jets fixed at their known values."""
-    known_exprs = {
-        context.jet(u, q): Const(Fraction(v)) for (u, q), v in known.items()
-    }
-    exact = exact and all(
-        isinstance(v, (int, Fraction)) for v in known.values()
-    )
-    new_set = set(new_cols)
-    col_index = {uq: i for i, uq in enumerate(new_cols)}
-
-    def eval_mixed(e, exact_mode):
-        a = dict(space_assignment)
-        if not exact_mode:
-            a = {v: float(val) for v, val in a.items()}
-        a.update(
-            {
-                v: (c.value if exact_mode else float(c.value))
-                for v, c in known_exprs.items()
-            }
-        )
-        for u, q in new_cols:
-            a[context.jet(u, q)] = Fraction(0) if exact_mode else 0.0
-        if exact_mode:
-            return evaluate_exact(e, a)
-        return evaluate_float(e, a)
-
-    exact = exact and all(is_rational_closed(e) for e in eqs)
-
-    def build(exact_mode):
-        zero = Fraction(0) if exact_mode else 0.0
-        a, b = [], []
-        for e in eqs:
-            row = [zero] * len(new_cols)
-            for v in jet_variables(e):
-                uq = (v.unknown, v.index)
-                if uq in new_set:
-                    c = differentiate(e, v)
-                    # quasilinearity: the top-order coefficient involves
-                    # only lower-order jets
-                    row[col_index[uq]] = eval_mixed(c, exact_mode)
-            b.append(-eval_mixed(e, exact_mode))
-            a.append(row)
-        return a, b
-
-    if exact:
-        a, b = build(True)
-        solution = exact_least_norm(a, b)
-        if solution is None:
-            af, bf = build(False)
-            return False, {}, "exact", residual_floor(af, bf), "inconsistent level"
-        values = {uq: solution[i] for uq, i in col_index.items()}
-        return True, values, "exact", 0.0, ""
-    a, b = build(False)
-    floor = residual_floor(a, b)
-    if floor > max(tol, 1e-9):
-        return False, {}, "float", floor, "inconsistent level"
-    xsol = float_least_norm(a, b)
-    values = {uq: float(xsol[i]) for uq, i in col_index.items()}
-    return True, values, "float", floor, ""
-
-
-def _max_residual(sys: ProlongedSystem, context, space_assignment, jet: Jet):
+def _max_residual(sys: ProlongedSystem, space: dict, jet: Jet):
     """Largest |F_{j,p}| at the solved jet; exact zero stays exact."""
-    assignment = dict(space_assignment)
-    assignment.update(jet.assignment(context))
-    exact = jet.exact and all(
-        isinstance(v, (int, Fraction)) for v in space_assignment.values()
-    )
+    assignment = dict(space)
+    assignment.update(jet.assignment(sys.operator.context))
+    exact = jet.exact
     worst = Fraction(0) if exact else 0.0
     for j, p, e in sys.items():
         if exact and is_rational_closed(e):
             val = abs(evaluate_exact(e, assignment))
         else:
-            fa = {v: float(val) for v, val in assignment.items()}
-            val = abs(evaluate_float(e, fa))
+            val = abs(evaluate_float(e, assignment))
             exact = False
             worst = float(worst)
         worst = max(worst, val)
@@ -640,24 +500,22 @@ def range_condition_check(
     tol: float = 1e-12,
 ) -> RangeReport:
     """Check solvability (0 in the prolonged range) at every sample point
-    and every level l <= l_max; failures become report entries."""
+    and every level l <= l_max; failures become report entries.
+
+    A linear operator is linearized once at l_max and certified at each
+    level from the restriction of that split."""
     top = prolong(op, l_max)
-    linear = linearize(top) is not None
+    linear = linearize(top)
     entries = []
     for x in points:
         for level in range(l_max + 1):
-            sys = top.restrict(level)
-            if linear:
-                cert = rank_condition(op, x, level)
+            if linear is not None:
+                cert, a, b = _certify(linear.restrict(level), x)
                 if cert.holds:
                     entries.append(
                         RangeEntry(tuple(x), level, "rank-certified", certificate=cert)
                     )
                 else:
-                    dec = linearize(sys)
-                    _p, q_rows, arithmetic = assemble_linear_system(dec, x)
-                    a = [row[:-1] for row in q_rows]
-                    b = [row[-1] for row in q_rows]
                     entries.append(
                         RangeEntry(
                             tuple(x), level, "no-solution",
@@ -667,7 +525,7 @@ def range_condition_check(
                         )
                     )
             else:
-                res = solve_jets_triangular(sys, x, tol=tol)
+                res = solve_jets_triangular(top.restrict(level), x, tol=tol)
                 entries.append(
                     RangeEntry(
                         tuple(x), level, res.status,

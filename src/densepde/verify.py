@@ -12,7 +12,7 @@ is exhaustive up to the truncation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -191,7 +191,6 @@ def check_vanishing(
         if len(order_list) != len(pts):
             raise ValueError("need one order per point")
     ctx = seq.context
-    max_order = max(order_list, default=0)
     tables = [_DerivativeTable(ctx, w) for w in seq.terms]
     entries = []
     all_exact = True
@@ -217,7 +216,6 @@ def check_vanishing(
         entries.append(
             VanishingEntry(a, order, witness, point_exact, tuple(fails))
         )
-        _ = max_order
     mode = arithmetic if arithmetic != "auto" else (
         "exact" if all_exact else "float"
     )
@@ -305,24 +303,30 @@ def verify_solution(
     stage order vanish at the point.  That gives every (point, order) pair
     a witness no later than the stage that introduced it.  An empty
     sequence passes vacuously and is flagged degenerate.
+
+    The arithmetic label is "exact" only when every one of those pass/fail
+    evaluations was exact, and only they raise ExactnessUnavailable in
+    "exact" mode.  The witness reports also evaluate earlier stages at
+    later points, possibly inside a bump's transition annulus; that scan
+    runs in "auto" (or "float") and keeps its own per-entry flags.
     """
     if seq.stage_count == 0:
         return VerificationResult(True, True, arithmetic, tol, (), ())
     errors = error_sequence(op, seq)
     reports: list[VanishingReport] = []
     failures: list[VerificationFailure] = []
-    modes = set()
+    all_exact = True
+    scan_arith = "float" if arithmetic == "float" else "auto"
     for j, err in enumerate(errors, start=1):
         # exhaustive scan at the finest requirement: every point, top order
         report = check_vanishing(
             err,
             seq.points,
             [max(seq.orders)] * len(seq.points),
-            arithmetic=arithmetic,
+            arithmetic=scan_arith,
             tol=tol,
         )
         reports.append(report)
-        modes.add(report.arithmetic)
         ctx = op.context
         tables = [_DerivativeTable(ctx, w) for w in err.terms]
         for nu in range(seq.stage_count):
@@ -333,12 +337,13 @@ def verify_solution(
                     value, was_exact = _eval_term(
                         ctx, tables[nu].get(p), point, stage_arith
                     )
+                    all_exact = all_exact and was_exact
                     zero = value == 0 if was_exact else abs(value) <= tol
                     if not zero:
                         failures.append(
                             VerificationFailure(j, nu, point, p, float(value))
                         )
-    mode = "exact" if modes == {"exact"} else "float"
+    mode = "exact" if all_exact else "float"
     return VerificationResult(
         not failures, False, mode, tol, tuple(reports), tuple(failures)
     )

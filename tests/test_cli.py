@@ -26,6 +26,13 @@ domain: (0,1)
 eq: u_x - u
 """
 
+EXPONENTIAL = """dim: 1
+vars: x
+order: 1
+domain: (0,1)
+eq: u_x - exp(x)
+"""
+
 IMPOSSIBLE = """dim: 1
 vars: x
 order: 1
@@ -132,6 +139,21 @@ eq: 0*u - 1
         values[sorted(values)[0]] = "5"
         write_json(path, raw)
         assert main(["verify", path]) == 1
+
+    def test_exact_claim_on_inexact_data_is_clean_error(self, tmp_path, capsys):
+        # jets relabelled exact under an operator with exp: exact
+        # verification cannot evaluate the error terms, exit 2, no traceback
+        op = parse_pde_text(EXPONENTIAL)
+        raw = sequence_to_json(construct_sequence(op, [(F(1, 2),)], [0]))
+        for jet in raw["stages"][0]["jets"]:
+            jet["arithmetic"] = "exact"
+            jet["values"] = {k: str(F(v)) for k, v in jet["values"].items()}
+        path = str(tmp_path / "sequence.json")
+        write_json(path, raw)
+        assert main(["verify", path, "--arith", "exact"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_usage_error_missing_file(self, capsys):
         assert main(["range", "no-such-file.pde"]) == 2

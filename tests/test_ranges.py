@@ -4,8 +4,10 @@ from fractions import Fraction as F
 
 import pytest
 
+from densepde.construct import DensePointStream
 from densepde.jets import parse_pde_text, prolong
 from densepde.multiindex import MultiIndex
+from densepde.systems import lewy_operator
 from densepde.ranges import (
     NotLinearError,
     jet_columns,
@@ -170,3 +172,41 @@ class TestRangeReport:
         report = range_condition_check(op(DEGENERATE), [(F(1, 2),)], 1)
         assert not report.all_ok
         assert all(e.outcome == "no-solution" for e in report.entries)
+
+
+class TestRestriction:
+    """Restrictions of one prolonged system share its cached row
+    gradients; everything computed from them must match a fresh
+    prolongation to the lower level."""
+
+    CASES = [
+        (lewy_operator(), 3, 1),
+        (op(LAPLACE), 2, 2),
+        (op(EIKONAL), 2, 2),
+    ]
+
+    @pytest.mark.parametrize("operator,top_level,count", CASES)
+    def test_restricted_solve_matches_fresh_prolongation(
+        self, operator, top_level, count
+    ):
+        top = prolong(operator, top_level)
+        for x in DensePointStream(operator.domain).prefix(count):
+            solve_jets_triangular(top, x)
+            for level in range(top_level + 1):
+                shared = solve_jets_triangular(top.restrict(level), x)
+                fresh = solve_jets_triangular(prolong(operator, level), x)
+                assert shared.solved and fresh.solved
+                assert shared.arithmetic == fresh.arithmetic
+                assert dict(shared.jet.values) == dict(fresh.jet.values)
+                assert all(
+                    type(v) is type(fresh.jet.values[c])
+                    for c, v in shared.jet.values.items()
+                )
+
+    @pytest.mark.parametrize("operator,top_level,count", CASES[:2])
+    def test_range_certificates_match_rank_condition(self, operator, top_level, count):
+        points = DensePointStream(operator.domain).prefix(count)
+        report = range_condition_check(operator, points, top_level)
+        assert len(report.entries) == count * (top_level + 1)
+        for entry in report.entries:
+            assert entry.certificate == rank_condition(operator, entry.point, entry.level)

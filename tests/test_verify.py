@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from densepde.construct import construct_sequence
+from densepde.construct import DensePointStream, construct_sequence
 from densepde.expr import (
     Const,
     Var,
@@ -174,6 +174,21 @@ eq: u_x - u
         assert result.passed
         assert result.arithmetic == "exact"
         assert not result.failures
+
+    def test_exact_label_from_pass_fail_evaluations(self):
+        # from the 11th point on, the witness scan evaluates earlier stages
+        # inside a bump's transition annulus; that must neither downgrade
+        # the label nor raise in exact mode
+        op = parse_pde_text(
+            "dim: 2\nvars: x y\norder: 2\ndomain: (0,1) (0,1)\n"
+            "eq: u_xx + u_yy - 1 - x*y\n"
+        )
+        pts = DensePointStream(op.domain).prefix(11)
+        seq = construct_sequence(op, pts, [0] * 11)
+        for arithmetic in ("auto", "exact"):
+            result = verify_solution(op, seq, arithmetic=arithmetic)
+            assert result.passed
+            assert result.arithmetic == "exact"
 
     def test_error_sequence_shape(self):
         op = parse_pde_text(self.TRANSPORT)
