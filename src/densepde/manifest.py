@@ -1,10 +1,13 @@
 """Serialization of staged solution sequences.
 
-A manifest stores everything needed to rebuild and re-verify a sequence:
-the operator specification, the points and level schedule, the solved jet
-at each point of each stage, and the bump radii.  Reconstruction rebuilds
-the glued functions from those data, so any tampering with a stored jet
-shows up as a verification failure.
+A manifest (version 2) stores only what cannot be recomputed: the
+operator specification, the points and level schedule, the solved jet at
+each point of each stage, and the bump radii.  The Taylor polynomials and
+the glued functions are rebuilt from those data on load, so any tampering
+with a stored jet shows up as a verification failure.  Loading rejects
+bumps that do not form a valid partition: one per stage point and centred
+on it, 0 < r_in < r_out, supports strictly inside the box and pairwise
+disjoint.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .printer import to_text
 from .ranges import jet_to_json
 
 FORMAT = "densepde-sequence"
-VERSION = 1
+VERSION = 2
 
 
 def _fraction(text) -> Fraction:
@@ -88,10 +91,6 @@ def sequence_to_json(seq: SolutionSequence) -> dict:
                     }
                     for b in stage.bumps
                 ],
-                "polynomials": [
-                    [to_text(poly) for _, poly in fn.pieces]
-                    for fn in stage.functions
-                ],
             }
         )
     return {
@@ -102,6 +101,28 @@ def sequence_to_json(seq: SolutionSequence) -> dict:
         "orders": list(seq.orders),
         "stages": stages,
     }
+
+
+def _check_bumps(nu: int, points, bumps, box):
+    """Raise ValueError unless the stage's bumps form a partition: one per
+    point and centred on it, 0 < r_in < r_out, each closed support strictly
+    inside the box, supports pairwise disjoint (checked exactly as
+    (r_i + r_j)^2 <= |c_i - c_j|^2)."""
+    if [b.center for b in bumps] != list(points):
+        raise ValueError(f"stage {nu}: need one bump centred on each point")
+    for i, b in enumerate(bumps):
+        if not 0 < b.r_in < b.r_out:
+            raise ValueError(f"stage {nu} bump {i}: need 0 < r_in < r_out")
+        if not all(
+            lo < c - b.r_out and c + b.r_out < hi
+            for c, (lo, hi) in zip(b.center, box)
+        ):
+            raise ValueError(f"stage {nu} bump {i}: support leaves the box")
+        for j in range(i):
+            other = bumps[j]
+            d2 = sum((x - y) ** 2 for x, y in zip(b.center, other.center))
+            if (b.r_out + other.r_out) ** 2 > d2:
+                raise ValueError(f"stage {nu}: bumps {j} and {i} overlap")
 
 
 def sequence_from_json(data: dict) -> SolutionSequence:
@@ -137,6 +158,7 @@ def sequence_from_json(data: dict) -> SolutionSequence:
             )
             for b in record["bumps"]
         ]
+        _check_bumps(nu, pts, bumps, op.domain)
         polys = {a: taylor_from_jet(ctx, a, jets[a]) for a in pts}
         functions = tuple(
             AssembledFunction(

@@ -64,9 +64,6 @@ class FunctionSequence:
     def truncation(self) -> int:
         return len(self.terms) - 1
 
-    def term(self, mu: int) -> Expr:
-        return self.terms[mu]
-
     def is_approximate(self, mu: int) -> bool:
         return bool(self.approximate and self.approximate[mu])
 
@@ -92,18 +89,6 @@ class _DerivativeTable:
             lower = self.get(p.minus_axis(axis))
             self.cache[p] = differentiate(lower, self.context.space(axis))
         return self.cache[p]
-
-
-def _eval_term(context: Context, expr: Expr, point: Point, arithmetic: str):
-    """Value at a rational point: (value, was_exact)."""
-    assignment = {v: x for v, x in zip(context.space_vars(), point)}
-    if arithmetic in ("auto", "exact"):
-        try:
-            return evaluate_exact(expr, assignment), True
-        except ExactnessUnavailable:
-            if arithmetic == "exact":
-                raise
-    return evaluate_float(expr, assignment), False
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +125,6 @@ class VanishingReport:
     def holds(self) -> bool:
         return all(e.holds for e in self.entries)
 
-    def entry(self, point: Point, order: int) -> VanishingEntry:
-        for e in self.entries:
-            if e.point == point and e.order == order:
-                return e
-        raise KeyError((point, order))
-
     def to_json(self) -> str:
         data = {
             "truncation": self.truncation,
@@ -167,6 +146,69 @@ class VanishingReport:
         return json.dumps(data, indent=2, sort_keys=True)
 
 
+def _scan(
+    seq: FunctionSequence,
+    points: Sequence[Point],
+    orders: Sequence[int],
+    arithmetic: str,
+    tol: float,
+    stage_orders: Sequence[int] | None = None,
+) -> tuple[VanishingReport, list]:
+    """The one place a sequence is evaluated at points: each D^p w_mu
+    (|p| <= order_i) is built once and evaluated once at each point z_i.
+
+    Without stage_orders every entry decides; with them only i <= mu,
+    |p| <= stage_orders[mu] do.  Deciding entries use the requested
+    arithmetic and alone may raise ExactnessUnavailable in "exact" mode;
+    the others use "auto" ("float" when float is asked for), and terms
+    flagged approximate always use float.  Returns the report and the
+    deciding evaluations (mu, i, p, value, was_exact, zero) in order.
+    """
+    if arithmetic not in ("auto", "exact", "float"):
+        raise ValueError(f"unknown arithmetic {arithmetic!r}")
+    ctx = seq.context
+    other = "float" if arithmetic == "float" else "auto"
+    witness: list[int | None] = [0] * len(points)
+    exact = [True] * len(points)
+    fails: list[list[Failure]] = [[] for _ in points]
+    decided = []
+    for mu, w in enumerate(seq.terms):
+        table = _DerivativeTable(ctx, w)
+        for i, (a, order) in enumerate(zip(points, orders)):
+            assignment = dict(zip(ctx.space_vars(), a))
+            ok = True
+            for p in multi_indices(ctx.n, order):
+                deciding = stage_orders is None or (
+                    i <= mu and p.order <= stage_orders[mu]
+                )
+                mode = arithmetic if deciding else other
+                expr, was_exact = table.get(p), False
+                if mode != "float" and not seq.is_approximate(mu):
+                    try:
+                        value = evaluate_exact(expr, assignment)
+                        was_exact = True
+                    except ExactnessUnavailable:
+                        if mode == "exact":
+                            raise
+                if not was_exact:
+                    value = evaluate_float(expr, assignment)
+                exact[i] = exact[i] and was_exact
+                zero = value == 0 if was_exact else abs(value) <= tol
+                if not zero:
+                    fails[i].append(Failure(mu, p, float(value)))
+                    ok = False
+                if deciding:
+                    decided.append((mu, i, p, value, was_exact, zero))
+            if not ok:
+                witness[i] = mu + 1 if mu < seq.truncation else None
+    entries = tuple(
+        VanishingEntry(a, order, wit, ex, tuple(fl))
+        for a, order, wit, ex, fl in zip(points, orders, witness, exact, fails)
+    )
+    label = "float" if arithmetic == "float" or not all(exact) else "exact"
+    return VanishingReport(seq.truncation, label, tol, entries), decided
+
+
 def check_vanishing(
     seq: FunctionSequence,
     points: Sequence[Point],
@@ -179,10 +221,9 @@ def check_vanishing(
     For each (point, order) pair the witness is the least nu such that all
     later terms have every derivative up to the order equal to zero at the
     point.  In exact arithmetic "zero" is literal; in float arithmetic it
-    means within tol in absolute value.
+    means within tol in absolute value.  The report is labelled "exact"
+    only when every evaluation was exact.
     """
-    if arithmetic not in ("auto", "exact", "float"):
-        raise ValueError(f"unknown arithmetic {arithmetic!r}")
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if isinstance(orders, int):
         order_list = [orders] * len(pts)
@@ -190,36 +231,7 @@ def check_vanishing(
         order_list = list(orders)
         if len(order_list) != len(pts):
             raise ValueError("need one order per point")
-    ctx = seq.context
-    tables = [_DerivativeTable(ctx, w) for w in seq.terms]
-    entries = []
-    all_exact = True
-    for a, order in zip(pts, order_list):
-        witness: int | None = 0
-        point_exact = True
-        fails: list[Failure] = []
-        for mu, table in enumerate(tables):
-            ok = True
-            term_arith = "float" if seq.is_approximate(mu) else arithmetic
-            for p in multi_indices(ctx.n, order):
-                value, was_exact = _eval_term(
-                    ctx, table.get(p), a, term_arith
-                )
-                point_exact = point_exact and was_exact
-                zero = value == 0 if was_exact else abs(value) <= tol
-                if not zero:
-                    fails.append(Failure(mu, p, float(value)))
-                    ok = False
-            if not ok:
-                witness = mu + 1 if mu + 1 <= seq.truncation else None
-        all_exact = all_exact and point_exact
-        entries.append(
-            VanishingEntry(a, order, witness, point_exact, tuple(fails))
-        )
-    mode = arithmetic if arithmetic != "auto" else (
-        "exact" if all_exact else "float"
-    )
-    return VanishingReport(seq.truncation, mode, tol, tuple(entries))
+    return _scan(seq, pts, order_list, arithmetic, tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,45 +316,32 @@ def verify_solution(
     a witness no later than the stage that introduced it.  An empty
     sequence passes vacuously and is flagged degenerate.
 
-    The arithmetic label is "exact" only when every one of those pass/fail
-    evaluations was exact, and only they raise ExactnessUnavailable in
-    "exact" mode.  The witness reports also evaluate earlier stages at
-    later points, possibly inside a bump's transition annulus; that scan
-    runs in "auto" (or "float") and keeps its own per-entry flags.
+    One pass per equation evaluates each error-term derivative D^p w_nu
+    once at every point, up to the top stage order, and yields both the
+    witness report and the pass/fail verdict.  Only the pass/fail entries
+    (point z_i with i <= nu, |p| <= l_nu) use the requested arithmetic,
+    decide the "exact" label and may raise ExactnessUnavailable in "exact"
+    mode.  The rest of the witness scan evaluates earlier stages at later
+    points, possibly inside a bump's transition annulus; it runs in "auto"
+    (or "float") and keeps its own per-entry flags.
     """
     if seq.stage_count == 0:
         return VerificationResult(True, True, arithmetic, tol, (), ())
-    errors = error_sequence(op, seq)
+    top = [max(seq.orders)] * len(seq.points)
     reports: list[VanishingReport] = []
     failures: list[VerificationFailure] = []
     all_exact = True
-    scan_arith = "float" if arithmetic == "float" else "auto"
-    for j, err in enumerate(errors, start=1):
-        # exhaustive scan at the finest requirement: every point, top order
-        report = check_vanishing(
-            err,
-            seq.points,
-            [max(seq.orders)] * len(seq.points),
-            arithmetic=scan_arith,
-            tol=tol,
+    for j, err in enumerate(error_sequence(op, seq), start=1):
+        report, decided = _scan(
+            err, seq.points, top, arithmetic, tol, seq.orders
         )
         reports.append(report)
-        ctx = op.context
-        tables = [_DerivativeTable(ctx, w) for w in err.terms]
-        for nu in range(seq.stage_count):
-            order = seq.orders[nu]
-            stage_arith = "float" if err.is_approximate(nu) else arithmetic
-            for point in seq.points[: nu + 1]:
-                for p in multi_indices(ctx.n, order):
-                    value, was_exact = _eval_term(
-                        ctx, tables[nu].get(p), point, stage_arith
-                    )
-                    all_exact = all_exact and was_exact
-                    zero = value == 0 if was_exact else abs(value) <= tol
-                    if not zero:
-                        failures.append(
-                            VerificationFailure(j, nu, point, p, float(value))
-                        )
+        for nu, i, p, value, was_exact, zero in decided:
+            all_exact = all_exact and was_exact
+            if not zero:
+                failures.append(
+                    VerificationFailure(j, nu, seq.points[i], p, float(value))
+                )
     mode = "exact" if all_exact else "float"
     return VerificationResult(
         not failures, False, mode, tol, tuple(reports), tuple(failures)

@@ -155,6 +155,55 @@ eq: 0*u - 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_version_1_manifest_rejected(self, pde_file, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        main(["construct", pde_file, "--schedule", "0,1", "--count", "2",
+              "--out", out])
+        path = f"{out}/sequence.json"
+        raw = read_json(path)
+        raw["version"] = 1
+        write_json(path, raw)
+        assert main(["verify", path]) == 2
+        assert "version" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, message", [
+        ("overlap", "overlap"),
+        ("move", "centred"),
+        ("radii", "r_in < r_out"),
+        ("box", "leaves the box"),
+        ("drop", "centred"),
+    ])
+    def test_invalid_bumps_rejected(
+        self, pde_file, tmp_path, capsys, edit, message
+    ):
+        out = str(tmp_path / "out")
+        main(["construct", pde_file, "--schedule", "0,1", "--count", "2",
+              "--out", out])
+        path = f"{out}/sequence.json"
+        raw = read_json(path)
+        bumps = raw["stages"][1]["bumps"]
+        first, second = bumps
+        c0, c1 = (F(b["center"][0]) for b in bumps)
+        if edit == "overlap":
+            # both supports reach 3/4 of the way to the other centre
+            for b in bumps:
+                b["r_out"] = str(abs(c1 - c0) * F(3, 4))
+                b["r_in"] = str(F(b["r_out"]) / 2)
+        elif edit == "move":
+            first["center"] = [str(c0 + F(1, 64))]
+        elif edit == "radii":
+            first["r_in"] = first["r_out"]
+        elif edit == "box":
+            second["r_out"] = str(2 * F(second["r_out"]) + 1)
+        else:
+            del bumps[1]
+        write_json(path, raw)
+        capsys.readouterr()
+        assert main(["verify", path]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "PASS" not in captured.out
+
     def test_usage_error_missing_file(self, capsys):
         assert main(["range", "no-such-file.pde"]) == 2
         assert "error" in capsys.readouterr().err

@@ -1,10 +1,12 @@
 """Verifier: vanishing condition, ideal properties at truncation,
 probes, closure."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from densepde import verify as verify_module
 from densepde.construct import DensePointStream, construct_sequence
 from densepde.expr import (
     Const,
@@ -16,8 +18,11 @@ from densepde.expr import (
     ssum,
 )
 from densepde.jets import parse_pde_text
+from densepde.manifest import sequence_from_json, sequence_to_json
 from densepde.parser import Context, parse_expression
+from densepde.systems import lewy_operator
 from densepde.verify import (
+    Failure,
     FunctionSequence,
     SingularityComplement,
     check_vanishing,
@@ -35,6 +40,14 @@ X = Var(CTX.space(1))
 
 def model(points, orders):
     return example_sequence([F(p) for p in points], orders, CTX)
+
+
+@pytest.fixture(scope="module")
+def lewy_two_stages():
+    """The Lewy system (two equations) constructed at levels [1, 2]."""
+    op = lewy_operator()
+    pts = DensePointStream(op.domain).prefix(2)
+    return op, construct_sequence(op, pts, [1, 2])
 
 
 class TestModelSequence:
@@ -60,6 +73,18 @@ class TestModelSequence:
         assert not report.holds
         assert report.entries[0].witness is None
         assert report.entries[0].failures
+
+    def test_label_comes_from_evaluations(self):
+        # a float-flagged term is evaluated in float even in exact mode,
+        # so the report must not claim exactness
+        seq = FunctionSequence(
+            CTX,
+            (parse_expression("0*x", CTX), parse_expression("x - 1/2", CTX)),
+            approximate=(False, True),
+        )
+        report = check_vanishing(seq, [(F(1, 2),)], 1, arithmetic="exact")
+        assert not report.entries[0].exact
+        assert report.arithmetic == "float"
 
     def test_schedules_must_match(self):
         with pytest.raises(ValueError):
@@ -225,6 +250,49 @@ eq: u_x - u
         f = result.failures[0]
         assert f.stage == 1
         assert f.point == (F(1, 4),)
+
+    def test_each_derivative_taken_once(self, monkeypatch, lewy_two_stages):
+        op, seq = lewy_two_stages
+        taken = Counter()
+        real = verify_module.differentiate
+
+        def counting(expr, var):
+            taken[(expr, var)] += 1
+            return real(expr, var)
+
+        monkeypatch.setattr(verify_module, "differentiate", counting)
+        assert verify_solution(op, seq).passed
+        assert taken and max(taken.values()) == 1
+
+    def test_failures_ordered_and_reported(self, lewy_two_stages):
+        # shift v_x (equation 1) and v_y (equation 2) at every point of
+        # both stages, so both equations fail at both stages
+        op, seq = lewy_two_stages
+        data = sequence_to_json(seq)
+        for stage in data["stages"]:
+            for jet in stage["jets"]:
+                for key in ("1;(1,0,0)", "1;(0,1,0)"):
+                    jet["values"][key] = str(F(jet["values"][key]) + 1)
+        result = verify_solution(op, sequence_from_json(data))
+        assert not result.passed
+        keys = [
+            (f.equation, f.stage, seq.points.index(f.point), f.index.grlex_key())
+            for f in result.failures
+        ]
+        assert keys == sorted(set(keys))
+        assert {(k[0], k[1]) for k in keys} == {(1, 0), (1, 1), (2, 0), (2, 1)}
+        for f in result.failures:
+            entry = next(
+                e for e in result.reports[f.equation - 1].entries
+                if e.point == f.point
+            )
+            assert Failure(f.stage, f.index, f.value) in entry.failures
+
+    def test_unknown_arithmetic_rejected(self):
+        op = parse_pde_text(self.TRANSPORT)
+        seq = construct_sequence(op, [(F(1, 4),)], [1])
+        with pytest.raises(ValueError):
+            verify_solution(op, seq, arithmetic="rational")
 
     def test_empty_sequence_is_degenerate_pass(self):
         op = parse_pde_text(self.TRANSPORT)
