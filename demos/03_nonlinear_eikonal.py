@@ -55,10 +55,10 @@ print(
 )
 
 # everything needed to re-check the construction fits in one JSON file
-workdir = tempfile.mkdtemp()
-path = os.path.join(workdir, "eikonal.json")
-save_sequence(path, seq)
-again = load_sequence(path)
+with tempfile.TemporaryDirectory() as workdir:
+    path = os.path.join(workdir, "eikonal.json")
+    save_sequence(path, seq)
+    again = load_sequence(path)
 print("reloaded manifest verifies:", verify_solution(op, again, tol=1e-9).passed)
 
 # and the glued functions can be sampled on a grid (CSV)

@@ -144,23 +144,27 @@ def _sqrt_lower(f: Fraction) -> Fraction:
                     f.denominator * scale)
 
 
+SHRINK = Fraction(1, 2)
+
+
 def make_bumps(
     points: Sequence[Point],
     box: Box,
     context: Context,
-    shrink: Fraction = Fraction(1, 2),
 ) -> list[BumpFunction]:
     """Bumps with pairwise disjoint supports inside the box.
 
-    r_out = shrink * min(half the distance to the nearest other point,
+    r_out = SHRINK * min(half the distance to the nearest other point,
     distance to the box boundary); r_in = r_out / 2.
     """
-    if not 0 < shrink < 1:
-        raise ValueError("shrink must lie in (0, 1)")
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
     for p in pts:
+        if len(p) != len(box):
+            raise ValueError(
+                f"point {p}: dimension {len(p)}, box dimension {len(box)}"
+            )
         if not all(lo < c < hi for c, (lo, hi) in zip(p, box)):
             raise ValueError(f"point {p} not strictly inside the box")
     out = []
@@ -175,7 +179,7 @@ def make_bumps(
             d2 = sum((ca - cb) ** 2 for ca, cb in zip(a, b))
             half = _sqrt_lower(d2) / 2
             limit = min(limit, half)
-        r_out = shrink * limit
+        r_out = SHRINK * limit
         out.append(BumpFunction(context, a, r_out / 2, r_out))
     return out
 
@@ -265,7 +269,6 @@ def solve_on_discrete_set(
     points: Sequence[Point],
     level: int,
     tol: float = 1e-12,
-    shrink: Fraction = Fraction(1, 2),
     seed=None,
     system: ProlongedSystem | None = None,
 ) -> DiscreteSolve:
@@ -280,12 +283,23 @@ def solve_on_discrete_set(
         if not res.solved:
             raise SolveFailure(a, res)
         jets[a] = res.jet
-    bumps = make_bumps(pts, op.domain, op.context, shrink)
-    polys = {a: taylor_from_jet(op.context, a, jets[a]) for a in pts}
+    return glue(op, pts, jets, level)
+
+
+def glue(
+    op: PdeOperator,
+    points: Sequence[Point],
+    jets: dict[Point, Jet],
+    level: int,
+) -> DiscreteSolve:
+    """Glue the Taylor polynomial of each point's jet with disjoint bumps
+    centred on the points: one assembled function per unknown."""
+    bumps = make_bumps(points, op.domain, op.context)
+    polys = {a: taylor_from_jet(op.context, a, jets[a]) for a in points}
     functions = tuple(
         AssembledFunction(
             op.context,
-            tuple((bump, polys[a][unknown]) for bump, a in zip(bumps, pts)),
+            tuple((bump, polys[a][unknown]) for bump, a in zip(bumps, points)),
         )
         for unknown in range(op.k)
     )
@@ -345,7 +359,6 @@ def construct_sequence(
     points: Sequence[Point],
     orders: Sequence[int],
     tol: float = 1e-12,
-    shrink: Fraction = Fraction(1, 2),
     seed=None,
 ) -> SolutionSequence:
     """Build the staged sequence: stage nu uses points z_0..z_nu at level
@@ -360,7 +373,7 @@ def construct_sequence(
     for nu, level in enumerate(orders):
         try:
             stage = solve_on_discrete_set(
-                op, pts[: nu + 1], level, tol=tol, shrink=shrink, seed=seed,
+                op, pts[: nu + 1], level, tol=tol, seed=seed,
                 system=top.restrict(level) if top is not None else None,
             )
         except SolveFailure as exc:
@@ -390,7 +403,6 @@ def bracket_interpolate(
     points: Sequence[Point],
     ball: tuple[Point, Fraction] | None = None,
     tol: float = 1e-12,
-    shrink: Fraction = Fraction(1, 2),
 ) -> BracketResult:
     """Interpolate between a sub- and a supersolution so the equation
     holds at each given point, glued by a partition of unity that is 1
@@ -462,7 +474,7 @@ def bracket_interpolate(
                 f"bisection stalled at {a}: residual {residuals[a]:.3g}"
             )
 
-    bumps = make_bumps(pts, op.domain, op.context, shrink)
+    bumps = make_bumps(pts, op.domain, op.context)
     u_of = {}
     for a in pts:
         lam = Fraction(lambdas[a])

@@ -1,13 +1,16 @@
 """Serialization of staged solution sequences.
 
-A manifest (version 2) stores only what cannot be recomputed: the
-operator specification, the points and level schedule, the solved jet at
-each point of each stage, and the bump radii.  The Taylor polynomials and
-the glued functions are rebuilt from those data on load, so any tampering
-with a stored jet shows up as a verification failure.  Loading rejects
-bumps that do not form a valid partition: one per stage point and centred
-on it, 0 < r_in < r_out, supports strictly inside the box and pairwise
-disjoint.
+A manifest (version 3) stores only what cannot be recomputed: the
+operator specification, the points, the level schedule and, per stage,
+the solved jet at each of its points.  Each stage record is exactly
+``{"jets": [...]}``: stage nu holds the jets at z_0..z_nu at level l_nu,
+in point order.  The bumps, the Taylor polynomials and the glued
+functions are rebuilt on load by the same routine that built them
+(``construct.glue``), so any edit to a stored jet shows up as a
+verification failure.  Loading rejects unknown or missing keys, a stage
+count other than the point count, a stage without exactly one jet per
+stage point, a jet whose order is not m + l_nu, and a jet whose values
+do not match its arithmetic flag (exact: strings, float: numbers).
 """
 
 from __future__ import annotations
@@ -19,13 +22,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from .construct import (
-    AssembledFunction,
-    BumpFunction,
-    DiscreteSolve,
-    SolutionSequence,
-    taylor_from_jet,
-)
+from .construct import SolutionSequence, glue, validate_schedule
 from .jets import Jet, PdeOperator
 from .multiindex import MultiIndex
 from .parser import Context, parse_expression
@@ -33,22 +30,49 @@ from .printer import to_text
 from .ranges import jet_to_json
 
 FORMAT = "densepde-sequence"
-VERSION = 2
+VERSION = 3
+
+_TOP_KEYS = {"format", "version", "operator", "points", "orders", "stages"}
 
 
-def _fraction(text) -> Fraction:
-    return Fraction(text)
+def _check_keys(where: str, record, keys: set, optional: set = frozenset()):
+    """Raise ValueError unless `record` is an object with every key in
+    `keys`, any of `optional`, and nothing else."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{where}: expected an object")
+    if not keys <= set(record) <= keys | optional:
+        raise ValueError(
+            f"{where}: keys {sorted(record)}, expected {sorted(keys)}"
+        )
 
 
-def jet_from_json(n: int, k: int, data: dict) -> Jet:
+def _parse_value(raw, exact: bool, where: str) -> Fraction | float:
+    if exact:
+        if not isinstance(raw, str):
+            raise ValueError(f"{where}: exact value {raw!r} is not a string")
+        return Fraction(raw)
+    if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        raise ValueError(f"{where}: float value {raw!r} is not a number")
+    return float(raw)
+
+
+def jet_from_json(n: int, k: int, order: int, data: dict, where: str) -> Jet:
+    """The jet a manifest stores at `where`; it must have the given order."""
+    _check_keys(where, data, {"order", "arithmetic", "values"})
+    if data["order"] != order:
+        raise ValueError(f"{where}: order {data['order']}, expected {order}")
+    if data["arithmetic"] not in ("exact", "float"):
+        raise ValueError(f"{where}: unknown arithmetic {data['arithmetic']!r}")
     exact = data["arithmetic"] == "exact"
     values = {}
     for key, raw in data["values"].items():
         unknown_text, index_text = key.split(";")
         entries = tuple(int(t) for t in index_text.strip("()").split(","))
-        value = Fraction(raw) if exact else float(raw)
-        values[(int(unknown_text), MultiIndex(entries))] = value
-    return Jet(n, k, data["order"], values)
+        unknown, p = int(unknown_text), MultiIndex(entries)
+        if f"{unknown};{p}" != key:
+            raise ValueError(f"{where}: coordinate {key!r} is not canonical")
+        values[(unknown, p)] = _parse_value(raw, exact, where)
+    return Jet(n, k, order, values)
 
 
 def operator_to_json(op: PdeOperator) -> dict:
@@ -73,56 +97,17 @@ def operator_from_json(data: dict) -> PdeOperator:
 
 
 def sequence_to_json(seq: SolutionSequence) -> dict:
-    stages = []
-    for nu, stage in enumerate(seq.stages):
-        pts = seq.points[: nu + 1]
-        stages.append(
-            {
-                "stage": nu,
-                "level": seq.orders[nu],
-                "arithmetic": "exact" if stage.exact else "float",
-                "points": [[str(c) for c in a] for a in pts],
-                "jets": [jet_to_json(stage.jets[a]) for a in pts],
-                "bumps": [
-                    {
-                        "center": [str(c) for c in b.center],
-                        "r_in": str(b.r_in),
-                        "r_out": str(b.r_out),
-                    }
-                    for b in stage.bumps
-                ],
-            }
-        )
     return {
         "format": FORMAT,
         "version": VERSION,
         "operator": operator_to_json(seq.operator),
         "points": [[str(c) for c in a] for a in seq.points],
         "orders": list(seq.orders),
-        "stages": stages,
+        "stages": [
+            {"jets": [jet_to_json(stage.jets[a]) for a in seq.points[: nu + 1]]}
+            for nu, stage in enumerate(seq.stages)
+        ],
     }
-
-
-def _check_bumps(nu: int, points, bumps, box):
-    """Raise ValueError unless the stage's bumps form a partition: one per
-    point and centred on it, 0 < r_in < r_out, each closed support strictly
-    inside the box, supports pairwise disjoint (checked exactly as
-    (r_i + r_j)^2 <= |c_i - c_j|^2)."""
-    if [b.center for b in bumps] != list(points):
-        raise ValueError(f"stage {nu}: need one bump centred on each point")
-    for i, b in enumerate(bumps):
-        if not 0 < b.r_in < b.r_out:
-            raise ValueError(f"stage {nu} bump {i}: need 0 < r_in < r_out")
-        if not all(
-            lo < c - b.r_out and c + b.r_out < hi
-            for c, (lo, hi) in zip(b.center, box)
-        ):
-            raise ValueError(f"stage {nu} bump {i}: support leaves the box")
-        for j in range(i):
-            other = bumps[j]
-            d2 = sum((x - y) ** 2 for x, y in zip(b.center, other.center))
-            if (b.r_out + other.r_out) ** 2 > d2:
-                raise ValueError(f"stage {nu}: bumps {j} and {i} overlap")
 
 
 def sequence_from_json(data: dict) -> SolutionSequence:
@@ -130,46 +115,26 @@ def sequence_from_json(data: dict) -> SolutionSequence:
         raise ValueError("not a sequence manifest")
     if data.get("version") != VERSION:
         raise ValueError(f"unsupported manifest version {data.get('version')}")
+    _check_keys("manifest", data, _TOP_KEYS, optional={"header"})
     op = operator_from_json(data["operator"])
     ctx = op.context
-    points = tuple(
-        tuple(_fraction(c) for c in a) for a in data["points"]
-    )
-    orders = tuple(data["orders"])
+    points = tuple(tuple(Fraction(c) for c in a) for a in data["points"])
+    orders = tuple(validate_schedule(data["orders"]))
+    if not len(points) == len(orders) == len(data["stages"]):
+        raise ValueError("need one level and one stage per point")
     stages = []
-    for record in data["stages"]:
-        nu = record["stage"]
+    for nu, record in enumerate(data["stages"]):
+        _check_keys(f"stage {nu}", record, {"jets"})
         pts = points[: nu + 1]
-        declared = tuple(
-            tuple(_fraction(c) for c in a) for a in record["points"]
-        )
-        if declared != pts:
-            raise ValueError(f"stage {nu} point list disagrees with header")
+        if len(record["jets"]) != len(pts):
+            raise ValueError(f"stage {nu}: need one jet per stage point")
         jets = {
-            a: jet_from_json(ctx.n, ctx.k, j)
-            for a, j in zip(pts, record["jets"])
+            a: jet_from_json(
+                ctx.n, ctx.k, op.order + orders[nu], raw, f"stage {nu} jet {i}"
+            )
+            for i, (a, raw) in enumerate(zip(pts, record["jets"]))
         }
-        bumps = [
-            BumpFunction(
-                ctx,
-                tuple(_fraction(c) for c in b["center"]),
-                _fraction(b["r_in"]),
-                _fraction(b["r_out"]),
-            )
-            for b in record["bumps"]
-        ]
-        _check_bumps(nu, pts, bumps, op.domain)
-        polys = {a: taylor_from_jet(ctx, a, jets[a]) for a in pts}
-        functions = tuple(
-            AssembledFunction(
-                ctx,
-                tuple(
-                    (bump, polys[a][unknown]) for bump, a in zip(bumps, pts)
-                ),
-            )
-            for unknown in range(ctx.k)
-        )
-        stages.append(DiscreteSolve(functions, jets, bumps, record["level"]))
+        stages.append(glue(op, pts, jets, orders[nu]))
     return SolutionSequence(op, points, orders, tuple(stages))
 
 

@@ -17,6 +17,7 @@ from densepde.manifest import (
     sequence_to_json,
     write_json,
 )
+from densepde.multiindex import MultiIndex
 from densepde.verify import verify_solution
 
 TRANSPORT = """dim: 1
@@ -39,6 +40,25 @@ order: 1
 domain: (0,1)
 eq: u_x^2 + 1
 """
+
+
+def add_overlapping_bumps(raw):
+    """Add v2 bump records to stage 1, both supports reaching 3/4 of the
+    way to the other centre."""
+    c0, c1 = (F(a[0]) for a in raw["points"])
+    r_out = abs(c1 - c0) * F(3, 4)
+    raw["stages"][1]["bumps"] = [
+        {"center": a, "r_in": str(r_out / 2), "r_out": str(r_out)}
+        for a in raw["points"]
+    ]
+
+
+def add_respelled_coordinate(raw):
+    """Store one jet value a second time under another spelling of its
+    coordinate."""
+    values = raw["stages"][1]["jets"][0]["values"]
+    key = next(iter(values))
+    values[key.replace("(", "( ")] = values[key]
 
 
 @pytest.fixture
@@ -161,48 +181,100 @@ eq: 0*u - 1
               "--out", out])
         path = f"{out}/sequence.json"
         raw = read_json(path)
-        raw["version"] = 1
-        write_json(path, raw)
-        assert main(["verify", path]) == 2
-        assert "version" in capsys.readouterr().err
+        for version in (1, 2):
+            raw["version"] = version
+            write_json(path, raw)
+            capsys.readouterr()
+            assert main(["verify", path]) == 2
+            assert "version" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("edit, message", [
-        ("overlap", "overlap"),
-        ("move", "centred"),
-        ("radii", "r_in < r_out"),
-        ("box", "leaves the box"),
-        ("drop", "centred"),
-    ])
-    def test_invalid_bumps_rejected(
-        self, pde_file, tmp_path, capsys, edit, message
-    ):
+    def edited_manifest(self, pde_file, tmp_path, edit):
+        """The manifest of a two-stage transport sequence after `edit`."""
         out = str(tmp_path / "out")
         main(["construct", pde_file, "--schedule", "0,1", "--count", "2",
               "--out", out])
         path = f"{out}/sequence.json"
         raw = read_json(path)
-        bumps = raw["stages"][1]["bumps"]
-        first, second = bumps
-        c0, c1 = (F(b["center"][0]) for b in bumps)
-        if edit == "overlap":
-            # both supports reach 3/4 of the way to the other centre
-            for b in bumps:
-                b["r_out"] = str(abs(c1 - c0) * F(3, 4))
-                b["r_in"] = str(F(b["r_out"]) / 2)
-        elif edit == "move":
-            first["center"] = [str(c0 + F(1, 64))]
-        elif edit == "radii":
-            first["r_in"] = first["r_out"]
-        elif edit == "box":
-            second["r_out"] = str(2 * F(second["r_out"]) + 1)
-        else:
-            del bumps[1]
+        edit(raw)
         write_json(path, raw)
+        return path
+
+    def assert_rejected(self, path, capsys, message):
         capsys.readouterr()
         assert main(["verify", path]) == 2
         captured = capsys.readouterr()
         assert message in captured.err
         assert "PASS" not in captured.out
+
+    @pytest.mark.parametrize("edit, message", [
+        (add_overlapping_bumps, "stage 1: keys"),
+        (lambda raw: raw["stages"][1].update(points=raw["points"]), "stage 1: keys"),
+        (lambda raw: raw["stages"][1].update(level=raw["orders"][1]), "stage 1: keys"),
+        (lambda raw: raw["stages"][1].update(arithmetic="exact"), "stage 1: keys"),
+        (lambda raw: raw["stages"][1].update(stage=1), "stage 1: keys"),
+        (lambda raw: raw["stages"][1]["jets"].append(raw["stages"][1]["jets"][0]),
+         "stage 1: need one jet per stage point"),
+        (lambda raw: raw["stages"][1]["jets"].pop(),
+         "stage 1: need one jet per stage point"),
+        (lambda raw: raw.update(bumps=[]), "manifest: keys"),
+        (lambda raw: raw["stages"].reverse(),
+         "stage 0: need one jet per stage point"),
+    ], ids=[
+        "v2-bumps", "v2-points", "v2-level", "v2-arithmetic", "v2-stage",
+        "extra-jet", "missing-jet", "top-level-key", "swapped-stages",
+    ])
+    def test_edited_manifest_rejected(
+        self, pde_file, tmp_path, capsys, edit, message
+    ):
+        path = self.edited_manifest(pde_file, tmp_path, edit)
+        self.assert_rejected(path, capsys, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda raw: raw["stages"][1]["jets"][0].update(note=""),
+         "stage 1 jet 0: keys"),
+        (add_respelled_coordinate, "is not canonical"),
+        (lambda raw: raw["points"][1].pop(), "box dimension 1"),
+        (lambda raw: raw["orders"].__setitem__(0, -1), "levels must be >= 0"),
+    ], ids=["jet-key", "duplicate-coordinate", "point-dimension", "negative-level"])
+    def test_malformed_jet_or_point_rejected(
+        self, pde_file, tmp_path, capsys, edit, message
+    ):
+        path = self.edited_manifest(pde_file, tmp_path, edit)
+        self.assert_rejected(path, capsys, message)
+
+    def test_raised_jet_order_rejected(self, pde_file, tmp_path, capsys):
+        # stage 1 (level 1) of a first-order equation stores order-2 jets;
+        # an order-3 term only moves derivatives the check never reaches
+        def raise_order(raw):
+            jet = raw["stages"][1]["jets"][0]
+            jet["order"] += 1
+            jet["values"][f"1;{MultiIndex((jet['order'],))}"] = "5"
+
+        path = self.edited_manifest(pde_file, tmp_path, raise_order)
+        self.assert_rejected(path, capsys, "stage 1 jet 0: order 3, expected 2")
+
+    def test_exact_values_stored_as_numbers_rejected(
+        self, pde_file, tmp_path, capsys
+    ):
+        def to_numbers(raw):
+            for stage in raw["stages"]:
+                for jet in stage["jets"]:
+                    jet["values"] = {
+                        key: float(F(v)) for key, v in jet["values"].items()
+                    }
+
+        path = self.edited_manifest(pde_file, tmp_path, to_numbers)
+        self.assert_rejected(path, capsys, "is not a string")
+
+    def test_float_values_stored_as_strings_rejected(self, tmp_path, capsys):
+        op = parse_pde_text(EXPONENTIAL)
+        raw = sequence_to_json(construct_sequence(op, [(F(1, 2),)], [0]))
+        for jet in raw["stages"][0]["jets"]:
+            assert jet["arithmetic"] == "float"
+            jet["values"] = {k: repr(v) for k, v in jet["values"].items()}
+        path = str(tmp_path / "sequence.json")
+        write_json(path, raw)
+        self.assert_rejected(path, capsys, "is not a number")
 
     def test_usage_error_missing_file(self, capsys):
         assert main(["range", "no-such-file.pde"]) == 2

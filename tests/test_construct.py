@@ -72,13 +72,13 @@ class TestBumps:
     CTX = Context(("x",))
 
     def test_declared_radii(self):
-        bumps = make_bumps([(F(1, 4),), (F(3, 4),)], UNIT, self.CTX, F(1, 2))
+        bumps = make_bumps([(F(1, 4),), (F(3, 4),)], UNIT, self.CTX)
         assert [b.r_out for b in bumps] == [F(1, 8), F(1, 8)]
         assert [b.r_in for b in bumps] == [F(1, 16), F(1, 16)]
 
     def test_supports_disjoint_and_interior(self):
         pts = [(F(1, 2),), (F(9, 16),), (F(15, 16),)]
-        bumps = make_bumps(pts, UNIT, self.CTX, F(1, 2))
+        bumps = make_bumps(pts, UNIT, self.CTX)
         for i, a in enumerate(bumps):
             assert a.center[0] - a.r_out > 0
             assert a.center[0] + a.r_out < 1
