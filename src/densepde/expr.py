@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Union
 
-from .multiindex import MultiIndex, zero_index
+from .multiindex import MultiIndex
 
 Number = Union[int, Fraction, float]
 
@@ -613,7 +613,7 @@ def _eval(e: Expr, assignment, exact: bool):
     raise TypeError(type(e))
 
 
-def _bump_region(e: Bump, point: tuple[Fraction, ...]) -> str:
+def bump_region(e: Bump, point: tuple[Fraction, ...]) -> str:
     """'plateau', 'outside' or 'transition', decided exactly for rationals."""
     t = sum((x - c) ** 2 for x, c in zip(point, e.center))
     if t <= e.r_in ** 2:
@@ -629,66 +629,18 @@ def _eval_bump(e: Bump, assignment, exact: bool):
     except KeyError as exc:
         raise EvaluationError(f"no value assigned to {exc.args[0]}") from None
     except (ValueError, OverflowError):
-        # non-rational coordinates: only the float transition path applies
-        if exact:
-            raise ExactnessUnavailable("bump at a non-rational point") from None
-        point = None
-    if point is not None:
-        region = _bump_region(e, point)
-        if region == "plateau":
-            v = Fraction(1) if e.deriv.order == 0 else Fraction(0)
-            return v if exact else float(v)
-        if region == "outside":
-            return Fraction(0) if exact else 0.0
-        if exact:
-            raise ExactnessUnavailable("bump evaluated in its transition region")
-    expr = _bump_transition_derivative(e)
-    try:
-        return _eval(expr, assignment, exact=False)
-    except OverflowError:
-        # exp overflow at the edge of the annulus: the profile saturates
-        return 0.0
+        raise EvaluationError("bump at a non-finite point") from None
+    region = bump_region(e, point)
+    if region == "plateau":
+        v = Fraction(1) if e.deriv.order == 0 else Fraction(0)
+        return v if exact else float(v)
+    if region == "outside":
+        return Fraction(0) if exact else 0.0
+    if exact:
+        raise ExactnessUnavailable("bump evaluated in its transition region")
+    return taylor.bump_derivative(e, point)
 
 
-_TRANSITION_CACHE: dict[Bump, Expr] = {}
-
-
-def _bump_transition_derivative(e: Bump) -> Expr:
-    """Closed form of D^deriv of the bump, valid on the open transition
-    annulus: phi = 1 / (1 + exp(1/(b - t) - 1/(t - c))) with t = |x - a|^2."""
-    key = Bump(e.center, e.r_in, e.r_out, e.space_vars, e.deriv)
-    if key in _TRANSITION_CACHE:
-        return _TRANSITION_CACHE[key]
-    base_key = Bump(e.center, e.r_in, e.r_out, e.space_vars, zero_index(len(e.center)))
-    if base_key not in _TRANSITION_CACHE:
-        t = ssum(
-            [
-                spow(ssum([Var(v), Const(-c)]), 2)
-                for v, c in zip(e.space_vars, e.center)
-            ]
-        )
-        b = Const(e.r_out ** 2)
-        c0 = Const(e.r_in ** 2)
-        h = ssum(
-            [
-                squot(ONE, ssum([b, sprod([MINUS_ONE, t])])),
-                sprod([MINUS_ONE, squot(ONE, ssum([t, sprod([MINUS_ONE, c0])]))]),
-            ]
-        )
-        _TRANSITION_CACHE[base_key] = squot(ONE, ssum([ONE, sfn("exp", h)]))
-    expr = _TRANSITION_CACHE[base_key]
-    built = zero_index(len(e.center))
-    while built != e.deriv:
-        axis = next(
-            i + 1
-            for i in range(len(e.center))
-            if built.entries[i] < e.deriv.entries[i]
-        )
-        next_key = Bump(e.center, e.r_in, e.r_out, e.space_vars, built.plus_axis(axis))
-        if next_key in _TRANSITION_CACHE:
-            expr = _TRANSITION_CACHE[next_key]
-        else:
-            expr = differentiate(expr, e.space_vars[axis - 1])
-            _TRANSITION_CACHE[next_key] = expr
-        built = built.plus_axis(axis)
-    return expr
+# The Taylor evaluator builds on the node classes above, and the bump's
+# transition values come from its Taylor series.
+from . import taylor  # noqa: E402

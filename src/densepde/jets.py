@@ -25,6 +25,7 @@ from .expr import (
 )
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
+from .taylor import derivative, series
 
 Point = tuple[Fraction, ...]
 
@@ -257,21 +258,12 @@ def jet_of_function(
         exact = all(is_rational_closed(c) for c in components) and all(
             isinstance(x, (int, Fraction)) for x in point
         )
-    space = context.space_vars()
-    assignment = {v: x for v, x in zip(space, point)}
+    mode = "exact" if exact else "float"
     values: dict[tuple[int, MultiIndex], Fraction | float] = {}
     for unknown, c in enumerate(components, start=1):
-        derivs: dict[MultiIndex, Expr] = {zero_index(context.n): simplify(c)}
+        coefficients = series(c, point, order, mode)
         for p in multi_indices(context.n, order):
-            if p.order == 0:
-                continue
-            axis = p.first_nonzero_axis()
-            derivs[p] = differentiate(derivs[p.minus_axis(axis)], space[axis - 1])
-        for p in multi_indices(context.n, order):
-            if exact:
-                values[(unknown, p)] = evaluate_exact(derivs[p], assignment)
-            else:
-                values[(unknown, p)] = evaluate_float(derivs[p], assignment)
+            values[(unknown, p)] = derivative(coefficients, p, exact)
     return Jet(context.n, context.k, order, values)
 
 

@@ -7,10 +7,12 @@ the solved jet at each of its points.  Each stage record is exactly
 in point order.  The bumps, the Taylor polynomials and the glued
 functions are rebuilt on load by the same routine that built them
 (``construct.glue``), so any edit to a stored jet shows up as a
-verification failure.  Loading rejects unknown or missing keys, a stage
-count other than the point count, a stage without exactly one jet per
-stage point, a jet whose order is not m + l_nu, and a jet whose values
-do not match its arithmetic flag (exact: strings, float: numbers).
+verification failure.  Loading rejects unknown or missing keys (top
+level, operator, stage and jet records), an operator whose dim differs
+from its number of variables or domain intervals, a stage count other
+than the point count, a stage without exactly one jet per stage point, a
+jet whose order is not m + l_nu, and a jet whose values do not match its
+arithmetic flag (exact: strings, float: numbers).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ FORMAT = "densepde-sequence"
 VERSION = 3
 
 _TOP_KEYS = {"format", "version", "operator", "points", "orders", "stages"}
+_OPERATOR_KEYS = {"dim", "vars", "unknowns", "order", "domain", "equations"}
 
 
 def _check_keys(where: str, record, keys: set, optional: set = frozenset()):
@@ -88,6 +91,13 @@ def operator_to_json(op: PdeOperator) -> dict:
 
 
 def operator_from_json(data: dict) -> PdeOperator:
+    _check_keys("operator", data, _OPERATOR_KEYS)
+    dim = data["dim"]
+    if type(dim) is not int or not dim == len(data["vars"]) == len(data["domain"]):
+        raise ValueError(
+            f"operator: dim {dim!r}, but {len(data['vars'])} variable(s) "
+            f"and {len(data['domain'])} domain interval(s)"
+        )
     ctx = Context(tuple(data["vars"]), tuple(data["unknowns"]))
     equations = tuple(parse_expression(t, ctx) for t in data["equations"])
     domain = tuple(

@@ -1,0 +1,491 @@
+"""Taylor-mode evaluation: truncated multivariate Taylor series carried
+through expression trees.
+
+``series(e, point, order)`` returns the coefficients c_p of the Taylor
+expansion of e at the point, for every multi-index |p| <= order, so that
+D^p e(point) = p! * c_p.  A missing key is an exact zero.  Every
+coefficient is either a Fraction (exact) or a float, and a coefficient is
+exact only when every input that reaches it is exact.  An exact zero
+times any value stays an exact zero, so the structural zeros symbolic
+differentiation finds (D_y exp(x) = 0) come out exact here as well.
+
+Sums are termwise and products truncated Cauchy products.  Quotients,
+powers, exp, log, sqrt, sin and cos use the standard recurrences, which
+follow from theta_i = (x_i - z_i) d/dx_i scaling c_p by p_i: for
+f = exp(a), theta_i f = f theta_i a gives p_i f_p = sum q_i a_q f_r over
+q + r = p, with i the first nonzero axis of p (Griewank and Walther,
+"Evaluating Derivatives", 2nd ed., ch. 13; Bettencourt, Johnson and
+Duvenaud, "Taylor-mode automatic differentiation for higher-order
+derivatives", 2019).
+
+Inside, a series is a dict from slot to coefficient, where slot k is the
+k-th multi-index of the graded-lex enumeration multi_indices(n, order).
+The enumeration up to a lower order is a prefix of the one up to a higher
+order, so series truncated at different orders share their slots.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+from typing import Mapping, Sequence
+
+from .expr import (
+    Bump,
+    Const,
+    EvaluationError,
+    ExactnessUnavailable,
+    Expr,
+    Fn,
+    JetVar,
+    Pow,
+    Prod,
+    Quot,
+    Sum,
+    Var,
+    Variable,
+    bump_region,
+)
+from .multiindex import MultiIndex, multi_indices
+
+Coefficient = Fraction | float
+MODES = ("auto", "exact", "float")
+
+
+class _Layout:
+    """Slot tables of n-variate series truncated at total degree `order`."""
+
+    def __init__(self, n: int, order: int):
+        self.order = order
+        self.indices = multi_indices(n, order)
+        self.size = len(self.indices)
+        slot = {p.entries: k for k, p in enumerate(self.indices)}
+        self.unit = [slot.get(_unit(n, a, 1)) for a in range(n)]
+        self.square = [slot.get(_unit(n, a, 2)) for a in range(n)]
+        # times[a][b]: slot of index a + index b, for |a + b| <= order
+        self.times: list[dict[int, int]] = [{} for _ in self.indices]
+        # weight[s] = s_i and splits[s] = (a, b, a_i, b_i) over a + b = s,
+        # with i the first nonzero axis of s (any axis for s = 0)
+        axis = [max(p.first_nonzero_axis() - 1, 0) for p in self.indices]
+        self.weight = [p.entries[i] for p, i in zip(self.indices, axis)]
+        self.splits: list[list[tuple[int, int, int, int]]] = [[] for _ in self.indices]
+        for a, pa in enumerate(self.indices):
+            for b, pb in enumerate(self.indices):
+                if pa.order + pb.order > order:
+                    break
+                s = slot[tuple(x + y for x, y in zip(pa.entries, pb.entries))]
+                self.times[a][b] = s
+                i = axis[s]
+                self.splits[s].append((a, b, pa.entries[i], pb.entries[i]))
+
+
+def _unit(n: int, axis: int, power: int) -> tuple[int, ...]:
+    return tuple(power if a == axis else 0 for a in range(n))
+
+
+@lru_cache(maxsize=32)
+def _layout(n: int, order: int) -> _Layout:
+    return _Layout(n, order)
+
+
+@lru_cache(maxsize=256)
+def _shift_plan(alpha: MultiIndex, order: int) -> tuple[tuple[int, int, int], ...]:
+    """(slot of q, slot of q + alpha, (q + alpha)! / q!) for |q| <= order."""
+    n = alpha.n
+    big = _layout(n, order + alpha.order)
+    slot = {p.entries: k for k, p in enumerate(big.indices)}
+    plan = []
+    for k, q in enumerate(multi_indices(n, order)):
+        p = q + alpha
+        plan.append((k, slot[p.entries], p.factorial() // q.factorial()))
+    return tuple(plan)
+
+
+# ---------------------------------------------------------------------------
+# arithmetic on slot series
+
+def _clean(acc: dict) -> dict:
+    """Drop exact zeros; a float zero is kept, since it is not exact."""
+    return {k: v for k, v in acc.items() if v or type(v) is float}
+
+
+def _neg(a: dict) -> dict:
+    return {k: -v for k, v in a.items()}
+
+
+def _add_into(acc: dict, a: dict):
+    for k, v in a.items():
+        acc[k] = acc[k] + v if k in acc else v
+
+
+def _mul(a: dict, b: dict, lay: _Layout) -> dict:
+    acc: dict = {}
+    for i, x in a.items():
+        row = lay.times[i]
+        for j, y in b.items():
+            k = row.get(j)
+            if k is not None:
+                acc[k] = acc[k] + x * y if k in acc else x * y
+    return _clean(acc)
+
+
+def _power(a: dict, k: int, lay: _Layout) -> dict:
+    """a^k for an integer k >= 1, by repeated squaring."""
+    out = None
+    while True:
+        if k & 1:
+            out = a if out is None else _mul(out, a, lay)
+        k >>= 1
+        if not k:
+            return out
+        a = _mul(a, a, lay)
+
+
+def _quot(num: dict, den: dict, lay: _Layout) -> dict:
+    """num / den from den * f = num: den_0 f_s = num_s - sum d_a f_b, a != 0."""
+    d0 = den.get(0)
+    if not d0:
+        raise EvaluationError("division by zero")
+    f: dict = {}
+    for s in range(lay.size):
+        acc = num.get(s)
+        for a, b, _, _ in lay.splits[s]:
+            if a and a in den and b in f:
+                t = den[a] * f[b]
+                acc = -t if acc is None else acc - t
+        if acc is not None:
+            v = acc / d0
+            if v or type(v) is float:
+                f[s] = v
+    return f
+
+
+def _real_power(a: dict, k: Fraction, f0, lay: _Layout) -> dict:
+    """a^k with f_0 = a_0^k given and a_0 != 0:
+    a_0 s_i f_s = sum over a + b = s, a != 0, of (k a_i - b_i) a_a f_b."""
+    a0 = a[0]
+    f = {0: f0}
+    for s in range(1, lay.size):
+        acc = None
+        for i, j, wi, wj in lay.splits[s]:
+            if i and i in a and j in f:
+                c = k * wi - wj
+                if c:
+                    t = c * a[i] * f[j]
+                    acc = t if acc is None else acc + t
+        if acc is not None:
+            v = acc / (lay.weight[s] * a0)
+            if v or type(v) is float:
+                f[s] = v
+    return f
+
+
+def _exp(a: dict, lay: _Layout) -> dict:
+    """s_i f_s = sum over a + b = s of a_i a_a f_b."""
+    try:
+        f = {0: math.exp(a.get(0, 0))}
+    except OverflowError:
+        raise EvaluationError("exp overflows") from None
+    for s in range(1, lay.size):
+        acc = None
+        for i, j, wi, _ in lay.splits[s]:
+            if wi and i in a and j in f:
+                t = wi * a[i] * f[j]
+                acc = t if acc is None else acc + t
+        if acc is not None:
+            f[s] = acc / lay.weight[s]
+    return f
+
+
+def _log(a: dict, lay: _Layout) -> dict:
+    """a_0 s_i f_s = s_i a_s - sum over a + b = s, a != 0, of b_i a_a f_b."""
+    a0 = a.get(0, 0)
+    if a0 <= 0:
+        raise EvaluationError("log of a non-positive number")
+    f = {0: math.log(a0)}
+    for s in range(1, lay.size):
+        w = lay.weight[s]
+        acc = w * a[s] if s in a else None
+        for i, j, _, wj in lay.splits[s]:
+            if i and wj and i in a and j in f:
+                t = wj * a[i] * f[j]
+                acc = -t if acc is None else acc - t
+        if acc is not None:
+            v = acc / (w * a0)
+            if v or type(v) is float:
+                f[s] = v
+    return f
+
+
+def _sin_cos(a: dict, lay: _Layout) -> tuple[dict, dict]:
+    """s_i sin_s = sum a_i a_a cos_b and s_i cos_s = -sum a_i a_a sin_b."""
+    a0 = a.get(0, 0)
+    sin, cos = {0: math.sin(a0)}, {0: math.cos(a0)}
+    for s in range(1, lay.size):
+        acc_s = acc_c = None
+        for i, j, wi, _ in lay.splits[s]:
+            if wi and i in a:
+                x = wi * a[i]
+                if j in cos:
+                    t = x * cos[j]
+                    acc_s = t if acc_s is None else acc_s + t
+                if j in sin:
+                    t = x * sin[j]
+                    acc_c = -t if acc_c is None else acc_c - t
+        w = lay.weight[s]
+        if acc_s is not None:
+            sin[s] = acc_s / w
+        if acc_c is not None:
+            cos[s] = acc_c / w
+    return sin, cos
+
+
+def _fractional_power(a: dict, k: Fraction, lay: _Layout) -> dict:
+    """a^k for a non-integer k, in floats."""
+    a0 = a.get(0, 0)
+    if a0 < 0:
+        raise EvaluationError("negative base with fractional exponent")
+    if a0 == 0:
+        if k < 0:
+            raise EvaluationError("zero raised to a negative power")
+        if a and lay.size > 1:
+            raise EvaluationError("fractional power of zero is not differentiable")
+        return {0: 0.0}
+    return _real_power(a, k, float(a0) ** float(k), lay)
+
+
+# ---------------------------------------------------------------------------
+# the bump's transition profile
+
+# exp(-746) underflows to 0.0 in IEEE doubles: beyond |h| = 746 the profile
+# 1 / (1 + exp(h)) is 0 or 1 to the last bit, and so is each derivative.
+_SATURATION = 746
+
+
+def _bump_profile(center, r_in, r_out, point, order: int) -> dict:
+    """Series, to `order`, of the bump's profile 1 / (1 + exp(h)) with
+    h = 1/(r_out^2 - t) - 1/(t - r_in^2) and t = |x - center|^2, at a
+    rational point of the open transition annulus: one float in every slot.
+
+    h is expanded exactly.  Where |h(point)| >= 746 the profile saturates
+    to the series 0 (towards r_out) or 1 (towards r_in), so no float
+    overflows into NaN or inf; elsewhere exp is taken of -|h| only.
+    """
+    lay = _layout(len(center), order)
+    t: dict = {0: sum((x - c) ** 2 for x, c in zip(point, center))}
+    for a, (x, c) in enumerate(zip(point, center)):
+        if order >= 1 and x != c:
+            t[lay.unit[a]] = 2 * (x - c)
+        if order >= 2:
+            t[lay.square[a]] = 1
+    outer = _neg(t)
+    outer[0] += r_out ** 2
+    inner = dict(t)
+    inner[0] -= r_in ** 2
+    one = {0: 1}
+    h = _quot(one, outer, lay)
+    _add_into(h, _neg(_quot(one, inner, lay)))
+    h0 = h.get(0, 0)
+    profile = dict.fromkeys(range(lay.size), 0.0)
+    if h0 >= _SATURATION:
+        return profile
+    if h0 <= -_SATURATION:
+        profile[0] = 1.0
+        return profile
+    try:
+        hf = {k: float(v) for k, v in h.items() if v}
+    except OverflowError:
+        raise EvaluationError("bump derivative overflows") from None
+    if h0 > 0:
+        # 1 / (1 + e^h) = e^-h / (1 + e^-h)
+        small = _exp(_neg(hf), lay)
+        denom = dict(small)
+        denom[0] += 1.0
+        profile.update(_quot(small, denom, lay))
+    else:
+        denom = _exp(hf, lay)
+        denom[0] += 1.0
+        profile.update(_quot({0: 1.0}, denom, lay))
+    if not all(math.isfinite(v) for v in profile.values()):
+        raise EvaluationError("bump derivative overflows")
+    return profile
+
+
+def bump_derivative(e: Bump, point: Sequence[Fraction]) -> float:
+    """D^deriv of the bump at a rational point of its transition annulus."""
+    [(_, src, factor)] = _shift_plan(e.deriv, 0)
+    return factor * _bump_profile(e.center, e.r_in, e.r_out, point, e.deriv.order)[src]
+
+
+# ---------------------------------------------------------------------------
+# the tree walk
+
+class _Walk:
+    def __init__(self, point, lay: _Layout, mode: str, bindings: dict):
+        try:
+            self.exact_point = tuple(Fraction(x) for x in point)
+        except (ValueError, OverflowError):
+            raise EvaluationError("point has a non-finite coordinate") from None
+        self.lay = lay
+        self.float = mode == "float"
+        self.one = 1.0 if self.float else Fraction(1)
+        self.coords = tuple(self.number(x) for x in self.exact_point)
+        self.bindings = bindings
+
+    def number(self, x):
+        return float(x) if self.float else x
+
+    def __call__(self, e: Expr) -> dict:
+        return _RULES[type(e)](self, e)
+
+    def const(self, e: Const) -> dict:
+        return {0: self.number(e.value)} if e.value else {}
+
+    def var(self, e: Var) -> dict:
+        v = e.var
+        if isinstance(v, JetVar):
+            if v not in self.bindings:
+                raise EvaluationError(f"no value assigned to {v}")
+            return self.bindings[v]
+        if not 1 <= v.axis <= len(self.coords):
+            raise EvaluationError(f"no value assigned to {v}")
+        x = self.coords[v.axis - 1]
+        out = {0: x} if x else {}
+        if self.lay.size > 1:
+            out[self.lay.unit[v.axis - 1]] = self.one
+        return out
+
+    def sum(self, e: Sum) -> dict:
+        acc: dict = {}
+        for term in e.terms:
+            _add_into(acc, self(term))
+        return _clean(acc)
+
+    def prod(self, e: Prod) -> dict:
+        # bumps sort last: take them first, and stop at an exact zero
+        out = None
+        for factor in reversed(e.factors):
+            s = self(factor)
+            if not s:
+                return {}
+            out = s if out is None else _mul(out, s, self.lay)
+        return out
+
+    def pow(self, e: Pow) -> dict:
+        a, k = self(e.base), e.exponent
+        if k.denominator != 1:
+            return _fractional_power(a, k, self.lay)
+        k = k.numerator
+        if k > 0:
+            return _power(a, k, self.lay) if a else {}
+        if k == 0:
+            return {0: self.one}
+        a0 = a.get(0)
+        if not a0:
+            raise EvaluationError("zero raised to a negative power")
+        return _real_power(a, k, a0 ** k, self.lay)
+
+    def quot(self, e: Quot) -> dict:
+        den = self(e.denom)
+        return _quot(self(e.numer), den, self.lay)
+
+    def fn(self, e: Fn) -> dict:
+        a = self(e.arg)
+        if e.name == "exp":
+            return _exp(a, self.lay)
+        if e.name == "log":
+            return _log(a, self.lay)
+        if e.name == "sqrt":
+            return _fractional_power(a, Fraction(1, 2), self.lay)
+        sin, cos = _sin_cos(a, self.lay)
+        return sin if e.name == "sin" else cos
+
+    def bump(self, e: Bump) -> dict:
+        point = self.exact_point
+        region = bump_region(e, point)
+        if region == "outside":
+            return {}
+        if region == "plateau":
+            return {0: self.one} if e.deriv.order == 0 else {}
+        order = self.lay.order
+        profile = _bump_profile(e.center, e.r_in, e.r_out, point, order + e.deriv.order)
+        return {k: f * profile[src] for k, src, f in _shift_plan(e.deriv, order)}
+
+
+_RULES = {
+    Const: _Walk.const,
+    Var: _Walk.var,
+    Sum: _Walk.sum,
+    Prod: _Walk.prod,
+    Pow: _Walk.pow,
+    Quot: _Walk.quot,
+    Fn: _Walk.fn,
+    Bump: _Walk.bump,
+}
+
+
+def series(
+    e: Expr,
+    point: Sequence,
+    order: int,
+    mode: str = "auto",
+    bindings: Mapping[Variable, Mapping[MultiIndex, Coefficient]] | None = None,
+) -> dict[MultiIndex, Coefficient]:
+    """Taylor coefficients c_p of e at the point for |p| <= order, keyed
+    by p in graded-lex order; D^p e(point) = p! * c_p.
+
+    `point` gives the space coordinates, axis 1 first.  `bindings` gives
+    the series of each jet variable at the point, up to at least `order`.
+    A missing key is an exact zero.  Modes: "auto" keeps each coefficient
+    exact (Fraction) when every input to it is exact and float otherwise;
+    "exact" raises ExactnessUnavailable unless every coefficient is
+    exact; "float" computes in floats from the leaves up.  A float
+    coefficient is never NaN or inf: EvaluationError is raised instead.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown arithmetic {mode!r}")
+    if order < 0:
+        raise ValueError("order must be >= 0")
+    lay = _layout(len(point), order)
+    slot = {p: k for k, p in enumerate(lay.indices)}
+    walk_bindings = {
+        v: _clean({slot[p]: (float(c) if mode == "float" else c) for p, c in s.items() if p in slot})
+        for v, s in (bindings or {}).items()
+    }
+    out = _Walk(point, lay, mode, walk_bindings)(e)
+    result: dict[MultiIndex, Coefficient] = {}
+    for k in sorted(out):
+        c = out[k]
+        if type(c) is float:
+            if mode == "exact":
+                raise ExactnessUnavailable(f"coefficient {lay.indices[k]} is not exact")
+            if not math.isfinite(c):
+                raise EvaluationError(f"coefficient {lay.indices[k]} is not finite")
+        else:
+            c = Fraction(c)
+        result[lay.indices[k]] = c
+    return result
+
+
+def shift(
+    s: Mapping[MultiIndex, Coefficient], alpha: MultiIndex, order: int
+) -> dict[MultiIndex, Coefficient]:
+    """The series of D^alpha w, to `order`, from the series s of w, which
+    must reach order + |alpha|: c_q = (q + alpha)! / q! * s_{q + alpha}."""
+    indices = multi_indices(alpha.n, order + alpha.order)
+    out = {}
+    for k, src, factor in _shift_plan(alpha, order):
+        c = s.get(indices[src])
+        if c is not None:
+            out[indices[k]] = factor * c
+    return out
+
+
+def derivative(s: Mapping[MultiIndex, Coefficient], p: MultiIndex, exact: bool = True):
+    """D^p w(point) = p! c_p from the series s of w; a missing coefficient
+    is Fraction(0), or 0.0 when `exact` is false."""
+    c = s.get(p)
+    if c is None:
+        return Fraction(0) if exact else 0.0
+    return p.factorial() * c

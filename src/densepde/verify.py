@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .expr import (
     Const,
@@ -33,6 +33,7 @@ from .expr import (
 from .jets import PdeOperator
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
+from .taylor import derivative, series, shift
 
 Point = tuple[Fraction, ...]
 
@@ -147,51 +148,48 @@ class VanishingReport:
 
 
 def _scan(
-    seq: FunctionSequence,
+    approximate: Sequence[bool],
     points: Sequence[Point],
     orders: Sequence[int],
     arithmetic: str,
     tol: float,
+    term_series: Callable[[int, int, int, str], dict],
     stage_orders: Sequence[int] | None = None,
 ) -> tuple[VanishingReport, list]:
-    """The one place a sequence is evaluated at points: each D^p w_mu
-    (|p| <= order_i) is built once and evaluated once at each point z_i.
+    """The one place a sequence is evaluated at points: term_series(mu,
+    i, order, mode) gives the Taylor series of w_mu at z_i up to order_i
+    once, and every D^p w_mu(z_i) = p! c_p (|p| <= order_i) is read off it.
 
     Without stage_orders every entry decides; with them only i <= mu,
-    |p| <= stage_orders[mu] do.  Deciding entries use the requested
-    arithmetic and alone may raise ExactnessUnavailable in "exact" mode;
-    the others use "auto" ("float" when float is asked for), and terms
-    flagged approximate always use float.  Returns the report and the
-    deciding evaluations (mu, i, p, value, was_exact, zero) in order.
+    |p| <= stage_orders[mu] do.  Each series is computed in "auto"
+    ("float" when float is asked for or the term is flagged approximate);
+    in "exact" mode a deciding entry that is not exact raises
+    ExactnessUnavailable, and the other entries keep their own flags.
+    Returns the report and the deciding evaluations (mu, i, p, value,
+    was_exact, zero) in order.
     """
     if arithmetic not in ("auto", "exact", "float"):
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
-    ctx = seq.context
-    other = "float" if arithmetic == "float" else "auto"
     witness: list[int | None] = [0] * len(points)
     exact = [True] * len(points)
     fails: list[list[Failure]] = [[] for _ in points]
     decided = []
-    for mu, w in enumerate(seq.terms):
-        table = _DerivativeTable(ctx, w)
+    truncation = len(approximate) - 1
+    for mu, approx in enumerate(approximate):
+        mode = "float" if approx or arithmetic == "float" else "auto"
         for i, (a, order) in enumerate(zip(points, orders)):
-            assignment = dict(zip(ctx.space_vars(), a))
+            coefficients = term_series(mu, i, order, mode)
             ok = True
-            for p in multi_indices(ctx.n, order):
+            for p in multi_indices(len(a), order):
                 deciding = stage_orders is None or (
                     i <= mu and p.order <= stage_orders[mu]
                 )
-                mode = arithmetic if deciding else other
-                expr, was_exact = table.get(p), False
-                if mode != "float" and not seq.is_approximate(mu):
-                    try:
-                        value = evaluate_exact(expr, assignment)
-                        was_exact = True
-                    except ExactnessUnavailable:
-                        if mode == "exact":
-                            raise
-                if not was_exact:
-                    value = evaluate_float(expr, assignment)
+                value = derivative(coefficients, p, exact=mode != "float")
+                was_exact = not isinstance(value, float)
+                if deciding and arithmetic == "exact" and not (was_exact or approx):
+                    raise ExactnessUnavailable(
+                        f"D^{p} of term {mu} at point {i} is not exact"
+                    )
                 exact[i] = exact[i] and was_exact
                 zero = value == 0 if was_exact else abs(value) <= tol
                 if not zero:
@@ -200,13 +198,13 @@ def _scan(
                 if deciding:
                     decided.append((mu, i, p, value, was_exact, zero))
             if not ok:
-                witness[i] = mu + 1 if mu < seq.truncation else None
+                witness[i] = mu + 1 if mu < truncation else None
     entries = tuple(
         VanishingEntry(a, order, wit, ex, tuple(fl))
         for a, order, wit, ex, fl in zip(points, orders, witness, exact, fails)
     )
     label = "float" if arithmetic == "float" or not all(exact) else "exact"
-    return VanishingReport(seq.truncation, label, tol, entries), decided
+    return VanishingReport(truncation, label, tol, entries), decided
 
 
 def check_vanishing(
@@ -231,7 +229,12 @@ def check_vanishing(
         order_list = list(orders)
         if len(order_list) != len(pts):
             raise ValueError("need one order per point")
-    return _scan(seq, pts, order_list, arithmetic, tol)[0]
+    approximate = [seq.is_approximate(mu) for mu in range(len(seq.terms))]
+
+    def term_series(mu, i, order, mode):
+        return series(seq.terms[mu], pts[i], order, mode)
+
+    return _scan(approximate, pts, order_list, arithmetic, tol, term_series)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +244,9 @@ def error_sequence(op: PdeOperator, seq) -> list[FunctionSequence]:
     """One sequence per equation: w_{j,nu} = G_j applied to stage nu.
 
     Jet variables in G_j are replaced by the matching symbolic derivatives
-    of the assembled stage functions.
+    of the assembled stage functions.  verify_solution does not build
+    these; they are the symbolic reference its Taylor path is tested
+    against.
     """
     ctx = op.context
     space = ctx.space_vars()
@@ -263,6 +268,32 @@ def error_sequence(op: PdeOperator, seq) -> list[FunctionSequence]:
         )
         for j, terms in enumerate(per_equation)
     ]
+
+
+def symbolic_series(
+    w: Expr, context: Context, point: Point, order: int, mode: str = "auto"
+) -> dict[MultiIndex, Fraction | float]:
+    """The symbolic reference for taylor.series on an expression in the
+    space variables: each D^p w (|p| <= order) is built by differentiate
+    and evaluated at the point, exactly when it can be unless mode is
+    "float", and D^p w(point) / p! is returned with exact zeros left out.
+    Tests compare the Taylor path against it."""
+    table = _DerivativeTable(context, w)
+    assignment = dict(zip(context.space_vars(), point))
+    out: dict[MultiIndex, Fraction | float] = {}
+    for p in multi_indices(context.n, order):
+        expr, value = table.get(p), None
+        if mode != "float":
+            try:
+                value = evaluate_exact(expr, assignment)
+            except ExactnessUnavailable:
+                if mode == "exact":
+                    raise
+        if value is None:
+            value = evaluate_float(expr, assignment)
+        if value or isinstance(value, float):
+            out[p] = value / p.factorial()
+    return out
 
 
 @dataclass(frozen=True)
@@ -316,24 +347,51 @@ def verify_solution(
     a witness no later than the stage that introduced it.  An empty
     sequence passes vacuously and is flagged degenerate.
 
-    One pass per equation evaluates each error-term derivative D^p w_nu
-    once at every point, up to the top stage order, and yields both the
-    witness report and the pass/fail verdict.  Only the pass/fail entries
-    (point z_i with i <= nu, |p| <= l_nu) use the requested arithmetic,
-    decide the "exact" label and may raise ExactnessUnavailable in "exact"
-    mode.  The rest of the witness scan evaluates earlier stages at later
-    points, possibly inside a bump's transition annulus; it runs in "auto"
-    (or "float") and keeps its own per-entry flags.
+    One pass per equation reads every D^p of the error term w_nu = G_j
+    (stage nu), up to the top stage order, off one truncated Taylor series
+    at each point, and yields both the witness report and the pass/fail
+    verdict.  No error term is built symbolically: G_j is evaluated in
+    series arithmetic with each jet variable (u, alpha) bound to the
+    alpha-shift of the series of stage nu's component u, computed once per
+    (stage, point) to the top order plus the operator order.  Only the
+    pass/fail entries (point z_i with i <= nu, |p| <= l_nu) use the
+    requested arithmetic, decide the "exact" label and may raise
+    ExactnessUnavailable in "exact" mode.  The rest of the witness scan
+    evaluates earlier stages at later points, possibly inside a bump's
+    transition annulus; it runs in "auto" (or "float") and keeps its own
+    per-entry flags.
     """
     if seq.stage_count == 0:
         return VerificationResult(True, True, arithmetic, tol, (), ())
-    top = [max(seq.orders)] * len(seq.points)
+    top = max(seq.orders)
+    approximate = [not stage.exact for stage in seq.stages]
+    jets = {v for g in op.equations for v in jet_variables(g)}
+    stages = [seq.stage_expressions(mu) for mu in range(seq.stage_count)]
+    bindings: dict[tuple[int, int], dict] = {}
+
+    def stage_jets(mu: int, i: int, mode: str) -> dict:
+        """Each jet variable (u, alpha) of the equations bound to the
+        alpha-shift of the series of stage mu's component u at z_i."""
+        if (mu, i) not in bindings:
+            components = [
+                series(u, seq.points[i], top + op.order, mode) for u in stages[mu]
+            ]
+            bindings[(mu, i)] = {
+                v: shift(components[v.unknown - 1], v.index, top) for v in jets
+            }
+        return bindings[(mu, i)]
+
     reports: list[VanishingReport] = []
     failures: list[VerificationFailure] = []
     all_exact = True
-    for j, err in enumerate(error_sequence(op, seq), start=1):
+    for j, g in enumerate(op.equations, start=1):
+
+        def term_series(mu, i, order, mode, g=g):
+            return series(g, seq.points[i], order, mode, stage_jets(mu, i, mode))
+
         report, decided = _scan(
-            err, seq.points, top, arithmetic, tol, seq.orders
+            approximate, seq.points, [top] * len(seq.points), arithmetic, tol,
+            term_series, seq.orders,
         )
         reports.append(report)
         for nu, i, p, value, was_exact, zero in decided:

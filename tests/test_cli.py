@@ -219,9 +219,12 @@ eq: 0*u - 1
         (lambda raw: raw.update(bumps=[]), "manifest: keys"),
         (lambda raw: raw["stages"].reverse(),
          "stage 0: need one jet per stage point"),
+        (lambda raw: raw["operator"].update(dim=5), "operator: dim 5"),
+        (lambda raw: raw["operator"].update(note=""), "operator: keys"),
     ], ids=[
         "v2-bumps", "v2-points", "v2-level", "v2-arithmetic", "v2-stage",
         "extra-jet", "missing-jet", "top-level-key", "swapped-stages",
+        "operator-dim", "operator-key",
     ])
     def test_edited_manifest_rejected(
         self, pde_file, tmp_path, capsys, edit, message

@@ -1,11 +1,11 @@
 """Verifier: vanishing condition, ideal properties at truncation,
 probes, closure."""
 
-from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
+from densepde import expr as expr_module
 from densepde import verify as verify_module
 from densepde.construct import DensePointStream, construct_sequence
 from densepde.expr import (
@@ -251,18 +251,20 @@ eq: u_x - u
         assert f.stage == 1
         assert f.point == (F(1, 4),)
 
-    def test_each_derivative_taken_once(self, monkeypatch, lewy_two_stages):
+    def test_no_symbolic_derivative_taken(self, monkeypatch, lewy_two_stages):
+        # Taylor-mode verification reads every D^p off truncated series
         op, seq = lewy_two_stages
-        taken = Counter()
+        calls = []
         real = verify_module.differentiate
 
         def counting(expr, var):
-            taken[(expr, var)] += 1
+            calls.append(var)
             return real(expr, var)
 
         monkeypatch.setattr(verify_module, "differentiate", counting)
+        monkeypatch.setattr(expr_module, "differentiate", counting)
         assert verify_solution(op, seq).passed
-        assert taken and max(taken.values()) == 1
+        assert calls == []
 
     def test_failures_ordered_and_reported(self, lewy_two_stages):
         # shift v_x (equation 1) and v_y (equation 2) at every point of
