@@ -547,8 +547,16 @@ def _subst(e: Expr, mapping) -> Expr:
 # evaluation
 
 def evaluate_float(e: Expr, assignment: Mapping[Variable, Number]) -> float:
-    """IEEE double evaluation; raises EvaluationError instead of NaN."""
-    return float(_eval(e, assignment, exact=False))
+    """IEEE double evaluation; raises EvaluationError instead of returning
+    NaN or inf, or letting a float overflow, zero division or math domain
+    error escape."""
+    try:
+        out = float(_eval(e, assignment, exact=False))
+    except (ArithmeticError, ValueError) as exc:
+        raise EvaluationError(f"float evaluation failed: {exc}") from None
+    if not math.isfinite(out):
+        raise EvaluationError(f"float evaluation gave {out}")
+    return out
 
 
 def evaluate_exact(e: Expr, assignment: Mapping[Variable, Number]) -> Fraction:

@@ -3,14 +3,21 @@
 Solves F(xi) = 0 for possibly non-square smooth F: steps are minimum-norm
 least-squares solutions of the linearized system, with backtracking on the
 squared residual.  Used for the order-m jet solve of nonlinear operators.
+
+A trial point where F cannot be evaluated (EvaluationError, or a float
+error) halves the step like one that does not improve the residual; a
+start where F or its Jacobian cannot be evaluated is a failed start.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .expr import EvaluationError
 
 # deterministic constant-fill seed values on [-2, 2]
 SEED_FILLS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5)
@@ -35,12 +42,18 @@ def damped_newton(
     max_iter: int = MAX_ITER,
 ) -> NewtonResult:
     x = np.asarray(x0, dtype=float).copy()
-    f = np.atleast_1d(fun(x))
+    try:
+        f = np.atleast_1d(fun(x))
+    except EvaluationError:
+        return NewtonResult(False, x, math.inf, False, 0)
     res = float(np.linalg.norm(f))
     for it in range(max_iter):
         if res <= tol:
             return NewtonResult(True, x, res, False, it)
-        j = np.atleast_2d(jac(x))
+        try:
+            j = np.atleast_2d(jac(x))
+        except EvaluationError:
+            return NewtonResult(False, x, res, False, it)
         grad = j.T @ f
         if float(np.linalg.norm(grad)) <= STATIONARY_TOL * max(1.0, res):
             return NewtonResult(False, x, res, True, it)
@@ -53,7 +66,7 @@ def damped_newton(
             trial = x + lam * step
             try:
                 ft = np.atleast_1d(fun(trial))
-            except (ArithmeticError, ValueError):
+            except (ArithmeticError, ValueError, EvaluationError):
                 lam *= 0.5
                 continue
             rt = float(np.linalg.norm(ft))

@@ -9,13 +9,14 @@ coefficients are the rows' jet gradients (ProlongedSystem.gradient,
 computed once per row and shared with prolongation), its offsets the rows
 with the columns set to zero.  One routine, _matrices, turns a split into
 a coefficient matrix and right-hand side at a point with the other jets
-known; rank certificates take the ranks of those matrices, the jet solver
-their least-norm solution, after a Newton root search at level 0 when the
-base equations are not affine.
+known; rank certificates take the ranks of its leading blocks, one block
+per level, the jet solver its least-norm solution, after a Newton root
+search at level 0 when the base equations are not affine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -70,19 +71,6 @@ class AffineSplit:
     @property
     def equations(self) -> list[Expr]:
         return [self.system.equations[row] for row in self.rows]
-
-    def restrict(self, level: int) -> "AffineSplit":
-        """The rows of level <= `level` in the columns of order <= m +
-        `level`: for a split in all jet columns (linearize), the split of
-        the restricted system."""
-        top = self.system.operator.order + level
-        keep = [i for i, (_, p) in enumerate(self.rows) if p.order <= level]
-        return AffineSplit(
-            self.system.restrict(level),
-            tuple(self.rows[i] for i in keep),
-            tuple(c for c in self.columns if c[1].order <= top),
-            tuple(self.coefficients[i] for i in keep),
-        )
 
 
 def _affine_split(
@@ -191,37 +179,58 @@ def rank_condition(op: PdeOperator, x: Sequence, level: int) -> RankCertificate:
     split = linearize(prolong(op, level))
     if split is None:
         raise NotLinearError("operator is not linear in its jet coordinates")
-    return _certify(split, x)[0]
+    return _certify(split, x, [level])[0][0]
 
 
-def _certify(split: AffineSplit, x: Sequence):
-    """(certificate, A, b) of a linear split at the point x: P = A and Q
-    is A with the column b appended."""
+def _certify(split: AffineSplit, x: Sequence, levels: Sequence[int]):
+    """(certificate, residual floor or None when it holds) of the split's
+    restriction to each of `levels` at the point x: P = A and Q is A with
+    the column b appended.
+
+    The split's rows come in level order and its columns in jet order,
+    and a row of level l is zero outside the columns of order <= m + l.
+    So each level's system is a leading block of the split's, and one
+    exact elimination pass over the rows of Q gives every level's ranks.
+    Exactness of the split carries over to its blocks, and back: the
+    prolonged rows of rational-closed equations are rational-closed.
+    """
     op = split.system.operator
     if not op.contains(x):
         raise ValueError(f"point {tuple(x)} outside the domain box")
     space = dict(zip(op.context.space_vars(), x))
     exact = _exact(split, space.values())
     a, b = _matrices(split, space, exact)
-    q = [row + [v] for row, v in zip(a, b)]
+    ends = [sum(p.order <= level for _, p in split.rows) for level in levels]
+    widths = [
+        sum(q.order <= op.order + level for _, q in split.columns) for level in levels
+    ]
+    blocks = [([row[:w] for row in a[:e]], b[:e]) for e, w in zip(ends, widths)]
     if exact:
-        rank_p, rank_q, tol = exact_rank(a), exact_rank(q), None
+        ranks = exact_rank([row + [v] for row, v in zip(a, b)], ends)
+        tol = None
     else:
-        rank_p, rank_q, tol = float_rank(a), float_rank(q), FLOAT_RANK_TOL
-    holds = rank_p == rank_q
-    cert = RankCertificate(
-        point=tuple(x),
-        level=split.system.level,
-        rank_p=rank_p,
-        rank_q=rank_q,
-        n_rows=len(a),
-        n_cols=len(split.columns),
-        holds=holds,
-        strict=holds and rank_p == len(a),
-        arithmetic="exact" if exact else "float",
-        tolerance=tol,
-    )
-    return cert, a, b
+        ranks = [
+            (float_rank(pa), float_rank([row + [v] for row, v in zip(pa, pb)]))
+            for pa, pb in blocks
+        ]
+        tol = FLOAT_RANK_TOL
+    out = []
+    for level, (pa, pb), width, (rank_p, rank_q) in zip(levels, blocks, widths, ranks):
+        holds = rank_p == rank_q
+        cert = RankCertificate(
+            point=tuple(x),
+            level=level,
+            rank_p=rank_p,
+            rank_q=rank_q,
+            n_rows=len(pa),
+            n_cols=width,
+            holds=holds,
+            strict=holds and rank_p == len(pa),
+            arithmetic="exact" if exact else "float",
+            tolerance=tol,
+        )
+        out.append((cert, None if holds else residual_floor(pa, pb)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +406,12 @@ def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
                 "all Newton starts reached a stationary residual floor",
             )
         floor = min(r.residual for r in results)
-        return _LevelResult(
-            "solver-failed", {}, floor, "float",
-            "Newton did not converge from any start",
+        detail = (
+            "Newton did not converge from any start"
+            if math.isfinite(floor)
+            else "the equations could not be evaluated at any Newton start"
         )
+        return _LevelResult("solver-failed", {}, floor, "float", detail)
     values = {uq: float(seed_vals.get(uq, 0.0)) for uq in cols}
     values.update({uq: float(v) for uq, v in zip(present, best.x)})
     return _LevelResult("ok", values, best.residual, "float")
@@ -462,7 +473,8 @@ class RangeReport:
             if e.jet is not None:
                 rec["jet"] = jet_to_json(e.jet)
             if e.outcome in ("no-solution", "solver-failed"):
-                rec["residual_floor"] = e.residual
+                # null when no start could be evaluated: there is no floor
+                rec["residual_floor"] = e.residual if math.isfinite(e.residual) else None
             if e.detail:
                 rec["detail"] = e.detail
             level_map[str(e.level)] = rec
@@ -502,36 +514,36 @@ def range_condition_check(
     """Check solvability (0 in the prolonged range) at every sample point
     and every level l <= l_max; failures become report entries.
 
-    A linear operator is linearized once at l_max and certified at each
-    level from the restriction of that split."""
+    A linear operator is linearized once at l_max, and every level at a
+    point is certified from one elimination pass over that split."""
     top = prolong(op, l_max)
     linear = linearize(top)
     entries = []
     for x in points:
-        for level in range(l_max + 1):
-            if linear is not None:
-                cert, a, b = _certify(linear.restrict(level), x)
-                if cert.holds:
+        if linear is not None:
+            for cert, floor in _certify(linear, x, range(l_max + 1)):
+                if floor is None:
                     entries.append(
-                        RangeEntry(tuple(x), level, "rank-certified", certificate=cert)
+                        RangeEntry(tuple(x), cert.level, "rank-certified", certificate=cert)
                     )
                 else:
                     entries.append(
                         RangeEntry(
-                            tuple(x), level, "no-solution",
+                            tuple(x), cert.level, "no-solution",
                             certificate=cert,
-                            residual=residual_floor(a, b),
+                            residual=floor,
                             detail="rank deficiency: inconsistent linear system",
                         )
                     )
-            else:
-                res = solve_jets_triangular(top.restrict(level), x, tol=tol)
-                entries.append(
-                    RangeEntry(
-                        tuple(x), level, res.status,
-                        jet=res.jet if res.solved else None,
-                        residual=res.residual,
-                        detail=res.detail,
-                    )
+            continue
+        for level in range(l_max + 1):
+            res = solve_jets_triangular(top.restrict(level), x, tol=tol)
+            entries.append(
+                RangeEntry(
+                    tuple(x), level, res.status,
+                    jet=res.jet if res.solved else None,
+                    residual=res.residual,
+                    detail=res.detail,
                 )
+            )
     return RangeReport(entries, l_max, tol)

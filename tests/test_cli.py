@@ -1,6 +1,9 @@
 """Command-line interface and manifest round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +23,8 @@ from densepde.manifest import (
 from densepde.multiindex import MultiIndex
 from densepde.verify import verify_solution
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
 TRANSPORT = """dim: 1
 vars: x
 order: 1
@@ -32,6 +37,13 @@ vars: x
 order: 1
 domain: (0,1)
 eq: u_x - exp(x)
+"""
+
+OVERFLOW = """dim: 1
+vars: x
+order: 1
+domain: (0,1)
+eq: u_x - exp(1000*x)
 """
 
 IMPOSSIBLE = """dim: 1
@@ -130,6 +142,20 @@ eq: 0*u - 1
 """)
         assert main(["range", str(bad), "--level", "1"]) == 1
         assert "FAIL" in capsys.readouterr().err
+
+    def test_float_overflow_is_clean_error(self, tmp_path):
+        path = tmp_path / "overflow.pde"
+        path.write_text(OVERFLOW)
+        paths = [os.path.join(ROOT, "src"), os.environ.get("PYTHONPATH")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "densepde.cli", "range", str(path),
+             "--level", "0", "--count", "3"],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
     def test_construct_and_verify(self, pde_file, tmp_path, capsys):
         out = str(tmp_path / "out")

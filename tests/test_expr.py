@@ -31,6 +31,7 @@ from densepde.parser import Context
 
 CTX = Context(("x", "y"))
 X, Y = Var(CTX.space(1)), Var(CTX.space(2))
+BIG = Const(F(10) ** 300)
 
 
 def ev(e, x, y):
@@ -162,6 +163,21 @@ class TestEvaluation:
     def test_missing_assignment(self):
         with pytest.raises(EvaluationError):
             evaluate_float(X, {})
+
+    @pytest.mark.parametrize(
+        "e, x",
+        [
+            (spow(X, F(-1, 2)), 0.0),  # 0.0 ** -0.5: zero division
+            (sfn("exp", sprod([Const(F(1000)), X])), 1.0),  # math range error
+            (spow(X, 2), 1e200),  # float ** int overflow
+            (sfn("sin", sprod([BIG, X])), 1e10),  # sin(inf)
+            (sprod([BIG, X]), 1e10),  # inf
+            (ssum([sprod([BIG, X]), sprod([Const(-BIG.value), Y])]), 1e10),  # inf - inf
+        ],
+    )
+    def test_float_failures_raise_evaluation_error(self, e, x):
+        with pytest.raises(EvaluationError):
+            evaluate_float(e, {CTX.space(1): x, CTX.space(2): x})
 
     def test_is_rational_closed(self):
         assert is_rational_closed(squot(spow(X, 2), ssum([Const(F(1)), Y])))

@@ -1,4 +1,8 @@
-"""Rational and float linear algebra."""
+"""Rational and float linear algebra.
+
+The exact routines are checked against a short reference Gaussian
+elimination over Fraction, kept here as the oracle.
+"""
 
 from fractions import Fraction as F
 
@@ -9,12 +13,126 @@ from hypothesis import given, settings, strategies as st
 from densepde.linalg import (
     exact_least_norm,
     exact_rank,
-    exact_solve_square,
     float_least_norm,
     float_rank,
-    independent_rows,
     residual_floor,
 )
+
+
+def reference_rref(rows):
+    """(reduced row echelon rows, pivot columns) by Gauss-Jordan over
+    Fraction."""
+    m = [[F(v) for v in r] for r in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        i = next((r for r in range(len(pivots), len(m)) if m[r][col] != 0), None)
+        if i is None:
+            continue
+        top = len(pivots)
+        m[top], m[i] = m[i], m[top]
+        m[top] = [v / m[top][col] for v in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
+                m[r] = [v - m[r][col] * w for v, w in zip(m[r], m[top])]
+        pivots.append(col)
+    return m[: len(pivots)], pivots
+
+
+def reference_rank(rows):
+    return len(reference_rref(rows)[1])
+
+
+def reference_least_norm(a, b):
+    """The solution of A x = b orthogonal to the null space of A, or None:
+    A x = b stacked with v . x = 0 for a null-space basis v is square and
+    nonsingular."""
+    n = len(a[0])
+    rref, pivots = reference_rref([list(r) + [v] for r, v in zip(a, b)])
+    if n in pivots:
+        return None
+    stacked = list(rref)
+    for free in (c for c in range(n) if c not in pivots):
+        v = [F(0)] * n
+        v[free] = F(1)
+        for row, p in zip(rref, pivots):
+            v[p] = -row[free]
+        stacked.append(v + [F(0)])
+    solved, _ = reference_rref(stacked)
+    return [row[n] for row in solved]
+
+
+ENTRY = st.one_of(
+    st.just(F(0)),
+    st.fractions(min_value=F(-50), max_value=F(50), max_denominator=10**6),
+)
+
+
+@st.composite
+def matrices(draw, max_rows=6, max_cols=5):
+    """Rational matrices with zero rows, duplicate rows and rows that are
+    combinations of others mixed in at random positions."""
+    n_cols = draw(st.integers(1, max_cols))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=n_cols, max_size=n_cols), max_size=max_rows))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["zero", "duplicate", "combination"]))
+        if kind == "zero" or not rows:
+            extra = [F(0)] * n_cols
+        elif kind == "duplicate":
+            extra = list(draw(st.sampled_from(rows)))
+        else:
+            weights = draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+            extra = [sum(w * r[c] for w, r in zip(weights, rows)) for c in range(n_cols)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    return rows
+
+
+@st.composite
+def systems(draw):
+    """(A, b) consistent by construction or with a random right-hand side,
+    which rank-deficient A often cannot meet."""
+    a = draw(matrices())
+    if not a:
+        a = [[F(0)] * draw(st.integers(1, 4))]
+    if draw(st.booleans()):
+        x0 = draw(st.lists(ENTRY, min_size=len(a[0]), max_size=len(a[0])))
+        b = [sum(v * w for v, w in zip(row, x0)) for row in a]
+    else:
+        b = draw(st.lists(ENTRY, min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+@given(matrices())
+@settings(max_examples=100, deadline=None)
+def test_exact_rank_matches_reference(rows):
+    assert exact_rank(rows) == reference_rank(rows)
+
+
+@given(systems())
+@settings(max_examples=100, deadline=None)
+def test_exact_rank_blocks_match_reference(system):
+    a, b = system
+    q = [row + [v] for row, v in zip(a, b)]
+    ends = list(range(len(q) + 1))
+    assert exact_rank(q, ends) == [
+        (reference_rank(a[:e]), reference_rank(q[:e])) for e in ends
+    ]
+
+
+@given(systems())
+@settings(max_examples=100, deadline=None)
+def test_least_norm_matches_reference(system):
+    a, b = system
+    x = exact_least_norm(a, b)
+    want = reference_least_norm(a, b)
+    assert x == want
+    if x is not None:
+        assert all(type(v) is F for v in x)
+
+
+def test_zero_matrix_rank_and_blocks():
+    zero = [[F(0)] * 3 for _ in range(2)]
+    assert exact_rank(zero) == 0
+    assert exact_rank(zero + [[F(0), F(0), F(1)]], [1, 2, 3]) == [(0, 0), (0, 0), (0, 1)]
 
 
 def test_exact_rank_basic():
@@ -28,22 +146,6 @@ def test_exact_rank_needs_no_pivoting_luck():
     # leading zeros force row swaps
     m = [[F(0), F(1), F(2)], [F(1), F(0), F(1)], [F(1), F(1), F(3)]]
     assert exact_rank(m) == 2
-
-
-def test_independent_rows_deterministic():
-    rows = [[F(1), F(1)], [F(2), F(2)], [F(0), F(1)]]
-    assert independent_rows(rows) == [0, 2]
-
-
-def test_exact_solve_square():
-    a = [[F(2), F(1)], [F(1), F(3)]]
-    x = exact_solve_square(a, [F(5), F(10)])
-    assert x == [F(1), F(3)]
-
-
-def test_exact_solve_singular():
-    with pytest.raises(ValueError):
-        exact_solve_square([[F(1), F(1)], [F(1), F(1)]], [F(1), F(2)])
 
 
 def test_least_norm_underdetermined():

@@ -1,6 +1,8 @@
-"""The benchmark's gate self-test, run from the main suite so that a
-manifest or verification-label change that breaks the gate shows up here."""
+"""The benchmark's gate self-test and a traced benchmark iteration, run
+from the main suite so that a manifest or verification-label change that
+breaks the gate, or a rename that breaks the tracer, shows up here."""
 
+import json
 import os
 import subprocess
 import sys
@@ -18,3 +20,20 @@ def test_perfbench_gate_self_test():
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "gate self-test passed" in proc.stdout
+
+
+def test_traced_iteration_reaches_the_exact_kernel():
+    """The tracer wraps ranges.exact_rank and ranges.exact_least_norm by
+    name; a rename in ranges would leave the exact kernel untraced."""
+    proc = subprocess.run(
+        [sys.executable, os.path.join(ROOT, "perfbench", "iteration.py"),
+         "--workload", "lewy-verify", "--seed", "0", "--trace", "1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    record = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert all(messages == [] for messages in record["ops"].values()), record["ops"]
+    assert record["counters"]["linalg.exact_least_norm_calls"] > 0

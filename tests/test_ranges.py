@@ -1,15 +1,22 @@
 """Range analysis: rank certificates and the triangular jet solver."""
 
+import json
+import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from densepde.construct import DensePointStream
+from densepde.expr import EvaluationError
 from densepde.jets import parse_pde_text, prolong
 from densepde.multiindex import MultiIndex
+from densepde.newton import damped_newton
 from densepde.systems import lewy_operator
+from densepde.linalg import residual_floor
 from densepde.ranges import (
     NotLinearError,
+    _matrices,
     jet_columns,
     linearize,
     range_condition_check,
@@ -39,6 +46,41 @@ vars: x y
 order: 1
 domain: (-1,1) (-1,1)
 eq: u_x^2 + u_y^2 - 1 - x^2
+"""
+
+# consistent where x = 0 only: level l has rank P = l + 1 < rank Q
+SPLIT = """
+dim: 1
+vars: x
+order: 1
+domain: (-1,1)
+eq: u_x
+eq: u_x - x
+"""
+
+LOG_BASE = """
+dim: 1
+vars: x
+order: 1
+domain: (0,1)
+eq: u_x^2 + log(u) - 1
+"""
+
+SQRT_BASE = """
+dim: 1
+vars: x
+order: 1
+domain: (0,1)
+eq: u_x^2 + sqrt(u) - 2
+"""
+
+# log(u - 5) and log(-u - 5) are never both defined
+NOWHERE_DEFINED = """
+dim: 1
+vars: x
+order: 1
+domain: (0,1)
+eq: log(u - 5) + log(-u - 5) + u_x
 """
 
 DEGENERATE = """
@@ -173,6 +215,19 @@ class TestRangeReport:
         assert not report.all_ok
         assert all(e.outcome == "no-solution" for e in report.entries)
 
+    def test_inconsistent_levels(self):
+        report = range_condition_check(op(SPLIT), [(F(1, 2),), (F(0),)], 2)
+        by_point = {}
+        for e in report.entries:
+            by_point.setdefault(e.point, []).append(e)
+        for level, e in enumerate(by_point[(F(1, 2),)]):
+            assert e.outcome == "no-solution"
+            assert (e.certificate.rank_p, e.certificate.rank_q) == (level + 1, level + 2)
+        # u_x = 0, u_x = 1/2 at level 0: the floor is (1/2) / sqrt(2)
+        assert by_point[(F(1, 2),)][0].residual == pytest.approx(0.5 / 2**0.5, rel=1e-12)
+        assert all(e.outcome == "no-solution" for e in by_point[(F(0),)][1:])
+        assert by_point[(F(0),)][0].outcome == "rank-certified"
+
 
 class TestRestriction:
     """Restrictions of one prolonged system share its cached row
@@ -203,10 +258,71 @@ class TestRestriction:
                     for c, v in shared.jet.values.items()
                 )
 
-    @pytest.mark.parametrize("operator,top_level,count", CASES[:2])
+    CERTIFIED = CASES[:2] + [
+        (lewy_operator(), 4, 3),
+        (op(LAPLACE), 3, 3),
+        (op(SPLIT), 3, 3),
+    ]
+
+    @pytest.mark.parametrize("operator,top_level,count", CERTIFIED)
     def test_range_certificates_match_rank_condition(self, operator, top_level, count):
         points = DensePointStream(operator.domain).prefix(count)
-        report = range_condition_check(operator, points, top_level)
-        assert len(report.entries) == count * (top_level + 1)
-        for entry in report.entries:
-            assert entry.certificate == rank_condition(operator, entry.point, entry.level)
+        check_certificates(operator, points, top_level)
+
+    @pytest.mark.parametrize("operator", [op(LAPLACE), op(SPLIT)])
+    def test_float_certificates_match_rank_condition(self, operator):
+        points = DensePointStream(operator.domain).prefix(3)
+        check_certificates(operator, [tuple(map(float, x)) for x in points], 2)
+
+
+def check_certificates(operator, points, top_level):
+    """Each certificate of range_condition_check, and the residual floor
+    of each failing level, equals a fresh computation at that level."""
+    report = range_condition_check(operator, points, top_level)
+    assert len(report.entries) == len(points) * (top_level + 1)
+    for entry in report.entries:
+        fresh = rank_condition(operator, entry.point, entry.level)
+        assert entry.certificate == fresh
+        if fresh.holds:
+            assert entry.outcome == "rank-certified"
+            continue
+        assert entry.outcome == "no-solution"
+        split = linearize(prolong(operator, entry.level))
+        space = dict(zip(operator.context.space_vars(), entry.point))
+        exact = fresh.arithmetic == "exact"
+        assert entry.residual == residual_floor(*_matrices(split, space, exact))
+
+
+class TestNewtonStarts:
+    """Starts where the equations cannot be evaluated are failed starts,
+    and trial points there shorten the step."""
+
+    @pytest.mark.parametrize("text", [LOG_BASE, SQRT_BASE])
+    def test_unevaluable_fill_is_skipped(self, text):
+        report = range_condition_check(op(text), [(F(1, 2),)], 1)
+        assert [e.outcome for e in report.entries] == ["solved", "solved"]
+
+    def test_no_evaluable_start(self):
+        report = range_condition_check(op(NOWHERE_DEFINED), [(F(1, 2),)], 1)
+        assert [e.outcome for e in report.entries] == ["solver-failed"] * 2
+        assert "could not be evaluated" in report.entries[0].detail
+        json.dumps(report.to_json(), allow_nan=False)
+
+    def test_unevaluable_trial_halves_the_step(self):
+        # the full Newton step for log(x) = 0 from x = 3 lands at x < 0
+        def fun(x):
+            if x[0] <= 0:
+                raise EvaluationError("log of a non-positive number")
+            return np.array([math.log(x[0])])
+
+        result = damped_newton(fun, lambda x: np.array([[1 / x[0]]]), [3.0])
+        assert result.converged
+        assert result.x[0] == pytest.approx(1.0)
+
+    def test_failed_first_evaluation(self):
+        def fun(x):
+            raise EvaluationError("undefined")
+
+        result = damped_newton(fun, fun, [0.0])
+        assert not result.converged and not result.stationary
+        assert result.iterations == 0
