@@ -26,7 +26,7 @@ from .expr import (
     ONE,
     MINUS_ONE,
 )
-from .jets import Jet, PdeOperator, ProlongedSystem, apply_operator, prolong
+from .jets import Jet, PdeOperator, apply_operator, prolong
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 from .ranges import JetSolveResult, solve_jets_triangular
@@ -270,13 +270,12 @@ def solve_on_discrete_set(
     level: int,
     tol: float = 1e-12,
     seed=None,
-    system: ProlongedSystem | None = None,
 ) -> DiscreteSolve:
     """Solve the prolonged system at each point, take the Taylor
     polynomial of the solved jet, and glue the pieces with disjoint
     bumps.  Raises SolveFailure at the first unsolvable point."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
-    sys = system if system is not None and system.level == level else prolong(op, level)
+    sys = prolong(op, level)
     jets: dict[Point, Jet] = {}
     for a in pts:
         res = solve_jets_triangular(sys, a, seed=seed, tol=tol)
@@ -363,25 +362,32 @@ def construct_sequence(
 ) -> SolutionSequence:
     """Build the staged sequence: stage nu uses points z_0..z_nu at level
     l_nu.  A failing stage raises ConstructionError carrying the partial
-    sequence built so far."""
+    sequence built so far.
+
+    Each point is solved once, when a stage first uses it, at the last
+    stage's level; stage nu reads each of its points' results at level
+    l_nu (the triangular solve reports every level) and glues them."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     orders = validate_schedule(orders)
     if len(pts) != len(orders):
         raise ValueError("need one level per stage")
     top = prolong(op, orders[-1]) if orders else None
+    solves: dict[Point, JetSolveResult] = {}
     stages: list[DiscreteSolve] = []
     for nu, level in enumerate(orders):
-        try:
-            stage = solve_on_discrete_set(
-                op, pts[: nu + 1], level, tol=tol, seed=seed,
-                system=top.restrict(level) if top is not None else None,
-            )
-        except SolveFailure as exc:
-            partial = SolutionSequence(
-                op, tuple(pts[:nu]), tuple(orders[:nu]), tuple(stages)
-            )
-            raise ConstructionError(nu, exc, partial) from exc
-        stages.append(stage)
+        jets: dict[Point, Jet] = {}
+        for a in pts[: nu + 1]:
+            if a not in solves:
+                solves[a] = solve_jets_triangular(top, a, seed=seed, tol=tol)
+            res = solves[a].levels[level]
+            if not res.solved:
+                failure = SolveFailure(a, res)
+                partial = SolutionSequence(
+                    op, tuple(pts[:nu]), tuple(orders[:nu]), tuple(stages)
+                )
+                raise ConstructionError(nu, failure, partial) from failure
+            jets[a] = res.jet
+        stages.append(glue(op, pts[: nu + 1], jets, level))
     return SolutionSequence(op, tuple(pts), tuple(orders), tuple(stages))
 
 

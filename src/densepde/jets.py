@@ -162,9 +162,8 @@ def _lift(e: Expr, gradient, context: Context, axis: int) -> Expr:
 class ProlongedSystem:
     """All prolonged equations F_{j,p} = D^p G_j for |p| <= level.
 
-    The jet gradient of each row is computed on first use and shared
-    with every restriction of the system, so no row is differentiated in
-    its jet coordinates twice.
+    The jet gradient of each row is computed on first use and cached, so
+    no row is differentiated in its jet coordinates twice.
     """
 
     operator: PdeOperator
@@ -187,16 +186,6 @@ class ProlongedSystem:
             if p.order == order:
                 yield j, p, e
 
-    def restrict(self, level: int) -> "ProlongedSystem":
-        if level > self.level:
-            raise ValueError("cannot restrict upward")
-        eqs = {
-            (j, p): e for (j, p), e in self.equations.items() if p.order <= level
-        }
-        restricted = ProlongedSystem(self.operator, level, eqs)
-        object.__setattr__(restricted, "_gradients", self._gradients)
-        return restricted
-
     def gradient(self, j: int, p: MultiIndex) -> dict[tuple[int, MultiIndex], Expr]:
         """jet_gradient of F_{j,p}, computed at most once per row."""
         if (j, p) not in self._gradients:
@@ -209,8 +198,9 @@ def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
 
     Memoized bottom-up: F_{j,p} is the total derivative of F_{j,p-e_i}
     along the first nonzero axis of p, so the layout is deterministic and
-    restriction to a smaller level is structurally identical to prolonging
-    to that level directly.
+    the rows of level <= l are exactly those of prolonging to level l
+    directly (the triangular jet solve reads every lower level off one
+    top-level system).
     """
     if level < 0:
         raise ValueError("level must be >= 0")

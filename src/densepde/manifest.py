@@ -11,8 +11,11 @@ verification failure.  Loading rejects unknown or missing keys (top
 level, operator, stage and jet records), an operator whose dim differs
 from its number of variables or domain intervals, a stage count other
 than the point count, a stage without exactly one jet per stage point, a
-jet whose order is not m + l_nu, and a jet whose values do not match its
-arithmetic flag (exact: strings, float: numbers).
+jet whose order is not m + l_nu, a jet whose values do not match its
+arithmetic flag (exact: strings, float: numbers), and a float jet of an
+operator whose jets are exact at every rational point (rational-closed
+equations, affine in the base jets), which can only be a downgraded
+exact claim.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .jets import Jet, PdeOperator
 from .multiindex import MultiIndex
 from .parser import Context, parse_expression
 from .printer import to_text
-from .ranges import jet_to_json
+from .ranges import jet_to_json, solves_exactly
 
 FORMAT = "densepde-sequence"
 VERSION = 3
@@ -133,6 +136,7 @@ def sequence_from_json(data: dict) -> SolutionSequence:
     if not len(points) == len(orders) == len(data["stages"]):
         raise ValueError("need one level and one stage per point")
     stages = []
+    exact_only = None  # solves_exactly(op), decided at the first float jet
     for nu, record in enumerate(data["stages"]):
         _check_keys(f"stage {nu}", record, {"jets"})
         pts = points[: nu + 1]
@@ -144,6 +148,14 @@ def sequence_from_json(data: dict) -> SolutionSequence:
             )
             for i, (a, raw) in enumerate(zip(pts, record["jets"]))
         }
+        if not all(jet.exact for jet in jets.values()):
+            if exact_only is None:
+                exact_only = solves_exactly(op)
+            if exact_only:
+                raise ValueError(
+                    f"stage {nu}: float jet, but the operator is solved "
+                    "exactly at rational points"
+                )
         stages.append(glue(op, pts, jets, orders[nu]))
     return SolutionSequence(op, points, orders, tuple(stages))
 

@@ -12,12 +12,17 @@ a coefficient matrix and right-hand side at a point with the other jets
 known; rank certificates take the ranks of its leading blocks, one block
 per level, the jet solver its least-norm solution, after a Newton root
 search at level 0 when the base equations are not affine.
+
+The solver is triangular: level l of a solve never looks at a row or a
+jet above level l, so one solve of a point at the top level also gives
+the solve at every lower level.  The range check and the staged
+construction therefore solve each point once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -99,9 +104,13 @@ def linearize(sys: ProlongedSystem) -> AffineSplit | None:
     return _affine_split(sys, rows, jet_columns(op.n, op.k, sys.top_order))
 
 
+def _rational(v) -> bool:
+    return isinstance(v, (int, Fraction))
+
+
 def _exact(split: AffineSplit, values) -> bool:
     """Exact arithmetic applies: rational values and rational-closed rows."""
-    return all(isinstance(v, (int, Fraction)) for v in values) and all(
+    return all(map(_rational, values)) and all(
         is_rational_closed(e) for e in split.equations
     )
 
@@ -238,12 +247,19 @@ def _certify(split: AffineSplit, x: Sequence, levels: Sequence[int]):
 
 @dataclass
 class JetSolveResult:
+    """Outcome of one triangular jet solve at a point.
+
+    levels[l] is the result a solve of the prolongation to level l
+    gives, for every level l of the solved system; the last entry equals
+    this result.  The per-level results carry no levels of their own."""
+
     status: str  # solved | no-solution | solver-failed
     jet: Jet | None
     residual: float
     arithmetic: str
     failed_level: int | None = None
     detail: str = ""
+    levels: tuple["JetSolveResult", ...] = field(default=(), repr=False, compare=False)
 
     @property
     def solved(self) -> bool:
@@ -270,6 +286,23 @@ def _seed_values(seed) -> dict:
     }
 
 
+def _exact_base(op: PdeOperator, base: AffineSplit | None) -> bool:
+    """Rational-closed equations whose level-0 split in the base jets
+    exists: the jet solve at a rational point with a rational seed is
+    then exact at every level, because prolonged rows of rational-closed
+    equations are rational-closed."""
+    return base is not None and all(is_rational_closed(g) for g in op.equations)
+
+
+def solves_exactly(op: PdeOperator) -> bool:
+    """Whether every jet of op solved at a rational point is exact (a
+    seed must then be rational too), so that a float jet of op can only
+    be a relabelled exact one."""
+    sys = prolong(op, 0)
+    rows = [(j, p) for j, p, _ in sys.items()]
+    return _exact_base(op, _affine_split(sys, rows, jet_columns(op.n, op.k, op.order)))
+
+
 def solve_jets_triangular(
     sys: ProlongedSystem,
     x: Sequence,
@@ -277,14 +310,21 @@ def solve_jets_triangular(
     tol: float = 1e-12,
 ) -> JetSolveResult:
     """Solve all prolonged equations at the point x for a dense jet of
-    order m + level.
+    order m + level, and report every lower level on the way.
 
     Level 0 solves the base equations for the jets up to order m: exactly
     by a minimum-norm rational solve when they are affine (seed entries are
-    then pinned as hard constraints), by damped multistart Newton from the
+    then pinned as hard constraints, and must be rational when the
+    equations are rational-closed), by damped multistart Newton from the
     seed otherwise.  Each later level is affine in its newly introduced
     top-order jets and is solved by a minimum-norm linear solve with the
     lower-order jets held fixed; the result is exact whenever level 0 was.
+
+    Level l of the solve reads only the rows and jets of level <= l, so
+    the point is solved once for all levels: result.levels[l] is the jet
+    truncated to order m + l with the residual of the rows of level <= l.
+    A level that fails ends the solve, and every level from it up reports
+    that failure.
     """
     op = sys.operator
     if not op.contains(x):
@@ -294,6 +334,7 @@ def solve_jets_triangular(
     seed_vals = _seed_values(seed)
     base_cols = jet_columns(n, k, m)
     known = {c: seed_vals[c] for c in base_cols if c in seed_vals}
+    failure = None
     for lam in range(sys.level + 1):
         rows = [(j, p) for j, p, _ in sys.items_at_level(lam)]
         if lam > 0:
@@ -306,9 +347,13 @@ def solve_jets_triangular(
                 _affine_split(sys, rows, new_cols), space, known, tol,
                 "inconsistent level",
             )
-        elif _affine_split(sys, rows, base_cols) is None:
+        elif (base := _affine_split(sys, rows, base_cols)) is None:
             result = _solve_newton_base(sys, rows, base_cols, space, seed_vals, tol)
         else:
+            if _exact_base(op, base) and not all(map(_rational, known.values())):
+                raise ValueError(
+                    "the equations are solved exactly: seed values must be rational"
+                )
             free_cols = [c for c in base_cols if c not in known]
             result = _solve_affine(
                 _affine_split(sys, rows, free_cols), space, known, tol,
@@ -317,7 +362,7 @@ def solve_jets_triangular(
             cast = Fraction if result.arithmetic == "exact" else float
             known = {c: cast(v) for c, v in known.items()}
         if result.status != "ok":
-            return JetSolveResult(
+            failure = JetSolveResult(
                 status=result.status,
                 jet=None,
                 residual=result.residual,
@@ -325,20 +370,27 @@ def solve_jets_triangular(
                 failed_level=lam,
                 detail=result.detail,
             )
+            break
         known.update(result.values)
 
-    jet = Jet(n, k, sys.top_order, known)
-    residual = _max_residual(sys, space, jet)
-    if jet.exact:
-        status = "solved" if residual == 0 else "solver-failed"
-    else:
-        status = "solved" if residual <= tol else "solver-failed"
-    return JetSolveResult(
-        status=status,
-        jet=jet,
-        residual=float(residual),
-        arithmetic="exact" if jet.exact else "float",
-    )
+    passed = sys.level if failure is None else lam - 1
+    levels = []
+    if passed >= 0:
+        jet = Jet(n, k, m + passed, known)
+        for level, residual in enumerate(_level_residuals(sys, space, jet, passed)):
+            truncated = jet.truncate(m + level)
+            exact = truncated.exact
+            ok = residual == 0 if exact else residual <= tol
+            levels.append(
+                JetSolveResult(
+                    status="solved" if ok else "solver-failed",
+                    jet=truncated,
+                    residual=float(residual),
+                    arithmetic="exact" if exact else "float",
+                )
+            )
+    levels += [failure] * (sys.level - passed)
+    return replace(levels[-1], levels=tuple(levels))
 
 
 def _solve_affine(
@@ -417,13 +469,22 @@ def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
     return _LevelResult("ok", values, best.residual, "float")
 
 
-def _max_residual(sys: ProlongedSystem, space: dict, jet: Jet):
-    """Largest |F_{j,p}| at the solved jet; exact zero stays exact."""
+def _level_residuals(sys: ProlongedSystem, space: dict, jet: Jet, top: int) -> list:
+    """For each level l <= top, the largest |F_{j,p}| over the rows of
+    level <= l at the solved jet; exact zero stays exact.
+
+    One pass over the rows, each evaluated once: rows come in level
+    order, and every level of a solve has the jet's arithmetic (float
+    data at one level carries into the next through the known jets), so
+    each level's value is the running maximum at its last row."""
     assignment = dict(space)
     assignment.update(jet.assignment(sys.operator.context))
     exact = jet.exact
     worst = Fraction(0) if exact else 0.0
+    running = {}
     for j, p, e in sys.items():
+        if p.order > top:
+            break
         if exact and is_rational_closed(e):
             val = abs(evaluate_exact(e, assignment))
         else:
@@ -431,7 +492,8 @@ def _max_residual(sys: ProlongedSystem, space: dict, jet: Jet):
             exact = False
             worst = float(worst)
         worst = max(worst, val)
-    return worst
+        running[p.order] = worst
+    return list(running.values())
 
 
 # ---------------------------------------------------------------------------
@@ -515,7 +577,9 @@ def range_condition_check(
     and every level l <= l_max; failures become report entries.
 
     A linear operator is linearized once at l_max, and every level at a
-    point is certified from one elimination pass over that split."""
+    point is certified from one elimination pass over that split.  A
+    nonlinear operator is prolonged once to l_max, and each point is
+    solved once there: the triangular solve reports every level."""
     top = prolong(op, l_max)
     linear = linearize(top)
     entries = []
@@ -536,8 +600,7 @@ def range_condition_check(
                         )
                     )
             continue
-        for level in range(l_max + 1):
-            res = solve_jets_triangular(top.restrict(level), x, tol=tol)
+        for level, res in enumerate(solve_jets_triangular(top, x, tol=tol).levels):
             entries.append(
                 RangeEntry(
                     tuple(x), level, res.status,

@@ -441,7 +441,8 @@ def series(
     exact (Fraction) when every input to it is exact and float otherwise;
     "exact" raises ExactnessUnavailable unless every coefficient is
     exact; "float" computes in floats from the leaves up.  A float
-    coefficient is never NaN or inf: EvaluationError is raised instead.
+    coefficient is never NaN or inf, and no float overflow or zero
+    division escapes: EvaluationError is raised instead.
     """
     if mode not in MODES:
         raise ValueError(f"unknown arithmetic {mode!r}")
@@ -453,7 +454,10 @@ def series(
         v: _clean({slot[p]: (float(c) if mode == "float" else c) for p, c in s.items() if p in slot})
         for v, s in (bindings or {}).items()
     }
-    out = _Walk(point, lay, mode, walk_bindings)(e)
+    try:
+        out = _Walk(point, lay, mode, walk_bindings)(e)
+    except ArithmeticError as exc:
+        raise EvaluationError(f"series evaluation failed: {exc}") from None
     result: dict[MultiIndex, Coefficient] = {}
     for k in sorted(out):
         c = out[k]

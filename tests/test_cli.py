@@ -46,6 +46,20 @@ domain: (0,1)
 eq: u_x - exp(1000*x)
 """
 
+POISSON = """dim: 2
+vars: x y
+order: 2
+domain: (0,1) (0,1)
+eq: u_xx + u_yy - 1 - x*y
+"""
+
+EIKONAL = """dim: 2
+vars: x y
+order: 1
+domain: (-1,1) (-1,1)
+eq: u_x^2 + u_y^2 - 1 - x^2
+"""
+
 IMPOSSIBLE = """dim: 1
 vars: x
 order: 1
@@ -304,6 +318,31 @@ eq: 0*u - 1
         path = str(tmp_path / "sequence.json")
         write_json(path, raw)
         self.assert_rejected(path, capsys, "is not a number")
+
+    def test_downgraded_exact_claim_rejected(self, tmp_path, capsys):
+        # exact jets relabelled float, their values rewritten as numbers:
+        # the Poisson equation is solved exactly at rational points, so a
+        # float jet can only be a weakened claim
+        op = parse_pde_text(POISSON)
+        pts = [(F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)), (F(1, 4), F(3, 4))]
+        raw = sequence_to_json(construct_sequence(op, pts, [0, 1, 1]))
+        for stage in raw["stages"]:
+            for jet in stage["jets"]:
+                assert jet["arithmetic"] == "exact"
+                jet["arithmetic"] = "float"
+                jet["values"] = {k: float(F(v)) for k, v in jet["values"].items()}
+        path = str(tmp_path / "sequence.json")
+        write_json(path, raw)
+        self.assert_rejected(path, capsys, "stage 0: float jet")
+
+    def test_float_jets_of_newton_operator_load(self, tmp_path, capsys):
+        op = parse_pde_text(EIKONAL)
+        pts = [(F(1, 2), F(1, 2)), (F(1, 4), F(1, 4))]
+        path = str(tmp_path / "sequence.json")
+        save_sequence(path, construct_sequence(op, pts, [0, 1]))
+        assert read_json(path)["stages"][1]["jets"][0]["arithmetic"] == "float"
+        assert main(["verify", path]) == 0
+        assert "PASS" in capsys.readouterr().out
 
     def test_usage_error_missing_file(self, capsys):
         assert main(["range", "no-such-file.pde"]) == 2

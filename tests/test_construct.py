@@ -16,6 +16,7 @@ from densepde.construct import (
     solve_on_discrete_set,
     taylor_from_jet,
 )
+from densepde import construct, ranges
 from densepde.expr import differentiate, evaluate_exact, evaluate_float
 from densepde.jets import jet_of_function, parse_pde_text
 from densepde.multiindex import MultiIndex
@@ -191,6 +192,84 @@ eq: u_x^2 - 1 + 2*x
             construct_sequence(mixed, [(F(1, 4),), (F(3, 4),)], [0, 0])
         assert info.value.stage == 1
         assert info.value.partial.stage_count == 1
+
+
+    def test_point_failing_above_level_zero(self):
+        # u_x = 0 at x = 0 solves level 0; level 1 asks 2 u_x u_xx = 1
+        op = parse_pde_text("""
+dim: 1
+vars: x
+order: 1
+domain: (-1,1)
+eq: u_x^2 - x
+eq: u_x^2 - x + x^2
+""")
+        with pytest.raises(ConstructionError) as info:
+            construct_sequence(op, [(F(0),), (F(1, 2),)], [0, 1])
+        assert info.value.stage == 1
+        assert info.value.cause.point == (F(0),)
+        result = info.value.cause.result
+        assert (result.status, result.failed_level, result.detail) == (
+            "no-solution", 1, "inconsistent level"
+        )
+        assert info.value.partial.stage_count == 1
+        assert info.value.partial.stages[0].jets[(F(0),)].order == 1
+
+
+POISSON = """
+dim: 2
+vars: x y
+order: 2
+domain: (0,1) (0,1)
+eq: u_xx + u_yy - 1 - x*y
+"""
+
+EIKONAL = """
+dim: 2
+vars: x y
+order: 1
+domain: (-1,1) (-1,1)
+eq: u_x^2 + u_y^2 - 1 - x^2
+"""
+
+
+class TestOneSolvePerPoint:
+    """The triangular solve reports every level, so each point is solved
+    once, however many stages or levels read it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        original = ranges.solve_jets_triangular
+
+        def counting(sys, x, *args, **kwargs):
+            made.append((sys.level, tuple(x)))
+            return original(sys, x, *args, **kwargs)
+
+        for module in (construct, ranges):
+            monkeypatch.setattr(module, "solve_jets_triangular", counting)
+        return made
+
+    def test_construct(self, calls):
+        op = parse_pde_text(POISSON)
+        pts = DensePointStream(op.domain).prefix(12)
+        seq = construct_sequence(op, pts, [1] * 12)
+        assert seq.stage_count == 12
+        assert calls == [(1, a) for a in pts]
+
+    def test_construct_solves_at_the_last_level(self, calls):
+        op = parse_pde_text(TRANSPORT)
+        pts = [(F(1, 4),), (F(3, 4),), (F(1, 8),)]
+        seq = construct_sequence(op, pts, [0, 1, 2], seed={(1, (0,)): 1})
+        assert calls == [(2, a) for a in pts]
+        assert [seq.stages[nu].jets[pts[0]].order for nu in range(3)] == [1, 2, 3]
+
+    def test_nonlinear_range(self, calls):
+        op = parse_pde_text(EIKONAL)
+        pts = DensePointStream(op.domain).prefix(4)
+        report = ranges.range_condition_check(op, pts, 2)
+        assert len(report.entries) == 12 and report.all_ok
+        assert calls == [(2, a) for a in pts]
 
 
 class TestBracket:

@@ -91,6 +91,44 @@ domain: (0,1)
 eq: 0*u - 1
 """
 
+# u_x^2 = -1 - x has no real root where x > -1: Newton fails at level 0
+NEWTON_FAILS = """
+dim: 1
+vars: x
+order: 1
+domain: (-1,1)
+eq: u_x^2 + 1 + x
+"""
+
+# float residuals that grow with the level at x = 1/3
+GROWING = """
+dim: 1
+vars: x
+order: 1
+domain: (0,1)
+eq: u_x - 3*exp(u)*x
+"""
+
+# at x = 1/2 levels 0-3 solve in floats and level 4 is inconsistent
+LEVEL_FOUR_FAILS = """
+dim: 1
+vars: x
+order: 1
+domain: (0,1)
+eq: u_x^2 + u - 7*x^3
+"""
+
+# at x = 0 both equations read u_x^2 = 0, so level 0 solves with
+# u_x = 0; level 1 then asks 2 u_x u_xx = 1, which no u_xx solves
+LEVEL_ONE_FAILS = """
+dim: 1
+vars: x
+order: 1
+domain: (-1,1)
+eq: u_x^2 - x
+eq: u_x^2 - x + x^2
+"""
+
 
 def op(text):
     return parse_pde_text(text)
@@ -230,35 +268,12 @@ class TestRangeReport:
 
 
 class TestRestriction:
-    """Restrictions of one prolonged system share its cached row
-    gradients; everything computed from them must match a fresh
-    prolongation to the lower level."""
+    """Every level's certificate is read off one split of the top-level
+    system; each must match a fresh computation at that level."""
 
-    CASES = [
+    CERTIFIED = [
         (lewy_operator(), 3, 1),
         (op(LAPLACE), 2, 2),
-        (op(EIKONAL), 2, 2),
-    ]
-
-    @pytest.mark.parametrize("operator,top_level,count", CASES)
-    def test_restricted_solve_matches_fresh_prolongation(
-        self, operator, top_level, count
-    ):
-        top = prolong(operator, top_level)
-        for x in DensePointStream(operator.domain).prefix(count):
-            solve_jets_triangular(top, x)
-            for level in range(top_level + 1):
-                shared = solve_jets_triangular(top.restrict(level), x)
-                fresh = solve_jets_triangular(prolong(operator, level), x)
-                assert shared.solved and fresh.solved
-                assert shared.arithmetic == fresh.arithmetic
-                assert dict(shared.jet.values) == dict(fresh.jet.values)
-                assert all(
-                    type(v) is type(fresh.jet.values[c])
-                    for c, v in shared.jet.values.items()
-                )
-
-    CERTIFIED = CASES[:2] + [
         (lewy_operator(), 4, 3),
         (op(LAPLACE), 3, 3),
         (op(SPLIT), 3, 3),
@@ -273,6 +288,69 @@ class TestRestriction:
     def test_float_certificates_match_rank_condition(self, operator):
         points = DensePointStream(operator.domain).prefix(3)
         check_certificates(operator, [tuple(map(float, x)) for x in points], 2)
+
+
+class TestPerLevelResults:
+    """One solve at the top level reports every lower level exactly as a
+    solve of the prolongation to that level does."""
+
+    CASES = [
+        (lewy_operator(), 3, DensePointStream(lewy_operator().domain).prefix(2)),
+        (op(LAPLACE), 3, DensePointStream(op(LAPLACE).domain).prefix(3)),
+        (op(EIKONAL), 3, DensePointStream(op(EIKONAL).domain).prefix(3)),
+        (op(NEWTON_FAILS), 2, [(F(-1, 2),)]),
+        (op(LEVEL_ONE_FAILS), 2, [(F(0),)]),
+        (op(SPLIT), 2, [(F(0),), (F(1, 2),)]),
+        (op(GROWING), 4, [(F(1, 3),), (F(1, 2),)]),
+        (op(LEVEL_FOUR_FAILS), 4, [(F(1, 2),)]),
+    ]
+
+    @pytest.mark.parametrize(
+        "operator,top_level,points", CASES,
+        ids=[
+            "lewy", "laplace", "eikonal", "newton-fails", "level-one-fails",
+            "split", "growing", "level-four-fails",
+        ],
+    )
+    def test_levels_match_fresh_solves(self, operator, top_level, points):
+        for x in points:
+            top = solve_jets_triangular(prolong(operator, top_level), x)
+            assert len(top.levels) == top_level + 1
+            assert top == top.levels[-1]
+            for level, got in enumerate(top.levels):
+                fresh = solve_jets_triangular(prolong(operator, level), x)
+                assert_same_result(got, fresh)
+
+    def test_failure_repeats_upward(self):
+        levels = solve_jets_triangular(prolong(op(LEVEL_ONE_FAILS), 3), (F(0),)).levels
+        assert levels[0].solved
+        assert [r.status for r in levels[1:]] == ["no-solution"] * 3
+        assert {(r.failed_level, r.detail) for r in levels[1:]} == {(1, "inconsistent level")}
+        report = range_condition_check(op(LEVEL_ONE_FAILS), [(F(0),)], 2)
+        assert [e.outcome for e in report.entries] == ["solved", "no-solution", "no-solution"]
+        assert report.entries[1].detail == "inconsistent level"
+
+    def test_exact_operator_rejects_float_seed(self):
+        sys = prolong(op(TRANSPORT), 1)
+        with pytest.raises(ValueError, match="rational"):
+            solve_jets_triangular(sys, (F(1, 2),), seed={(1, (0,)): 0.5})
+        # a nonlinear base is solved in floats: a float seed is a start
+        res = solve_jets_triangular(prolong(op(EIKONAL), 0), (F(0), F(0)), seed={(1, (1, 0)): 0.5})
+        assert res.solved
+
+
+def assert_same_result(got, fresh):
+    assert (got.status, got.arithmetic, got.failed_level, got.detail) == (
+        fresh.status, fresh.arithmetic, fresh.failed_level, fresh.detail
+    )
+    assert got.residual == fresh.residual
+    assert type(got.residual) is type(fresh.residual)
+    if fresh.jet is None:
+        assert got.jet is None
+        return
+    assert got.jet.order == fresh.jet.order
+    assert dict(got.jet.values) == dict(fresh.jet.values)
+    assert all(type(v) is type(fresh.jet.values[c]) for c, v in got.jet.values.items())
 
 
 def check_certificates(operator, points, top_level):

@@ -156,6 +156,15 @@ def test_series_matches_symbolic_derivatives(case):
             assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-9), (p, got, want)
 
 
+def test_float_overflow_is_an_evaluation_error():
+    # just off its plateau the bump's x-derivative is about -1.3e-80, so
+    # its square to the power -2 overflows a float
+    ctx = CONTEXTS[2]
+    bump = Bump((F(0), F(1, 2)), F(1), F(3, 2), ctx.space_vars(), MultiIndex((1, 0)))
+    with pytest.raises(EvaluationError):
+        series(spow(Pow(bump, F(2)), -2), (F(1), F(3, 7)), 0)
+
+
 def test_structural_zero_is_exact():
     ctx = CONTEXTS[2]
     s = series(sfn("exp", Var(ctx.space(1))), (F(1, 3), F(1, 2)), 2)
