@@ -22,7 +22,7 @@ from .construct import (
 )
 from .expr import EvaluationError, ExactnessUnavailable
 from .jets import load_pde_file, prolong
-from .parser import ParseError
+from .parser import ParseError, parse_rational
 from .printer import to_text
 from .ranges import NotLinearError, range_condition_check
 from .systems import lewy_operator
@@ -42,7 +42,7 @@ def _parse_points(text: str, n: int) -> list[tuple[Fraction, ...]]:
         chunk = chunk.strip()
         if not chunk:
             continue
-        coords = tuple(Fraction(c.strip()) for c in chunk.split(","))
+        coords = tuple(parse_rational(c.strip()) for c in chunk.split(","))
         if len(coords) != n:
             raise ValueError(
                 f"point '{chunk}' has {len(coords)} coordinates, expected {n}"

@@ -24,7 +24,7 @@ from .expr import (
     ssum,
 )
 from .multiindex import MultiIndex, multi_indices, zero_index
-from .parser import Context
+from .parser import Context, parse_rational
 from .taylor import derivative, series
 
 Point = tuple[Fraction, ...]
@@ -346,5 +346,5 @@ def _parse_domain(text: str, n: int, name: str):
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 2:
             raise ValueError(f"{name}: bad interval ({chunk})")
-        out.append((Fraction(parts[0]), Fraction(parts[1])))
+        out.append((parse_rational(parts[0]), parse_rational(parts[1])))
     return tuple(out)

@@ -10,18 +10,24 @@ least-norm solve then needs only one integer Gram system, solved by
 Bareiss elimination with a single division at the end.  No Fraction is
 built until the answer, so every rank and solution is exact.
 
-Float routines delegate to numpy and carry an explicit zero tolerance.
+The float routines share one Householder QR with column pivoting, in
+pure Python on lists.  Ranks count the pivots above an explicit relative
+tolerance; least-squares solves add a second QR of the leading rows (a
+complete orthogonal decomposition) for the minimum-norm solution.  Every
+norm is a math.hypot, finite whenever the norm itself is representable.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
-from math import gcd, lcm
-
-import numpy as np
+from itertools import chain
+from math import gcd, hypot, lcm
+from operator import mul
 
 Row = list[Fraction]
 FLOAT_RANK_TOL = 1e-9
+EPS = sys.float_info.epsilon
 
 
 def _integer_rows(rows) -> list[dict[int, int]]:
@@ -152,32 +158,121 @@ def exact_least_norm(a: list[Row], b: Row) -> list[Fraction] | None:
     return [Fraction(v, det) for v in x]
 
 
-def float_rank(matrix, tol: float = FLOAT_RANK_TOL) -> int:
-    """Rank with singular values below tol * s_max treated as zero."""
-    a = np.asarray(matrix, dtype=float)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+def _columns(matrix) -> list[list[float]]:
+    """The columns of a 2-D sequence (nested lists, or an array) as lists
+    of floats."""
+    return [[float(v) for v in col] for col in zip(*matrix)]
 
 
-def float_least_norm(a, b) -> np.ndarray:
-    """Minimum-norm least-squares solution (numpy lstsq)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0:
-        return np.zeros(a.shape[1] if a.ndim == 2 else 0)
-    x, *_ = np.linalg.lstsq(a, b, rcond=None)
+def _reflector(x: list[float]) -> tuple[list[float], float]:
+    """(v, alpha) with (I - 2 v v^T) x = alpha e_1 and |v| = 1, for a
+    nonzero x.  alpha has the sign opposite to x[0], so forming v cancels
+    nothing, and v is built from x / |x|, so nothing overflows."""
+    size = hypot(*x)
+    alpha = -size if x[0] >= 0 else size
+    v = [xi / size for xi in x]
+    v[0] -= alpha / size
+    scale = hypot(*v)
+    return [vi / scale for vi in v], alpha
+
+
+def _reflect(v: list[float], col: list[float], k: int) -> None:
+    """Apply I - 2 v v^T to col[k:] in place."""
+    tail = col[k:]
+    s = 2.0 * sum(map(mul, v, tail))
+    if s:
+        col[k:] = [c - s * vi for c, vi in zip(tail, v)]
+
+
+def _pivoted_qr(cols: list[list[float]], cutoff: float, rhs=()):
+    """Householder QR with column pivoting (Golub & Van Loan, Matrix
+    Computations, 4th ed., 5.4.1) of the matrix whose columns are `cols`,
+    in place.
+
+    Step k moves the remaining column of largest norm below row k to
+    position k and reflects it onto e_k, so |R_kk| is that norm and never
+    grows with k.  The factorization stops at the first k with |R_kk| <=
+    cutoff * |R_00|, which makes k the numerical rank.  Each column of
+    `rhs` is reflected along, never chosen, and ends as Q^T b.
+
+    Returns (rank, |R_00|, order, reflectors): cols[j][:rank] is then
+    column j of R's leading rows with order[j] its original index, and
+    reflectors[k] the v of step k, acting on rows k and below.
+    """
+    m = len(cols[0]) if cols else 0
+    order = list(range(len(cols)))
+    reflectors = []
+    top = 0.0
+    for k in range(min(m, len(cols))):
+        norms = [hypot(*col[k:]) for col in cols[k:]]
+        largest = max(norms)
+        if k == 0:
+            top = largest
+        if largest <= cutoff * top:
+            break
+        j = k + norms.index(largest)
+        cols[k], cols[j] = cols[j], cols[k]
+        order[k], order[j] = order[j], order[k]
+        v, alpha = _reflector(cols[k][k:])
+        cols[k][k:] = [alpha] + [0.0] * (m - k - 1)
+        for col in chain(cols[k + 1:], rhs):
+            _reflect(v, col, k)
+        reflectors.append(v)
+    return len(reflectors), top, order, reflectors
+
+
+def float_rank(matrix, tol: float = FLOAT_RANK_TOL, rhs=None):
+    """Rank with |R_kk| <= tol * |R_00| in a pivoted QR treated as zero.
+
+    With `rhs` the result is the pair (rank A, rank [A | rhs]) from A's
+    factorization alone: the column adds one to the rank when its part
+    outside the range of A's first rank pivot columns is above tol
+    times the largest column norm of [A | rhs]."""
+    cols = _columns(matrix)
+    extra = [] if rhs is None else [[float(v) for v in rhs]]
+    size = hypot(*extra[0]) if extra else 0.0
+    rank, top, _, _ = _pivoted_qr(cols, tol, extra)
+    if rhs is None:
+        return rank
+    return rank, rank + (hypot(*extra[0][rank:]) > tol * max(top, size))
+
+
+def _lstsq_cutoff(matrix) -> float:
+    """The relative cutoff eps * max(m, n) below which a pivot counts as
+    zero in a least-squares solve, as LAPACK's default rcond has it."""
+    return EPS * max(len(matrix), len(matrix[0]) if len(matrix) else 0)
+
+
+def float_least_norm(a, b) -> list[float]:
+    """Minimum-norm least-squares solution of A x = b by a complete
+    orthogonal decomposition (Golub & Van Loan, 5.5.2).
+
+    The pivoted QR A P = Q [R1; R2] drops R2 below the cutoff, and a
+    second one factors R1^T Pi = Z [T; 0].  Then R1 P^T x = (Q^T b)_1
+    reads T^T w = Pi^T (Q^T b)_1 with x = P Z [w; 0]: a triangular solve
+    whose solution has no component in the null space."""
+    cols = _columns(a)
+    c = [float(v) for v in b]
+    rank, _, order, _ = _pivoted_qr(cols, _lstsq_cutoff(a), [c])
+    rows = [[col[i] for col in cols] for i in range(rank)]
+    # cutoff 0: R1 has full row rank, so this stops only on exact zeros
+    kept, _, row_order, reflectors = _pivoted_qr(rows, 0.0)
+    w = []
+    for i in range(kept):
+        t = rows[i]
+        w.append((c[row_order[i]] - sum(map(mul, t[:i], w))) / t[i])
+    y = w + [0.0] * (len(cols) - kept)
+    for k in range(kept - 1, -1, -1):
+        _reflect(reflectors[k], y, k)
+    x = [0.0] * len(cols)
+    for j, v in zip(order, y):
+        x[j] = v
     return x
 
 
 def residual_floor(a, b) -> float:
-    """Norm of the least-squares residual: how close A x = b can get."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0:
-        return float(np.linalg.norm(b))
-    x = float_least_norm(a, b)
-    return float(np.linalg.norm(a @ x - b))
+    """Norm of the least-squares residual: how close A x = b can get.
+    It is the part of Q^T b below the numerical rank of A."""
+    c = [float(v) for v in b]
+    rank, _, _, _ = _pivoted_qr(_columns(a), _lstsq_cutoff(a), [c])
+    return hypot(*c[rank:])

@@ -30,7 +30,7 @@ from fractions import Fraction
 from .construct import SolutionSequence, glue, validate_schedule
 from .jets import Jet, PdeOperator
 from .multiindex import MultiIndex
-from .parser import Context, parse_expression
+from .parser import Context, parse_expression, parse_rational
 from .printer import to_text
 from .ranges import jet_to_json, solves_exactly
 
@@ -56,7 +56,7 @@ def _parse_value(raw, exact: bool, where: str) -> Fraction | float:
     if exact:
         if not isinstance(raw, str):
             raise ValueError(f"{where}: exact value {raw!r} is not a string")
-        return Fraction(raw)
+        return parse_rational(raw)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{where}: float value {raw!r} is not a number")
     return float(raw)
@@ -104,7 +104,7 @@ def operator_from_json(data: dict) -> PdeOperator:
     ctx = Context(tuple(data["vars"]), tuple(data["unknowns"]))
     equations = tuple(parse_expression(t, ctx) for t in data["equations"])
     domain = tuple(
-        (Fraction(lo), Fraction(hi)) for lo, hi in data["domain"]
+        (parse_rational(lo), parse_rational(hi)) for lo, hi in data["domain"]
     )
     return PdeOperator(ctx, data["order"], equations, domain)
 
@@ -131,7 +131,7 @@ def sequence_from_json(data: dict) -> SolutionSequence:
     _check_keys("manifest", data, _TOP_KEYS, optional={"header"})
     op = operator_from_json(data["operator"])
     ctx = op.context
-    points = tuple(tuple(Fraction(c) for c in a) for a in data["points"])
+    points = tuple(tuple(parse_rational(c) for c in a) for a in data["points"])
     orders = tuple(validate_schedule(data["orders"]))
     if not len(points) == len(orders) == len(data["stages"]):
         raise ValueError("need one level and one stage per point")

@@ -13,64 +13,70 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .expr import EvaluationError
+from .linalg import float_least_norm
 
 # deterministic constant-fill seed values on [-2, 2]
 SEED_FILLS = (0.0, 1.0, -1.0, 2.0, -2.0, 0.5, -0.5, 1.5)
 MAX_ITER = 200
 STATIONARY_TOL = 1e-8
 
+Vector = list[float]
+
 
 @dataclass
 class NewtonResult:
     converged: bool
-    x: np.ndarray
+    x: Vector
     residual: float
     stationary: bool  # first-order stationary point of |F|^2 reached
     iterations: int
 
 
 def damped_newton(
-    fun: Callable[[np.ndarray], np.ndarray],
-    jac: Callable[[np.ndarray], np.ndarray],
+    fun: Callable[[Vector], Sequence[float]],
+    jac: Callable[[Vector], Sequence[Sequence[float]]],
     x0: Sequence[float],
     tol: float = 1e-12,
     max_iter: int = MAX_ITER,
 ) -> NewtonResult:
-    x = np.asarray(x0, dtype=float).copy()
+    x = [float(v) for v in x0]
     try:
-        f = np.atleast_1d(fun(x))
+        f = [float(v) for v in fun(x)]
     except EvaluationError:
         return NewtonResult(False, x, math.inf, False, 0)
-    res = float(np.linalg.norm(f))
+    res = math.hypot(*f)
     for it in range(max_iter):
         if res <= tol:
             return NewtonResult(True, x, res, False, it)
         try:
-            j = np.atleast_2d(jac(x))
+            j = [[float(v) for v in row] for row in jac(x)]
         except EvaluationError:
             return NewtonResult(False, x, res, False, it)
-        grad = j.T @ f
-        if float(np.linalg.norm(grad)) <= STATIONARY_TOL * max(1.0, res):
+        # J^T F, the gradient of |F|^2 / 2, is taken of F / |F| so that
+        # no product overflows
+        scale = res or 1.0
+        unit = [v / scale for v in f]
+        grad = [sum(map(mul, col, unit)) for col in zip(*j)]
+        if math.hypot(*grad) <= STATIONARY_TOL * max(1.0, res) / scale:
             return NewtonResult(False, x, res, True, it)
-        step, *_ = np.linalg.lstsq(j, -f, rcond=None)
-        if not np.all(np.isfinite(step)):
+        step = float_least_norm(j, [-v for v in f])
+        if not all(map(math.isfinite, step)):
             return NewtonResult(False, x, res, False, it)
         lam = 1.0
         improved = False
         for _ in range(30):
-            trial = x + lam * step
+            trial = [xi + lam * si for xi, si in zip(x, step)]
             try:
-                ft = np.atleast_1d(fun(trial))
+                ft = [float(v) for v in fun(trial)]
             except (ArithmeticError, ValueError, EvaluationError):
                 lam *= 0.5
                 continue
-            rt = float(np.linalg.norm(ft))
-            if np.isfinite(rt) and rt < res:
+            rt = math.hypot(*ft)
+            if math.isfinite(rt) and rt < res:
                 x, f, res = trial, ft, rt
                 improved = True
                 break
@@ -94,8 +100,8 @@ def multistart_newton(
     norm ties break toward the componentwise larger root, so for example
     (u')^2 = 1 deterministically selects the +1 branch.
     """
-    starts = [np.asarray(s, dtype=float) for s in seeds]
-    starts += [np.full(dim, fill) for fill in SEED_FILLS]
+    starts = [list(s) for s in seeds]
+    starts += [[fill] * dim for fill in SEED_FILLS]
     results = []
     roots: list[NewtonResult] = []
     for s in starts:
@@ -108,7 +114,7 @@ def multistart_newton(
     best = min(
         roots,
         key=lambda r: (
-            round(float(np.linalg.norm(r.x)), 9),
+            round(math.hypot(*r.x), 9),
             tuple(-round(v, 9) for v in r.x),
         ),
     )

@@ -112,6 +112,16 @@ class Context:
         return parse_expression(text, self)
 
 
+def parse_rational(text) -> Fraction:
+    """A rational literal such as '-3/4' or '0.5' (or an int or Fraction)
+    as a Fraction.  Anything that is not a finite rational, a zero
+    denominator included, raises ValueError."""
+    try:
+        return Fraction(text)
+    except (ZeroDivisionError, OverflowError, TypeError) as exc:
+        raise ValueError(f"{text!r} is not a rational number: {exc}") from None
+
+
 def parse_expression(text: str, context: Context) -> Expr:
     """Parse text into a canonical Expr; raises ParseError with the offset
     of the offending character on malformed input."""

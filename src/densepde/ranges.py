@@ -26,8 +26,6 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .expr import (
     ZERO,
     Expr,
@@ -200,6 +198,12 @@ def _certify(split: AffineSplit, x: Sequence, levels: Sequence[int]):
     and a row of level l is zero outside the columns of order <= m + l.
     So each level's system is a leading block of the split's, and one
     exact elimination pass over the rows of Q gives every level's ranks.
+    In float arithmetic each level is factored on its own, from the top
+    down, until a level has full row rank: its leading blocks then have
+    full row rank too, since deleting rows leaves the smallest singular
+    value no smaller and the largest no larger (interlacing).  That holds
+    for singular values; the pivoted-QR rank follows them except within
+    rounding of the tolerance.
     Exactness of the split carries over to its blocks, and back: the
     prolonged rows of rational-closed equations are rational-closed.
     """
@@ -218,10 +222,14 @@ def _certify(split: AffineSplit, x: Sequence, levels: Sequence[int]):
         ranks = exact_rank([row + [v] for row, v in zip(a, b)], ends)
         tol = None
     else:
-        ranks = [
-            (float_rank(pa), float_rank([row + [v] for row, v in zip(pa, pb)]))
-            for pa, pb in blocks
-        ]
+        ranks, full = [], False
+        for pa, pb in reversed(blocks):
+            if full:
+                ranks.append((len(pa), len(pa)))
+            else:
+                ranks.append(float_rank(pa, rhs=pb))
+                full = ranks[-1][0] == len(pa)
+        ranks.reverse()
         tol = FLOAT_RANK_TOL
     out = []
     for level, (pa, pb), width, (rank_p, rank_q) in zip(levels, blocks, widths, ranks):
@@ -437,13 +445,11 @@ def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
 
     def fun(vec):
         a = assignment(vec)
-        return np.array([evaluate_float(e, a) for e in eqs])
+        return [evaluate_float(e, a) for e in eqs]
 
     def jac(vec):
         a = assignment(vec)
-        return np.array(
-            [[evaluate_float(p, a) for p in row] for row in partials]
-        )
+        return [[evaluate_float(p, a) for p in row] for row in partials]
 
     seeds = []
     if seed_vals:

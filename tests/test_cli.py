@@ -87,6 +87,12 @@ def add_respelled_coordinate(raw):
     values[key.replace("(", "( ")] = values[key]
 
 
+def assert_one_error_line(capsys, message):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), lines
+    assert message in lines[0]
+
+
 @pytest.fixture
 def pde_file(tmp_path):
     path = tmp_path / "transport.pde"
@@ -350,6 +356,27 @@ eq: 0*u - 1
 
     def test_usage_error_bad_points(self, pde_file, capsys):
         assert main(["range", pde_file, "--points", "1/2,1/2"]) == 2
+
+    def test_zero_denominator_point(self, pde_file, capsys):
+        assert main(["range", pde_file, "--level", "1", "--points", "1/0"]) == 2
+        assert_one_error_line(capsys, "'1/0' is not a rational number")
+
+    def test_zero_denominator_domain(self, tmp_path, capsys):
+        path = tmp_path / "domain.pde"
+        path.write_text(TRANSPORT.replace("domain: (0,1)", "domain: (0,1/0)"))
+        assert main(["range", str(path), "--level", "1"]) == 2
+        assert_one_error_line(capsys, "'1/0' is not a rational number")
+
+    @pytest.mark.parametrize("edit", [
+        lambda raw: raw["points"][0].__setitem__(0, "1/0"),
+        lambda raw: raw["operator"]["domain"][0].__setitem__(1, "1/0"),
+        lambda raw: raw["stages"][0]["jets"][0]["values"].update({"1;(0)": "1/0"}),
+    ], ids=["point", "domain", "jet-value"])
+    def test_zero_denominator_in_manifest(self, pde_file, tmp_path, capsys, edit):
+        path = self.edited_manifest(pde_file, tmp_path, edit)
+        capsys.readouterr()
+        assert main(["verify", path]) == 2
+        assert_one_error_line(capsys, "'1/0' is not a rational number")
 
     def test_argparse_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as info:

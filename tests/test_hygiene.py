@@ -1,8 +1,12 @@
 """Import hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, and imports sit at module level.
+The package has no runtime dependencies: importing it loads no numpy.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "densepde"
@@ -70,3 +74,15 @@ def test_imports_at_module_level():
                     if (name, fn.name) not in LOCAL_IMPORTS_ALLOWED:
                         local.append(f"{name}:{node.lineno} in {fn.name}")
     assert local == []
+
+
+def test_import_loads_no_numpy():
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, densepde; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

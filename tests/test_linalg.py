@@ -1,14 +1,16 @@
 """Rational and float linear algebra.
 
 The exact routines are checked against a short reference Gaussian
-elimination over Fraction, kept here as the oracle.
+elimination over Fraction, kept here as the oracle; the float routines
+against numpy's SVD and lstsq, a test-only dependency.
 """
 
+import math
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from densepde.linalg import (
     exact_least_norm,
@@ -219,3 +221,97 @@ def test_residual_floor():
     a = [[1.0, 0.0], [1.0, 0.0]]
     assert residual_floor(a, [1.0, 3.0]) == pytest.approx(np.sqrt(2.0))
     assert residual_floor(a, [2.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the float kernel against numpy's SVD and lstsq
+
+SMALL = st.integers(-3, 3).map(float)
+
+
+@st.composite
+def float_systems(draw):
+    """(A, b) with A = U V of inner size r, so its rank is at most r, and
+    zero or duplicated rows mixed in: tall, wide, square, zero and
+    rank-deficient matrices.  Small integer entries keep every product
+    exact, so a singular value is either zero to rounding or well away
+    from the rank tolerance."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(m, n)))
+    u = draw(st.lists(st.lists(SMALL, min_size=r, max_size=r), min_size=m, max_size=m))
+    v = draw(st.lists(st.lists(SMALL, min_size=n, max_size=n), min_size=r, max_size=r))
+    a = [[sum(ui[t] * v[t][j] for t in range(r)) for j in range(n)] for ui in u]
+    for _ in range(draw(st.integers(0, 2))):
+        extra = [0.0] * n if draw(st.booleans()) else list(draw(st.sampled_from(a)))
+        a.insert(draw(st.integers(0, len(a))), extra)
+    scale = 2.0 ** draw(st.integers(-20, 20))
+    a = [[scale * x for x in row] for row in a]
+    b = draw(st.lists(SMALL, min_size=len(a), max_size=len(a)))
+    return a, b
+
+
+def svd_rank(a, tol=1e-9):
+    s = np.linalg.svd(np.asarray(a, dtype=float), compute_uv=False)
+    if s[0] == 0:
+        return 0
+    # a singular value within 1e-3 of the threshold may round either way
+    assume(not np.any(np.abs(s - tol * s[0]) <= 1e-3 * tol * s[0]))
+    return int(np.sum(s > tol * s[0]))
+
+
+@given(float_systems())
+@settings(max_examples=200, deadline=None)
+def test_float_rank_matches_svd(system):
+    a, b = system
+    q = [row + [v] for row, v in zip(a, b)]
+    want = (svd_rank(a), svd_rank(q))
+    assert float_rank(a) == want[0]
+    assert float_rank(q) == want[1]
+    assert float_rank(a, rhs=b) == want
+
+
+@given(float_systems())
+@settings(max_examples=200, deadline=None)
+def test_float_least_norm_and_floor_match_lstsq(system):
+    a, b = system
+    na, nb = np.array(a), np.array(b)
+    x, *_ = np.linalg.lstsq(na, nb, rcond=None)
+    scale = max(1.0, float(np.abs(x).max()))
+    assert np.allclose(float_least_norm(a, b), x, rtol=1e-9, atol=1e-9 * scale)
+    floor = float(np.linalg.norm(na @ x - nb))
+    assert np.isclose(residual_floor(a, b), floor, rtol=1e-9, atol=1e-9 * np.linalg.norm(nb))
+
+
+def test_float_kernel_takes_arrays():
+    a = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [1.0, 0.0, 1.0], [0.0, 0.0, 0.0]]
+    b = [1.0, 3.0, 5.0, 0.0]
+    na, nb = np.array(a), np.array(b)
+    assert float_rank(na) == float_rank(a) == 2
+    assert float_rank(na, rhs=nb) == float_rank(a, rhs=b) == (2, 3)
+    assert float_least_norm(na, nb) == float_least_norm(a, b)
+    assert residual_floor(na, nb) == residual_floor(a, b)
+
+
+def test_float_kernel_empty_and_zero():
+    assert float_rank([]) == 0
+    assert float_rank([], rhs=[]) == (0, 0)
+    assert float_least_norm([], []) == []
+    assert residual_floor([], []) == 0.0
+    zero = [[0.0, 0.0], [0.0, 0.0]]
+    assert float_rank(zero) == 0
+    assert float_rank(zero, rhs=[3.0, 4.0]) == (0, 1)
+    assert float_least_norm(zero, [3.0, 4.0]) == [0.0, 0.0]
+    assert residual_floor(zero, [3.0, 4.0]) == 5.0
+    # rows without columns: nothing to solve for, all of b is residual
+    assert float_least_norm([[], []], [3.0, 4.0]) == []
+    assert residual_floor([[], []], [3.0, 4.0]) == 5.0
+
+
+def test_float_kernel_near_overflow():
+    # squaring these entries overflows; every norm must not
+    big = 1e200
+    assert residual_floor([[big, 0.0], [big, 0.0]], [big, 3 * big]) == pytest.approx(
+        math.sqrt(2.0) * big
+    )
+    assert float_least_norm([[big, big]], [2 * big]) == pytest.approx([1.0, 1.0])
+    assert float_rank([[big, big], [big, -big]], rhs=[big, big]) == (2, 2)

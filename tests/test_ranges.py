@@ -397,6 +397,13 @@ class TestNewtonStarts:
         assert result.converged
         assert result.x[0] == pytest.approx(1.0)
 
+    def test_step_near_overflow(self):
+        # |F|^2 and J^T F overflow at x = 0; the norms and the step must not
+        big = 1e200
+        result = damped_newton(lambda x: [big * x[0] - big], lambda x: [[big]], [0.0])
+        assert result.converged and not result.stationary
+        assert result.x == [1.0] and result.iterations == 1
+
     def test_failed_first_evaluation(self):
         def fun(x):
             raise EvaluationError("undefined")
