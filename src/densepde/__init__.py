@@ -8,7 +8,7 @@ into a staged sequence, and verify the vanishing condition on the error
 terms.
 """
 
-from .multiindex import MultiIndex, jet_count, multi_indices, zero_index, unit_index
+from .multiindex import MultiIndex, jet_count, multi_indices, zero_index
 from .expr import (
     Bump,
     Const,

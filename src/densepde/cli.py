@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -34,6 +35,14 @@ MATH_FAILURE = 1
 
 def _header() -> dict:
     return {"created": datetime.now(timezone.utc).isoformat()}
+
+
+def tolerance(text: str) -> float:
+    """Type of the --tol options: a finite number >= 0."""
+    value = float(text)
+    if not math.isfinite(value) or value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number >= 0")
+    return value
 
 
 def _parse_points(text: str, n: int) -> list[tuple[Fraction, ...]]:
@@ -222,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
         if pde:
             p.add_argument("pde", help="PDE specification file")
         p.add_argument("--out", help="output directory (atomic JSON writes)")
-        p.add_argument("--tol", type=float, default=1e-12)
+        p.add_argument("--tol", type=tolerance, default=1e-12)
 
     p = sub.add_parser("prolong", help="print the prolonged system")
     common(p)
@@ -261,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="re-verify a stored sequence manifest")
     p.add_argument("manifest", help="sequence manifest JSON")
     p.add_argument("--out", help="output directory")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=tolerance, default=1e-10)
     p.add_argument("--arith", choices=("auto", "exact", "float"), default="auto")
     p.set_defaults(func=cmd_verify)
 

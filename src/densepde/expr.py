@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Iterable, Mapping, Union
 
 from .multiindex import MultiIndex
 
@@ -183,14 +183,6 @@ def as_expr(x) -> Expr:
     if isinstance(x, float):
         return Const(Fraction(x))
     raise TypeError(f"cannot convert {x!r} to Expr")
-
-
-def const(x) -> Const:
-    return Const(Fraction(x))
-
-
-def var(v: Variable) -> Var:
-    return Var(v)
 
 
 # ---------------------------------------------------------------------------
@@ -442,6 +434,15 @@ def is_rational_closed(e: Expr) -> bool:
     if isinstance(e, (Fn, Bump)):
         return False
     raise TypeError(type(e))
+
+
+def exact_arithmetic(exprs: Iterable[Expr], numbers: Iterable) -> bool:
+    """The arithmetic rule: work with `exprs` at `numbers` is exact iff
+    every number is an int or a Fraction and every expression is
+    rational-closed; it is float otherwise."""
+    return all(isinstance(v, (int, Fraction)) for v in numbers) and all(
+        is_rational_closed(e) for e in exprs
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from .expr import (
     differentiate,
     evaluate_exact,
     evaluate_float,
+    exact_arithmetic,
     free_variables,
-    is_rational_closed,
     jet_variables,
     simplify,
     spow,
@@ -48,7 +48,7 @@ class Jet:
 
     @property
     def exact(self) -> bool:
-        return all(isinstance(v, (int, Fraction)) for v in self.values.values())
+        return exact_arithmetic((), self.values.values())
 
     def value(self, unknown: int, p: MultiIndex):
         return self.values[(unknown, p)]
@@ -235,8 +235,8 @@ def jet_of_function(
 ) -> Jet:
     """Jet of smooth function(s) of the space variables at a point.
 
-    With exact=None, rational arithmetic is used when every component is
-    rational-closed and the point is rational, floats otherwise.
+    With exact=None, the arithmetic follows expr.exact_arithmetic of the
+    components at the point.
     """
     components = [u] if isinstance(u, Expr) else list(u)
     if len(components) != context.k:
@@ -245,9 +245,7 @@ def jet_of_function(
         if jet_variables(c):
             raise ValueError("function must depend on space variables only")
     if exact is None:
-        exact = all(is_rational_closed(c) for c in components) and all(
-            isinstance(x, (int, Fraction)) for x in point
-        )
+        exact = exact_arithmetic(components, point)
     mode = "exact" if exact else "float"
     values: dict[tuple[int, MultiIndex], Fraction | float] = {}
     for unknown, c in enumerate(components, start=1):
@@ -259,16 +257,11 @@ def jet_of_function(
 
 def evaluate_at_jet(e: Expr, context: Context, point: Sequence, jet: Jet):
     """Evaluate an expression over space and jet variables at (point, jet),
-    exactly when possible."""
+    exactly when expr.exact_arithmetic allows."""
     assignment = dict(jet.assignment(context))
     for v, x in zip(context.space_vars(), point):
         assignment[v] = x
-    exact = (
-        is_rational_closed(e)
-        and jet.exact
-        and all(isinstance(x, (int, Fraction)) for x in point)
-    )
-    if exact:
+    if exact_arithmetic([e], assignment.values()):
         return evaluate_exact(e, assignment)
     return evaluate_float(e, assignment)
 

@@ -6,16 +6,16 @@ the solved jet at each of its points.  Each stage record is exactly
 ``{"jets": [...]}``: stage nu holds the jets at z_0..z_nu at level l_nu,
 in point order.  The bumps, the Taylor polynomials and the glued
 functions are rebuilt on load by the same routine that built them
-(``construct.glue``), so any edit to a stored jet shows up as a
-verification failure.  Loading rejects unknown or missing keys (top
-level, operator, stage and jet records), an operator whose dim differs
-from its number of variables or domain intervals, a stage count other
-than the point count, a stage without exactly one jet per stage point, a
-jet whose order is not m + l_nu, a jet whose values do not match its
-arithmetic flag (exact: strings, float: numbers), and a float jet of an
-operator whose jets are exact at every rational point (rational-closed
-equations, affine in the base jets), which can only be a downgraded
-exact claim.
+(``construct.glue``), so verification checks the stored jets themselves;
+an edited jet still verifies only where it is another solution.  Loading
+rejects unknown or missing keys (top level, operator, stage and jet
+records), an operator whose dim differs from its number of variables or
+domain intervals, a stage count other than the point count, a stage
+without exactly one jet per stage point, a jet whose order is not
+m + l_nu, a jet whose values do not match its arithmetic flag (exact:
+strings, float: numbers), and a float jet of an operator whose jets are
+exact at every rational point (rational-closed equations, affine in the
+base jets), which can only be a downgraded exact claim.
 """
 
 from __future__ import annotations
@@ -200,24 +200,15 @@ def load_sequence(path: str) -> SolutionSequence:
 # ---------------------------------------------------------------------------
 # grid samples
 
-def sample_grid(
-    seq_or_stage,
-    resolution: int,
-    stage: int | None = None,
-) -> str:
-    """CSV samples of the glued functions on a uniform interior grid.
+def sample_grid(seq: SolutionSequence, resolution: int) -> str:
+    """CSV samples of the last stage's glued functions on a uniform
+    interior grid.
 
     Header: the space variable names, then ``unknown`` and ``value``.
     One row per grid point per unknown, rows in grid-lexicographic order.
     """
-    if not isinstance(seq_or_stage, SolutionSequence):
-        raise TypeError("pass a SolutionSequence")
-    if stage is None:
-        stage = seq_or_stage.stage_count - 1
-    record = seq_or_stage.stages[stage]
-    op = seq_or_stage.operator
-    ctx, box = op.context, op.domain
-    functions = record.functions
+    ctx, box = seq.operator.context, seq.operator.domain
+    functions = seq.stages[-1].functions
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     axes = [

@@ -71,11 +71,7 @@ def zero_index(n: int) -> MultiIndex:
     return MultiIndex((0,) * n)
 
 
-def unit_index(n: int, axis: int) -> MultiIndex:
-    return zero_index(n).plus_axis(axis)
-
-
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def multi_indices(n: int, max_order: int) -> tuple[MultiIndex, ...]:
     """All multi-indices with |p| <= max_order in graded lexicographic order."""
     out = []
@@ -84,7 +80,7 @@ def multi_indices(n: int, max_order: int) -> tuple[MultiIndex, ...]:
     return tuple(MultiIndex(t) for t in out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def multi_indices_of_order(n: int, order: int) -> tuple[MultiIndex, ...]:
     """Multi-indices with |p| == order, lexicographic."""
     return tuple(MultiIndex(t) for t in sorted(_of_order(n, order)))

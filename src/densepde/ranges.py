@@ -31,7 +31,7 @@ from .expr import (
     Expr,
     evaluate_exact,
     evaluate_float,
-    is_rational_closed,
+    exact_arithmetic,
     jet_variables,
 )
 from .jets import Jet, PdeOperator, ProlongedSystem, prolong
@@ -47,6 +47,11 @@ from .multiindex import MultiIndex, multi_indices, multi_indices_of_order
 from .newton import multistart_newton
 
 Column = tuple[int, MultiIndex]
+
+# A float affine level solve counts as consistent when its least-squares
+# residual floor is at most max(tol, CONSISTENCY_FLOOR), so no tolerance
+# decides consistency with less absolute slack than this.
+CONSISTENCY_FLOOR = 1e-9
 
 
 class NotLinearError(Exception):
@@ -102,17 +107,6 @@ def linearize(sys: ProlongedSystem) -> AffineSplit | None:
     return _affine_split(sys, rows, jet_columns(op.n, op.k, sys.top_order))
 
 
-def _rational(v) -> bool:
-    return isinstance(v, (int, Fraction))
-
-
-def _exact(split: AffineSplit, values) -> bool:
-    """Exact arithmetic applies: rational values and rational-closed rows."""
-    return all(map(_rational, values)) and all(
-        is_rational_closed(e) for e in split.equations
-    )
-
-
 def _matrices(split: AffineSplit, values: dict, exact: bool):
     """Coefficient matrix A and right-hand side b = -offset of the split.
 
@@ -161,10 +155,6 @@ class RankCertificate:
         if self.strict and not self.holds:
             raise ValueError("strict certificate must hold")
 
-    @property
-    def jet_coordinate_count(self) -> int:
-        return self.n_cols
-
     def to_json(self):
         return {
             "point": [str(c) for c in self.point],
@@ -204,14 +194,14 @@ def _certify(split: AffineSplit, x: Sequence, levels: Sequence[int]):
     value no smaller and the largest no larger (interlacing).  That holds
     for singular values; the pivoted-QR rank follows them except within
     rounding of the tolerance.
-    Exactness of the split carries over to its blocks, and back: the
-    prolonged rows of rational-closed equations are rational-closed.
+    The arithmetic is exact_arithmetic of the operator's equations at x:
+    the prolonged rows of rational-closed equations are rational-closed.
     """
     op = split.system.operator
     if not op.contains(x):
         raise ValueError(f"point {tuple(x)} outside the domain box")
     space = dict(zip(op.context.space_vars(), x))
-    exact = _exact(split, space.values())
+    exact = exact_arithmetic(op.equations, x)
     a, b = _matrices(split, space, exact)
     ends = [sum(p.order <= level for _, p in split.rows) for level in levels]
     widths = [
@@ -294,21 +284,15 @@ def _seed_values(seed) -> dict:
     }
 
 
-def _exact_base(op: PdeOperator, base: AffineSplit | None) -> bool:
-    """Rational-closed equations whose level-0 split in the base jets
-    exists: the jet solve at a rational point with a rational seed is
-    then exact at every level, because prolonged rows of rational-closed
-    equations are rational-closed."""
-    return base is not None and all(is_rational_closed(g) for g in op.equations)
-
-
 def solves_exactly(op: PdeOperator) -> bool:
     """Whether every jet of op solved at a rational point is exact (a
     seed must then be rational too), so that a float jet of op can only
-    be a relabelled exact one."""
+    be a relabelled exact one: the equations are rational-closed and
+    affine in the base jets, so level 0 is an exact linear solve."""
     sys = prolong(op, 0)
     rows = [(j, p) for j, p, _ in sys.items()]
-    return _exact_base(op, _affine_split(sys, rows, jet_columns(op.n, op.k, op.order)))
+    base_cols = jet_columns(op.n, op.k, op.order)
+    return exact_arithmetic(op.equations, ()) and _affine_split(sys, rows, base_cols) is not None
 
 
 def solve_jets_triangular(
@@ -320,13 +304,14 @@ def solve_jets_triangular(
     """Solve all prolonged equations at the point x for a dense jet of
     order m + level, and report every lower level on the way.
 
-    Level 0 solves the base equations for the jets up to order m: exactly
-    by a minimum-norm rational solve when they are affine (seed entries are
-    then pinned as hard constraints, and must be rational when the
-    equations are rational-closed), by damped multistart Newton from the
-    seed otherwise.  Each later level is affine in its newly introduced
-    top-order jets and is solved by a minimum-norm linear solve with the
-    lower-order jets held fixed; the result is exact whenever level 0 was.
+    Level 0 solves the base equations for the jets up to order m: by a
+    minimum-norm linear solve when they are affine (seed entries are then
+    pinned as hard constraints, and must be rational when
+    expr.exact_arithmetic makes the equations exact at x), by damped
+    multistart Newton from the seed otherwise.  Each later level is affine
+    in its newly introduced top-order jets and is solved by a minimum-norm
+    linear solve with the lower-order jets held fixed; the result is exact
+    whenever level 0 was.
 
     Level l of the solve reads only the rows and jets of level <= l, so
     the point is solved once for all levels: result.levels[l] is the jet
@@ -355,12 +340,13 @@ def solve_jets_triangular(
                 _affine_split(sys, rows, new_cols), space, known, tol,
                 "inconsistent level",
             )
-        elif (base := _affine_split(sys, rows, base_cols)) is None:
+        elif _affine_split(sys, rows, base_cols) is None:
             result = _solve_newton_base(sys, rows, base_cols, space, seed_vals, tol)
         else:
-            if _exact_base(op, base) and not all(map(_rational, known.values())):
+            if exact_arithmetic(op.equations, x) and not exact_arithmetic((), known.values()):
                 raise ValueError(
-                    "the equations are solved exactly: seed values must be rational"
+                    "the equations are solved exactly at this point: "
+                    "seed values must be rational"
                 )
             free_cols = [c for c in base_cols if c not in known]
             result = _solve_affine(
@@ -405,12 +391,12 @@ def _solve_affine(
     split: AffineSplit, space: dict, known: dict, tol: float, detail: str
 ) -> _LevelResult:
     """Minimum-norm solve of the split for its columns, the other jets
-    fixed at their known values: exact when the data is rational, float
+    fixed at their known values: exact by expr.exact_arithmetic, float
     otherwise, with the residual floor deciding consistency."""
-    context = split.system.operator.context
+    op = split.system.operator
     values = dict(space)
-    values.update({context.jet(u, q): v for (u, q), v in known.items()})
-    if _exact(split, values.values()):
+    values.update({op.context.jet(u, q): v for (u, q), v in known.items()})
+    if exact_arithmetic(op.equations, values.values()):
         solution = exact_least_norm(*_matrices(split, values, True))
         if solution is None:
             floor = residual_floor(*_matrices(split, values, False))
@@ -418,7 +404,7 @@ def _solve_affine(
         return _LevelResult("ok", dict(zip(split.columns, solution)), 0.0, "exact")
     a, b = _matrices(split, values, False)
     floor = residual_floor(a, b)
-    if floor > max(tol, 1e-9):
+    if floor > max(tol, CONSISTENCY_FLOOR):
         return _LevelResult("no-solution", {}, floor, "float", detail)
     xsol = float_least_norm(a, b)
     values = {c: float(v) for c, v in zip(split.columns, xsol)}
@@ -477,27 +463,22 @@ def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
 
 def _level_residuals(sys: ProlongedSystem, space: dict, jet: Jet, top: int) -> list:
     """For each level l <= top, the largest |F_{j,p}| over the rows of
-    level <= l at the solved jet; exact zero stays exact.
+    level <= l at the solved jet, in the jet's arithmetic.
 
     One pass over the rows, each evaluated once: rows come in level
-    order, and every level of a solve has the jet's arithmetic (float
-    data at one level carries into the next through the known jets), so
-    each level's value is the running maximum at its last row."""
+    order, so each level's value is the running maximum at its last row.
+    A jet is exact only when level 0 ran exactly, so the equations are
+    rational-closed, and then so is every prolonged row."""
     assignment = dict(space)
     assignment.update(jet.assignment(sys.operator.context))
     exact = jet.exact
+    evaluate = evaluate_exact if exact else evaluate_float
     worst = Fraction(0) if exact else 0.0
     running = {}
     for j, p, e in sys.items():
         if p.order > top:
             break
-        if exact and is_rational_closed(e):
-            val = abs(evaluate_exact(e, assignment))
-        else:
-            val = abs(evaluate_float(e, assignment))
-            exact = False
-            worst = float(worst)
-        worst = max(worst, val)
+        worst = max(worst, abs(evaluate(e, assignment)))
         running[p.order] = worst
     return list(running.values())
 

@@ -378,6 +378,28 @@ eq: 0*u - 1
         assert main(["verify", path]) == 2
         assert_one_error_line(capsys, "'1/0' is not a rational number")
 
+    def assert_bad_tol_is_usage_error(self, argv, capsys):
+        for tol in ("nan", "-1", "inf", "abc"):
+            with pytest.raises(SystemExit) as info:
+                main(argv + [f"--tol={tol}"])
+            assert info.value.code == 2
+            assert "--tol" in capsys.readouterr().err
+
+    def test_range_rejects_bad_tol(self, tmp_path, capsys):
+        # u_x^2 = 1 + x is solvable: NaN or a negative tol used to fail
+        # every Newton start, inf to accept any residual
+        path = tmp_path / "square.pde"
+        path.write_text(TRANSPORT.replace("u_x - u", "u_x^2 - 1 - x"))
+        self.assert_bad_tol_is_usage_error(["range", str(path), "--level", "1"], capsys)
+
+    def test_construct_rejects_bad_tol(self, pde_file, capsys):
+        self.assert_bad_tol_is_usage_error(["construct", pde_file], capsys)
+
+    def test_verify_rejects_bad_tol(self, pde_file, tmp_path, capsys):
+        path = self.edited_manifest(pde_file, tmp_path, lambda raw: None)
+        self.assert_bad_tol_is_usage_error(["verify", path], capsys)
+        assert main(["verify", path, "--tol", "0"]) == 0
+
     def test_argparse_usage_exit(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["no-such-command"])

@@ -17,6 +17,7 @@ from densepde.expr import (
     differentiate_multi,
     evaluate_exact,
     evaluate_float,
+    exact_arithmetic,
     is_rational_closed,
     sfn,
     simplify,
@@ -183,6 +184,13 @@ class TestEvaluation:
         assert is_rational_closed(squot(spow(X, 2), ssum([Const(F(1)), Y])))
         assert not is_rational_closed(sfn("exp", X))
         assert not is_rational_closed(spow(X, F(1, 2)))
+
+    def test_exact_arithmetic(self):
+        poly = ssum([spow(X, 2), Y])
+        assert exact_arithmetic([poly], [F(1, 2), 3])
+        assert exact_arithmetic([], [])
+        assert not exact_arithmetic([poly], [F(1, 2), 0.5])
+        assert not exact_arithmetic([poly, sfn("exp", X)], [F(1, 2)])
 
     def test_substitute(self):
         e = spow(X, 2)

@@ -40,6 +40,14 @@ domain: (0,1) (0,1)
 eq: u_xx + u_yy - x*y
 """
 
+POISSON = """
+dim: 2
+vars: x y
+order: 2
+domain: (0,1) (0,1)
+eq: u_xx + u_yy - 1 - x*y
+"""
+
 EIKONAL = """
 dim: 2
 vars: x y
@@ -337,6 +345,17 @@ class TestPerLevelResults:
         # a nonlinear base is solved in floats: a float seed is a start
         res = solve_jets_triangular(prolong(op(EIKONAL), 0), (F(0), F(0)), seed={(1, (1, 0)): 0.5})
         assert res.solved
+
+    def test_float_point_takes_a_float_seed(self):
+        # the arithmetic follows the equations and the point as well as
+        # the seed: at a float point the solve is float either way
+        sys = prolong(op(POISSON), 1)
+        for seed in (0.5, F(1, 2)):
+            res = solve_jets_triangular(sys, (0.5, 0.25), seed={(1, (0, 0)): seed})
+            assert res.solved and res.arithmetic == "float"
+            assert res.jet.value(1, MultiIndex((0, 0))) == 0.5
+        with pytest.raises(ValueError, match="rational"):
+            solve_jets_triangular(sys, (F(1, 2), F(1, 4)), seed={(1, (0, 0)): 0.5})
 
 
 def assert_same_result(got, fresh):
