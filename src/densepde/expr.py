@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .multiindex import MultiIndex
 
@@ -619,6 +620,148 @@ def _eval(e: Expr, assignment, exact: bool):
         return getattr(math, e.name)(a)
     if isinstance(e, Bump):
         return _eval_bump(e, assignment, exact)
+    raise TypeError(type(e))
+
+
+def compile_float(
+    exprs: Sequence[Expr], variables: Sequence[Variable]
+) -> Callable[[Sequence[Number]], list[float]]:
+    """Compile expressions, once, into a function from one value per
+    variable to the list of their float values.
+
+    The function returns exactly the floats of
+    [evaluate_float(e, dict(zip(variables, values))) for e in exprs] and
+    raises EvaluationError on exactly the inputs where that raises: each
+    node is a closure that runs _eval's float operations, in _eval's
+    order and with its checks.  This pays when the same trees are
+    evaluated many times, as in a Newton solve.  A subtree shared by
+    identity is compiled once.  Bump nodes are not supported.
+    """
+    position = {v: i for i, v in enumerate(variables)}
+    slots: dict[int, int] = {}  # position in `variables` -> slot in x
+    built: dict[int, Callable] = {}
+
+    def build(e: Expr) -> Callable:
+        if id(e) not in built:
+            built[id(e)] = _compile_node(e, build, position, slots)
+        return built[id(e)]
+
+    outputs = [build(e) for e in exprs]
+    used = sorted(slots, key=slots.get)
+
+    def evaluate(values):
+        try:
+            x = [float(values[i]) for i in used]
+            out = [float(f(x)) for f in outputs]
+        except (ArithmeticError, ValueError) as exc:
+            raise EvaluationError(f"float evaluation failed: {exc}") from None
+        for v in out:
+            if not math.isfinite(v):
+                raise EvaluationError(f"float evaluation gave {v}")
+        return out
+
+    return evaluate
+
+
+def _fails(message: str) -> Callable:
+    def fail(x):
+        raise EvaluationError(message)
+
+    return fail
+
+
+def _compile_node(e: Expr, build, position: dict, slots: dict) -> Callable:
+    """One node of compile_float: a closure over the float vector x of
+    the variables the trees use.  A constant float() cannot represent
+    fails wherever it is evaluated, as it does in _eval, since every
+    node of a tree is evaluated unless an earlier one fails."""
+    if isinstance(e, Const):
+        try:
+            c = float(e.value)
+        except OverflowError:
+            return _fails("float evaluation failed: constant out of range")
+        return lambda x: c
+    if isinstance(e, Var):
+        if e.var not in position:
+            return _fails(f"no value assigned to {e.var}")
+        return itemgetter(slots.setdefault(position[e.var], len(slots)))
+    if isinstance(e, Sum):
+        terms = [build(t) for t in e.terms]
+        if len(terms) == 2:
+            t0, t1 = terms
+            return lambda x: sum((t0(x), t1(x)))
+        return lambda x: sum([t(x) for t in terms])
+    if isinstance(e, Prod):
+        factors = [build(f) for f in e.factors]
+        if len(factors) == 2:
+            f0, f1 = factors
+            return lambda x: 1.0 * f0(x) * f1(x)
+
+        def prod(x):
+            out = 1.0
+            for f in factors:
+                out *= f(x)
+            return out
+
+        return prod
+    if isinstance(e, Pow):
+        base = build(e.base)
+        if e.exponent.denominator == 1:
+            k = e.exponent.numerator
+            if k >= 0:
+                return lambda x: base(x) ** k
+
+            def inverse_power(x):
+                b = base(x)
+                if b == 0:
+                    raise EvaluationError("zero raised to a negative power")
+                return b ** k
+
+            return inverse_power
+        try:
+            p = float(e.exponent)
+        except OverflowError:
+            return _fails("float evaluation failed: exponent out of range")
+
+        def root(x):
+            b = base(x)
+            if b < 0:
+                raise EvaluationError("negative base with fractional exponent")
+            return float(b) ** p
+
+        return root
+    if isinstance(e, Quot):
+        numer, denom = build(e.numer), build(e.denom)
+
+        def quot(x):
+            d = denom(x)
+            if d == 0:
+                raise EvaluationError("division by zero")
+            return numer(x) / d
+
+        return quot
+    if isinstance(e, Fn):
+        arg = build(e.arg)
+        if e.name == "log":
+
+            def log(x):
+                a = arg(x)
+                if a <= 0:
+                    raise EvaluationError("log of a non-positive number")
+                return math.log(a)
+
+            return log
+        if e.name == "sqrt":
+
+            def sqrt(x):
+                a = arg(x)
+                if a < 0:
+                    raise EvaluationError("sqrt of a negative number")
+                return math.sqrt(a)
+
+            return sqrt
+        fn = getattr(math, e.name)
+        return lambda x: fn(arg(x))
     raise TypeError(type(e))
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .expr import (
     ZERO,
@@ -115,7 +115,10 @@ class PdeOperator:
         return len(self.equations)
 
     def contains(self, point: Sequence) -> bool:
-        return all(lo < x < hi for x, (lo, hi) in zip(point, self.domain))
+        """Whether the point has n coordinates and lies in the open box."""
+        return len(point) == self.n and all(
+            lo < x < hi for x, (lo, hi) in zip(point, self.domain)
+        )
 
 
 def normalize_homogeneous(F: Expr, f: Expr) -> Expr:
@@ -163,13 +166,16 @@ class ProlongedSystem:
     """All prolonged equations F_{j,p} = D^p G_j for |p| <= level.
 
     The jet gradient of each row is computed on first use and cached, so
-    no row is differentiated in its jet coordinates twice.
+    no row is differentiated in its jet coordinates twice; other data
+    derived from the rows (the compiled Newton base) is kept through
+    `derived` in the same way.
     """
 
     operator: PdeOperator
     level: int
     equations: Mapping[tuple[int, MultiIndex], Expr]
     _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top_order(self) -> int:
@@ -191,6 +197,13 @@ class ProlongedSystem:
         if (j, p) not in self._gradients:
             self._gradients[(j, p)] = jet_gradient(self.equations[(j, p)])
         return self._gradients[(j, p)]
+
+    def derived(self, key, build: Callable[[], object]):
+        """build(), run at most once per key; the result lives and dies
+        with the system."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 def prolong(op: PdeOperator, level: int) -> ProlongedSystem:

@@ -24,11 +24,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .expr import (
     ZERO,
     Expr,
+    compile_float,
     evaluate_exact,
     evaluate_float,
     exact_arithmetic,
@@ -411,40 +412,66 @@ def _solve_affine(
     return _LevelResult("ok", values, floor, "float")
 
 
-def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
+@dataclass(frozen=True)
+class _NewtonBase:
+    """Level-0 rows compiled for Newton: the residual and the Jacobian
+    (row-major, flat) as float functions of the space values followed by
+    the base jets in `present`, the columns the rows contain."""
+
+    present: tuple[Column, ...]
+    residual: Callable[[Sequence[float]], list[float]]
+    jacobian: Callable[[Sequence[float]], list[float]]
+
+
+def _newton_base(sys: ProlongedSystem, rows, cols) -> _NewtonBase:
     context = sys.operator.context
-    eqs = [sys.equations[row] for row in rows]
     gradients = [sys.gradient(j, p) for j, p in rows]
     col_set = set(cols)
     present = sorted(
         {c for g in gradients for c in g if c in col_set},
         key=lambda uq: (uq[1].grlex_key(), uq[0]),
     )
-    jvars = [context.jet(u, q) for u, q in present]
-    partials = [[g.get(c, ZERO) for c in present] for g in gradients]
-    space_f = {v: float(val) for v, val in space.items()}
+    variables = context.space_vars() + tuple(context.jet(u, q) for u, q in present)
+    partials = [g.get(c, ZERO) for g in gradients for c in present]
+    return _NewtonBase(
+        tuple(present),
+        compile_float([sys.equations[row] for row in rows], variables),
+        compile_float(partials, variables),
+    )
 
-    def assignment(vec):
-        a = dict(space_f)
-        a.update({v: float(val) for v, val in zip(jvars, vec)})
-        return a
+
+def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
+    """Damped multistart Newton on the level-0 rows for the jets `cols`.
+    Their residual and Jacobian are compiled once per system."""
+    base = sys.derived(
+        ("newton base", tuple(rows), tuple(cols)),
+        lambda: _newton_base(sys, rows, cols),
+    )
+    present, width = base.present, len(base.present)
+    space_f = [float(v) for v in space.values()]
 
     def fun(vec):
-        a = assignment(vec)
-        return [evaluate_float(e, a) for e in eqs]
+        return base.residual(space_f + vec)
 
     def jac(vec):
-        a = assignment(vec)
-        return [[evaluate_float(p, a) for p in row] for row in partials]
+        flat = base.jacobian(space_f + vec)
+        return [flat[i : i + width] for i in range(0, len(flat), width)]
 
     seeds = []
     if seed_vals:
         seeds.append([float(seed_vals.get(uq, 0.0)) for uq in present])
-    best, results = multistart_newton(fun, jac, len(present), seeds, tol=tol)
+    best, results = multistart_newton(fun, jac, width, seeds, tol=tol)
     if best is None:
         stationary = [r for r in results if r.stationary]
         if stationary:
             floor = min(r.residual for r in stationary)
+            if floor <= CONSISTENCY_FLOOR:
+                # a root to rounding: tol asks for more than floats give
+                return _LevelResult(
+                    "solver-failed", {}, floor, "float",
+                    "Newton stopped at a stationary residual within the "
+                    f"float rounding floor {CONSISTENCY_FLOOR:g} but above tol {tol:g}",
+                )
             return _LevelResult(
                 "no-solution", {}, floor, "float",
                 "all Newton starts reached a stationary residual floor",

@@ -9,7 +9,7 @@ from fractions import Fraction as F
 import pytest
 
 from densepde.cli import main
-from densepde.construct import construct_sequence
+from densepde.construct import DensePointStream, construct_sequence
 from densepde.jets import parse_pde_text
 from densepde.manifest import (
     load_sequence,
@@ -145,6 +145,16 @@ class TestManifest:
         assert len(lines) == 4
         # sample at 1/4 sits on the first bump plateau: value 1
         assert lines[1] == "0.25,u,1.0"
+
+    def test_grid_samples_match_pointwise_values(self):
+        op = parse_pde_text(POISSON)
+        seq = construct_sequence(op, DensePointStream(op.domain).prefix(3), [1, 1, 1])
+        axis = [F(i, 5) for i in range(1, 5)]
+        (fn,) = seq.stages[-1].functions
+        expected = [
+            f"{float(x)!r},{float(y)!r},u,{fn.value((x, y))!r}" for x in axis for y in axis
+        ]
+        assert sample_grid(seq, 4).splitlines()[1:] == expected
 
 
 class TestExitCodes:
@@ -412,6 +422,34 @@ eq: 0*u - 1
     def test_demo_lewy(self, capsys):
         assert main(["demo", "lewy"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+class TestToleranceBelowRounding:
+    """A tol that float arithmetic cannot meet makes the Newton base a
+    solver failure, not a verdict that the equation has no solution."""
+
+    def range_entries(self, tmp_path, capsys, equation, tol):
+        path = tmp_path / "e.pde"
+        path.write_text(f"dim: 1\nvars: x\norder: 1\ndomain: (0,1)\neq: {equation}\n")
+        args = ["range", str(path), "--level", "1", "--count", "2", "--tol", tol]
+        assert main(args) == 1
+        report = json.loads(capsys.readouterr().out)
+        return [rec for levels in report["points"].values() for rec in levels.values()]
+
+    @pytest.mark.parametrize("tol", ["0", "1e-17"])
+    def test_solvable_equation_is_solver_failed(self, tmp_path, capsys, tol):
+        entries = self.range_entries(tmp_path, capsys, "u_x^2 - 1 - x", tol)
+        assert len(entries) == 4
+        for rec in entries:
+            assert rec["outcome"] == "solver-failed"
+            assert rec["residual_floor"] <= 1e-9
+            assert "rounding floor 1e-09" in rec["detail"]
+            assert f"tol {float(tol):g}" in rec["detail"]
+
+    def test_unsolvable_equation_stays_no_solution(self, tmp_path, capsys):
+        entries = self.range_entries(tmp_path, capsys, "u_x^2 + 1", "0")
+        assert [rec["outcome"] for rec in entries] == ["no-solution"] * 4
+        assert all(rec["residual_floor"] >= 0.5 for rec in entries)
 
 
 class TestDeterminism:

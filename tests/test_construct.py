@@ -271,6 +271,24 @@ class TestOneSolvePerPoint:
         assert len(report.entries) == 12 and report.all_ok
         assert calls == [(2, a) for a in pts]
 
+    def test_newton_base_compiled_once(self, monkeypatch):
+        """The residual and the Jacobian of the Newton base are compiled
+        once per prolonged system, however many points it solves."""
+        compiled = []
+        original = ranges.compile_float
+
+        def counting(exprs, variables):
+            compiled.append(len(exprs))
+            return original(exprs, variables)
+
+        monkeypatch.setattr(ranges, "compile_float", counting)
+        op = parse_pde_text(EIKONAL)
+        pts = DensePointStream(op.domain).prefix(4)
+        assert ranges.range_condition_check(op, pts, 2).all_ok
+        assert compiled == [1, 2]  # one residual row, two partials
+        construct_sequence(op, pts[:3], [0, 1, 1])
+        assert compiled == [1, 2] * 2
+
 
 class TestBracket:
     def test_interpolates_linear_operator(self):

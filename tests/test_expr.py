@@ -5,14 +5,20 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from test_taylor import CONTEXTS, trees
 
+from densepde import expr
 from densepde.expr import (
+    ONE,
     Bump,
     Const,
     EvaluationError,
     ExactnessUnavailable,
+    Prod,
+    Sum,
     Var,
+    compile_float,
     differentiate,
     differentiate_multi,
     evaluate_exact,
@@ -244,3 +250,100 @@ class TestBump:
             evaluate_float(self.bump(), {self.CTX1.space(1): x}) for x in xs
         ]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
+
+
+# ---------------------------------------------------------------------------
+# compile_float against evaluate_float, its oracle
+
+JETS = tuple(CONTEXTS[2].jet(1, p) for p in ((0, 0), (1, 0), (0, 1)))
+VARIABLES = (*CONTEXTS[2].space_vars(), *JETS)
+# values where evaluation fails: zero denominators and zero to negative
+# powers, log and sqrt of negatives, overflow, and non-finite inputs
+SPECIAL = (0.0, -0.0, -1.0, -2.5, 1e-300, 1e200, -1e200, 1.7e308, math.inf, math.nan)
+VALUES = st.one_of(
+    st.sampled_from((0.0, -0.0)),
+    st.fractions(-3, 3, max_denominator=8),
+    st.floats(-3, 3),
+    st.sampled_from(SPECIAL),
+    st.floats(),
+)
+
+
+def compiled_trees():
+    """Space and jet trees without bumps, also under a fractional power
+    and with a subtree shared by identity."""
+    base = trees(2, bumps=False, jets=JETS)
+    return st.one_of(
+        base,
+        st.tuples(base, st.sampled_from([F(1, 2), F(-1, 2), F(3, 2), F(-5, 3)])).map(
+            lambda t: spow(*t)
+        ),
+        base.map(lambda e: Prod((e, Sum((e, ONE)), e))),
+    )
+
+
+@st.composite
+def compile_cases(draw):
+    try:
+        exprs = draw(st.lists(compiled_trees(), min_size=1, max_size=3))
+    except EvaluationError:  # a smart constructor met a literal 1/0
+        assume(False)
+    values = draw(st.lists(VALUES, min_size=len(VARIABLES), max_size=len(VARIABLES)))
+    return exprs, values
+
+
+def outcome(run):
+    """The reprs of the floats run() returns (so the sign of a zero
+    counts), or "EvaluationError"."""
+    try:
+        return [repr(v) for v in run()]
+    except EvaluationError:
+        return "EvaluationError"
+
+
+@given(compile_cases())
+# sum() starts from the int 0, so it adds -0.0 and -0.0 up to 0.0
+@example(([ssum([X, Y])], [-0.0, -0.0, 1.0, 1.0, 1.0]))
+@settings(max_examples=400, deadline=None)
+def test_compile_float_matches_evaluate_float(case):
+    exprs, values = case
+    compiled = compile_float(exprs, VARIABLES)
+    assignment = dict(zip(VARIABLES, values))
+    want = outcome(lambda: [evaluate_float(e, assignment) for e in exprs])
+    assert outcome(lambda: compiled(values)) == want
+
+
+class TestCompileFloat:
+    def test_unassigned_variable_fails_when_evaluated(self):
+        run = compile_float([ssum([X, Y])], [CTX.space(1)])
+        with pytest.raises(EvaluationError):
+            run([1.0])
+
+    def test_unused_variable_is_not_read(self):
+        assert compile_float([X], [CTX.space(1), CTX.space(2)])([2, 10**400]) == [2.0]
+
+    def test_constant_out_of_float_range_fails(self):
+        huge = sprod([Const(F(10) ** 400), X])
+        with pytest.raises(EvaluationError):
+            evaluate_float(huge, {CTX.space(1): 0.0})
+        with pytest.raises(EvaluationError):
+            compile_float([huge], [CTX.space(1)])([0.0])
+
+    def test_shared_subtree_is_compiled_once(self, monkeypatch):
+        nodes = []
+        original = expr._compile_node
+
+        def counting(e, *args):
+            nodes.append(e)
+            return original(e, *args)
+
+        monkeypatch.setattr(expr, "_compile_node", counting)
+        shared = sprod([X, Y])
+        run = compile_float([Sum((shared, shared)), shared], [CTX.space(1), CTX.space(2)])
+        assert len(nodes) == 4  # the sum, the product, x and y
+        assert run([3.0, 0.5]) == [3.0, 1.5]
+
+    def test_bump_is_not_supported(self):
+        bump = Bump((F(0),), F(1, 2), F(1), (CTX.space(1),), MultiIndex((0,)))
+        with pytest.raises(TypeError):
+            compile_float([bump], [CTX.space(1)])

@@ -240,6 +240,12 @@ eq: u_x^2 + 1
         assert res.status == "no-solution"
         assert res.residual >= 0.5
 
+    @pytest.mark.parametrize("x", [(F(1, 4),), (F(1, 4), F(1, 4), F(1, 2))])
+    def test_point_of_wrong_dimension_rejected(self, x):
+        # the compiled Newton base reads the point's coordinates by position
+        with pytest.raises(ValueError):
+            solve_jets_triangular(prolong(op(EIKONAL), 1), x)
+
     def test_inconsistent_linear_reports_level(self):
         res = solve_jets_triangular(prolong(op(DEGENERATE), 0), (F(1, 2),))
         assert not res.solved

@@ -47,22 +47,27 @@ CONTEXTS = {n: Context(("x", "y", "z")[:n]) for n in (1, 2, 3)}
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
 
 
-def trees(n: int):
+def trees(n: int, bumps: bool = True, jets=()):
+    """Random trees over the n space variables, the given jet variables,
+    small rational constants and (when `bumps`) bump leaves."""
     ctx = CONTEXTS[n]
-    leaves = st.one_of(
+    leaves = [
         SMALL.map(Const),
-        st.sampled_from([Var(v) for v in ctx.space_vars()]),
-        st.builds(
-            lambda c, r, wide, axis: Bump(
-                c, r, r * (2 if wide else F(3, 2)), ctx.space_vars(),
-                zero_index(n) if axis is None else zero_index(n).plus_axis(axis),
-            ),
-            st.tuples(*[st.fractions(-1, 1, max_denominator=4)] * n),
-            st.sampled_from([F(1, 4), F(1, 2), F(1)]),
-            st.booleans(),
-            st.none() | st.integers(1, n),
-        ),
-    )
+        st.sampled_from([Var(v) for v in (*ctx.space_vars(), *jets)]),
+    ]
+    if bumps:
+        leaves.append(
+            st.builds(
+                lambda c, r, wide, axis: Bump(
+                    c, r, r * (2 if wide else F(3, 2)), ctx.space_vars(),
+                    zero_index(n) if axis is None else zero_index(n).plus_axis(axis),
+                ),
+                st.tuples(*[st.fractions(-1, 1, max_denominator=4)] * n),
+                st.sampled_from([F(1, 4), F(1, 2), F(1)]),
+                st.booleans(),
+                st.none() | st.integers(1, n),
+            )
+        )
 
     def grow(children):
         return st.one_of(
@@ -73,7 +78,7 @@ def trees(n: int):
             st.tuples(st.sampled_from(FUNCTIONS), children).map(lambda t: sfn(*t)),
         )
 
-    return st.recursive(leaves, grow, max_leaves=6)
+    return st.recursive(st.one_of(*leaves), grow, max_leaves=6)
 
 
 def transcendental_atoms(e):
