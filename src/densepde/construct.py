@@ -10,6 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, Sequence
 
 from .expr import (
@@ -221,6 +222,11 @@ class AssembledFunction:
     background: Expr | None = None
 
     def expression(self) -> Expr:
+        return self._expression
+
+    @cached_property
+    def _expression(self) -> Expr:
+        """The glued sum, built on first use and kept."""
         terms = [sprod([bump.node(), poly]) for bump, poly in self.pieces]
         if self.background is not None:
             terms.append(self.background)

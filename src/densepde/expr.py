@@ -687,15 +687,9 @@ def _compile_node(e: Expr, build, position: dict, slots: dict) -> Callable:
         return itemgetter(slots.setdefault(position[e.var], len(slots)))
     if isinstance(e, Sum):
         terms = [build(t) for t in e.terms]
-        if len(terms) == 2:
-            t0, t1 = terms
-            return lambda x: sum((t0(x), t1(x)))
         return lambda x: sum([t(x) for t in terms])
     if isinstance(e, Prod):
         factors = [build(f) for f in e.factors]
-        if len(factors) == 2:
-            f0, f1 = factors
-            return lambda x: 1.0 * f0(x) * f1(x)
 
         def prod(x):
             out = 1.0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Sequence
 
 from .expr import (
@@ -12,6 +13,7 @@ from .expr import (
     Expr,
     SpaceVar,
     Var,
+    compile_float,
     differentiate,
     evaluate_exact,
     evaluate_float,
@@ -166,16 +168,14 @@ class ProlongedSystem:
     """All prolonged equations F_{j,p} = D^p G_j for |p| <= level.
 
     The jet gradient of each row is computed on first use and cached, so
-    no row is differentiated in its jet coordinates twice; other data
-    derived from the rows (the compiled Newton base) is kept through
-    `derived` in the same way.
+    no row is differentiated in its jet coordinates twice; the compiled
+    level-0 rows (`compiled_base`) are kept in the same way.
     """
 
     operator: PdeOperator
     level: int
     equations: Mapping[tuple[int, MultiIndex], Expr]
     _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _derived: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def top_order(self) -> int:
@@ -198,12 +198,29 @@ class ProlongedSystem:
             self._gradients[(j, p)] = jet_gradient(self.equations[(j, p)])
         return self._gradients[(j, p)]
 
-    def derived(self, key, build: Callable[[], object]):
-        """build(), run at most once per key; the result lives and dies
-        with the system."""
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
+    @cached_property
+    def compiled_base(self) -> tuple[tuple, Callable, Callable]:
+        """(columns, residual, jacobian): the level-0 rows compiled once,
+        with expr.compile_float, for the Newton solve of a nonlinear base.
+
+        `columns` are the base jets the rows contain, in graded-lex order,
+        then unknown; `residual` and the Jacobian in those jets (row-major,
+        flat) are float functions of the space values followed by the
+        jets in `columns`."""
+        rows = [(j, p) for j, p, _ in self.items_at_level(0)]
+        gradients = [self.gradient(j, p) for j, p in rows]
+        columns = sorted(
+            {c for g in gradients for c in g},
+            key=lambda uq: (uq[1].grlex_key(), uq[0]),
+        )
+        context = self.operator.context
+        variables = context.space_vars() + tuple(context.jet(u, q) for u, q in columns)
+        partials = [g.get(c, ZERO) for g in gradients for c in columns]
+        return (
+            tuple(columns),
+            compile_float([self.equations[row] for row in rows], variables),
+            compile_float(partials, variables),
+        )
 
 
 def prolong(op: PdeOperator, level: int) -> ProlongedSystem:

@@ -28,7 +28,6 @@ import os
 import tempfile
 from fractions import Fraction
 from .construct import SolutionSequence, glue, validate_schedule
-from .expr import evaluate_float
 from .jets import Jet, PdeOperator
 from .multiindex import MultiIndex
 from .parser import Context, parse_expression, parse_rational
@@ -219,13 +218,10 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(ctx.space_names) + ["unknown", "value"])
-    # each glued expression is built once, not at every grid point
-    glued = [fn.expression() for fn in functions]
     for point in itertools.product(*axes):
-        assignment = dict(zip(ctx.space_vars(), point))
-        for name, e in zip(ctx.unknown_names, glued):
+        for name, fn in zip(ctx.unknown_names, functions):
             writer.writerow(
                 [repr(float(c)) for c in point]
-                + [name, repr(evaluate_float(e, assignment))]
+                + [name, repr(fn.value(point))]
             )
     return out.getvalue()

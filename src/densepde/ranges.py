@@ -24,12 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .expr import (
-    ZERO,
     Expr,
-    compile_float,
     evaluate_exact,
     evaluate_float,
     exact_arithmetic,
@@ -57,6 +55,13 @@ CONSISTENCY_FLOOR = 1e-9
 
 class NotLinearError(Exception):
     """The operator is not affine in its jet coordinates."""
+
+
+def _check_point(op: PdeOperator, x: Sequence) -> None:
+    if len(x) != op.n:
+        raise ValueError(f"point has {len(x)} coordinates, the operator has {op.n}")
+    if not op.contains(x):
+        raise ValueError(f"point {tuple(x)} outside the domain box")
 
 
 def jet_columns(n: int, k: int, order: int) -> list[Column]:
@@ -199,8 +204,7 @@ def _certify(split: AffineSplit, x: Sequence, levels: Sequence[int]):
     the prolonged rows of rational-closed equations are rational-closed.
     """
     op = split.system.operator
-    if not op.contains(x):
-        raise ValueError(f"point {tuple(x)} outside the domain box")
+    _check_point(op, x)
     space = dict(zip(op.context.space_vars(), x))
     exact = exact_arithmetic(op.equations, x)
     a, b = _matrices(split, space, exact)
@@ -321,8 +325,7 @@ def solve_jets_triangular(
     that failure.
     """
     op = sys.operator
-    if not op.contains(x):
-        raise ValueError(f"point {tuple(x)} outside the domain box")
+    _check_point(op, x)
     n, k, m = op.n, op.k, op.order
     space = dict(zip(op.context.space_vars(), x))
     seed_vals = _seed_values(seed)
@@ -342,7 +345,7 @@ def solve_jets_triangular(
                 "inconsistent level",
             )
         elif _affine_split(sys, rows, base_cols) is None:
-            result = _solve_newton_base(sys, rows, base_cols, space, seed_vals, tol)
+            result = _solve_newton_base(sys, base_cols, space, seed_vals, tol)
         else:
             if exact_arithmetic(op.equations, x) and not exact_arithmetic((), known.values()):
                 raise ValueError(
@@ -412,49 +415,18 @@ def _solve_affine(
     return _LevelResult("ok", values, floor, "float")
 
 
-@dataclass(frozen=True)
-class _NewtonBase:
-    """Level-0 rows compiled for Newton: the residual and the Jacobian
-    (row-major, flat) as float functions of the space values followed by
-    the base jets in `present`, the columns the rows contain."""
-
-    present: tuple[Column, ...]
-    residual: Callable[[Sequence[float]], list[float]]
-    jacobian: Callable[[Sequence[float]], list[float]]
-
-
-def _newton_base(sys: ProlongedSystem, rows, cols) -> _NewtonBase:
-    context = sys.operator.context
-    gradients = [sys.gradient(j, p) for j, p in rows]
-    col_set = set(cols)
-    present = sorted(
-        {c for g in gradients for c in g if c in col_set},
-        key=lambda uq: (uq[1].grlex_key(), uq[0]),
-    )
-    variables = context.space_vars() + tuple(context.jet(u, q) for u, q in present)
-    partials = [g.get(c, ZERO) for g in gradients for c in present]
-    return _NewtonBase(
-        tuple(present),
-        compile_float([sys.equations[row] for row in rows], variables),
-        compile_float(partials, variables),
-    )
-
-
-def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
-    """Damped multistart Newton on the level-0 rows for the jets `cols`.
-    Their residual and Jacobian are compiled once per system."""
-    base = sys.derived(
-        ("newton base", tuple(rows), tuple(cols)),
-        lambda: _newton_base(sys, rows, cols),
-    )
-    present, width = base.present, len(base.present)
+def _solve_newton_base(sys, cols, space, seed_vals, tol) -> _LevelResult:
+    """Damped multistart Newton on the level-0 rows for the jets `cols`,
+    through their residual and Jacobian compiled once per system."""
+    present, residual, jacobian = sys.compiled_base
+    width = len(present)
     space_f = [float(v) for v in space.values()]
 
     def fun(vec):
-        return base.residual(space_f + vec)
+        return residual(space_f + vec)
 
     def jac(vec):
-        flat = base.jacobian(space_f + vec)
+        flat = jacobian(space_f + vec)
         return [flat[i : i + width] for i in range(0, len(flat), width)]
 
     seeds = []
@@ -466,11 +438,12 @@ def _solve_newton_base(sys, rows, cols, space, seed_vals, tol) -> _LevelResult:
         if stationary:
             floor = min(r.residual for r in stationary)
             if floor <= CONSISTENCY_FLOOR:
-                # a root to rounding: tol asks for more than floats give
+                # as small as a float affine level accepts as consistent:
+                # not a verdict that no root exists
                 return _LevelResult(
                     "solver-failed", {}, floor, "float",
                     "Newton stopped at a stationary residual within the "
-                    f"float rounding floor {CONSISTENCY_FLOOR:g} but above tol {tol:g}",
+                    f"consistency floor {CONSISTENCY_FLOOR:g} but above tol {tol:g}",
                 )
             return _LevelResult(
                 "no-solution", {}, floor, "float",

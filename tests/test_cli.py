@@ -424,9 +424,10 @@ eq: 0*u - 1
         assert "PASS" in capsys.readouterr().out
 
 
-class TestToleranceBelowRounding:
-    """A tol that float arithmetic cannot meet makes the Newton base a
-    solver failure, not a verdict that the equation has no solution."""
+class TestNewtonConsistencyFloor:
+    """A Newton base that stops at a stationary residual above tol but
+    within ranges.CONSISTENCY_FLOOR is a solver failure, not a verdict
+    that the equation has no solution."""
 
     def range_entries(self, tmp_path, capsys, equation, tol):
         path = tmp_path / "e.pde"
@@ -436,20 +437,36 @@ class TestToleranceBelowRounding:
         report = json.loads(capsys.readouterr().out)
         return [rec for levels in report["points"].values() for rec in levels.values()]
 
-    @pytest.mark.parametrize("tol", ["0", "1e-17"])
-    def test_solvable_equation_is_solver_failed(self, tmp_path, capsys, tol):
-        entries = self.range_entries(tmp_path, capsys, "u_x^2 - 1 - x", tol)
+    @pytest.mark.parametrize(
+        "equation, tol",
+        [
+            # solvable, with a tol below float rounding
+            ("u_x^2 - 1 - x", "0"),
+            ("u_x^2 - 1 - x", "1e-17"),
+            # no real root, with min |F| = 1e-10 between tol and the floor
+            ("u_x^2 + 1/10000000000", "1e-12"),
+        ],
+    )
+    def test_floor_within_consistency_floor_is_solver_failed(
+        self, tmp_path, capsys, equation, tol
+    ):
+        entries = self.range_entries(tmp_path, capsys, equation, tol)
         assert len(entries) == 4
         for rec in entries:
             assert rec["outcome"] == "solver-failed"
-            assert rec["residual_floor"] <= 1e-9
-            assert "rounding floor 1e-09" in rec["detail"]
+            assert float(tol) < rec["residual_floor"] <= 1e-9
+            assert "consistency floor 1e-09" in rec["detail"]
             assert f"tol {float(tol):g}" in rec["detail"]
 
-    def test_unsolvable_equation_stays_no_solution(self, tmp_path, capsys):
-        entries = self.range_entries(tmp_path, capsys, "u_x^2 + 1", "0")
+    @pytest.mark.parametrize(
+        "equation, floor", [("u_x^2 + 1", 1.0), ("u_x^2 + 1/100000000", 1e-8)]
+    )
+    def test_floor_above_consistency_floor_stays_no_solution(
+        self, tmp_path, capsys, equation, floor
+    ):
+        entries = self.range_entries(tmp_path, capsys, equation, "0")
         assert [rec["outcome"] for rec in entries] == ["no-solution"] * 4
-        assert all(rec["residual_floor"] >= 0.5 for rec in entries)
+        assert all(rec["residual_floor"] == pytest.approx(floor) for rec in entries)
 
 
 class TestDeterminism:

@@ -16,7 +16,7 @@ from densepde.construct import (
     solve_on_discrete_set,
     taylor_from_jet,
 )
-from densepde import construct, ranges
+from densepde import construct, jets, ranges
 from densepde.expr import differentiate, evaluate_exact, evaluate_float
 from densepde.jets import jet_of_function, parse_pde_text
 from densepde.multiindex import MultiIndex
@@ -275,13 +275,13 @@ class TestOneSolvePerPoint:
         """The residual and the Jacobian of the Newton base are compiled
         once per prolonged system, however many points it solves."""
         compiled = []
-        original = ranges.compile_float
+        original = jets.compile_float
 
         def counting(exprs, variables):
             compiled.append(len(exprs))
             return original(exprs, variables)
 
-        monkeypatch.setattr(ranges, "compile_float", counting)
+        monkeypatch.setattr(jets, "compile_float", counting)
         op = parse_pde_text(EIKONAL)
         pts = DensePointStream(op.domain).prefix(4)
         assert ranges.range_condition_check(op, pts, 2).all_ok

@@ -302,8 +302,10 @@ def outcome(run):
 
 
 @given(compile_cases())
-# sum() starts from the int 0, so it adds -0.0 and -0.0 up to 0.0
-@example(([ssum([X, Y])], [-0.0, -0.0, 1.0, 1.0, 1.0]))
+# _eval adds the terms and multiplies the factors from left to right:
+# both of these overflow in that order and stay finite in reverse
+@example(([Sum((X, Y, Var(JETS[0])))], [1e308, 1e308, -1e308, 0.0, 0.0]))
+@example(([Prod((X, Y, Var(JETS[0])))], [1e200, 1e200, 1e-200, 0.0, 0.0]))
 @settings(max_examples=400, deadline=None)
 def test_compile_float_matches_evaluate_float(case):
     exprs, values = case

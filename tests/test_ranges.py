@@ -243,8 +243,11 @@ eq: u_x^2 + 1
     @pytest.mark.parametrize("x", [(F(1, 4),), (F(1, 4), F(1, 4), F(1, 2))])
     def test_point_of_wrong_dimension_rejected(self, x):
         # the compiled Newton base reads the point's coordinates by position
-        with pytest.raises(ValueError):
+        message = f"point has {len(x)} coordinates, the operator has 2"
+        with pytest.raises(ValueError, match=message):
             solve_jets_triangular(prolong(op(EIKONAL), 1), x)
+        with pytest.raises(ValueError, match=message):
+            rank_condition(op(LAPLACE), x, 1)
 
     def test_inconsistent_linear_reports_level(self):
         res = solve_jets_triangular(prolong(op(DEGENERATE), 0), (F(1, 2),))
