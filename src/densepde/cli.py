@@ -45,6 +45,14 @@ def tolerance(text: str) -> float:
     return value
 
 
+def non_negative(text: str) -> int:
+    """Type of the integer options: a whole number >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number >= 0")
+    return value
+
+
 def _parse_points(text: str, n: int) -> list[tuple[Fraction, ...]]:
     points = []
     for chunk in text.split(";"):
@@ -115,6 +123,8 @@ def cmd_range(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    if args.resolution and not args.out:
+        raise ValueError("--resolution needs --out")
     op = load_pde_file(args.pde)
     points = _points_for(op, args)
     if args.stages:
@@ -136,13 +146,13 @@ def cmd_construct(args) -> int:
     except ConstructionError as exc:
         print(f"FAIL: {exc}", file=sys.stderr)
         return MATH_FAILURE
-    data = mf.sequence_to_json(seq)
-    _emit(args, "sequence.json", data)
-    if args.out and args.resolution:
+    samples = mf.sample_grid(seq, args.resolution) if args.resolution else None
+    _emit(args, "sequence.json", mf.sequence_to_json(seq))
+    if samples is not None:
         path = os.path.join(args.out, "samples.csv")
         tmp = path + ".tmp"
         with open(tmp, "w") as fh:
-            fh.write(mf.sample_grid(seq, args.resolution))
+            fh.write(samples)
         os.replace(tmp, path)
         print(f"wrote {path}")
     print(
@@ -235,12 +245,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prolong", help="print the prolonged system")
     common(p)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=non_negative, default=1)
     p.set_defaults(func=cmd_prolong)
 
     p = sub.add_parser("range", help="check 0 is in the prolonged range")
     common(p)
-    p.add_argument("--level", type=int, default=1, help="max prolongation level")
+    p.add_argument("--level", type=non_negative, default=1, help="max prolongation level")
     p.add_argument("--points", help="semicolon-separated rational points")
     p.add_argument("--scheme", choices=("dyadic", "diagonal"), default="dyadic")
     p.add_argument("--count", type=int, default=4, help="dense points to draw")
@@ -252,17 +262,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a staged solution sequence")
     common(p)
-    p.add_argument("--level", type=int, default=1)
+    p.add_argument("--level", type=non_negative, default=1)
     p.add_argument("--schedule", help="comma-separated per-stage levels")
     p.add_argument("--points", help="semicolon-separated rational points")
     p.add_argument("--scheme", choices=("dyadic", "diagonal"), default="dyadic")
     p.add_argument("--count", type=int, default=2, help="dense points to draw")
     p.add_argument(
-        "--stages", type=int, default=0,
+        "--stages", type=non_negative, default=0,
         help="use only the first N points (one stage per point)",
     )
     p.add_argument(
-        "--resolution", type=int, default=0,
+        "--resolution", type=non_negative, default=0,
         help="also sample on a uniform grid (CSV, needs --out)",
     )
     p.set_defaults(func=cmd_construct)

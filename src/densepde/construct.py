@@ -189,8 +189,9 @@ def make_bumps(
 # Taylor polynomials from jets
 
 def taylor_from_jet(context: Context, a: Point, jet: Jet) -> list[Expr]:
-    """Per unknown, the polynomial with D^p P(a) = jet value at (u, p)."""
-    space = context.space_vars()
+    """Per unknown, the polynomial with D^p P(a) = jet value at (u, p).
+    Every monomial shares one node x_i - a_i per axis."""
+    shifted = [ssum([Var(v), Const(-c)]) for v, c in zip(context.space_vars(), a)]
     out = []
     for unknown in range(1, context.k + 1):
         terms = []
@@ -199,14 +200,30 @@ def taylor_from_jet(context: Context, a: Point, jet: Jet) -> list[Expr]:
             if coeff == 0:
                 continue
             monomial = [Const(Fraction(coeff) / p.factorial())]
-            for axis, count in enumerate(p.entries):
+            for base, count in zip(shifted, p.entries):
                 if count:
-                    monomial.append(
-                        spow(ssum([Var(space[axis]), Const(-a[axis])]), count)
-                    )
+                    monomial.append(spow(base, count))
             terms.append(sprod(monomial))
         out.append(ssum(terms))
     return out
+
+
+class TaylorPolynomials:
+    """The Taylor polynomial of each point's jet, built once for as long
+    as the point keeps an equal jet (same order, same values): a staged
+    sequence glues one polynomial per point into every stage that reads
+    the same jet.  A point whose jet changes gets a new polynomial."""
+
+    def __init__(self, context: Context):
+        self.context = context
+        self._built: dict[Point, tuple[Jet, list[Expr]]] = {}
+
+    def __call__(self, a: Point, jet: Jet) -> list[Expr]:
+        hit = self._built.get(a)
+        if hit is None or hit[0] != jet:
+            hit = (jet, taylor_from_jet(self.context, a, jet))
+            self._built[a] = hit
+        return hit[1]
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +305,7 @@ def solve_on_discrete_set(
         if not res.solved:
             raise SolveFailure(a, res)
         jets[a] = res.jet
-    return glue(op, pts, jets, level)
+    return glue(op, pts, jets, level, TaylorPolynomials(op.context))
 
 
 def glue(
@@ -296,11 +313,15 @@ def glue(
     points: Sequence[Point],
     jets: dict[Point, Jet],
     level: int,
+    polynomials: TaylorPolynomials,
 ) -> DiscreteSolve:
-    """Glue the Taylor polynomial of each point's jet with disjoint bumps
-    centred on the points: one assembled function per unknown."""
+    """Glue the Taylor polynomial of each point's jet, taken from
+    `polynomials`, with disjoint bumps centred on the points: one
+    assembled function per unknown.  A caller that glues several stages
+    passes one TaylorPolynomials to all of them, so that an unchanged jet
+    is expanded once."""
     bumps = make_bumps(points, op.domain, op.context)
-    polys = {a: taylor_from_jet(op.context, a, jets[a]) for a in points}
+    polys = {a: polynomials(a, jets[a]) for a in points}
     functions = tuple(
         AssembledFunction(
             op.context,
@@ -372,13 +393,15 @@ def construct_sequence(
 
     Each point is solved once, when a stage first uses it, at the last
     stage's level; stage nu reads each of its points' results at level
-    l_nu (the triangular solve reports every level) and glues them."""
+    l_nu (the triangular solve reports every level) and glues them.  A
+    point's Taylor polynomial is built once per level it is glued at."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     orders = validate_schedule(orders)
     if len(pts) != len(orders):
         raise ValueError("need one level per stage")
     top = prolong(op, orders[-1]) if orders else None
     solves: dict[Point, JetSolveResult] = {}
+    polynomials = TaylorPolynomials(op.context)
     stages: list[DiscreteSolve] = []
     for nu, level in enumerate(orders):
         jets: dict[Point, Jet] = {}
@@ -393,7 +416,7 @@ def construct_sequence(
                 )
                 raise ConstructionError(nu, failure, partial) from failure
             jets[a] = res.jet
-        stages.append(glue(op, pts[: nu + 1], jets, level))
+        stages.append(glue(op, pts[: nu + 1], jets, level, polynomials))
     return SolutionSequence(op, tuple(pts), tuple(orders), tuple(stages))
 
 

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .expr import (
     ZERO,
@@ -25,7 +26,7 @@ from .expr import (
     sprod,
     ssum,
 )
-from .multiindex import MultiIndex, multi_indices, zero_index
+from .multiindex import MultiIndex, multi_indices, multi_indices_of_order, zero_index
 from .parser import Context, parse_rational
 from .taylor import derivative, series
 
@@ -135,9 +136,9 @@ def jet_gradient(e: Expr) -> dict[tuple[int, MultiIndex], Expr]:
     by (unknown, index) in the order of unknown, then graded-lex index.
 
     This is the only place an equation is differentiated in its jet
-    coordinates: total derivatives, affine splits and Newton Jacobians
-    all read these partials, through ProlongedSystem.gradient for rows
-    of a prolonged system."""
+    coordinates: total derivatives, the symbol and coefficients of the
+    range analysis and Newton Jacobians all read these partials, through
+    ProlongedSystem.gradient for rows of a prolonged system."""
     return {
         (v.unknown, v.index): differentiate(e, v)
         for v in sorted(jet_variables(e), key=lambda v: (v.unknown, v.index.grlex_key()))
@@ -167,35 +168,67 @@ def _lift(e: Expr, gradient, context: Context, axis: int) -> Expr:
 class ProlongedSystem:
     """All prolonged equations F_{j,p} = D^p G_j for |p| <= level.
 
-    The jet gradient of each row is computed on first use and cached, so
-    no row is differentiated in its jet coordinates twice; the compiled
-    level-0 rows (`compiled_base`) are kept in the same way.
+    Only the level-0 rows, the equations themselves, exist up front.  A
+    row above level 0 is built on first access, as the total derivative
+    of F_{j,p-e_i} along the first nonzero axis i of p, and kept; so the
+    rows of level <= l are exactly those of prolonging to level l
+    directly.  The jet gradient of each row is computed on first use and
+    cached, so no row is differentiated in its jet coordinates twice; the
+    compiled level-0 rows (`compiled_base`) are kept in the same way.
     """
 
     operator: PdeOperator
     level: int
-    equations: Mapping[tuple[int, MultiIndex], Expr]
+    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        zero = zero_index(self.operator.n)
+        for j, g in enumerate(self.operator.equations, start=1):
+            self._rows[(j, zero)] = g
 
     @property
     def top_order(self) -> int:
         return self.operator.order + self.level
 
+    @cached_property
+    def equations(self) -> Mapping[tuple[int, MultiIndex], Expr]:
+        """The rows by key (j, p), in the order of items()."""
+        return _Rows(self)
+
+    def row(self, j: int, p: MultiIndex) -> Expr:
+        """F_{j,p}, built from the rows below it on first use."""
+        if (j, p) not in self._rows:
+            op = self.operator
+            if not (
+                1 <= j <= op.r and isinstance(p, MultiIndex)
+                and p.n == op.n and p.order <= self.level
+            ):
+                raise KeyError((j, p))
+            axis = p.first_nonzero_axis()
+            prev = p.minus_axis(axis)
+            lower = self.row(j, prev)
+            self._rows[(j, p)] = _lift(lower, self.gradient(j, prev), op.context, axis)
+        return self._rows[(j, p)]
+
     def items(self):
         """(j, p, expr) in graded-lex order of p, then equation index."""
         for p in multi_indices(self.operator.n, self.level):
             for j in range(1, self.operator.r + 1):
-                yield j, p, self.equations[(j, p)]
+                yield j, p, self.row(j, p)
 
     def items_at_level(self, order: int):
-        for j, p, e in self.items():
-            if p.order == order:
-                yield j, p, e
+        """The rows of one level; building none of any other level."""
+        if order > self.level:
+            return
+        for p in multi_indices_of_order(self.operator.n, order):
+            for j in range(1, self.operator.r + 1):
+                yield j, p, self.row(j, p)
 
     def gradient(self, j: int, p: MultiIndex) -> dict[tuple[int, MultiIndex], Expr]:
         """jet_gradient of F_{j,p}, computed at most once per row."""
         if (j, p) not in self._gradients:
-            self._gradients[(j, p)] = jet_gradient(self.equations[(j, p)])
+            self._gradients[(j, p)] = jet_gradient(self.row(j, p))
         return self._gradients[(j, p)]
 
     @cached_property
@@ -223,31 +256,42 @@ class ProlongedSystem:
         )
 
 
+class _Rows(Mapping):
+    """Read-only view of a prolonged system's rows by key (j, p): reading
+    a row builds it, and the rows below it, on first use."""
+
+    def __init__(self, system: ProlongedSystem):
+        self._system = system
+
+    def __getitem__(self, key):
+        try:
+            j, p = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        return self._system.row(j, p)
+
+    def __iter__(self):
+        op = self._system.operator
+        for p in multi_indices(op.n, self._system.level):
+            for j in range(1, op.r + 1):
+                yield j, p
+
+    def __len__(self) -> int:
+        op = self._system.operator
+        return op.r * len(multi_indices(op.n, self._system.level))
+
+
 def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
     """Prolong every equation to all D^p with |p| <= level.
 
-    Memoized bottom-up: F_{j,p} is the total derivative of F_{j,p-e_i}
-    along the first nonzero axis of p, so the layout is deterministic and
-    the rows of level <= l are exactly those of prolonging to level l
-    directly (the triangular jet solve reads every lower level off one
-    top-level system).
+    The rows above level 0 are built when something reads them
+    (ProlongedSystem.row): the range analysis assembles its level systems
+    at the point from the level-0 rows, so only `densepde prolong` and
+    the reference tests read the higher rows.
     """
     if level < 0:
         raise ValueError("level must be >= 0")
-    n = op.n
-    eqs: dict[tuple[int, MultiIndex], Expr] = {}
-    system = ProlongedSystem(op, level, eqs)
-    for j, g in enumerate(op.equations, start=1):
-        eqs[(j, zero_index(n))] = g
-    for p in multi_indices(n, level):
-        if p.order == 0:
-            continue
-        axis = p.first_nonzero_axis()
-        prev = p.minus_axis(axis)
-        for j in range(1, op.r + 1):
-            gradient = system.gradient(j, prev)
-            eqs[(j, p)] = _lift(eqs[(j, prev)], gradient, op.context, axis)
-    return system
+    return ProlongedSystem(op, level)
 
 
 def sum_of_squares(sys: ProlongedSystem) -> Expr:

@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from .construct import SolutionSequence, glue, validate_schedule
+from .construct import SolutionSequence, TaylorPolynomials, glue, validate_schedule
 from .jets import Jet, PdeOperator
 from .multiindex import MultiIndex
 from .parser import Context, parse_expression, parse_rational
@@ -137,6 +137,8 @@ def sequence_from_json(data: dict) -> SolutionSequence:
         raise ValueError("need one level and one stage per point")
     stages = []
     exact_only = None  # solves_exactly(op), decided at the first float jet
+    # reused by a later stage only where it stores an equal jet
+    polynomials = TaylorPolynomials(ctx)
     for nu, record in enumerate(data["stages"]):
         _check_keys(f"stage {nu}", record, {"jets"})
         pts = points[: nu + 1]
@@ -156,7 +158,7 @@ def sequence_from_json(data: dict) -> SolutionSequence:
                     f"stage {nu}: float jet, but the operator is solved "
                     "exactly at rational points"
                 )
-        stages.append(glue(op, pts, jets, orders[nu]))
+        stages.append(glue(op, pts, jets, orders[nu], polynomials))
     return SolutionSequence(op, points, orders, tuple(stages))
 
 

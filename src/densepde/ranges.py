@@ -2,16 +2,19 @@
 linear operators and the triangular level-by-level jet solver.
 
 Every prolongation level is affine in the jet coordinates it newly
-introduces, so solvability in jet space reduces to one order-m root
-search plus a chain of linear solves.  One AffineSplit carries that
-structure for a set of prolonged rows and chosen jet columns: its
-coefficients are the rows' jet gradients (ProlongedSystem.gradient,
-computed once per row and shared with prolongation), its offsets the rows
-with the columns set to zero.  One routine, _matrices, turns a split into
-a coefficient matrix and right-hand side at a point with the other jets
-known; rank certificates take the ranks of its leading blocks, one block
-per level, the jet solver its least-norm solution, after a Newton root
-search at level 0 when the base equations are not affine.
+introduces, and its coefficients there are the symbol of the base
+equations: in D^p G_j the jet u_{u,beta} of order m + |p| has the
+coefficient dG_j/du_{u,beta-p} (Seiler, "Involution", 2010, ch. 2).  So
+no level system is built in jet space.  At a point, the matrix of level
+l >= 1 is assembled from the level-0 jet gradients, evaluated once per
+point, and its right-hand side from the truncated Taylor series of the
+base equations (taylor.series) with the known jets bound as the series of
+their Taylor polynomial, the top-order jets zero (Griewank and Walther,
+"Evaluating Derivatives", 2nd ed., ch. 13).  The solver takes the
+least-norm solution of each level, after a Newton root search at level 0
+when the base equations are not affine.  A linear operator's stacked
+rows, which its rank certificates need, come from the series of its
+coefficients by the Leibniz rule.
 
 The solver is triangular: level l of a solve never looks at a row or a
 jet above level l, so one solve of a point at the top level also gives
@@ -44,6 +47,7 @@ from .linalg import (
 )
 from .multiindex import MultiIndex, multi_indices, multi_indices_of_order
 from .newton import multistart_newton
+from .taylor import series, shift
 
 Column = tuple[int, MultiIndex]
 
@@ -70,69 +74,90 @@ def jet_columns(n: int, k: int, order: int) -> list[Column]:
     return [(u, p) for p in multi_indices(n, order) for u in range(1, k + 1)]
 
 
+def _base_gradients(sys: ProlongedSystem) -> list[dict[Column, Expr]]:
+    """The jet gradient of each base equation, in equation order."""
+    return [sys.gradient(j, p) for j, p, _ in sys.items_at_level(0)]
+
+
+def _affine(gradients) -> bool:
+    """Whether the base equations are affine in their jets: no partial
+    involves a jet.  Their prolongations are then affine too."""
+    return not any(jet_variables(d) for g in gradients for d in g.values())
+
+
+def _mode(exact: bool) -> str:
+    """The taylor.series mode of expr.exact_arithmetic's verdict."""
+    return "auto" if exact else "float"
+
+
 @dataclass(frozen=True)
-class AffineSplit:
-    """Rows F_{j,p} of a prolonged system as offset + sum over `columns`
-    of coefficient * jet.  coefficients[i] is row i's jet gradient
-    restricted to the columns; no coefficient involves a column, so the
-    offset is the row with every column set to zero."""
+class LinearSystem:
+    """A prolonged system of a linear operator, G_j = f_j + sum over jet
+    columns c of a_{j,c} * u_c.  coefficients[j - 1] maps each column c
+    to a_{j,c}, the jet-free level-0 jet gradient."""
 
     system: ProlongedSystem
-    rows: tuple[tuple[int, MultiIndex], ...]
-    columns: tuple[Column, ...]
     coefficients: tuple[dict[Column, Expr], ...]
 
-    @property
-    def equations(self) -> list[Expr]:
-        return [self.system.equations[row] for row in self.rows]
+
+def linearize(sys: ProlongedSystem) -> LinearSystem | None:
+    """The linear form of the system, or None when some equation is
+    nonlinear in a jet coordinate."""
+    gradients = _base_gradients(sys)
+    if not _affine(gradients):
+        return None
+    return LinearSystem(sys, tuple(gradients))
 
 
-def _affine_split(
-    system: ProlongedSystem,
-    rows: Sequence[tuple[int, MultiIndex]],
-    columns: Sequence[Column],
-) -> AffineSplit | None:
-    """Split the rows (keys (j, p)) in the jet columns; None when some row
-    is not affine in them."""
-    col_set = set(columns)
-    coefficients = []
-    for j, p in rows:
-        coeffs = {c: d for c, d in system.gradient(j, p).items() if c in col_set}
-        for d in coeffs.values():
-            if any((v.unknown, v.index) in col_set for v in jet_variables(d)):
-                return None
-        coefficients.append(coeffs)
-    return AffineSplit(system, tuple(rows), tuple(columns), tuple(coefficients))
+def _leibniz(p: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, int]]:
+    """(q, p - q, p! / q!) for every q <= p, componentwise."""
+    out = []
+    for q in multi_indices(p.n, p.order):
+        if all(b <= a for a, b in zip(p.entries, q.entries)):
+            rest = MultiIndex(tuple(a - b for a, b in zip(p.entries, q.entries)))
+            out.append((q, rest, p.factorial() // q.factorial()))
+    return out
 
 
-def linearize(sys: ProlongedSystem) -> AffineSplit | None:
-    """Split of the whole system in all its jet coordinates, or None when
-    some equation is nonlinear in a jet coordinate."""
+def _stacked(linear: LinearSystem, x: Sequence, exact: bool):
+    """Matrix A and right-hand side b of every row (j, p) of the linear
+    system at x, rows in the order of ProlongedSystem.items() and columns
+    in jet_columns order, each entry a Fraction when `exact`, a float
+    otherwise.
+
+    By the Leibniz rule the coefficient of u_{u,gamma} in D^p G_j is the
+    sum of (p!/q!) c_{p-q}(a_{j,u,alpha}) over alpha + q = gamma, q <= p,
+    where c is the Taylor series at x; and b = -p! c_p(f_j), with f_j the
+    equation at every jet zero."""
+    sys = linear.system
     op = sys.operator
-    rows = [(j, p) for j, p, _ in sys.items()]
-    return _affine_split(sys, rows, jet_columns(op.n, op.k, sys.top_order))
-
-
-def _matrices(split: AffineSplit, values: dict, exact: bool):
-    """Coefficient matrix A and right-hand side b = -offset of the split.
-
-    `values` assigns the space variables and every jet coordinate of the
-    rows that is not a column.  Entries are Fractions when `exact`,
-    floats otherwise.
-    """
-    context = split.system.operator.context
+    level, mode = sys.level, _mode(exact)
     zero = Fraction(0) if exact else 0.0
-    assignment = dict(values)
-    assignment.update({context.jet(u, q): zero for u, q in split.columns})
-    evaluate = evaluate_exact if exact else evaluate_float
-    index = {c: i for i, c in enumerate(split.columns)}
+    columns = jet_columns(op.n, op.k, sys.top_order)
+    index = {c: i for i, c in enumerate(columns)}
+    indices = multi_indices(op.n, level)
+    offsets = _equation_series(op, x, {}, level, exact)
+    # per coefficient a_{j,u,alpha}: its series and the column of each u_{alpha+q}
+    coefficients = [
+        [
+            (series(d, x, level, mode), {q: index[(u, alpha + q)] for q in indices})
+            for (u, alpha), d in g.items()
+        ]
+        for g in linear.coefficients
+    ]
     a, b = [], []
-    for e, coeffs in zip(split.equations, split.coefficients):
-        row = [zero] * len(index)
-        for c, d in coeffs.items():
-            row[index[c]] = evaluate(d, assignment)
-        a.append(row)
-        b.append(-evaluate(e, assignment))
+    for p in indices:
+        terms, factor = _leibniz(p), p.factorial()
+        for offset, coeffs in zip(offsets, coefficients):
+            row = [zero] * len(columns)
+            for s, column in coeffs:
+                for q, rest, weight in terms:
+                    c = s.get(rest)
+                    if c is not None:
+                        row[column[q]] += weight * c
+            a.append(row)
+            c = offset.get(p)
+            b.append(zero if c is None else -(factor * c))
     return a, b
 
 
@@ -179,21 +204,21 @@ class RankCertificate:
 def rank_condition(op: PdeOperator, x: Sequence, level: int) -> RankCertificate:
     """Certify rank P^l(x) = rank Q^l(x) by exact elimination when the
     data is rational, float elimination with a disclosed tolerance else."""
-    split = linearize(prolong(op, level))
-    if split is None:
+    linear = linearize(prolong(op, level))
+    if linear is None:
         raise NotLinearError("operator is not linear in its jet coordinates")
-    return _certify(split, x, [level])[0][0]
+    return _certify(linear, x, [level])[0][0]
 
 
-def _certify(split: AffineSplit, x: Sequence, levels: Sequence[int]):
-    """(certificate, residual floor or None when it holds) of the split's
-    restriction to each of `levels` at the point x: P = A and Q is A with
-    the column b appended.
+def _certify(linear: LinearSystem, x: Sequence, levels: Sequence[int]):
+    """(certificate, residual floor or None when it holds) of the linear
+    system's restriction to each of `levels` at the point x: P = A and Q
+    is A with the column b appended, from _stacked.
 
-    The split's rows come in level order and its columns in jet order,
-    and a row of level l is zero outside the columns of order <= m + l.
-    So each level's system is a leading block of the split's, and one
-    exact elimination pass over the rows of Q gives every level's ranks.
+    The rows come in level order and the columns in jet order, and a row
+    of level l is zero outside the columns of order <= m + l.  So each
+    level's system is a leading block of the stacked one, and one exact
+    elimination pass over the rows of Q gives every level's ranks.
     In float arithmetic each level is factored on its own, from the top
     down, until a level has full row rank: its leading blocks then have
     full row rank too, since deleting rows leaves the smallest singular
@@ -201,17 +226,14 @@ def _certify(split: AffineSplit, x: Sequence, levels: Sequence[int]):
     for singular values; the pivoted-QR rank follows them except within
     rounding of the tolerance.
     The arithmetic is exact_arithmetic of the operator's equations at x:
-    the prolonged rows of rational-closed equations are rational-closed.
+    the coefficients of rational-closed equations are rational-closed.
     """
-    op = split.system.operator
+    op = linear.system.operator
     _check_point(op, x)
-    space = dict(zip(op.context.space_vars(), x))
     exact = exact_arithmetic(op.equations, x)
-    a, b = _matrices(split, space, exact)
-    ends = [sum(p.order <= level for _, p in split.rows) for level in levels]
-    widths = [
-        sum(q.order <= op.order + level for _, q in split.columns) for level in levels
-    ]
+    a, b = _stacked(linear, x, exact)
+    ends = [op.r * len(multi_indices(op.n, level)) for level in levels]
+    widths = [op.k * len(multi_indices(op.n, op.order + level)) for level in levels]
     blocks = [([row[:w] for row in a[:e]], b[:e]) for e, w in zip(ends, widths)]
     if exact:
         ranks = exact_rank([row + [v] for row, v in zip(a, b)], ends)
@@ -294,10 +316,7 @@ def solves_exactly(op: PdeOperator) -> bool:
     seed must then be rational too), so that a float jet of op can only
     be a relabelled exact one: the equations are rational-closed and
     affine in the base jets, so level 0 is an exact linear solve."""
-    sys = prolong(op, 0)
-    rows = [(j, p) for j, p, _ in sys.items()]
-    base_cols = jet_columns(op.n, op.k, op.order)
-    return exact_arithmetic(op.equations, ()) and _affine_split(sys, rows, base_cols) is not None
+    return exact_arithmetic(op.equations, ()) and _affine(_base_gradients(prolong(op, 0)))
 
 
 def solve_jets_triangular(
@@ -315,8 +334,9 @@ def solve_jets_triangular(
     expr.exact_arithmetic makes the equations exact at x), by damped
     multistart Newton from the seed otherwise.  Each later level is affine
     in its newly introduced top-order jets and is solved by a minimum-norm
-    linear solve with the lower-order jets held fixed; the result is exact
-    whenever level 0 was.
+    linear solve with the lower-order jets held fixed (_level_system); the
+    result is exact whenever level 0 was.  No row of the system above
+    level 0 is built.
 
     Level l of the solve reads only the rows and jets of level <= l, so
     the point is solved once for all levels: result.levels[l] is the jet
@@ -331,51 +351,52 @@ def solve_jets_triangular(
     seed_vals = _seed_values(seed)
     base_cols = jet_columns(n, k, m)
     known = {c: seed_vals[c] for c in base_cols if c in seed_vals}
-    failure = None
-    for lam in range(sys.level + 1):
-        rows = [(j, p) for j, p, _ in sys.items_at_level(lam)]
-        if lam > 0:
-            new_cols = [
-                (u, q)
-                for q in multi_indices_of_order(n, m + lam)
-                for u in range(1, k + 1)
-            ]
-            result = _solve_affine(
-                _affine_split(sys, rows, new_cols), space, known, tol,
-                "inconsistent level",
+    gradients = _base_gradients(sys)
+    if not _affine(gradients):
+        result = _solve_newton_base(sys, base_cols, space, seed_vals, tol)
+    else:
+        if exact_arithmetic(op.equations, x) and not exact_arithmetic((), known.values()):
+            raise ValueError(
+                "the equations are solved exactly at this point: "
+                "seed values must be rational"
             )
-        elif _affine_split(sys, rows, base_cols) is None:
-            result = _solve_newton_base(sys, base_cols, space, seed_vals, tol)
-        else:
-            if exact_arithmetic(op.equations, x) and not exact_arithmetic((), known.values()):
-                raise ValueError(
-                    "the equations are solved exactly at this point: "
-                    "seed values must be rational"
-                )
-            free_cols = [c for c in base_cols if c not in known]
-            result = _solve_affine(
-                _affine_split(sys, rows, free_cols), space, known, tol,
-                "inconsistent affine system at level 0",
-            )
-            cast = Fraction if result.arithmetic == "exact" else float
-            known = {c: cast(v) for c, v in known.items()}
-        if result.status != "ok":
-            failure = JetSolveResult(
-                status=result.status,
-                jet=None,
-                residual=result.residual,
-                arithmetic=result.arithmetic,
-                failed_level=lam,
-                detail=result.detail,
-            )
-            break
+        free_cols = [c for c in base_cols if c not in known]
+        exact = exact_arithmetic(op.equations, [*x, *known.values()])
+        result = _solve_affine(
+            free_cols, *_base_system(op, gradients, free_cols, space, known, exact),
+            exact, tol, "inconsistent affine system at level 0",
+        )
+        cast = Fraction if exact else float
+        known = {c: cast(v) for c, v in known.items()}
+    lam = 0
+    if result.status == "ok":
         known.update(result.values)
+        # the arithmetic of level 0 carries to every later level
+        exact = exact_arithmetic(op.equations, [*x, *known.values()])
+        symbol = _symbol(op, gradients, space, known, exact)
+        for lam in range(1, sys.level + 1):
+            offsets = _equation_series(op, x, known, sys.level, exact)
+            columns, a, b = _level_system(op, symbol, offsets, lam, exact)
+            result = _solve_affine(columns, a, b, exact, tol, "inconsistent level")
+            if result.status != "ok":
+                break
+            known.update(result.values)
+    failure = None
+    if result.status != "ok":
+        failure = JetSolveResult(
+            status=result.status,
+            jet=None,
+            residual=result.residual,
+            arithmetic=result.arithmetic,
+            failed_level=lam,
+            detail=result.detail,
+        )
 
     passed = sys.level if failure is None else lam - 1
     levels = []
     if passed >= 0:
         jet = Jet(n, k, m + passed, known)
-        for level, residual in enumerate(_level_residuals(sys, space, jet, passed)):
+        for level, residual in enumerate(_residuals(op, x, jet, sys.level)):
             truncated = jet.truncate(m + level)
             exact = truncated.exact
             ok = residual == 0 if exact else residual <= tol
@@ -391,27 +412,95 @@ def solve_jets_triangular(
     return replace(levels[-1], levels=tuple(levels))
 
 
-def _solve_affine(
-    split: AffineSplit, space: dict, known: dict, tol: float, detail: str
-) -> _LevelResult:
-    """Minimum-norm solve of the split for its columns, the other jets
-    fixed at their known values: exact by expr.exact_arithmetic, float
-    otherwise, with the residual floor deciding consistency."""
-    op = split.system.operator
+def _values(op: PdeOperator, space: dict, jets: dict) -> dict:
+    """The assignment of the space variables and the jets {(u, q): value}."""
     values = dict(space)
-    values.update({op.context.jet(u, q): v for (u, q), v in known.items()})
-    if exact_arithmetic(op.equations, values.values()):
-        solution = exact_least_norm(*_matrices(split, values, True))
+    values.update({op.context.jet(u, q): v for (u, q), v in jets.items()})
+    return values
+
+
+def _base_system(op, gradients, columns, space, known, exact: bool):
+    """Matrix and right-hand side of the affine base equations in the jet
+    `columns`, the other base jets fixed at their `known` values."""
+    zero = Fraction(0) if exact else 0.0
+    evaluate = evaluate_exact if exact else evaluate_float
+    values = _values(op, space, known)
+    values.update({op.context.jet(u, q): zero for u, q in columns})
+    a = [[evaluate(g[c], values) if c in g else zero for c in columns] for g in gradients]
+    b = [-evaluate(e, values) for e in op.equations]
+    return a, b
+
+
+def _symbol(op, gradients, space, base: dict, exact: bool) -> list[dict[Column, object]]:
+    """S_j(u, alpha) = dG_j/du_{u,alpha} for |alpha| = m at the point and
+    the base jet, per equation: the coefficients of every level >= 1."""
+    evaluate = evaluate_exact if exact else evaluate_float
+    values = _values(op, space, base)
+    return [
+        {(u, alpha): evaluate(d, values) for (u, alpha), d in g.items() if alpha.order == op.order}
+        for g in gradients
+    ]
+
+
+def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) -> list[dict]:
+    """The Taylor series c_j, to `order`, of each base equation at x along
+    the Taylor polynomial of the jets {(u, q): value}, a missing jet
+    reading as 0: so p! c_{j,p} is the prolonged row F_{j,p} at those
+    jets.  Each jet variable u_alpha is bound to the alpha-shift of the
+    series q -> value(u, q) / q!; the arithmetic is taylor.series mode
+    "auto" when `exact`, "float" otherwise."""
+    scaled: dict[int, dict] = {u: {} for u in range(1, op.k + 1)}
+    for (u, q), value in jets.items():
+        scaled[u][q] = value / q.factorial()
+    bindings = {
+        v: shift(scaled[v.unknown], v.index, order)
+        for v in {v for g in op.equations for v in jet_variables(g)}
+    }
+    return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
+
+
+def _level_system(op: PdeOperator, symbol, offsets, lam: int, exact: bool):
+    """(columns, A, b) of level lam >= 1: the columns are its top-order
+    jets (u, beta), |beta| = m + lam, graded-lex then unknown, and the rows
+    (j, p) with |p| = lam come in the order of items().
+
+    The entry at row (j, p), column (u, alpha + p) is the symbol
+    S_j(u, alpha); the right-hand side is -p! c_{j,p}, with c_j from
+    _equation_series at the jets below order m + lam (the top-order jets
+    zero).  Every level takes its series at the solve's top order, so
+    that all levels share one series layout."""
+    columns = [
+        (u, q) for q in multi_indices_of_order(op.n, op.order + lam) for u in range(1, op.k + 1)
+    ]
+    index = {c: i for i, c in enumerate(columns)}
+    zero = Fraction(0) if exact else 0.0
+    a, b = [], []
+    for p in multi_indices_of_order(op.n, lam):
+        factor = p.factorial()
+        for s, offset in zip(symbol, offsets):
+            row = [zero] * len(columns)
+            for (u, alpha), value in s.items():
+                row[index[(u, alpha + p)]] = value
+            a.append(row)
+            c = offset.get(p)
+            b.append(zero if c is None else -(factor * c))
+    return columns, a, b
+
+
+def _solve_affine(columns, a, b, exact: bool, tol: float, detail: str) -> _LevelResult:
+    """Minimum-norm solve of A y = b for the jets `columns`: exact when
+    `exact`, float otherwise, with the residual floor deciding
+    consistency."""
+    if exact:
+        solution = exact_least_norm(a, b)
         if solution is None:
-            floor = residual_floor(*_matrices(split, values, False))
-            return _LevelResult("no-solution", {}, floor, "exact", detail)
-        return _LevelResult("ok", dict(zip(split.columns, solution)), 0.0, "exact")
-    a, b = _matrices(split, values, False)
+            return _LevelResult("no-solution", {}, residual_floor(a, b), "exact", detail)
+        return _LevelResult("ok", dict(zip(columns, solution)), 0.0, "exact")
     floor = residual_floor(a, b)
     if floor > max(tol, CONSISTENCY_FLOOR):
         return _LevelResult("no-solution", {}, floor, "float", detail)
     xsol = float_least_norm(a, b)
-    values = {c: float(v) for c, v in zip(split.columns, xsol)}
+    values = {c: float(v) for c, v in zip(columns, xsol)}
     return _LevelResult("ok", values, floor, "float")
 
 
@@ -461,26 +550,27 @@ def _solve_newton_base(sys, cols, space, seed_vals, tol) -> _LevelResult:
     return _LevelResult("ok", values, best.residual, "float")
 
 
-def _level_residuals(sys: ProlongedSystem, space: dict, jet: Jet, top: int) -> list:
-    """For each level l <= top, the largest |F_{j,p}| over the rows of
-    level <= l at the solved jet, in the jet's arithmetic.
+def _residuals(op: PdeOperator, x, jet: Jet, top: int) -> list:
+    """For each level l up to the jet's, the largest |F_{j,p}| over the
+    rows of level <= l at the solved jet, in the jet's arithmetic.
 
-    One pass over the rows, each evaluated once: rows come in level
-    order, so each level's value is the running maximum at its last row.
-    A jet is exact only when level 0 ran exactly, so the equations are
-    rational-closed, and then so is every prolonged row."""
-    assignment = dict(space)
-    assignment.update(jet.assignment(sys.operator.context))
+    F_{j,p} = p! c_{j,p} for the series c_j of _equation_series at the
+    jet, taken to the solve's `top` order: one series per equation, read
+    in row order, with each level's value the running maximum at its last
+    row.  A jet is exact only when level 0 ran exactly, so the equations
+    are rational-closed and every coefficient is a Fraction."""
     exact = jet.exact
-    evaluate = evaluate_exact if exact else evaluate_float
+    offsets = _equation_series(op, x, jet.values, top, exact)
     worst = Fraction(0) if exact else 0.0
-    running = {}
-    for j, p, e in sys.items():
-        if p.order > top:
-            break
-        worst = max(worst, abs(evaluate(e, assignment)))
-        running[p.order] = worst
-    return list(running.values())
+    running = []
+    for level in range(jet.order - op.order + 1):
+        for p in multi_indices_of_order(op.n, level):
+            for offset in offsets:
+                c = offset.get(p)
+                if c is not None:
+                    worst = max(worst, abs(p.factorial() * c))
+        running.append(worst)
+    return running
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +654,9 @@ def range_condition_check(
     and every level l <= l_max; failures become report entries.
 
     A linear operator is linearized once at l_max, and every level at a
-    point is certified from one elimination pass over that split.  A
-    nonlinear operator is prolonged once to l_max, and each point is
-    solved once there: the triangular solve reports every level."""
+    point is certified from one elimination pass over its stacked rows.
+    A nonlinear operator is solved once per point at l_max: the
+    triangular solve reports every level."""
     top = prolong(op, l_max)
     linear = linearize(top)
     entries = []

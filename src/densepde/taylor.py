@@ -92,13 +92,11 @@ def _layout(n: int, order: int) -> _Layout:
 @lru_cache(maxsize=256)
 def _shift_plan(alpha: MultiIndex, order: int) -> tuple[tuple[int, int, int], ...]:
     """(slot of q, slot of q + alpha, (q + alpha)! / q!) for |q| <= order."""
-    n = alpha.n
-    big = _layout(n, order + alpha.order)
-    slot = {p.entries: k for k, p in enumerate(big.indices)}
+    slot = {p: k for k, p in enumerate(multi_indices(alpha.n, order + alpha.order))}
     plan = []
-    for k, q in enumerate(multi_indices(n, order)):
+    for k, q in enumerate(multi_indices(alpha.n, order)):
         p = q + alpha
-        plan.append((k, slot[p.entries], p.factorial() // q.factorial()))
+        plan.append((k, slot[p], p.factorial() // q.factorial()))
     return tuple(plan)
 
 

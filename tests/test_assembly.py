@@ -1,0 +1,199 @@
+"""The range analysis assembles each level's system, the stacked rows of
+a linear operator and the level residuals at the point, from the level-0
+jet gradients and the Taylor series of the base equations.  Each must
+equal the prolonged-row reference (tests/reference.py): Fraction for
+Fraction on rational data, to 1e-12 relative in floats.
+"""
+
+import math
+from fractions import Fraction as F
+
+import pytest
+
+from densepde import jets
+from densepde.construct import DensePointStream, construct_sequence
+from densepde.jets import Jet, parse_pde_text, prolong
+from densepde.multiindex import multi_indices
+from densepde.ranges import (
+    _base_gradients,
+    _equation_series,
+    _level_system,
+    _residuals,
+    _stacked,
+    _symbol,
+    linearize,
+    range_condition_check,
+    rank_condition,
+    solve_jets_triangular,
+)
+from densepde.systems import lewy_operator
+
+import reference
+
+
+def pde(dim, order, domain, *equations):
+    names = "x y z"[: 2 * dim - 1]
+    text = f"dim: {dim}\nvars: {names}\norder: {order}\ndomain: {domain}\n"
+    return parse_pde_text(text + "".join(f"eq: {e}\n" for e in equations))
+
+
+LEWY = lewy_operator()
+POISSON = pde(2, 2, "(0,1) (0,1)", "u_xx + u_yy - 1 - x*y")
+TRANSPORT = pde(1, 1, "(0,1)", "u_x - u")
+DEGENERATE = pde(1, 0, "(0,1)", "0*u - 1")
+EXP_COEFFICIENT = pde(2, 2, "(0,1) (0,1)", "u_xx + exp(x)*u_yy - 1")
+EIKONAL = pde(2, 1, "(-1,1) (-1,1)", "u_x^2 + u_y^2 - 1 - x^2")
+EXP_GROWTH = pde(1, 1, "(0,1)", "u_x - exp(u)*x")
+
+EXACT = [
+    (LEWY, 4, DensePointStream(LEWY.domain).prefix(2)),
+    (POISSON, 3, [(F(1, 2), F(1, 4))]),
+    (TRANSPORT, 4, [(F(1, 3),)]),
+    (DEGENERATE, 2, [(F(1, 2),)]),
+]
+EXACT_IDS = ["lewy", "poisson", "transport", "degenerate"]
+FLOAT = [
+    (EXP_COEFFICIENT, 3, (F(1, 2), F(1, 3))),
+    (EIKONAL, 3, (F(1, 2), F(1, 3))),
+    (EXP_GROWTH, 4, (F(1, 2),)),
+]
+FLOAT_IDS = ["exp-coefficient", "eikonal", "exp-growth"]
+
+
+def some_jet(op, order, exact):
+    """A dense jet with no structure: every value different."""
+    values = {}
+    for i, (u, p) in enumerate((u, p) for p in multi_indices(op.n, order) for u in range(1, op.k + 1)):
+        v = F((-1) ** i * (i + 1), i + 3)
+        values[(u, p)] = v if exact else float(v) / 3
+    return values
+
+
+def below(values, order):
+    return {(u, p): v for (u, p), v in values.items() if p.order < order}
+
+
+def level_systems(op, top, x, exact):
+    """(assembled, reference) level systems for levels 1..top, every one
+    at the same jet values below its top order."""
+    system = prolong(op, top)
+    values = some_jet(op, op.order + top, exact)
+    space = dict(zip(op.context.space_vars(), x))
+    base = below(values, op.order + 1)
+    symbol = _symbol(op, _base_gradients(system), space, base, exact)
+    for lam in range(1, top + 1):
+        known = below(values, op.order + lam)
+        offsets = _equation_series(op, x, known, top, exact)
+        yield (
+            _level_system(op, symbol, offsets, lam, exact),
+            (reference.level_columns(op, lam), *reference.level_system(system, x, known, lam, exact)),
+        )
+
+
+def assert_close(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is float
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w)), (g, w)
+
+
+@pytest.mark.parametrize("op,top,points", EXACT, ids=EXACT_IDS)
+def test_exact_level_systems_equal_the_prolonged_rows(op, top, points):
+    for x in points:
+        for (columns, a, b), (ref_columns, ref_a, ref_b) in level_systems(op, top, x, True):
+            assert columns == ref_columns
+            assert a == ref_a and b == ref_b
+            assert all(type(v) is F for row in a for v in row)
+            assert all(type(v) is F for v in b)
+
+
+@pytest.mark.parametrize("op,top,points", EXACT, ids=EXACT_IDS)
+def test_exact_stacked_rows_equal_the_prolonged_rows(op, top, points):
+    for x in points:
+        a, b = _stacked(linearize(prolong(op, top)), x, True)
+        ref_a, ref_b = reference.stacked_rows(op, x, top, True)
+        assert a == ref_a and b == ref_b
+        assert all(type(v) is F for row in a for v in row)
+        assert all(type(v) is F for v in b)
+
+
+@pytest.mark.parametrize("op,top,x", FLOAT, ids=FLOAT_IDS)
+def test_float_level_systems_match_the_prolonged_rows(op, top, x):
+    for (columns, a, b), (ref_columns, ref_a, ref_b) in level_systems(op, top, x, False):
+        assert columns == ref_columns
+        for row, ref_row in zip(a, ref_a):
+            assert_close(row, ref_row)
+        assert_close(b, ref_b)
+
+
+def test_float_stacked_rows_match_the_prolonged_rows():
+    op, top, x = FLOAT[0]
+    a, b = _stacked(linearize(prolong(op, top)), x, False)
+    ref_a, ref_b = reference.stacked_rows(op, x, top, False)
+    for row, ref_row in zip(a, ref_a):
+        assert_close(row, ref_row)
+    assert_close(b, ref_b)
+
+
+@pytest.mark.parametrize(
+    "op,top,x",
+    [(LEWY, 3, (F(1, 2), F(-1, 2), F(1, 4))), (POISSON, 3, (F(1, 2), F(1, 4)))] + FLOAT,
+    ids=["lewy", "poisson"] + FLOAT_IDS,
+)
+def test_level_residuals_match_the_prolonged_rows(op, top, x):
+    exact = op in (LEWY, POISSON)
+    jet = Jet(op.n, op.k, op.order + top, some_jet(op, op.order + top, exact))
+    got = _residuals(op, x, jet, top)
+    want = reference.level_residuals(prolong(op, top), x, jet, top)
+    if exact:
+        assert got == want
+    else:
+        assert_close(got, want)
+
+
+@pytest.mark.parametrize(
+    "op,x", [(EXP_GROWTH, (F(1, 2),)), (EIKONAL, (F(1, 2), F(1, 3)))], ids=["exp-growth", "eikonal"]
+)
+def test_deep_levels_agree_with_the_prolonged_solve(op, x):
+    top = 6
+    got = solve_jets_triangular(prolong(op, top), x).levels
+    want = reference.solve(op, x, top)
+    assert [r.status for r in got] == [status for status, _ in want]
+    for result, (_, jet) in zip(got, want):
+        if jet is None:
+            assert result.jet is None
+            continue
+        assert result.jet.order == jet.order
+        for c, v in jet.values.items():
+            w = result.jet.values[c]
+            assert math.isfinite(w) and abs(w - v) <= 1e-12 * max(1.0, abs(v)), (c, w, v)
+
+
+class TestNoRowAboveLevelZero:
+    """The range check, rank certificates and construction read no
+    prolonged row above level 0."""
+
+    @pytest.fixture(autouse=True)
+    def no_lift(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a row above level 0 was built")
+
+        monkeypatch.setattr(jets, "_lift", refuse)
+
+    def test_prolonged_rows_are_refused(self):
+        with pytest.raises(AssertionError, match="above level 0"):
+            list(prolong(POISSON, 1).items())
+
+    def test_linear_range_and_certificate(self):
+        points = DensePointStream(LEWY.domain).prefix(2)
+        assert range_condition_check(LEWY, points, 3).all_ok
+        assert rank_condition(POISSON, (F(1, 2), F(1, 4)), 3).strict
+
+    def test_nonlinear_range(self):
+        points = DensePointStream(EIKONAL.domain).prefix(3)
+        assert range_condition_check(EIKONAL, points, 3).all_ok
+
+    @pytest.mark.parametrize("op", [LEWY, POISSON, EIKONAL], ids=["lewy", "poisson", "eikonal"])
+    def test_construct(self, op):
+        points = DensePointStream(op.domain).prefix(3)
+        assert construct_sequence(op, points, [1, 2, 3]).stage_count == 3

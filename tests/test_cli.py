@@ -424,6 +424,57 @@ eq: 0*u - 1
         assert "PASS" in capsys.readouterr().out
 
 
+def exit_code(argv) -> int:
+    """main's exit status, from its return value or an argparse exit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+class TestConstructOptions:
+    """Every usage error of construct exits 2 before any file is written."""
+
+    def test_negative_stages_rejected(self, pde_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["construct", pde_file, "--count", "3", "--stages", "-1", "--out", str(out)]
+        assert exit_code(argv) == 2
+        assert "--stages" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resolution_needs_out(self, pde_file, capsys):
+        assert exit_code(["construct", pde_file, "--resolution", "5"]) == 2
+        captured = capsys.readouterr()
+        assert "--resolution needs --out" in captured.err
+        assert captured.out == ""
+
+    def test_negative_resolution_rejected(self, pde_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert exit_code(["construct", pde_file, "--resolution", "-1", "--out", str(out)]) == 2
+        assert "--resolution" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestEditedLaterStage:
+    def test_edited_jet_of_a_later_stage_fails(self, tmp_path, capsys):
+        """Stages 0-3 all store a jet at z_0; the polynomial glued for
+        stage 3 must come from its own stored jet, not from the equal
+        jets of the stages before it."""
+        path = tmp_path / "poisson.pde"
+        path.write_text(POISSON)
+        out = str(tmp_path / "out")
+        assert main(["construct", str(path), "--schedule", "1,1,1,1", "--count", "4", "--out", out]) == 0
+        manifest = f"{out}/sequence.json"
+        assert main(["verify", manifest]) == 0
+        raw = read_json(manifest)
+        values = raw["stages"][3]["jets"][0]["values"]
+        values["1;(2,0)"] = str(F(values["1;(2,0)"]) + 1)
+        write_json(manifest, raw)
+        capsys.readouterr()
+        assert main(["verify", manifest]) == 1
+        assert "stage 3" in capsys.readouterr().err
+
+
 class TestNewtonConsistencyFloor:
     """A Newton base that stops at a stationary residual above tol but
     within ranges.CONSISTENCY_FLOOR is a solver failure, not a verdict

@@ -17,9 +17,19 @@ from densepde.construct import (
     taylor_from_jet,
 )
 from densepde import construct, jets, ranges
-from densepde.expr import differentiate, evaluate_exact, evaluate_float
-from densepde.jets import jet_of_function, parse_pde_text
-from densepde.multiindex import MultiIndex
+from densepde.expr import (
+    Const,
+    Var,
+    differentiate,
+    evaluate_exact,
+    evaluate_float,
+    sprod,
+    spow,
+    ssum,
+)
+from densepde.jets import Jet, jet_of_function, parse_pde_text
+from densepde.manifest import sequence_from_json, sequence_to_json
+from densepde.multiindex import MultiIndex, multi_indices
 from densepde.parser import Context, parse_expression
 
 UNIT = ((F(0), F(1)),)
@@ -288,6 +298,58 @@ class TestOneSolvePerPoint:
         assert compiled == [1, 2]  # one residual row, two partials
         construct_sequence(op, pts[:3], [0, 1, 1])
         assert compiled == [1, 2] * 2
+
+
+class TestOnePolynomialPerJet:
+    """A staged sequence expands each point's jet into its Taylor
+    polynomial once, in construction and again on load, however many
+    stages glue it."""
+
+    @pytest.fixture
+    def expansions(self, monkeypatch):
+        made = []
+        original = construct.taylor_from_jet
+
+        def counting(context, a, jet):
+            made.append((a, jet.order))
+            return original(context, a, jet)
+
+        monkeypatch.setattr(construct, "taylor_from_jet", counting)
+        return made
+
+    def test_construct_and_load(self, expansions):
+        op = parse_pde_text(POISSON)
+        pts = DensePointStream(op.domain).prefix(12)
+        seq = construct_sequence(op, pts, [1] * 12)
+        assert expansions == [(a, 3) for a in pts]
+        expansions.clear()
+        loaded = sequence_from_json(sequence_to_json(seq))
+        assert expansions == [(a, 3) for a in pts]
+        for nu in range(12):
+            assert loaded.stage_expressions(nu) == seq.stage_expressions(nu)
+
+    def test_rising_level_expands_again(self, expansions):
+        op = parse_pde_text(TRANSPORT)
+        pts = [(F(1, 4),), (F(3, 4),), (F(1, 8),)]
+        construct_sequence(op, pts, [0, 1, 1], seed={(1, (0,)): 1})
+        assert expansions == [(pts[0], 1), (pts[0], 2), (pts[1], 2), (pts[2], 2)]
+
+    def test_polynomial_unchanged_by_sharing(self):
+        # one shared x_i - a_i node per axis: the tree equals the one
+        # built with a fresh node in every monomial
+        ctx = Context(("x", "y"))
+        a = (F(1, 3), F(-1, 2))
+        values = {(1, p): F(i + 1, 3) for i, p in enumerate(multi_indices(2, 3))}
+        [poly] = taylor_from_jet(ctx, a, Jet(2, 1, 3, values))
+        space = ctx.space_vars()
+        terms = []
+        for (_, p), v in values.items():
+            monomial = [Const(v / p.factorial())]
+            for axis, count in enumerate(p.entries):
+                if count:
+                    monomial.append(spow(ssum([Var(space[axis]), Const(-a[axis])]), count))
+            terms.append(sprod(monomial))
+        assert poly == ssum(terms)
 
 
 class TestBracket:

@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
@@ -22,11 +24,13 @@ def test_perfbench_gate_self_test():
     assert "gate self-test passed" in proc.stdout
 
 
-def traced_iteration(workload: str) -> dict:
-    """The record of one traced iteration at seed 0, checked clean."""
+def iteration(workload: str, trace: int) -> dict:
+    """The record of one iteration at seed 0, checked clean: every
+    pipeline step passes the gate, and seed 0 also checks every jet
+    against reference_seed0.json."""
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "iteration.py"),
-         "--workload", workload, "--seed", "0", "--trace", "1"],
+         "--workload", workload, "--seed", "0", "--trace", str(trace)],
         cwd=ROOT,
         capture_output=True,
         text=True,
@@ -38,17 +42,26 @@ def traced_iteration(workload: str) -> dict:
     return record
 
 
+@pytest.mark.parametrize("workload", ["lewy-deep", "poisson-wide"])
+def test_untraced_iteration_passes_the_gate(workload):
+    """The jets of the deep Lewy levels and of the many Poisson stages,
+    checked against the gate's independently written prolonged
+    equations, as the benchmark runs them (untraced)."""
+    ops = iteration(workload, 0)["ops"]
+    assert {"construct", "manifest"} <= set(ops)
+
+
 def test_traced_iteration_reaches_the_exact_kernel():
     """The tracer wraps ranges.exact_rank and ranges.exact_least_norm by
     name; a rename in ranges would leave the exact kernel untraced."""
-    record = traced_iteration("lewy-verify")
+    record = iteration("lewy-verify", 1)
     assert record["counters"]["linalg.exact_least_norm_calls"] > 0
 
 
 def test_traced_iteration_pins_the_newton_path():
     """The eikonal range check's Newton solves, start by start: a kernel
     change that moves one Newton iterate changes these counts."""
-    counters = traced_iteration("eikonal-float")["counters"]
+    counters = iteration("eikonal-float", 1)["counters"]
     assert counters["newton.multistart_calls"] == 132
     assert counters["newton.starts"] == 1056
     assert counters["newton.iterations"] == 4036
