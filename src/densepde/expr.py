@@ -776,17 +776,11 @@ def _eval_bump(e: Bump, assignment, exact: bool):
         raise EvaluationError(f"no value assigned to {exc.args[0]}") from None
     except (ValueError, OverflowError):
         raise EvaluationError("bump at a non-finite point") from None
-    region = bump_region(e, point)
-    if region == "plateau":
-        v = Fraction(1) if e.deriv.order == 0 else Fraction(0)
-        return v if exact else float(v)
-    if region == "outside":
-        return Fraction(0) if exact else 0.0
-    if exact:
-        raise ExactnessUnavailable("bump evaluated in its transition region")
-    return taylor.bump_derivative(e, point)
+    # the order-0 series holds the value, or nothing for an exact zero
+    s = taylor.series(e, point, 0, "exact" if exact else "float")
+    return next(iter(s.values()), Fraction(0) if exact else 0.0)
 
 
-# The Taylor evaluator builds on the node classes above, and the bump's
-# transition values come from its Taylor series.
+# The Taylor evaluator builds on the node classes above, and a bump's
+# value is read off its Taylor series.
 from . import taylor  # noqa: E402

@@ -26,7 +26,7 @@ from .expr import (
     sprod,
     ssum,
 )
-from .multiindex import MultiIndex, multi_indices, multi_indices_of_order, zero_index
+from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context, parse_rational
 from .taylor import derivative, series
 
@@ -168,68 +168,52 @@ def _lift(e: Expr, gradient, context: Context, axis: int) -> Expr:
 class ProlongedSystem:
     """All prolonged equations F_{j,p} = D^p G_j for |p| <= level.
 
-    Only the level-0 rows, the equations themselves, exist up front.  A
-    row above level 0 is built on first access, as the total derivative
-    of F_{j,p-e_i} along the first nonzero axis i of p, and kept; so the
-    rows of level <= l are exactly those of prolonging to level l
-    directly.  The jet gradient of each row is computed on first use and
-    cached, so no row is differentiated in its jet coordinates twice; the
-    compiled level-0 rows (`compiled_base`) are kept in the same way.
+    The rows are built in full the first time `equations` (or items())
+    is read.  A row above level 0 is the total derivative of F_{j,p-e_i}
+    along the first nonzero axis i of p, so the rows of level <= l are
+    exactly those of prolonging to level l directly.  The jet gradient of
+    each row is computed on first use and cached, so no row is
+    differentiated in its jet coordinates twice; the gradients of the
+    level-0 rows and the compiled level-0 rows (`compiled_base`) are read
+    off the operator's equations and build no row above level 0.
     """
 
     operator: PdeOperator
     level: int
-    _rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        zero = zero_index(self.operator.n)
-        for j, g in enumerate(self.operator.equations, start=1):
-            self._rows[(j, zero)] = g
 
     @property
     def top_order(self) -> int:
         return self.operator.order + self.level
 
     @cached_property
-    def equations(self) -> Mapping[tuple[int, MultiIndex], Expr]:
+    def equations(self) -> dict[tuple[int, MultiIndex], Expr]:
         """The rows by key (j, p), in the order of items()."""
-        return _Rows(self)
-
-    def row(self, j: int, p: MultiIndex) -> Expr:
-        """F_{j,p}, built from the rows below it on first use."""
-        if (j, p) not in self._rows:
-            op = self.operator
-            if not (
-                1 <= j <= op.r and isinstance(p, MultiIndex)
-                and p.n == op.n and p.order <= self.level
-            ):
-                raise KeyError((j, p))
-            axis = p.first_nonzero_axis()
-            prev = p.minus_axis(axis)
-            lower = self.row(j, prev)
-            self._rows[(j, p)] = _lift(lower, self.gradient(j, prev), op.context, axis)
-        return self._rows[(j, p)]
+        op = self.operator
+        rows = {}
+        for p in multi_indices(op.n, self.level):
+            for j, g in enumerate(op.equations, start=1):
+                if p.order:
+                    axis = p.first_nonzero_axis()
+                    prev = (j, p.minus_axis(axis))
+                    g = _lift(rows[prev], self._gradient(prev, rows[prev]), op.context, axis)
+                rows[(j, p)] = g
+        return rows
 
     def items(self):
         """(j, p, expr) in graded-lex order of p, then equation index."""
-        for p in multi_indices(self.operator.n, self.level):
-            for j in range(1, self.operator.r + 1):
-                yield j, p, self.row(j, p)
-
-    def items_at_level(self, order: int):
-        """The rows of one level; building none of any other level."""
-        if order > self.level:
-            return
-        for p in multi_indices_of_order(self.operator.n, order):
-            for j in range(1, self.operator.r + 1):
-                yield j, p, self.row(j, p)
+        for (j, p), e in self.equations.items():
+            yield j, p, e
 
     def gradient(self, j: int, p: MultiIndex) -> dict[tuple[int, MultiIndex], Expr]:
         """jet_gradient of F_{j,p}, computed at most once per row."""
-        if (j, p) not in self._gradients:
-            self._gradients[(j, p)] = jet_gradient(self.row(j, p))
-        return self._gradients[(j, p)]
+        row = self.operator.equations[j - 1] if p.order == 0 else self.equations[(j, p)]
+        return self._gradient((j, p), row)
+
+    def _gradient(self, key, row: Expr) -> dict[tuple[int, MultiIndex], Expr]:
+        if key not in self._gradients:
+            self._gradients[key] = jet_gradient(row)
+        return self._gradients[key]
 
     @cached_property
     def compiled_base(self) -> tuple[tuple, Callable, Callable]:
@@ -240,54 +224,29 @@ class ProlongedSystem:
         then unknown; `residual` and the Jacobian in those jets (row-major,
         flat) are float functions of the space values followed by the
         jets in `columns`."""
-        rows = [(j, p) for j, p, _ in self.items_at_level(0)]
-        gradients = [self.gradient(j, p) for j, p in rows]
+        op = self.operator
+        zero = zero_index(op.n)
+        gradients = [self.gradient(j, zero) for j in range(1, op.r + 1)]
         columns = sorted(
             {c for g in gradients for c in g},
             key=lambda uq: (uq[1].grlex_key(), uq[0]),
         )
-        context = self.operator.context
-        variables = context.space_vars() + tuple(context.jet(u, q) for u, q in columns)
+        variables = op.context.space_vars() + tuple(op.context.jet(u, q) for u, q in columns)
         partials = [g.get(c, ZERO) for g in gradients for c in columns]
         return (
             tuple(columns),
-            compile_float([self.equations[row] for row in rows], variables),
+            compile_float(op.equations, variables),
             compile_float(partials, variables),
         )
-
-
-class _Rows(Mapping):
-    """Read-only view of a prolonged system's rows by key (j, p): reading
-    a row builds it, and the rows below it, on first use."""
-
-    def __init__(self, system: ProlongedSystem):
-        self._system = system
-
-    def __getitem__(self, key):
-        try:
-            j, p = key
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        return self._system.row(j, p)
-
-    def __iter__(self):
-        op = self._system.operator
-        for p in multi_indices(op.n, self._system.level):
-            for j in range(1, op.r + 1):
-                yield j, p
-
-    def __len__(self) -> int:
-        op = self._system.operator
-        return op.r * len(multi_indices(op.n, self._system.level))
 
 
 def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
     """Prolong every equation to all D^p with |p| <= level.
 
-    The rows above level 0 are built when something reads them
-    (ProlongedSystem.row): the range analysis assembles its level systems
-    at the point from the level-0 rows, so only `densepde prolong` and
-    the reference tests read the higher rows.
+    The rows are built when something reads them (ProlongedSystem.
+    equations): the range analysis assembles its level systems at the
+    point from the level-0 jet gradients, so only `densepde prolong` and
+    the reference tests read the rows.
     """
     if level < 0:
         raise ValueError("level must be >= 0")

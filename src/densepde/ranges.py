@@ -2,19 +2,20 @@
 linear operators and the triangular level-by-level jet solver.
 
 Every prolongation level is affine in the jet coordinates it newly
-introduces, and its coefficients there are the symbol of the base
-equations: in D^p G_j the jet u_{u,beta} of order m + |p| has the
-coefficient dG_j/du_{u,beta-p} (Seiler, "Involution", 2010, ch. 2).  So
-no level system is built in jet space.  At a point, the matrix of level
-l >= 1 is assembled from the level-0 jet gradients, evaluated once per
-point, and its right-hand side from the truncated Taylor series of the
-base equations (taylor.series) with the known jets bound as the series of
-their Taylor polynomial, the top-order jets zero (Griewank and Walther,
-"Evaluating Derivatives", 2nd ed., ch. 13).  The solver takes the
-least-norm solution of each level, after a Newton root search at level 0
-when the base equations are not affine.  A linear operator's stacked
-rows, which its rank certificates need, come from the series of its
-coefficients by the Leibniz rule.
+introduces (Seiler, "Involution", 2010, ch. 2), and no row of it is built
+in jet space.  One routine, _assemble, gives the matrix and right-hand
+side of any set of prolonged rows D^p G_j at a point by the Leibniz rule:
+with c the truncated Taylor series at the point (taylor.series), the
+entry at column u_{alpha+q} is the sum of (p!/q!) c_{p-q}(dG_j/du_alpha)
+over q <= p, and the right-hand side is -p! c_p(G_j), the known jets
+bound in the series as the series of their Taylor polynomial (Griewank
+and Walther, "Evaluating Derivatives", 2nd ed., ch. 13).  It serves
+three callers: level 0 of an affine base, in the jets no seed pins;
+every later level, in its top-order jets, where the partials reduce to
+their values at the solved base jet (the symbol); and the stacked rows
+of a linear operator, in every jet, which its rank certificates need.
+The solver takes the least-norm solution of each level, after a Newton
+root search at level 0 when the base equations are not affine.
 
 The solver is triangular: level l of a solve never looks at a row or a
 jet above level l, so one solve of a point at the top level also gives
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import lru_cache
+from operator import add, sub
 from typing import Sequence
 
 from .expr import (
@@ -45,7 +48,7 @@ from .linalg import (
     float_rank,
     residual_floor,
 )
-from .multiindex import MultiIndex, multi_indices, multi_indices_of_order
+from .multiindex import MultiIndex, multi_indices, multi_indices_of_order, zero_index
 from .newton import multistart_newton
 from .taylor import series, shift
 
@@ -76,7 +79,8 @@ def jet_columns(n: int, k: int, order: int) -> list[Column]:
 
 def _base_gradients(sys: ProlongedSystem) -> list[dict[Column, Expr]]:
     """The jet gradient of each base equation, in equation order."""
-    return [sys.gradient(j, p) for j, p, _ in sys.items_at_level(0)]
+    zero = zero_index(sys.operator.n)
+    return [sys.gradient(j, zero) for j in range(1, sys.operator.r + 1)]
 
 
 def _affine(gradients) -> bool:
@@ -90,75 +94,78 @@ def _mode(exact: bool) -> str:
     return "auto" if exact else "float"
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    """A prolonged system of a linear operator, G_j = f_j + sum over jet
-    columns c of a_{j,c} * u_c.  coefficients[j - 1] maps each column c
-    to a_{j,c}, the jet-free level-0 jet gradient."""
-
-    system: ProlongedSystem
-    coefficients: tuple[dict[Column, Expr], ...]
+def linearize(sys: ProlongedSystem) -> ProlongedSystem | None:
+    """The system itself when its equations are affine in their jets, so
+    that it has rank certificates; None when some equation is nonlinear
+    in a jet coordinate."""
+    return sys if _affine(_base_gradients(sys)) else None
 
 
-def linearize(sys: ProlongedSystem) -> LinearSystem | None:
-    """The linear form of the system, or None when some equation is
-    nonlinear in a jet coordinate."""
-    gradients = _base_gradients(sys)
-    if not _affine(gradients):
-        return None
-    return LinearSystem(sys, tuple(gradients))
-
-
-def _leibniz(p: MultiIndex) -> list[tuple[MultiIndex, MultiIndex, int]]:
-    """(q, p - q, p! / q!) for every q <= p, componentwise."""
-    out = []
+@lru_cache(maxsize=256)
+def _leibniz(p: MultiIndex) -> dict[tuple, tuple[tuple, int]]:
+    """p - q -> (q, p! / q!) for every q <= p, componentwise, each
+    multi-index as its tuple of entries."""
+    out = {}
     for q in multi_indices(p.n, p.order):
         if all(b <= a for a, b in zip(p.entries, q.entries)):
-            rest = MultiIndex(tuple(a - b for a, b in zip(p.entries, q.entries)))
-            out.append((q, rest, p.factorial() // q.factorial()))
+            rest = tuple(map(sub, p.entries, q.entries))
+            out[rest] = (q.entries, p.factorial() // q.factorial())
     return out
 
 
-def _stacked(linear: LinearSystem, x: Sequence, exact: bool):
-    """Matrix A and right-hand side b of every row (j, p) of the linear
-    system at x, rows in the order of ProlongedSystem.items() and columns
-    in jet_columns order, each entry a Fraction when `exact`, a float
-    otherwise.
+def _assemble(coefficients, offsets, indices, columns, exact: bool):
+    """Matrix A and right-hand side b of the prolonged rows (j, p) at a
+    point, for p in `indices` and then j in equation order, in the jet
+    `columns`; each entry a Fraction when `exact`, a float otherwise.
 
-    By the Leibniz rule the coefficient of u_{u,gamma} in D^p G_j is the
-    sum of (p!/q!) c_{p-q}(a_{j,u,alpha}) over alpha + q = gamma, q <= p,
-    where c is the Taylor series at x; and b = -p! c_p(f_j), with f_j the
-    equation at every jet zero."""
-    sys = linear.system
-    op = sys.operator
-    level, mode = sys.level, _mode(exact)
+    coefficients[j - 1] maps each jet (u, alpha) of G_j to the Taylor
+    series at the point of its coefficient a_{j,u,alpha} = dG_j/du_alpha,
+    and offsets[j - 1] is the series c_j of G_j (_equation_series).  By
+    the Leibniz rule the entry at row (j, p), column (u, alpha + q) is the
+    sum of (p!/q!) c_{p-q}(a_{j,u,alpha}) over q <= p, and b = -p! c_{j,p}.
+    A jet that is not a column counts as known: its terms are in c_j."""
+    index = {(u, q.entries): i for i, (u, q) in enumerate(columns)}
     zero = Fraction(0) if exact else 0.0
-    columns = jet_columns(op.n, op.k, sys.top_order)
-    index = {c: i for i, c in enumerate(columns)}
-    indices = multi_indices(op.n, level)
-    offsets = _equation_series(op, x, {}, level, exact)
-    # per coefficient a_{j,u,alpha}: its series and the column of each u_{alpha+q}
-    coefficients = [
-        [
-            (series(d, x, level, mode), {q: index[(u, alpha + q)] for q in indices})
-            for (u, alpha), d in g.items()
-        ]
-        for g in linear.coefficients
-    ]
     a, b = [], []
     for p in indices:
         terms, factor = _leibniz(p), p.factorial()
-        for offset, coeffs in zip(offsets, coefficients):
+        for g, offset in zip(coefficients, offsets):
+            entries: dict[int, object] = {}
+            for (u, alpha), s in g.items():
+                for rest, c in s.items():
+                    term = terms.get(rest.entries)
+                    if term is None:
+                        continue
+                    q, weight = term
+                    i = index.get((u, tuple(map(add, alpha.entries, q))))
+                    if i is not None:
+                        t = c if weight == 1 else weight * c
+                        entries[i] = entries[i] + t if i in entries else t
             row = [zero] * len(columns)
-            for s, column in coeffs:
-                for q, rest, weight in terms:
-                    c = s.get(rest)
-                    if c is not None:
-                        row[column[q]] += weight * c
+            for i, v in entries.items():
+                row[i] = v
             a.append(row)
             c = offset.get(p)
             b.append(zero if c is None else -(factor * c))
     return a, b
+
+
+def _stacked(sys: ProlongedSystem, x: Sequence, exact: bool):
+    """Matrix A and right-hand side b of every row (j, p) of an affine
+    system at x, rows in the order of ProlongedSystem.items() and columns
+    in jet_columns order (_assemble, with every jet a column)."""
+    op, level, mode = sys.operator, sys.level, _mode(exact)
+    # the partials of an affine system are jet-free
+    coefficients = [
+        {c: series(d, x, level, mode) for c, d in g.items()} for g in _base_gradients(sys)
+    ]
+    return _assemble(
+        coefficients,
+        _equation_series(op, x, {}, level, exact),
+        multi_indices(op.n, level),
+        jet_columns(op.n, op.k, sys.top_order),
+        exact,
+    )
 
 
 @dataclass(frozen=True)
@@ -210,8 +217,8 @@ def rank_condition(op: PdeOperator, x: Sequence, level: int) -> RankCertificate:
     return _certify(linear, x, [level])[0][0]
 
 
-def _certify(linear: LinearSystem, x: Sequence, levels: Sequence[int]):
-    """(certificate, residual floor or None when it holds) of the linear
+def _certify(linear: ProlongedSystem, x: Sequence, levels: Sequence[int]):
+    """(certificate, residual floor or None when it holds) of the affine
     system's restriction to each of `levels` at the point x: P = A and Q
     is A with the column b appended, from _stacked.
 
@@ -228,7 +235,7 @@ def _certify(linear: LinearSystem, x: Sequence, levels: Sequence[int]):
     The arithmetic is exact_arithmetic of the operator's equations at x:
     the coefficients of rational-closed equations are rational-closed.
     """
-    op = linear.system.operator
+    op = linear.operator
     _check_point(op, x)
     exact = exact_arithmetic(op.equations, x)
     a, b = _stacked(linear, x, exact)
@@ -334,9 +341,9 @@ def solve_jets_triangular(
     expr.exact_arithmetic makes the equations exact at x), by damped
     multistart Newton from the seed otherwise.  Each later level is affine
     in its newly introduced top-order jets and is solved by a minimum-norm
-    linear solve with the lower-order jets held fixed (_level_system); the
-    result is exact whenever level 0 was.  No row of the system above
-    level 0 is built.
+    linear solve with the lower-order jets held fixed.  Every level's
+    system is assembled at the point (_assemble); the result is exact
+    whenever level 0 was.  No row of the system above level 0 is built.
 
     Level l of the solve reads only the rows and jets of level <= l, so
     the point is solved once for all levels: result.levels[l] is the jet
@@ -347,13 +354,18 @@ def solve_jets_triangular(
     op = sys.operator
     _check_point(op, x)
     n, k, m = op.n, op.k, op.order
-    space = dict(zip(op.context.space_vars(), x))
     seed_vals = _seed_values(seed)
     base_cols = jet_columns(n, k, m)
+    for u, p in seed_vals:
+        if (u, p) not in base_cols:
+            raise ValueError(
+                f"seed key ({u}, {p}) is not a base jet coordinate: "
+                f"unknown 1..{k}, multi-index of {n} entries and order <= {m}"
+            )
     known = {c: seed_vals[c] for c in base_cols if c in seed_vals}
     gradients = _base_gradients(sys)
     if not _affine(gradients):
-        result = _solve_newton_base(sys, base_cols, space, seed_vals, tol)
+        result = _solve_newton_base(sys, base_cols, x, seed_vals, tol)
     else:
         if exact_arithmetic(op.equations, x) and not exact_arithmetic((), known.values()):
             raise ValueError(
@@ -362,21 +374,27 @@ def solve_jets_triangular(
             )
         free_cols = [c for c in base_cols if c not in known]
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
-        result = _solve_affine(
-            free_cols, *_base_system(op, gradients, free_cols, space, known, exact),
-            exact, tol, "inconsistent affine system at level 0",
-        )
         cast = Fraction if exact else float
         known = {c: cast(v) for c, v in known.items()}
+        a, b = _assemble(
+            _gradient_values(op, gradients, x, known, exact),
+            _equation_series(op, x, known, 0, exact),
+            [zero_index(n)], free_cols, exact,
+        )
+        result = _solve_affine(free_cols, a, b, exact, tol, "inconsistent affine system at level 0")
     lam = 0
     if result.status == "ok":
         known.update(result.values)
         # the arithmetic of level 0 carries to every later level
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
-        symbol = _symbol(op, gradients, space, known, exact)
+        coefficients = _gradient_values(op, gradients, x, known, exact)
         for lam in range(1, sys.level + 1):
-            offsets = _equation_series(op, x, known, sys.level, exact)
-            columns, a, b = _level_system(op, symbol, offsets, lam, exact)
+            columns = [(u, q) for q in multi_indices_of_order(n, m + lam) for u in range(1, k + 1)]
+            a, b = _assemble(
+                coefficients,
+                _equation_series(op, x, known, sys.level, exact),
+                multi_indices_of_order(n, lam), columns, exact,
+            )
             result = _solve_affine(columns, a, b, exact, tol, "inconsistent level")
             if result.status != "ok":
                 break
@@ -412,34 +430,15 @@ def solve_jets_triangular(
     return replace(levels[-1], levels=tuple(levels))
 
 
-def _values(op: PdeOperator, space: dict, jets: dict) -> dict:
-    """The assignment of the space variables and the jets {(u, q): value}."""
-    values = dict(space)
+def _gradient_values(op: PdeOperator, gradients, x, jets: dict, exact: bool) -> list[dict]:
+    """Per equation, each jet partial's value at x and the jets {(u, q):
+    value}, as a constant series: the coefficients of _assemble at a
+    level whose lower jets are known."""
+    evaluate = evaluate_exact if exact else evaluate_float
+    values = dict(zip(op.context.space_vars(), x))
     values.update({op.context.jet(u, q): v for (u, q), v in jets.items()})
-    return values
-
-
-def _base_system(op, gradients, columns, space, known, exact: bool):
-    """Matrix and right-hand side of the affine base equations in the jet
-    `columns`, the other base jets fixed at their `known` values."""
-    zero = Fraction(0) if exact else 0.0
-    evaluate = evaluate_exact if exact else evaluate_float
-    values = _values(op, space, known)
-    values.update({op.context.jet(u, q): zero for u, q in columns})
-    a = [[evaluate(g[c], values) if c in g else zero for c in columns] for g in gradients]
-    b = [-evaluate(e, values) for e in op.equations]
-    return a, b
-
-
-def _symbol(op, gradients, space, base: dict, exact: bool) -> list[dict[Column, object]]:
-    """S_j(u, alpha) = dG_j/du_{u,alpha} for |alpha| = m at the point and
-    the base jet, per equation: the coefficients of every level >= 1."""
-    evaluate = evaluate_exact if exact else evaluate_float
-    values = _values(op, space, base)
-    return [
-        {(u, alpha): evaluate(d, values) for (u, alpha), d in g.items() if alpha.order == op.order}
-        for g in gradients
-    ]
+    zero = zero_index(op.n)
+    return [{c: {zero: evaluate(d, values)} for c, d in g.items()} for g in gradients]
 
 
 def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) -> list[dict]:
@@ -459,34 +458,6 @@ def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) ->
     return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
 
 
-def _level_system(op: PdeOperator, symbol, offsets, lam: int, exact: bool):
-    """(columns, A, b) of level lam >= 1: the columns are its top-order
-    jets (u, beta), |beta| = m + lam, graded-lex then unknown, and the rows
-    (j, p) with |p| = lam come in the order of items().
-
-    The entry at row (j, p), column (u, alpha + p) is the symbol
-    S_j(u, alpha); the right-hand side is -p! c_{j,p}, with c_j from
-    _equation_series at the jets below order m + lam (the top-order jets
-    zero).  Every level takes its series at the solve's top order, so
-    that all levels share one series layout."""
-    columns = [
-        (u, q) for q in multi_indices_of_order(op.n, op.order + lam) for u in range(1, op.k + 1)
-    ]
-    index = {c: i for i, c in enumerate(columns)}
-    zero = Fraction(0) if exact else 0.0
-    a, b = [], []
-    for p in multi_indices_of_order(op.n, lam):
-        factor = p.factorial()
-        for s, offset in zip(symbol, offsets):
-            row = [zero] * len(columns)
-            for (u, alpha), value in s.items():
-                row[index[(u, alpha + p)]] = value
-            a.append(row)
-            c = offset.get(p)
-            b.append(zero if c is None else -(factor * c))
-    return columns, a, b
-
-
 def _solve_affine(columns, a, b, exact: bool, tol: float, detail: str) -> _LevelResult:
     """Minimum-norm solve of A y = b for the jets `columns`: exact when
     `exact`, float otherwise, with the residual floor deciding
@@ -504,12 +475,12 @@ def _solve_affine(columns, a, b, exact: bool, tol: float, detail: str) -> _Level
     return _LevelResult("ok", values, floor, "float")
 
 
-def _solve_newton_base(sys, cols, space, seed_vals, tol) -> _LevelResult:
+def _solve_newton_base(sys, cols, x, seed_vals, tol) -> _LevelResult:
     """Damped multistart Newton on the level-0 rows for the jets `cols`,
     through their residual and Jacobian compiled once per system."""
     present, residual, jacobian = sys.compiled_base
     width = len(present)
-    space_f = [float(v) for v in space.values()]
+    space_f = [float(v) for v in x]
 
     def fun(vec):
         return residual(space_f + vec)

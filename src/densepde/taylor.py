@@ -310,12 +310,6 @@ def _bump_profile(center, r_in, r_out, point, order: int) -> dict:
     return profile
 
 
-def bump_derivative(e: Bump, point: Sequence[Fraction]) -> float:
-    """D^deriv of the bump at a rational point of its transition annulus."""
-    [(_, src, factor)] = _shift_plan(e.deriv, 0)
-    return factor * _bump_profile(e.center, e.r_in, e.r_out, point, e.deriv.order)[src]
-
-
 # ---------------------------------------------------------------------------
 # the tree walk
 

@@ -58,7 +58,7 @@ def level_columns(op, lam):
 def level_system(system, x, known, lam, exact):
     """Level lam's rows in its top-order jets, the jets `known` below."""
     op = system.operator
-    rows = [(j, p) for j, p, _ in system.items_at_level(lam)]
+    rows = [(j, p) for j, p, _ in system.items() if p.order == lam]
     return row_system(system, rows, level_columns(op, lam), assignment(op, x, known), exact)
 
 

@@ -1,8 +1,9 @@
 """The range analysis assembles each level's system, the stacked rows of
 a linear operator and the level residuals at the point, from the level-0
-jet gradients and the Taylor series of the base equations.  Each must
-equal the prolonged-row reference (tests/reference.py): Fraction for
-Fraction on rational data, to 1e-12 relative in floats.
+jet gradients and the Taylor series of the base equations, all through
+one Leibniz-rule assembly (ranges._assemble).  Each must equal the
+prolonged-row reference (tests/reference.py): Fraction for Fraction on
+rational data, to 1e-12 relative in floats.
 """
 
 import math
@@ -13,14 +14,15 @@ import pytest
 from densepde import jets
 from densepde.construct import DensePointStream, construct_sequence
 from densepde.jets import Jet, parse_pde_text, prolong
-from densepde.multiindex import multi_indices
+from densepde.multiindex import multi_indices, multi_indices_of_order, zero_index
 from densepde.ranges import (
+    _assemble,
     _base_gradients,
     _equation_series,
-    _level_system,
+    _gradient_values,
     _residuals,
     _stacked,
-    _symbol,
+    jet_columns,
     linearize,
     range_condition_check,
     rank_condition,
@@ -75,18 +77,39 @@ def below(values, order):
 
 def level_systems(op, top, x, exact):
     """(assembled, reference) level systems for levels 1..top, every one
-    at the same jet values below its top order."""
+    at the same jet values below its top order, assembled as the solver
+    does: the coefficients are the gradient values at the base jets."""
     system = prolong(op, top)
     values = some_jet(op, op.order + top, exact)
-    space = dict(zip(op.context.space_vars(), x))
     base = below(values, op.order + 1)
-    symbol = _symbol(op, _base_gradients(system), space, base, exact)
+    coefficients = _gradient_values(op, _base_gradients(system), x, base, exact)
     for lam in range(1, top + 1):
         known = below(values, op.order + lam)
         offsets = _equation_series(op, x, known, top, exact)
+        columns = reference.level_columns(op, lam)
         yield (
-            _level_system(op, symbol, offsets, lam, exact),
-            (reference.level_columns(op, lam), *reference.level_system(system, x, known, lam, exact)),
+            _assemble(coefficients, offsets, multi_indices_of_order(op.n, lam), columns, exact),
+            reference.level_system(system, x, known, lam, exact),
+        )
+
+
+def base_systems(op, x, exact):
+    """(assembled, reference) level-0 systems of an affine base: in every
+    base jet, and with the first base jet pinned to a seed value."""
+    system = prolong(op, 0)
+    gradients = _base_gradients(system)
+    rows = [(j, zero_index(op.n)) for j in range(1, op.r + 1)]
+    base_cols = jet_columns(op.n, op.k, op.order)
+    pin = F(3, 7) if exact else 3 / 7
+    for known in ({}, {base_cols[0]: pin}):
+        columns = [c for c in base_cols if c not in known]
+        yield (
+            _assemble(
+                _gradient_values(op, gradients, x, known, exact),
+                _equation_series(op, x, known, 0, exact),
+                [zero_index(op.n)], columns, exact,
+            ),
+            reference.row_system(system, rows, columns, reference.assignment(op, x, known), exact),
         )
 
 
@@ -100,11 +123,34 @@ def assert_close(got, want):
 @pytest.mark.parametrize("op,top,points", EXACT, ids=EXACT_IDS)
 def test_exact_level_systems_equal_the_prolonged_rows(op, top, points):
     for x in points:
-        for (columns, a, b), (ref_columns, ref_a, ref_b) in level_systems(op, top, x, True):
-            assert columns == ref_columns
+        for (a, b), (ref_a, ref_b) in level_systems(op, top, x, True):
             assert a == ref_a and b == ref_b
             assert all(type(v) is F for row in a for v in row)
             assert all(type(v) is F for v in b)
+
+
+@pytest.mark.parametrize(
+    "op,x",
+    [
+        (LEWY, (F(1, 2), F(-1, 2), F(1, 4))),
+        (POISSON, (F(1, 2), F(1, 4))),
+        (TRANSPORT, (F(1, 3),)),
+        (EXP_COEFFICIENT, (F(1, 2), F(1, 3))),
+    ],
+    ids=["lewy", "poisson", "transport", "exp-coefficient"],
+)
+def test_affine_base_systems_equal_the_prolonged_rows(op, x):
+    exact = op is not EXP_COEFFICIENT
+    for (a, b), (ref_a, ref_b) in base_systems(op, x, exact):
+        if exact:
+            assert a == ref_a and b == ref_b
+            assert all(type(v) is F for row in a for v in row)
+            assert all(type(v) is F for v in b)
+        else:
+            assert len(a) == len(ref_a)
+            for row, ref_row in zip(a, ref_a):
+                assert_close(row, ref_row)
+            assert_close(b, ref_b)
 
 
 @pytest.mark.parametrize("op,top,points", EXACT, ids=EXACT_IDS)
@@ -119,8 +165,7 @@ def test_exact_stacked_rows_equal_the_prolonged_rows(op, top, points):
 
 @pytest.mark.parametrize("op,top,x", FLOAT, ids=FLOAT_IDS)
 def test_float_level_systems_match_the_prolonged_rows(op, top, x):
-    for (columns, a, b), (ref_columns, ref_a, ref_b) in level_systems(op, top, x, False):
-        assert columns == ref_columns
+    for (a, b), (ref_a, ref_b) in level_systems(op, top, x, False):
         for row, ref_row in zip(a, ref_a):
             assert_close(row, ref_row)
         assert_close(b, ref_b)

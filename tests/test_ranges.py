@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -355,6 +356,15 @@ class TestPerLevelResults:
         # a nonlinear base is solved in floats: a float seed is a start
         res = solve_jets_triangular(prolong(op(EIKONAL), 0), (F(0), F(0)), seed={(1, (1, 0)): 0.5})
         assert res.solved
+
+    @pytest.mark.parametrize(
+        "key", [(1, (0, 0)), (2, (0,)), (1, (2,))], ids=["dimension", "unknown", "order"]
+    )
+    def test_seed_key_outside_the_base_jets_rejected(self, key):
+        # a pin the solve cannot honour is an error, not silently dropped
+        sys = prolong(op(TRANSPORT), 1)
+        with pytest.raises(ValueError, match=re.escape(f"seed key ({key[0]}, {MultiIndex(key[1])})")):
+            solve_jets_triangular(sys, (F(1, 2),), seed={key: 2})
 
     def test_float_point_takes_a_float_seed(self):
         # the arithmetic follows the equations and the point as well as
