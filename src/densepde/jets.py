@@ -93,17 +93,22 @@ class PdeOperator:
                 raise ValueError("degenerate domain interval")
         if not self.equations:
             raise ValueError("need at least one equation")
+        for v in self.jet_variables:
+            if v.order > m:
+                raise ValueError(
+                    f"jet {v.name} of order {v.order} exceeds declared order {m}"
+                )
+            if not 1 <= v.unknown <= k:
+                raise ValueError(f"unknown index {v.unknown} out of range")
         for g in self.equations:
-            for v in jet_variables(g):
-                if v.order > m:
-                    raise ValueError(
-                        f"jet {v.name} of order {v.order} exceeds declared order {m}"
-                    )
-                if not 1 <= v.unknown <= k:
-                    raise ValueError(f"unknown index {v.unknown} out of range")
             for v in free_variables(g):
                 if isinstance(v, SpaceVar) and not 1 <= v.axis <= n:
                     raise ValueError(f"axis {v.axis} out of range")
+
+    @cached_property
+    def jet_variables(self) -> frozenset:
+        """Every jet variable that occurs in the equations."""
+        return frozenset(v for g in self.equations for v in jet_variables(g))
 
     @property
     def n(self) -> int:

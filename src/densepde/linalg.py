@@ -11,10 +11,14 @@ Bareiss elimination with a single division at the end.  No Fraction is
 built until the answer, so every rank and solution is exact.
 
 The float routines share one Householder QR with column pivoting, in
-pure Python on lists.  Ranks count the pivots above an explicit relative
-tolerance; least-squares solves add a second QR of the leading rows (a
-complete orthogonal decomposition) for the minimum-norm solution.  Every
-norm is a math.hypot, finite whenever the norm itself is representable.
+pure Python on lists.  Ranks factor A and count the pivots above an
+explicit relative tolerance.  Least-squares solves factor A^T, whose
+columns are A's rows, as the first half of a complete orthogonal
+decomposition: when A has full numerical row rank, a forward
+substitution and the reflectors of that one QR give the minimum-norm
+solution, and only a rank-deficient or tall A needs a second QR, which
+also gives the residual floor.  Every norm is a math.hypot, finite
+whenever the norm itself is representable.
 """
 
 from __future__ import annotations
@@ -243,36 +247,58 @@ def _lstsq_cutoff(matrix) -> float:
     return EPS * max(len(matrix), len(matrix[0]) if len(matrix) else 0)
 
 
+def _least_squares(a, b) -> tuple[list[float], float]:
+    """(x, floor): the minimum-norm least-squares solution of A x = b and
+    its residual norm, from one complete orthogonal decomposition (Golub &
+    Van Loan, 5.5.2) that starts from A^T.
+
+    The pivoted QR A^T Pi = Q [S; 0] stops at the numerical rank r, with S
+    = [S11 S12] of r rows.  Then Pi^T A = [S^T 0] Q^T, so x = Q [y; 0]
+    with y the least-squares solution of S^T y = Pi^T b, where S^T has
+    full column rank.  When r is A's row count, S^T = S11^T is lower
+    triangular: y is one forward substitution and the residual is 0.  A
+    rank-deficient or tall A needs a second QR, S^T P = Z [T; 0] with
+    Pi^T b reflected along, which gives y by back substitution and the
+    floor as the norm of the reflected tail."""
+    cols = [[float(v) for v in row] for row in a]
+    n = len(cols[0]) if cols else 0
+    rank, _, order, reflectors = _pivoted_qr(cols, _lstsq_cutoff(a))
+    c = [float(b[i]) for i in order]
+    if rank == len(cols):
+        y = []
+        for i in range(rank):
+            s = cols[i]
+            y.append((c[i] - sum(map(mul, s[:i], y))) / s[i])
+        floor = 0.0
+    else:
+        # the columns of S^T; cutoff 0: S^T has full column rank, so this
+        # stops only on exact zeros
+        s_rows = [[col[i] for col in cols] for i in range(rank)]
+        kept, _, row_order, _ = _pivoted_qr(s_rows, 0.0, [c])
+        z = [0.0] * kept
+        for i in range(kept - 1, -1, -1):
+            t = sum(s_rows[j][i] * z[j] for j in range(i + 1, kept))
+            z[i] = (c[i] - t) / s_rows[i][i]
+        y = [0.0] * rank
+        for j, v in zip(row_order, z):
+            y[j] = v
+        floor = hypot(*c[kept:])
+    x = y + [0.0] * (n - rank)
+    for k in range(rank - 1, -1, -1):
+        _reflect(reflectors[k], x, k)
+    return x, floor
+
+
 def float_least_norm(a, b) -> list[float]:
     """Minimum-norm least-squares solution of A x = b by a complete
-    orthogonal decomposition (Golub & Van Loan, 5.5.2).
-
-    The pivoted QR A P = Q [R1; R2] drops R2 below the cutoff, and a
-    second one factors R1^T Pi = Z [T; 0].  Then R1 P^T x = (Q^T b)_1
-    reads T^T w = Pi^T (Q^T b)_1 with x = P Z [w; 0]: a triangular solve
-    whose solution has no component in the null space."""
-    cols = _columns(a)
-    c = [float(v) for v in b]
-    rank, _, order, _ = _pivoted_qr(cols, _lstsq_cutoff(a), [c])
-    rows = [[col[i] for col in cols] for i in range(rank)]
-    # cutoff 0: R1 has full row rank, so this stops only on exact zeros
-    kept, _, row_order, reflectors = _pivoted_qr(rows, 0.0)
-    w = []
-    for i in range(kept):
-        t = rows[i]
-        w.append((c[row_order[i]] - sum(map(mul, t[:i], w))) / t[i])
-    y = w + [0.0] * (len(cols) - kept)
-    for k in range(kept - 1, -1, -1):
-        _reflect(reflectors[k], y, k)
-    x = [0.0] * len(cols)
-    for j, v in zip(order, y):
-        x[j] = v
-    return x
+    orthogonal decomposition that starts from a pivoted QR of A^T
+    (_least_squares): a triangular solve whose solution has no component
+    in the null space of A."""
+    return _least_squares(a, b)[0]
 
 
 def residual_floor(a, b) -> float:
-    """Norm of the least-squares residual: how close A x = b can get.
-    It is the part of Q^T b below the numerical rank of A."""
-    c = [float(v) for v in b]
-    rank, _, _, _ = _pivoted_qr(_columns(a), _lstsq_cutoff(a), [c])
-    return hypot(*c[rank:])
+    """Norm of the least-squares residual: how close A x = b can get.  It
+    comes from the same factorization and rank decision as
+    float_least_norm's solution."""
+    return _least_squares(a, b)[1]

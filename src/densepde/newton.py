@@ -56,12 +56,13 @@ def damped_newton(
             j = [[float(v) for v in row] for row in jac(x)]
         except EvaluationError:
             return NewtonResult(False, x, res, False, it)
-        # J^T F, the gradient of |F|^2 / 2, is taken of F / |F| so that
-        # no product overflows
+        # stationary when |J^T F| <= STATIONARY_TOL * |F|: J^T F, the
+        # gradient of |F|^2 / 2, is taken of F / |F|, so that no product
+        # overflows and a start one step from a root is not stationary
         scale = res or 1.0
         unit = [v / scale for v in f]
         grad = [sum(map(mul, col, unit)) for col in zip(*j)]
-        if math.hypot(*grad) <= STATIONARY_TOL * max(1.0, res) / scale:
+        if math.hypot(*grad) <= STATIONARY_TOL:
             return NewtonResult(False, x, res, True, it)
         step = float_least_norm(j, [-v for v in f])
         if not all(map(math.isfinite, step)):

@@ -453,7 +453,7 @@ def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) ->
         scaled[u][q] = value / q.factorial()
     bindings = {
         v: shift(scaled[v.unknown], v.index, order)
-        for v in {v for g in op.equations for v in jet_variables(g)}
+        for v in op.jet_variables
     }
     return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
 

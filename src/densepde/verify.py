@@ -365,7 +365,6 @@ def verify_solution(
         return VerificationResult(True, True, arithmetic, tol, (), ())
     top = max(seq.orders)
     approximate = [not stage.exact for stage in seq.stages]
-    jets = {v for g in op.equations for v in jet_variables(g)}
     stages = [seq.stage_expressions(mu) for mu in range(seq.stage_count)]
     bindings: dict[tuple[int, int], dict] = {}
 
@@ -377,7 +376,8 @@ def verify_solution(
                 series(u, seq.points[i], top + op.order, mode) for u in stages[mu]
             ]
             bindings[(mu, i)] = {
-                v: shift(components[v.unknown - 1], v.index, top) for v in jets
+                v: shift(components[v.unknown - 1], v.index, top)
+                for v in op.jet_variables
             }
         return bindings[(mu, i)]
 

@@ -277,9 +277,15 @@ def test_float_least_norm_and_floor_match_lstsq(system):
     na, nb = np.array(a), np.array(b)
     x, *_ = np.linalg.lstsq(na, nb, rcond=None)
     scale = max(1.0, float(np.abs(x).max()))
-    assert np.allclose(float_least_norm(a, b), x, rtol=1e-9, atol=1e-9 * scale)
+    mine = float_least_norm(a, b)
+    assert np.allclose(mine, x, rtol=1e-9, atol=1e-9 * scale)
     floor = float(np.linalg.norm(na @ x - nb))
     assert np.isclose(residual_floor(a, b), floor, rtol=1e-9, atol=1e-9 * np.linalg.norm(nb))
+    # the floor is the residual of the returned solution: one rank decision
+    mine_floor = float(np.linalg.norm(na @ np.array(mine) - nb))
+    assert np.isclose(
+        residual_floor(a, b), mine_floor, rtol=1e-9, atol=1e-9 * np.linalg.norm(nb)
+    )
 
 
 def test_float_kernel_takes_arrays():

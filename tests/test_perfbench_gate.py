@@ -64,4 +64,4 @@ def test_traced_iteration_pins_the_newton_path():
     counters = iteration("eikonal-float", 1)["counters"]
     assert counters["newton.multistart_calls"] == 132
     assert counters["newton.starts"] == 1056
-    assert counters["newton.iterations"] == 4036
+    assert counters["newton.iterations"] == 4512

@@ -58,6 +58,16 @@ domain: (-1,1) (-1,1)
 eq: u_x^2 + u_y^2 - 1 - x^2
 """
 
+# a stationarity test on |J^T F| alone stops every fill start within 1e-9
+# of a root, where |J^T F| / |F| is far from 0
+EIKONAL_SMALL = """
+dim: 2
+vars: x y
+order: 1
+domain: (-1,1) (-1,1)
+eq: u_x^2 + u_y^2 - (1/997) - x^2
+"""
+
 # consistent where x = 0 only: level l has rank P = l + 1 < rank Q
 SPLIT = """
 dim: 1
@@ -441,6 +451,22 @@ class TestNewtonStarts:
         result = damped_newton(lambda x: [big * x[0] - big], lambda x: [[big]], [0.0])
         assert result.converged and not result.stationary
         assert result.x == [1.0] and result.iterations == 1
+
+    def test_start_near_a_root_is_not_stationary(self):
+        # |J^T F| = 2 |x| |F|, about 0.8 |F| near the root: below 1e-8 once
+        # |F| is, but far from stationary relative to |F|
+        result = damped_newton(
+            lambda x: [x[0] ** 2 + x[1] ** 2 - 6 / 37],
+            lambda x: [[2 * x[0], 2 * x[1]]],
+            [1.0, 1.0],
+        )
+        assert result.converged and not result.stationary
+        assert math.hypot(*result.x) == pytest.approx(math.sqrt(6 / 37))
+
+    def test_small_eikonal_constant_is_solved(self):
+        report = range_condition_check(op(EIKONAL_SMALL), [(F(0), F(0)), (F(0), F(1, 2))], 1)
+        assert [e.outcome for e in report.entries] == ["solved"] * 4
+        assert all(e.residual <= 1e-12 for e in report.entries)
 
     def test_failed_first_evaluation(self):
         def fun(x):
