@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -31,6 +31,7 @@ from .jets import Jet, PdeOperator, apply_operator, prolong
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 from .ranges import JetSolveResult, solve_jets_triangular
+from .taylor import series
 
 Point = tuple[Fraction, ...]
 Box = tuple[tuple[Fraction, Fraction], ...]
@@ -158,6 +159,20 @@ def make_bumps(
     r_out = SHRINK * min(half the distance to the nearest other point,
     distance to the box boundary); r_in = r_out / 2.
     """
+    prefixes = bump_prefixes(points, box, context)
+    return list(prefixes[-1]) if prefixes else []
+
+
+def bump_prefixes(
+    points: Sequence[Point],
+    box: Box,
+    context: Context,
+) -> list[tuple[BumpFunction, ...]]:
+    """Entry nu: the bumps make_bumps gives for points[:nu + 1], from one
+    pass.  Each pair's half distance is computed once, when the later
+    point joins; every point keeps the running minimum of its boundary
+    distance and its half distances to the points joined so far, and its
+    bump is rebuilt only when that minimum shrinks."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
@@ -168,21 +183,26 @@ def make_bumps(
             )
         if not all(lo < c < hi for c, (lo, hi) in zip(p, box)):
             raise ValueError(f"point {p} not strictly inside the box")
+    limits: list[Fraction] = []
+    bumps: list[BumpFunction] = []
     out = []
-    for a in pts:
-        boundary = min(
-            min(c - lo, hi - c) for c, (lo, hi) in zip(a, box)
-        )
-        limit = boundary
-        for b in pts:
-            if b is a:
-                continue
-            d2 = sum((ca - cb) ** 2 for ca, cb in zip(a, b))
-            half = _sqrt_lower(d2) / 2
+    for nu, a in enumerate(pts):
+        limit = min(min(c - lo, hi - c) for c, (lo, hi) in zip(a, box))
+        for i, b in enumerate(pts[:nu]):
+            half = _sqrt_lower(sum((ca - cb) ** 2 for ca, cb in zip(a, b))) / 2
             limit = min(limit, half)
-        r_out = SHRINK * limit
-        out.append(BumpFunction(context, a, r_out / 2, r_out))
+            if half < limits[i]:
+                limits[i] = half
+                bumps[i] = _bump(context, b, half)
+        limits.append(limit)
+        bumps.append(_bump(context, a, limit))
+        out.append(tuple(bumps))
     return out
+
+
+def _bump(context: Context, center: Point, limit: Fraction) -> BumpFunction:
+    r_out = SHRINK * limit
+    return BumpFunction(context, center, r_out / 2, r_out)
 
 
 # ---------------------------------------------------------------------------
@@ -210,9 +230,10 @@ def taylor_from_jet(context: Context, a: Point, jet: Jet) -> list[Expr]:
 
 class TaylorPolynomials:
     """The Taylor polynomial of each point's jet, built once for as long
-    as the point keeps an equal jet (same order, same values): a staged
-    sequence glues one polynomial per point into every stage that reads
-    the same jet.  A point whose jet changes gets a new polynomial."""
+    as the point keeps an equal jet (same order, same values): the stages
+    of a sequence share one, so reading their glued functions in stage
+    order expands each (point, jet) once.  A point whose jet changes gets
+    a new polynomial."""
 
     def __init__(self, context: Context):
         self.context = context
@@ -274,17 +295,65 @@ class SolveFailure(Exception):
 
 @dataclass(frozen=True)
 class DiscreteSolve:
-    """Result of solving on a finite point set: one assembled function per
-    unknown, with the jets and bumps that built it."""
+    """Result of solving on a finite point set: the jet at each point and
+    the bumps centred on the points, both in point order.  The glued
+    functions, one per unknown, are derived from them when first read,
+    with the polynomials of `polynomials`."""
 
-    functions: tuple[AssembledFunction, ...]
     jets: dict[Point, Jet]
-    bumps: list[BumpFunction]
+    bumps: tuple[BumpFunction, ...]
     level: int
+    polynomials: TaylorPolynomials = field(repr=False, compare=False)
 
     @property
     def exact(self) -> bool:
         return all(j.exact for j in self.jets.values())
+
+    @cached_property
+    def functions(self) -> tuple[AssembledFunction, ...]:
+        context = self.polynomials.context
+        polys = [self.polynomials(b.center, self.jets[b.center]) for b in self.bumps]
+        return tuple(
+            AssembledFunction(
+                context, tuple((bump, poly[unknown]) for bump, poly in zip(self.bumps, polys))
+            )
+            for unknown in range(context.k)
+        )
+
+    def component_series(
+        self, point: Point, order: int, mode: str = "auto"
+    ) -> list[dict[MultiIndex, Fraction | float]]:
+        """Per unknown, taylor.series of the glued function at the point,
+        read off the jets and bumps.  The supports are disjoint, so at most
+        one holds the point; where none does, every series is empty.  At
+        the bump's own centre the bump is 1 to every order, and c_p is the
+        jet's D^p u / p! (|p| <= order), a Fraction unless mode is "float".
+        Elsewhere in the support it is the series of that one bump *
+        polynomial piece."""
+        context = self.polynomials.context
+        for bump in self.bumps:
+            t = sum((x - c) ** 2 for x, c in zip(point, bump.center))
+            if t < bump.r_out ** 2:
+                break
+        else:
+            return [{} for _ in range(context.k)]
+        jet = self.jets[bump.center]
+        if t:  # off the centre: a later point of the sequence
+            return [
+                series(sprod([bump.node(), poly]), point, order, mode)
+                for poly in self.polynomials(bump.center, jet)
+            ]
+        number = float if mode == "float" else Fraction
+        indices = multi_indices(context.n, min(order, jet.order))
+        out = []
+        for unknown in range(1, context.k + 1):
+            coefficients = {}
+            for p in indices:
+                value = jet.value(unknown, p)
+                if value:
+                    coefficients[p] = number(Fraction(value) / p.factorial())
+            out.append(coefficients)
+        return out
 
 
 def solve_on_discrete_set(
@@ -294,9 +363,9 @@ def solve_on_discrete_set(
     tol: float = 1e-12,
     seed=None,
 ) -> DiscreteSolve:
-    """Solve the prolonged system at each point, take the Taylor
-    polynomial of the solved jet, and glue the pieces with disjoint
-    bumps.  Raises SolveFailure at the first unsolvable point."""
+    """Solve the prolonged system at each point and glue the Taylor
+    polynomials of the solved jets with disjoint bumps.  Raises
+    SolveFailure at the first unsolvable point."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     sys = prolong(op, level)
     jets: dict[Point, Jet] = {}
@@ -305,31 +374,26 @@ def solve_on_discrete_set(
         if not res.solved:
             raise SolveFailure(a, res)
         jets[a] = res.jet
-    return glue(op, pts, jets, level, TaylorPolynomials(op.context))
+    bumps = tuple(make_bumps(pts, op.domain, op.context))
+    return DiscreteSolve(jets, bumps, level, TaylorPolynomials(op.context))
 
 
 def glue(
     op: PdeOperator,
     points: Sequence[Point],
-    jets: dict[Point, Jet],
-    level: int,
-    polynomials: TaylorPolynomials,
-) -> DiscreteSolve:
-    """Glue the Taylor polynomial of each point's jet, taken from
-    `polynomials`, with disjoint bumps centred on the points: one
-    assembled function per unknown.  A caller that glues several stages
-    passes one TaylorPolynomials to all of them, so that an unchanged jet
-    is expanded once."""
-    bumps = make_bumps(points, op.domain, op.context)
-    polys = {a: polynomials(a, jets[a]) for a in points}
-    functions = tuple(
-        AssembledFunction(
-            op.context,
-            tuple((bump, polys[a][unknown]) for bump, a in zip(bumps, points)),
-        )
-        for unknown in range(op.k)
+    stage_jets: Sequence[dict[Point, Jet]],
+    orders: Sequence[int],
+) -> tuple[DiscreteSolve, ...]:
+    """The stages of a sequence: stage nu glues the jets stage_jets[nu] at
+    points[:nu + 1], solved at level orders[nu], with the bumps of that
+    prefix.  The stages share one TaylorPolynomials and build no
+    polynomial until their functions are read."""
+    polynomials = TaylorPolynomials(op.context)
+    prefixes = bump_prefixes(points, op.domain, op.context)
+    return tuple(
+        DiscreteSolve(jets, bumps, level, polynomials)
+        for jets, bumps, level in zip(stage_jets, prefixes, orders)
     )
-    return DiscreteSolve(functions, jets, bumps, level)
 
 
 # ---------------------------------------------------------------------------
@@ -393,16 +457,15 @@ def construct_sequence(
 
     Each point is solved once, when a stage first uses it, at the last
     stage's level; stage nu reads each of its points' results at level
-    l_nu (the triangular solve reports every level) and glues them.  A
-    point's Taylor polynomial is built once per level it is glued at."""
+    l_nu (the triangular solve reports every level), and glue builds the
+    stages from those jets."""
     pts = [tuple(Fraction(c) for c in p) for p in points]
     orders = validate_schedule(orders)
     if len(pts) != len(orders):
         raise ValueError("need one level per stage")
     top = prolong(op, orders[-1]) if orders else None
     solves: dict[Point, JetSolveResult] = {}
-    polynomials = TaylorPolynomials(op.context)
-    stages: list[DiscreteSolve] = []
+    stage_jets: list[dict[Point, Jet]] = []
     for nu, level in enumerate(orders):
         jets: dict[Point, Jet] = {}
         for a in pts[: nu + 1]:
@@ -412,12 +475,15 @@ def construct_sequence(
             if not res.solved:
                 failure = SolveFailure(a, res)
                 partial = SolutionSequence(
-                    op, tuple(pts[:nu]), tuple(orders[:nu]), tuple(stages)
+                    op, tuple(pts[:nu]), tuple(orders[:nu]),
+                    glue(op, pts[:nu], stage_jets, orders[:nu]),
                 )
                 raise ConstructionError(nu, failure, partial) from failure
             jets[a] = res.jet
-        stages.append(glue(op, pts[: nu + 1], jets, level, polynomials))
-    return SolutionSequence(op, tuple(pts), tuple(orders), tuple(stages))
+        stage_jets.append(jets)
+    return SolutionSequence(
+        op, tuple(pts), tuple(orders), glue(op, pts, stage_jets, orders)
+    )
 
 
 # ---------------------------------------------------------------------------

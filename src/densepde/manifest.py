@@ -4,14 +4,14 @@ A manifest (version 3) stores only what cannot be recomputed: the
 operator specification, the points, the level schedule and, per stage,
 the solved jet at each of its points.  Each stage record is exactly
 ``{"jets": [...]}``: stage nu holds the jets at z_0..z_nu at level l_nu,
-in point order.  The bumps, the Taylor polynomials and the glued
-functions are rebuilt on load by the same routine that built them
-(``construct.glue``), so verification checks the stored jets themselves;
-an edited jet still verifies only where it is another solution.  Loading
-rejects unknown or missing keys (top level, operator, stage and jet
-records), an operator whose dim differs from its number of variables or
-domain intervals, a stage count other than the point count, a stage
-without exactly one jet per stage point, a jet whose order is not
+in point order.  The bumps are rebuilt on load by the same routine that
+built them (``construct.glue``), and the glued functions are derived from
+the stored jets when read, so verification checks the stored jets
+themselves; an edited jet still verifies only where it is another
+solution.  Loading rejects unknown or missing keys (top level, operator,
+stage and jet records), an operator whose dim differs from its number of
+variables or domain intervals, a stage count other than the point count,
+a stage without exactly one jet per stage point, a jet whose order is not
 m + l_nu, a jet whose values do not match its arithmetic flag (exact:
 strings, float: numbers), and a float jet of an operator whose jets are
 exact at every rational point (rational-closed equations, affine in the
@@ -27,7 +27,7 @@ import json
 import os
 import tempfile
 from fractions import Fraction
-from .construct import SolutionSequence, TaylorPolynomials, glue, validate_schedule
+from .construct import SolutionSequence, glue, validate_schedule
 from .jets import Jet, PdeOperator
 from .multiindex import MultiIndex
 from .parser import Context, parse_expression, parse_rational
@@ -135,10 +135,8 @@ def sequence_from_json(data: dict) -> SolutionSequence:
     orders = tuple(validate_schedule(data["orders"]))
     if not len(points) == len(orders) == len(data["stages"]):
         raise ValueError("need one level and one stage per point")
-    stages = []
+    stage_jets = []
     exact_only = None  # solves_exactly(op), decided at the first float jet
-    # reused by a later stage only where it stores an equal jet
-    polynomials = TaylorPolynomials(ctx)
     for nu, record in enumerate(data["stages"]):
         _check_keys(f"stage {nu}", record, {"jets"})
         pts = points[: nu + 1]
@@ -158,8 +156,8 @@ def sequence_from_json(data: dict) -> SolutionSequence:
                     f"stage {nu}: float jet, but the operator is solved "
                     "exactly at rational points"
                 )
-        stages.append(glue(op, pts, jets, orders[nu], polynomials))
-    return SolutionSequence(op, points, orders, tuple(stages))
+        stage_jets.append(jets)
+    return SolutionSequence(op, points, orders, glue(op, points, stage_jets, orders))
 
 
 # ---------------------------------------------------------------------------

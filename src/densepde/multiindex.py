@@ -7,15 +7,28 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@dataclass(frozen=True, order=False)
+@dataclass(frozen=True, eq=False)
 class MultiIndex:
-    """A tuple p of non-negative integers addressing the mixed partial D^p."""
+    """A tuple p of non-negative integers addressing the mixed partial D^p.
+
+    Multi-indices key most dicts of the package, so the hash is computed
+    once, with the value a generated dataclass hash has, hash((entries,)):
+    set and dict orders do not depend on this caching."""
 
     entries: tuple[int, ...]
 
     def __post_init__(self):
         if any(e < 0 for e in self.entries):
             raise ValueError(f"negative entry in multi-index {self.entries}")
+        object.__setattr__(self, "_hash", hash((self.entries,)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
 
     @property
     def n(self) -> int:

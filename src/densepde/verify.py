@@ -352,8 +352,11 @@ def verify_solution(
     at each point, and yields both the witness report and the pass/fail
     verdict.  No error term is built symbolically: G_j is evaluated in
     series arithmetic with each jet variable (u, alpha) bound to the
-    alpha-shift of the series of stage nu's component u, computed once per
-    (stage, point) to the top order plus the operator order.  Only the
+    alpha-shift of the series of stage nu's component u, read off the
+    stage's jets and bumps (DiscreteSolve.component_series) once per
+    (stage, point) to the top order plus the operator order.  Where a
+    stage is zero near a point, the bindings are empty and the series of
+    G_j there is computed once for all such stages.  Only the
     pass/fail entries (point z_i with i <= nu, |p| <= l_nu) use the
     requested arithmetic, decide the "exact" label and may raise
     ExactnessUnavailable in "exact" mode.  The rest of the witness scan
@@ -365,29 +368,37 @@ def verify_solution(
         return VerificationResult(True, True, arithmetic, tol, (), ())
     top = max(seq.orders)
     approximate = [not stage.exact for stage in seq.stages]
-    stages = [seq.stage_expressions(mu) for mu in range(seq.stage_count)]
-    bindings: dict[tuple[int, int], dict] = {}
+    bindings: dict[tuple[int, int], dict | None] = {}
+    unbound = {v: {} for v in op.jet_variables}
 
-    def stage_jets(mu: int, i: int, mode: str) -> dict:
+    def stage_jets(mu: int, i: int, mode: str) -> dict | None:
         """Each jet variable (u, alpha) of the equations bound to the
-        alpha-shift of the series of stage mu's component u at z_i."""
+        alpha-shift of the series of stage mu's component u at z_i; None
+        where every component's series there is empty."""
         if (mu, i) not in bindings:
-            components = [
-                series(u, seq.points[i], top + op.order, mode) for u in stages[mu]
-            ]
+            components = seq.stages[mu].component_series(
+                seq.points[i], top + op.order, mode
+            )
             bindings[(mu, i)] = {
                 v: shift(components[v.unknown - 1], v.index, top)
                 for v in op.jet_variables
-            }
+            } if any(components) else None
         return bindings[(mu, i)]
 
     reports: list[VanishingReport] = []
     failures: list[VerificationFailure] = []
     all_exact = True
     for j, g in enumerate(op.equations, start=1):
+        zero_stage: dict[tuple[int, int, str], dict] = {}
 
-        def term_series(mu, i, order, mode, g=g):
-            return series(g, seq.points[i], order, mode, stage_jets(mu, i, mode))
+        def term_series(mu, i, order, mode, g=g, zero_stage=zero_stage):
+            jets = stage_jets(mu, i, mode)
+            if jets is not None:
+                return series(g, seq.points[i], order, mode, jets)
+            key = (i, order, mode)
+            if key not in zero_stage:
+                zero_stage[key] = series(g, seq.points[i], order, mode, unbound)
+            return zero_stage[key]
 
         report, decided = _scan(
             approximate, seq.points, [top] * len(seq.points), arithmetic, tol,

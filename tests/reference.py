@@ -1,4 +1,4 @@
-"""The prolonged-row reference for the range analysis.
+"""Direct references for the pipeline's faster routines.
 
 densepde.ranges assembles each level's system, the stacked rows of a
 linear operator and the level residuals at the point, from the level-0
@@ -6,10 +6,15 @@ jet gradients and Taylor series of the base equations.  The functions
 here compute the same objects the direct way: build the rows D^p G_j of
 prolong(op, L) as expressions in jet space, take their jet gradients, and
 evaluate both at the point.  The tests compare the two.
+
+densepde.construct builds the bumps of every prefix of a point sequence
+in one pass; set_bumps computes the bumps of one point set by the
+per-set loop over every pair.
 """
 
 from fractions import Fraction
 
+from densepde.construct import SHRINK, BumpFunction, _sqrt_lower
 from densepde.expr import evaluate_exact, evaluate_float
 from densepde.jets import Jet, prolong
 from densepde.linalg import exact_least_norm, float_least_norm, residual_floor
@@ -109,3 +114,20 @@ def solve(op, x, level, tol=1e-12):
         ok = residual == 0 if exact else residual <= tol
         out.append(("solved" if ok else "solver-failed", jet.truncate(op.order + lam)))
     return out + [("no-solution", None)] * (level - passed)
+
+
+def set_bumps(points, box, context):
+    """The bump of each point of the set: r_out = SHRINK * min(distance
+    to the box boundary, half the lower-bounded distance to each other
+    point), r_in = r_out / 2."""
+    out = []
+    for a in points:
+        limit = min(min(c - lo, hi - c) for c, (lo, hi) in zip(a, box))
+        for b in points:
+            if b is a:
+                continue
+            d2 = sum((ca - cb) ** 2 for ca, cb in zip(a, b))
+            limit = min(limit, _sqrt_lower(d2) / 2)
+        r_out = SHRINK * limit
+        out.append(BumpFunction(context, a, r_out / 2, r_out))
+    return out

@@ -5,12 +5,14 @@ from fractions import Fraction as F
 
 import pytest
 
+import reference
 from densepde.construct import (
     BumpFunction,
     ConstructionError,
     DensePointStream,
     SolveFailure,
     bracket_interpolate,
+    bump_prefixes,
     construct_sequence,
     make_bumps,
     solve_on_discrete_set,
@@ -31,6 +33,8 @@ from densepde.jets import Jet, jet_of_function, parse_pde_text
 from densepde.manifest import sequence_from_json, sequence_to_json
 from densepde.multiindex import MultiIndex, multi_indices
 from densepde.parser import Context, parse_expression
+from densepde.systems import lewy_operator
+from densepde.taylor import derivative, series
 
 UNIT = ((F(0), F(1)),)
 UNIT2 = ((F(0), F(1)), (F(0), F(1)))
@@ -111,6 +115,84 @@ class TestBumps:
         assert b.value([0.95]) == 0.0
         mid = float(b.center[0]) + float(b.r_in + b.r_out) / 2
         assert 0.0 <= b.value([mid]) <= 1.0
+
+
+class TestBumpPrefixes:
+    """bump_prefixes gives every prefix the bumps of the per-set loop
+    over all pairs (tests/reference.py), Fraction for Fraction."""
+
+    @staticmethod
+    def radii(bumps):
+        return [(b.center, b.r_in, b.r_out) for b in bumps]
+
+    @pytest.mark.parametrize("box, count", [(UNIT2, 12), (((F(-1), F(1)),) * 3, 10)],
+                             ids=["dyadic-2d", "lewy-3d"])
+    def test_every_prefix_matches_the_per_set_loop(self, box, count):
+        ctx = Context(("x", "y", "z")[: len(box)])
+        pts = DensePointStream(box).prefix(count)
+        prefixes = bump_prefixes(pts, box, ctx)
+        assert len(prefixes) == count
+        for nu, bumps in enumerate(prefixes):
+            want = self.radii(reference.set_bumps(pts[: nu + 1], box, ctx))
+            got = self.radii(bumps)
+            assert got == want
+            assert all(type(r) is F for _, r_in, r_out in got for r in (r_in, r_out))
+        assert self.radii(make_bumps(pts, box, ctx)) == self.radii(prefixes[-1])
+
+
+class TestComponentSeries:
+    """DiscreteSolve.component_series reads a stage's Taylor series off
+    its jets and bumps.  The oracle is taylor.series of the glued stage
+    expression: every D^p, |p| <= order, equal and of the same type.  In
+    float mode the tree walk keeps explicit 0.0 coefficients, so the
+    derivatives are compared, not the dicts."""
+
+    @staticmethod
+    def assert_matches_tree(op, seq, mode):
+        order = max(seq.orders) + op.order
+        exact = mode != "float"
+        for nu, stage in enumerate(seq.stages):
+            expressions = seq.stage_expressions(nu)
+            for point in seq.points:
+                got = stage.component_series(point, order, mode)
+                assert len(got) == len(expressions) == op.k
+                for u, e in enumerate(expressions):
+                    want = series(e, point, order, mode)
+                    for p in multi_indices(op.n, order):
+                        a, b = derivative(got[u], p, exact), derivative(want, p, exact)
+                        assert a == b and type(a) is type(b), (nu, point, u, p)
+
+    @pytest.mark.parametrize("mode", ["auto", "float"])
+    def test_poisson_twelve_points(self, mode):
+        op = parse_pde_text(POISSON)
+        pts = DensePointStream(op.domain).prefix(12)
+        seq = construct_sequence(op, pts, [1] * 12)
+        # some later point lies in an earlier bump's support, off its centre
+        inside = [
+            (nu, a)
+            for nu, stage in enumerate(seq.stages)
+            for a in pts[nu + 1 :]
+            for b in stage.bumps
+            if sum((x - c) ** 2 for x, c in zip(a, b.center)) < b.r_out ** 2
+        ]
+        assert inside
+        self.assert_matches_tree(op, seq, mode)
+
+    @pytest.mark.parametrize("mode", ["auto", "float"])
+    def test_eikonal_newton_stages(self, mode):
+        op = parse_pde_text(EIKONAL)
+        pts = DensePointStream(op.domain).prefix(4)
+        seq = construct_sequence(op, pts, [1, 1, 2, 2])
+        assert not seq.exact
+        self.assert_matches_tree(op, seq, mode)
+
+    @pytest.mark.parametrize("mode", ["auto", "float"])
+    def test_lewy_two_unknowns(self, mode):
+        op = lewy_operator()
+        pts = DensePointStream(op.domain).prefix(3)
+        seq = construct_sequence(op, pts, [1, 2, 2])
+        assert op.k == 2 and seq.exact
+        self.assert_matches_tree(op, seq, mode)
 
 
 class TestTaylor:
@@ -301,9 +383,9 @@ class TestOneSolvePerPoint:
 
 
 class TestOnePolynomialPerJet:
-    """A staged sequence expands each point's jet into its Taylor
-    polynomial once, in construction and again on load, however many
-    stages glue it."""
+    """Construction and load expand no jet into its Taylor polynomial;
+    reading the glued functions of every stage in order expands each
+    (point, jet) once, however many stages glue it."""
 
     @pytest.fixture
     def expansions(self, monkeypatch):
@@ -321,17 +403,22 @@ class TestOnePolynomialPerJet:
         op = parse_pde_text(POISSON)
         pts = DensePointStream(op.domain).prefix(12)
         seq = construct_sequence(op, pts, [1] * 12)
+        loaded = sequence_from_json(sequence_to_json(seq))
+        assert expansions == []
+        built = [seq.stage_expressions(nu) for nu in range(12)]
         assert expansions == [(a, 3) for a in pts]
         expansions.clear()
-        loaded = sequence_from_json(sequence_to_json(seq))
-        assert expansions == [(a, 3) for a in pts]
         for nu in range(12):
-            assert loaded.stage_expressions(nu) == seq.stage_expressions(nu)
+            assert loaded.stage_expressions(nu) == built[nu]
+        assert expansions == [(a, 3) for a in pts]
 
     def test_rising_level_expands_again(self, expansions):
         op = parse_pde_text(TRANSPORT)
         pts = [(F(1, 4),), (F(3, 4),), (F(1, 8),)]
-        construct_sequence(op, pts, [0, 1, 1], seed={(1, (0,)): 1})
+        seq = construct_sequence(op, pts, [0, 1, 1], seed={(1, (0,)): 1})
+        assert expansions == []
+        for nu in range(3):
+            seq.stage_expressions(nu)
         assert expansions == [(pts[0], 1), (pts[0], 2), (pts[1], 2), (pts[2], 2)]
 
     def test_polynomial_unchanged_by_sharing(self):

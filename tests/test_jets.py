@@ -78,6 +78,22 @@ class TestMultiIndex:
     def test_factorial(self):
         assert MultiIndex((2, 3)).factorial() == 12
 
+    def test_hash_is_the_generated_dataclass_hash(self):
+        # the cached hash keeps the value a frozen dataclass generates, so
+        # set and dict orders (and the payloads built from them) stay put
+        for entries in [(), (0,), (1, 2), (3, 0, 5), (7, 7, 7, 7)]:
+            p = MultiIndex(entries)
+            assert hash(p) == hash((entries,))
+            assert {p: 1}[MultiIndex(entries)] == 1
+
+    def test_equality_with_other_types(self):
+        p = MultiIndex((1, 2))
+        assert p.__eq__((1, 2)) is NotImplemented
+        assert p.__eq__("(1,2)") is NotImplemented
+        assert p != (1, 2)
+        assert p == MultiIndex((1, 2))
+        assert p != MultiIndex((2, 1))
+
 
 class TestTotalDerivative:
     def test_on_space_function(self):

@@ -1,6 +1,7 @@
 """Verifier: vanishing condition, ideal properties at truncation,
 probes, closure."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -17,8 +18,9 @@ from densepde.expr import (
     spow,
     ssum,
 )
-from densepde.jets import parse_pde_text
+from densepde.jets import Jet, parse_pde_text
 from densepde.manifest import sequence_from_json, sequence_to_json
+from densepde.multiindex import MultiIndex
 from densepde.parser import Context, parse_expression
 from densepde.systems import lewy_operator
 from densepde.verify import (
@@ -227,19 +229,12 @@ eq: u_x - u
         seq = construct_sequence(
             op, [(F(1, 4),), (F(3, 4),)], [1, 1], seed={(1, (0,)): 1}
         )
-        # sabotage: swap one stage's polynomial for a wrong one
+        # sabotage: store the jet of x^2 at (1/4,) in stage 1
         stage = seq.stages[1]
-        bump, _poly = stage.functions[0].pieces[0]
-        from densepde.construct import AssembledFunction, DiscreteSolve
-
-        wrong = AssembledFunction(
-            op.context,
-            ((bump, parse_expression("x^2", op.context)),)
-            + stage.functions[0].pieces[1:],
-        )
-        broken = DiscreteSolve(
-            (wrong,), stage.jets, stage.bumps, stage.level
-        )
+        a = (F(1, 4),)
+        values = (F(1, 16), F(1, 2), F(2))
+        wrong = Jet(1, 1, 2, {(1, MultiIndex((k,))): v for k, v in enumerate(values)})
+        broken = replace(stage, jets={**stage.jets, a: wrong})
         from densepde.construct import SolutionSequence
 
         bad = SolutionSequence(
