@@ -57,7 +57,6 @@ from .ranges import (
 from .construct import (
     AssembledFunction,
     BracketResult,
-    BumpFunction,
     ConstructionError,
     DensePointStream,
     DiscreteSolve,
@@ -66,7 +65,6 @@ from .construct import (
     bracket_interpolate,
     construct_sequence,
     make_bumps,
-    solve_on_discrete_set,
     taylor_from_jet,
 )
 from .verify import (

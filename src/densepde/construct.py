@@ -18,7 +18,6 @@ from .expr import (
     Const,
     Expr,
     Var,
-    evaluate_exact,
     evaluate_float,
     simplify,
     spow,
@@ -31,7 +30,7 @@ from .jets import Jet, PdeOperator, apply_operator, prolong
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 from .ranges import JetSolveResult, solve_jets_triangular
-from .taylor import series
+from .taylor import jet_coefficients, series
 
 Point = tuple[Fraction, ...]
 Box = tuple[tuple[Fraction, Fraction], ...]
@@ -115,28 +114,6 @@ def _compositions(total: int, n: int) -> Iterator[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 # bump functions
 
-@dataclass(frozen=True)
-class BumpFunction:
-    """Smooth bump: 1 on the closed ball of radius r_in around the center,
-    0 outside the open ball of radius r_out, values in [0, 1]."""
-
-    context: Context
-    center: Point
-    r_in: Fraction
-    r_out: Fraction
-
-    def node(self, deriv: MultiIndex | None = None) -> Bump:
-        if deriv is None:
-            deriv = zero_index(self.context.n)
-        return Bump(
-            self.center, self.r_in, self.r_out, self.context.space_vars(), deriv
-        )
-
-    def value(self, point: Sequence) -> float:
-        assignment = {v: x for v, x in zip(self.context.space_vars(), point)}
-        return evaluate_float(self.node(), assignment)
-
-
 def _sqrt_lower(f: Fraction) -> Fraction:
     """Exact rational lower bound for sqrt(f), tight to about 2^-32."""
     if f < 0:
@@ -153,8 +130,9 @@ def make_bumps(
     points: Sequence[Point],
     box: Box,
     context: Context,
-) -> list[BumpFunction]:
-    """Bumps with pairwise disjoint supports inside the box.
+) -> list[Bump]:
+    """Bump nodes (expr.Bump, in the context's space variables) with
+    pairwise disjoint supports inside the box.
 
     r_out = SHRINK * min(half the distance to the nearest other point,
     distance to the box boundary); r_in = r_out / 2.
@@ -167,7 +145,7 @@ def bump_prefixes(
     points: Sequence[Point],
     box: Box,
     context: Context,
-) -> list[tuple[BumpFunction, ...]]:
+) -> list[tuple[Bump, ...]]:
     """Entry nu: the bumps make_bumps gives for points[:nu + 1], from one
     pass.  Each pair's half distance is computed once, when the later
     point joins; every point keeps the running minimum of its boundary
@@ -184,7 +162,7 @@ def bump_prefixes(
         if not all(lo < c < hi for c, (lo, hi) in zip(p, box)):
             raise ValueError(f"point {p} not strictly inside the box")
     limits: list[Fraction] = []
-    bumps: list[BumpFunction] = []
+    bumps: list[Bump] = []
     out = []
     for nu, a in enumerate(pts):
         limit = min(min(c - lo, hi - c) for c, (lo, hi) in zip(a, box))
@@ -200,9 +178,9 @@ def bump_prefixes(
     return out
 
 
-def _bump(context: Context, center: Point, limit: Fraction) -> BumpFunction:
+def _bump(context: Context, center: Point, limit: Fraction) -> Bump:
     r_out = SHRINK * limit
-    return BumpFunction(context, center, r_out / 2, r_out)
+    return Bump(center, r_out / 2, r_out, context.space_vars(), zero_index(context.n))
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +191,13 @@ def taylor_from_jet(context: Context, a: Point, jet: Jet) -> list[Expr]:
     Every monomial shares one node x_i - a_i per axis."""
     shifted = [ssum([Var(v), Const(-c)]) for v, c in zip(context.space_vars(), a)]
     out = []
-    for unknown in range(1, context.k + 1):
+    for coefficients in jet_coefficients(jet.values, context.k, exact=True):
         terms = []
         for p in multi_indices(context.n, jet.order):
-            coeff = jet.value(unknown, p)
+            coeff = coefficients[p]
             if coeff == 0:
                 continue
-            monomial = [Const(Fraction(coeff) / p.factorial())]
+            monomial = [Const(coeff)]
             for base, count in zip(shifted, p.entries):
                 if count:
                     monomial.append(spow(base, count))
@@ -256,7 +234,7 @@ class AssembledFunction:
     plus an optional global background term (bracket interpolation)."""
 
     context: Context
-    pieces: tuple[tuple[BumpFunction, Expr], ...]
+    pieces: tuple[tuple[Bump, Expr], ...]
     background: Expr | None = None
 
     def expression(self) -> Expr:
@@ -265,7 +243,7 @@ class AssembledFunction:
     @cached_property
     def _expression(self) -> Expr:
         """The glued sum, built on first use and kept."""
-        terms = [sprod([bump.node(), poly]) for bump, poly in self.pieces]
+        terms = [sprod([bump, poly]) for bump, poly in self.pieces]
         if self.background is not None:
             terms.append(self.background)
         return ssum(terms)
@@ -275,12 +253,6 @@ class AssembledFunction:
             v: x for v, x in zip(self.context.space_vars(), point)
         }
         return evaluate_float(self.expression(), assignment)
-
-    def value_exact(self, point: Sequence[Fraction]) -> Fraction:
-        assignment = {
-            v: Fraction(x) for v, x in zip(self.context.space_vars(), point)
-        }
-        return evaluate_exact(self.expression(), assignment)
 
 
 class SolveFailure(Exception):
@@ -301,7 +273,7 @@ class DiscreteSolve:
     with the polynomials of `polynomials`."""
 
     jets: dict[Point, Jet]
-    bumps: tuple[BumpFunction, ...]
+    bumps: tuple[Bump, ...]
     level: int
     polynomials: TaylorPolynomials = field(repr=False, compare=False)
 
@@ -340,42 +312,13 @@ class DiscreteSolve:
         jet = self.jets[bump.center]
         if t:  # off the centre: a later point of the sequence
             return [
-                series(sprod([bump.node(), poly]), point, order, mode)
+                series(sprod([bump, poly]), point, order, mode)
                 for poly in self.polynomials(bump.center, jet)
             ]
-        number = float if mode == "float" else Fraction
-        indices = multi_indices(context.n, min(order, jet.order))
-        out = []
-        for unknown in range(1, context.k + 1):
-            coefficients = {}
-            for p in indices:
-                value = jet.value(unknown, p)
-                if value:
-                    coefficients[p] = number(Fraction(value) / p.factorial())
-            out.append(coefficients)
-        return out
-
-
-def solve_on_discrete_set(
-    op: PdeOperator,
-    points: Sequence[Point],
-    level: int,
-    tol: float = 1e-12,
-    seed=None,
-) -> DiscreteSolve:
-    """Solve the prolonged system at each point and glue the Taylor
-    polynomials of the solved jets with disjoint bumps.  Raises
-    SolveFailure at the first unsolvable point."""
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    sys = prolong(op, level)
-    jets: dict[Point, Jet] = {}
-    for a in pts:
-        res = solve_jets_triangular(sys, a, seed=seed, tol=tol)
-        if not res.solved:
-            raise SolveFailure(a, res)
-        jets[a] = res.jet
-    bumps = tuple(make_bumps(pts, op.domain, op.context))
-    return DiscreteSolve(jets, bumps, level, TaylorPolynomials(op.context))
+        return [
+            {p: c for p, c in coefficients.items() if c and p.order <= order}
+            for coefficients in jet_coefficients(jet.values, context.k, mode != "float")
+        ]
 
 
 def glue(
@@ -586,7 +529,7 @@ def bracket_interpolate(
     # background: (1 - sum of bumps) * average of the interpolants,
     # so the partition weights are each 1 near their point and sum to 1
     avg = sprod([Const(Fraction(1, len(pts))), ssum(list(u_of.values()))])
-    one_minus = ssum([ONE] + [sprod([MINUS_ONE, b.node()]) for b in bumps])
+    one_minus = ssum([ONE] + [sprod([MINUS_ONE, b]) for b in bumps])
     background = sprod([one_minus, avg])
     function = AssembledFunction(op.context, pieces, background=background)
     return BracketResult(function, lambdas, residuals)

@@ -26,7 +26,7 @@ from .expr import (
     sprod,
     ssum,
 )
-from .multiindex import MultiIndex, multi_indices, zero_index
+from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_rational
 from .taylor import derivative, series
 
@@ -86,6 +86,8 @@ class PdeOperator:
 
     def __post_init__(self):
         n, k, m = self.context.n, self.context.k, self.order
+        if type(m) is not int or m < 0:
+            raise ValueError(f"order must be a whole number >= 0, got {m!r}")
         if len(self.domain) != n:
             raise ValueError("domain box dimension mismatch")
         for lo, hi in self.domain:
@@ -109,6 +111,39 @@ class PdeOperator:
     def jet_variables(self) -> frozenset:
         """Every jet variable that occurs in the equations."""
         return frozenset(v for g in self.equations for v in jet_variables(g))
+
+    @cached_property
+    def gradients(self) -> tuple[dict[tuple[int, MultiIndex], Expr], ...]:
+        """jet_gradient of each equation, in equation order: the gradients
+        of the level-0 rows of every prolongation of the operator."""
+        return tuple(jet_gradient(g) for g in self.equations)
+
+    @cached_property
+    def affine(self) -> bool:
+        """Whether the equations are affine in their jets: no partial
+        involves a jet.  Their prolongations are then affine too."""
+        return not any(jet_variables(d) for g in self.gradients for d in g.values())
+
+    @cached_property
+    def compiled_base(self) -> tuple[tuple, Callable, Callable]:
+        """(columns, residual, jacobian): the equations compiled once, with
+        expr.compile_float, for the Newton solve of a nonlinear base.
+
+        `columns` are the base jets the equations contain, in graded-lex
+        order, then unknown; `residual` and the Jacobian in those jets
+        (row-major, flat) are float functions of the space values followed
+        by the jets in `columns`."""
+        columns = sorted(
+            {c for g in self.gradients for c in g},
+            key=lambda uq: (uq[1].grlex_key(), uq[0]),
+        )
+        variables = self.context.space_vars() + tuple(self.context.jet(u, q) for u, q in columns)
+        partials = [g.get(c, ZERO) for g in self.gradients for c in columns]
+        return (
+            tuple(columns),
+            compile_float(self.equations, variables),
+            compile_float(partials, variables),
+        )
 
     @property
     def n(self) -> int:
@@ -143,7 +178,8 @@ def jet_gradient(e: Expr) -> dict[tuple[int, MultiIndex], Expr]:
     This is the only place an equation is differentiated in its jet
     coordinates: total derivatives, the symbol and coefficients of the
     range analysis and Newton Jacobians all read these partials, through
-    ProlongedSystem.gradient for rows of a prolonged system."""
+    PdeOperator.gradients for the equations and ProlongedSystem.gradient
+    for the rows above them."""
     return {
         (v.unknown, v.index): differentiate(e, v)
         for v in sorted(jet_variables(e), key=lambda v: (v.unknown, v.index.grlex_key()))
@@ -177,10 +213,9 @@ class ProlongedSystem:
     is read.  A row above level 0 is the total derivative of F_{j,p-e_i}
     along the first nonzero axis i of p, so the rows of level <= l are
     exactly those of prolonging to level l directly.  The jet gradient of
-    each row is computed on first use and cached, so no row is
-    differentiated in its jet coordinates twice; the gradients of the
-    level-0 rows and the compiled level-0 rows (`compiled_base`) are read
-    off the operator's equations and build no row above level 0.
+    each row above level 0 is computed on first use and cached, so no row
+    is differentiated in its jet coordinates twice; a level-0 row's
+    gradient is the operator's (PdeOperator.gradients).
     """
 
     operator: PdeOperator
@@ -200,8 +235,8 @@ class ProlongedSystem:
             for j, g in enumerate(op.equations, start=1):
                 if p.order:
                     axis = p.first_nonzero_axis()
-                    prev = (j, p.minus_axis(axis))
-                    g = _lift(rows[prev], self._gradient(prev, rows[prev]), op.context, axis)
+                    prev = p.minus_axis(axis)
+                    g = _lift(rows[(j, prev)], self._gradient(j, prev, rows), op.context, axis)
                 rows[(j, p)] = g
         return rows
 
@@ -212,37 +247,15 @@ class ProlongedSystem:
 
     def gradient(self, j: int, p: MultiIndex) -> dict[tuple[int, MultiIndex], Expr]:
         """jet_gradient of F_{j,p}, computed at most once per row."""
-        row = self.operator.equations[j - 1] if p.order == 0 else self.equations[(j, p)]
-        return self._gradient((j, p), row)
+        return self._gradient(j, p, self.equations if p.order else None)
 
-    def _gradient(self, key, row: Expr) -> dict[tuple[int, MultiIndex], Expr]:
-        if key not in self._gradients:
-            self._gradients[key] = jet_gradient(row)
-        return self._gradients[key]
-
-    @cached_property
-    def compiled_base(self) -> tuple[tuple, Callable, Callable]:
-        """(columns, residual, jacobian): the level-0 rows compiled once,
-        with expr.compile_float, for the Newton solve of a nonlinear base.
-
-        `columns` are the base jets the rows contain, in graded-lex order,
-        then unknown; `residual` and the Jacobian in those jets (row-major,
-        flat) are float functions of the space values followed by the
-        jets in `columns`."""
-        op = self.operator
-        zero = zero_index(op.n)
-        gradients = [self.gradient(j, zero) for j in range(1, op.r + 1)]
-        columns = sorted(
-            {c for g in gradients for c in g},
-            key=lambda uq: (uq[1].grlex_key(), uq[0]),
-        )
-        variables = op.context.space_vars() + tuple(op.context.jet(u, q) for u, q in columns)
-        partials = [g.get(c, ZERO) for g in gradients for c in columns]
-        return (
-            tuple(columns),
-            compile_float(op.equations, variables),
-            compile_float(partials, variables),
-        )
+    def _gradient(self, j: int, p: MultiIndex, rows) -> dict[tuple[int, MultiIndex], Expr]:
+        """gradient(j, p), read off `rows` above level 0."""
+        if not p.order:
+            return self.operator.gradients[j - 1]
+        if (j, p) not in self._gradients:
+            self._gradients[(j, p)] = jet_gradient(rows[(j, p)])
+        return self._gradients[(j, p)]
 
 
 def prolong(op: PdeOperator, level: int) -> ProlongedSystem:

@@ -8,14 +8,15 @@ in point order.  The bumps are rebuilt on load by the same routine that
 built them (``construct.glue``), and the glued functions are derived from
 the stored jets when read, so verification checks the stored jets
 themselves; an edited jet still verifies only where it is another
-solution.  Loading rejects unknown or missing keys (top level, operator,
-stage and jet records), an operator whose dim differs from its number of
-variables or domain intervals, a stage count other than the point count,
-a stage without exactly one jet per stage point, a jet whose order is not
-m + l_nu, a jet whose values do not match its arithmetic flag (exact:
-strings, float: numbers), and a float jet of an operator whose jets are
-exact at every rational point (rational-closed equations, affine in the
-base jets), which can only be a downgraded exact claim.
+solution.  Loading rejects a field of the wrong JSON type, unknown or
+missing keys (top level, operator, stage and jet records), an operator
+whose dim differs from its number of variables or domain intervals, a
+stage count other than the point count, a stage without exactly one jet
+per stage point, a jet whose order is not m + l_nu, a jet whose values
+do not match its arithmetic flag (exact: strings, float: numbers), and a
+float jet of an operator whose jets are exact at every rational point
+(rational-closed equations, affine in the base jets), which can only be
+a downgraded exact claim.
 """
 
 from __future__ import annotations
@@ -52,6 +53,21 @@ def _check_keys(where: str, record, keys: set, optional: set = frozenset()):
         )
 
 
+_ITEMS = {str: "strings", int: "integers", list: "arrays"}
+
+
+def _array(where: str, value, item: type | None = None) -> list:
+    """`value` when it is a JSON array whose elements are each an `item`
+    (str, int or list) when given, a bool being no integer; ValueError
+    otherwise."""
+    if not isinstance(value, list) or item is not None and not all(
+        isinstance(v, item) and not isinstance(v, bool) for v in value
+    ):
+        kind = f"an array of {_ITEMS[item]}" if item else "an array"
+        raise ValueError(f"{where}: expected {kind}, got {json.dumps(value)[:40]}")
+    return value
+
+
 def _parse_value(raw, exact: bool, where: str) -> Fraction | float:
     if exact:
         if not isinstance(raw, str):
@@ -70,6 +86,8 @@ def jet_from_json(n: int, k: int, order: int, data: dict, where: str) -> Jet:
     if data["arithmetic"] not in ("exact", "float"):
         raise ValueError(f"{where}: unknown arithmetic {data['arithmetic']!r}")
     exact = data["arithmetic"] == "exact"
+    if not isinstance(data["values"], dict):
+        raise ValueError(f"{where}: values: expected an object")
     values = {}
     for key, raw in data["values"].items():
         unknown_text, index_text = key.split(";")
@@ -95,6 +113,8 @@ def operator_to_json(op: PdeOperator) -> dict:
 
 def operator_from_json(data: dict) -> PdeOperator:
     _check_keys("operator", data, _OPERATOR_KEYS)
+    for key, item in (("vars", str), ("unknowns", str), ("domain", list), ("equations", str)):
+        _array(f"operator: {key}", data[key], item)
     dim = data["dim"]
     if type(dim) is not int or not dim == len(data["vars"]) == len(data["domain"]):
         raise ValueError(
@@ -124,23 +144,25 @@ def sequence_to_json(seq: SolutionSequence) -> dict:
 
 
 def sequence_from_json(data: dict) -> SolutionSequence:
-    if data.get("format") != FORMAT:
+    if not isinstance(data, dict) or data.get("format") != FORMAT:
         raise ValueError("not a sequence manifest")
     if data.get("version") != VERSION:
         raise ValueError(f"unsupported manifest version {data.get('version')}")
     _check_keys("manifest", data, _TOP_KEYS, optional={"header"})
     op = operator_from_json(data["operator"])
     ctx = op.context
-    points = tuple(tuple(parse_rational(c) for c in a) for a in data["points"])
-    orders = tuple(validate_schedule(data["orders"]))
-    if not len(points) == len(orders) == len(data["stages"]):
+    points = tuple(
+        tuple(parse_rational(c) for c in a) for a in _array("points", data["points"], list)
+    )
+    orders = tuple(validate_schedule(_array("orders", data["orders"], int)))
+    if not len(points) == len(orders) == len(_array("stages", data["stages"])):
         raise ValueError("need one level and one stage per point")
     stage_jets = []
     exact_only = None  # solves_exactly(op), decided at the first float jet
     for nu, record in enumerate(data["stages"]):
         _check_keys(f"stage {nu}", record, {"jets"})
         pts = points[: nu + 1]
-        if len(record["jets"]) != len(pts):
+        if len(_array(f"stage {nu}: jets", record["jets"])) != len(pts):
             raise ValueError(f"stage {nu}: need one jet per stage point")
         jets = {
             a: jet_from_json(

@@ -32,13 +32,7 @@ from functools import lru_cache
 from operator import add, sub
 from typing import Sequence
 
-from .expr import (
-    Expr,
-    evaluate_exact,
-    evaluate_float,
-    exact_arithmetic,
-    jet_variables,
-)
+from .expr import evaluate_exact, evaluate_float, exact_arithmetic
 from .jets import Jet, PdeOperator, ProlongedSystem, prolong
 from .linalg import (
     FLOAT_RANK_TOL,
@@ -50,7 +44,7 @@ from .linalg import (
 )
 from .multiindex import MultiIndex, multi_indices, multi_indices_of_order, zero_index
 from .newton import multistart_newton
-from .taylor import series, shift
+from .taylor import jet_bindings, jet_coefficients, series
 
 Column = tuple[int, MultiIndex]
 
@@ -77,18 +71,6 @@ def jet_columns(n: int, k: int, order: int) -> list[Column]:
     return [(u, p) for p in multi_indices(n, order) for u in range(1, k + 1)]
 
 
-def _base_gradients(sys: ProlongedSystem) -> list[dict[Column, Expr]]:
-    """The jet gradient of each base equation, in equation order."""
-    zero = zero_index(sys.operator.n)
-    return [sys.gradient(j, zero) for j in range(1, sys.operator.r + 1)]
-
-
-def _affine(gradients) -> bool:
-    """Whether the base equations are affine in their jets: no partial
-    involves a jet.  Their prolongations are then affine too."""
-    return not any(jet_variables(d) for g in gradients for d in g.values())
-
-
 def _mode(exact: bool) -> str:
     """The taylor.series mode of expr.exact_arithmetic's verdict."""
     return "auto" if exact else "float"
@@ -98,7 +80,7 @@ def linearize(sys: ProlongedSystem) -> ProlongedSystem | None:
     """The system itself when its equations are affine in their jets, so
     that it has rank certificates; None when some equation is nonlinear
     in a jet coordinate."""
-    return sys if _affine(_base_gradients(sys)) else None
+    return sys if sys.operator.affine else None
 
 
 @lru_cache(maxsize=256)
@@ -157,7 +139,7 @@ def _stacked(sys: ProlongedSystem, x: Sequence, exact: bool):
     op, level, mode = sys.operator, sys.level, _mode(exact)
     # the partials of an affine system are jet-free
     coefficients = [
-        {c: series(d, x, level, mode) for c, d in g.items()} for g in _base_gradients(sys)
+        {c: series(d, x, level, mode) for c, d in g.items()} for g in op.gradients
     ]
     return _assemble(
         coefficients,
@@ -323,7 +305,7 @@ def solves_exactly(op: PdeOperator) -> bool:
     seed must then be rational too), so that a float jet of op can only
     be a relabelled exact one: the equations are rational-closed and
     affine in the base jets, so level 0 is an exact linear solve."""
-    return exact_arithmetic(op.equations, ()) and _affine(_base_gradients(prolong(op, 0)))
+    return exact_arithmetic(op.equations, ()) and op.affine
 
 
 def solve_jets_triangular(
@@ -363,9 +345,8 @@ def solve_jets_triangular(
                 f"unknown 1..{k}, multi-index of {n} entries and order <= {m}"
             )
     known = {c: seed_vals[c] for c in base_cols if c in seed_vals}
-    gradients = _base_gradients(sys)
-    if not _affine(gradients):
-        result = _solve_newton_base(sys, base_cols, x, seed_vals, tol)
+    if not op.affine:
+        result = _solve_newton_base(op, base_cols, x, seed_vals, tol)
     else:
         if exact_arithmetic(op.equations, x) and not exact_arithmetic((), known.values()):
             raise ValueError(
@@ -377,7 +358,7 @@ def solve_jets_triangular(
         cast = Fraction if exact else float
         known = {c: cast(v) for c, v in known.items()}
         a, b = _assemble(
-            _gradient_values(op, gradients, x, known, exact),
+            _gradient_values(op, x, known, exact),
             _equation_series(op, x, known, 0, exact),
             [zero_index(n)], free_cols, exact,
         )
@@ -387,7 +368,7 @@ def solve_jets_triangular(
         known.update(result.values)
         # the arithmetic of level 0 carries to every later level
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
-        coefficients = _gradient_values(op, gradients, x, known, exact)
+        coefficients = _gradient_values(op, x, known, exact)
         for lam in range(1, sys.level + 1):
             columns = [(u, q) for q in multi_indices_of_order(n, m + lam) for u in range(1, k + 1)]
             a, b = _assemble(
@@ -430,7 +411,7 @@ def solve_jets_triangular(
     return replace(levels[-1], levels=tuple(levels))
 
 
-def _gradient_values(op: PdeOperator, gradients, x, jets: dict, exact: bool) -> list[dict]:
+def _gradient_values(op: PdeOperator, x, jets: dict, exact: bool) -> list[dict]:
     """Per equation, each jet partial's value at x and the jets {(u, q):
     value}, as a constant series: the coefficients of _assemble at a
     level whose lower jets are known."""
@@ -438,7 +419,7 @@ def _gradient_values(op: PdeOperator, gradients, x, jets: dict, exact: bool) -> 
     values = dict(zip(op.context.space_vars(), x))
     values.update({op.context.jet(u, q): v for (u, q), v in jets.items()})
     zero = zero_index(op.n)
-    return [{c: {zero: evaluate(d, values)} for c, d in g.items()} for g in gradients]
+    return [{c: {zero: evaluate(d, values)} for c, d in g.items()} for g in op.gradients]
 
 
 def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) -> list[dict]:
@@ -448,13 +429,7 @@ def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) ->
     jets.  Each jet variable u_alpha is bound to the alpha-shift of the
     series q -> value(u, q) / q!; the arithmetic is taylor.series mode
     "auto" when `exact`, "float" otherwise."""
-    scaled: dict[int, dict] = {u: {} for u in range(1, op.k + 1)}
-    for (u, q), value in jets.items():
-        scaled[u][q] = value / q.factorial()
-    bindings = {
-        v: shift(scaled[v.unknown], v.index, order)
-        for v in op.jet_variables
-    }
+    bindings = jet_bindings(op.jet_variables, jet_coefficients(jets, op.k, exact), order)
     return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
 
 
@@ -475,10 +450,10 @@ def _solve_affine(columns, a, b, exact: bool, tol: float, detail: str) -> _Level
     return _LevelResult("ok", values, floor, "float")
 
 
-def _solve_newton_base(sys, cols, x, seed_vals, tol) -> _LevelResult:
+def _solve_newton_base(op: PdeOperator, cols, x, seed_vals, tol) -> _LevelResult:
     """Damped multistart Newton on the level-0 rows for the jets `cols`,
-    through their residual and Jacobian compiled once per system."""
-    present, residual, jacobian = sys.compiled_base
+    through their residual and Jacobian compiled once per operator."""
+    present, residual, jacobian = op.compiled_base
     width = len(present)
     space_f = [float(v) for v in x]
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .expr import (
     Bump,
@@ -476,6 +476,29 @@ def shift(
         if c is not None:
             out[indices[k]] = factor * c
     return out
+
+
+def jet_coefficients(
+    values: Mapping[tuple[int, MultiIndex], Coefficient], k: int, exact: bool
+) -> list[dict[MultiIndex, Coefficient]]:
+    """Per unknown u = 1..k, the Taylor coefficients {q: v / q!} of the jet
+    values {(u, q): v}, zeros included: a Fraction each when `exact`, a
+    float (v / q! correctly rounded) otherwise."""
+    out: list[dict[MultiIndex, Coefficient]] = [{} for _ in range(k)]
+    for (u, q), v in values.items():
+        if exact:
+            out[u - 1][q] = (v if type(v) is Fraction else Fraction(v)) / q.factorial()
+        else:
+            out[u - 1][q] = float(v / q.factorial())
+    return out
+
+
+def jet_bindings(
+    variables: Iterable[JetVar], coefficients: Sequence[Mapping[MultiIndex, Coefficient]], order: int
+) -> dict[JetVar, dict[MultiIndex, Coefficient]]:
+    """The `bindings` of series for the jet variables: each u_alpha bound
+    to the alpha-shift, to `order`, of the series coefficients[u - 1]."""
+    return {v: shift(coefficients[v.unknown - 1], v.index, order) for v in variables}
 
 
 def derivative(s: Mapping[MultiIndex, Coefficient], p: MultiIndex, exact: bool = True):

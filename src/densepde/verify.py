@@ -33,7 +33,7 @@ from .expr import (
 from .jets import PdeOperator
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
-from .taylor import derivative, series, shift
+from .taylor import derivative, jet_bindings, series
 
 Point = tuple[Fraction, ...]
 
@@ -379,10 +379,9 @@ def verify_solution(
             components = seq.stages[mu].component_series(
                 seq.points[i], top + op.order, mode
             )
-            bindings[(mu, i)] = {
-                v: shift(components[v.unknown - 1], v.index, top)
-                for v in op.jet_variables
-            } if any(components) else None
+            bindings[(mu, i)] = (
+                jet_bindings(op.jet_variables, components, top) if any(components) else None
+            )
         return bindings[(mu, i)]
 
     reports: list[VanishingReport] = []

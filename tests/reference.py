@@ -14,11 +14,11 @@ per-set loop over every pair.
 
 from fractions import Fraction
 
-from densepde.construct import SHRINK, BumpFunction, _sqrt_lower
-from densepde.expr import evaluate_exact, evaluate_float
+from densepde.construct import SHRINK, _sqrt_lower
+from densepde.expr import Bump, evaluate_exact, evaluate_float
 from densepde.jets import Jet, prolong
 from densepde.linalg import exact_least_norm, float_least_norm, residual_floor
-from densepde.multiindex import multi_indices_of_order
+from densepde.multiindex import multi_indices_of_order, zero_index
 from densepde.ranges import CONSISTENCY_FLOOR, jet_columns, solve_jets_triangular
 
 
@@ -129,5 +129,5 @@ def set_bumps(points, box, context):
             d2 = sum((ca - cb) ** 2 for ca, cb in zip(a, b))
             limit = min(limit, _sqrt_lower(d2) / 2)
         r_out = SHRINK * limit
-        out.append(BumpFunction(context, a, r_out / 2, r_out))
+        out.append(Bump(a, r_out / 2, r_out, context.space_vars(), zero_index(context.n)))
     return out

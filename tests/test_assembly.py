@@ -17,7 +17,6 @@ from densepde.jets import Jet, parse_pde_text, prolong
 from densepde.multiindex import multi_indices, multi_indices_of_order, zero_index
 from densepde.ranges import (
     _assemble,
-    _base_gradients,
     _equation_series,
     _gradient_values,
     _residuals,
@@ -82,7 +81,7 @@ def level_systems(op, top, x, exact):
     system = prolong(op, top)
     values = some_jet(op, op.order + top, exact)
     base = below(values, op.order + 1)
-    coefficients = _gradient_values(op, _base_gradients(system), x, base, exact)
+    coefficients = _gradient_values(op, x, base, exact)
     for lam in range(1, top + 1):
         known = below(values, op.order + lam)
         offsets = _equation_series(op, x, known, top, exact)
@@ -97,7 +96,6 @@ def base_systems(op, x, exact):
     """(assembled, reference) level-0 systems of an affine base: in every
     base jet, and with the first base jet pinned to a seed value."""
     system = prolong(op, 0)
-    gradients = _base_gradients(system)
     rows = [(j, zero_index(op.n)) for j in range(1, op.r + 1)]
     base_cols = jet_columns(op.n, op.k, op.order)
     pin = F(3, 7) if exact else 3 / 7
@@ -105,7 +103,7 @@ def base_systems(op, x, exact):
         columns = [c for c in base_cols if c not in known]
         yield (
             _assemble(
-                _gradient_values(op, gradients, x, known, exact),
+                _gradient_values(op, x, known, exact),
                 _equation_series(op, x, known, 0, exact),
                 [zero_index(op.n)], columns, exact,
             ),

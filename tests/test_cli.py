@@ -173,6 +173,14 @@ eq: 0*u - 1
         assert main(["range", str(bad), "--level", "1"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_negative_operator_order_rejected(self, tmp_path, capsys):
+        # a usage error, not a rank deficiency of an operator without jets
+        bad = tmp_path / "negative.pde"
+        bad.write_text("dim: 1\nvars: x\norder: -1\ndomain: (0,1)\neq: x - 1/2\n")
+        for command in ("range", "construct"):
+            assert main([command, str(bad)]) == 2
+            assert_one_error_line(capsys, "order must be a whole number >= 0, got -1")
+
     def test_float_overflow_is_clean_error(self, tmp_path):
         path = tmp_path / "overflow.pde"
         path.write_text(OVERFLOW)
@@ -294,7 +302,23 @@ eq: 0*u - 1
         (add_respelled_coordinate, "is not canonical"),
         (lambda raw: raw["points"][1].pop(), "box dimension 1"),
         (lambda raw: raw["orders"].__setitem__(0, -1), "levels must be >= 0"),
-    ], ids=["jet-key", "duplicate-coordinate", "point-dimension", "negative-level"])
+        # fields of the wrong JSON type
+        (lambda raw: raw["stages"][1]["jets"][0].update(values=[]),
+         "stage 1 jet 0: values: expected an object"),
+        (lambda raw: raw.update(points=5), "points: expected an array of arrays"),
+        (lambda raw: raw.update(orders=["a", "b"]), "orders: expected an array of integers"),
+        (lambda raw: raw["stages"][1].update(jets=5), "stage 1: jets: expected an array"),
+        (lambda raw: raw["operator"].update(order="2"), "order must be a whole number >= 0"),
+        (lambda raw: raw["operator"].update(equations=[5]),
+         "operator: equations: expected an array of strings"),
+        # a string of the one variable name would load as a list of names
+        (lambda raw: raw["operator"].update(vars="x"),
+         "operator: vars: expected an array of strings"),
+    ], ids=[
+        "jet-key", "duplicate-coordinate", "point-dimension", "negative-level",
+        "values-array", "points-number", "orders-strings", "jets-number",
+        "order-string", "equation-number", "vars-string",
+    ])
     def test_malformed_jet_or_point_rejected(
         self, pde_file, tmp_path, capsys, edit, message
     ):

@@ -7,15 +7,12 @@ import pytest
 
 import reference
 from densepde.construct import (
-    BumpFunction,
     ConstructionError,
     DensePointStream,
-    SolveFailure,
     bracket_interpolate,
     bump_prefixes,
     construct_sequence,
     make_bumps,
-    solve_on_discrete_set,
     taylor_from_jet,
 )
 from densepde import construct, jets, ranges
@@ -111,10 +108,11 @@ class TestBumps:
 
     def test_partition_values(self):
         [b] = make_bumps([(F(1, 2),)], UNIT, self.CTX)
-        assert b.value([0.5]) == 1.0
-        assert b.value([0.95]) == 0.0
+        x = self.CTX.space(1)
+        assert evaluate_float(b, {x: 0.5}) == 1.0
+        assert evaluate_float(b, {x: 0.95}) == 0.0
         mid = float(b.center[0]) + float(b.r_in + b.r_out) / 2
-        assert 0.0 <= b.value([mid]) <= 1.0
+        assert 0.0 <= evaluate_float(b, {x: mid}) <= 1.0
 
 
 class TestBumpPrefixes:
@@ -220,22 +218,25 @@ class TestTaylor:
 
 
 class TestDiscreteSolve:
+    """The last stage of a sequence solves on all its points at its level."""
+
     def test_transport_glued_solution(self):
         op = parse_pde_text(TRANSPORT)
         pts = [(F(1, 4),), (F(3, 4),)]
-        ds = solve_on_discrete_set(op, pts, 2, seed={(1, (0,)): 1})
+        ds = construct_sequence(op, pts, [2] * 2, seed={(1, (0,)): 1}).stages[-1]
         assert ds.exact
-        fn = ds.functions[0]
+        e = ds.functions[0].expression()
+        x = op.context.space(1)
         # at each construction point the glued function takes the pinned
         # jet value; off all supports it is exactly zero
         for a in pts:
-            assert fn.value_exact(a) == 1
-        assert fn.value_exact((F(1, 2),)) == 0
+            assert evaluate_exact(e, {x: a[0]}) == 1
+        assert evaluate_exact(e, {x: F(1, 2)}) == 0
 
     def test_derivative_matches_jet_at_point(self):
         op = parse_pde_text(TRANSPORT)
         a = (F(1, 4),)
-        ds = solve_on_discrete_set(op, [a], 2, seed={(1, (0,)): 1})
+        ds = construct_sequence(op, [a], [2], seed={(1, (0,)): 1}).stages[-1]
         e = ds.functions[0].expression()
         ctx = op.context
         d = differentiate(e, ctx.space(1))
@@ -251,10 +252,10 @@ order: 1
 domain: (0,1)
 eq: u_x^2 + 1
 """)
-        with pytest.raises(SolveFailure) as info:
-            solve_on_discrete_set(impossible, [(F(1, 2),)], 0)
-        assert info.value.point == (F(1, 2),)
-        assert info.value.result.residual > 0
+        with pytest.raises(ConstructionError) as info:
+            construct_sequence(impossible, [(F(1, 2),)], [0])
+        assert info.value.cause.point == (F(1, 2),)
+        assert info.value.cause.result.residual > 0
 
 
 class TestSequence:
@@ -365,7 +366,7 @@ class TestOneSolvePerPoint:
 
     def test_newton_base_compiled_once(self, monkeypatch):
         """The residual and the Jacobian of the Newton base are compiled
-        once per prolonged system, however many points it solves."""
+        once per operator, however many systems and points solve it."""
         compiled = []
         original = jets.compile_float
 
@@ -379,7 +380,29 @@ class TestOneSolvePerPoint:
         assert ranges.range_condition_check(op, pts, 2).all_ok
         assert compiled == [1, 2]  # one residual row, two partials
         construct_sequence(op, pts[:3], [0, 1, 1])
-        assert compiled == [1, 2] * 2
+        assert compiled == [1, 2]
+
+    @pytest.mark.parametrize(
+        "make", [lewy_operator, lambda: parse_pde_text(EIKONAL)], ids=["lewy", "eikonal"]
+    )
+    def test_base_gradients_taken_once(self, monkeypatch, make):
+        """The jet gradient of each equation is taken once per operator,
+        by a range check, a construction and another prolongation alike."""
+        taken = []
+        original = jets.jet_gradient
+
+        def counting(e):
+            taken.append(e)
+            return original(e)
+
+        monkeypatch.setattr(jets, "jet_gradient", counting)
+        op = make()
+        pts = DensePointStream(op.domain).prefix(3)
+        assert ranges.range_condition_check(op, pts, 2).all_ok
+        construct_sequence(op, pts, [0, 1, 2])
+        zero = MultiIndex((0,) * op.n)
+        assert [jets.prolong(op, 1).gradient(j, zero) for j in range(1, op.r + 1)] == list(op.gradients)
+        assert taken == list(op.equations)
 
 
 class TestOnePolynomialPerJet:

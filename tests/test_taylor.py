@@ -35,7 +35,7 @@ from densepde.jets import jet_of_function
 from densepde.multiindex import MultiIndex, multi_indices, zero_index
 from densepde.parser import Context
 from densepde.systems import lewy_operator
-from densepde.taylor import derivative, series, shift
+from densepde.taylor import derivative, jet_coefficients, series, shift
 from densepde.verify import (
     check_vanishing,
     error_sequence,
@@ -225,6 +225,34 @@ def test_shift_and_bindings():
     }
     s = series(g, (F(1, 2),), 2, bindings=bound)
     assert [derivative(s, p) for p in multi_indices(1, 2)] == [F(1, 4), F(3, 2), F(6)]
+
+
+def test_jet_coefficients_round_trip_jet_of_function():
+    # jet_of_function stores p! c_p of each component's series; the
+    # coefficients come back as c_p in the jet's arithmetic, zeros kept
+    ctx = Context(("x", "y"), ("u", "v"))
+    u = ctx.parse("x^3*y - 1/(1 + y^2)")
+    v = ctx.parse("exp(x) * sin(y)")
+    point = (F(1, 3), F(-1, 2))
+    indices = multi_indices(2, 3)
+    for components in ([u, u], [u, v]):
+        jet = jet_of_function(components, ctx, point, 3)
+        mode = "auto" if jet.exact else "float"
+        got = jet_coefficients(jet.values, 2, jet.exact)
+        for unknown, (c, coefficients) in enumerate(zip(components, got), start=1):
+            assert sorted(coefficients) == sorted(indices)
+            assert all(type(a) is (F if jet.exact else float) for a in coefficients.values())
+            want = series(c, point, 3, mode)
+            if jet.exact:
+                assert {p: a for p, a in coefficients.items() if a} == want
+                assert {p: p.factorial() * a for p, a in coefficients.items()} == {
+                    p: jet.value(unknown, p) for p in indices
+                }
+            else:
+                # v / p! rounds once, so p! c_p / p! may differ from c_p
+                for p in indices:
+                    assert coefficients[p] == pytest.approx(want.get(p, 0.0), rel=1e-15)
+    assert F(0) in jet_coefficients(jet_of_function([u, u], ctx, point, 3).values, 2, True)[0].values()
 
 
 # ---------------------------------------------------------------------------
