@@ -56,13 +56,11 @@ from .ranges import (
 )
 from .construct import (
     AssembledFunction,
-    BracketResult,
     ConstructionError,
     DensePointStream,
     DiscreteSolve,
     SolutionSequence,
     SolveFailure,
-    bracket_interpolate,
     construct_sequence,
     make_bumps,
     taylor_from_jet,

@@ -8,25 +8,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .expr import (
-    Bump,
-    Const,
-    Expr,
-    Var,
-    evaluate_float,
-    simplify,
-    spow,
-    sprod,
-    ssum,
-    ONE,
-    MINUS_ONE,
-)
-from .jets import Jet, PdeOperator, apply_operator, prolong
+from .expr import Bump, Const, Expr, Var, evaluate_float, spow, sprod, ssum
+from .frozen import Frozen
+from .jets import Jet, PdeOperator, prolong
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 from .ranges import JetSolveResult, solve_jets_triangular
@@ -39,8 +27,7 @@ Box = tuple[tuple[Fraction, Fraction], ...]
 # ---------------------------------------------------------------------------
 # dense point enumeration
 
-@dataclass(frozen=True)
-class DensePointStream:
+class DensePointStream(Frozen):
     """Deterministic stream of distinct rational points, dense in the box.
 
     dyadic: per level d, all points with every coordinate an odd multiple
@@ -49,17 +36,15 @@ class DensePointStream:
     ordered by denominator, combined by diagonal sweep over index sums.
     """
 
-    box: Box
-    scheme: str = "dyadic"
-
-    def __post_init__(self):
-        if self.scheme not in ("dyadic", "diagonal"):
-            raise ValueError(f"unknown scheme {self.scheme!r}")
-        if not self.box:
+    def __init__(self, box: Box, scheme: str = "dyadic"):
+        if scheme not in ("dyadic", "diagonal"):
+            raise ValueError(f"unknown scheme {scheme!r}")
+        if not box:
             raise ValueError("empty box")
-        for lo, hi in self.box:
+        for lo, hi in box:
             if not lo < hi:
                 raise ValueError("degenerate box interval")
+        self.__dict__.update(box=box, scheme=scheme)
 
     def _unit_points(self) -> Iterator[tuple[Fraction, ...]]:
         n = len(self.box)
@@ -228,14 +213,11 @@ class TaylorPolynomials:
 # ---------------------------------------------------------------------------
 # assembled functions
 
-@dataclass(frozen=True)
-class AssembledFunction:
-    """Finite sum of bump * polynomial pieces with disjoint supports,
-    plus an optional global background term (bracket interpolation)."""
+class AssembledFunction(Frozen):
+    """Finite sum of bump * polynomial pieces with disjoint supports."""
 
-    context: Context
-    pieces: tuple[tuple[Bump, Expr], ...]
-    background: Expr | None = None
+    def __init__(self, context: Context, pieces: tuple[tuple[Bump, Expr], ...]):
+        self.__dict__.update(context=context, pieces=pieces)
 
     def expression(self) -> Expr:
         return self._expression
@@ -243,10 +225,7 @@ class AssembledFunction:
     @cached_property
     def _expression(self) -> Expr:
         """The glued sum, built on first use and kept."""
-        terms = [sprod([bump, poly]) for bump, poly in self.pieces]
-        if self.background is not None:
-            terms.append(self.background)
-        return ssum(terms)
+        return ssum([sprod([bump, poly]) for bump, poly in self.pieces])
 
     def value(self, point: Sequence) -> float:
         assignment = {
@@ -265,17 +244,20 @@ class SolveFailure(Exception):
         )
 
 
-@dataclass(frozen=True)
-class DiscreteSolve:
+class DiscreteSolve(Frozen):
     """Result of solving on a finite point set: the jet at each point and
     the bumps centred on the points, both in point order.  The glued
     functions, one per unknown, are derived from them when first read,
     with the polynomials of `polynomials`."""
 
-    jets: dict[Point, Jet]
-    bumps: tuple[Bump, ...]
-    level: int
-    polynomials: TaylorPolynomials = field(repr=False, compare=False)
+    def __init__(
+        self,
+        jets: dict[Point, Jet],
+        bumps: tuple[Bump, ...],
+        level: int,
+        polynomials: TaylorPolynomials,
+    ):
+        self.__dict__.update(jets=jets, bumps=bumps, level=level, polynomials=polynomials)
 
     @property
     def exact(self) -> bool:
@@ -342,21 +324,22 @@ def glue(
 # ---------------------------------------------------------------------------
 # staged sequences
 
-@dataclass(frozen=True)
-class SolutionSequence:
+class SolutionSequence(Frozen):
     """The staged sequence: stage nu solves on the points z_0..z_nu at
     prolongation level l_nu."""
 
-    operator: PdeOperator
-    points: tuple[Point, ...]
-    orders: tuple[int, ...]
-    stages: tuple[DiscreteSolve, ...]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.orders) or len(self.points) != len(self.stages):
+    def __init__(
+        self,
+        operator: PdeOperator,
+        points: tuple[Point, ...],
+        orders: tuple[int, ...],
+        stages: tuple[DiscreteSolve, ...],
+    ):
+        if len(points) != len(orders) or len(points) != len(stages):
             raise ValueError("points, orders and stages must align")
-        if any(b < a for a, b in zip(self.orders, self.orders[1:])):
+        if any(b < a for a, b in zip(orders, orders[1:])):
             raise ValueError("order schedule must be non-decreasing")
+        self.__dict__.update(operator=operator, points=points, orders=orders, stages=stages)
 
     @property
     def stage_count(self) -> int:
@@ -427,109 +410,3 @@ def construct_sequence(
     return SolutionSequence(
         op, tuple(pts), tuple(orders), glue(op, pts, stage_jets, orders)
     )
-
-
-# ---------------------------------------------------------------------------
-# bracket interpolation (convex combination of a sub/super solution pair)
-
-@dataclass(frozen=True)
-class BracketResult:
-    function: AssembledFunction
-    lambdas: dict[Point, float]
-    residuals: dict[Point, float]
-
-
-def bracket_interpolate(
-    op: PdeOperator,
-    f: Expr,
-    u_minus: Expr,
-    u_plus: Expr,
-    points: Sequence[Point],
-    ball: tuple[Point, Fraction] | None = None,
-    tol: float = 1e-12,
-) -> BracketResult:
-    """Interpolate between a sub- and a supersolution so the equation
-    holds at each given point, glued by a partition of unity that is 1
-    near each point and sums to 1 everywhere.
-
-    Requires T u_minus <= f <= T u_plus at every point (checked; violation
-    is rejected naming the point).
-    """
-    if op.k != 1 or op.r != 1:
-        raise ValueError("bracket interpolation applies to scalar operators")
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    if ball is not None:
-        center, delta = ball
-        for a in pts:
-            d2 = sum((ca - cc) ** 2 for ca, cc in zip(a, center))
-            if d2 >= Fraction(delta) ** 2:
-                raise ValueError(f"point {a} outside the prescribed ball")
-
-    def action(u: Expr, a: Point) -> float:
-        return float(apply_operator(op, u, a)[0])
-
-    f_at = {}
-    assignment_of = lambda a: {
-        v: x for v, x in zip(op.context.space_vars(), a)
-    }
-    for a in pts:
-        f_at[a] = evaluate_float(f, assignment_of(a))
-        lo = action(u_minus, a) - f_at[a]
-        hi = action(u_plus, a) - f_at[a]
-        where = "(" + ", ".join(str(c) for c in a) + ")"
-        if lo > 0:
-            raise ValueError(
-                f"bracket violated at {where}: T u_minus exceeds f ({lo:+.3g})"
-            )
-        if hi < 0:
-            raise ValueError(
-                f"bracket violated at {where}: T u_plus below f ({hi:+.3g})"
-            )
-
-    lambdas: dict[Point, float] = {}
-    residuals: dict[Point, float] = {}
-    u_minus = simplify(u_minus)
-    u_plus = simplify(u_plus)
-    for a in pts:
-        lo_l, hi_l = 0.0, 1.0
-
-        def h(lam: float) -> float:
-            u_lam = simplify(
-                ssum([sprod([Const(Fraction(1 - lam)), u_minus]),
-                      sprod([Const(Fraction(lam)), u_plus])])
-            )
-            return action(u_lam, a) - f_at[a]
-
-        h_lo, h_hi = h(lo_l), h(hi_l)
-        lam = 0.5
-        for _ in range(200):
-            lam = 0.5 * (lo_l + hi_l)
-            val = h(lam)
-            if abs(val) <= tol:
-                break
-            if (val < 0) == (h_lo < 0):
-                lo_l, h_lo = lam, val
-            else:
-                hi_l, h_hi = lam, val
-        lambdas[a] = lam
-        residuals[a] = abs(h(lam))
-        if residuals[a] > tol:
-            raise ValueError(
-                f"bisection stalled at {a}: residual {residuals[a]:.3g}"
-            )
-
-    bumps = make_bumps(pts, op.domain, op.context)
-    u_of = {}
-    for a in pts:
-        lam = Fraction(lambdas[a])
-        u_of[a] = simplify(
-            ssum([sprod([Const(1 - lam), u_minus]), sprod([Const(lam), u_plus])])
-        )
-    pieces = tuple((bump, u_of[a]) for bump, a in zip(bumps, pts))
-    # background: (1 - sum of bumps) * average of the interpolants,
-    # so the partition weights are each 1 near their point and sum to 1
-    avg = sprod([Const(Fraction(1, len(pts))), ssum(list(u_of.values()))])
-    one_minus = ssum([ONE] + [sprod([MINUS_ONE, b]) for b in bumps])
-    background = sprod([one_minus, avg])
-    function = AssembledFunction(op.context, pieces, background=background)
-    return BracketResult(function, lambdas, residuals)

@@ -8,11 +8,11 @@ All nodes are immutable; operations are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+from .frozen import Frozen
 from .multiindex import MultiIndex
 
 Number = Union[int, Fraction, float]
@@ -29,22 +29,50 @@ class ExactnessUnavailable(Exception):
 # ---------------------------------------------------------------------------
 # variables
 
-@dataclass(frozen=True)
-class SpaceVar:
-    axis: int  # 1-based
-    name: str = field(compare=False)
+class SpaceVar(Frozen):
+    """Space variable x_axis; equal to every SpaceVar of the same axis,
+    whatever its name."""
+
+    def __init__(self, axis: int, name: str):
+        d = self.__dict__
+        d["axis"] = axis  # 1-based
+        d["name"] = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.axis == other.axis
+
+    def __hash__(self):
+        return hash((self.axis,))
+
+    def __repr__(self):
+        return f"SpaceVar(axis={self.axis!r}, name={self.name!r})"
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
-class JetVar:
-    """Jet coordinate: value of D^p applied to one unknown."""
+class JetVar(Frozen):
+    """Jet coordinate: value of D^p applied to one unknown.  Equality and
+    hash ignore the name, as for SpaceVar."""
 
-    unknown: int  # 1-based
-    index: MultiIndex
-    name: str = field(compare=False)
+    def __init__(self, unknown: int, index: MultiIndex, name: str):
+        d = self.__dict__
+        d["unknown"] = unknown  # 1-based
+        d["index"] = index
+        d["name"] = name
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.unknown, self.index) == (other.unknown, other.index)
+
+    def __hash__(self):
+        return hash((self.unknown, self.index))
+
+    def __repr__(self):
+        return f"JetVar(unknown={self.unknown!r}, index={self.index!r}, name={self.name!r})"
 
     @property
     def order(self) -> int:
@@ -60,10 +88,26 @@ Variable = Union[SpaceVar, JetVar]
 # ---------------------------------------------------------------------------
 # nodes
 
-class Expr:
-    """Base class; construct through the smart constructors below."""
+class Expr(Frozen):
+    """Base class; construct through the smart constructors below.
+
+    Nodes are immutable and equal when they are of one class with equal
+    `_fields`; the hash is hash of the tuple of those fields."""
 
     __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __add__(self, other):
         return ssum([self, as_expr(other)])
@@ -102,52 +146,66 @@ class Expr:
         return f"<{type(self).__name__} {self}>"
 
 
-@dataclass(frozen=True, repr=False)
 class Const(Expr):
-    value: Fraction
+    _fields = ("value",)
+
+    def __init__(self, value: Fraction):
+        self.__dict__["value"] = value
 
 
-@dataclass(frozen=True, repr=False)
 class Var(Expr):
-    var: Variable
+    _fields = ("var",)
+
+    def __init__(self, var: Variable):
+        self.__dict__["var"] = var
 
 
-@dataclass(frozen=True, repr=False)
 class Sum(Expr):
-    terms: tuple[Expr, ...]
+    _fields = ("terms",)
+
+    def __init__(self, terms: tuple[Expr, ...]):
+        self.__dict__["terms"] = terms
 
 
-@dataclass(frozen=True, repr=False)
 class Prod(Expr):
-    factors: tuple[Expr, ...]
+    _fields = ("factors",)
+
+    def __init__(self, factors: tuple[Expr, ...]):
+        self.__dict__["factors"] = factors
 
 
-@dataclass(frozen=True, repr=False)
 class Pow(Expr):
-    base: Expr
-    exponent: Fraction
+    _fields = ("base", "exponent")
+
+    def __init__(self, base: Expr, exponent: Fraction):
+        d = self.__dict__
+        d["base"] = base
+        d["exponent"] = exponent
 
 
-@dataclass(frozen=True, repr=False)
 class Quot(Expr):
-    numer: Expr
-    denom: Expr
+    _fields = ("numer", "denom")
+
+    def __init__(self, numer: Expr, denom: Expr):
+        d = self.__dict__
+        d["numer"] = numer
+        d["denom"] = denom
 
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
 
-@dataclass(frozen=True, repr=False)
 class Fn(Expr):
-    name: str
-    arg: Expr
+    _fields = ("name", "arg")
 
-    def __post_init__(self):
-        if self.name not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.name!r}")
+    def __init__(self, name: str, arg: Expr):
+        if name not in FUNCTIONS:
+            raise ValueError(f"unknown function {name!r}")
+        d = self.__dict__
+        d["name"] = name
+        d["arg"] = arg
 
 
-@dataclass(frozen=True, repr=False)
 class Bump(Expr):
     """Smooth bump (or one of its partial derivatives) centered at a point.
 
@@ -158,17 +216,26 @@ class Bump(Expr):
     evaluations of any derivative are exact rationals (1 or 0).
     """
 
-    center: tuple[Fraction, ...]
-    r_in: Fraction
-    r_out: Fraction
-    space_vars: tuple[SpaceVar, ...]
-    deriv: MultiIndex
+    _fields = ("center", "r_in", "r_out", "space_vars", "deriv")
 
-    def __post_init__(self):
-        if not (0 < self.r_in < self.r_out):
+    def __init__(
+        self,
+        center: tuple[Fraction, ...],
+        r_in: Fraction,
+        r_out: Fraction,
+        space_vars: tuple[SpaceVar, ...],
+        deriv: MultiIndex,
+    ):
+        if not (0 < r_in < r_out):
             raise ValueError("need 0 < r_in < r_out")
-        if len(self.center) != len(self.space_vars):
+        if len(center) != len(space_vars):
             raise ValueError("center/space variable dimension mismatch")
+        d = self.__dict__
+        d["center"] = center
+        d["r_in"] = r_in
+        d["r_out"] = r_out
+        d["space_vars"] = space_vars
+        d["deriv"] = deriv
 
 
 ZERO = Const(Fraction(0))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Callable, Sequence
@@ -26,6 +25,7 @@ from .expr import (
     sprod,
     ssum,
 )
+from .frozen import Frozen
 from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_rational
 from .taylor import derivative, series
@@ -33,21 +33,35 @@ from .taylor import derivative, series
 Point = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class Jet:
-    """Dense assignment of values to jet coordinates up to a given order."""
+class Jet(Frozen):
+    """Dense assignment of values to jet coordinates up to a given order.
 
-    n: int
-    k: int
-    order: int
-    values: Mapping[tuple[int, MultiIndex], Fraction | float]
+    Jets are equal when n, k, order and values are; a jet is not hashable."""
 
-    def __post_init__(self):
-        expected = {(u, p) for u in range(1, self.k + 1) for p in multi_indices(self.n, self.order)}
-        if set(self.values) != expected:
-            missing = expected - set(self.values)
-            extra = set(self.values) - expected
+    def __init__(
+        self,
+        n: int,
+        k: int,
+        order: int,
+        values: Mapping[tuple[int, MultiIndex], Fraction | float],
+    ):
+        expected = {(u, p) for u in range(1, k + 1) for p in multi_indices(n, order)}
+        if set(values) != expected:
+            missing = expected - set(values)
+            extra = set(values) - expected
             raise ValueError(f"jet not dense: missing {missing}, extra {extra}")
+        d = self.__dict__
+        d["n"] = n
+        d["k"] = k
+        d["order"] = order
+        d["values"] = values
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.k, self.order, self.values) == (
+            other.n, other.k, other.order, other.values
+        )
 
     @property
     def exact(self) -> bool:
@@ -71,21 +85,26 @@ class Jet:
         return Jet(self.n, self.k, order, vals)
 
 
-@dataclass(frozen=True)
-class PdeOperator:
+class PdeOperator(Frozen):
     """A system of r equations G_j = 0 over space and jet variables.
 
     Right-hand sides are already folded in (homogeneous form); use
     normalize_homogeneous when building from an F = f pair.
     """
 
-    context: Context
-    order: int
-    equations: tuple[Expr, ...]
-    domain: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        n, k, m = self.context.n, self.context.k, self.order
+    def __init__(
+        self,
+        context: Context,
+        order: int,
+        equations: tuple[Expr, ...],
+        domain: tuple[tuple[Fraction, Fraction], ...],
+    ):
+        d = self.__dict__
+        d["context"] = context
+        d["order"] = order
+        d["equations"] = equations
+        d["domain"] = domain
+        n, k, m = context.n, context.k, order
         if type(m) is not int or m < 0:
             raise ValueError(f"order must be a whole number >= 0, got {m!r}")
         if len(self.domain) != n:
@@ -205,8 +224,7 @@ def _lift(e: Expr, gradient, context: Context, axis: int) -> Expr:
     return simplify(ssum(terms))
 
 
-@dataclass(frozen=True)
-class ProlongedSystem:
+class ProlongedSystem(Frozen):
     """All prolonged equations F_{j,p} = D^p G_j for |p| <= level.
 
     The rows are built in full the first time `equations` (or items())
@@ -218,9 +236,11 @@ class ProlongedSystem:
     gradient is the operator's (PdeOperator.gradients).
     """
 
-    operator: PdeOperator
-    level: int
-    _gradients: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(self, operator: PdeOperator, level: int):
+        d = self.__dict__
+        d["operator"] = operator
+        d["level"] = level
+        d["_gradients"] = {}
 
     @property
     def top_order(self) -> int:

@@ -3,24 +3,24 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
+from .frozen import Frozen
 
-@dataclass(frozen=True, eq=False)
-class MultiIndex:
+
+class MultiIndex(Frozen):
     """A tuple p of non-negative integers addressing the mixed partial D^p.
 
     Multi-indices key most dicts of the package, so the hash is computed
-    once, with the value a generated dataclass hash has, hash((entries,)):
-    set and dict orders do not depend on this caching."""
+    once, as hash((entries,)), the value every value type of the package
+    hashes to: hash of the tuple of its compared fields."""
 
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(e < 0 for e in self.entries):
-            raise ValueError(f"negative entry in multi-index {self.entries}")
-        object.__setattr__(self, "_hash", hash((self.entries,)))
+    def __init__(self, entries: tuple[int, ...]):
+        if any(e < 0 for e in entries):
+            raise ValueError(f"negative entry in multi-index {entries}")
+        d = self.__dict__
+        d["entries"] = entries
+        d["_hash"] = hash((entries,))
 
     def __hash__(self):
         return self._hash
@@ -29,6 +29,9 @@ class MultiIndex:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self.entries == other.entries
+
+    def __repr__(self):
+        return f"MultiIndex(entries={self.entries!r})"
 
     @property
     def n(self) -> int:

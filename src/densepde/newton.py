@@ -12,7 +12,6 @@ start where F or its Jacobian cannot be evaluated is a failed start.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 from typing import Callable, Sequence
 
@@ -27,13 +26,13 @@ STATIONARY_TOL = 1e-8
 Vector = list[float]
 
 
-@dataclass
 class NewtonResult:
-    converged: bool
-    x: Vector
-    residual: float
-    stationary: bool  # first-order stationary point of |F|^2 reached
-    iterations: int
+    def __init__(self, converged: bool, x: Vector, residual: float, stationary: bool, iterations: int):
+        self.converged = converged
+        self.x = x
+        self.residual = residual
+        self.stationary = stationary  # first-order stationary point of |F|^2 reached
+        self.iterations = iterations
 
 
 def damped_newton(

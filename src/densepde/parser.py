@@ -9,7 +9,6 @@ exp, log, sqrt; rational literals ``a/b`` and decimals (parsed exactly).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .expr import (
@@ -29,23 +28,12 @@ from .expr import (
 from .multiindex import MultiIndex, zero_index
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
-    position: int
-    message: str
-
-    def __str__(self):
-        return f"at offset {self.position}: {self.message}"
-
-
 class ParseError(Exception):
-    def __init__(self, diagnostic: ParseDiagnostic):
-        super().__init__(str(diagnostic))
-        self.diagnostic = diagnostic
+    """A syntax error at character offset `position` of the text."""
 
-    @property
-    def position(self) -> int:
-        return self.diagnostic.position
+    def __init__(self, position: int, message: str):
+        super().__init__(f"at offset {position}: {message}")
+        self.position = position
 
 
 class Context:
@@ -146,7 +134,7 @@ class _Parser:
                 if not stripped:
                     break
                 at = len(text) - len(stripped)
-                raise ParseError(ParseDiagnostic(at, f"unexpected character {text[at]!r}"))
+                raise ParseError(at, f"unexpected character {text[at]!r}")
             kind = m.lastgroup
             self.tokens.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
@@ -156,7 +144,7 @@ class _Parser:
         e = self.expr()
         if self.i < len(self.tokens):
             kind, value, at = self.tokens[self.i]
-            raise ParseError(ParseDiagnostic(at, f"unexpected {value!r}"))
+            raise ParseError(at, f"unexpected {value!r}")
         return e
 
     # --- token helpers
@@ -174,7 +162,7 @@ class _Parser:
     def fail(self, message, at=None):
         if at is None:
             at = self.peek()[2]
-        raise ParseError(ParseDiagnostic(at, message))
+        raise ParseError(at, message)
 
     # --- grammar
 

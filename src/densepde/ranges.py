@@ -26,13 +26,13 @@ construction therefore solve each point once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
 from typing import Sequence
 
 from .expr import evaluate_exact, evaluate_float, exact_arithmetic
+from .frozen import Frozen
 from .jets import Jet, PdeOperator, ProlongedSystem, prolong
 from .linalg import (
     FLOAT_RANK_TOL,
@@ -150,8 +150,7 @@ def _stacked(sys: ProlongedSystem, x: Sequence, exact: bool):
     )
 
 
-@dataclass(frozen=True)
-class RankCertificate:
+class RankCertificate(Frozen):
     """Solvability certificate for a linear operator at one point/level.
 
     holds: rank P = rank Q (the prolonged linear system is consistent).
@@ -160,20 +159,40 @@ class RankCertificate:
     linear case aims at).
     """
 
-    point: tuple
-    level: int
-    rank_p: int
-    rank_q: int
-    n_rows: int
-    n_cols: int
-    holds: bool
-    strict: bool
-    arithmetic: str
-    tolerance: float | None = None
-
-    def __post_init__(self):
-        if self.strict and not self.holds:
+    def __init__(
+        self,
+        point: tuple,
+        level: int,
+        rank_p: int,
+        rank_q: int,
+        n_rows: int,
+        n_cols: int,
+        holds: bool,
+        strict: bool,
+        arithmetic: str,
+        tolerance: float | None = None,
+    ):
+        if strict and not holds:
             raise ValueError("strict certificate must hold")
+        self.__dict__.update(
+            point=point, level=level, rank_p=rank_p, rank_q=rank_q, n_rows=n_rows,
+            n_cols=n_cols, holds=holds, strict=strict, arithmetic=arithmetic,
+            tolerance=tolerance,
+        )
+
+    def _key(self) -> tuple:
+        return (
+            self.point, self.level, self.rank_p, self.rank_q, self.n_rows,
+            self.n_cols, self.holds, self.strict, self.arithmetic, self.tolerance,
+        )
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def to_json(self):
         return {
@@ -259,34 +278,43 @@ def _certify(linear: ProlongedSystem, x: Sequence, levels: Sequence[int]):
 # ---------------------------------------------------------------------------
 # triangular jet solving
 
-@dataclass
 class JetSolveResult:
     """Outcome of one triangular jet solve at a point.
 
     levels[l] is the result a solve of the prolongation to level l
     gives, for every level l of the solved system; the last entry equals
-    this result.  The per-level results carry no levels of their own."""
+    this result.  The per-level results carry no levels of their own.
+    Equality compares every field but `levels`."""
 
-    status: str  # solved | no-solution | solver-failed
-    jet: Jet | None
-    residual: float
-    arithmetic: str
-    failed_level: int | None = None
-    detail: str = ""
-    levels: tuple["JetSolveResult", ...] = field(default=(), repr=False, compare=False)
+    def __init__(
+        self,
+        status: str,
+        jet: Jet | None,
+        residual: float,
+        arithmetic: str,
+        failed_level: int | None = None,
+        detail: str = "",
+        levels: tuple["JetSolveResult", ...] = (),
+    ):
+        self.status = status  # solved | no-solution | solver-failed
+        self.jet = jet
+        self.residual = residual
+        self.arithmetic = arithmetic
+        self.failed_level = failed_level
+        self.detail = detail
+        self.levels = levels
+
+    def _key(self) -> tuple:
+        return (self.status, self.jet, self.residual, self.arithmetic, self.failed_level, self.detail)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
     @property
     def solved(self) -> bool:
         return self.status == "solved"
-
-
-@dataclass
-class _LevelResult:
-    status: str  # ok | no-solution | solver-failed
-    values: dict
-    residual: float
-    arithmetic: str
-    detail: str = ""
 
 
 def _seed_values(seed) -> dict:
@@ -346,7 +374,7 @@ def solve_jets_triangular(
             )
     known = {c: seed_vals[c] for c in base_cols if c in seed_vals}
     if not op.affine:
-        result = _solve_newton_base(op, base_cols, x, seed_vals, tol)
+        solved, failure = _solve_newton_base(op, base_cols, x, seed_vals, tol)
     else:
         if exact_arithmetic(op.equations, x) and not exact_arithmetic((), known.values()):
             raise ValueError(
@@ -362,10 +390,10 @@ def solve_jets_triangular(
             _equation_series(op, x, known, 0, exact),
             [zero_index(n)], free_cols, exact,
         )
-        result = _solve_affine(free_cols, a, b, exact, tol, "inconsistent affine system at level 0")
+        solved, failure = _solve_affine(free_cols, a, b, exact, tol, 0)
     lam = 0
-    if result.status == "ok":
-        known.update(result.values)
+    if failure is None:
+        known.update(solved)
         # the arithmetic of level 0 carries to every later level
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
         coefficients = _gradient_values(op, x, known, exact)
@@ -376,20 +404,10 @@ def solve_jets_triangular(
                 _equation_series(op, x, known, sys.level, exact),
                 multi_indices_of_order(n, lam), columns, exact,
             )
-            result = _solve_affine(columns, a, b, exact, tol, "inconsistent level")
-            if result.status != "ok":
+            solved, failure = _solve_affine(columns, a, b, exact, tol, lam)
+            if failure is not None:
                 break
-            known.update(result.values)
-    failure = None
-    if result.status != "ok":
-        failure = JetSolveResult(
-            status=result.status,
-            jet=None,
-            residual=result.residual,
-            arithmetic=result.arithmetic,
-            failed_level=lam,
-            detail=result.detail,
-        )
+            known.update(solved)
 
     passed = sys.level if failure is None else lam - 1
     levels = []
@@ -408,7 +426,11 @@ def solve_jets_triangular(
                 )
             )
     levels += [failure] * (sys.level - passed)
-    return replace(levels[-1], levels=tuple(levels))
+    top = levels[-1]
+    return JetSolveResult(
+        top.status, top.jet, top.residual, top.arithmetic, top.failed_level, top.detail,
+        tuple(levels),
+    )
 
 
 def _gradient_values(op: PdeOperator, x, jets: dict, exact: bool) -> list[dict]:
@@ -433,26 +455,32 @@ def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) ->
     return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
 
 
-def _solve_affine(columns, a, b, exact: bool, tol: float, detail: str) -> _LevelResult:
-    """Minimum-norm solve of A y = b for the jets `columns`: exact when
-    `exact`, float otherwise, with the residual floor deciding
-    consistency."""
+def _solve_affine(
+    columns, a, b, exact: bool, tol: float, level: int
+) -> tuple[dict, JetSolveResult | None]:
+    """Minimum-norm solve of A y = b for the jets `columns` of `level`:
+    exact when `exact`, float otherwise, with the residual floor deciding
+    consistency.  Returns ({column: value}, None), or ({}, the failed
+    JetSolveResult) when the system is inconsistent."""
+    detail = "inconsistent affine system at level 0" if level == 0 else "inconsistent level"
     if exact:
         solution = exact_least_norm(a, b)
         if solution is None:
-            return _LevelResult("no-solution", {}, residual_floor(a, b), "exact", detail)
-        return _LevelResult("ok", dict(zip(columns, solution)), 0.0, "exact")
+            return {}, JetSolveResult("no-solution", None, residual_floor(a, b), "exact", level, detail)
+        return dict(zip(columns, solution)), None
     floor = residual_floor(a, b)
     if floor > max(tol, CONSISTENCY_FLOOR):
-        return _LevelResult("no-solution", {}, floor, "float", detail)
+        return {}, JetSolveResult("no-solution", None, floor, "float", level, detail)
     xsol = float_least_norm(a, b)
-    values = {c: float(v) for c, v in zip(columns, xsol)}
-    return _LevelResult("ok", values, floor, "float")
+    return {c: float(v) for c, v in zip(columns, xsol)}, None
 
 
-def _solve_newton_base(op: PdeOperator, cols, x, seed_vals, tol) -> _LevelResult:
+def _solve_newton_base(
+    op: PdeOperator, cols, x, seed_vals, tol
+) -> tuple[dict, JetSolveResult | None]:
     """Damped multistart Newton on the level-0 rows for the jets `cols`,
-    through their residual and Jacobian compiled once per operator."""
+    through their residual and Jacobian compiled once per operator; the
+    result as _solve_affine's."""
     present, residual, jacobian = op.compiled_base
     width = len(present)
     space_f = [float(v) for v in x]
@@ -475,13 +503,13 @@ def _solve_newton_base(op: PdeOperator, cols, x, seed_vals, tol) -> _LevelResult
             if floor <= CONSISTENCY_FLOOR:
                 # as small as a float affine level accepts as consistent:
                 # not a verdict that no root exists
-                return _LevelResult(
-                    "solver-failed", {}, floor, "float",
+                return {}, JetSolveResult(
+                    "solver-failed", None, floor, "float", 0,
                     "Newton stopped at a stationary residual within the "
                     f"consistency floor {CONSISTENCY_FLOOR:g} but above tol {tol:g}",
                 )
-            return _LevelResult(
-                "no-solution", {}, floor, "float",
+            return {}, JetSolveResult(
+                "no-solution", None, floor, "float", 0,
                 "all Newton starts reached a stationary residual floor",
             )
         floor = min(r.residual for r in results)
@@ -490,10 +518,10 @@ def _solve_newton_base(op: PdeOperator, cols, x, seed_vals, tol) -> _LevelResult
             if math.isfinite(floor)
             else "the equations could not be evaluated at any Newton start"
         )
-        return _LevelResult("solver-failed", {}, floor, "float", detail)
+        return {}, JetSolveResult("solver-failed", None, floor, "float", 0, detail)
     values = {uq: float(seed_vals.get(uq, 0.0)) for uq in cols}
     values.update({uq: float(v) for uq, v in zip(present, best.x)})
-    return _LevelResult("ok", values, best.residual, "float")
+    return values, None
 
 
 def _residuals(op: PdeOperator, x, jet: Jet, top: int) -> list:
@@ -522,26 +550,35 @@ def _residuals(op: PdeOperator, x, jet: Jet, top: int) -> list:
 # ---------------------------------------------------------------------------
 # aggregated range reports
 
-@dataclass
 class RangeEntry:
-    point: tuple
-    level: int
-    outcome: str  # solved | rank-certified | no-solution | solver-failed
-    certificate: RankCertificate | None = None
-    jet: Jet | None = None
-    residual: float = 0.0
-    detail: str = ""
+    def __init__(
+        self,
+        point: tuple,
+        level: int,
+        outcome: str,
+        certificate: RankCertificate | None = None,
+        jet: Jet | None = None,
+        residual: float = 0.0,
+        detail: str = "",
+    ):
+        self.point = point
+        self.level = level
+        self.outcome = outcome  # solved | rank-certified | no-solution | solver-failed
+        self.certificate = certificate
+        self.jet = jet
+        self.residual = residual
+        self.detail = detail
 
     @property
     def ok(self) -> bool:
         return self.outcome in ("solved", "rank-certified")
 
 
-@dataclass
 class RangeReport:
-    entries: list[RangeEntry]
-    l_max: int
-    tolerance: float
+    def __init__(self, entries: list[RangeEntry], l_max: int, tolerance: float):
+        self.entries = entries
+        self.l_max = l_max
+        self.tolerance = tolerance
 
     @property
     def all_ok(self) -> bool:

@@ -12,7 +12,6 @@ is exhaustive up to the truncation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -30,6 +29,7 @@ from .expr import (
     ssum,
     substitute,
 )
+from .frozen import Frozen
 from .jets import PdeOperator
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
@@ -40,8 +40,7 @@ Point = tuple[Fraction, ...]
 DEFAULT_FLOAT_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class FunctionSequence:
+class FunctionSequence(Frozen):
     """Finite truncation w_0, ..., w_N of a sequence of smooth functions.
 
     approximate[mu] marks terms whose coefficients came from float
@@ -49,17 +48,21 @@ class FunctionSequence:
     though the stored coefficients are rational.
     """
 
-    context: Context
-    terms: tuple[Expr, ...]
-    provenance: str = ""
-    approximate: tuple[bool, ...] | None = None
-
-    def __post_init__(self):
-        for w in self.terms:
+    def __init__(
+        self,
+        context: Context,
+        terms: tuple[Expr, ...],
+        provenance: str = "",
+        approximate: tuple[bool, ...] | None = None,
+    ):
+        for w in terms:
             if jet_variables(w):
                 raise ValueError("sequence terms must not contain jet variables")
-        if self.approximate is not None and len(self.approximate) != len(self.terms):
+        if approximate is not None and len(approximate) != len(terms):
             raise ValueError("need one approximate flag per term")
+        self.__dict__.update(
+            context=context, terms=terms, provenance=provenance, approximate=approximate
+        )
 
     @property
     def truncation(self) -> int:
@@ -95,32 +98,75 @@ class _DerivativeTable:
 # ---------------------------------------------------------------------------
 # vanishing reports
 
-@dataclass(frozen=True)
-class Failure:
-    term: int
-    index: MultiIndex
-    value: float
+class Failure(Frozen):
+    """A derivative D^index of term `term` that is not zero at a point."""
+
+    def __init__(self, term: int, index: MultiIndex, value: float):
+        self.__dict__.update(term=term, index=index, value=value)
+
+    def _key(self) -> tuple:
+        return (self.term, self.index, self.value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
 
-@dataclass(frozen=True)
-class VanishingEntry:
-    point: Point
-    order: int
-    witness: int | None
-    exact: bool
-    failures: tuple[Failure, ...] = ()
+class VanishingEntry(Frozen):
+    def __init__(
+        self,
+        point: Point,
+        order: int,
+        witness: int | None,
+        exact: bool,
+        failures: tuple[Failure, ...] = (),
+    ):
+        self.__dict__.update(
+            point=point, order=order, witness=witness, exact=exact, failures=failures
+        )
+
+    def _key(self) -> tuple:
+        return (self.point, self.order, self.witness, self.exact, self.failures)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def holds(self) -> bool:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class VanishingReport:
-    truncation: int
-    arithmetic: str
-    tolerance: float
-    entries: tuple[VanishingEntry, ...]
+class VanishingReport(Frozen):
+    def __init__(
+        self,
+        truncation: int,
+        arithmetic: str,
+        tolerance: float,
+        entries: tuple[VanishingEntry, ...],
+    ):
+        self.__dict__.update(
+            truncation=truncation, arithmetic=arithmetic, tolerance=tolerance, entries=entries
+        )
+
+    def _key(self) -> tuple:
+        return (self.truncation, self.arithmetic, self.tolerance, self.entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def holds(self) -> bool:
@@ -296,13 +342,9 @@ def symbolic_series(
     return out
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
-    equation: int
-    stage: int
-    point: Point
-    index: MultiIndex
-    value: float
+class VerificationFailure(Frozen):
+    def __init__(self, equation: int, stage: int, point: Point, index: MultiIndex, value: float):
+        self.__dict__.update(equation=equation, stage=stage, point=point, index=index, value=value)
 
     def describe(self) -> str:
         return (
@@ -312,14 +354,20 @@ class VerificationFailure:
         )
 
 
-@dataclass(frozen=True)
-class VerificationResult:
-    passed: bool
-    degenerate: bool
-    arithmetic: str
-    tolerance: float
-    reports: tuple[VanishingReport, ...]
-    failures: tuple[VerificationFailure, ...]
+class VerificationResult(Frozen):
+    def __init__(
+        self,
+        passed: bool,
+        degenerate: bool,
+        arithmetic: str,
+        tolerance: float,
+        reports: tuple[VanishingReport, ...],
+        failures: tuple[VerificationFailure, ...],
+    ):
+        self.__dict__.update(
+            passed=passed, degenerate=degenerate, arithmetic=arithmetic,
+            tolerance=tolerance, reports=reports, failures=failures,
+        )
 
     def to_json(self) -> str:
         data = {
@@ -455,18 +503,15 @@ def example_sequence(
 # ---------------------------------------------------------------------------
 # ideal probes
 
-@dataclass(frozen=True)
-class SingularityComplement:
+class SingularityComplement(Frozen):
     """A dense set of regular points; the singularity set is its
     complement in the box."""
 
-    points: tuple[Point, ...]
-    box: tuple[tuple[Fraction, Fraction], ...]
-
-    def __post_init__(self):
-        for a in self.points:
-            if not all(lo < c < hi for c, (lo, hi) in zip(a, self.box)):
+    def __init__(self, points: tuple[Point, ...], box: tuple[tuple[Fraction, Fraction], ...]):
+        for a in points:
+            if not all(lo < c < hi for c, (lo, hi) in zip(a, box)):
                 raise ValueError(f"point {a} outside the box")
+        self.__dict__.update(points=points, box=box)
 
     def point_set(self) -> frozenset[Point]:
         return frozenset(self.points)
@@ -489,10 +534,9 @@ def diagonal_probe(
     return report.holds, report
 
 
-@dataclass(frozen=True)
-class ClosureReport:
-    pairs: tuple[tuple[int, int, int | None], ...]
-    closed: bool
+class ClosureReport(Frozen):
+    def __init__(self, pairs: tuple[tuple[int, int, int | None], ...], closed: bool):
+        self.__dict__.update(pairs=pairs, closed=closed)
 
 
 def family_closure_check(family: Sequence[SingularityComplement]) -> ClosureReport:

@@ -1,5 +1,4 @@
-"""Constructor: dense streams, bumps, Taylor glue, staged sequences,
-bracket interpolation."""
+"""Constructor: dense streams, bumps, Taylor glue, staged sequences."""
 
 from fractions import Fraction as F
 
@@ -9,7 +8,6 @@ import reference
 from densepde.construct import (
     ConstructionError,
     DensePointStream,
-    bracket_interpolate,
     bump_prefixes,
     construct_sequence,
     make_bumps,
@@ -461,42 +459,3 @@ class TestOnePolynomialPerJet:
             terms.append(sprod(monomial))
         assert poly == ssum(terms)
 
-
-class TestBracket:
-    def test_interpolates_linear_operator(self):
-        op = parse_pde_text("""
-dim: 1
-vars: x
-order: 0
-domain: (0,1)
-eq: u - x
-""")
-        ctx = op.context
-        f = parse_expression("0", ctx)
-        u_minus = parse_expression("0", ctx)
-        u_plus = parse_expression("1", ctx)
-        pts = [(F(1, 4),), (F(3, 4),)]
-        res = bracket_interpolate(op, f, u_minus, u_plus, pts)
-        for a in pts:
-            assert res.residuals[a] <= 1e-12
-            # interpolant equals x at each point: u(a) = a
-            assert res.function.value(a) == pytest.approx(float(a[0]), abs=1e-10)
-
-    def test_bracket_violation_names_point(self):
-        op = parse_pde_text("""
-dim: 1
-vars: x
-order: 0
-domain: (0,1)
-eq: u - 2
-""")
-        ctx = op.context
-        with pytest.raises(ValueError) as info:
-            bracket_interpolate(
-                op,
-                parse_expression("0", ctx),
-                parse_expression("0", ctx),
-                parse_expression("1", ctx),
-                [(F(1, 2),)],
-            )
-        assert "1/2" in str(info.value)

@@ -1,6 +1,7 @@
 """Import hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, and imports sit at module level.
-The package has no runtime dependencies: importing it loads no numpy.
+The package has no runtime dependencies: importing it loads no numpy, and
+it generates no class code: it loads neither dataclasses nor inspect.
 """
 
 import ast
@@ -76,13 +77,26 @@ def test_imports_at_module_level():
     assert local == []
 
 
-def test_import_loads_no_numpy():
+def _after_import(expression: str) -> str:
+    """What a fresh interpreter prints for `expression` after `import
+    densepde`; `before` holds the modules loaded before that import."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, densepde; print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"],
+         f"import sys; before = set(sys.modules); import densepde; print({expression})"],
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_loads_no_numpy():
+    assert _after_import("sorted(m for m in sys.modules if m.split('.')[0] == 'numpy')") == "[]"
+
+
+def test_import_generates_no_code():
+    # the package's classes are plain classes: importing it generates no
+    # dataclass code, which would load dataclasses and, with them, inspect
+    loaded = "sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))"
+    assert _after_import(loaded) == "[]"

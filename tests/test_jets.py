@@ -7,6 +7,16 @@ from fractions import Fraction as F
 import pytest
 
 from densepde.expr import (
+    Bump,
+    Const,
+    Fn,
+    JetVar,
+    Pow,
+    Prod,
+    Quot,
+    SpaceVar,
+    Sum,
+    Var,
     differentiate_multi,
     evaluate_exact,
     evaluate_float,
@@ -78,14 +88,6 @@ class TestMultiIndex:
     def test_factorial(self):
         assert MultiIndex((2, 3)).factorial() == 12
 
-    def test_hash_is_the_generated_dataclass_hash(self):
-        # the cached hash keeps the value a frozen dataclass generates, so
-        # set and dict orders (and the payloads built from them) stay put
-        for entries in [(), (0,), (1, 2), (3, 0, 5), (7, 7, 7, 7)]:
-            p = MultiIndex(entries)
-            assert hash(p) == hash((entries,))
-            assert {p: 1}[MultiIndex(entries)] == 1
-
     def test_equality_with_other_types(self):
         p = MultiIndex((1, 2))
         assert p.__eq__((1, 2)) is NotImplemented
@@ -93,6 +95,99 @@ class TestMultiIndex:
         assert p != (1, 2)
         assert p == MultiIndex((1, 2))
         assert p != MultiIndex((2, 1))
+
+
+
+X, Y = SpaceVar(1, "x"), SpaceVar(2, "y")
+
+# Per value type: a factory of equal fresh instances, the fields its
+# equality compares and its hash hashes (in order), and an unequal instance.
+VALUE_TYPES = {
+    "MultiIndex": (lambda: MultiIndex((1, 2)), ("entries",), MultiIndex((2, 1))),
+    "SpaceVar": (lambda: SpaceVar(1, "x"), ("axis",), Y),
+    "JetVar": (
+        lambda: JetVar(1, MultiIndex((1, 0)), "u_x"), ("unknown", "index"),
+        JetVar(1, MultiIndex((0, 1)), "u_y"),
+    ),
+    "Const": (lambda: Const(F(1, 2)), ("value",), Const(F(1, 3))),
+    "Var": (lambda: Var(SpaceVar(1, "x")), ("var",), Var(Y)),
+    "Sum": (lambda: Sum((Var(X), Var(Y))), ("terms",), Sum((Var(X), Const(F(1))))),
+    "Prod": (lambda: Prod((Var(X), Var(Y))), ("factors",), Prod((Var(Y), Var(Y)))),
+    "Pow": (lambda: Pow(Var(X), F(3)), ("base", "exponent"), Pow(Var(X), F(2))),
+    "Quot": (lambda: Quot(Var(X), Var(Y)), ("numer", "denom"), Quot(Var(Y), Var(X))),
+    "Fn": (lambda: Fn("sin", Var(X)), ("name", "arg"), Fn("cos", Var(X))),
+    "Bump": (
+        lambda: Bump((F(1, 2), F(1, 2)), F(1, 8), F(1, 4), (X, Y), MultiIndex((0, 0))),
+        ("center", "r_in", "r_out", "space_vars", "deriv"),
+        Bump((F(1, 2), F(1, 2)), F(1, 8), F(1, 4), (X, Y), MultiIndex((1, 0))),
+    ),
+    "Jet": (
+        lambda: Jet(1, 1, 1, {(1, MultiIndex((0,))): F(1), (1, MultiIndex((1,))): F(2)}),
+        ("n", "k", "order", "values"),
+        Jet(1, 1, 1, {(1, MultiIndex((0,))): F(1), (1, MultiIndex((1,))): F(3)}),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALUE_TYPES))
+class TestValueTypes:
+    """The contract of the hashed and compared types: equal when of one
+    class with equal compared fields, hash of the tuple of those fields
+    (so set and dict orders, and the payloads built from them, do not
+    depend on how the class is written), and immutable."""
+
+    def test_hash_is_hash_of_compared_fields(self, kind):
+        make, fields, _ = VALUE_TYPES[kind]
+        obj = make()
+        if kind == "Jet":  # its values are a dict
+            with pytest.raises(TypeError):
+                hash(obj)
+            return
+        assert hash(obj) == hash(tuple(getattr(obj, f) for f in fields))
+        assert {obj: 1}[make()] == 1
+
+    def test_equal_by_compared_fields(self, kind):
+        make, _, other = VALUE_TYPES[kind]
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        assert a != other and not a == other
+
+    def test_eq_with_another_type_is_not_implemented(self, kind):
+        make, fields, _ = VALUE_TYPES[kind]
+        obj = make()
+        key = tuple(getattr(obj, f) for f in fields)
+        neighbour = list(VALUE_TYPES)[list(VALUE_TYPES).index(kind) - 1]
+        for other in (key, key[0], None, VALUE_TYPES[neighbour][0]()):
+            assert obj.__eq__(other) is NotImplemented
+            assert obj != other
+
+    def test_assignment_and_deletion_raise(self, kind):
+        make, fields, _ = VALUE_TYPES[kind]
+        obj = make()
+        before = getattr(obj, fields[0])
+        with pytest.raises(AttributeError):
+            setattr(obj, fields[0], None)
+        with pytest.raises(AttributeError):
+            delattr(obj, fields[0])
+        with pytest.raises(AttributeError):
+            obj.extra = 1
+        assert getattr(obj, fields[0]) is before
+        assert "extra" not in vars(obj)
+
+
+def test_equality_ignores_name():
+    assert SpaceVar(1, "x") == SpaceVar(1, "t")
+    assert hash(SpaceVar(1, "x")) == hash(SpaceVar(1, "t"))
+    assert JetVar(1, MultiIndex((1, 0)), "u_x") == JetVar(1, MultiIndex((1, 0)), "v_t")
+    assert hash(JetVar(1, MultiIndex((1, 0)), "u_x")) == hash(JetVar(1, MultiIndex((1, 0)), "v_t"))
+    assert Var(SpaceVar(1, "x")) == Var(SpaceVar(1, "t"))
+
+
+def test_expr_nodes_of_another_class_differ():
+    children = (Var(X), Var(Y))
+    assert Sum(children) != Prod(children)
+    assert Sum(children).__eq__(Prod(children)) is NotImplemented
 
 
 class TestTotalDerivative:

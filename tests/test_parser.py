@@ -52,7 +52,7 @@ def test_function_call():
 def test_parse_error_position():
     with pytest.raises(ParseError) as info:
         parse_expression("x + * y", CTX2)
-    assert info.value.diagnostic.position == 4
+    assert info.value.position == 4
 
 
 def test_unknown_subscript_letter():

@@ -1,14 +1,13 @@
 """Verifier: vanishing condition, ideal properties at truncation,
 probes, closure."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from densepde import expr as expr_module
 from densepde import verify as verify_module
-from densepde.construct import DensePointStream, construct_sequence
+from densepde.construct import DensePointStream, DiscreteSolve, construct_sequence
 from densepde.expr import (
     Const,
     Var,
@@ -234,7 +233,7 @@ eq: u_x - u
         a = (F(1, 4),)
         values = (F(1, 16), F(1, 2), F(2))
         wrong = Jet(1, 1, 2, {(1, MultiIndex((k,))): v for k, v in enumerate(values)})
-        broken = replace(stage, jets={**stage.jets, a: wrong})
+        broken = DiscreteSolve({**stage.jets, a: wrong}, stage.bumps, stage.level, stage.polynomials)
         from densepde.construct import SolutionSequence
 
         bad = SolutionSequence(
