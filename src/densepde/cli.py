@@ -24,7 +24,7 @@ from .construct import (
 from .expr import EvaluationError, ExactnessUnavailable
 from .jets import load_pde_file, prolong
 from .parser import ParseError, parse_rational
-from .printer import to_text
+from .printer import point_text, to_text
 from .ranges import NotLinearError, range_condition_check
 from .systems import lewy_operator
 from .verify import example_sequence, check_vanishing, verify_solution
@@ -114,7 +114,7 @@ def cmd_range(args) -> int:
         bad = [e for e in report.entries if not e.ok]
         print(
             f"FAIL: {len(bad)} point/level pair(s) unsolvable, first at "
-            f"point {bad[0].point} level {bad[0].level}: {bad[0].detail}",
+            f"point {point_text(bad[0].point)} level {bad[0].level}: {bad[0].detail}",
             file=sys.stderr,
         )
         return MATH_FAILURE

@@ -17,6 +17,7 @@ from .frozen import Frozen
 from .jets import Jet, PdeOperator, prolong
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
+from .printer import point_text
 from .ranges import JetSolveResult, solve_jets_triangular
 from .taylor import jet_coefficients, series
 
@@ -239,7 +240,7 @@ class SolveFailure(Exception):
         self.point = point
         self.result = result
         super().__init__(
-            f"{result.status} at point ({', '.join(str(c) for c in point)}): "
+            f"{result.status} at point {point_text(point)}: "
             f"residual floor {result.residual:.3g} {result.detail}"
         )
 

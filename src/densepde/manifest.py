@@ -17,6 +17,14 @@ do not match its arithmetic flag (exact: strings, float: numbers), and a
 float jet of an operator whose jets are exact at every rational point
 (rational-closed equations, affine in the base jets), which can only be
 a downgraded exact claim.
+
+The stages of a sequence repeat their points' jets: stage nu stores again
+every jet of stage nu - 1 whose level it shares.  Such a jet is formatted
+once on dump (each stage record still gets its own dict) and parsed once
+on load: a jet record equal to the previous stage's record at the same
+point and level, with the same JSON types throughout (1, 1.0 and true
+differ, and so do 0.0 and -0.0), is that stage's Jet again.  The file
+format is unchanged.
 """
 
 from __future__ import annotations
@@ -78,9 +86,18 @@ def _parse_value(raw, exact: bool, where: str) -> Fraction | float:
     return float(raw)
 
 
+def _same_json(a, b) -> bool:
+    """Whether two loaded JSON values are equal with the same JSON types
+    throughout: their texts are equal, so 1, 1.0 and true differ, and so
+    do 0.0 and -0.0."""
+    return a == b and json.dumps(a) == json.dumps(b)
+
+
 def jet_from_json(n: int, k: int, order: int, data: dict, where: str) -> Jet:
     """The jet a manifest stores at `where`; it must have the given order."""
     _check_keys(where, data, {"order", "arithmetic", "values"})
+    if type(data["order"]) is not int:
+        raise ValueError(f"{where}: order {json.dumps(data['order'])} is not an integer")
     if data["order"] != order:
         raise ValueError(f"{where}: order {data['order']}, expected {order}")
     if data["arithmetic"] not in ("exact", "float"):
@@ -130,6 +147,14 @@ def operator_from_json(data: dict) -> PdeOperator:
 
 
 def sequence_to_json(seq: SolutionSequence) -> dict:
+    formatted: dict[int, dict] = {}  # id(jet) -> record; the stages keep the jets alive
+
+    def record(jet: Jet) -> dict:
+        if id(jet) not in formatted:
+            formatted[id(jet)] = jet_to_json(jet)
+        first = formatted[id(jet)]
+        return {**first, "values": dict(first["values"])}
+
     return {
         "format": FORMAT,
         "version": VERSION,
@@ -137,7 +162,7 @@ def sequence_to_json(seq: SolutionSequence) -> dict:
         "points": [[str(c) for c in a] for a in seq.points],
         "orders": list(seq.orders),
         "stages": [
-            {"jets": [jet_to_json(stage.jets[a]) for a in seq.points[: nu + 1]]}
+            {"jets": [record(stage.jets[a]) for a in seq.points[: nu + 1]]}
             for nu, stage in enumerate(seq.stages)
         ],
     }
@@ -164,13 +189,19 @@ def sequence_from_json(data: dict) -> SolutionSequence:
         pts = points[: nu + 1]
         if len(_array(f"stage {nu}: jets", record["jets"])) != len(pts):
             raise ValueError(f"stage {nu}: need one jet per stage point")
-        jets = {
-            a: jet_from_json(
-                ctx.n, ctx.k, op.order + orders[nu], raw, f"stage {nu} jet {i}"
-            )
-            for i, (a, raw) in enumerate(zip(pts, record["jets"]))
-        }
-        if not all(jet.exact for jet in jets.values()):
+        # the previous stage's records, where it has this stage's level
+        before = data["stages"][nu - 1]["jets"] if nu and orders[nu - 1] == orders[nu] else []
+        jets, parsed = {}, []
+        for i, (a, raw) in enumerate(zip(pts, record["jets"])):
+            if i < len(before) and _same_json(raw, before[i]):
+                jets[a] = stage_jets[-1][a]
+            else:
+                jets[a] = jet_from_json(
+                    ctx.n, ctx.k, op.order + orders[nu], raw, f"stage {nu} jet {i}"
+                )
+                parsed.append(jets[a])
+        # a reused jet passed this check in its own stage
+        if not all(jet.exact for jet in parsed):
             if exact_only is None:
                 exact_only = solves_exactly(op)
             if exact_only:

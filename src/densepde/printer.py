@@ -11,6 +11,11 @@ def to_text(e: Expr) -> str:
     return _print(e)
 
 
+def point_text(point) -> str:
+    """A point as plain text: its coordinates, "(1/2, 0)"."""
+    return "(" + ", ".join(str(c) for c in point) + ")"
+
+
 def _frac(v: Fraction) -> str:
     if v.denominator == 1:
         return str(v.numerator)

@@ -44,6 +44,7 @@ from .linalg import (
 )
 from .multiindex import MultiIndex, multi_indices, multi_indices_of_order, zero_index
 from .newton import multistart_newton
+from .printer import point_text
 from .taylor import jet_bindings, jet_coefficients, series
 
 Column = tuple[int, MultiIndex]
@@ -587,8 +588,7 @@ class RangeReport:
     def to_json(self):
         points: dict[str, dict] = {}
         for e in self.entries:
-            key = "(" + ", ".join(str(c) for c in e.point) + ")"
-            level_map = points.setdefault(key, {})
+            level_map = points.setdefault(point_text(e.point), {})
             rec: dict = {"outcome": e.outcome}
             if e.certificate is not None:
                 rec["certificate"] = e.certificate.to_json()

@@ -30,9 +30,10 @@ from .expr import (
     substitute,
 )
 from .frozen import Frozen
-from .jets import PdeOperator
+from .jets import Jet, PdeOperator
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
+from .printer import point_text
 from .taylor import derivative, jet_bindings, series
 
 Point = tuple[Fraction, ...]
@@ -349,7 +350,7 @@ class VerificationFailure(Frozen):
     def describe(self) -> str:
         return (
             f"equation {self.equation}, stage {self.stage}, point "
-            f"({', '.join(str(c) for c in self.point)}), derivative "
+            f"{point_text(self.point)}, derivative "
             f"{self.index}: value {self.value:.3g}"
         )
 
@@ -402,9 +403,13 @@ def verify_solution(
     series arithmetic with each jet variable (u, alpha) bound to the
     alpha-shift of the series of stage nu's component u, read off the
     stage's jets and bumps (DiscreteSolve.component_series) once per
-    (stage, point) to the top order plus the operator order.  Where a
-    stage is zero near a point, the bindings are empty and the series of
-    G_j there is computed once for all such stages.  Only the
+    (stage, point) to the top order plus the operator order.  At its own
+    points a stage's series depend on the jet alone, so the bindings are
+    built once per distinct jet at each point (the same Jet object, or an
+    equal one, as in TaylorPolynomials), and the series of G_j once per
+    distinct bindings: stages that store one jet at a point share both.
+    Where a stage is zero near a point, the bindings are empty and the
+    series of G_j there is computed once for all such stages.  Only the
     pass/fail entries (point z_i with i <= nu, |p| <= l_nu) use the
     requested arithmetic, decide the "exact" label and may raise
     ExactnessUnavailable in "exact" mode.  The rest of the witness scan
@@ -416,36 +421,43 @@ def verify_solution(
         return VerificationResult(True, True, arithmetic, tol, (), ())
     top = max(seq.orders)
     approximate = [not stage.exact for stage in seq.stages]
-    bindings: dict[tuple[int, int], dict | None] = {}
     unbound = {v: {} for v in op.jet_variables}
+    bindings: dict[tuple[int, int], dict] = {}
+    at_centre: dict[tuple[int, str], tuple[Jet, dict]] = {}
 
-    def stage_jets(mu: int, i: int, mode: str) -> dict | None:
+    def bind(mu: int, i: int, mode: str) -> dict:
+        components = seq.stages[mu].component_series(seq.points[i], top + op.order, mode)
+        return jet_bindings(op.jet_variables, components, top) if any(components) else unbound
+
+    def stage_jets(mu: int, i: int, mode: str) -> dict:
         """Each jet variable (u, alpha) of the equations bound to the
-        alpha-shift of the series of stage mu's component u at z_i; None
-        where every component's series there is empty."""
+        alpha-shift of the series of stage mu's component u at z_i;
+        `unbound` where every component's series there is empty."""
         if (mu, i) not in bindings:
-            components = seq.stages[mu].component_series(
-                seq.points[i], top + op.order, mode
-            )
-            bindings[(mu, i)] = (
-                jet_bindings(op.jet_variables, components, top) if any(components) else None
-            )
+            if i > mu:  # a later point, maybe in one of the stage's bumps
+                bindings[(mu, i)] = bind(mu, i, mode)
+            else:  # a bump centre: the jet there alone decides
+                jet = seq.stages[mu].jets[seq.points[i]]
+                hit = at_centre.get((i, mode))
+                if hit is None or not (hit[0] is jet or hit[0] == jet):
+                    hit = at_centre[(i, mode)] = (jet, bind(mu, i, mode))
+                bindings[(mu, i)] = hit[1]
         return bindings[(mu, i)]
 
     reports: list[VanishingReport] = []
     failures: list[VerificationFailure] = []
     all_exact = True
     for j, g in enumerate(op.equations, start=1):
-        zero_stage: dict[tuple[int, int, str], dict] = {}
+        # (i, order, mode, id(bindings)) -> series; every bindings dict
+        # lives as long as `bindings`, so an id names one of them
+        computed: dict[tuple[int, int, str, int], dict] = {}
 
-        def term_series(mu, i, order, mode, g=g, zero_stage=zero_stage):
+        def term_series(mu, i, order, mode, g=g, computed=computed):
             jets = stage_jets(mu, i, mode)
-            if jets is not None:
-                return series(g, seq.points[i], order, mode, jets)
-            key = (i, order, mode)
-            if key not in zero_stage:
-                zero_stage[key] = series(g, seq.points[i], order, mode, unbound)
-            return zero_stage[key]
+            key = (i, order, mode, id(jets))
+            if key not in computed:
+                computed[key] = series(g, seq.points[i], order, mode, jets)
+            return computed[key]
 
         report, decided = _scan(
             approximate, seq.points, [top] * len(seq.points), arithmetic, tol,

@@ -173,6 +173,15 @@ eq: 0*u - 1
         assert main(["range", str(bad), "--level", "1"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_range_failure_prints_the_point_plainly(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pde"
+        bad.write_text(
+            "dim: 2\nvars: x y\norder: 0\ndomain: (-1,1) (-1,1)\neq: 0*u - 1\n"
+        )
+        assert main(["range", str(bad), "--level", "1"]) == 1
+        err = capsys.readouterr().err
+        assert "first at point (0, 0) level 0: " in err, err
+
     def test_negative_operator_order_rejected(self, tmp_path, capsys):
         # a usage error, not a rank deficiency of an operator without jets
         bad = tmp_path / "negative.pde"
@@ -335,6 +344,25 @@ eq: 0*u - 1
 
         path = self.edited_manifest(pde_file, tmp_path, raise_order)
         self.assert_rejected(path, capsys, "stage 1 jet 0: order 3, expected 2")
+
+    @pytest.mark.parametrize("text, level, order", [
+        (POISSON, 0, 2.0), (EIKONAL, 0, True),
+    ], ids=["poisson-float-order", "eikonal-bool-order"])
+    def test_jet_order_not_an_integer_rejected(
+        self, tmp_path, capsys, text, level, order
+    ):
+        # 2.0 == 2 and true == 1 in JSON, but neither is an integer
+        op = parse_pde_text(text)
+        pts = [(F(1, 2), F(1, 2)), (F(1, 4), F(1, 4))]
+        raw = sequence_to_json(construct_sequence(op, pts, [level, level]))
+        jet = raw["stages"][1]["jets"][1]
+        assert jet["order"] == order
+        jet["order"] = order
+        path = str(tmp_path / "sequence.json")
+        write_json(path, raw)
+        self.assert_rejected(
+            path, capsys, f"stage 1 jet 1: order {json.dumps(order)} is not an integer"
+        )
 
     def test_exact_values_stored_as_numbers_rejected(
         self, pde_file, tmp_path, capsys

@@ -1,0 +1,58 @@
+"""The exact payloads, pinned byte for byte.
+
+An exact sequence's manifest and verification JSON hold only integers,
+rational strings and fixed floats (the tolerance), so their bytes are
+the same on every Python; a change that moves one byte of them changes
+the file format or a verdict.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from densepde.construct import DensePointStream, construct_sequence
+from densepde.jets import parse_pde_text
+from densepde.manifest import sequence_from_json, sequence_to_json
+from densepde.systems import lewy_operator
+from densepde.verify import verify_solution
+
+POISSON = """dim: 2
+vars: x y
+order: 2
+domain: (0,1) (0,1)
+eq: u_xx + u_yy - 1 - x*y
+"""
+
+# name -> (operator, schedule, manifest digest, verification digest)
+PINNED = {
+    "poisson-12": (
+        lambda: parse_pde_text(POISSON), (1,) * 12,
+        "7167ba5c57b9b6e1487adac781a559a61c50782afe557b3eafa8decaf95ae4d7",
+        "1ff0b6667ad69a83543c6d7d0d12e8e95aa66cbe7e2a14cdc4c5947949177f9e",
+    ),
+    "lewy-0122": (
+        lewy_operator, (0, 1, 2, 2),
+        "ca7c7f2713b14ff9dd7e60d7f1e084ca7b402ea789eeef930486ba28963e06f9",
+        "8d88346be9f3f3f8ae1a4953f0d8dd40d68cc6b335d53917cc21ab942c6d990e",
+    ),
+}
+
+
+def digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_exact_payload_digests(name):
+    build, schedule, manifest_digest, verification_digest = PINNED[name]
+    op = build()
+    points = DensePointStream(op.domain).prefix(len(schedule))
+    seq = construct_sequence(op, points, schedule)
+    manifest = json.dumps(sequence_to_json(seq), indent=2, sort_keys=True)
+    loaded = sequence_from_json(json.loads(manifest))
+    assert json.dumps(sequence_to_json(loaded), indent=2, sort_keys=True) == manifest
+    verification = verify_solution(op, loaded).to_json()
+    assert verify_solution(op, seq).to_json() == verification
+    assert json.loads(verification)["arithmetic"] == "exact"
+    assert (digest(manifest), digest(verification)) == (manifest_digest, verification_digest)
