@@ -21,6 +21,7 @@ from densepde import (
     verify_solution,
 )
 from densepde.jets import prolong
+from densepde.printer import point_text
 
 op = parse_pde_text("""
 dim: 2
@@ -36,7 +37,7 @@ print("construction points:", [tuple(str(c) for c in p) for p in points])
 # one point in detail: solve the jets to level 2
 res = solve_jets_triangular(prolong(op, 2), points[0])
 print(
-    f"jet solve at {points[0]}: {res.status}, residual {res.residual:.2e}"
+    f"jet solve at {point_text(points[0])}: {res.status}, residual {res.residual:.2e}"
 )
 from densepde import MultiIndex  # noqa: E402
 

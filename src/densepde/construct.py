@@ -143,10 +143,10 @@ def bump_prefixes(
     for p in pts:
         if len(p) != len(box):
             raise ValueError(
-                f"point {p}: dimension {len(p)}, box dimension {len(box)}"
+                f"point {point_text(p)}: dimension {len(p)}, box dimension {len(box)}"
             )
         if not all(lo < c < hi for c, (lo, hi) in zip(p, box)):
-            raise ValueError(f"point {p} not strictly inside the box")
+            raise ValueError(f"point {point_text(p)} not strictly inside the box")
     limits: list[Fraction] = []
     bumps: list[Bump] = []
     out = []

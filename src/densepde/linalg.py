@@ -12,13 +12,17 @@ built until the answer, so every rank and solution is exact.
 
 The float routines share one Householder QR with column pivoting, in
 pure Python on lists.  Ranks factor A and count the pivots above an
-explicit relative tolerance.  Least-squares solves factor A^T, whose
-columns are A's rows, as the first half of a complete orthogonal
-decomposition: when A has full numerical row rank, a forward
-substitution and the reflectors of that one QR give the minimum-norm
-solution, and only a rank-deficient or tall A needs a second QR, which
-also gives the residual floor.  Every norm is a math.hypot, finite
-whenever the norm itself is representable.
+explicit relative tolerance.  A least-squares solve takes one
+factorization, which gives both the minimum-norm solution and the
+residual floor: it factors A^T, whose columns are A's rows, as the first
+half of a complete orthogonal decomposition.  When A has full numerical
+row rank, a forward substitution and the reflectors of that one QR give
+the solution, and only a rank-deficient or tall A needs a second QR,
+which also gives the floor.  A one-row A, every Newton step of a single
+equation, takes a short kernel that makes the same float operations in
+the same order as that QR's single step, so both give the same bits.
+Every norm is a math.hypot, finite whenever the norm itself is
+representable.
 """
 
 from __future__ import annotations
@@ -168,11 +172,11 @@ def _columns(matrix) -> list[list[float]]:
     return [[float(v) for v in col] for col in zip(*matrix)]
 
 
-def _reflector(x: list[float]) -> tuple[list[float], float]:
+def _reflector(x: list[float], size: float) -> tuple[list[float], float]:
     """(v, alpha) with (I - 2 v v^T) x = alpha e_1 and |v| = 1, for a
-    nonzero x.  alpha has the sign opposite to x[0], so forming v cancels
-    nothing, and v is built from x / |x|, so nothing overflows."""
-    size = hypot(*x)
+    nonzero x of norm `size` = hypot(*x).  alpha has the sign opposite to
+    x[0], so forming v cancels nothing, and v is built from x / |x|, so
+    nothing overflows."""
     alpha = -size if x[0] >= 0 else size
     v = [xi / size for xi in x]
     v[0] -= alpha / size
@@ -217,7 +221,7 @@ def _pivoted_qr(cols: list[list[float]], cutoff: float, rhs=()):
         j = k + norms.index(largest)
         cols[k], cols[j] = cols[j], cols[k]
         order[k], order[j] = order[j], order[k]
-        v, alpha = _reflector(cols[k][k:])
+        v, alpha = _reflector(cols[k][k:], largest)
         cols[k][k:] = [alpha] + [0.0] * (m - k - 1)
         for col in chain(cols[k + 1:], rhs):
             _reflect(v, col, k)
@@ -247,9 +251,43 @@ def _lstsq_cutoff(matrix) -> float:
     return EPS * max(len(matrix), len(matrix[0]) if len(matrix) else 0)
 
 
-def _least_squares(a, b) -> tuple[list[float], float]:
+def float_least_norm(a, b) -> tuple[list[float], float]:
     """(x, floor): the minimum-norm least-squares solution of A x = b and
-    its residual norm, from one complete orthogonal decomposition (Golub &
+    its residual norm, from one factorization.  A one-row A (every Newton
+    step of a single equation) takes the kernel _row_least_norm, every
+    other shape the complete orthogonal decomposition _qr_least_norm; both
+    give the same floats."""
+    if len(a) == 1:
+        return _row_least_norm(a, b)
+    return _qr_least_norm(a, b)
+
+
+def residual_floor(a, b) -> float:
+    """Norm of the least-squares residual: how close A x = b can get.  It
+    is float_least_norm's floor, so it shares that solve's rank decision."""
+    return float_least_norm(a, b)[1]
+
+
+def _row_least_norm(a, b) -> tuple[list[float], float]:
+    """_qr_least_norm for A = [r] of one row, by the same float operations
+    in the same order, without the pivoting bookkeeping.  The one QR step
+    of r (a column of A^T) stops when |r| <= cutoff * |r|, which leaves
+    rank 0 (r = 0, or an infinite entry): x = 0 and the floor |b|.
+    Otherwise r reflects onto alpha e_1, y = b / alpha is the forward
+    substitution, x is y e_1 reflected back, and the floor is 0."""
+    row = [float(v) for v in a[0]]
+    c = float(b[0])
+    size = hypot(*row)
+    if size <= _lstsq_cutoff(a) * size:
+        return [0.0] * len(row), hypot(c)
+    v, alpha = _reflector(row, size)
+    x = [c / alpha] + [0.0] * (len(row) - 1)
+    _reflect(v, x, 0)
+    return x, 0.0
+
+
+def _qr_least_norm(a, b) -> tuple[list[float], float]:
+    """float_least_norm by one complete orthogonal decomposition (Golub &
     Van Loan, 5.5.2) that starts from A^T.
 
     The pivoted QR A^T Pi = Q [S; 0] stops at the numerical rank r, with S
@@ -287,18 +325,3 @@ def _least_squares(a, b) -> tuple[list[float], float]:
     for k in range(rank - 1, -1, -1):
         _reflect(reflectors[k], x, k)
     return x, floor
-
-
-def float_least_norm(a, b) -> list[float]:
-    """Minimum-norm least-squares solution of A x = b by a complete
-    orthogonal decomposition that starts from a pivoted QR of A^T
-    (_least_squares): a triangular solve whose solution has no component
-    in the null space of A."""
-    return _least_squares(a, b)[0]
-
-
-def residual_floor(a, b) -> float:
-    """Norm of the least-squares residual: how close A x = b can get.  It
-    comes from the same factorization and rank decision as
-    float_least_norm's solution."""
-    return _least_squares(a, b)[1]

@@ -63,7 +63,7 @@ def damped_newton(
         grad = [sum(map(mul, col, unit)) for col in zip(*j)]
         if math.hypot(*grad) <= STATIONARY_TOL:
             return NewtonResult(False, x, res, True, it)
-        step = float_least_norm(j, [-v for v in f])
+        step = float_least_norm(j, [-v for v in f])[0]
         if not all(map(math.isfinite, step)):
             return NewtonResult(False, x, res, False, it)
         lam = 1.0

@@ -63,7 +63,7 @@ def _check_point(op: PdeOperator, x: Sequence) -> None:
     if len(x) != op.n:
         raise ValueError(f"point has {len(x)} coordinates, the operator has {op.n}")
     if not op.contains(x):
-        raise ValueError(f"point {tuple(x)} outside the domain box")
+        raise ValueError(f"point {point_text(x)} outside the domain box")
 
 
 def jet_columns(n: int, k: int, order: int) -> list[Column]:
@@ -469,10 +469,9 @@ def _solve_affine(
         if solution is None:
             return {}, JetSolveResult("no-solution", None, residual_floor(a, b), "exact", level, detail)
         return dict(zip(columns, solution)), None
-    floor = residual_floor(a, b)
+    xsol, floor = float_least_norm(a, b)
     if floor > max(tol, CONSISTENCY_FLOOR):
         return {}, JetSolveResult("no-solution", None, floor, "float", level, detail)
-    xsol = float_least_norm(a, b)
     return {c: float(v) for c, v in zip(columns, xsol)}, None
 
 

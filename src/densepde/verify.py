@@ -522,7 +522,7 @@ class SingularityComplement(Frozen):
     def __init__(self, points: tuple[Point, ...], box: tuple[tuple[Fraction, Fraction], ...]):
         for a in points:
             if not all(lo < c < hi for c, (lo, hi) in zip(a, box)):
-                raise ValueError(f"point {a} outside the box")
+                raise ValueError(f"point {point_text(a)} outside the box")
         self.__dict__.update(points=points, box=box)
 
     def point_set(self) -> frozenset[Point]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from densepde.construct import SHRINK, _sqrt_lower
 from densepde.expr import Bump, evaluate_exact, evaluate_float
 from densepde.jets import Jet, prolong
-from densepde.linalg import exact_least_norm, float_least_norm, residual_floor
+from densepde.linalg import exact_least_norm, float_least_norm
 from densepde.multiindex import multi_indices_of_order, zero_index
 from densepde.ranges import CONSISTENCY_FLOOR, jet_columns, solve_jets_triangular
 
@@ -99,10 +99,10 @@ def solve(op, x, level, tol=1e-12):
         a, b = level_system(system, x, known, lam, exact)
         if exact:
             solution = exact_least_norm(a, b)
-        elif residual_floor(a, b) > max(tol, CONSISTENCY_FLOOR):
-            solution = None
         else:
-            solution = float_least_norm(a, b)
+            solution, floor = float_least_norm(a, b)
+            if floor > max(tol, CONSISTENCY_FLOOR):
+                solution = None
         if solution is None:
             failed = lam
             break

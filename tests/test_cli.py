@@ -182,6 +182,12 @@ eq: 0*u - 1
         err = capsys.readouterr().err
         assert "first at point (0, 0) level 0: " in err, err
 
+    def test_point_outside_the_box_prints_the_point_plainly(self, tmp_path, capsys):
+        path = tmp_path / "poisson.pde"
+        path.write_text(POISSON)
+        assert main(["range", str(path), "--points", "2,2", "--level", "1"]) == 2
+        assert_one_error_line(capsys, "point (2, 2) outside the domain box")
+
     def test_negative_operator_order_rejected(self, tmp_path, capsys):
         # a usage error, not a rank deficiency of an operator without jets
         bad = tmp_path / "negative.pde"

@@ -6,12 +6,14 @@ against numpy's SVD and lstsq, a test-only dependency.
 """
 
 import math
+import struct
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
+from densepde import linalg
 from densepde.linalg import (
     exact_least_norm,
     exact_rank,
@@ -211,9 +213,10 @@ def test_least_norm_agrees_with_lstsq():
     a = [[F(1), F(2), F(3)], [F(0), F(1), F(1)]]
     b = [F(6), F(2)]
     exact = exact_least_norm(a, b)
-    approx = float_least_norm(
+    approx, floor = float_least_norm(
         [[float(v) for v in r] for r in a], [float(v) for v in b]
     )
+    assert floor == 0.0
     assert np.allclose([float(v) for v in exact], approx, atol=1e-12)
 
 
@@ -277,15 +280,14 @@ def test_float_least_norm_and_floor_match_lstsq(system):
     na, nb = np.array(a), np.array(b)
     x, *_ = np.linalg.lstsq(na, nb, rcond=None)
     scale = max(1.0, float(np.abs(x).max()))
-    mine = float_least_norm(a, b)
+    mine, mine_floor = float_least_norm(a, b)
+    assert residual_floor(a, b) == mine_floor
     assert np.allclose(mine, x, rtol=1e-9, atol=1e-9 * scale)
     floor = float(np.linalg.norm(na @ x - nb))
-    assert np.isclose(residual_floor(a, b), floor, rtol=1e-9, atol=1e-9 * np.linalg.norm(nb))
+    assert np.isclose(mine_floor, floor, rtol=1e-9, atol=1e-9 * np.linalg.norm(nb))
     # the floor is the residual of the returned solution: one rank decision
-    mine_floor = float(np.linalg.norm(na @ np.array(mine) - nb))
-    assert np.isclose(
-        residual_floor(a, b), mine_floor, rtol=1e-9, atol=1e-9 * np.linalg.norm(nb)
-    )
+    residual = float(np.linalg.norm(na @ np.array(mine) - nb))
+    assert np.isclose(mine_floor, residual, rtol=1e-9, atol=1e-9 * np.linalg.norm(nb))
 
 
 def test_float_kernel_takes_arrays():
@@ -301,15 +303,15 @@ def test_float_kernel_takes_arrays():
 def test_float_kernel_empty_and_zero():
     assert float_rank([]) == 0
     assert float_rank([], rhs=[]) == (0, 0)
-    assert float_least_norm([], []) == []
+    assert float_least_norm([], []) == ([], 0.0)
     assert residual_floor([], []) == 0.0
     zero = [[0.0, 0.0], [0.0, 0.0]]
     assert float_rank(zero) == 0
     assert float_rank(zero, rhs=[3.0, 4.0]) == (0, 1)
-    assert float_least_norm(zero, [3.0, 4.0]) == [0.0, 0.0]
+    assert float_least_norm(zero, [3.0, 4.0]) == ([0.0, 0.0], 5.0)
     assert residual_floor(zero, [3.0, 4.0]) == 5.0
     # rows without columns: nothing to solve for, all of b is residual
-    assert float_least_norm([[], []], [3.0, 4.0]) == []
+    assert float_least_norm([[], []], [3.0, 4.0]) == ([], 5.0)
     assert residual_floor([[], []], [3.0, 4.0]) == 5.0
 
 
@@ -319,5 +321,43 @@ def test_float_kernel_near_overflow():
     assert residual_floor([[big, 0.0], [big, 0.0]], [big, 3 * big]) == pytest.approx(
         math.sqrt(2.0) * big
     )
-    assert float_least_norm([[big, big]], [2 * big]) == pytest.approx([1.0, 1.0])
+    assert float_least_norm([[big, big]], [2 * big])[0] == pytest.approx([1.0, 1.0])
     assert float_rank([[big, big], [big, -big]], rhs=[big, big]) == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# the one-row kernel against the general QR path, bit for bit
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda t: -t[0] if t[1] else t[0])
+
+
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -1.0]),
+    _signed(st.floats(5e-324, 1e-300)),  # subnormal to tiny
+    _signed(st.floats(1e295, 1e300)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+ONE_ROWS = st.one_of(
+    st.lists(EDGE_FLOATS, max_size=5),
+    st.lists(st.sampled_from([0.0, -0.0]), max_size=5),  # zero rows: rank 0
+)
+
+
+def _bits(result):
+    x, floor = result
+    return [struct.pack("<d", v) for v in x], struct.pack("<d", floor)
+
+
+@given(ONE_ROWS, EDGE_FLOATS)
+@settings(max_examples=500, deadline=None)
+@example([0.0, -0.0], -3.0)
+@example([], 2.0)
+@example([-0.0, 5e-324], -0.0)
+@example([1e300, -1e-300], 1e-300)
+@example([5e-324, 5e-324], 1e300)
+def test_one_row_kernel_matches_the_qr_path(row, rhs):
+    kernel = linalg._row_least_norm([row], [rhs])
+    assert _bits(kernel) == _bits(linalg._qr_least_norm([row], [rhs]))
+    assert _bits(float_least_norm([row], [rhs])) == _bits(kernel)

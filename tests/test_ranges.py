@@ -8,6 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+from densepde import linalg
 from densepde.construct import DensePointStream
 from densepde.expr import EvaluationError
 from densepde.jets import parse_pde_text, prolong
@@ -475,3 +476,45 @@ class TestNewtonStarts:
         result = damped_newton(fun, fun, [0.0])
         assert not result.converged and not result.stationary
         assert result.iterations == 0
+
+
+class TestFloatLeastSquares:
+    """Every float least-squares solve takes one factorization, and the
+    one-row kernel that takes each Newton step gives the general path's
+    bits."""
+
+    def counting(self, monkeypatch, name, target=None):
+        calls = []
+        inner = target or getattr(linalg, name)
+
+        def wrapper(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(linalg, name, wrapper)
+        return calls
+
+    def test_one_qr_per_affine_level(self, monkeypatch):
+        # level 0 is Newton on 1x2 steps (the kernel); levels 1 and 2 are
+        # affine, of 2x3 and 3x4, one QR each
+        qrs = self.counting(monkeypatch, "_pivoted_qr")
+        rows = self.counting(monkeypatch, "_row_least_norm")
+        result = solve_jets_triangular(prolong(op(EIKONAL), 2), (F(1, 2), F(1, 3)))
+        assert result.status == "solved"
+        assert len(qrs) == 2
+        assert len(rows) > 0
+
+    def test_kernel_and_qr_path_give_the_same_range_json(self, monkeypatch):
+        eikonal = op(EIKONAL)
+        points = DensePointStream(eikonal.domain).prefix(16)
+
+        def payload():
+            report = range_condition_check(eikonal, points, 2)
+            return json.dumps(report.to_json(), indent=2, sort_keys=True)
+
+        rows = self.counting(monkeypatch, "_row_least_norm")
+        with_kernel = payload()
+        assert len(rows) > 0
+        rows = self.counting(monkeypatch, "_row_least_norm", linalg._qr_least_norm)
+        assert payload() == with_kernel
+        assert len(rows) > 0
