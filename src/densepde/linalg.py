@@ -5,10 +5,11 @@ scaled to integers by the least common multiple of its denominators (a
 right-hand side entry is scaled with its row), and one elimination pass
 over the sparse integer rows, in row order, finds the pivot each row adds
 or shows that it depends on the rows before it.  Ranks, consistency and
-the independent rows of a least-norm solve all come from that pass; the
-least-norm solve then needs only one integer Gram system, solved by
-Bareiss elimination with a single division at the end.  No Fraction is
-built until the answer, so every rank and solution is exact.
+the independent rows of a least-norm solve all come from that pass.  The
+least-norm solve then builds the sparse integer Gram system of those rows
+from a column index, reduces it by the same pass, and takes one integer
+back substitution over a common denominator.  No Fraction is built until
+the answer, so every rank and solution is exact.
 
 The float routines share one Householder QR with column pivoting, in
 pure Python on lists.  Ranks factor A and count the pivots above an
@@ -30,7 +31,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import chain
-from math import gcd, hypot, lcm
+from math import gcd, hypot, inf, lcm
 from operator import mul
 
 Row = list[Fraction]
@@ -40,19 +41,22 @@ EPS = sys.float_info.epsilon
 
 def _integer_rows(rows) -> list[dict[int, int]]:
     """Each rational row as {column: integer} over its nonzero entries,
-    scaled by the least common multiple of its denominators."""
+    scaled by the least common multiple of its denominators.  A Fraction
+    entry is read as it is; any other entry is converted by Fraction."""
     out = []
     for row in rows:
-        entries = {c: Fraction(v) for c, v in enumerate(row) if v}
-        scale = lcm(*(v.denominator for v in entries.values()))
-        out.append({c: v.numerator * (scale // v.denominator) for c, v in entries.items()})
+        entries = [(c, v if type(v) is Fraction else Fraction(v)) for c, v in enumerate(row) if v]
+        scale = lcm(*(v.denominator for _, v in entries))
+        out.append({c: v.numerator * (scale // v.denominator) for c, v in entries})
     return out
 
 
-def _pivot_columns(rows: list[dict[int, int]]) -> list[int | None]:
-    """Fraction-free elimination in row order: for each row, the pivot
-    column it adds (the first nonzero column left after reducing it by
-    the earlier pivot rows), or None when it depends on earlier rows.
+def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int | None], list[dict[int, int]]]:
+    """Fraction-free elimination in row order.  Returns (columns, pivot
+    rows): for each row, the pivot column it adds (the first nonzero
+    column left after reducing it by the earlier pivot rows), or None when
+    it depends on earlier rows; and the reduced rows that added a pivot,
+    in the order found, each with its pivot at its first column.
 
     A row is reduced by each pivot row in the order the pivots were found,
     so every pivot row is zero in the pivot columns found before it.  Each
@@ -87,7 +91,7 @@ def _pivot_columns(rows: list[dict[int, int]]) -> list[int | None]:
         col = min(r)
         pivots.append((col, r[col], r))
         out.append(col)
-    return out
+    return out, [prow for _, _, prow in pivots]
 
 
 def exact_rank(
@@ -99,7 +103,7 @@ def exact_rank(
     column, and the result is, for each end e, the pair (rank of A's
     first e rows, rank of [A | b]'s first e rows), all from the same pass.
     """
-    pivots = _pivot_columns(_integer_rows(rows))
+    pivots = _eliminate(_integer_rows(rows))[0]
     if block_ends is None:
         return sum(p is not None for p in pivots)
     last = len(rows[0]) - 1 if rows else 0
@@ -110,28 +114,44 @@ def exact_rank(
     return pairs
 
 
-def _bareiss_solve(g: list[list[int]], b: list[int]) -> tuple[list[int], int]:
-    """(Y, d) with g y = b solved by y = Y / d, for a nonsingular integer
-    matrix g whose leading principal minors are all nonzero (a Gram
-    matrix of independent rows).  d = det g (1 for the empty matrix);
-    every division is exact."""
-    n = len(g)
-    m = [list(row) + [rhs] for row, rhs in zip(g, b)]
-    prev = 1
-    for k in range(n):
-        mk = m[k]
-        pk = mk[k]
-        for mi in m[k + 1:]:
-            f = mi[k]
-            for j in range(k + 1, n + 1):
-                mi[j] = (pk * mi[j] - f * mk[j]) // prev
-        prev = pk
-    det = prev
-    y = [0] * n
-    for i in range(n - 1, -1, -1):
-        s = det * m[i][n] - sum(m[i][j] * y[j] for j in range(i + 1, n))
-        y[i] = s // m[i][i]
-    return y, det
+def _gram(rows: list[dict[int, int]]) -> list[dict[int, int]]:
+    """The Gram matrix R R^T of sparse integer rows, as sparse rows: each
+    row meets only the rows that share a column with it."""
+    by_column: dict[int, list[tuple[int, int]]] = {}
+    for i, row in enumerate(rows):
+        for c, v in row.items():
+            by_column.setdefault(c, []).append((i, v))
+    gram = []
+    for row in rows:
+        g: dict[int, int] = {}
+        for c, v in row.items():
+            for j, w in by_column[c]:
+                g[j] = g.get(j, 0) + v * w
+        gram.append({j: s for j, s in g.items() if s})
+    return gram
+
+
+def _back_substitute(pivot_rows: list[dict[int, int]], rhs: int) -> tuple[dict[int, int], int]:
+    """({column: Y}, d) with y = Y / d solving the square nonsingular
+    system whose reduced rows _eliminate returned, the right-hand side
+    held in column `rhs`.  The rows are taken last first: each one's
+    pivot is its first column, and its other unknowns are pivots of the
+    rows after it.  y stays over one common denominator d, which each
+    row multiplies by the part of its pivot that does not divide out."""
+    y: dict[int, int] = {}
+    d = 1
+    for row in reversed(pivot_rows):
+        col = min(row)
+        s = row.get(rhs, 0) * d - sum(v * y[c] for c, v in row.items() if c != col and c != rhs)
+        q = row[col]
+        g = gcd(s, q)
+        s, q = s // g, q // g
+        if q != 1:
+            d *= q
+            for c in y:
+                y[c] *= q
+        y[col] = s
+    return y, d
 
 
 def exact_least_norm(a: list[Row], b: Row) -> list[Fraction] | None:
@@ -139,31 +159,32 @@ def exact_least_norm(a: list[Row], b: Row) -> list[Fraction] | None:
     system is inconsistent.
 
     Computed as x = A_R^T y with (A_R A_R^T) y = b_R over the rows R that
-    the elimination pass finds independent, in integers, then verified
-    against every equation.  The integer scaling of the rows changes
-    neither the solution set nor, since it is unique, the least-norm
-    solution.
+    the elimination pass finds independent, in integers: the sparse Gram
+    system goes through the same elimination, then one back substitution
+    over a common denominator d, and x = X / d is verified against every
+    equation.  The integer scaling of the rows changes neither the
+    solution set nor, since it is unique, the least-norm solution.
     """
     if not a:
         return []
     n_cols = len(a[0])
     scaled = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
     rhs = [row.pop(n_cols, 0) for row in scaled]
-    keep = [i for i, p in enumerate(_pivot_columns(scaled)) if p is not None]
+    keep = [i for i, p in enumerate(_eliminate(scaled)[0]) if p is not None]
     ar = [scaled[i] for i in keep]
-    gram = [
-        [sum(v * r2[c] for c, v in r1.items() if c in r2) for r2 in ar]
-        for r1 in ar
-    ]
-    y, det = _bareiss_solve(gram, [rhs[i] for i in keep])
+    gram = _gram(ar)
+    for row, i in zip(gram, keep):
+        if rhs[i]:
+            row[len(ar)] = rhs[i]
+    y, d = _back_substitute(_eliminate(gram)[1], len(ar))
     x = [0] * n_cols
-    for row, yi in zip(ar, y):
+    for k, row in enumerate(ar):
         for c, v in row.items():
-            x[c] += v * yi
+            x[c] += v * y[k]
     for row, want in zip(scaled, rhs):
-        if sum(v * x[c] for c, v in row.items()) != want * det:
+        if sum(v * x[c] for c, v in row.items()) != want * d:
             return None
-    return [Fraction(v, det) for v in x]
+    return [Fraction(v, d) for v in x]
 
 
 def _columns(matrix) -> list[list[float]]:
@@ -264,8 +285,12 @@ def float_least_norm(a, b) -> tuple[list[float], float]:
 
 def residual_floor(a, b) -> float:
     """Norm of the least-squares residual: how close A x = b can get.  It
-    is float_least_norm's floor, so it shares that solve's rank decision."""
-    return float_least_norm(a, b)[1]
+    is float_least_norm's floor, so it shares that solve's rank decision;
+    inf when an exact entry does not fit in a float."""
+    try:
+        return float_least_norm(a, b)[1]
+    except OverflowError:
+        return inf
 
 
 def _row_least_norm(a, b) -> tuple[list[float], float]:

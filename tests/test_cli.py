@@ -210,6 +210,34 @@ eq: 0*u - 1
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), proc.stderr
 
+    @pytest.mark.parametrize("exponent", [300, 400])
+    def test_exact_no_solution_beyond_float_range(self, tmp_path, capsys, exponent):
+        # 10^400 does not fit in a float: the exact verdict stands and the
+        # float residual floor is inf (null in JSON), not a traceback
+        path = tmp_path / "big.pde"
+        path.write_text(
+            "dim: 2\nvars: x y\norder: 1\ndomain: (-1,1) (-1,1)\n"
+            f"eq: 10^{exponent}*(u_x + u_y) - 1\neq: u_x + u_y\n"
+        )
+        assert main(["range", str(path), "--points", "0,0", "--level", "1"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.err and "inconsistent linear system" in captured.err
+        floors = [
+            rec["residual_floor"]
+            for levels in json.loads(captured.out)["points"].values()
+            for rec in levels.values()
+        ]
+        assert len(floors) == 2
+        assert all((f is None) == (exponent == 400) for f in floors)
+        out = str(tmp_path / "out")
+        args = ["construct", str(path), "--schedule", "0", "--count", "1", "--out", out]
+        assert main(args) == 1
+        floor = "inf" if exponent == 400 else "1e-300"
+        assert capsys.readouterr().err.splitlines() == [
+            f"FAIL: stage 0 failed: no-solution at point (0, 0): residual floor {floor} "
+            "inconsistent affine system at level 0"
+        ]
+
     def test_construct_and_verify(self, pde_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         code = main(

@@ -14,6 +14,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from densepde import linalg
+from densepde.construct import DensePointStream
+from densepde.jets import prolong
 from densepde.linalg import (
     exact_least_norm,
     exact_rank,
@@ -21,6 +23,9 @@ from densepde.linalg import (
     float_rank,
     residual_floor,
 )
+from densepde.multiindex import multi_indices_of_order
+from densepde.ranges import _assemble, _equation_series, _gradient_values, solve_jets_triangular
+from densepde.systems import lewy_operator
 
 
 def reference_rref(rows):
@@ -105,6 +110,51 @@ def systems(draw):
     return a, b
 
 
+NONZERO = st.fractions(min_value=F(-9), max_value=F(9), max_denominator=12).filter(bool)
+
+
+@st.composite
+def sparse_systems(draw, max_rows=16, max_cols=20):
+    """(A, b) of the shape of a prolonged symbol: wide, about a fifth of
+    the entries nonzero, pivots of either sign, with duplicate, negated and
+    combination rows mixed in, so the Gram of the independent rows is
+    sparse and the elimination meets dependent rows.  An orthogonal row
+    shares two columns with another row, so a Gram entry cancels to zero.
+    b is consistent by construction or random."""
+    n_cols = draw(st.integers(2, max_cols))
+    n_rows = draw(st.integers(1, min(max_rows, n_cols)))
+    per_row = max(1, n_cols // 5)
+    rows = []
+    for _ in range(n_rows):
+        row = [F(0)] * n_cols
+        for c in draw(st.lists(st.integers(0, n_cols - 1), min_size=1, max_size=per_row, unique=True)):
+            row[c] = draw(NONZERO)
+        rows.append(row)
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(["duplicate", "negated", "combination", "orthogonal"]))
+        first, second = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        if kind == "duplicate":
+            extra = list(first)
+        elif kind == "negated":
+            extra = [-v for v in first]
+        elif kind == "orthogonal":
+            # (.., b, .., -a, ..) against a row (.., a, .., b, ..) of A
+            c1, c2 = draw(st.lists(st.integers(0, n_cols - 1), min_size=2, max_size=2, unique=True))
+            first[c1], first[c2] = first[c1] or draw(NONZERO), first[c2] or draw(NONZERO)
+            extra = [F(0)] * n_cols
+            extra[c1], extra[c2] = first[c2], -first[c1]
+        else:
+            w1, w2 = draw(NONZERO), draw(NONZERO)
+            extra = [w1 * v1 + w2 * v2 for v1, v2 in zip(first, second)]
+        rows.insert(draw(st.integers(0, len(rows))), extra)
+    if draw(st.booleans()):
+        x0 = [draw(NONZERO) if draw(st.booleans()) else F(0) for _ in range(n_cols)]
+        b = [sum(v * w for v, w in zip(row, x0)) for row in rows]
+    else:
+        b = [draw(NONZERO) if draw(st.booleans()) else F(0) for _ in rows]
+    return rows, b
+
+
 @given(matrices())
 @settings(max_examples=100, deadline=None)
 def test_exact_rank_matches_reference(rows):
@@ -131,6 +181,45 @@ def test_least_norm_matches_reference(system):
     assert x == want
     if x is not None:
         assert all(type(v) is F for v in x)
+
+
+@given(sparse_systems())
+@settings(max_examples=60, deadline=None)
+def test_sparse_least_norm_matches_reference(system):
+    a, b = system
+    x = exact_least_norm(a, b)
+    assert x == reference_least_norm(a, b)
+    if x is not None:
+        assert all(type(v) is F for v in x)
+
+
+def lewy_deep_systems():
+    """The level-4 and level-5 systems of the seed-0 lewy-deep benchmark
+    at its three construct points, assembled as the jet solver does: in
+    the new top jets, at the jets it solved below them."""
+    op = lewy_operator("(1)*x", "(1)*y")
+    for x in DensePointStream(op.domain).prefix(3):
+        values = solve_jets_triangular(prolong(op, 5), x).jet.values
+
+        def below(order):
+            return {c: v for c, v in values.items() if c[1].order < order}
+
+        coefficients = _gradient_values(op, x, below(op.order + 1), True)
+        for lam in (4, 5):
+            top = op.order + lam
+            columns = [(u, q) for q in multi_indices_of_order(op.n, top) for u in range(1, op.k + 1)]
+            offsets = _equation_series(op, x, below(top), lam, True)
+            yield _assemble(coefficients, offsets, multi_indices_of_order(op.n, lam), columns, True)
+
+
+def test_least_norm_of_lewy_deep_levels_matches_reference():
+    shapes = []
+    for a, b in lewy_deep_systems():
+        shapes.append((len(a), len(a[0])))
+        x = exact_least_norm(a, b)
+        assert x is not None and x == reference_least_norm(a, b)
+        assert all(type(v) is F for v in x)
+    assert shapes == [(30, 42), (42, 56)] * 3
 
 
 def test_zero_matrix_rank_and_blocks():
@@ -224,6 +313,13 @@ def test_residual_floor():
     a = [[1.0, 0.0], [1.0, 0.0]]
     assert residual_floor(a, [1.0, 3.0]) == pytest.approx(np.sqrt(2.0))
     assert residual_floor(a, [2.0, 2.0]) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_residual_floor_beyond_float_range_is_inf():
+    # exact rows whose entries do not fit in a float
+    a = [[F(10**400), F(10**400)], [F(1), F(1)]]
+    assert residual_floor(a, [F(1), F(0)]) == math.inf
+    assert residual_floor([[F(1)]], [F(10**400)]) == math.inf
 
 
 # ---------------------------------------------------------------------------
