@@ -8,7 +8,7 @@ into a staged sequence, and verify the vanishing condition on the error
 terms.
 """
 
-from .multiindex import MultiIndex, jet_count, multi_indices, zero_index
+from .multiindex import MultiIndex, multi_indices, zero_index
 from .expr import (
     Bump,
     Const,
@@ -41,7 +41,6 @@ from .jets import (
     normalize_homogeneous,
     parse_pde_text,
     prolong,
-    sum_of_squares,
     total_derivative,
 )
 from .ranges import (

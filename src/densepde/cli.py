@@ -127,12 +127,6 @@ def cmd_construct(args) -> int:
         raise ValueError("--resolution needs --out")
     op = load_pde_file(args.pde)
     points = _points_for(op, args)
-    if args.stages:
-        if args.stages > len(points):
-            raise ValueError(
-                f"--stages {args.stages} exceeds available points ({len(points)})"
-            )
-        points = points[: args.stages]
     if args.schedule:
         orders = [int(t) for t in args.schedule.split(",")]
     else:
@@ -150,10 +144,7 @@ def cmd_construct(args) -> int:
     _emit(args, "sequence.json", mf.sequence_to_json(seq))
     if samples is not None:
         path = os.path.join(args.out, "samples.csv")
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            fh.write(samples)
-        os.replace(tmp, path)
+        mf.write_atomic(path, samples)
         print(f"wrote {path}")
     print(
         f"constructed {seq.stage_count} stage(s), "
@@ -267,10 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", help="semicolon-separated rational points")
     p.add_argument("--scheme", choices=("dyadic", "diagonal"), default="dyadic")
     p.add_argument("--count", type=int, default=2, help="dense points to draw")
-    p.add_argument(
-        "--stages", type=non_negative, default=0,
-        help="use only the first N points (one stage per point)",
-    )
     p.add_argument(
         "--resolution", type=non_negative, default=0,
         help="also sample on a uniform grid (CSV, needs --out)",

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
-from .frozen import Frozen
+from .frozen import Value
 from .multiindex import MultiIndex
 
 Number = Union[int, Fraction, float]
@@ -29,22 +29,16 @@ class ExactnessUnavailable(Exception):
 # ---------------------------------------------------------------------------
 # variables
 
-class SpaceVar(Frozen):
+class SpaceVar(Value):
     """Space variable x_axis; equal to every SpaceVar of the same axis,
     whatever its name."""
+
+    _fields = ("axis",)
 
     def __init__(self, axis: int, name: str):
         d = self.__dict__
         d["axis"] = axis  # 1-based
         d["name"] = name
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.axis == other.axis
-
-    def __hash__(self):
-        return hash((self.axis,))
 
     def __repr__(self):
         return f"SpaceVar(axis={self.axis!r}, name={self.name!r})"
@@ -53,23 +47,17 @@ class SpaceVar(Frozen):
         return self.name
 
 
-class JetVar(Frozen):
+class JetVar(Value):
     """Jet coordinate: value of D^p applied to one unknown.  Equality and
     hash ignore the name, as for SpaceVar."""
+
+    _fields = ("unknown", "index")
 
     def __init__(self, unknown: int, index: MultiIndex, name: str):
         d = self.__dict__
         d["unknown"] = unknown  # 1-based
         d["index"] = index
         d["name"] = name
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.unknown, self.index) == (other.unknown, other.index)
-
-    def __hash__(self):
-        return hash((self.unknown, self.index))
 
     def __repr__(self):
         return f"JetVar(unknown={self.unknown!r}, index={self.index!r}, name={self.name!r})"
@@ -88,26 +76,11 @@ Variable = Union[SpaceVar, JetVar]
 # ---------------------------------------------------------------------------
 # nodes
 
-class Expr(Frozen):
-    """Base class; construct through the smart constructors below.
-
-    Nodes are immutable and equal when they are of one class with equal
-    `_fields`; the hash is hash of the tuple of those fields."""
+class Expr(Value):
+    """Base class; construct through the smart constructors below.  Each
+    node class names its children and data in `_fields`."""
 
     __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _key(self) -> tuple:
-        d = self.__dict__
-        return tuple([d[f] for f in self._fields])
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __add__(self, other):
         return ssum([self, as_expr(other)])

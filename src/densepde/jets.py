@@ -21,11 +21,10 @@ from .expr import (
     free_variables,
     jet_variables,
     simplify,
-    spow,
     sprod,
     ssum,
 )
-from .frozen import Frozen
+from .frozen import Frozen, Value
 from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_rational
 from .taylor import derivative, series
@@ -33,10 +32,13 @@ from .taylor import derivative, series
 Point = tuple[Fraction, ...]
 
 
-class Jet(Frozen):
+class Jet(Value):
     """Dense assignment of values to jet coordinates up to a given order.
 
     Jets are equal when n, k, order and values are; a jet is not hashable."""
+
+    _fields = ("n", "k", "order", "values")
+    __hash__ = None
 
     def __init__(
         self,
@@ -55,13 +57,6 @@ class Jet(Frozen):
         d["k"] = k
         d["order"] = order
         d["values"] = values
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.n, self.k, self.order, self.values) == (
-            other.n, other.k, other.order, other.values
-        )
 
     @property
     def exact(self) -> bool:
@@ -289,12 +284,6 @@ def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
     if level < 0:
         raise ValueError("level must be >= 0")
     return ProlongedSystem(op, level)
-
-
-def sum_of_squares(sys: ProlongedSystem) -> Expr:
-    """The single scalar operator whose zeros are the common zeros of the
-    prolonged system: sum of (F_{j,p})^2."""
-    return simplify(ssum([spow(e, 2) for _, _, e in sys.items()]))
 
 
 def jet_of_function(

@@ -8,8 +8,11 @@ or shows that it depends on the rows before it.  Ranks, consistency and
 the independent rows of a least-norm solve all come from that pass.  The
 least-norm solve then builds the sparse integer Gram system of those rows
 from a column index, reduces it by the same pass, and takes one integer
-back substitution over a common denominator.  No Fraction is built until
-the answer, so every rank and solution is exact.
+back substitution over a common denominator.  The residual floor of an
+inconsistent system takes the same route over the independent columns,
+whose Gram system gives the projection of b onto A's column space.  No
+Fraction is built until the answer, so every rank, solution and floor
+is exact until the floor is rounded to a float.
 
 The float routines share one Householder QR with column pivoting, in
 pure Python on lists.  Ranks factor A and count the pivots above an
@@ -31,7 +34,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import chain
-from math import gcd, hypot, inf, lcm
+from math import gcd, hypot, inf, isqrt, lcm, ldexp
 from operator import mul
 
 Row = list[Fraction]
@@ -154,14 +157,32 @@ def _back_substitute(pivot_rows: list[dict[int, int]], rhs: int) -> tuple[dict[i
     return y, d
 
 
+def _gram_combination(
+    vectors: list[dict[int, int]], rhs: list[int], size: int
+) -> tuple[list[int], int]:
+    """(X, d) with X / d = V^T y for the y solving (V V^T) y = rhs, where
+    V has the linearly independent sparse integer `vectors` as rows and
+    `size` columns: the sparse Gram system goes through the elimination
+    pass, then one back substitution over a common denominator d."""
+    gram = _gram(vectors)
+    for row, v in zip(gram, rhs):
+        if v:
+            row[len(vectors)] = v
+    y, d = _back_substitute(_eliminate(gram)[1], len(vectors))
+    x = [0] * size
+    for k, vec in enumerate(vectors):
+        for c, v in vec.items():
+            x[c] += v * y[k]
+    return x, d
+
+
 def exact_least_norm(a: list[Row], b: Row) -> list[Fraction] | None:
     """Minimum-Euclidean-norm exact solution of A x = b, or None when the
     system is inconsistent.
 
     Computed as x = A_R^T y with (A_R A_R^T) y = b_R over the rows R that
-    the elimination pass finds independent, in integers: the sparse Gram
-    system goes through the same elimination, then one back substitution
-    over a common denominator d, and x = X / d is verified against every
+    the elimination pass finds independent, in integers
+    (_gram_combination), and x = X / d is verified against every
     equation.  The integer scaling of the rows changes neither the
     solution set nor, since it is unique, the least-norm solution.
     """
@@ -171,20 +192,46 @@ def exact_least_norm(a: list[Row], b: Row) -> list[Fraction] | None:
     scaled = _integer_rows([list(row) + [rhs] for row, rhs in zip(a, b)])
     rhs = [row.pop(n_cols, 0) for row in scaled]
     keep = [i for i, p in enumerate(_eliminate(scaled)[0]) if p is not None]
-    ar = [scaled[i] for i in keep]
-    gram = _gram(ar)
-    for row, i in zip(gram, keep):
-        if rhs[i]:
-            row[len(ar)] = rhs[i]
-    y, d = _back_substitute(_eliminate(gram)[1], len(ar))
-    x = [0] * n_cols
-    for k, row in enumerate(ar):
-        for c, v in row.items():
-            x[c] += v * y[k]
+    x, d = _gram_combination([scaled[i] for i in keep], [rhs[i] for i in keep], n_cols)
     for row, want in zip(scaled, rhs):
         if sum(v * x[c] for c, v in row.items()) != want * d:
             return None
     return [Fraction(v, d) for v in x]
+
+
+def exact_residual_floor(a: list[Row], b: Row) -> float:
+    """Norm of the least-squares residual b - A x of a rational system,
+    computed exactly and rounded to a float only at the end.
+
+    A x is the projection of b onto the column space of A, which the
+    columns C that the elimination pass finds independent span: A_C y
+    with (A_C^T A_C) y = A_C^T b (_gram_combination).  Scaling each
+    column of A to integers leaves that space as it is, and b is scaled
+    by one factor, which the norm divides out.  The result is inf when a
+    nonzero norm lies outside the range of positive floats, so an
+    inconsistent system never reports 0."""
+    *columns, target = _integer_rows([*zip(*a), b])
+    scale = lcm(*(Fraction(v).denominator for v in b))
+    kept = [col for col, p in zip(columns, _eliminate(columns)[0]) if p is not None]
+    products = [sum(v * target.get(i, 0) for i, v in col.items()) for col in kept]
+    projection, d = _gram_combination(kept, products, len(b))
+    square = sum((d * target.get(i, 0) - p) ** 2 for i, p in enumerate(projection))
+    return _float_sqrt(Fraction(square, (d * scale) ** 2))
+
+
+def _float_sqrt(square: Fraction) -> float:
+    """sqrt(square) as a float, from an integer square root of 64 bits or
+    more, so a square outside the float range still gives its root; inf
+    when a nonzero root lies outside the range of positive floats."""
+    if not square:
+        return 0.0
+    p, q = square.numerator, square.denominator
+    shift = (128 + q.bit_length() - p.bit_length()) // 2
+    scaled = (p << 2 * shift) // q if shift >= 0 else p // (q << -2 * shift)
+    try:
+        return ldexp(float(isqrt(scaled)), -shift) or inf
+    except OverflowError:
+        return inf
 
 
 def _columns(matrix) -> list[list[float]]:

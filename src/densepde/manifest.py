@@ -29,12 +29,9 @@ format is unchanged.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import os
-import tempfile
 from fractions import Fraction
 from .construct import SolutionSequence, glue, validate_schedule
 from .jets import Jet, PdeOperator
@@ -216,24 +213,35 @@ def sequence_from_json(data: dict) -> SolutionSequence:
 # ---------------------------------------------------------------------------
 # files
 
+def write_atomic(path: str, text: str):
+    """Write `text` to `path` through a new temp file in the same
+    directory, renamed over `path`: a reader sees the old file or the
+    new one, never part of one.  The temp file is opened with "x", so it
+    is never an existing file, and it is removed on any exception."""
+    while True:
+        tmp = f"{path}.{os.urandom(6).hex()}.tmp"
+        try:
+            fh = open(tmp, "x")
+            break
+        except FileExistsError:
+            continue
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_json(path: str, data: dict, header: dict | None = None):
-    """Atomic JSON write (temp file + rename).  Volatile header fields
-    such as timestamps stay in their own top-level block so the payload
-    below is byte-reproducible."""
+    """Atomic JSON write (write_atomic).  Volatile header fields such as
+    timestamps stay in their own top-level block so the payload below is
+    byte-reproducible."""
     payload = dict(data)
     if header:
         payload = {"header": header, **payload}
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    write_atomic(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def read_json(path: str) -> dict:
@@ -259,6 +267,8 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
 
     Header: the space variable names, then ``unknown`` and ``value``.
     One row per grid point per unknown, rows in grid-lexicographic order.
+    No field needs quoting: names are letters and digits, values are
+    float reprs.
     """
     ctx, box = seq.operator.context, seq.operator.domain
     functions = seq.stages[-1].functions
@@ -268,13 +278,9 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
         [lo + (hi - lo) * Fraction(i, resolution + 1) for i in range(1, resolution + 1)]
         for lo, hi in box
     ]
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(ctx.space_names) + ["unknown", "value"])
+    lines = [",".join([*ctx.space_names, "unknown", "value"])]
     for point in itertools.product(*axes):
+        coordinates = [repr(float(c)) for c in point]
         for name, fn in zip(ctx.unknown_names, functions):
-            writer.writerow(
-                [repr(float(c)) for c in point]
-                + [name, repr(fn.value(point))]
-            )
-    return out.getvalue()
+            lines.append(",".join([*coordinates, name, repr(fn.value(point))]))
+    return "\n".join(lines) + "\n"

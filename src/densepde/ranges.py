@@ -32,12 +32,13 @@ from operator import add, sub
 from typing import Sequence
 
 from .expr import evaluate_exact, evaluate_float, exact_arithmetic
-from .frozen import Frozen
+from .frozen import Value
 from .jets import Jet, PdeOperator, ProlongedSystem, prolong
 from .linalg import (
     FLOAT_RANK_TOL,
     exact_least_norm,
     exact_rank,
+    exact_residual_floor,
     float_least_norm,
     float_rank,
     residual_floor,
@@ -151,7 +152,7 @@ def _stacked(sys: ProlongedSystem, x: Sequence, exact: bool):
     )
 
 
-class RankCertificate(Frozen):
+class RankCertificate(Value):
     """Solvability certificate for a linear operator at one point/level.
 
     holds: rank P = rank Q (the prolonged linear system is consistent).
@@ -159,6 +160,10 @@ class RankCertificate(Frozen):
     every right-hand side (the nondegeneracy the rank discussion of the
     linear case aims at).
     """
+
+    _fields = (
+        "point", "level", "rank_p", "rank_q", "n_rows", "n_cols", "arithmetic", "tolerance",
+    )
 
     def __init__(
         self,
@@ -168,32 +173,21 @@ class RankCertificate(Frozen):
         rank_q: int,
         n_rows: int,
         n_cols: int,
-        holds: bool,
-        strict: bool,
         arithmetic: str,
         tolerance: float | None = None,
     ):
-        if strict and not holds:
-            raise ValueError("strict certificate must hold")
         self.__dict__.update(
             point=point, level=level, rank_p=rank_p, rank_q=rank_q, n_rows=n_rows,
-            n_cols=n_cols, holds=holds, strict=strict, arithmetic=arithmetic,
-            tolerance=tolerance,
+            n_cols=n_cols, arithmetic=arithmetic, tolerance=tolerance,
         )
 
-    def _key(self) -> tuple:
-        return (
-            self.point, self.level, self.rank_p, self.rank_q, self.n_rows,
-            self.n_cols, self.holds, self.strict, self.arithmetic, self.tolerance,
-        )
+    @property
+    def holds(self) -> bool:
+        return self.rank_p == self.rank_q
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
+    @property
+    def strict(self) -> bool:
+        return self.holds and self.rank_p == self.n_rows
 
     def to_json(self):
         return {
@@ -257,9 +251,9 @@ def _certify(linear: ProlongedSystem, x: Sequence, levels: Sequence[int]):
                 full = ranks[-1][0] == len(pa)
         ranks.reverse()
         tol = FLOAT_RANK_TOL
+    floor = exact_residual_floor if exact else residual_floor
     out = []
     for level, (pa, pb), width, (rank_p, rank_q) in zip(levels, blocks, widths, ranks):
-        holds = rank_p == rank_q
         cert = RankCertificate(
             point=tuple(x),
             level=level,
@@ -267,25 +261,26 @@ def _certify(linear: ProlongedSystem, x: Sequence, levels: Sequence[int]):
             rank_q=rank_q,
             n_rows=len(pa),
             n_cols=width,
-            holds=holds,
-            strict=holds and rank_p == len(pa),
             arithmetic="exact" if exact else "float",
             tolerance=tol,
         )
-        out.append((cert, None if holds else residual_floor(pa, pb)))
+        out.append((cert, None if cert.holds else floor(pa, pb)))
     return out
 
 
 # ---------------------------------------------------------------------------
 # triangular jet solving
 
-class JetSolveResult:
+class JetSolveResult(Value):
     """Outcome of one triangular jet solve at a point.
 
     levels[l] is the result a solve of the prolongation to level l
     gives, for every level l of the solved system; the last entry equals
     this result.  The per-level results carry no levels of their own.
-    Equality compares every field but `levels`."""
+    Equality compares every field but `levels`; a result is not hashable."""
+
+    _fields = ("status", "jet", "residual", "arithmetic", "failed_level", "detail")
+    __hash__ = None
 
     def __init__(
         self,
@@ -297,21 +292,11 @@ class JetSolveResult:
         detail: str = "",
         levels: tuple["JetSolveResult", ...] = (),
     ):
-        self.status = status  # solved | no-solution | solver-failed
-        self.jet = jet
-        self.residual = residual
-        self.arithmetic = arithmetic
-        self.failed_level = failed_level
-        self.detail = detail
-        self.levels = levels
-
-    def _key(self) -> tuple:
-        return (self.status, self.jet, self.residual, self.arithmetic, self.failed_level, self.detail)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+        self.__dict__.update(
+            status=status,  # solved | no-solution | solver-failed
+            jet=jet, residual=residual, arithmetic=arithmetic,
+            failed_level=failed_level, detail=detail, levels=levels,
+        )
 
     @property
     def solved(self) -> bool:
@@ -467,7 +452,8 @@ def _solve_affine(
     if exact:
         solution = exact_least_norm(a, b)
         if solution is None:
-            return {}, JetSolveResult("no-solution", None, residual_floor(a, b), "exact", level, detail)
+            floor = exact_residual_floor(a, b)
+            return {}, JetSolveResult("no-solution", None, floor, "exact", level, detail)
         return dict(zip(columns, solution)), None
     xsol, floor = float_least_norm(a, b)
     if floor > max(tol, CONSISTENCY_FLOOR):

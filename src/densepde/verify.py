@@ -29,7 +29,7 @@ from .expr import (
     ssum,
     substitute,
 )
-from .frozen import Frozen
+from .frozen import Frozen, Value
 from .jets import Jet, PdeOperator
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
@@ -99,25 +99,18 @@ class _DerivativeTable:
 # ---------------------------------------------------------------------------
 # vanishing reports
 
-class Failure(Frozen):
+class Failure(Value):
     """A derivative D^index of term `term` that is not zero at a point."""
+
+    _fields = ("term", "index", "value")
 
     def __init__(self, term: int, index: MultiIndex, value: float):
         self.__dict__.update(term=term, index=index, value=value)
 
-    def _key(self) -> tuple:
-        return (self.term, self.index, self.value)
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
+class VanishingEntry(Value):
+    _fields = ("point", "order", "witness", "exact", "failures")
 
-    def __hash__(self):
-        return hash(self._key())
-
-
-class VanishingEntry(Frozen):
     def __init__(
         self,
         point: Point,
@@ -130,23 +123,14 @@ class VanishingEntry(Frozen):
             point=point, order=order, witness=witness, exact=exact, failures=failures
         )
 
-    def _key(self) -> tuple:
-        return (self.point, self.order, self.witness, self.exact, self.failures)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
     @property
     def holds(self) -> bool:
         return self.witness is not None
 
 
-class VanishingReport(Frozen):
+class VanishingReport(Value):
+    _fields = ("truncation", "arithmetic", "tolerance", "entries")
+
     def __init__(
         self,
         truncation: int,
@@ -157,17 +141,6 @@ class VanishingReport(Frozen):
         self.__dict__.update(
             truncation=truncation, arithmetic=arithmetic, tolerance=tolerance, entries=entries
         )
-
-    def _key(self) -> tuple:
-        return (self.truncation, self.arithmetic, self.tolerance, self.entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
 
     @property
     def holds(self) -> bool:
@@ -356,19 +329,27 @@ class VerificationFailure(Frozen):
 
 
 class VerificationResult(Frozen):
+    """passed: no failures; degenerate: no reports, as for an empty
+    sequence, which passes vacuously."""
+
     def __init__(
         self,
-        passed: bool,
-        degenerate: bool,
         arithmetic: str,
         tolerance: float,
         reports: tuple[VanishingReport, ...],
         failures: tuple[VerificationFailure, ...],
     ):
         self.__dict__.update(
-            passed=passed, degenerate=degenerate, arithmetic=arithmetic,
-            tolerance=tolerance, reports=reports, failures=failures,
+            arithmetic=arithmetic, tolerance=tolerance, reports=reports, failures=failures
         )
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
+
+    @property
+    def degenerate(self) -> bool:
+        return not self.reports
 
     def to_json(self) -> str:
         data = {
@@ -418,7 +399,7 @@ def verify_solution(
     per-entry flags.
     """
     if seq.stage_count == 0:
-        return VerificationResult(True, True, arithmetic, tol, (), ())
+        return VerificationResult(arithmetic, tol, (), ())
     top = max(seq.orders)
     approximate = [not stage.exact for stage in seq.stages]
     unbound = {v: {} for v in op.jet_variables}
@@ -471,9 +452,7 @@ def verify_solution(
                     VerificationFailure(j, nu, seq.points[i], p, float(value))
                 )
     mode = "exact" if all_exact else "float"
-    return VerificationResult(
-        not failures, False, mode, tol, tuple(reports), tuple(failures)
-    )
+    return VerificationResult(mode, tol, tuple(reports), tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Command-line interface and manifest round-trips."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from densepde.manifest import (
     save_sequence,
     sequence_from_json,
     sequence_to_json,
+    write_atomic,
     write_json,
 )
 from densepde.multiindex import MultiIndex
@@ -157,6 +159,17 @@ class TestManifest:
         assert sample_grid(seq, 4).splitlines()[1:] == expected
 
 
+    def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("old\n")
+        with pytest.raises(TypeError):
+            write_atomic(str(path), None)  # fails inside the write
+        assert path.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["samples.csv"]
+        write_atomic(str(path), "new\n")
+        assert path.read_text() == "new\n"
+        assert os.listdir(tmp_path) == ["samples.csv"]
+
 class TestExitCodes:
     def test_range_ok(self, pde_file, capsys):
         assert main(["range", pde_file, "--level", "2", "--count", "2"]) == 0
@@ -212,8 +225,9 @@ eq: 0*u - 1
 
     @pytest.mark.parametrize("exponent", [300, 400])
     def test_exact_no_solution_beyond_float_range(self, tmp_path, capsys, exponent):
-        # 10^400 does not fit in a float: the exact verdict stands and the
-        # float residual floor is inf (null in JSON), not a traceback
+        # 10^400 does not fit in a float: the exact verdict stands, and the
+        # floor, about 10^-400, lies below the positive floats, so it is inf
+        # (null in JSON), not 0 and not a traceback
         path = tmp_path / "big.pde"
         path.write_text(
             "dim: 2\nvars: x y\norder: 1\ndomain: (-1,1) (-1,1)\n"
@@ -235,6 +249,27 @@ eq: 0*u - 1
         floor = "inf" if exponent == 400 else "1e-300"
         assert capsys.readouterr().err.splitlines() == [
             f"FAIL: stage 0 failed: no-solution at point (0, 0): residual floor {floor} "
+            "inconsistent affine system at level 0"
+        ]
+
+    def test_exact_no_solution_reports_the_exact_floor(self, tmp_path, capsys):
+        # inconsistent in exact arithmetic, equal rows once rounded to
+        # floats: the floor is the exact one, 10^-20 / sqrt(2 + ...), not 0
+        path = tmp_path / "close.pde"
+        path.write_text(
+            "dim: 2\nvars: x y\norder: 1\ndomain: (-1,1) (-1,1)\n"
+            "eq: u_x + u_y - 1\neq: (1 + 1/100000000000000000000)*(u_x + u_y) - 1\n"
+        )
+        assert main(["range", str(path), "--points", "0,0", "--level", "0"]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL" in captured.err and "inconsistent linear system" in captured.err
+        (levels,) = json.loads(captured.out)["points"].values()
+        assert levels["0"]["outcome"] == "no-solution"
+        assert levels["0"]["residual_floor"] == pytest.approx(1e-20 / math.sqrt(2), rel=1e-12)
+        args = ["construct", str(path), "--points", "0,0", "--schedule", "0"]
+        assert main(args) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "FAIL: stage 0 failed: no-solution at point (0, 0): residual floor 7.07e-21 "
             "inconsistent affine system at level 0"
         ]
 
@@ -520,13 +555,6 @@ def exit_code(argv) -> int:
 
 class TestConstructOptions:
     """Every usage error of construct exits 2 before any file is written."""
-
-    def test_negative_stages_rejected(self, pde_file, tmp_path, capsys):
-        out = tmp_path / "out"
-        argv = ["construct", pde_file, "--count", "3", "--stages", "-1", "--out", str(out)]
-        assert exit_code(argv) == 2
-        assert "--stages" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_resolution_needs_out(self, pde_file, capsys):
         assert exit_code(["construct", pde_file, "--resolution", "5"]) == 2

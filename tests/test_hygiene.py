@@ -1,7 +1,8 @@
 """Import hygiene of the package, checked with the standard library's ast:
 no module imports a name it never uses, and imports sit at module level.
 The package has no runtime dependencies: importing it loads no numpy, and
-it generates no class code: it loads neither dataclasses nor inspect.
+it generates no class code: it loads neither dataclasses nor inspect.  Nor
+does it load tempfile or csv, with or without the site module.
 """
 
 import ast
@@ -77,13 +78,14 @@ def test_imports_at_module_level():
     assert local == []
 
 
-def _after_import(expression: str) -> str:
-    """What a fresh interpreter prints for `expression` after `import
-    densepde`; `before` holds the modules loaded before that import."""
+def _after_import(expression: str, *flags: str) -> str:
+    """What a fresh interpreter, run with `flags`, prints for `expression`
+    after `import densepde`; `before` holds the modules loaded before
+    that import."""
     paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     proc = subprocess.run(
-        [sys.executable, "-c",
+        [sys.executable, *flags, "-c",
          f"import sys; before = set(sys.modules); import densepde; print({expression})"],
         capture_output=True, text=True, env=env, timeout=60,
     )
@@ -97,6 +99,10 @@ def test_import_loads_no_numpy():
 
 def test_import_generates_no_code():
     # the package's classes are plain classes: importing it generates no
-    # dataclass code, which would load dataclasses and, with them, inspect
-    loaded = "sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))"
-    assert _after_import(loaded) == "[]"
+    # dataclass code, which would load dataclasses and, with them, inspect;
+    # files are written without tempfile and samples without csv.  Without
+    # the site module (-S) nothing has loaded them before the import.
+    unwanted = "{'dataclasses', 'inspect', 'tempfile', 'csv'}"
+    loaded = f"sorted({unwanted} & (set(sys.modules) - before))"
+    for flags in ((), ("-S",)):
+        assert _after_import(loaded, *flags) == "[]", flags

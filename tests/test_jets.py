@@ -32,17 +32,17 @@ from densepde.jets import (
     normalize_homogeneous,
     parse_pde_text,
     prolong,
-    sum_of_squares,
     total_derivative,
 )
 from densepde.multiindex import (
     MultiIndex,
-    jet_count,
     multi_indices,
     multi_indices_of_order,
     zero_index,
 )
 from densepde.parser import Context, parse_expression
+from densepde.ranges import JetSolveResult, RankCertificate
+from densepde.verify import Failure, VanishingEntry, VanishingReport
 
 CTX = Context(("x", "y"))
 
@@ -82,8 +82,6 @@ class TestMultiIndex:
     def test_counts(self):
         assert len(multi_indices(3, 4)) == 35  # C(7,3)
         assert len(multi_indices_of_order(2, 3)) == 4
-        assert jet_count(2, 1, 2) == 6
-        assert jet_count(3, 2, 1) == 8
 
     def test_factorial(self):
         assert MultiIndex((2, 3)).factorial() == 12
@@ -126,7 +124,32 @@ VALUE_TYPES = {
         ("n", "k", "order", "values"),
         Jet(1, 1, 1, {(1, MultiIndex((0,))): F(1), (1, MultiIndex((1,))): F(3)}),
     ),
+    "RankCertificate": (
+        lambda: RankCertificate((F(0), F(1, 2)), 1, 6, 6, 6, 10, "exact"),
+        ("point", "level", "rank_p", "rank_q", "n_rows", "n_cols", "arithmetic", "tolerance"),
+        RankCertificate((F(0), F(1, 2)), 1, 5, 6, 6, 10, "exact"),
+    ),
+    "JetSolveResult": (
+        lambda: JetSolveResult("solved", Jet(1, 1, 0, {(1, MultiIndex((0,))): F(1)}), 0.0, "exact"),
+        ("status", "jet", "residual", "arithmetic", "failed_level", "detail"),
+        JetSolveResult("no-solution", None, 0.5, "exact", 0, "inconsistent level"),
+    ),
+    "Failure": (
+        lambda: Failure(1, MultiIndex((1, 0)), 0.25), ("term", "index", "value"),
+        Failure(2, MultiIndex((1, 0)), 0.25),
+    ),
+    "VanishingEntry": (
+        lambda: VanishingEntry((F(1, 2),), 1, 0, True),
+        ("point", "order", "witness", "exact", "failures"),
+        VanishingEntry((F(1, 2),), 1, None, True, (Failure(1, MultiIndex((1,)), 0.25),)),
+    ),
+    "VanishingReport": (
+        lambda: VanishingReport(2, "exact", 1e-10, (VanishingEntry((F(1, 2),), 1, 0, True),)),
+        ("truncation", "arithmetic", "tolerance", "entries"),
+        VanishingReport(2, "exact", 1e-10, ()),
+    ),
 }
+UNHASHABLE = {"Jet", "JetSolveResult"}  # a jet's values are a dict
 
 
 @pytest.mark.parametrize("kind", list(VALUE_TYPES))
@@ -139,7 +162,7 @@ class TestValueTypes:
     def test_hash_is_hash_of_compared_fields(self, kind):
         make, fields, _ = VALUE_TYPES[kind]
         obj = make()
-        if kind == "Jet":  # its values are a dict
+        if kind in UNHASHABLE:
             with pytest.raises(TypeError):
                 hash(obj)
             return
@@ -353,13 +376,6 @@ class TestOperators:
         # u_xx + u_yy - xy = 2y^2 + 2x^2 - xy
         val = apply_operator(op, u, (F(1, 2), F(1, 2)))[0]
         assert val == F(3, 4)
-
-    def test_sum_of_squares_nonnegative(self):
-        op = parse_pde_text(BURGERS)
-        sos = sum_of_squares(prolong(op, 1))
-        u = parse_expression("x^2", op.context)
-        jet = jet_of_function(u, op.context, (F(1, 2),), 3)
-        assert evaluate_at_jet(sos, op.context, (F(1, 2),), jet) >= 0
 
     def test_pde_file_headers_required(self):
         with pytest.raises(ValueError):

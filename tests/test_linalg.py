@@ -19,6 +19,7 @@ from densepde.jets import prolong
 from densepde.linalg import (
     exact_least_norm,
     exact_rank,
+    exact_residual_floor,
     float_least_norm,
     float_rank,
     residual_floor,
@@ -320,6 +321,39 @@ def test_residual_floor_beyond_float_range_is_inf():
     a = [[F(10**400), F(10**400)], [F(1), F(1)]]
     assert residual_floor(a, [F(1), F(0)]) == math.inf
     assert residual_floor([[F(1)]], [F(10**400)]) == math.inf
+
+
+
+def reference_floor_square(a, b):
+    """|b - A x|^2 for the least-squares x that solves the normal
+    equations A^T A x = A^T b, by the reference elimination."""
+    cols = list(zip(*a))
+    normal = [[sum(u * v for u, v in zip(ci, cj)) for cj in cols] for ci in cols]
+    x = reference_least_norm(normal, [sum(u * v for u, v in zip(ci, b)) for ci in cols])
+    return sum((v - sum(r * w for r, w in zip(row, x))) ** 2 for row, v in zip(a, b))
+
+
+@given(st.one_of(systems(), sparse_systems()))
+@settings(max_examples=50, deadline=None)
+def test_exact_residual_floor_matches_reference(system):
+    a, b = system
+    floor = exact_residual_floor(a, b)
+    square = reference_floor_square(a, b)
+    assert (floor == 0) == (exact_least_norm(a, b) is not None) == (square == 0)
+    assert floor == pytest.approx(math.sqrt(square), rel=1e-14)
+
+
+def test_exact_residual_floor_at_the_ends_of_the_float_range():
+    # inconsistent, but the rows are equal once rounded to floats
+    a, b = [[F(1), F(1)], [1 + F(1, 10**20), 1 + F(1, 10**20)]], [F(1), F(1)]
+    assert exact_residual_floor(a, b) == pytest.approx(1e-20 / math.sqrt(2), rel=1e-12)
+    # a square outside the float range with its root inside
+    assert exact_residual_floor([[F(1)], [F(1)]], [F(1, 10**200), F(0)]) == pytest.approx(
+        1e-200 / math.sqrt(2), rel=1e-12
+    )
+    # floors of about 10^-400 and 10^400: outside the positive floats
+    assert exact_residual_floor([[F(10**400), F(10**400)], [F(1), F(1)]], [F(1), F(0)]) == math.inf
+    assert exact_residual_floor([[F(1)], [F(1)]], [F(10**400), F(0)]) == math.inf
 
 
 # ---------------------------------------------------------------------------
