@@ -17,7 +17,6 @@ from .expr import (
     SpaceVar,
     Var,
     differentiate,
-    differentiate_multi,
     evaluate_exact,
     evaluate_float,
     is_rational_closed,
@@ -34,14 +33,10 @@ from .jets import (
     Jet,
     PdeOperator,
     ProlongedSystem,
-    apply_operator,
-    evaluate_at_jet,
-    jet_of_function,
     load_pde_file,
     normalize_homogeneous,
     parse_pde_text,
     prolong,
-    total_derivative,
 )
 from .ranges import (
     JetSolveResult,
@@ -59,22 +54,15 @@ from .construct import (
     DensePointStream,
     DiscreteSolve,
     SolutionSequence,
-    SolveFailure,
     construct_sequence,
-    make_bumps,
     taylor_from_jet,
 )
 from .verify import (
     FunctionSequence,
-    SingularityComplement,
     VanishingReport,
     VerificationResult,
     check_vanishing,
-    constant_sequence,
-    diagonal_probe,
-    error_sequence,
     example_sequence,
-    family_closure_check,
     verify_solution,
 )
 from .manifest import (

@@ -228,11 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, pde=True):
-        if pde:
-            p.add_argument("pde", help="PDE specification file")
+    def common(p):
+        p.add_argument("pde", help="PDE specification file")
         p.add_argument("--out", help="output directory (atomic JSON writes)")
-        p.add_argument("--tol", type=tolerance, default=1e-12)
 
     p = sub.add_parser("prolong", help="print the prolonged system")
     common(p)
@@ -241,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("range", help="check 0 is in the prolonged range")
     common(p)
+    p.add_argument("--tol", type=tolerance, default=1e-12)
     p.add_argument("--level", type=non_negative, default=1, help="max prolongation level")
     p.add_argument("--points", help="semicolon-separated rational points")
     p.add_argument("--scheme", choices=("dyadic", "diagonal"), default="dyadic")
@@ -253,6 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a staged solution sequence")
     common(p)
+    p.add_argument("--tol", type=tolerance, default=1e-12)
     p.add_argument("--level", type=non_negative, default=1)
     p.add_argument("--schedule", help="comma-separated per-stage levels")
     p.add_argument("--points", help="semicolon-separated rational points")

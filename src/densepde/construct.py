@@ -235,16 +235,6 @@ class AssembledFunction(Frozen):
         return evaluate_float(self.expression(), assignment)
 
 
-class SolveFailure(Exception):
-    def __init__(self, point: Point, result: JetSolveResult):
-        self.point = point
-        self.result = result
-        super().__init__(
-            f"{result.status} at point {point_text(point)}: "
-            f"residual floor {result.residual:.3g} {result.detail}"
-        )
-
-
 class DiscreteSolve(Frozen):
     """Result of solving on a finite point set: the jet at each point and
     the bumps centred on the points, both in point order.  The glued
@@ -355,11 +345,18 @@ class SolutionSequence(Frozen):
 
 
 class ConstructionError(Exception):
-    def __init__(self, stage: int, cause: SolveFailure, partial: SolutionSequence):
+    """Stage `stage` could not solve its jet at `point`: `result` is that
+    level's solve, and `partial` the sequence of the stages before it."""
+
+    def __init__(self, stage: int, point: Point, result: JetSolveResult, partial: SolutionSequence):
         self.stage = stage
-        self.cause = cause
+        self.point = point
+        self.result = result
         self.partial = partial
-        super().__init__(f"stage {stage} failed: {cause}")
+        super().__init__(
+            f"stage {stage} failed: {result.status} at point {point_text(point)}: "
+            f"residual floor {result.residual:.3g} {result.detail}"
+        )
 
 
 def validate_schedule(orders: Sequence[int]):
@@ -400,12 +397,11 @@ def construct_sequence(
                 solves[a] = solve_jets_triangular(top, a, seed=seed, tol=tol)
             res = solves[a].levels[level]
             if not res.solved:
-                failure = SolveFailure(a, res)
                 partial = SolutionSequence(
                     op, tuple(pts[:nu]), tuple(orders[:nu]),
                     glue(op, pts[:nu], stage_jets, orders[:nu]),
                 )
-                raise ConstructionError(nu, failure, partial) from failure
+                raise ConstructionError(nu, a, res, partial)
             jets[a] = res.jet
         stage_jets.append(jets)
     return SolutionSequence(

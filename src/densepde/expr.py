@@ -545,15 +545,6 @@ def _diff(e: Expr, v: Variable) -> Expr:
     raise TypeError(type(e))
 
 
-def differentiate_multi(e: Expr, space_vars, p: MultiIndex) -> Expr:
-    """D^p along the given ordered space variables."""
-    out = e
-    for axis, count in enumerate(p.entries, start=1):
-        for _ in range(count):
-            out = differentiate(out, space_vars[axis - 1])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # substitution
 

@@ -15,8 +15,6 @@ from .expr import (
     Var,
     compile_float,
     differentiate,
-    evaluate_exact,
-    evaluate_float,
     exact_arithmetic,
     free_variables,
     jet_variables,
@@ -27,7 +25,6 @@ from .expr import (
 from .frozen import Frozen, Value
 from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_rational
-from .taylor import derivative, series
 
 Point = tuple[Fraction, ...]
 
@@ -64,12 +61,6 @@ class Jet(Value):
 
     def value(self, unknown: int, p: MultiIndex):
         return self.values[(unknown, p)]
-
-    def assignment(self, context: Context) -> dict:
-        """Map JetVars to values, for substitution into equations."""
-        return {
-            context.jet(u, p): v for (u, p), v in self.values.items()
-        }
 
     def truncate(self, order: int) -> "Jet":
         if order > self.order:
@@ -192,24 +183,18 @@ def jet_gradient(e: Expr) -> dict[tuple[int, MultiIndex], Expr]:
     This is the only place an equation is differentiated in its jet
     coordinates: total derivatives, the symbol and coefficients of the
     range analysis and Newton Jacobians all read these partials, through
-    PdeOperator.gradients for the equations and ProlongedSystem.gradient
-    for the rows above them."""
+    PdeOperator.gradients for the equations; ProlongedSystem.equations
+    takes those of the rows above level 0 as it lifts them."""
     return {
         (v.unknown, v.index): differentiate(e, v)
         for v in sorted(jet_variables(e), key=lambda v: (v.unknown, v.index.grlex_key()))
     }
 
 
-def total_derivative(e: Expr, context: Context, axis: int) -> Expr:
-    """Total derivative D_i along space axis i, with the jet-coordinate
-    chain rule: D_i = d/dx_i + sum over jets of xi_{u,q+e_i} * d/d xi_{u,q}."""
-    if not 1 <= axis <= context.n:
-        raise ValueError(f"axis {axis} outside [1, {context.n}]")
-    return _lift(e, jet_gradient(e), context, axis)
-
-
 def _lift(e: Expr, gradient, context: Context, axis: int) -> Expr:
-    """total_derivative of e, given its jet gradient."""
+    """Total derivative D_i of e along space axis i, given its jet
+    gradient, by the jet-coordinate chain rule:
+    D_i = d/dx_i + sum over jets of xi_{u,q+e_i} * d/d xi_{u,q}."""
     terms = [differentiate(e, context.space(axis))]
     for (u, q), partial in gradient.items():
         if partial == ZERO:
@@ -225,17 +210,16 @@ class ProlongedSystem(Frozen):
     The rows are built in full the first time `equations` (or items())
     is read.  A row above level 0 is the total derivative of F_{j,p-e_i}
     along the first nonzero axis i of p, so the rows of level <= l are
-    exactly those of prolonging to level l directly.  The jet gradient of
-    each row above level 0 is computed on first use and cached, so no row
-    is differentiated in its jet coordinates twice; a level-0 row's
-    gradient is the operator's (PdeOperator.gradients).
+    exactly those of prolonging to level l directly.  Each row below the
+    top level is differentiated in its jet coordinates once, when the
+    first row above it is built; a level-0 row's gradient is the
+    operator's (PdeOperator.gradients).
     """
 
     def __init__(self, operator: PdeOperator, level: int):
         d = self.__dict__
         d["operator"] = operator
         d["level"] = level
-        d["_gradients"] = {}
 
     @property
     def top_order(self) -> int:
@@ -245,13 +229,17 @@ class ProlongedSystem(Frozen):
     def equations(self) -> dict[tuple[int, MultiIndex], Expr]:
         """The rows by key (j, p), in the order of items()."""
         op = self.operator
-        rows = {}
+        rows, gradients = {}, {}
         for p in multi_indices(op.n, self.level):
             for j, g in enumerate(op.equations, start=1):
                 if p.order:
                     axis = p.first_nonzero_axis()
-                    prev = p.minus_axis(axis)
-                    g = _lift(rows[(j, prev)], self._gradient(j, prev, rows), op.context, axis)
+                    prev = (j, p.minus_axis(axis))
+                    if prev not in gradients:
+                        gradients[prev] = (
+                            jet_gradient(rows[prev]) if p.order > 1 else op.gradients[j - 1]
+                        )
+                    g = _lift(rows[prev], gradients[prev], op.context, axis)
                 rows[(j, p)] = g
         return rows
 
@@ -259,18 +247,6 @@ class ProlongedSystem(Frozen):
         """(j, p, expr) in graded-lex order of p, then equation index."""
         for (j, p), e in self.equations.items():
             yield j, p, e
-
-    def gradient(self, j: int, p: MultiIndex) -> dict[tuple[int, MultiIndex], Expr]:
-        """jet_gradient of F_{j,p}, computed at most once per row."""
-        return self._gradient(j, p, self.equations if p.order else None)
-
-    def _gradient(self, j: int, p: MultiIndex, rows) -> dict[tuple[int, MultiIndex], Expr]:
-        """gradient(j, p), read off `rows` above level 0."""
-        if not p.order:
-            return self.operator.gradients[j - 1]
-        if (j, p) not in self._gradients:
-            self._gradients[(j, p)] = jet_gradient(rows[(j, p)])
-        return self._gradients[(j, p)]
 
 
 def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
@@ -284,54 +260,6 @@ def prolong(op: PdeOperator, level: int) -> ProlongedSystem:
     if level < 0:
         raise ValueError("level must be >= 0")
     return ProlongedSystem(op, level)
-
-
-def jet_of_function(
-    u: Expr | Sequence[Expr],
-    context: Context,
-    point: Sequence,
-    order: int,
-    exact: bool | None = None,
-) -> Jet:
-    """Jet of smooth function(s) of the space variables at a point.
-
-    With exact=None, the arithmetic follows expr.exact_arithmetic of the
-    components at the point.
-    """
-    components = [u] if isinstance(u, Expr) else list(u)
-    if len(components) != context.k:
-        raise ValueError(f"expected {context.k} component(s), got {len(components)}")
-    for c in components:
-        if jet_variables(c):
-            raise ValueError("function must depend on space variables only")
-    if exact is None:
-        exact = exact_arithmetic(components, point)
-    mode = "exact" if exact else "float"
-    values: dict[tuple[int, MultiIndex], Fraction | float] = {}
-    for unknown, c in enumerate(components, start=1):
-        coefficients = series(c, point, order, mode)
-        for p in multi_indices(context.n, order):
-            values[(unknown, p)] = derivative(coefficients, p, exact)
-    return Jet(context.n, context.k, order, values)
-
-
-def evaluate_at_jet(e: Expr, context: Context, point: Sequence, jet: Jet):
-    """Evaluate an expression over space and jet variables at (point, jet),
-    exactly when expr.exact_arithmetic allows."""
-    assignment = dict(jet.assignment(context))
-    for v, x in zip(context.space_vars(), point):
-        assignment[v] = x
-    if exact_arithmetic([e], assignment.values()):
-        return evaluate_exact(e, assignment)
-    return evaluate_float(e, assignment)
-
-
-def apply_operator(op: PdeOperator, u: Expr | Sequence[Expr], point: Sequence):
-    """Classical action: values of each G_j at the jets of u at the point."""
-    jet = jet_of_function(u, op.context, point, op.order)
-    return tuple(
-        evaluate_at_jet(g, op.context, point, jet) for g in op.equations
-    )
 
 
 # ---------------------------------------------------------------------------

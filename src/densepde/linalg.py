@@ -331,13 +331,10 @@ def float_least_norm(a, b) -> tuple[list[float], float]:
 
 
 def residual_floor(a, b) -> float:
-    """Norm of the least-squares residual: how close A x = b can get.  It
-    is float_least_norm's floor, so it shares that solve's rank decision;
-    inf when an exact entry does not fit in a float."""
-    try:
-        return float_least_norm(a, b)[1]
-    except OverflowError:
-        return inf
+    """Norm of the least-squares residual of float rows: how close A x = b
+    can get.  It is float_least_norm's floor, so it shares that solve's
+    rank decision; exact rows take exact_residual_floor."""
+    return float_least_norm(a, b)[1]
 
 
 def _row_least_norm(a, b) -> tuple[list[float], float]:

@@ -1,6 +1,6 @@
 """Verification of generalized solutions: the vanishing condition on
-sequences of error terms, probes for the associated ideals, and the
-classical one-dimensional model sequence.
+sequences of error terms, and the classical one-dimensional model
+sequence.
 
 A sequence (w_nu) satisfies the vanishing condition at a point x for
 derivative order l when some witness index nu exists with
@@ -53,7 +53,6 @@ class FunctionSequence(Frozen):
         self,
         context: Context,
         terms: tuple[Expr, ...],
-        provenance: str = "",
         approximate: tuple[bool, ...] | None = None,
     ):
         for w in terms:
@@ -61,9 +60,7 @@ class FunctionSequence(Frozen):
                 raise ValueError("sequence terms must not contain jet variables")
         if approximate is not None and len(approximate) != len(terms):
             raise ValueError("need one approximate flag per term")
-        self.__dict__.update(
-            context=context, terms=terms, provenance=provenance, approximate=approximate
-        )
+        self.__dict__.update(context=context, terms=terms, approximate=approximate)
 
     @property
     def truncation(self) -> int:
@@ -71,10 +68,6 @@ class FunctionSequence(Frozen):
 
     def is_approximate(self, mu: int) -> bool:
         return bool(self.approximate and self.approximate[mu])
-
-
-def constant_sequence(context: Context, psi: Expr, truncation: int) -> FunctionSequence:
-    return FunctionSequence(context, (psi,) * (truncation + 1), "constant")
 
 
 # ---------------------------------------------------------------------------
@@ -282,11 +275,8 @@ def error_sequence(op: PdeOperator, seq) -> list[FunctionSequence]:
             per_equation[j].append(substitute(g, mapping))
     flags = tuple(not stage.exact for stage in seq.stages)
     return [
-        FunctionSequence(
-            ctx, tuple(terms), provenance=f"equation {j + 1}",
-            approximate=flags,
-        )
-        for j, terms in enumerate(per_equation)
+        FunctionSequence(ctx, tuple(terms), approximate=flags)
+        for terms in per_equation
     ]
 
 
@@ -488,64 +478,4 @@ def example_sequence(
                 [spow(ssum([x, Const(-pts[j])]), l) for j in range(nu + 1)]
             )
         )
-    return FunctionSequence(ctx, tuple(terms), provenance="model sequence")
-
-
-# ---------------------------------------------------------------------------
-# ideal probes
-
-class SingularityComplement(Frozen):
-    """A dense set of regular points; the singularity set is its
-    complement in the box."""
-
-    def __init__(self, points: tuple[Point, ...], box: tuple[tuple[Fraction, Fraction], ...]):
-        for a in points:
-            if not all(lo < c < hi for c, (lo, hi) in zip(a, box)):
-                raise ValueError(f"point {point_text(a)} outside the box")
-        self.__dict__.update(points=points, box=box)
-
-    def point_set(self) -> frozenset[Point]:
-        return frozenset(self.points)
-
-
-def diagonal_probe(
-    context: Context,
-    psi: Expr,
-    points: Sequence[Point],
-    order: int,
-    arithmetic: str = "auto",
-    tol: float = DEFAULT_FLOAT_TOL,
-) -> tuple[bool, VanishingReport]:
-    """Membership probe for a single function: psi belongs to the ideal
-    slice iff all its derivatives up to the order vanish at every point,
-    i.e. the constant sequence (psi, psi, ...) satisfies the vanishing
-    condition there."""
-    seq = constant_sequence(context, psi, truncation=1)
-    report = check_vanishing(seq, points, order, arithmetic=arithmetic, tol=tol)
-    return report.holds, report
-
-
-class ClosureReport(Frozen):
-    def __init__(self, pairs: tuple[tuple[int, int, int | None], ...], closed: bool):
-        self.__dict__.update(pairs=pairs, closed=closed)
-
-
-def family_closure_check(family: Sequence[SingularityComplement]) -> ClosureReport:
-    """Filter-base check on the finite family: for each pair of dense sets
-    some member must be contained in their intersection.  (With finite
-    stand-ins for the dense sets this is a set-inclusion check.)"""
-    sets = [f.point_set() for f in family]
-    pairs = []
-    closed = True
-    for i in range(len(sets)):
-        for j in range(i, len(sets)):
-            meet = sets[i] & sets[j]
-            found = None
-            for k, s in enumerate(sets):
-                if s <= meet:
-                    found = k
-                    break
-            if found is None:
-                closed = False
-            pairs.append((i, j, found))
-    return ClosureReport(tuple(pairs), closed)
+    return FunctionSequence(ctx, tuple(terms))

@@ -22,7 +22,7 @@ from densepde.manifest import (
     write_atomic,
     write_json,
 )
-from densepde.multiindex import MultiIndex
+from densepde.multiindex import MultiIndex, multi_indices
 from densepde.verify import verify_solution
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -60,6 +60,15 @@ vars: x y
 order: 1
 domain: (-1,1) (-1,1)
 eq: u_x^2 + u_y^2 - 1 - x^2
+"""
+
+LEWY = """dim: 3
+vars: x y z
+unknowns: v w
+order: 1
+domain: (-1,1) (-1,1) (-1,1)
+eq: v_x - w_y - 2*x*v_z + 2*y*w_z = x
+eq: w_x + v_y - 2*x*w_z - 2*y*v_z = y
 """
 
 IMPOSSIBLE = """dim: 1
@@ -644,3 +653,25 @@ class TestDeterminism:
         a.pop("header")
         b.pop("header")
         assert a == b
+
+
+class TestProlong:
+    @pytest.fixture
+    def lewy_file(self, tmp_path):
+        path = tmp_path / "lewy.pde"
+        path.write_text(LEWY)
+        return str(path)
+
+    def test_one_row_per_equation_and_index(self, lewy_file, capsys):
+        # both equations at each p with |p| <= 2, in graded-lex order of p
+        assert main(["prolong", lewy_file, "--level", "2"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["level"] == 2
+        rows = [(rec["equation"], rec["index"]) for rec in data["equations"]]
+        assert rows == [(j, str(p)) for p in multi_indices(3, 2) for j in (1, 2)]
+        assert len(rows) == 2 * 10
+
+    def test_tol_rejected(self, lewy_file, capsys):
+        # prolong solves nothing, so it takes no tolerance
+        assert exit_code(["prolong", lewy_file, "--tol", "1e-9"]) == 2
+        assert "--tol" in capsys.readouterr().err

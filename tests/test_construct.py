@@ -24,7 +24,7 @@ from densepde.expr import (
     spow,
     ssum,
 )
-from densepde.jets import Jet, jet_of_function, parse_pde_text
+from densepde.jets import Jet, parse_pde_text
 from densepde.manifest import sequence_from_json, sequence_to_json
 from densepde.multiindex import MultiIndex, multi_indices
 from densepde.parser import Context, parse_expression
@@ -197,16 +197,16 @@ class TestTaylor:
     def test_reproduces_jet(self):
         u = parse_expression("x^3*y + y^2", self.CTX)
         a = (F(1, 3), F(1, 5))
-        jet = jet_of_function(u, self.CTX, a, 3)
+        jet = reference.jet_of_function(u, self.CTX, a, 3)
         [poly] = taylor_from_jet(self.CTX, a, jet)
-        back = jet_of_function(poly, self.CTX, a, 3)
+        back = reference.jet_of_function(poly, self.CTX, a, 3)
         assert back.values == jet.values
 
     def test_degree_three_polynomial_recovered_exactly(self):
         u = parse_expression("1 + x - y^2 + x*y", self.CTX)
         a = (F(1, 2), F(1, 2))
         [poly] = taylor_from_jet(
-            self.CTX, a, jet_of_function(u, self.CTX, a, 2)
+            self.CTX, a, reference.jet_of_function(u, self.CTX, a, 2)
         )
         for pt in [(F(0), F(0)), (F(1), F(-1)), (F(2, 7), F(3, 11))]:
             assignment = dict(zip(self.CTX.space_vars(), pt))
@@ -252,8 +252,8 @@ eq: u_x^2 + 1
 """)
         with pytest.raises(ConstructionError) as info:
             construct_sequence(impossible, [(F(1, 2),)], [0])
-        assert info.value.cause.point == (F(1, 2),)
-        assert info.value.cause.result.residual > 0
+        assert info.value.point == (F(1, 2),)
+        assert info.value.result.residual > 0
 
 
 class TestSequence:
@@ -298,8 +298,8 @@ eq: u_x^2 - x + x^2
         with pytest.raises(ConstructionError) as info:
             construct_sequence(op, [(F(0),), (F(1, 2),)], [0, 1])
         assert info.value.stage == 1
-        assert info.value.cause.point == (F(0),)
-        result = info.value.cause.result
+        assert info.value.point == (F(0),)
+        result = info.value.result
         assert (result.status, result.failed_level, result.detail) == (
             "no-solution", 1, "inconsistent level"
         )
@@ -385,7 +385,8 @@ class TestOneSolvePerPoint:
     )
     def test_base_gradients_taken_once(self, monkeypatch, make):
         """The jet gradient of each equation is taken once per operator,
-        by a range check, a construction and another prolongation alike."""
+        by a range check, a construction and the rows of another
+        prolongation alike."""
         taken = []
         original = jets.jet_gradient
 
@@ -398,8 +399,7 @@ class TestOneSolvePerPoint:
         pts = DensePointStream(op.domain).prefix(3)
         assert ranges.range_condition_check(op, pts, 2).all_ok
         construct_sequence(op, pts, [0, 1, 2])
-        zero = MultiIndex((0,) * op.n)
-        assert [jets.prolong(op, 1).gradient(j, zero) for j in range(1, op.r + 1)] == list(op.gradients)
+        assert len(jets.prolong(op, 1).equations) == op.r * (op.n + 1)
         assert taken == list(op.equations)
 
 

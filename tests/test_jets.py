@@ -17,23 +17,13 @@ from densepde.expr import (
     SpaceVar,
     Sum,
     Var,
-    differentiate_multi,
     evaluate_exact,
     evaluate_float,
     jet_variables,
     simplify,
     substitute,
 )
-from densepde.jets import (
-    Jet,
-    apply_operator,
-    evaluate_at_jet,
-    jet_of_function,
-    normalize_homogeneous,
-    parse_pde_text,
-    prolong,
-    total_derivative,
-)
+from densepde.jets import Jet, normalize_homogeneous, parse_pde_text, prolong
 from densepde.multiindex import (
     MultiIndex,
     multi_indices,
@@ -43,6 +33,13 @@ from densepde.multiindex import (
 from densepde.parser import Context, parse_expression
 from densepde.ranges import JetSolveResult, RankCertificate
 from densepde.verify import Failure, VanishingEntry, VanishingReport
+from reference import (
+    apply_operator,
+    differentiate_multi,
+    evaluate_at_jet,
+    jet_of_function,
+    total_derivative,
+)
 
 CTX = Context(("x", "y"))
 

@@ -21,8 +21,9 @@ from hypothesis import assume, given, settings, strategies as st
 
 from densepde.cli import main
 from densepde.construct import DensePointStream, construct_sequence
-from densepde.jets import evaluate_at_jet, parse_pde_text, prolong
+from densepde.jets import parse_pde_text, prolong
 from densepde.manifest import load_sequence, sequence_to_json, write_json
+from reference import evaluate_at_jet
 
 POISSON = """dim: 2
 vars: x y

@@ -22,7 +22,6 @@ from densepde.expr import (
     Quot,
     Sum,
     Var,
-    differentiate_multi,
     evaluate_exact,
     evaluate_float,
     sfn,
@@ -31,7 +30,6 @@ from densepde.expr import (
     squot,
     ssum,
 )
-from densepde.jets import jet_of_function
 from densepde.multiindex import MultiIndex, multi_indices, zero_index
 from densepde.parser import Context
 from densepde.systems import lewy_operator
@@ -42,6 +40,7 @@ from densepde.verify import (
     symbolic_series,
     verify_solution,
 )
+from reference import differentiate_multi, jet_of_function
 
 CONTEXTS = {n: Context(("x", "y", "z")[:n]) for n in (1, 2, 3)}
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)

@@ -25,14 +25,16 @@ from densepde.systems import lewy_operator
 from densepde.verify import (
     Failure,
     FunctionSequence,
-    SingularityComplement,
     check_vanishing,
-    constant_sequence,
-    diagonal_probe,
     error_sequence,
     example_sequence,
-    family_closure_check,
     verify_solution,
+)
+from reference import (
+    SingularityComplement,
+    constant_sequence,
+    diagonal_probe,
+    family_closure_check,
 )
 
 CTX = Context(("x",))
