@@ -2,9 +2,9 @@
 
 The eikonal-type equation (u_x)^2 + (u_y)^2 = 1 + x^2 is smooth and
 nonlinear.  The base jets at each point are found by damped Gauss-Newton
-with deterministic multistart; the higher-order jets then follow from
-linear solves, because each prolongation level is affine in the jets it
-introduces.
+with deterministic multistart, which keeps the first root it finds; the
+higher-order jets then follow from linear solves, because each
+prolongation level is affine in the jets it introduces.
 """
 
 import os
@@ -44,8 +44,8 @@ from densepde import MultiIndex  # noqa: E402
 ux = res.jet.value(1, MultiIndex((1, 0)))
 uy = res.jet.value(1, MultiIndex((0, 1)))
 print(f"gradient at the point: ({ux:.6f}, {uy:.6f}); |grad|^2 = {ux*ux+uy*uy:.6f}")
-# note u itself is unconstrained by the equation, so the minimum-norm
-# solve sets it to 0 -- the information is in the derivatives
+# note u itself is not among the equation's jets, so it keeps its
+# default 0 -- the information is in the derivatives
 
 # three stages with growing order
 seq = construct_sequence(op, points, [0, 1, 2])

@@ -2,7 +2,9 @@
 
 Solves F(xi) = 0 for possibly non-square smooth F: steps are minimum-norm
 least-squares solutions of the linearized system, with backtracking on the
-squared residual.  Used for the order-m jet solve of nonlinear operators.
+squared residual.  Used for the order-m jet solve of nonlinear operators,
+which keeps the first root found: the starts run in a fixed order, and
+none runs after the first that converges.
 
 A trial point where F cannot be evaluated (EvaluationError, or a float
 error) halves the step like one that does not improve the residual; a
@@ -82,7 +84,7 @@ def damped_newton(
                 break
             lam *= 0.5
         if not improved:
-            return NewtonResult(res <= tol, x, res, True, it)
+            return NewtonResult(False, x, res, True, it)
     return NewtonResult(res <= tol, x, res, False, max_iter)
 
 
@@ -93,29 +95,19 @@ def multistart_newton(
     seeds: Sequence[Sequence[float]] = (),
     tol: float = 1e-12,
 ) -> tuple[NewtonResult | None, list[NewtonResult]]:
-    """Run damped Newton from the user seeds plus the deterministic fill
-    grid.  Returns (best converged result, all results).
+    """Run damped Newton from the user seeds, then from each constant fill
+    of SEED_FILLS, and stop at the first start that converges.  Returns
+    (that result, or None when no start converges, and the results of the
+    starts run).
 
-    Among converged roots the winner is the one of smallest norm; exact
-    norm ties break toward the componentwise larger root, so for example
-    (u')^2 = 1 deterministically selects the +1 branch.
+    Any root will do: the construction needs some jet at each point, not
+    the smallest one.  For example (u')^2 = 1 keeps the +1 branch: the
+    fill-0 start is stationary and fill 1.0 converges.
     """
-    starts = [list(s) for s in seeds]
-    starts += [[fill] * dim for fill in SEED_FILLS]
     results = []
-    roots: list[NewtonResult] = []
-    for s in starts:
-        r = damped_newton(fun, jac, s, tol=tol)
+    for start in [*seeds, *([fill] * dim for fill in SEED_FILLS)]:
+        r = damped_newton(fun, jac, start, tol=tol)
         results.append(r)
         if r.converged:
-            roots.append(r)
-    if not roots:
-        return None, results
-    best = min(
-        roots,
-        key=lambda r: (
-            round(math.hypot(*r.x), 9),
-            tuple(-round(v, 9) for v in r.x),
-        ),
-    )
-    return best, results
+            return r, results
+    return None, results

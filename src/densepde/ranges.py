@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from operator import add, sub
 from typing import Sequence
 
@@ -90,10 +91,9 @@ def _leibniz(p: MultiIndex) -> dict[tuple, tuple[tuple, int]]:
     """p - q -> (q, p! / q!) for every q <= p, componentwise, each
     multi-index as its tuple of entries."""
     out = {}
-    for q in multi_indices(p.n, p.order):
-        if all(b <= a for a, b in zip(p.entries, q.entries)):
-            rest = tuple(map(sub, p.entries, q.entries))
-            out[rest] = (q.entries, p.factorial() // q.factorial())
+    for q in product(*(range(e + 1) for e in p.entries)):
+        weight = p.factorial() // math.prod(map(math.factorial, q))
+        out[tuple(map(sub, p.entries, q))] = (q, weight)
     return out
 
 
@@ -335,17 +335,19 @@ def solve_jets_triangular(
     minimum-norm linear solve when they are affine (seed entries are then
     pinned as hard constraints, and must be rational when
     expr.exact_arithmetic makes the equations exact at x), by damped
-    multistart Newton from the seed otherwise.  Each later level is affine
-    in its newly introduced top-order jets and is solved by a minimum-norm
-    linear solve with the lower-order jets held fixed.  Every level's
-    system is assembled at the point (_assemble); the result is exact
-    whenever level 0 was.  No row of the system above level 0 is built.
+    multistart Newton from the seed otherwise, keeping the first root found.
+    Each later level is affine in its newly introduced top-order jets and
+    is solved by a minimum-norm linear solve with the lower-order jets
+    held fixed.  Every level's system is assembled at the point
+    (_assemble); the result is exact whenever level 0 was.  No row of the
+    system above level 0 is built.
 
     Level l of the solve reads only the rows and jets of level <= l, so
     the point is solved once for all levels: result.levels[l] is the jet
     truncated to order m + l with the residual of the rows of level <= l.
     A level that fails ends the solve, and every level from it up reports
-    that failure.
+    that failure.  So does the first level whose rows, at the solved jet,
+    exceed tol (0 in exact arithmetic).
     """
     op = sys.operator
     _check_point(op, x)
@@ -399,16 +401,23 @@ def solve_jets_triangular(
     levels = []
     if passed >= 0:
         jet = Jet(n, k, m + passed, known)
+        exact = jet.exact
+        limit = 0 if exact else tol
+        first = None  # the first level whose rows exceed the limit
         for level, residual in enumerate(_residuals(op, x, jet, sys.level)):
-            truncated = jet.truncate(m + level)
-            exact = truncated.exact
-            ok = residual == 0 if exact else residual <= tol
+            if first is None and not residual <= limit:  # NaN fails too
+                first = level
             levels.append(
                 JetSolveResult(
-                    status="solved" if ok else "solver-failed",
-                    jet=truncated,
+                    status="solved" if first is None else "solver-failed",
+                    jet=jet.truncate(m + level),
                     residual=float(residual),
                     arithmetic="exact" if exact else "float",
+                    failed_level=first,
+                    detail="" if first is None else (
+                        f"the solved jet's residual {float(residual):.3g} "
+                        f"exceeds tol {limit:g} from level {first}"
+                    ),
                 )
             )
     levels += [failure] * (sys.level - passed)

@@ -6,7 +6,6 @@ literal equality of rationals, float claims use the relative or absolute
 bound named in the assertion.
 """
 
-import math
 from fractions import Fraction as F
 
 import pytest

@@ -300,6 +300,21 @@ eq: 0*u - 1
         assert main(["construct", str(bad), "--count", "1"]) == 1
         assert "FAIL" in capsys.readouterr().err
 
+    def test_construct_failing_residual_check_gives_its_reason(self, tmp_path, capsys):
+        # every affine level solves, but at tol 0 the float residual of
+        # the solved jet fails the final check from level 1 on
+        path = tmp_path / "expy.pde"
+        path.write_text(
+            "dim: 2\nvars: x y\norder: 2\ndomain: (0,1) (0,1)\neq: u_xx + u_yy - exp(x)*y\n"
+        )
+        code = main(["construct", str(path), "--schedule", "0,1,2", "--count", "3",
+                     "--tol", "0", "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.strip() == (
+            "FAIL: stage 1 failed: solver-failed at point (1/2, 1/2): residual floor "
+            "1.11e-16 the solved jet's residual 1.11e-16 exceeds tol 0 from level 1"
+        )
+
     def test_verify_tampered_manifest_fails(self, pde_file, tmp_path, capsys):
         out = str(tmp_path / "out")
         main(["construct", pde_file, "--schedule", "0,1", "--count", "2",

@@ -1,6 +1,7 @@
 """Import hygiene of the package, checked with the standard library's ast:
-no module imports a name it never uses, imports sit at module level, and
-every name the package re-exports is used by the package or a demo.
+no module of the package or of its tests imports a name it never uses,
+the package's imports sit at module level, and every name the package
+re-exports is used by the package or a demo.
 The package has no runtime dependencies: importing it loads no numpy, and
 it generates no class code: it loads neither dataclasses nor inspect.  Nor
 does it load tempfile or csv, with or without the site module.
@@ -12,7 +13,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "densepde"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "densepde"
 DEMOS = PACKAGE.parent.parent / "demos"
 
 # Expr.__str__ imports the printer when called: the printer imports expr,
@@ -20,9 +22,9 @@ DEMOS = PACKAGE.parent.parent / "demos"
 LOCAL_IMPORTS_ALLOWED = {("expr.py", "__str__")}
 
 
-def _modules():
-    paths = sorted(PACKAGE.glob("*.py"))
-    assert paths, f"no modules under {PACKAGE}"
+def _modules(directory=PACKAGE):
+    paths = sorted(directory.glob("*.py"))
+    assert paths, f"no modules under {directory}"
     for path in paths:
         yield path.name, ast.parse(path.read_text(), filename=str(path))
 
@@ -59,11 +61,14 @@ def _used_names(tree):
 
 def test_no_unused_imports():
     unused = []
-    for name, tree in _modules():
-        if name == "__init__.py":  # re-exports
-            continue
-        used = _used_names(tree)
-        unused += [f"{name}: {n}" for n in _imported_names(tree) if n not in used]
+    for directory in (PACKAGE, TESTS):
+        for name, tree in _modules(directory):
+            if directory == PACKAGE and name == "__init__.py":  # re-exports
+                continue
+            used = _used_names(tree)
+            unused += [
+                f"{directory.name}/{name}: {n}" for n in _imported_names(tree) if n not in used
+            ]
     assert unused == []
 
 

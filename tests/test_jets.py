@@ -28,7 +28,6 @@ from densepde.multiindex import (
     MultiIndex,
     multi_indices,
     multi_indices_of_order,
-    zero_index,
 )
 from densepde.parser import Context, parse_expression
 from densepde.ranges import JetSolveResult, RankCertificate

@@ -63,5 +63,5 @@ def test_traced_iteration_pins_the_newton_path():
     change that moves one Newton iterate changes these counts."""
     counters = iteration("eikonal-float", 1)["counters"]
     assert counters["newton.multistart_calls"] == 132
-    assert counters["newton.starts"] == 1056
-    assert counters["newton.iterations"] == 4512
+    assert counters["newton.starts"] == 264
+    assert counters["newton.iterations"] == 530

@@ -13,7 +13,7 @@ from densepde.construct import DensePointStream
 from densepde.expr import EvaluationError
 from densepde.jets import parse_pde_text, prolong
 from densepde.multiindex import MultiIndex
-from densepde.newton import damped_newton
+from densepde.newton import SEED_FILLS, damped_newton, multistart_newton
 from densepde.systems import lewy_operator
 from densepde.linalg import residual_floor
 from densepde.ranges import (
@@ -230,9 +230,21 @@ class TestTriangularSolve:
         assert res.solved
         ux = res.jet.value(1, MultiIndex((1, 0)))
         uy = res.jet.value(1, MultiIndex((0, 1)))
-        # smallest-norm root, ties toward the componentwise larger one
+        # the first root found: the fill-0 start is stationary, and fill
+        # 1.0 converges to the +1 branch
         assert ux * ux + uy * uy == pytest.approx(1.0, abs=1e-10)
         assert ux >= 0 and uy >= 0
+
+    def test_failing_residual_check_names_level_and_tol(self):
+        # every level solves, but the float residual of the solved jet
+        # exceeds tol 0 from level 1 on
+        res = solve_jets_triangular(prolong(op(POISSON), 3), (0.25, 0.75), tol=0.0)
+        assert [r.status for r in res.levels] == ["solved"] + ["solver-failed"] * 3
+        assert [r.failed_level for r in res.levels] == [None, 1, 1, 1]
+        assert res.failed_level == 1
+        assert res.detail == (
+            f"the solved jet's residual {res.residual:.3g} exceeds tol 0 from level 1"
+        )
 
     def test_eikonal_prolonged_residual(self):
         sys = prolong(op(EIKONAL), 2)
@@ -468,6 +480,23 @@ class TestNewtonStarts:
         report = range_condition_check(op(EIKONAL_SMALL), [(F(0), F(0)), (F(0), F(1, 2))], 1)
         assert [e.outcome for e in report.entries] == ["solved"] * 4
         assert all(e.residual <= 1e-12 for e in report.entries)
+
+    def test_first_converged_start_is_kept(self):
+        # (x - 1)(x - 3) = 0: the seed converges to 3, the larger-norm root,
+        # and no start runs after it
+        best, results = multistart_newton(
+            lambda x: [(x[0] - 1) * (x[0] - 3)], lambda x: [[2 * x[0] - 4]], 1, [[3.2]]
+        )
+        assert best.x[0] == pytest.approx(3.0)
+        assert results == [best]
+
+    def test_every_start_runs_when_none_converges(self):
+        best, results = multistart_newton(
+            lambda x: [x[0] ** 2 + 1], lambda x: [[2 * x[0]]], 1, [[0.25]]
+        )
+        assert best is None
+        assert len(results) == 1 + len(SEED_FILLS)
+        assert not any(r.converged for r in results)
 
     def test_failed_first_evaluation(self):
         def fun(x):

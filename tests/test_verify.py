@@ -13,7 +13,6 @@ from densepde.expr import (
     Var,
     differentiate,
     simplify,
-    sprod,
     spow,
     ssum,
 )
