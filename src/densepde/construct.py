@@ -211,6 +211,39 @@ class TaylorPolynomials:
         return hit[1]
 
 
+class BumpScan:
+    """Which bump of a stage holds a point, decided exactly, for the stages
+    of one sequence.  Their bumps are centred on prefixes of the same
+    points, in point order, so bump j of every stage has the same centre:
+    the squared distance from a point to centre j is computed once for
+    all stages, and each bump's squared outer radius once for the stages
+    that share the bump.  At most POINTS points keep their distances."""
+
+    POINTS = 1024
+
+    def __init__(self):
+        self._distances: dict[Point, list[Fraction]] = {}
+        self._radii: dict[Bump, Fraction] = {}
+
+    def __call__(self, point: Point, bumps: Sequence[Bump]) -> tuple[Bump, Fraction] | None:
+        """The first bump whose open support holds the point, with the
+        squared distance t from its centre; None when no support does."""
+        distances = self._distances.get(point)
+        if distances is None:
+            distances = []
+            if len(self._distances) < self.POINTS:
+                self._distances[point] = distances
+        for j, bump in enumerate(bumps):
+            if j == len(distances):
+                distances.append(sum((x - c) ** 2 for x, c in zip(point, bump.center)))
+            r2 = self._radii.get(bump)
+            if r2 is None:
+                r2 = self._radii[bump] = bump.r_out ** 2
+            if distances[j] < r2:
+                return bump, distances[j]
+        return None
+
+
 # ---------------------------------------------------------------------------
 # assembled functions
 
@@ -239,7 +272,8 @@ class DiscreteSolve(Frozen):
     """Result of solving on a finite point set: the jet at each point and
     the bumps centred on the points, both in point order.  The glued
     functions, one per unknown, are derived from them when first read,
-    with the polynomials of `polynomials`."""
+    with the polynomials of `polynomials`; `scan` finds the bump that
+    holds a point.  The stages of a sequence share both."""
 
     def __init__(
         self,
@@ -247,8 +281,9 @@ class DiscreteSolve(Frozen):
         bumps: tuple[Bump, ...],
         level: int,
         polynomials: TaylorPolynomials,
+        scan: BumpScan,
     ):
-        self.__dict__.update(jets=jets, bumps=bumps, level=level, polynomials=polynomials)
+        self.__dict__.update(jets=jets, bumps=bumps, level=level, polynomials=polynomials, scan=scan)
 
     @property
     def exact(self) -> bool:
@@ -276,12 +311,10 @@ class DiscreteSolve(Frozen):
         Elsewhere in the support it is the series of that one bump *
         polynomial piece."""
         context = self.polynomials.context
-        for bump in self.bumps:
-            t = sum((x - c) ** 2 for x, c in zip(point, bump.center))
-            if t < bump.r_out ** 2:
-                break
-        else:
+        found = self.scan(point, self.bumps)
+        if found is None:
             return [{} for _ in range(context.k)]
+        bump, t = found
         jet = self.jets[bump.center]
         if t:  # off the centre: a later point of the sequence
             return [
@@ -302,12 +335,12 @@ def glue(
 ) -> tuple[DiscreteSolve, ...]:
     """The stages of a sequence: stage nu glues the jets stage_jets[nu] at
     points[:nu + 1], solved at level orders[nu], with the bumps of that
-    prefix.  The stages share one TaylorPolynomials and build no
-    polynomial until their functions are read."""
-    polynomials = TaylorPolynomials(op.context)
+    prefix.  The stages share one TaylorPolynomials and one BumpScan, and
+    build no polynomial until their functions are read."""
+    polynomials, scan = TaylorPolynomials(op.context), BumpScan()
     prefixes = bump_prefixes(points, op.domain, op.context)
     return tuple(
-        DiscreteSolve(jets, bumps, level, polynomials)
+        DiscreteSolve(jets, bumps, level, polynomials, scan)
         for jets, bumps, level in zip(stage_jets, prefixes, orders)
     )
 
@@ -353,9 +386,13 @@ class ConstructionError(Exception):
         self.point = point
         self.result = result
         self.partial = partial
-        super().__init__(
-            f"stage {stage} failed: {result.status} at point {point_text(point)}: "
+        # a failed residual check keeps its solved jet: its residual is that
+        # jet's, which the detail gives, not a least-squares floor
+        reason = result.detail if result.jet is not None else (
             f"residual floor {result.residual:.3g} {result.detail}"
+        )
+        super().__init__(
+            f"stage {stage} failed: {result.status} at point {point_text(point)}: {reason}"
         )
 
 

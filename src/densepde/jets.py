@@ -63,12 +63,16 @@ class Jet(Value):
         return self.values[(unknown, p)]
 
     def truncate(self, order: int) -> "Jet":
+        """The jet's values of order <= `order`.  This jet is dense, so
+        they are dense at that order and are not checked again."""
         if order > self.order:
             raise ValueError("cannot extend a jet by truncation")
         vals = {
             (u, p): v for (u, p), v in self.values.items() if p.order <= order
         }
-        return Jet(self.n, self.k, order, vals)
+        out = Jet.__new__(Jet)
+        out.__dict__.update(n=self.n, k=self.k, order=order, values=vals)
+        return out
 
 
 class PdeOperator(Frozen):

@@ -16,9 +16,13 @@ class MultiIndex(Frozen):
     frozen.Value's: the hash is computed once, in __init__, and equality
     compares the one field directly.  Both keep the rule of frozen.Value:
     equal when of one class with equal entries, hash((entries,)).  Derived
-    from Value instead, the seed-0 eikonal-float benchmark pipeline, which
-    compares about 13,000 multi-indices, ran 15 % longer (0.112 -> 0.131 s,
-    best of 15, Python 3.11.7 on a 2-vCPU VM)."""
+    from Value instead, the seed-0 eikonal-float benchmark pipeline ran
+    15 % longer (0.112 -> 0.131 s, best of 15, Python 3.11.7 on a 2-vCPU
+    VM) when it called __eq__ 13,434 times.  Most of those calls compared
+    two equal objects: multi_indices now hands out one object per
+    multi-index, a dict lookup then matches on identity without calling
+    __eq__, and the pipeline calls it 648 times.  factorial() is computed
+    once per object, on first use."""
 
     def __init__(self, entries: tuple[int, ...]):
         if any(e < 0 for e in entries):
@@ -72,10 +76,14 @@ class MultiIndex(Frozen):
         return 0
 
     def factorial(self) -> int:
-        """p! = prod of entry factorials."""
-        out = 1
-        for e in self.entries:
-            out *= math.factorial(e)
+        """p! = prod of entry factorials, computed once per object."""
+        d = self.__dict__
+        out = d.get("_factorial")
+        if out is None:
+            out = 1
+            for e in self.entries:
+                out *= math.factorial(e)
+            d["_factorial"] = out
         return out
 
     def grlex_key(self):
@@ -89,22 +97,29 @@ class MultiIndex(Frozen):
 
 
 def zero_index(n: int) -> MultiIndex:
-    return MultiIndex((0,) * n)
+    return multi_indices(n, 0)[0]
 
 
 @lru_cache(maxsize=64)
 def multi_indices(n: int, max_order: int) -> tuple[MultiIndex, ...]:
-    """All multi-indices with |p| <= max_order in graded lexicographic order."""
-    out = []
-    for total in range(max_order + 1):
-        out.extend(sorted(_of_order(n, total)))
-    return tuple(MultiIndex(t) for t in out)
+    """All multi-indices with |p| <= max_order in graded lexicographic order.
+
+    The enumeration to max_order extends the cached one to max_order - 1
+    with the same objects, so the solver's columns, the jets' keys and the
+    Taylor layouts share one object per multi-index, and their dict
+    lookups hit on identity before comparing entries."""
+    if max_order < 0:
+        return ()
+    top = tuple(MultiIndex(t) for t in sorted(_of_order(n, max_order)))
+    return multi_indices(n, max_order - 1) + top
 
 
 @lru_cache(maxsize=64)
 def multi_indices_of_order(n: int, order: int) -> tuple[MultiIndex, ...]:
-    """Multi-indices with |p| == order, lexicographic."""
-    return tuple(MultiIndex(t) for t in sorted(_of_order(n, order)))
+    """Multi-indices with |p| == order, lexicographic: the tail of
+    multi_indices(n, order), the same objects."""
+    full = multi_indices(n, order)
+    return full[len(full) - math.comb(n + order - 1, order):]
 
 
 def _of_order(n, total):

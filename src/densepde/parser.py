@@ -59,6 +59,11 @@ class Context:
         for name in self.space_names + self.unknown_names:
             if not re.fullmatch(r"[A-Za-z][A-Za-z0-9]*", name):
                 raise ValueError(f"bad variable name {name!r}")
+        # one Variable per key, made when first asked for: the jet solve
+        # and the Taylor walk key dicts by them, and a Variable hashes its
+        # fields once
+        self._space: dict[int, SpaceVar] = {}
+        self._jets: dict[tuple[int, MultiIndex], JetVar] = {}
 
     @property
     def n(self) -> int:
@@ -69,9 +74,12 @@ class Context:
         return len(self.unknown_names)
 
     def space(self, axis: int) -> SpaceVar:
-        if not 1 <= axis <= self.n:
-            raise ValueError(f"axis {axis} outside [1, {self.n}]")
-        return SpaceVar(axis, self.space_names[axis - 1])
+        v = self._space.get(axis)
+        if v is None:
+            if not 1 <= axis <= self.n:
+                raise ValueError(f"axis {axis} outside [1, {self.n}]")
+            v = self._space[axis] = SpaceVar(axis, self.space_names[axis - 1])
+        return v
 
     def space_vars(self) -> tuple[SpaceVar, ...]:
         return tuple(self.space(i) for i in range(1, self.n + 1))
@@ -79,13 +87,16 @@ class Context:
     def jet(self, unknown: int, p: MultiIndex | tuple[int, ...]) -> JetVar:
         if isinstance(p, tuple):
             p = MultiIndex(p)
-        if not 1 <= unknown <= self.k:
-            raise ValueError(f"unknown index {unknown} outside [1, {self.k}]")
-        if p.n != self.n:
-            raise ValueError("multi-index dimension mismatch")
-        # max_jet_order bounds parsed input only; prolongation builds
-        # higher-order jets programmatically
-        return JetVar(unknown, p, self.jet_name(unknown, p))
+        v = self._jets.get((unknown, p))
+        if v is None:
+            if not 1 <= unknown <= self.k:
+                raise ValueError(f"unknown index {unknown} outside [1, {self.k}]")
+            if p.n != self.n:
+                raise ValueError("multi-index dimension mismatch")
+            # max_jet_order bounds parsed input only; prolongation builds
+            # higher-order jets programmatically
+            v = self._jets[(unknown, p)] = JetVar(unknown, p, self.jet_name(unknown, p))
+        return v
 
     def jet_name(self, unknown: int, p: MultiIndex) -> str:
         base = self.unknown_names[unknown - 1]

@@ -560,7 +560,7 @@ class RangeEntry:
         self.level = level
         self.outcome = outcome  # solved | rank-certified | no-solution | solver-failed
         self.certificate = certificate
-        self.jet = jet
+        self.jet = jet  # the solved jet, kept by a failed residual check too
         self.residual = residual
         self.detail = detail
 
@@ -586,11 +586,14 @@ class RangeReport:
             rec: dict = {"outcome": e.outcome}
             if e.certificate is not None:
                 rec["certificate"] = e.certificate.to_json()
-            if e.jet is not None:
+            if e.ok and e.jet is not None:
                 rec["jet"] = jet_to_json(e.jet)
             if e.outcome in ("no-solution", "solver-failed"):
-                # null when no start could be evaluated: there is no floor
-                rec["residual_floor"] = e.residual if math.isfinite(e.residual) else None
+                # a failed residual check keeps its solved jet, and its
+                # residual is that jet's; any other failure gives its
+                # system's floor, null when no start could be evaluated
+                key = "residual" if e.jet is not None else "residual_floor"
+                rec[key] = e.residual if math.isfinite(e.residual) else None
             if e.detail:
                 rec["detail"] = e.detail
             level_map[str(e.level)] = rec
@@ -658,7 +661,7 @@ def range_condition_check(
             entries.append(
                 RangeEntry(
                     tuple(x), level, res.status,
-                    jet=res.jet if res.solved else None,
+                    jet=res.jet,
                     residual=res.residual,
                     detail=res.detail,
                 )

@@ -21,7 +21,11 @@ derivatives", 2019).
 Inside, a series is a dict from slot to coefficient, where slot k is the
 k-th multi-index of the graded-lex enumeration multi_indices(n, order).
 The enumeration up to a lower order is a prefix of the one up to a higher
-order, so series truncated at different orders share their slots.
+order, so series truncated at different orders share their slots.  The
+jet variables' bindings are slot series too: jet_bindings shifts each
+unknown's coefficients slot to slot, and series walks them as they are.
+In "float" mode every coefficient is a float, a zero included, so the
+walk keeps every coefficient it computes; otherwise it drops exact zeros.
 """
 
 from __future__ import annotations
@@ -117,7 +121,9 @@ def _add_into(acc: dict, a: dict):
         acc[k] = acc[k] + v if k in acc else v
 
 
-def _mul(a: dict, b: dict, lay: _Layout) -> dict:
+def _mul(a: dict, b: dict, lay: _Layout, floats: bool) -> dict:
+    """a * b; with `floats`, every coefficient is a float and none is
+    dropped."""
     acc: dict = {}
     for i, x in a.items():
         row = lay.times[i]
@@ -125,19 +131,19 @@ def _mul(a: dict, b: dict, lay: _Layout) -> dict:
             k = row.get(j)
             if k is not None:
                 acc[k] = acc[k] + x * y if k in acc else x * y
-    return _clean(acc)
+    return acc if floats else _clean(acc)
 
 
-def _power(a: dict, k: int, lay: _Layout) -> dict:
+def _power(a: dict, k: int, lay: _Layout, floats: bool) -> dict:
     """a^k for an integer k >= 1, by repeated squaring."""
     out = None
     while True:
         if k & 1:
-            out = a if out is None else _mul(out, a, lay)
+            out = a if out is None else _mul(out, a, lay, floats)
         k >>= 1
         if not k:
             return out
-        a = _mul(a, a, lay)
+        a = _mul(a, a, lay, floats)
 
 
 def _quot(num: dict, den: dict, lay: _Layout) -> dict:
@@ -337,9 +343,10 @@ class _Walk:
     def var(self, e: Var) -> dict:
         v = e.var
         if isinstance(v, JetVar):
-            if v not in self.bindings:
+            bound = self.bindings.get(v)
+            if bound is None:
                 raise EvaluationError(f"no value assigned to {v}")
-            return self.bindings[v]
+            return bound
         if not 1 <= v.axis <= len(self.coords):
             raise EvaluationError(f"no value assigned to {v}")
         x = self.coords[v.axis - 1]
@@ -352,7 +359,7 @@ class _Walk:
         acc: dict = {}
         for term in e.terms:
             _add_into(acc, self(term))
-        return _clean(acc)
+        return acc if self.float else _clean(acc)
 
     def prod(self, e: Prod) -> dict:
         # bumps sort last: take them first, and stop at an exact zero
@@ -361,7 +368,7 @@ class _Walk:
             s = self(factor)
             if not s:
                 return {}
-            out = s if out is None else _mul(out, s, self.lay)
+            out = s if out is None else _mul(out, s, self.lay, self.float)
         return out
 
     def pow(self, e: Pow) -> dict:
@@ -370,7 +377,7 @@ class _Walk:
             return _fractional_power(a, k, self.lay)
         k = k.numerator
         if k > 0:
-            return _power(a, k, self.lay) if a else {}
+            return _power(a, k, self.lay, self.float) if a else {}
         if k == 0:
             return {0: self.one}
         a0 = a.get(0)
@@ -422,30 +429,36 @@ def series(
     point: Sequence,
     order: int,
     mode: str = "auto",
-    bindings: Mapping[Variable, Mapping[MultiIndex, Coefficient]] | None = None,
+    bindings: Mapping[Variable, Mapping[int, Coefficient]] | None = None,
 ) -> dict[MultiIndex, Coefficient]:
     """Taylor coefficients c_p of e at the point for |p| <= order, keyed
     by p in graded-lex order; D^p e(point) = p! * c_p.
 
     `point` gives the space coordinates, axis 1 first.  `bindings` gives
-    the series of each jet variable at the point, up to at least `order`.
-    A missing key is an exact zero.  Modes: "auto" keeps each coefficient
-    exact (Fraction) when every input to it is exact and float otherwise;
-    "exact" raises ExactnessUnavailable unless every coefficient is
-    exact; "float" computes in floats from the leaves up.  A float
-    coefficient is never NaN or inf, and no float overflow or zero
-    division escapes: EvaluationError is raised instead.
+    the series of each jet variable at the point as a slot series, to
+    `order` or beyond (jet_bindings); a missing slot is an exact zero.
+    Modes: "auto" keeps each coefficient exact (Fraction) when every
+    input to it is exact and float otherwise; "exact" raises
+    ExactnessUnavailable unless every coefficient is exact; "float"
+    computes in floats from the leaves up.  A float coefficient is never
+    NaN or inf, and no float overflow or zero division escapes:
+    EvaluationError is raised instead.
     """
     if mode not in MODES:
         raise ValueError(f"unknown arithmetic {mode!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
     lay = _layout(len(point), order)
-    slot = {p: k for k, p in enumerate(lay.indices)}
-    walk_bindings = {
-        v: _clean({slot[p]: (float(c) if mode == "float" else c) for p, c in s.items() if p in slot})
-        for v, s in (bindings or {}).items()
-    }
+    size = lay.size
+    if mode == "float":
+        walk_bindings = {
+            v: {k: float(c) for k, c in s.items() if k < size} for v, s in (bindings or {}).items()
+        }
+    else:
+        walk_bindings = {
+            v: {k: c for k, c in s.items() if k < size and (c or type(c) is float)}
+            for v, s in (bindings or {}).items()
+        }
     try:
         out = _Walk(point, lay, mode, walk_bindings)(e)
     except ArithmeticError as exc:
@@ -462,20 +475,6 @@ def series(
             c = Fraction(c)
         result[lay.indices[k]] = c
     return result
-
-
-def shift(
-    s: Mapping[MultiIndex, Coefficient], alpha: MultiIndex, order: int
-) -> dict[MultiIndex, Coefficient]:
-    """The series of D^alpha w, to `order`, from the series s of w, which
-    must reach order + |alpha|: c_q = (q + alpha)! / q! * s_{q + alpha}."""
-    indices = multi_indices(alpha.n, order + alpha.order)
-    out = {}
-    for k, src, factor in _shift_plan(alpha, order):
-        c = s.get(indices[src])
-        if c is not None:
-            out[indices[k]] = factor * c
-    return out
 
 
 def jet_coefficients(
@@ -495,10 +494,26 @@ def jet_coefficients(
 
 def jet_bindings(
     variables: Iterable[JetVar], coefficients: Sequence[Mapping[MultiIndex, Coefficient]], order: int
-) -> dict[JetVar, dict[MultiIndex, Coefficient]]:
+) -> dict[JetVar, dict[int, Coefficient]]:
     """The `bindings` of series for the jet variables: each u_alpha bound
-    to the alpha-shift, to `order`, of the series coefficients[u - 1]."""
-    return {v: shift(coefficients[v.unknown - 1], v.index, order) for v in variables}
+    to the alpha-shift, to `order`, of the series s = coefficients[u - 1],
+    as a slot series: c_q = (q + alpha)! / q! * s_{q + alpha} in the slot
+    of q, for every |q| <= order whose s_{q + alpha} is given, a zero
+    included."""
+    variables = tuple(variables)
+    if not variables:
+        return {}
+    top = order + max(v.index.order for v in variables)
+    indices = multi_indices(variables[0].index.n, top)
+    # each unknown's coefficients by slot, up to the highest order a shift reads
+    rows = [[s.get(p) for p in indices] for s in coefficients]
+    out = {}
+    for v in variables:
+        row = rows[v.unknown - 1]
+        out[v] = {
+            k: factor * row[src] for k, src, factor in _shift_plan(v.index, order) if row[src] is not None
+        }
+    return out
 
 
 def derivative(s: Mapping[MultiIndex, Coefficient], p: MultiIndex, exact: bool = True):

@@ -12,6 +12,10 @@ densepde.construct builds the bumps of every prefix of a point sequence
 in one pass; set_bumps computes the bumps of one point set by the
 per-set loop over every pair.
 
+densepde.taylor.jet_bindings shifts the jet values' Taylor series slot
+to slot; shift and keyed_bindings do it keyed by multi-index and re-key
+the result to the slots series reads.
+
 The chain-rule oracles: total_derivative (one total derivative D_i of
 an expression in jet space), differentiate_multi (D^p of an expression
 in the space variables by repeated differentiation), jet_of_function
@@ -167,6 +171,32 @@ def set_bumps(points, box, context):
             limit = min(limit, _sqrt_lower(d2) / 2)
         r_out = SHRINK * limit
         out.append(Bump(a, r_out / 2, r_out, context.space_vars(), zero_index(context.n)))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# jet bindings keyed by multi-index
+
+def shift(s, alpha: MultiIndex, order: int) -> dict:
+    """The series of D^alpha w, to `order`, from the series s of w, which
+    must reach order + |alpha|: c_q = (q + alpha)! / q! * s_{q + alpha}
+    for every q whose s_{q + alpha} is given."""
+    out = {}
+    for q in multi_indices(alpha.n, order):
+        c = s.get(q + alpha)
+        if c is not None:
+            out[q] = (q + alpha).factorial() // q.factorial() * c
+    return out
+
+
+def keyed_bindings(variables, coefficients, order: int) -> dict:
+    """taylor.jet_bindings by way of shift: each u_alpha bound to the
+    alpha-shift of coefficients[u - 1], then keyed by the slot of each
+    multi-index in multi_indices(n, order)."""
+    out = {}
+    for v in variables:
+        slot = {p: k for k, p in enumerate(multi_indices(v.index.n, order))}
+        out[v] = {slot[q]: c for q, c in shift(coefficients[v.unknown - 1], v.index, order).items()}
     return out
 
 

@@ -311,9 +311,27 @@ eq: 0*u - 1
                      "--tol", "0", "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err.strip() == (
-            "FAIL: stage 1 failed: solver-failed at point (1/2, 1/2): residual floor "
-            "1.11e-16 the solved jet's residual 1.11e-16 exceeds tol 0 from level 1"
+            "FAIL: stage 1 failed: solver-failed at point (1/2, 1/2): "
+            "the solved jet's residual 1.11e-16 exceeds tol 0 from level 1"
         )
+
+    def test_range_failing_residual_check_names_its_residual(self, tmp_path, capsys):
+        # a Newton base, then levels whose float residual fails tol 0 from
+        # level 1: range JSON gives the solved jet's residual, not a floor
+        path = tmp_path / "newton.pde"
+        path.write_text(
+            "dim: 2\nvars: x y\norder: 2\ndomain: (0,1) (0,1)\neq: u_x*u + u_yy - exp(x)*y\n"
+        )
+        args = ["range", str(path), "--points", "1/4,3/4", "--level", "2", "--tol", "0"]
+        assert main(args) == 1
+        (levels,) = json.loads(capsys.readouterr().out)["points"].values()
+        assert "jet" in levels["0"] and "residual" not in levels["0"]
+        for level in ("1", "2"):
+            rec = levels[level]
+            assert rec["outcome"] == "solver-failed"
+            assert rec["residual"] == pytest.approx(5.55e-17, rel=1e-2)
+            assert "residual_floor" not in rec and "jet" not in rec
+            assert rec["detail"] == "the solved jet's residual 5.55e-17 exceeds tol 0 from level 1"
 
     def test_verify_tampered_manifest_fails(self, pde_file, tmp_path, capsys):
         out = str(tmp_path / "out")

@@ -28,6 +28,7 @@ from densepde.multiindex import (
     MultiIndex,
     multi_indices,
     multi_indices_of_order,
+    zero_index,
 )
 from densepde.parser import Context, parse_expression
 from densepde.ranges import JetSolveResult, RankCertificate
@@ -81,6 +82,18 @@ class TestMultiIndex:
 
     def test_factorial(self):
         assert MultiIndex((2, 3)).factorial() == 12
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_one_object_per_multi_index(self, n):
+        # every enumeration hands out the objects of multi_indices(n, 4)
+        full = multi_indices(n, 4)
+        position = {p.entries: j for j, p in enumerate(full)}
+        for d in range(5):
+            assert multi_indices(n, d) == full[: len(multi_indices(n, d))]
+            assert all(p is full[j] for j, p in enumerate(multi_indices(n, d)))
+            for p in multi_indices_of_order(n, d):
+                assert p.order == d and p is full[position[p.entries]]
+        assert zero_index(n) is full[0]
 
     def test_equality_with_other_types(self):
         p = MultiIndex((1, 2))
@@ -267,6 +280,15 @@ class TestJet:
         assert jet.truncate(1).order == 1
         with pytest.raises(ValueError):
             jet.truncate(4)
+
+    def test_truncate_equals_a_validated_jet(self):
+        ctx = Context(("x", "y"), ("u", "v"))
+        jet = jet_of_function([ctx.parse("x^3*y"), ctx.parse("exp(x)")], ctx, (F(1, 2), F(1, 3)), 3)
+        for order in range(4):
+            got = jet.truncate(order)
+            values = {(u, p): v for (u, p), v in jet.values.items() if p.order <= order}
+            assert got == Jet(2, 2, order, values)
+            assert got.values == values and got.exact == jet.exact
 
 
 class TestProlong:

@@ -33,6 +33,16 @@ def test_jet_subscripts():
     assert e == Var(CTX2.jet(1, MultiIndex((1, 2))))
 
 
+def test_context_interns_its_variables():
+    assert CTX2.jet(1, (1, 0)) is CTX2.jet(1, MultiIndex((1, 0)))
+    assert parse_expression("u_x", CTX2).var is CTX2.jet(1, (1, 0))
+    assert CTX2.space(2) is CTX2.space(2) is CTX2.space_vars()[1]
+    with pytest.raises(ValueError):
+        CTX2.jet(2, (1, 0))
+    with pytest.raises(ValueError):
+        CTX2.jet(1, (1, 0, 0))
+
+
 def test_bare_unknown_is_order_zero_jet():
     e = parse_expression("u", CTX2)
     assert e == Var(CTX2.jet(1, MultiIndex((0, 0))))

@@ -3,6 +3,7 @@ oracle: p! c_p of taylor.series must equal D^p built by differentiate and
 evaluated by evaluate_exact / evaluate_float."""
 
 import math
+import struct
 from fractions import Fraction as F
 
 import pytest
@@ -33,14 +34,14 @@ from densepde.expr import (
 from densepde.multiindex import MultiIndex, multi_indices, zero_index
 from densepde.parser import Context
 from densepde.systems import lewy_operator
-from densepde.taylor import derivative, jet_coefficients, series, shift
+from densepde.taylor import derivative, jet_bindings, jet_coefficients, series
 from densepde.verify import (
     check_vanishing,
     error_sequence,
     symbolic_series,
     verify_solution,
 )
-from reference import differentiate_multi, jet_of_function
+from reference import differentiate_multi, jet_of_function, keyed_bindings, shift
 
 CONTEXTS = {n: Context(("x", "y", "z")[:n]) for n in (1, 2, 3)}
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -218,12 +219,69 @@ def test_shift_and_bindings():
     ux = shift(u, MultiIndex((1,)), 2)
     assert ux == {MultiIndex((0,)): F(1), MultiIndex((1,)): F(2)}
     g = sprod([Var(ctx.jet(1, MultiIndex((1,)))), Var(ctx.jet(1, MultiIndex((0,))))])
-    bound = {
-        ctx.jet(1, MultiIndex((0,))): shift(u, MultiIndex((0,)), 2),
-        ctx.jet(1, MultiIndex((1,))): ux,
-    }
+    bound = jet_bindings([ctx.jet(1, MultiIndex((0,))), ctx.jet(1, MultiIndex((1,)))], [u], 2)
+    assert bound[ctx.jet(1, MultiIndex((1,)))] == {0: F(1), 1: F(2)}
     s = series(g, (F(1, 2),), 2, bindings=bound)
     assert [derivative(s, p) for p in multi_indices(1, 2)] == [F(1, 4), F(3, 2), F(6)]
+
+
+JET_CONTEXTS = {n: Context(("x", "y", "z")[:n], ("u", "v")) for n in (1, 2)}
+# exact and float zeros, of both signs, among the jet values
+JET_VALUES = st.one_of(
+    st.sampled_from([F(0), 0.0, -0.0]), SMALL, st.floats(-2, 2, allow_nan=False)
+)
+
+
+def bits(result):
+    """A series or a bindings dict, an exception by its type and message,
+    with each float by its bytes and each exact value by value and type."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+
+    def coefficient(c):
+        return struct.pack("<d", c) if type(c) is float else (c, type(c))
+
+    return [(k, [(j, coefficient(c)) for j, c in s.items()] if isinstance(s, dict) else coefficient(s))
+            for k, s in result.items()]
+
+
+@st.composite
+def bound_cases(draw):
+    n = draw(st.integers(1, 2))
+    ctx = JET_CONTEXTS[n]
+    jets = [ctx.jet(u, p) for u in (1, 2) for p in multi_indices(n, 2)]
+    try:
+        e = draw(trees(n, bumps=False, jets=jets))
+    except EvaluationError:  # a smart constructor met a literal 1/0
+        assume(False)
+    order = draw(st.integers(0, 3))
+    indices = multi_indices(n, order + 2)
+    # the values keyed by equal multi-indices that are other objects
+    coefficients = [
+        {MultiIndex(p.entries): c for p, c in draw(st.dictionaries(st.sampled_from(indices), JET_VALUES)).items()}
+        for _ in range(2)
+    ]
+    point = draw(st.tuples(*[st.fractions(-2, 2, max_denominator=8)] * n))
+    return e, jets, coefficients, point, order
+
+
+@given(bound_cases(), st.sampled_from(["auto", "float"]))
+@settings(max_examples=300, deadline=None)
+def test_slot_bindings_match_the_keyed_shift(case, mode):
+    # jet_bindings, and series of its bindings, bit for bit the same as
+    # the multi-index-keyed shift re-keyed to slots
+    e, jets, coefficients, point, order = case
+    bound = jet_bindings(jets, coefficients, order)
+    keyed = keyed_bindings(jets, coefficients, order)
+    assert bits(bound) == bits(keyed)
+
+    def outcome(bindings):
+        try:
+            return series(e, point, order, mode, bindings)
+        except EvaluationError as exc:
+            return exc
+
+    assert bits(outcome(bound)) == bits(outcome(keyed))
 
 
 def test_jet_coefficients_round_trip_jet_of_function():

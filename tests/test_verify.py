@@ -234,7 +234,9 @@ eq: u_x - u
         a = (F(1, 4),)
         values = (F(1, 16), F(1, 2), F(2))
         wrong = Jet(1, 1, 2, {(1, MultiIndex((k,))): v for k, v in enumerate(values)})
-        broken = DiscreteSolve({**stage.jets, a: wrong}, stage.bumps, stage.level, stage.polynomials)
+        broken = DiscreteSolve(
+            {**stage.jets, a: wrong}, stage.bumps, stage.level, stage.polynomials, stage.scan
+        )
         from densepde.construct import SolutionSequence
 
         bad = SolutionSequence(
