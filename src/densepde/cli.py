@@ -159,7 +159,7 @@ def cmd_verify(args) -> int:
         seq.operator, seq, arithmetic=args.arith, tol=args.tol
     )
     if args.out:
-        _emit(args, "verification.json", json.loads(result.to_json()))
+        _emit(args, "verification.json", result.to_json())
     if result.passed:
         note = " (degenerate: empty sequence)" if result.degenerate else ""
         print(f"PASS: vanishing condition holds at every stage{note}")
@@ -216,7 +216,7 @@ def _demo_model(args) -> int:
             f"(all later terms vanish to order {e.order})"
         )
     if args.out:
-        _emit(args, "model-vanishing.json", json.loads(report.to_json()))
+        _emit(args, "model-vanishing.json", report.to_json())
     return 0 if report.holds else MATH_FAILURE
 
 

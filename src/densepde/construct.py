@@ -194,10 +194,10 @@ def taylor_from_jet(context: Context, a: Point, jet: Jet) -> list[Expr]:
 
 class TaylorPolynomials:
     """The Taylor polynomial of each point's jet, built once for as long
-    as the point keeps an equal jet (same order, same values): the stages
-    of a sequence share one, so reading their glued functions in stage
-    order expands each (point, jet) once.  A point whose jet changes gets
-    a new polynomial."""
+    as the point keeps the same Jet object: the stages of a sequence share
+    one, and its stages of one level share each point's Jet, so reading
+    their glued functions in stage order expands each (point, level)
+    once.  A point whose Jet object changes gets a new polynomial."""
 
     def __init__(self, context: Context):
         self.context = context
@@ -205,7 +205,7 @@ class TaylorPolynomials:
 
     def __call__(self, a: Point, jet: Jet) -> list[Expr]:
         hit = self._built.get(a)
-        if hit is None or hit[0] != jet:
+        if hit is None or hit[0] is not jet:
             hit = (jet, taylor_from_jet(self.context, a, jet))
             self._built[a] = hit
         return hit[1]

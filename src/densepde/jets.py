@@ -63,10 +63,12 @@ class Jet(Value):
         return self.values[(unknown, p)]
 
     def truncate(self, order: int) -> "Jet":
-        """The jet's values of order <= `order`.  This jet is dense, so
-        they are dense at that order and are not checked again."""
+        """The jet's values of order <= `order`, this jet at its own order.
+        They are dense, as this jet is, and are not checked again."""
         if order > self.order:
             raise ValueError("cannot extend a jet by truncation")
+        if order == self.order:
+            return self
         vals = {
             (u, p): v for (u, p), v in self.values.items() if p.order <= order
         }

@@ -1,30 +1,31 @@
 """Serialization of staged solution sequences.
 
-A manifest (version 3) stores only what cannot be recomputed: the
-operator specification, the points, the level schedule and, per stage,
-the solved jet at each of its points.  Each stage record is exactly
-``{"jets": [...]}``: stage nu holds the jets at z_0..z_nu at level l_nu,
-in point order.  The bumps are rebuilt on load by the same routine that
-built them (``construct.glue``), and the glued functions are derived from
-the stored jets when read, so verification checks the stored jets
-themselves; an edited jet still verifies only where it is another
-solution.  Loading rejects a field of the wrong JSON type, unknown or
-missing keys (top level, operator, stage and jet records), an operator
-whose dim differs from its number of variables or domain intervals, a
-stage count other than the point count, a stage without exactly one jet
-per stage point, a jet whose order is not m + l_nu, a jet whose values
-do not match its arithmetic flag (exact: strings, float: numbers), and a
-float jet of an operator whose jets are exact at every rational point
-(rational-closed equations, affine in the base jets), which can only be
-a downgraded exact claim.
+A manifest (version 4) stores only what cannot be recomputed: the
+operator specification, the points, the level schedule and, per stage
+nu, one entry per point z_0..z_nu in ``{"jets": [...]}``.  An entry is
+a jet record of order m + l_nu, or ``null``: the truncation to that
+order of the point's jet in stage nu + 1 (the last stage has none).  A
+dump writes null only where loading it back gives the same values, bit
+for bit and of the same types, so a constructed sequence stores one
+record per point, all in the last stage.  A load checks the records in
+stage order, then fills the nulls from the last stage back, so the
+stages of one level share each point's Jet object.
 
-The stages of a sequence repeat their points' jets: stage nu stores again
-every jet of stage nu - 1 whose level it shares.  Such a jet is formatted
-once on dump (each stage record still gets its own dict) and parsed once
-on load: a jet record equal to the previous stage's record at the same
-point and level, with the same JSON types throughout (1, 1.0 and true
-differ, and so do 0.0 and -0.0), is that stage's Jet again.  The file
-format is unchanged.
+The bumps are rebuilt on load by the same routine that built them
+(``construct.glue``), and the glued functions are derived from the
+stored jets when read, so verification checks the stored jets
+themselves; an edited jet still verifies only where it is another
+solution.  Loading rejects another version (version 3 repeated every
+stage's jets), a field of the wrong JSON type, unknown or missing keys
+(top level, operator, stage and jet records), an operator whose dim
+differs from its number of variables or domain intervals, a stage count
+other than the point count, a stage without exactly one entry per stage
+point, a null in the last stage, a jet whose order is not m + l_nu, a
+jet whose values do not match its arithmetic flag (exact: strings,
+float: numbers), and a float jet of an operator whose jets are exact at
+every rational point (rational-closed equations, affine in the base
+jets), which can only be a downgraded exact claim; the command line
+exits 2 on each.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .printer import to_text
 from .ranges import jet_to_json, solves_exactly
 
 FORMAT = "densepde-sequence"
-VERSION = 3
+VERSION = 4
 
 _TOP_KEYS = {"format", "version", "operator", "points", "orders", "stages"}
 _OPERATOR_KEYS = {"dim", "vars", "unknowns", "order", "domain", "equations"}
@@ -81,13 +82,6 @@ def _parse_value(raw, exact: bool, where: str) -> Fraction | float:
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{where}: float value {raw!r} is not a number")
     return float(raw)
-
-
-def _same_json(a, b) -> bool:
-    """Whether two loaded JSON values are equal with the same JSON types
-    throughout: their texts are equal, so 1, 1.0 and true differ, and so
-    do 0.0 and -0.0."""
-    return a == b and json.dumps(a) == json.dumps(b)
 
 
 def jet_from_json(n: int, k: int, order: int, data: dict, where: str) -> Jet:
@@ -143,25 +137,35 @@ def operator_from_json(data: dict) -> PdeOperator:
     return PdeOperator(ctx, data["order"], equations, domain)
 
 
+def _loads_as_truncation(jet: Jet, later: Jet, order: int) -> bool:
+    """Whether `jet`, stored in a stage of jet order `order`, would load
+    as the truncation of `later`, bit for bit and of the same types: it
+    holds `later`'s value objects under one arithmetic.  An equal jet of
+    other value objects is stored, and loads back as it is."""
+    if jet is later:
+        return True
+    if jet.order != order or order > later.order or jet.exact != later.exact:
+        return False
+    return all(v is later.values[c] for c, v in jet.values.items())
+
+
 def sequence_to_json(seq: SolutionSequence) -> dict:
-    formatted: dict[int, dict] = {}  # id(jet) -> record; the stages keep the jets alive
-
-    def record(jet: Jet) -> dict:
-        if id(jet) not in formatted:
-            formatted[id(jet)] = jet_to_json(jet)
-        first = formatted[id(jet)]
-        return {**first, "values": dict(first["values"])}
-
+    records = []
+    for nu, stage in enumerate(seq.stages):
+        later = seq.stages[nu + 1].jets if nu + 1 < seq.stage_count else {}
+        order = seq.operator.order + seq.orders[nu]
+        records.append({"jets": [
+            None if a in later and _loads_as_truncation(stage.jets[a], later[a], order)
+            else jet_to_json(stage.jets[a])
+            for a in seq.points[: nu + 1]
+        ]})
     return {
         "format": FORMAT,
         "version": VERSION,
         "operator": operator_to_json(seq.operator),
         "points": [[str(c) for c in a] for a in seq.points],
         "orders": list(seq.orders),
-        "stages": [
-            {"jets": [record(stage.jets[a]) for a in seq.points[: nu + 1]]}
-            for nu, stage in enumerate(seq.stages)
-        ],
+        "stages": records,
     }
 
 
@@ -172,7 +176,6 @@ def sequence_from_json(data: dict) -> SolutionSequence:
         raise ValueError(f"unsupported manifest version {data.get('version')}")
     _check_keys("manifest", data, _TOP_KEYS, optional={"header"})
     op = operator_from_json(data["operator"])
-    ctx = op.context
     points = tuple(
         tuple(parse_rational(c) for c in a) for a in _array("points", data["points"], list)
     )
@@ -186,19 +189,14 @@ def sequence_from_json(data: dict) -> SolutionSequence:
         pts = points[: nu + 1]
         if len(_array(f"stage {nu}: jets", record["jets"])) != len(pts):
             raise ValueError(f"stage {nu}: need one jet per stage point")
-        # the previous stage's records, where it has this stage's level
-        before = data["stages"][nu - 1]["jets"] if nu and orders[nu - 1] == orders[nu] else []
-        jets, parsed = {}, []
+        jets = {}  # None stands for null
         for i, (a, raw) in enumerate(zip(pts, record["jets"])):
-            if i < len(before) and _same_json(raw, before[i]):
-                jets[a] = stage_jets[-1][a]
-            else:
-                jets[a] = jet_from_json(
-                    ctx.n, ctx.k, op.order + orders[nu], raw, f"stage {nu} jet {i}"
-                )
-                parsed.append(jets[a])
-        # a reused jet passed this check in its own stage
-        if not all(jet.exact for jet in parsed):
+            if raw is not None:
+                raw = jet_from_json(op.n, op.k, op.order + orders[nu], raw, f"stage {nu} jet {i}")
+            elif nu == len(points) - 1:
+                raise ValueError(f"stage {nu} jet {i}: null in the last stage")
+            jets[a] = raw
+        if not all(jet is None or jet.exact for jet in jets.values()):
             if exact_only is None:
                 exact_only = solves_exactly(op)
             if exact_only:
@@ -207,6 +205,11 @@ def sequence_from_json(data: dict) -> SolutionSequence:
                     "exactly at rational points"
                 )
         stage_jets.append(jets)
+    # a null is the next stage's jet at the point, truncated: itself at one level
+    for nu in reversed(range(len(points) - 1)):
+        for a, jet in stage_jets[nu].items():
+            if jet is None:
+                stage_jets[nu][a] = stage_jets[nu + 1][a].truncate(op.order + orders[nu])
     return SolutionSequence(op, points, orders, glue(op, points, stage_jets, orders))
 
 

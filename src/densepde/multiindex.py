@@ -21,14 +21,15 @@ class MultiIndex(Frozen):
     VM) when it called __eq__ 13,434 times.  Most of those calls compared
     two equal objects: multi_indices now hands out one object per
     multi-index, a dict lookup then matches on identity without calling
-    __eq__, and the pipeline calls it 648 times.  factorial() is computed
-    once per object, on first use."""
+    __eq__, and the pipeline calls it 648 times.  The order |p| is stored
+    too; factorial() is computed once per object, on first use."""
 
     def __init__(self, entries: tuple[int, ...]):
         if any(e < 0 for e in entries):
             raise ValueError(f"negative entry in multi-index {entries}")
         d = self.__dict__
         d["entries"] = entries
+        d["order"] = sum(entries)
         d["_hash"] = hash((entries,))
 
     def __hash__(self):
@@ -45,10 +46,6 @@ class MultiIndex(Frozen):
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    @property
-    def order(self) -> int:
-        return sum(self.entries)
 
     def __add__(self, other: "MultiIndex") -> "MultiIndex":
         if len(other.entries) != len(self.entries):

@@ -11,7 +11,6 @@ is exhaustive up to the truncation.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -139,8 +138,8 @@ class VanishingReport(Value):
     def holds(self) -> bool:
         return all(e.holds for e in self.entries)
 
-    def to_json(self) -> str:
-        data = {
+    def to_json(self) -> dict:
+        return {
             "truncation": self.truncation,
             "arithmetic": self.arithmetic,
             "tolerance": self.tolerance,
@@ -157,7 +156,6 @@ class VanishingReport(Value):
                 for e in self.entries
             ],
         }
-        return json.dumps(data, indent=2, sort_keys=True)
 
 
 def _scan(
@@ -341,16 +339,15 @@ class VerificationResult(Frozen):
     def degenerate(self) -> bool:
         return not self.reports
 
-    def to_json(self) -> str:
-        data = {
+    def to_json(self) -> dict:
+        return {
             "passed": self.passed,
             "degenerate": self.degenerate,
             "arithmetic": self.arithmetic,
             "tolerance": self.tolerance,
             "failures": [f.describe() for f in self.failures],
-            "reports": [json.loads(r.to_json()) for r in self.reports],
+            "reports": [r.to_json() for r in self.reports],
         }
-        return json.dumps(data, indent=2, sort_keys=True)
 
 
 def verify_solution(
@@ -376,9 +373,9 @@ def verify_solution(
     stage's jets and bumps (DiscreteSolve.component_series) once per
     (stage, point) to the top order plus the operator order.  At its own
     points a stage's series depend on the jet alone, so the bindings are
-    built once per distinct jet at each point (the same Jet object, or an
-    equal one, as in TaylorPolynomials), and the series of G_j once per
-    distinct bindings: stages that store one jet at a point share both.
+    built once per Jet object at each point, as in TaylorPolynomials, and
+    the series of G_j once per distinct bindings: stages that share a
+    point's Jet share both.
     Where a stage is zero near a point, the bindings are empty and the
     series of G_j there is computed once for all such stages.  Only the
     pass/fail entries (point z_i with i <= nu, |p| <= l_nu) use the
@@ -410,7 +407,7 @@ def verify_solution(
             else:  # a bump centre: the jet there alone decides
                 jet = seq.stages[mu].jets[seq.points[i]]
                 hit = at_centre.get((i, mode))
-                if hit is None or not (hit[0] is jet or hit[0] == jet):
+                if hit is None or hit[0] is not jet:
                     hit = at_centre[(i, mode)] = (jet, bind(mu, i, mode))
                 bindings[(mu, i)] = hit[1]
         return bindings[(mu, i)]

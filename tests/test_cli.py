@@ -1,5 +1,6 @@
 """Command-line interface and manifest round-trips."""
 
+import copy
 import json
 import math
 import os
@@ -339,7 +340,8 @@ eq: 0*u - 1
               "--out", out])
         path = f"{out}/sequence.json"
         raw = read_json(path)
-        values = raw["stages"][0]["jets"][0]["values"]
+        # stage 1 stores the jet at z_0, and stage 0's null is its truncation
+        values = raw["stages"][1]["jets"][0]["values"]
         values[sorted(values)[0]] = "5"
         write_json(path, raw)
         assert main(["verify", path]) == 1
@@ -371,6 +373,12 @@ eq: 0*u - 1
             capsys.readouterr()
             assert main(["verify", path]) == 2
             assert "version" in capsys.readouterr().err
+
+    def test_version_3_manifest_rejected(self, pde_file, tmp_path, capsys):
+        # a version 3 file stores every stage's jets in full: its earlier
+        # stages would load as records where version 4 reads truncations
+        path = self.edited_manifest(pde_file, tmp_path, lambda raw: raw.update(version=3))
+        self.assert_rejected(path, capsys, "unsupported manifest version 3")
 
     def edited_manifest(self, pde_file, tmp_path, edit):
         """The manifest of a two-stage transport sequence after `edit`."""
@@ -419,6 +427,8 @@ eq: 0*u - 1
     @pytest.mark.parametrize("edit, message", [
         (lambda raw: raw["stages"][1]["jets"][0].update(note=""),
          "stage 1 jet 0: keys"),
+        (lambda raw: raw["stages"][1]["jets"].__setitem__(0, None),
+         "stage 1 jet 0: null in the last stage"),
         (add_respelled_coordinate, "is not canonical"),
         (lambda raw: raw["points"][1].pop(), "box dimension 1"),
         (lambda raw: raw["orders"].__setitem__(0, -1), "levels must be >= 0"),
@@ -435,9 +445,9 @@ eq: 0*u - 1
         (lambda raw: raw["operator"].update(vars="x"),
          "operator: vars: expected an array of strings"),
     ], ids=[
-        "jet-key", "duplicate-coordinate", "point-dimension", "negative-level",
-        "values-array", "points-number", "orders-strings", "jets-number",
-        "order-string", "equation-number", "vars-string",
+        "jet-key", "null-in-last-stage", "duplicate-coordinate", "point-dimension",
+        "negative-level", "values-array", "points-number", "orders-strings",
+        "jets-number", "order-string", "equation-number", "vars-string",
     ])
     def test_malformed_jet_or_point_rejected(
         self, pde_file, tmp_path, capsys, edit, message
@@ -480,7 +490,7 @@ eq: 0*u - 1
     ):
         def to_numbers(raw):
             for stage in raw["stages"]:
-                for jet in stage["jets"]:
+                for jet in filter(None, stage["jets"]):
                     jet["values"] = {
                         key: float(F(v)) for key, v in jet["values"].items()
                     }
@@ -505,14 +515,13 @@ eq: 0*u - 1
         op = parse_pde_text(POISSON)
         pts = [(F(1, 2), F(1, 2)), (F(1, 4), F(1, 4)), (F(1, 4), F(3, 4))]
         raw = sequence_to_json(construct_sequence(op, pts, [0, 1, 1]))
-        for stage in raw["stages"]:
-            for jet in stage["jets"]:
-                assert jet["arithmetic"] == "exact"
-                jet["arithmetic"] = "float"
-                jet["values"] = {k: float(F(v)) for k, v in jet["values"].items()}
+        for jet in raw["stages"][2]["jets"]:  # the stored records
+            assert jet["arithmetic"] == "exact"
+            jet["arithmetic"] = "float"
+            jet["values"] = {k: float(F(v)) for k, v in jet["values"].items()}
         path = str(tmp_path / "sequence.json")
         write_json(path, raw)
-        self.assert_rejected(path, capsys, "stage 0: float jet")
+        self.assert_rejected(path, capsys, "stage 2: float jet")
 
     def test_float_jets_of_newton_operator_load(self, tmp_path, capsys):
         op = parse_pde_text(EIKONAL)
@@ -543,7 +552,7 @@ eq: 0*u - 1
     @pytest.mark.parametrize("edit", [
         lambda raw: raw["points"][0].__setitem__(0, "1/0"),
         lambda raw: raw["operator"]["domain"][0].__setitem__(1, "1/0"),
-        lambda raw: raw["stages"][0]["jets"][0]["values"].update({"1;(0)": "1/0"}),
+        lambda raw: raw["stages"][1]["jets"][0]["values"].update({"1;(0)": "1/0"}),
     ], ids=["point", "domain", "jet-value"])
     def test_zero_denominator_in_manifest(self, pde_file, tmp_path, capsys, edit):
         path = self.edited_manifest(pde_file, tmp_path, edit)
@@ -613,9 +622,10 @@ class TestConstructOptions:
 
 class TestEditedLaterStage:
     def test_edited_jet_of_a_later_stage_fails(self, tmp_path, capsys):
-        """Stages 0-3 all store a jet at z_0; the polynomial glued for
-        stage 3 must come from its own stored jet, not from the equal
-        jets of the stages before it."""
+        """Stage 2 stores again the jet stage 3 stores at z_0, and stages
+        0 and 1 share it; the polynomial glued for stage 3 must come from
+        its own stored jet, not from the equal jet of the stages before
+        it."""
         path = tmp_path / "poisson.pde"
         path.write_text(POISSON)
         out = str(tmp_path / "out")
@@ -623,12 +633,15 @@ class TestEditedLaterStage:
         manifest = f"{out}/sequence.json"
         assert main(["verify", manifest]) == 0
         raw = read_json(manifest)
+        assert raw["stages"][2]["jets"][0] is None
+        raw["stages"][2]["jets"][0] = copy.deepcopy(raw["stages"][3]["jets"][0])
         values = raw["stages"][3]["jets"][0]["values"]
         values["1;(2,0)"] = str(F(values["1;(2,0)"]) + 1)
         write_json(manifest, raw)
         capsys.readouterr()
         assert main(["verify", manifest]) == 1
-        assert "stage 3" in capsys.readouterr().err
+        failures = capsys.readouterr().err.splitlines()
+        assert failures and all(", stage 3," in line for line in failures)
 
 
 class TestNewtonConsistencyFloor:

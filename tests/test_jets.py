@@ -278,6 +278,9 @@ class TestJet:
         u = parse_expression("x^2", Context(("x",)))
         jet = jet_of_function(u, Context(("x",)), (F(1),), 3)
         assert jet.truncate(1).order == 1
+        # at its own order the truncation is the jet itself, so stages of
+        # one level share one Jet object
+        assert jet.truncate(3) is jet
         with pytest.raises(ValueError):
             jet.truncate(4)
 

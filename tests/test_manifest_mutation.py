@@ -71,9 +71,19 @@ def replace_with(draw, record, key, values):
     record[key] = new
 
 
+def entries(raw, stored=True) -> list[tuple[int, int]]:
+    """(stage, point index) of every jet record, or of every null."""
+    return [
+        (nu, i)
+        for nu, stage in enumerate(raw["stages"])
+        for i, jet in enumerate(stage["jets"])
+        if (jet is not None) == stored
+    ]
+
+
 def a_jet(raw, draw):
-    stage = draw(st.sampled_from(raw["stages"]))
-    return draw(st.sampled_from(stage["jets"]))
+    nu, i = draw(st.sampled_from(entries(raw)))
+    return raw["stages"][nu]["jets"][i]
 
 
 def edit_jet_value(raw, draw):
@@ -108,6 +118,25 @@ def edit_arithmetic(raw, draw):
     replace_with(draw, a_jet(raw, draw), "arithmetic", labels)
 
 
+def edit_record_to_null(raw, draw):
+    nu, i = draw(st.sampled_from(entries(raw)))
+    raw["stages"][nu]["jets"][i] = None
+
+
+def edit_null_to_record(raw, draw):
+    """A null becomes another stage's record: as it is, or truncated to
+    the null's stage order, so that it loads, with one value replaced."""
+    nu, i = draw(st.sampled_from(entries(raw, stored=False)))
+    record = raw["stages"][nu]["jets"][i] = copy.deepcopy(a_jet(raw, draw))
+    if draw(st.booleans()):
+        record["order"] = order = raw["operator"]["order"] + raw["orders"][nu]
+        values = record["values"] = {
+            key: value for key, value in record["values"].items()
+            if sum(int(e) for e in key.split(";")[1].strip("()").split(",")) <= order
+        }
+        replace_with(draw, values, pick(draw, values), RATIONALS)
+
+
 def edit_key(raw, draw):
     jet = a_jet(raw, draw)
     records = [raw, raw["operator"], raw["stages"][0], jet, jet["values"]]
@@ -121,7 +150,7 @@ def edit_key(raw, draw):
 
 EDITS = (
     edit_jet_value, edit_point, edit_order, edit_equation, edit_domain,
-    edit_arithmetic, edit_key,
+    edit_arithmetic, edit_key, edit_record_to_null, edit_null_to_record,
 )
 
 
@@ -151,7 +180,7 @@ def test_unedited_manifest_passes():
         assert solves_symbolically(path)
 
 
-@settings(deadline=None, max_examples=50)
+@settings(deadline=None, max_examples=65)
 @given(st.sampled_from(EDITS), st.data())
 def test_one_edit_passes_only_a_solution(edit, data):
     raw = copy.deepcopy(manifest())

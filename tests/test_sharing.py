@@ -1,24 +1,27 @@
-"""Equal jets at a point are formatted, parsed and expanded once.
+"""Each point's jet is stored, parsed and expanded once.
 
-Stage nu of a sequence stores again every jet of stage nu - 1 at its
-level.  A dump formats each distinct jet once, a load parses a record
-equal to the previous stage's (same JSON types throughout) once, and
-verify builds the series at a bump centre once per distinct jet.  An edit
-to one copy is still judged on its own.
+Stage nu of a constructed sequence holds at each of its points the
+truncation of stage nu + 1's jet there.  A dump stores such a jet as
+null, a load parses each stored record once and gives the stages of one
+level the same Jet, and verify builds the series at a bump centre once
+per Jet.  A record stored in place of a null is still judged on its own.
 """
 
 import contextlib
 import copy
 import functools
 import io
+import json
 from fractions import Fraction
 
 import pytest
 
 from densepde import manifest as manifest_module
 from densepde.cli import main
-from densepde.construct import DensePointStream, DiscreteSolve, construct_sequence
-from densepde.jets import parse_pde_text
+from densepde.construct import (
+    DensePointStream, DiscreteSolve, SolutionSequence, construct_sequence, glue,
+)
+from densepde.jets import Jet, parse_pde_text
 from densepde.manifest import sequence_from_json, sequence_to_json, write_json
 from densepde.multiindex import MultiIndex
 from densepde.verify import verify_solution
@@ -82,10 +85,22 @@ def test_verify_expands_each_distinct_centre_jet_once(monkeypatch):
     assert sorted(centres) == sorted(seq.points)
 
 
+def test_a_dump_stores_one_record_per_point():
+    """Every stage truncates one solve per point, so every earlier
+    stage's entry is null, at one level or across levels."""
+    raw = poisson_manifest()
+    assert [jet is None for jet in raw["stages"][-1]["jets"]] == [False] * 12
+    assert all(jet is None for stage in raw["stages"][:-1] for jet in stage["jets"])
+    op = parse_pde_text(POISSON)
+    points = DensePointStream(op.domain).prefix(4)
+    raw = sequence_to_json(construct_sequence(op, points, [0, 1, 1, 2]))
+    assert [sum(jet is not None for jet in stage["jets"]) for stage in raw["stages"]] == [0, 0, 0, 4]
+
+
 def test_dumped_records_are_independent():
     raw = copy.deepcopy(poisson_manifest())
     before = copy.deepcopy(raw)
-    jet = raw["stages"][5]["jets"][0]
+    jet = raw["stages"][11]["jets"][5]
     jet["values"]["1;(0,0)"] = "7"
     jet["order"] = 9
     changed = [
@@ -94,7 +109,58 @@ def test_dumped_records_are_independent():
         for i, (a, b) in enumerate(zip(old["jets"], new["jets"]))
         if a != b
     ]
-    assert changed == [(5, 0)]
+    assert changed == [(11, 5)]
+
+
+def with_first_jets(seq, *jets):
+    """`seq` with the jets at z_0 of its first stages replaced by `jets`."""
+    stage_jets = [dict(stage.jets) for stage in seq.stages]
+    for stage, jet in zip(stage_jets, jets):
+        stage[seq.points[0]] = jet
+    return SolutionSequence(
+        seq.operator, seq.points, seq.orders,
+        glue(seq.operator, seq.points, stage_jets, seq.orders),
+    )
+
+
+@pytest.mark.parametrize("convert", [
+    lambda v: -0.0 if v == 0 else v, Fraction,
+], ids=["negative-zero", "exact"])
+def test_a_jet_unlike_the_later_truncation_is_stored(convert):
+    """A stage jet is stored as a record unless it loads back, bit for bit
+    and of the same types, as the next stage's truncation: -0.0 against
+    0.0 and exact against float values differ."""
+    op = parse_pde_text(EIKONAL)
+    seq = construct_sequence(op, DensePointStream(op.domain).prefix(2), [0, 1])
+    first = seq.points[0]
+    later = seq.stages[1].jets[first].truncate(op.order)
+    assert later.values[(1, MultiIndex((0, 0)))] == 0.0
+    jet = Jet(2, 1, op.order, {c: convert(v) for c, v in later.values.items()})
+    assert jet == later  # equal values, of other signs or types
+    raw = sequence_to_json(with_first_jets(seq, jet))
+    assert raw["stages"][0]["jets"][0] is not None
+    loaded = sequence_from_json(json.loads(json.dumps(raw)))
+    values = loaded.stages[0].jets[first].values
+    assert {c: repr(v) for c, v in values.items()} == {c: repr(v) for c, v in jet.values.items()}
+    # the unconverted jet is the truncation again: null
+    assert sequence_to_json(with_first_jets(seq, later))["stages"][0]["jets"] == [None]
+
+
+def test_an_exact_jet_under_a_float_one_is_stored():
+    """Sharing every value with the next stage's jet is not enough: a float
+    jet truncates to float values, so an exact jet under it is stored."""
+    op = parse_pde_text(EIKONAL)
+    seq = construct_sequence(op, DensePointStream(op.domain).prefix(2), [0, 1])
+    first = seq.points[0]
+    values = {c: Fraction(v) for c, v in seq.stages[1].jets[first].values.items()}
+    values[(1, MultiIndex((2, 0)))] = 0.5
+    later = Jet(2, 1, 2, values)
+    jet = later.truncate(1)
+    assert jet.exact and not later.exact
+    raw = sequence_to_json(with_first_jets(seq, jet, later))
+    assert raw["stages"][0]["jets"][0]["arithmetic"] == "exact"
+    loaded = sequence_from_json(json.loads(json.dumps(raw)))
+    assert all(type(v) is Fraction for v in loaded.stages[0].jets[first].values.values())
 
 
 def verify(raw, tmp_path) -> tuple[int, str]:
@@ -106,9 +172,18 @@ def verify(raw, tmp_path) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def copy_of_stored(raw, nu, i) -> dict:
+    """The record the last stage stores at z_i, stored again in stage nu
+    in place of its null."""
+    assert raw["stages"][nu]["jets"][i] is None
+    record = raw["stages"][nu]["jets"][i] = copy.deepcopy(raw["stages"][-1]["jets"][i])
+    return record
+
+
 def test_changed_value_in_the_later_copy_fails_there(tmp_path):
     raw = copy.deepcopy(poisson_manifest())
-    values = raw["stages"][7]["jets"][2]["values"]
+    copy_of_stored(raw, 6, 2)
+    values = copy_of_stored(raw, 7, 2)["values"]
     values["1;(2,0)"] = str(Fraction(values["1;(2,0)"]) + 1)
     code, out = verify(raw, tmp_path)
     assert code == 1
@@ -118,7 +193,8 @@ def test_changed_value_in_the_later_copy_fails_there(tmp_path):
 
 def test_true_in_the_later_copy_is_rejected(tmp_path):
     raw = copy.deepcopy(poisson_manifest())
-    raw["stages"][7]["jets"][2]["values"]["1;(0,0)"] = True
+    copy_of_stored(raw, 6, 2)
+    copy_of_stored(raw, 7, 2)["values"]["1;(0,0)"] = True
     code, out = verify(raw, tmp_path)
     assert code == 2
     assert "stage 7 jet 2: exact value True is not a string" in out
@@ -126,17 +202,18 @@ def test_true_in_the_later_copy_is_rejected(tmp_path):
 
 @pytest.mark.parametrize("zero", [-0.0, 0], ids=["negative-zero", "integer-zero"])
 def test_equal_json_of_another_type_is_its_own_jet(tmp_path, zero):
-    """0.0, -0.0 and 0 are equal in JSON; a later copy spelt with one of
-    the others is parsed on its own."""
+    """0.0, -0.0 and 0 are equal in JSON; an earlier copy spelt with one
+    of the others is parsed on its own, and the null before it reads it."""
     raw = copy.deepcopy(eikonal_manifest())
-    earlier, later = (raw["stages"][nu]["jets"][0]["values"] for nu in (1, 2))
-    assert earlier == later and repr(earlier["1;(0,0)"]) == "0.0"
-    later["1;(0,0)"] = zero
+    earlier = copy_of_stored(raw, 1, 0)["values"]
+    assert repr(earlier["1;(0,0)"]) == "0.0"
+    earlier["1;(0,0)"] = zero
     # the value of u is free, so the edited jet still solves the equation
     code, out = verify(raw, tmp_path)
     assert code == 0 and "PASS" in out
     seq = sequence_from_json(raw)
     first, u = seq.points[0], (1, MultiIndex((0, 0)))
-    assert seq.stages[1].jets[first] is seq.stages[0].jets[first]
+    assert seq.stages[0].jets[first] is seq.stages[1].jets[first]
     assert seq.stages[2].jets[first] is not seq.stages[1].jets[first]
-    assert repr(seq.stages[2].jets[first].values[u]) == repr(float(zero))
+    assert repr(seq.stages[1].jets[first].values[u]) == repr(float(zero))
+    assert repr(seq.stages[2].jets[first].values[u]) == "0.0"

@@ -269,7 +269,7 @@ eq: u_x - u
         op, seq = lewy_two_stages
         data = sequence_to_json(seq)
         for stage in data["stages"]:
-            for jet in stage["jets"]:
+            for jet in filter(None, stage["jets"]):
                 for key in ("1;(1,0,0)", "1;(0,1,0)"):
                     jet["values"][key] = str(F(jet["values"][key]) + 1)
         result = verify_solution(op, sequence_from_json(data))
