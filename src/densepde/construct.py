@@ -285,7 +285,7 @@ class DiscreteSolve(Frozen):
     ):
         self.__dict__.update(jets=jets, bumps=bumps, level=level, polynomials=polynomials, scan=scan)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(j.exact for j in self.jets.values())
 
@@ -369,7 +369,7 @@ class SolutionSequence(Frozen):
     def stage_count(self) -> int:
         return len(self.stages)
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(s.exact for s in self.stages)
 

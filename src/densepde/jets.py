@@ -55,8 +55,9 @@ class Jet(Value):
         d["order"] = order
         d["values"] = values
 
-    @property
+    @cached_property
     def exact(self) -> bool:
+        """Whether every value is exact, computed once per jet."""
         return exact_arithmetic((), self.values.values())
 
     def value(self, unknown: int, p: MultiIndex):
@@ -64,7 +65,8 @@ class Jet(Value):
 
     def truncate(self, order: int) -> "Jet":
         """The jet's values of order <= `order`, this jet at its own order.
-        They are dense, as this jet is, and are not checked again."""
+        They are dense, as this jet is, and are not checked again; the
+        truncation of an exact jet is exact without a scan."""
         if order > self.order:
             raise ValueError("cannot extend a jet by truncation")
         if order == self.order:
@@ -74,6 +76,8 @@ class Jet(Value):
         }
         out = Jet.__new__(Jet)
         out.__dict__.update(n=self.n, k=self.k, order=order, values=vals)
+        if self.exact:
+            out.__dict__["exact"] = True
         return out
 
 

@@ -4,15 +4,21 @@ The exact routines share one fraction-free kernel.  Each rational row is
 scaled to integers by the least common multiple of its denominators (a
 right-hand side entry is scaled with its row), and one elimination pass
 over the sparse integer rows, in row order, finds the pivot each row adds
-or shows that it depends on the rows before it.  Ranks, consistency and
-the independent rows of a least-norm solve all come from that pass.  The
-least-norm solve then builds the sparse integer Gram system of those rows
-from a column index, reduces it by the same pass, and takes one integer
-back substitution over a common denominator.  The residual floor of an
-inconsistent system takes the same route over the independent columns,
-whose Gram system gives the projection of b onto A's column space.  No
-Fraction is built until the answer, so every rank, solution and floor
-is exact until the floor is rounded to a float.
+or shows that it depends on the rows before it.  A row is reduced only at
+its leading column, its largest one other than the right-hand side, by
+the pivot row that leads there, until no pivot row leads at that column
+or the row vanishes (Davis, "Direct Methods for Sparse Linear Systems",
+2006, chs. 2-3).  Rows whose leading columns are new cost no reduction
+step: each level of a prolonged system leads at its own new top-order
+jets.  Ranks, consistency and the independent rows of a least-norm solve
+all come from that pass.  The least-norm solve then builds the sparse
+integer Gram system of those rows from a column index, reduces it by the
+same pass, and takes one integer forward substitution over a common
+denominator, pivot rows in ascending leading column.  The residual floor
+of an inconsistent system takes the same route over the independent
+columns, whose Gram system gives the projection of b onto A's column
+space.  No Fraction is built until the answer, so every rank, solution
+and floor is exact until the floor is rounded to a float.
 
 The float routines share one Householder QR with column pivoting, in
 pure Python on lists.  Ranks factor A and count the pivots above an
@@ -54,31 +60,37 @@ def _integer_rows(rows) -> list[dict[int, int]]:
     return out
 
 
-def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int | None], list[dict[int, int]]]:
-    """Fraction-free elimination in row order.  Returns (columns, pivot
-    rows): for each row, the pivot column it adds (the first nonzero
-    column left after reducing it by the earlier pivot rows), or None when
-    it depends on earlier rows; and the reduced rows that added a pivot,
-    in the order found, each with its pivot at its first column.
+def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int | None], dict[int, dict[int, int]]]:
+    """Fraction-free elimination in row order at the leading column.
+    Returns (columns, pivot rows): for each row, the leading column it
+    adds as a pivot, or None when it depends on earlier rows; and the
+    reduced rows that added a pivot, keyed by that column.
 
-    A row is reduced by each pivot row in the order the pivots were found,
-    so every pivot row is zero in the pivot columns found before it.  Each
-    step multiplies by the pivot over its gcd with the eliminated entry,
-    and the finished row is divided by the gcd of its entries, so the
-    integers stay small.
+    A row's leading column is its largest.  A right-hand side is held in
+    column -1, below every other, so it leads only a row with nothing else
+    left.  While a pivot row leads at the row's leading column, the row is
+    reduced there by it, which leaves the row's other columns below the
+    leading one; so every pivot row is zero above its leading column.
+    Each step multiplies the row by the pivot over its gcd with the
+    eliminated entry, and the finished row is divided by the gcd of its
+    entries, so the integers stay small.
     """
-    pivots: list[tuple[int, int, dict[int, int]]] = []  # column, value, row
+    pivots: dict[int, dict[int, int]] = {}
     out: list[int | None] = []
     for row in rows:
-        r = dict(row)
-        for col, value, prow in pivots:
-            f = r.get(col)
-            if not f:
-                continue
+        r = row
+        while r:
+            col = max(r)
+            prow = pivots.get(col)
+            if prow is None:
+                break
+            value, f = prow[col], r[col]
             g = gcd(value, f)
             scale, f = value // g, f // g
             if scale != 1:
                 r = {c: scale * v for c, v in r.items()}
+            elif r is row:
+                r = dict(r)  # the caller's row is never changed
             for c, v in prow.items():
                 w = r.get(c, 0) - f * v
                 if w:
@@ -91,10 +103,9 @@ def _eliminate(rows: list[dict[int, int]]) -> tuple[list[int | None], list[dict[
         g = gcd(*r.values())
         if g != 1:
             r = {c: v // g for c, v in r.items()}
-        col = min(r)
-        pivots.append((col, r[col], r))
+        pivots[col] = r
         out.append(col)
-    return out, [prow for _, _, prow in pivots]
+    return out, pivots
 
 
 def exact_rank(
@@ -105,15 +116,21 @@ def exact_rank(
     With `block_ends`, the rows are read as [A | b] with b the last
     column, and the result is, for each end e, the pair (rank of A's
     first e rows, rank of [A | b]'s first e rows), all from the same pass.
+    b is moved to column -1, so a row leads there only when its part in A
+    depends on the rows before it, and A's ranks count the other pivots.
     """
-    pivots = _eliminate(_integer_rows(rows))[0]
+    scaled = _integer_rows(rows)
     if block_ends is None:
-        return sum(p is not None for p in pivots)
+        return sum(p is not None for p in _eliminate(scaled)[0])
     last = len(rows[0]) - 1 if rows else 0
+    for row in scaled:
+        if last in row:
+            row[-1] = row.pop(last)
+    pivots = _eliminate(scaled)[0]
     pairs = []
     for end in block_ends:
         found = [p for p in pivots[:end] if p is not None]
-        pairs.append((sum(p < last for p in found), len(found)))
+        pairs.append((sum(p >= 0 for p in found), len(found)))
     return pairs
 
 
@@ -134,18 +151,18 @@ def _gram(rows: list[dict[int, int]]) -> list[dict[int, int]]:
     return gram
 
 
-def _back_substitute(pivot_rows: list[dict[int, int]], rhs: int) -> tuple[dict[int, int], int]:
+def _back_substitute(pivots: dict[int, dict[int, int]]) -> tuple[dict[int, int], int]:
     """({column: Y}, d) with y = Y / d solving the square nonsingular
     system whose reduced rows _eliminate returned, the right-hand side
-    held in column `rhs`.  The rows are taken last first: each one's
-    pivot is its first column, and its other unknowns are pivots of the
-    rows after it.  y stays over one common denominator d, which each
-    row multiplies by the part of its pivot that does not divide out."""
+    held in column -1.  The rows are taken in ascending leading column:
+    each one's other unknowns lead the rows before it.  y stays over one
+    common denominator d, which each row multiplies by the part of its
+    pivot that does not divide out."""
     y: dict[int, int] = {}
     d = 1
-    for row in reversed(pivot_rows):
-        col = min(row)
-        s = row.get(rhs, 0) * d - sum(v * y[c] for c, v in row.items() if c != col and c != rhs)
+    for col in sorted(pivots):
+        row = pivots[col]
+        s = row.get(-1, 0) * d - sum(v * y[c] for c, v in row.items() if c != col and c >= 0)
         q = row[col]
         g = gcd(s, q)
         s, q = s // g, q // g
@@ -167,8 +184,8 @@ def _gram_combination(
     gram = _gram(vectors)
     for row, v in zip(gram, rhs):
         if v:
-            row[len(vectors)] = v
-    y, d = _back_substitute(_eliminate(gram)[1], len(vectors))
+            row[-1] = v
+    y, d = _back_substitute(_eliminate(gram)[1])
     x = [0] * size
     for k, vec in enumerate(vectors):
         for c, v in vec.items():

@@ -47,7 +47,7 @@ from .linalg import (
 from .multiindex import MultiIndex, multi_indices, multi_indices_of_order, zero_index
 from .newton import multistart_newton
 from .printer import point_text
-from .taylor import jet_bindings, jet_coefficients, series
+from .taylor import bind_jets, jet_bindings, jet_coefficients, series
 
 Column = tuple[int, MultiIndex]
 
@@ -237,34 +237,39 @@ def _certify(linear: ProlongedSystem, x: Sequence, levels: Sequence[int]):
     a, b = _stacked(linear, x, exact)
     ends = [op.r * len(multi_indices(op.n, level)) for level in levels]
     widths = [op.k * len(multi_indices(op.n, op.order + level)) for level in levels]
-    blocks = [([row[:w] for row in a[:e]], b[:e]) for e, w in zip(ends, widths)]
+
+    def block(end: int, width: int):
+        return [row[:width] for row in a[:end]], b[:end]
+
     if exact:
         ranks = exact_rank([row + [v] for row, v in zip(a, b)], ends)
         tol = None
     else:
         ranks, full = [], False
-        for pa, pb in reversed(blocks):
+        for end, width in reversed(list(zip(ends, widths))):
             if full:
-                ranks.append((len(pa), len(pa)))
+                ranks.append((end, end))
             else:
+                pa, pb = block(end, width)
                 ranks.append(float_rank(pa, rhs=pb))
-                full = ranks[-1][0] == len(pa)
+                full = ranks[-1][0] == end
         ranks.reverse()
         tol = FLOAT_RANK_TOL
     floor = exact_residual_floor if exact else residual_floor
     out = []
-    for level, (pa, pb), width, (rank_p, rank_q) in zip(levels, blocks, widths, ranks):
+    for level, end, width, (rank_p, rank_q) in zip(levels, ends, widths, ranks):
         cert = RankCertificate(
             point=tuple(x),
             level=level,
             rank_p=rank_p,
             rank_q=rank_q,
-            n_rows=len(pa),
+            n_rows=end,
             n_cols=width,
             arithmetic="exact" if exact else "float",
             tolerance=tol,
         )
-        out.append((cert, None if cert.holds else floor(pa, pb)))
+        # a block is sliced only where it is factored or its floor is read
+        out.append((cert, None if cert.holds else floor(*block(end, width))))
     return out
 
 
@@ -385,17 +390,20 @@ def solve_jets_triangular(
         # the arithmetic of level 0 carries to every later level
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
         coefficients = _gradient_values(op, x, known, exact)
+        # one set of bindings for the solve, grown by each level's jets
+        bindings = jet_bindings(op.jet_variables, jet_coefficients(known, k, exact), sys.level)
         for lam in range(1, sys.level + 1):
             columns = [(u, q) for q in multi_indices_of_order(n, m + lam) for u in range(1, k + 1)]
             a, b = _assemble(
                 coefficients,
-                _equation_series(op, x, known, sys.level, exact),
+                _bound_series(op, x, bindings, sys.level, exact),
                 multi_indices_of_order(n, lam), columns, exact,
             )
             solved, failure = _solve_affine(columns, a, b, exact, tol, lam)
             if failure is not None:
                 break
             known.update(solved)
+            bind_jets(bindings, jet_coefficients(solved, k, exact), sys.level)
 
     passed = sys.level if failure is None else lam - 1
     levels = []
@@ -404,7 +412,7 @@ def solve_jets_triangular(
         exact = jet.exact
         limit = 0 if exact else tol
         first = None  # the first level whose rows exceed the limit
-        for level, residual in enumerate(_residuals(op, x, jet, sys.level)):
+        for level, residual in enumerate(_residuals(op, x, jet, sys.level, bindings)):
             if first is None and not residual <= limit:  # NaN fails too
                 first = level
             levels.append(
@@ -447,6 +455,12 @@ def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) ->
     series q -> value(u, q) / q!; the arithmetic is taylor.series mode
     "auto" when `exact`, "float" otherwise."""
     bindings = jet_bindings(op.jet_variables, jet_coefficients(jets, op.k, exact), order)
+    return _bound_series(op, x, bindings, order, exact)
+
+
+def _bound_series(op: PdeOperator, x, bindings: dict, order: int, exact: bool) -> list[dict]:
+    """The Taylor series c_j, to `order`, of each base equation at x with
+    the jet variables bound by `bindings` (taylor.jet_bindings)."""
     return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
 
 
@@ -519,17 +533,19 @@ def _solve_newton_base(
     return values, None
 
 
-def _residuals(op: PdeOperator, x, jet: Jet, top: int) -> list:
+def _residuals(op: PdeOperator, x, jet: Jet, top: int, bindings: dict) -> list:
     """For each level l up to the jet's, the largest |F_{j,p}| over the
     rows of level <= l at the solved jet, in the jet's arithmetic.
 
-    F_{j,p} = p! c_{j,p} for the series c_j of _equation_series at the
-    jet, taken to the solve's `top` order: one series per equation, read
-    in row order, with each level's value the running maximum at its last
-    row.  A jet is exact only when level 0 ran exactly, so the equations
-    are rational-closed and every coefficient is a Fraction."""
+    F_{j,p} = p! c_{j,p} for the series c_j of each equation with its jet
+    variables bound to the jet, `bindings` (taylor.jet_bindings of the
+    jet's coefficients in its arithmetic), taken to the solve's `top`
+    order: one series per equation, read in row order, with each level's
+    value the running maximum at its last row.  A jet is exact only when
+    level 0 ran exactly, so the equations are rational-closed and every
+    coefficient is a Fraction."""
     exact = jet.exact
-    offsets = _equation_series(op, x, jet.values, top, exact)
+    offsets = _bound_series(op, x, bindings, top, exact)
     worst = Fraction(0) if exact else 0.0
     running = []
     for level in range(jet.order - op.order + 1):

@@ -93,10 +93,17 @@ def _layout(n: int, order: int) -> _Layout:
     return _Layout(n, order)
 
 
+@lru_cache(maxsize=32)
+def _slots(n: int, order: int) -> dict[MultiIndex, int]:
+    """The slot of each multi-index p with |p| <= order."""
+    return {p: k for k, p in enumerate(multi_indices(n, order))}
+
+
 @lru_cache(maxsize=256)
 def _shift_plan(alpha: MultiIndex, order: int) -> tuple[tuple[int, int, int], ...]:
-    """(slot of q, slot of q + alpha, (q + alpha)! / q!) for |q| <= order."""
-    slot = {p: k for k, p in enumerate(multi_indices(alpha.n, order + alpha.order))}
+    """(slot of q, slot of q + alpha, (q + alpha)! / q!) for |q| <= order,
+    in slot order."""
+    slot = _slots(alpha.n, order + alpha.order)
     plan = []
     for k, q in enumerate(multi_indices(alpha.n, order)):
         p = q + alpha
@@ -322,7 +329,7 @@ def _bump_profile(center, r_in, r_out, point, order: int) -> dict:
 class _Walk:
     def __init__(self, point, lay: _Layout, mode: str, bindings: dict):
         try:
-            self.exact_point = tuple(Fraction(x) for x in point)
+            self.exact_point = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
         except (ValueError, OverflowError):
             raise EvaluationError("point has a non-finite coordinate") from None
         self.lay = lay
@@ -471,7 +478,7 @@ def series(
                 raise ExactnessUnavailable(f"coefficient {lay.indices[k]} is not exact")
             if not math.isfinite(c):
                 raise EvaluationError(f"coefficient {lay.indices[k]} is not finite")
-        else:
+        elif type(c) is not Fraction:
             c = Fraction(c)
         result[lay.indices[k]] = c
     return result
@@ -485,10 +492,13 @@ def jet_coefficients(
     float (v / q! correctly rounded) otherwise."""
     out: list[dict[MultiIndex, Coefficient]] = [{} for _ in range(k)]
     for (u, q), v in values.items():
+        f = q.factorial()
         if exact:
-            out[u - 1][q] = (v if type(v) is Fraction else Fraction(v)) / q.factorial()
+            if type(v) is not Fraction:
+                v = Fraction(v)
+            out[u - 1][q] = v if f == 1 else v / f
         else:
-            out[u - 1][q] = float(v / q.factorial())
+            out[u - 1][q] = float(v if f == 1 else v / f)
     return out
 
 
@@ -500,20 +510,50 @@ def jet_bindings(
     as a slot series: c_q = (q + alpha)! / q! * s_{q + alpha} in the slot
     of q, for every |q| <= order whose s_{q + alpha} is given, a zero
     included."""
-    variables = tuple(variables)
-    if not variables:
-        return {}
-    top = order + max(v.index.order for v in variables)
-    indices = multi_indices(variables[0].index.n, top)
-    # each unknown's coefficients by slot, up to the highest order a shift reads
-    rows = [[s.get(p) for p in indices] for s in coefficients]
-    out = {}
-    for v in variables:
+    bindings: dict[JetVar, dict[int, Coefficient]] = {v: {} for v in variables}
+    bind_jets(bindings, coefficients, order)
+    return bindings
+
+
+def bind_jets(
+    bindings: dict[JetVar, dict[int, Coefficient]],
+    coefficients: Sequence[Mapping[MultiIndex, Coefficient]],
+    order: int,
+) -> None:
+    """Add to each jet variable's slot series in `bindings` (jet_bindings)
+    the slots that the given coefficients fill.  Every slot bound before
+    must come from coefficients of lower order than each one given now:
+    the new slots, taken in the shift plan's order, then follow the old
+    ones in slot order, so bindings grown order by order, as a jet solve
+    grows them, hold the same slots in the same order as jet_bindings of
+    all the coefficients at once."""
+    if not bindings:
+        return
+    n = next(iter(bindings)).index.n
+    slot = _slots(n, order + max(v.index.order for v in bindings))
+    # each unknown's given coefficients by slot, up to the highest order a
+    # shift reads
+    rows: list[dict[int, Coefficient]] = []
+    for s in coefficients:
+        row = {}
+        for p, c in s.items():
+            k = slot.get(p)
+            if k is not None:
+                row[k] = c
+        rows.append(row)
+    lowest = min((p.order for s in coefficients for p in s), default=0)
+    for v, out in bindings.items():
         row = rows[v.unknown - 1]
-        out[v] = {
-            k: factor * row[src] for k, src, factor in _shift_plan(v.index, order) if row[src] is not None
-        }
-    return out
+        if not row:
+            continue
+        # the shifts of the q with |q| < lowest - |alpha| read no given
+        # coefficient: skip their slots
+        below = lowest - v.index.order
+        skip = math.comb(n + below - 1, n) if below > 0 else 0
+        for k, src, factor in _shift_plan(v.index, order)[skip:]:
+            c = row.get(src)
+            if c is not None:
+                out[k] = c if factor == 1 else factor * c
 
 
 def derivative(s: Mapping[MultiIndex, Coefficient], p: MultiIndex, exact: bool = True):

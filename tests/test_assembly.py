@@ -11,7 +11,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from densepde import jets
+from densepde import jets, ranges
 from densepde.construct import DensePointStream, construct_sequence
 from densepde.jets import Jet, parse_pde_text, prolong
 from densepde.multiindex import multi_indices, multi_indices_of_order, zero_index
@@ -28,6 +28,7 @@ from densepde.ranges import (
     solve_jets_triangular,
 )
 from densepde.systems import lewy_operator
+from densepde.taylor import jet_bindings, jet_coefficients
 
 import reference
 
@@ -186,7 +187,8 @@ def test_float_stacked_rows_match_the_prolonged_rows():
 def test_level_residuals_match_the_prolonged_rows(op, top, x):
     exact = op in (LEWY, POISSON)
     jet = Jet(op.n, op.k, op.order + top, some_jet(op, op.order + top, exact))
-    got = _residuals(op, x, jet, top)
+    bindings = jet_bindings(op.jet_variables, jet_coefficients(jet.values, op.k, exact), top)
+    got = _residuals(op, x, jet, top, bindings)
     want = reference.level_residuals(prolong(op, top), x, jet, top)
     if exact:
         assert got == want
@@ -210,6 +212,40 @@ def test_deep_levels_agree_with_the_prolonged_solve(op, x):
         for c, v in jet.values.items():
             w = result.jet.values[c]
             assert math.isfinite(w) and abs(w - v) <= 1e-12 * max(1.0, abs(v)), (c, w, v)
+
+
+@pytest.mark.parametrize(
+    "op,top,x",
+    [(LEWY, 4, (F(1, 2), F(-1, 2), F(1, 4))), (EIKONAL, 3, (F(1, 2), F(1, 3))), (EXP_GROWTH, 4, (F(1, 2),))],
+    ids=["lewy", "eikonal", "exp-growth"],
+)
+def test_grown_bindings_match_bindings_of_the_known_jets(monkeypatch, op, top, x):
+    # the solver grows one set of bindings level by level; each level's
+    # series, and the final residual walk, must see the bindings that
+    # jet_bindings gives of the jets known then, slot for slot in the same
+    # order, with equal values of the same type (so float walks are
+    # bit-identical)
+    seen = []
+
+    def record(op_, x_, bindings, order, exact):
+        if order == top:
+            snapshot = {v: [(k, type(c), c) for k, c in s.items()] for v, s in bindings.items()}
+            if not seen or seen[-1] != snapshot:
+                seen.append(snapshot)
+        return bound_series(op_, x_, bindings, order, exact)
+
+    bound_series = ranges._bound_series
+    monkeypatch.setattr(ranges, "_bound_series", record)
+    result = solve_jets_triangular(prolong(op, top), x)
+    assert result.solved
+    values, exact = result.jet.values, result.jet.exact
+    assert exact == (op is LEWY)
+    want = []
+    for level in range(top + 1):
+        known = below(values, op.order + level + 1)
+        bindings = jet_bindings(op.jet_variables, jet_coefficients(known, op.k, exact), top)
+        want.append({v: [(k, type(c), c) for k, c in s.items()] for v, s in bindings.items()})
+    assert seen == want
 
 
 class TestNoRowAboveLevelZero:

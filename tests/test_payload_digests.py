@@ -1,9 +1,10 @@
 """The exact payloads, pinned byte for byte.
 
-An exact sequence's manifest and verification JSON hold only integers,
-rational strings and fixed floats (the tolerance), so their bytes are
-the same on every Python; a change that moves one byte of them changes
-the file format or a verdict.
+An exact sequence's manifest and verification JSON, and an exact range
+check's JSON, hold only integers, rational strings and fixed floats (the
+tolerance), so their bytes are the same on every Python; a change that
+moves one byte of them changes the file format, a verdict or an exact
+jet.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ import pytest
 from densepde.construct import DensePointStream, construct_sequence
 from densepde.jets import parse_pde_text
 from densepde.manifest import sequence_from_json, sequence_to_json
+from densepde.ranges import range_condition_check
 from densepde.systems import lewy_operator
 from densepde.verify import verify_solution
 
@@ -56,3 +58,21 @@ def test_exact_payload_digests(name):
     assert json.dumps(verify_solution(op, seq).to_json(), indent=2, sort_keys=True) == verification
     assert json.loads(verification)["arithmetic"] == "exact"
     assert (digest(manifest), digest(verification)) == (manifest_digest, verification_digest)
+
+
+# the seed-0 lewy-deep benchmark: (range JSON of its 2 points to level 5,
+# manifest of schedule 3, 4, 5)
+LEWY_DEEP = (
+    "b1e6ca4ee08630f681d27eee4e9015ed806ffe7d73a8d57969f1de220396e22e",
+    "6d02edf06acee09cd2b4ee9b6f17290b056b2fe7e1842764aab7d4e8aa96e6b0",
+)
+
+
+def test_lewy_deep_payload_digests():
+    op = lewy_operator()
+    points = DensePointStream(op.domain).prefix(3)
+    report = range_condition_check(op, points[:2], 5).to_json()
+    seq = construct_sequence(op, points, (3, 4, 5))
+    assert report["all_ok"] and seq.exact
+    payloads = (report, sequence_to_json(seq))
+    assert tuple(digest(json.dumps(p, indent=2, sort_keys=True)) for p in payloads) == LEWY_DEEP
