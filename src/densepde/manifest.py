@@ -21,11 +21,12 @@ stage's jets), a field of the wrong JSON type, unknown or missing keys
 differs from its number of variables or domain intervals, a stage count
 other than the point count, a stage without exactly one entry per stage
 point, a null in the last stage, a jet whose order is not m + l_nu, a
-jet whose values do not match its arithmetic flag (exact: strings,
-float: numbers), and a float jet of an operator whose jets are exact at
-every rational point (rational-closed equations, affine in the base
-jets), which can only be a downgraded exact claim; the command line
-exits 2 on each.
+jet value keyed other than "u;(p_1,...,p_n)" as a dump spells one of
+the jet's coordinates, a jet whose values do not match its arithmetic
+flag (exact: strings, float: numbers), and a float jet of an operator
+whose jets are exact at every rational point (rational-closed equations,
+affine in the base jets), which can only be a downgraded exact claim;
+the command line exits 2 on each.
 """
 
 from __future__ import annotations
@@ -34,9 +35,11 @@ import itertools
 import json
 import os
 from fractions import Fraction
+from functools import lru_cache
+
 from .construct import SolutionSequence, glue, validate_schedule
 from .jets import Jet, PdeOperator
-from .multiindex import MultiIndex
+from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_expression, parse_rational
 from .printer import to_text
 from .ranges import jet_to_json, solves_exactly
@@ -84,6 +87,13 @@ def _parse_value(raw, exact: bool, where: str) -> Fraction | float:
     return float(raw)
 
 
+@lru_cache(maxsize=32)
+def _coordinates(n: int, k: int, order: int) -> dict[str, tuple[int, MultiIndex]]:
+    """The coordinates (u, p) of a jet of the given shape, keyed by their
+    manifest spelling "u;(p_1,...,p_n)", with multi_indices' objects."""
+    return {f"{u};{p}": (u, p) for p in multi_indices(n, order) for u in range(1, k + 1)}
+
+
 def jet_from_json(n: int, k: int, order: int, data: dict, where: str) -> Jet:
     """The jet a manifest stores at `where`; it must have the given order."""
     _check_keys(where, data, {"order", "arithmetic", "values"})
@@ -96,14 +106,16 @@ def jet_from_json(n: int, k: int, order: int, data: dict, where: str) -> Jet:
     exact = data["arithmetic"] == "exact"
     if not isinstance(data["values"], dict):
         raise ValueError(f"{where}: values: expected an object")
+    coordinates = _coordinates(n, k, order)
     values = {}
     for key, raw in data["values"].items():
-        unknown_text, index_text = key.split(";")
-        entries = tuple(int(t) for t in index_text.strip("()").split(","))
-        unknown, p = int(unknown_text), MultiIndex(entries)
-        if f"{unknown};{p}" != key:
-            raise ValueError(f"{where}: coordinate {key!r} is not canonical")
-        values[(unknown, p)] = _parse_value(raw, exact, where)
+        coordinate = coordinates.get(key)
+        if coordinate is None:
+            raise ValueError(
+                f"{where}: coordinate {key!r} is not canonical: expected "
+                f"u;(p_1,...,p_{n}) with u in 1..{k} and |p| <= {order}"
+            )
+        values[coordinate] = _parse_value(raw, exact, where)
     return Jet(n, k, order, values)
 
 

@@ -26,6 +26,19 @@ jet variables' bindings are slot series too: jet_bindings shifts each
 unknown's coefficients slot to slot, and series walks them as they are.
 In "float" mode every coefficient is a float, a zero included, so the
 walk keeps every coefficient it computes; otherwise it drops exact zeros.
+
+Outside "float" mode, a polynomial tree (Const, Var, Sum, Prod and Pow
+nodes, integer exponents >= 0) whose jet variables are bound to Fraction
+series is walked over integers (_IntegerWalk): each series is a dict of
+int numerators over one positive denominator, the layout of FLINT's
+fmpq_poly (Hart, "Fast Library for Number Theory: An Introduction", ICMS
+2010).  Sums rescale their terms to the lcm of the denominators; products
+convolve the numerators, multiply the denominators and divide through by
+one gcd.  series returns Fraction(num, den) per slot, so the Fractions,
+keys and order are those the Fraction walk (_Walk) gives.  Any other node,
+a float binding, and anything _Walk rejects (an unbound jet variable, an
+axis the point lacks, a point that is not finite) hand the whole tree to
+_Walk, which stays the reference and raises its own errors.
 """
 
 from __future__ import annotations
@@ -141,16 +154,17 @@ def _mul(a: dict, b: dict, lay: _Layout, floats: bool) -> dict:
     return acc if floats else _clean(acc)
 
 
-def _power(a: dict, k: int, lay: _Layout, floats: bool) -> dict:
-    """a^k for an integer k >= 1, by repeated squaring."""
+def _power(a, k: int, times):
+    """a^k for an integer k >= 1, by repeated squaring with times(x, y)
+    = x * y."""
     out = None
     while True:
         if k & 1:
-            out = a if out is None else _mul(out, a, lay, floats)
+            out = a if out is None else times(out, a)
         k >>= 1
         if not k:
             return out
-        a = _mul(a, a, lay, floats)
+        a = times(a, a)
 
 
 def _quot(num: dict, den: dict, lay: _Layout) -> dict:
@@ -384,7 +398,9 @@ class _Walk:
             return _fractional_power(a, k, self.lay)
         k = k.numerator
         if k > 0:
-            return _power(a, k, self.lay, self.float) if a else {}
+            if not a:
+                return {}
+            return _power(a, k, lambda x, y: _mul(x, y, self.lay, self.float))
         if k == 0:
             return {0: self.one}
         a0 = a.get(0)
@@ -431,6 +447,165 @@ _RULES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the integer walk: exact polynomial trees over one denominator per series
+
+class _Unserved(Exception):
+    """The integer walk met a node, an exponent or a binding it does not
+    serve; series then takes the tree through _Walk."""
+
+
+_ZERO: tuple[dict[int, int], int] = ({}, 1)
+
+
+def _lowest(num: dict[int, int], den: int) -> tuple[dict[int, int], int]:
+    """num / den, nonzero numerators, divided through by their gcd."""
+    g = math.gcd(den, *num.values())
+    if g == 1:
+        return num, den
+    return {k: v // g for k, v in num.items()}, den // g
+
+
+def _int_mul(a: tuple, b: tuple, lay: _Layout) -> tuple[dict[int, int], int]:
+    """a * b of nonzero series: the Cauchy product of the numerators over
+    the product of the denominators, in lowest terms."""
+    an, ad = a
+    bn, bd = b
+    if len(bn) == 1 and 0 in bn:
+        an, bn = bn, an
+    if len(an) == 1 and 0 in an:  # a constant: no slot sums, no zeros
+        c = an[0]
+        return _lowest({k: c * y for k, y in bn.items()}, ad * bd)
+    acc: dict[int, int] = {}
+    for i, x in an.items():
+        row = lay.times[i]
+        for j, y in bn.items():
+            k = row.get(j)
+            if k is not None:
+                acc[k] = acc[k] + x * y if k in acc else x * y
+    acc = {k: v for k, v in acc.items() if v}
+    return _lowest(acc, ad * bd) if acc else _ZERO
+
+
+class _IntegerWalk:
+    """_Walk's exact arithmetic for trees of Const, Var, Sum, Prod and Pow
+    with integer exponents >= 0, at a rational point, with Fraction
+    bindings.  A series is (num, den): a dict from slot to a nonzero int
+    numerator, over one positive int denominator.  The walk visits the
+    nodes _Walk visits, in its order, and raises _Unserved at anything it
+    does not serve, an unbound or float jet variable included, so each of
+    _Walk's errors is _Walk's own."""
+
+    def __init__(self, point: Sequence, lay: _Layout, bindings: Mapping):
+        try:
+            self.point = tuple(x if type(x) is Fraction else Fraction(x) for x in point)
+        except (ValueError, OverflowError, TypeError):
+            raise _Unserved from None
+        self.lay = lay
+        self.bindings = bindings
+        self.jets: dict = {}  # jet variable -> its converted binding
+        self.coords: dict[int, tuple] = {}  # axis -> the series of x_axis
+
+    def __call__(self, e: Expr) -> tuple[dict[int, int], int]:
+        rule = _INTEGER_RULES.get(type(e))
+        if rule is None:
+            raise _Unserved
+        return rule(self, e)
+
+    def const(self, e: Const):
+        c = e.value
+        if type(c) is not Fraction:
+            raise _Unserved
+        return ({0: c.numerator}, c.denominator) if c else _ZERO
+
+    def var(self, e: Var):
+        v = e.var
+        if isinstance(v, JetVar):
+            out = self.jets.get(v)
+            if out is None:
+                out = self.jets[v] = self.jet(v)
+            return out
+        out = self.coords.get(v.axis)
+        if out is None:
+            if not 1 <= v.axis <= len(self.point):
+                raise _Unserved
+            x = self.point[v.axis - 1]
+            num = {0: x.numerator} if x else {}
+            if self.lay.size > 1:
+                num[self.lay.unit[v.axis - 1]] = x.denominator
+            out = self.coords[v.axis] = (num, x.denominator)
+        return out
+
+    def jet(self, v: JetVar):
+        """The binding of v truncated to the walk's slots, exact zeros
+        dropped, over the lcm of its denominators."""
+        bound = self.bindings.get(v)
+        if bound is None:
+            raise _Unserved
+        size = self.lay.size
+        given = []
+        for k, c in bound.items():
+            if k < size:
+                if type(c) is not Fraction:
+                    raise _Unserved
+                n, d = c.as_integer_ratio()
+                if n:
+                    given.append((k, n, d))
+        if not given:
+            return _ZERO
+        den = math.lcm(*[d for _, _, d in given])
+        return {k: n if d == den else n * (den // d) for k, n, d in given}, den
+
+    def sum(self, e: Sum):
+        parts = []
+        for term in e.terms:
+            s = self(term)
+            if s[0]:
+                parts.append(s)
+        if len(parts) < 2:
+            return parts[0] if parts else _ZERO
+        den = math.lcm(*[d for _, d in parts])
+        acc: dict[int, int] = {}
+        for num, d in parts:
+            f = den // d
+            for k, v in num.items():
+                if f != 1:
+                    v *= f
+                acc[k] = acc[k] + v if k in acc else v
+        acc = {k: v for k, v in acc.items() if v}
+        return (acc, den) if acc else _ZERO
+
+    def prod(self, e: Prod):
+        # _Walk's order: the factors reversed, stopping at an exact zero
+        out = None
+        for factor in reversed(e.factors):
+            s = self(factor)
+            if not s[0]:
+                return _ZERO
+            out = s if out is None else _int_mul(out, s, self.lay)
+        return out
+
+    def pow(self, e: Pow):
+        a, k = self(e.base), e.exponent
+        if k.denominator != 1 or k < 0:
+            raise _Unserved
+        k = k.numerator
+        if k == 0:
+            return ({0: 1}, 1)
+        if not a[0]:
+            return _ZERO
+        return _power(a, k, lambda x, y: _int_mul(x, y, self.lay))
+
+
+_INTEGER_RULES = {
+    Const: _IntegerWalk.const,
+    Var: _IntegerWalk.var,
+    Sum: _IntegerWalk.sum,
+    Prod: _IntegerWalk.prod,
+    Pow: _IntegerWalk.pow,
+}
+
+
 def series(
     e: Expr,
     point: Sequence,
@@ -450,21 +625,39 @@ def series(
     computes in floats from the leaves up.  A float coefficient is never
     NaN or inf, and no float overflow or zero division escapes:
     EvaluationError is raised instead.
+
+    Outside "float" mode, a polynomial tree whose jet variables are bound
+    to Fraction series is walked over integers, to the same Fractions
+    (see the module docstring); every other tree goes through _Walk.
     """
     if mode not in MODES:
         raise ValueError(f"unknown arithmetic {mode!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
     lay = _layout(len(point), order)
+    if mode != "float":
+        try:
+            num, den = _IntegerWalk(point, lay, bindings or {})(e)
+        except _Unserved:
+            pass
+        else:
+            indices = lay.indices
+            return {indices[k]: Fraction(num[k], den) for k in sorted(num)}
+    return _walk(e, point, lay, mode, bindings or {})
+
+
+def _walk(
+    e: Expr, point: Sequence, lay: _Layout, mode: str, bindings: Mapping
+) -> dict[MultiIndex, Coefficient]:
+    """series through _Walk, for every tree and mode: the reference the
+    integer walk is tested against."""
     size = lay.size
     if mode == "float":
-        walk_bindings = {
-            v: {k: float(c) for k, c in s.items() if k < size} for v, s in (bindings or {}).items()
-        }
+        walk_bindings = {v: {k: float(c) for k, c in s.items() if k < size} for v, s in bindings.items()}
     else:
         walk_bindings = {
             v: {k: c for k, c in s.items() if k < size and (c or type(c) is float)}
-            for v, s in (bindings or {}).items()
+            for v, s in bindings.items()
         }
     try:
         out = _Walk(point, lay, mode, walk_bindings)(e)

@@ -17,6 +17,7 @@ import io
 import os
 import tempfile
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from densepde.cli import main
@@ -142,7 +143,10 @@ def edit_key(raw, draw):
     records = [raw, raw["operator"], raw["stages"][0], jet, jet["values"]]
     record = draw(st.sampled_from(records))
     old = pick(draw, record)
-    names = st.sampled_from(["1;(0,0)", "2;(0,0)", "1;(9,0)", "1;(0, 1)", "x", ""])
+    names = st.sampled_from([
+        "1;(0,0)", "2;(0,0)", "3;(0,0)", "1;(9,0)", "1;(0, 1)", "x", "",
+        "1", "1;(a,b)", "1;(0,0);2",
+    ])
     new = draw(names | st.just(old + "s"))
     assume(new not in record)
     record[new] = record.pop(old)
@@ -192,3 +196,19 @@ def test_one_edit_passes_only_a_solution(edit, data):
         assert code in (0, 1, 2)
         if code == 0:
             assert solves_symbolically(path)
+
+
+@pytest.mark.parametrize("key", ["1", "1;(a,b)", "1;(0,0);2", "3;(0,0)", "1;(-1,0)", "1;(0, 1)"])
+def test_malformed_coordinate_names_its_jet_and_key(key):
+    # the operator has one unknown, so "3;(0,0)" is out of range
+    raw = copy.deepcopy(manifest())
+    nu, i = entries(raw)[0]
+    values = raw["stages"][nu]["jets"][i]["values"]
+    values[key] = values.pop("1;(0,1)")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sequence.json")
+        write_json(path, raw)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            assert main(["verify", path]) == 2
+    assert f"error: stage {nu} jet {i}: coordinate {key!r} is not canonical" in out.getvalue()

@@ -7,9 +7,10 @@ import struct
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from densepde import taylor
 from densepde.construct import DensePointStream, construct_sequence
 from densepde.expr import (
     FUNCTIONS,
@@ -225,7 +226,7 @@ def test_shift_and_bindings():
     assert [derivative(s, p) for p in multi_indices(1, 2)] == [F(1, 4), F(3, 2), F(6)]
 
 
-JET_CONTEXTS = {n: Context(("x", "y", "z")[:n], ("u", "v")) for n in (1, 2)}
+JET_CONTEXTS = {n: Context(("x", "y", "z")[:n], ("u", "v")) for n in (1, 2, 3)}
 # exact and float zeros, of both signs, among the jet values
 JET_VALUES = st.one_of(
     st.sampled_from([F(0), 0.0, -0.0]), SMALL, st.floats(-2, 2, allow_nan=False)
@@ -282,6 +283,134 @@ def test_slot_bindings_match_the_keyed_shift(case, mode):
             return exc
 
     assert bits(outcome(bound)) == bits(outcome(keyed))
+
+
+# ---------------------------------------------------------------------------
+# the integer walk against _Walk, which stays its reference
+
+# up to ~730-bit numerators and denominators: Lewy level 12 reaches 727 bits
+HUGE = st.builds(F, st.integers(-(2**730), 2**730), st.integers(1, 2**730))
+EXACT_VALUES = st.one_of(st.just(F(0)), SMALL, HUGE)
+
+
+def polynomial_trees(n: int, jets):
+    """Random trees of the nodes the integer walk serves: Const, Var, Sum,
+    Prod and Pow with an exponent 0..3, built without the smart
+    constructors' simplification, so zero constants and x^0 stay."""
+    leaves = st.one_of(
+        EXACT_VALUES.map(Const),
+        st.sampled_from([Var(v) for v in (*CONTEXTS[n].space_vars(), *jets)]),
+    )
+
+    def grow(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda t: Sum(tuple(t))),
+            st.lists(children, min_size=2, max_size=3).map(lambda t: Prod(tuple(t))),
+            st.tuples(children, st.integers(0, 3)).map(lambda t: Pow(t[0], F(t[1]))),
+        )
+
+    return st.recursive(leaves, grow, max_leaves=8)
+
+
+@st.composite
+def polynomial_cases(draw):
+    n = draw(st.integers(1, 3))
+    jets = [JET_CONTEXTS[n].jet(u, p) for u in (1, 2) for p in multi_indices(n, 1)]
+    e = draw(polynomial_trees(n, jets))
+    order = draw(st.integers(0, 3 if n < 3 else 2))
+    # bound beyond the walk's order, so slots past it are in the bindings
+    bound_order = order + draw(st.integers(0, 2))
+    indices = multi_indices(n, bound_order + 1)
+    coefficients = [
+        draw(st.dictionaries(st.sampled_from(indices), EXACT_VALUES)) for _ in range(2)
+    ]
+    # a coordinate equal to 0 among the others
+    coordinate = st.one_of(st.just(F(0)), st.fractions(-2, 2, max_denominator=8), HUGE)
+    point = draw(st.tuples(*[coordinate] * n))
+    return e, jets, coefficients, point, order, bound_order
+
+
+def walked(e, point, order, mode="auto", bindings=None):
+    """series through _Walk alone, or the error it raises."""
+    try:
+        return taylor._walk(e, point, taylor._layout(len(point), order), mode, bindings or {})
+    except (EvaluationError, ExactnessUnavailable) as exc:
+        return exc
+
+
+def outcome(e, point, order, mode="auto", bindings=None):
+    """series, or the error it raises."""
+    try:
+        return series(e, point, order, mode, bindings)
+    except (EvaluationError, ExactnessUnavailable) as exc:
+        return exc
+
+
+@given(polynomial_cases())
+@settings(max_examples=300, deadline=None)
+@example((Pow(Const(F(0)), F(0)), [], [{}, {}], (F(0),), 2, 2))
+def test_integer_walk_matches_walk(case):
+    e, jets, coefficients, point, order, bound_order = case
+    bound = jet_bindings(jets, coefficients, bound_order)
+    taylor._IntegerWalk(point, taylor._layout(len(point), order), bound)(e)  # served
+    got = series(e, point, order, "auto", bound)
+    # Fraction for Fraction, with the same keys in the same order
+    assert bits(got) == bits(walked(e, point, order, "auto", bound))
+    assert all(type(c) is F for c in got.values())
+    # and the keyed shift oracle's bindings walk to the same series
+    keyed = keyed_bindings(jets, coefficients, bound_order)
+    assert bits(got) == bits(walked(e, point, order, "auto", keyed))
+    assert bits(series(e, point, order, "exact", bound)) == bits(got)
+
+
+@given(bound_cases(), st.sampled_from(["auto", "exact"]))
+@settings(max_examples=200, deadline=None)
+def test_mixed_trees_give_the_walks_bits_and_errors(case, mode):
+    # quotients, negative and fractional powers, functions and float
+    # bindings go through _Walk whole: the same bits, or the same error
+    e, jets, coefficients, point, order = case
+    bound = jet_bindings(jets, coefficients, order)
+    assert bits(outcome(e, point, order, mode, bound)) == bits(walked(e, point, order, mode, bound))
+
+
+def test_fallback_errors_are_the_walks():
+    ctx = Context(("x", "y"), ("u",))
+    x, y = (Var(v) for v in ctx.space_vars())
+    ux = Var(ctx.jet(1, (1, 0)))
+    point = (F(0), F(1, 3))
+    float_bound = {ctx.jet(1, (1, 0)): {0: 0.5, 1: F(1)}}
+    cases = [
+        # an unbound jet variable, a bad axis
+        (Sum((x, ux)), {}),
+        (Prod((y, Var(CONTEXTS[3].space(3)))), {}),
+        (Pow(ux, F(0)), {}),
+        # division by zero, zero to a negative power
+        (Quot(y, x), {}),
+        (Pow(Sum((x, Const(F(0)))), F(-2)), {}),
+        # a float binding, exp, a bump
+        (Prod((ux, x)), float_bound),
+        (Sum((sfn("exp", x), y)), {}),
+        (Prod((Bump((F(0), F(0)), F(1, 4), F(1, 2), ctx.space_vars(), zero_index(2)), y)), {}),
+    ]
+    for e, bound in cases:
+        got, want = outcome(e, point, 2, "auto", bound), walked(e, point, 2, "auto", bound)
+        assert bits(got) == bits(want), e
+    assert isinstance(outcome(Sum((x, ux)), point, 2), EvaluationError)
+    assert isinstance(outcome(Pow(ux, F(0)), point, 2), EvaluationError)
+    # an exact zero factor ends a product before its unbound factor is read
+    assert outcome(Prod((ux, Const(F(0)))), point, 2) == {}
+    assert str(outcome(Quot(y, x), point, 2)) == "division by zero"
+    assert isinstance(outcome(Const(F(1)), (math.inf,), 0), EvaluationError)
+
+
+def test_exact_mode_on_a_served_tree_returns_only_fractions():
+    ctx = Context(("x", "y"), ("u",))
+    ux = ctx.jet(1, (1, 0))
+    e = ctx.parse("u_x^2*x - 3/7*y*u_x + x^0 + 1")
+    bound = {ux: {0: F(1, 3), 1: F(0), 2: F(5, 2), 9: F(7)}}
+    got = series(e, (F(1, 2), F(-2, 5)), 2, "exact", bound)
+    assert got and all(type(c) is F for c in got.values())
+    assert bits(got) == bits(walked(e, (F(1, 2), F(-2, 5)), 2, "exact", bound))
 
 
 def test_jet_coefficients_round_trip_jet_of_function():
