@@ -225,9 +225,9 @@ class BumpScan:
         self._distances: dict[Point, list[Fraction]] = {}
         self._radii: dict[Bump, Fraction] = {}
 
-    def __call__(self, point: Point, bumps: Sequence[Bump]) -> tuple[Bump, Fraction] | None:
-        """The first bump whose open support holds the point, with the
-        squared distance t from its centre; None when no support does."""
+    def __call__(self, point: Point, bumps: Sequence[Bump]) -> Bump | None:
+        """The first bump whose open support holds the point; None when no
+        support does."""
         distances = self._distances.get(point)
         if distances is None:
             distances = []
@@ -240,7 +240,7 @@ class BumpScan:
             if r2 is None:
                 r2 = self._radii[bump] = bump.r_out ** 2
             if distances[j] < r2:
-                return bump, distances[j]
+                return bump
         return None
 
 
@@ -304,26 +304,25 @@ class DiscreteSolve(Frozen):
         self, point: Point, order: int, mode: str = "auto"
     ) -> list[dict[MultiIndex, Fraction | float]]:
         """Per unknown, taylor.series of the glued function at the point,
-        read off the jets and bumps.  The supports are disjoint, so at most
-        one holds the point; where none does, every series is empty.  At
-        the bump's own centre the bump is 1 to every order, and c_p is the
+        read off the jets and bumps.  At one of the stage's own points, the
+        centre of its bump, the bump is 1 to every order, and c_p is the
         jet's D^p u / p! (|p| <= order), a Fraction unless mode is "float".
-        Elsewhere in the support it is the series of that one bump *
-        polynomial piece."""
+        Elsewhere the supports are disjoint, so at most one holds the
+        point: the series is that one bump * polynomial piece's, or empty
+        where none does."""
         context = self.polynomials.context
-        found = self.scan(point, self.bumps)
-        if found is None:
-            return [{} for _ in range(context.k)]
-        bump, t = found
-        jet = self.jets[bump.center]
-        if t:  # off the centre: a later point of the sequence
+        jet = self.jets.get(point)
+        if jet is not None:
             return [
-                series(sprod([bump, poly]), point, order, mode)
-                for poly in self.polynomials(bump.center, jet)
+                {p: c for p, c in coefficients.items() if c and p.order <= order}
+                for coefficients in jet_coefficients(jet.values, context.k, mode != "float")
             ]
+        bump = self.scan(point, self.bumps)
+        if bump is None:
+            return [{} for _ in range(context.k)]
         return [
-            {p: c for p, c in coefficients.items() if c and p.order <= order}
-            for coefficients in jet_coefficients(jet.values, context.k, mode != "float")
+            series(sprod([bump, poly]), point, order, mode)
+            for poly in self.polynomials(bump.center, self.jets[bump.center])
         ]
 
 

@@ -229,9 +229,6 @@ def as_expr(x) -> Expr:
 # ---------------------------------------------------------------------------
 # canonical ordering
 
-_RANK = {Const: 0, Var: 1, Pow: 2, Prod: 3, Quot: 4, Fn: 5, Sum: 6, Bump: 7}
-
-
 def sort_key(e: Expr):
     """Total order on expressions; used for canonical child order."""
     if isinstance(e, Const):

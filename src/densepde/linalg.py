@@ -2,7 +2,8 @@
 
 The exact routines share one fraction-free kernel.  Each rational row is
 scaled to integers by the least common multiple of its denominators (a
-right-hand side entry is scaled with its row), and one elimination pass
+right-hand side entry is scaled with its row, and an absent entry is the
+int 0, which costs a C-level truth test).  One elimination pass
 over the sparse integer rows, in row order, finds the pivot each row adds
 or shows that it depends on the rows before it.  A row is reduced only at
 its leading column, its largest one other than the right-hand side, by
@@ -43,15 +44,15 @@ from itertools import chain
 from math import gcd, hypot, inf, isqrt, lcm, ldexp
 from operator import mul
 
-Row = list[Fraction]
+Row = list[Fraction | int]  # the int 0 for an absent entry
 FLOAT_RANK_TOL = 1e-9
 EPS = sys.float_info.epsilon
 
 
 def _integer_rows(rows) -> list[dict[int, int]]:
-    """Each rational row as {column: integer} over its nonzero entries,
-    scaled by the least common multiple of its denominators.  A Fraction
-    entry is read as it is; any other entry is converted by Fraction."""
+    """Each rational row as {column: integer} over its entries that test
+    true (the int 0 at C level), scaled by the lcm of their denominators;
+    an entry other than a Fraction is converted by Fraction."""
     out = []
     for row in rows:
         entries = [(c, v if type(v) is Fraction else Fraction(v)) for c, v in enumerate(row) if v]
@@ -314,20 +315,20 @@ def _pivoted_qr(cols: list[list[float]], cutoff: float, rhs=()):
     return len(reflectors), top, order, reflectors
 
 
-def float_rank(matrix, tol: float = FLOAT_RANK_TOL, rhs=None):
-    """Rank with |R_kk| <= tol * |R_00| in a pivoted QR treated as zero.
+def float_rank(matrix, rhs=None):
+    """Rank with |R_kk| <= FLOAT_RANK_TOL * |R_00| in a pivoted QR as zero.
 
     With `rhs` the result is the pair (rank A, rank [A | rhs]) from A's
     factorization alone: the column adds one to the rank when its part
-    outside the range of A's first rank pivot columns is above tol
-    times the largest column norm of [A | rhs]."""
+    outside the range of A's first rank pivot columns is above
+    FLOAT_RANK_TOL times the largest column norm of [A | rhs]."""
     cols = _columns(matrix)
     extra = [] if rhs is None else [[float(v) for v in rhs]]
     size = hypot(*extra[0]) if extra else 0.0
-    rank, top, _, _ = _pivoted_qr(cols, tol, extra)
+    rank, top, _, _ = _pivoted_qr(cols, FLOAT_RANK_TOL, extra)
     if rhs is None:
         return rank
-    return rank, rank + (hypot(*extra[0][rank:]) > tol * max(top, size))
+    return rank, rank + (hypot(*extra[0][rank:]) > FLOAT_RANK_TOL * max(top, size))
 
 
 def _lstsq_cutoff(matrix) -> float:

@@ -23,10 +23,11 @@ other than the point count, a stage without exactly one entry per stage
 point, a null in the last stage, a jet whose order is not m + l_nu, a
 jet value keyed other than "u;(p_1,...,p_n)" as a dump spells one of
 the jet's coordinates, a jet whose values do not match its arithmetic
-flag (exact: strings, float: numbers), and a float jet of an operator
-whose jets are exact at every rational point (rational-closed equations,
-affine in the base jets), which can only be a downgraded exact claim;
-the command line exits 2 on each.
+flag (exact: strings, float: numbers), a float value that is not finite
+(NaN, an infinity, a number beyond the float range), and a float jet of
+an operator whose jets are exact at every rational point (rational-closed
+equations, affine in the base jets), which can only be a downgraded exact
+claim; the command line exits 2 on each.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
@@ -77,13 +79,15 @@ def _array(where: str, value, item: type | None = None) -> list:
     return value
 
 
-def _parse_value(raw, exact: bool, where: str) -> Fraction | float:
+def _parse_value(raw, exact: bool, where: str, key: str) -> Fraction | float:
     if exact:
         if not isinstance(raw, str):
             raise ValueError(f"{where}: exact value {raw!r} is not a string")
         return parse_rational(raw)
     if isinstance(raw, bool) or not isinstance(raw, (int, float)):
         raise ValueError(f"{where}: float value {raw!r} is not a number")
+    if not abs(raw) <= sys.float_info.max:  # NaN, an infinity or a huge integer
+        raise ValueError(f"{where}: coordinate {key!r}: {json.dumps(raw)[:40]} is not finite")
     return float(raw)
 
 
@@ -115,7 +119,7 @@ def jet_from_json(n: int, k: int, order: int, data: dict, where: str) -> Jet:
                 f"{where}: coordinate {key!r} is not canonical: expected "
                 f"u;(p_1,...,p_{n}) with u in 1..{k} and |p| <= {order}"
             )
-        values[coordinate] = _parse_value(raw, exact, where)
+        values[coordinate] = _parse_value(raw, exact, where, key)
     return Jet(n, k, order, values)
 
 

@@ -42,7 +42,6 @@ def damped_newton(
     jac: Callable[[Vector], Sequence[Sequence[float]]],
     x0: Sequence[float],
     tol: float = 1e-12,
-    max_iter: int = MAX_ITER,
 ) -> NewtonResult:
     x = [float(v) for v in x0]
     try:
@@ -50,7 +49,7 @@ def damped_newton(
     except EvaluationError:
         return NewtonResult(False, x, math.inf, False, 0)
     res = math.hypot(*f)
-    for it in range(max_iter):
+    for it in range(MAX_ITER):
         if res <= tol:
             return NewtonResult(True, x, res, False, it)
         try:
@@ -85,7 +84,7 @@ def damped_newton(
             lam *= 0.5
         if not improved:
             return NewtonResult(False, x, res, True, it)
-    return NewtonResult(res <= tol, x, res, False, max_iter)
+    return NewtonResult(res <= tol, x, res, False, MAX_ITER)
 
 
 def multistart_newton(

@@ -97,10 +97,11 @@ def _leibniz(p: MultiIndex) -> dict[tuple, tuple[tuple, int]]:
     return out
 
 
-def _assemble(coefficients, offsets, indices, columns, exact: bool):
+def _assemble(coefficients, offsets, indices, columns):
     """Matrix A and right-hand side b of the prolonged rows (j, p) at a
     point, for p in `indices` and then j in equation order, in the jet
-    `columns`; each entry a Fraction when `exact`, a float otherwise.
+    `columns`.  An entry that no term reaches, and b at a row without
+    c_{j,p}, is the int 0 in either arithmetic (linalg.Row).
 
     coefficients[j - 1] maps each jet (u, alpha) of G_j to the Taylor
     series at the point of its coefficient a_{j,u,alpha} = dG_j/du_alpha,
@@ -109,7 +110,6 @@ def _assemble(coefficients, offsets, indices, columns, exact: bool):
     sum of (p!/q!) c_{p-q}(a_{j,u,alpha}) over q <= p, and b = -p! c_{j,p}.
     A jet that is not a column counts as known: its terms are in c_j."""
     index = {(u, q.entries): i for i, (u, q) in enumerate(columns)}
-    zero = Fraction(0) if exact else 0.0
     a, b = [], []
     for p in indices:
         terms, factor = _leibniz(p), p.factorial()
@@ -125,12 +125,12 @@ def _assemble(coefficients, offsets, indices, columns, exact: bool):
                     if i is not None:
                         t = c if weight == 1 else weight * c
                         entries[i] = entries[i] + t if i in entries else t
-            row = [zero] * len(columns)
+            row = [0] * len(columns)
             for i, v in entries.items():
                 row[i] = v
             a.append(row)
             c = offset.get(p)
-            b.append(zero if c is None else -(factor * c))
+            b.append(0 if c is None else -(factor * c))
     return a, b
 
 
@@ -148,7 +148,6 @@ def _stacked(sys: ProlongedSystem, x: Sequence, exact: bool):
         _equation_series(op, x, {}, level, exact),
         multi_indices(op.n, level),
         jet_columns(op.n, op.k, sys.top_order),
-        exact,
     )
 
 
@@ -381,7 +380,7 @@ def solve_jets_triangular(
         a, b = _assemble(
             _gradient_values(op, x, known, exact),
             _equation_series(op, x, known, 0, exact),
-            [zero_index(n)], free_cols, exact,
+            [zero_index(n)], free_cols,
         )
         solved, failure = _solve_affine(free_cols, a, b, exact, tol, 0)
     lam = 0
@@ -397,7 +396,7 @@ def solve_jets_triangular(
             a, b = _assemble(
                 coefficients,
                 _bound_series(op, x, bindings, sys.level, exact),
-                multi_indices_of_order(n, lam), columns, exact,
+                multi_indices_of_order(n, lam), columns,
             )
             solved, failure = _solve_affine(columns, a, b, exact, tol, lam)
             if failure is not None:
@@ -535,7 +534,7 @@ def _solve_newton_base(
 
 def _residuals(op: PdeOperator, x, jet: Jet, top: int, bindings: dict) -> list:
     """For each level l up to the jet's, the largest |F_{j,p}| over the
-    rows of level <= l at the solved jet, in the jet's arithmetic.
+    rows of level <= l at the solved jet, in its arithmetic (0 while all are zero).
 
     F_{j,p} = p! c_{j,p} for the series c_j of each equation with its jet
     variables bound to the jet, `bindings` (taylor.jet_bindings of the
@@ -546,7 +545,7 @@ def _residuals(op: PdeOperator, x, jet: Jet, top: int, bindings: dict) -> list:
     coefficient is a Fraction."""
     exact = jet.exact
     offsets = _bound_series(op, x, bindings, top, exact)
-    worst = Fraction(0) if exact else 0.0
+    worst = 0
     running = []
     for level in range(jet.order - op.order + 1):
         for p in multi_indices_of_order(op.n, level):

@@ -23,18 +23,16 @@ from .parser import Context, parse_expression
 
 LEWY_VARS = ("x", "y", "z")
 LEWY_UNKNOWNS = ("v", "w")
+LEWY_DOMAIN = ((-1, 1), (-1, 1), (-1, 1))
 
 
 def lewy_context() -> Context:
     return Context(LEWY_VARS, LEWY_UNKNOWNS)
 
 
-def lewy_operator(
-    f1: str | Expr = "x",
-    f2: str | Expr = "y",
-    domain: tuple = ((-1, 1), (-1, 1), (-1, 1)),
-) -> PdeOperator:
-    """The real split system with right-hand side (f1, f2).
+def lewy_operator(f1: str | Expr = "x", f2: str | Expr = "y") -> PdeOperator:
+    """The real split system with right-hand side (f1, f2), on the box
+    LEWY_DOMAIN.
 
     The right-hand sides may be expression text in x, y, z (polynomials
     keep everything rational-exact) or already-parsed expressions.
@@ -51,5 +49,5 @@ def lewy_operator(
     equations = tuple(
         normalize_homogeneous(g, f) for g, f in zip(lhs, rhs)
     )
-    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in domain)
+    box = tuple((Fraction(lo), Fraction(hi)) for lo, hi in LEWY_DOMAIN)
     return PdeOperator(ctx, 1, equations, box)

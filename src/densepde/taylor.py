@@ -22,10 +22,10 @@ Inside, a series is a dict from slot to coefficient, where slot k is the
 k-th multi-index of the graded-lex enumeration multi_indices(n, order).
 The enumeration up to a lower order is a prefix of the one up to a higher
 order, so series truncated at different orders share their slots.  The
-jet variables' bindings are slot series too: jet_bindings shifts each
-unknown's coefficients slot to slot, and series walks them as they are.
-In "float" mode every coefficient is a float, a zero included, so the
-walk keeps every coefficient it computes; otherwise it drops exact zeros.
+jet variables' bindings are slot series too (jet_bindings), which a walk
+reads when the tree first reaches them, cut to its slots.  In "float"
+mode every coefficient is a float, a zero included, so the walk keeps
+every coefficient it computes; otherwise it drops exact zeros.
 
 Outside "float" mode, a polynomial tree (Const, Var, Sum, Prod and Pow
 nodes, integer exponents >= 0) whose jet variables are bound to Fraction
@@ -351,6 +351,7 @@ class _Walk:
         self.one = 1.0 if self.float else Fraction(1)
         self.coords = tuple(self.number(x) for x in self.exact_point)
         self.bindings = bindings
+        self.jets: dict = {}  # jet variable -> its converted binding
 
     def number(self, x):
         return float(x) if self.float else x
@@ -364,10 +365,10 @@ class _Walk:
     def var(self, e: Var) -> dict:
         v = e.var
         if isinstance(v, JetVar):
-            bound = self.bindings.get(v)
-            if bound is None:
-                raise EvaluationError(f"no value assigned to {v}")
-            return bound
+            out = self.jets.get(v)
+            if out is None:
+                out = self.jets[v] = self.jet(v)
+            return out
         if not 1 <= v.axis <= len(self.coords):
             raise EvaluationError(f"no value assigned to {v}")
         x = self.coords[v.axis - 1]
@@ -375,6 +376,16 @@ class _Walk:
         if self.lay.size > 1:
             out[self.lay.unit[v.axis - 1]] = self.one
         return out
+
+    def jet(self, v: JetVar) -> dict:
+        """v's binding cut to the walk's slots: floats, or exact zeros dropped."""
+        bound = self.bindings.get(v)
+        if bound is None:
+            raise EvaluationError(f"no value assigned to {v}")
+        size = self.lay.size
+        if self.float:
+            return {k: float(c) for k, c in bound.items() if k < size}
+        return {k: c for k, c in bound.items() if k < size and (c or type(c) is float)}
 
     def sum(self, e: Sum) -> dict:
         acc: dict = {}
@@ -619,12 +630,13 @@ def series(
     `point` gives the space coordinates, axis 1 first.  `bindings` gives
     the series of each jet variable at the point as a slot series, to
     `order` or beyond (jet_bindings); a missing slot is an exact zero.
+    A binding is read when the walk first reaches its variable.
     Modes: "auto" keeps each coefficient exact (Fraction) when every
     input to it is exact and float otherwise; "exact" raises
     ExactnessUnavailable unless every coefficient is exact; "float"
     computes in floats from the leaves up.  A float coefficient is never
     NaN or inf, and no float overflow or zero division escapes:
-    EvaluationError is raised instead.
+    EvaluationError is raised instead, also for a binding beyond floats.
 
     Outside "float" mode, a polynomial tree whose jet variables are bound
     to Fraction series is walked over integers, to the same Fractions
@@ -651,16 +663,8 @@ def _walk(
 ) -> dict[MultiIndex, Coefficient]:
     """series through _Walk, for every tree and mode: the reference the
     integer walk is tested against."""
-    size = lay.size
-    if mode == "float":
-        walk_bindings = {v: {k: float(c) for k, c in s.items() if k < size} for v, s in bindings.items()}
-    else:
-        walk_bindings = {
-            v: {k: c for k, c in s.items() if k < size and (c or type(c) is float)}
-            for v, s in bindings.items()
-        }
     try:
-        out = _Walk(point, lay, mode, walk_bindings)(e)
+        out = _Walk(point, lay, mode, bindings)(e)
     except ArithmeticError as exc:
         raise EvaluationError(f"series evaluation failed: {exc}") from None
     result: dict[MultiIndex, Coefficient] = {}
@@ -682,7 +686,8 @@ def jet_coefficients(
 ) -> list[dict[MultiIndex, Coefficient]]:
     """Per unknown u = 1..k, the Taylor coefficients {q: v / q!} of the jet
     values {(u, q): v}, zeros included: a Fraction each when `exact`, a
-    float (v / q! correctly rounded) otherwise."""
+    float (v / q! correctly rounded) otherwise, and EvaluationError for
+    one outside the float range."""
     out: list[dict[MultiIndex, Coefficient]] = [{} for _ in range(k)]
     for (u, q), v in values.items():
         f = q.factorial()
@@ -691,7 +696,10 @@ def jet_coefficients(
                 v = Fraction(v)
             out[u - 1][q] = v if f == 1 else v / f
         else:
-            out[u - 1][q] = float(v if f == 1 else v / f)
+            try:
+                out[u - 1][q] = float(v if f == 1 else v / f)
+            except OverflowError:
+                raise EvaluationError(f"jet value {u};{q} is beyond the float range") from None
     return out
 
 

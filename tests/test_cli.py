@@ -262,6 +262,22 @@ eq: 0*u - 1
             "inconsistent affine system at level 0"
         ]
 
+    def test_float_verify_of_a_jet_beyond_the_float_range_is_clean_error(self, tmp_path, capsys):
+        # u is free at a Poisson point: an exact 10^400 there verifies
+        # exactly, and a float verify, which cannot represent it, exits 2
+        pde = tmp_path / "poisson.pde"
+        pde.write_text(POISSON)
+        out = str(tmp_path / "out")
+        assert main(["construct", str(pde), "--schedule", "1,1", "--count", "2", "--out", out]) == 0
+        path = f"{out}/sequence.json"
+        raw = read_json(path)
+        raw["stages"][-1]["jets"][0]["values"]["1;(0,0)"] = str(10**400)
+        write_json(path, raw)
+        assert main(["verify", path]) == 0
+        capsys.readouterr()
+        assert main(["verify", path, "--arith", "float"]) == 2
+        assert_one_error_line(capsys, "jet value 1;(0,0) is beyond the float range")
+
     def test_exact_no_solution_reports_the_exact_floor(self, tmp_path, capsys):
         # inconsistent in exact arithmetic, equal rows once rounded to
         # floats: the floor is the exact one, 10^-20 / sqrt(2 + ...), not 0

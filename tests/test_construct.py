@@ -3,9 +3,11 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
 from densepde.construct import (
+    BumpScan,
     ConstructionError,
     DensePointStream,
     bump_prefixes,
@@ -17,6 +19,7 @@ from densepde import construct, jets, ranges
 from densepde.expr import (
     Const,
     Var,
+    bump_region,
     differentiate,
     evaluate_exact,
     evaluate_float,
@@ -134,6 +137,42 @@ class TestBumpPrefixes:
             assert got == want
             assert all(type(r) is F for _, r_in, r_out in got for r in (r_in, r_out))
         assert self.radii(make_bumps(pts, box, ctx)) == self.radii(prefixes[-1])
+
+
+@st.composite
+def dyadic_point_sets(draw):
+    """(points, queries): distinct dyadic points strictly inside the unit
+    cube of 1 to 3 dimensions, and more dyadic points of the cube, some
+    of them on its boundary."""
+    n = draw(st.integers(1, 3))
+
+    def points(count, margin):
+        def coordinate():
+            scale = 2 ** draw(st.integers(1, 5))
+            return F(draw(st.integers(margin, scale - margin)), scale)
+
+        return [tuple(coordinate() for _ in range(n)) for _ in range(count)]
+
+    inside = list(dict.fromkeys(points(draw(st.integers(1, 8)), 1)))
+    return inside, points(draw(st.integers(0, 4)), 0)
+
+
+class TestBumpScan:
+    """BumpScan against bump_region, with one scan shared by every prefix
+    stage of a point set, as glue shares it."""
+
+    @given(dyadic_point_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_scan_returns_the_first_bump_that_holds_the_point(self, case, rng):
+        pts, others = case
+        ctx = Context(("x", "y", "z")[: len(pts[0])])
+        prefixes = bump_prefixes(pts, ((F(0), F(1)),) * len(pts[0]), ctx)
+        queries = [(bumps, a) for bumps in prefixes for a in pts + others]
+        rng.shuffle(queries)
+        scan = BumpScan()
+        for bumps, a in queries:
+            want = next((b for b in bumps if bump_region(b, a) != "outside"), None)
+            assert scan(a, bumps) is want
 
 
 class TestComponentSeries:

@@ -1,7 +1,8 @@
 """Import hygiene of the package, checked with the standard library's ast:
 no module of the package or of its tests imports a name it never uses,
-the package's imports sit at module level, and every name the package
-re-exports is used by the package or a demo.
+the package's imports sit at module level, every name the package
+re-exports is used by the package or a demo, and every private
+module-level function, class or assignment is read by the package.
 The package has no runtime dependencies: importing it loads no numpy, and
 it generates no class code: it loads neither dataclasses nor inspect.  Nor
 does it load tempfile or csv, with or without the site module.
@@ -73,11 +74,15 @@ def test_no_unused_imports():
 
 
 def _referenced(tree):
-    """Names and attributes that the module's top-level statements read,
-    each definition's own name left out of its body."""
+    """Names and attributes that the module's top-level statements read:
+    a definition's own name is left out of its body, and an assignment's
+    targets are no reads."""
     out = set()
     for stmt in tree.body:
-        names = {n.id for n in ast.walk(stmt) if isinstance(n, ast.Name)}
+        names = {
+            n.id for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)
+        }
         names |= {n.attr for n in ast.walk(stmt) if isinstance(n, ast.Attribute)}
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.discard(stmt.name)
@@ -103,6 +108,33 @@ def test_reexports_are_used():
     for path in demos:
         used |= _referenced(ast.parse(path.read_text(), filename=str(path)))
     assert [n for n in exported if n not in used] == []
+
+
+def _private_definitions(tree):
+    """The private (_-prefixed, not dunder) names that the module's
+    top-level functions, classes and assignments define."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            continue
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+def test_private_definitions_are_used():
+    # a private module-level name that the package never reads is dead
+    # code, whatever the tests still call
+    modules = list(_modules())
+    used = set().union(*(_referenced(tree) for _, tree in modules))
+    unused = [
+        f"{name}: {n}"
+        for name, tree in modules for n in _private_definitions(tree) if n not in used
+    ]
+    assert unused == []
 
 
 def test_imports_at_module_level():

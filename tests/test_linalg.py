@@ -249,7 +249,7 @@ def lewy_deep_systems():
             top = op.order + lam
             columns = [(u, q) for q in multi_indices_of_order(op.n, top) for u in range(1, op.k + 1)]
             offsets = _equation_series(op, x, below(top), lam, True)
-            yield _assemble(coefficients, offsets, multi_indices_of_order(op.n, lam), columns, True)
+            yield _assemble(coefficients, offsets, multi_indices_of_order(op.n, lam), columns)
 
 
 def test_least_norm_of_lewy_deep_levels_matches_reference():

@@ -49,6 +49,13 @@ EQUATIONS = (
     "u_xx + (",
 )
 
+EIKONAL = """dim: 2
+vars: x y
+order: 1
+domain: (-1,1) (-1,1)
+eq: u_x^2 + u_y^2 - 1 - x^2
+"""
+
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=8).map(str)
 # coordinates mostly inside the unit square of the domain, the edges included
 COORDINATES = st.fractions(min_value=0, max_value=1, max_denominator=8).map(str)
@@ -212,3 +219,31 @@ def test_malformed_coordinate_names_its_jet_and_key(key):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
             assert main(["verify", path]) == 2
     assert f"error: stage {nu} jet {i}: coordinate {key!r} is not canonical" in out.getvalue()
+
+
+@pytest.mark.parametrize("token, shown", [
+    ("NaN", "NaN"), ("Infinity", "Infinity"), ("-Infinity", "-Infinity"),
+    ("1e400", "Infinity"), ("1" + "0" * 400, "1" + "0" * 39),
+])
+def test_non_finite_float_value_names_its_jet_and_coordinate(token, shown):
+    # Python's json reads each token, 1e400 as inf and the last as an int
+    # beyond the float range; u is free in the eikonal equation, so
+    # verification alone would pass the edit
+    op = parse_pde_text(EIKONAL)
+    raw = sequence_to_json(construct_sequence(op, DensePointStream(op.domain).prefix(2), [1, 1]))
+    values = raw["stages"][1]["jets"][1]["values"]
+    assert type(values["1;(0,0)"]) is float
+    values["1;(0,0)"] = "edited"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "sequence.json")
+        write_json(path, raw)
+        with open(path) as fh:
+            text = fh.read().replace('"edited"', token)
+        with open(path, "w") as fh:
+            fh.write(text)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
+            assert main(["verify", path]) == 2
+    message = out.getvalue()
+    assert f"error: stage 1 jet 1: coordinate '1;(0,0)': {shown} is not finite" in message
+    assert "PASS" not in message

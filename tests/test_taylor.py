@@ -171,6 +171,25 @@ def test_float_overflow_is_an_evaluation_error():
         series(spow(Pow(bump, F(2)), -2), (F(1), F(3, 7)), 0)
 
 
+def test_a_float_walk_reads_only_the_bindings_it_reaches():
+    # a binding beyond the float range is an EvaluationError where the
+    # tree reads it, and is never read where the tree does not
+    ctx = Context(("x",), ("u",))
+    x, ux = Var(ctx.space(1)), ctx.jet(1, (1,))
+    bound = {ux: {0: F(10**400)}}
+    with pytest.raises(EvaluationError):
+        series(Sum((Var(ux), x)), (F(1, 2),), 1, "float", bound)
+    got = series(x, (F(1, 2),), 1, "float", bound)
+    assert bits(got) == bits({MultiIndex((0,)): 0.5, MultiIndex((1,)): 1.0})
+
+
+def test_float_jet_coefficients_outside_the_float_range_are_an_evaluation_error():
+    values = {(1, MultiIndex((0, 0))): F(1, 3), (1, MultiIndex((1, 0))): F(10**400)}
+    assert jet_coefficients(values, 1, True)[0][MultiIndex((1, 0))] == 10**400
+    with pytest.raises(EvaluationError, match=r"1;\(1,0\) is beyond the float range"):
+        jet_coefficients(values, 1, False)
+
+
 def test_structural_zero_is_exact():
     ctx = CONTEXTS[2]
     s = series(sfn("exp", Var(ctx.space(1))), (F(1, 3), F(1, 2)), 2)
