@@ -14,14 +14,13 @@ from typing import Iterator, Sequence
 
 from .expr import Bump, Const, Expr, Var, evaluate_float, spow, sprod, ssum
 from .frozen import Frozen
-from .jets import Jet, PdeOperator, prolong
+from .jets import Jet, PdeOperator, Point, prolong
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 from .printer import point_text
 from .ranges import JetSolveResult, solve_jets_triangular
 from .taylor import jet_coefficients, series
 
-Point = tuple[Fraction, ...]
 Box = tuple[tuple[Fraction, Fraction], ...]
 
 
@@ -47,34 +46,29 @@ class DensePointStream(Frozen):
                 raise ValueError("degenerate box interval")
         self.__dict__.update(box=box, scheme=scheme)
 
-    def _unit_points(self) -> Iterator[tuple[Fraction, ...]]:
-        n = len(self.box)
+    def points(self) -> Iterator[tuple[Fraction, ...]]:
+        """The stream, as plain tuples.  Each unit coordinate is mapped
+        into the box once per axis: one list of coordinates per axis and
+        dyadic level, or per axis for the diagonal sweep."""
+        box, n = self.box, len(self.box)
         if self.scheme == "dyadic":
             for d in itertools.count(1):
                 denom = 1 << d
                 odds = [Fraction(i, denom) for i in range(1, denom, 2)]
-                for combo in itertools.product(odds, repeat=n):
-                    yield combo
+                yield from itertools.product(
+                    *([lo + (hi - lo) * t for t in odds] for lo, hi in box)
+                )
         else:
-            axis = _reduced_fractions()
-            cache: list[Fraction] = []
-
-            def at(i: int) -> Fraction:
-                while len(cache) <= i:
-                    cache.append(next(axis))
-                return cache[i]
-
+            unit = _reduced_fractions()
+            axes: list[list[Fraction]] = [[] for _ in box]
             for total in itertools.count(0):
+                t = next(unit)  # the sweep at `total` reads indices <= total
+                for axis, (lo, hi) in zip(axes, box):
+                    axis.append(lo + (hi - lo) * t)
                 for combo in _compositions(total, n):
-                    yield tuple(at(i) for i in combo)
+                    yield tuple(axis[i] for axis, i in zip(axes, combo))
 
-    def points(self) -> Iterator[Point]:
-        for unit in self._unit_points():
-            yield tuple(
-                lo + (hi - lo) * t for t, (lo, hi) in zip(unit, self.box)
-            )
-
-    def prefix(self, count: int) -> list[Point]:
+    def prefix(self, count: int) -> list[tuple[Fraction, ...]]:
         if count < 1:
             raise ValueError("count must be >= 1")
         return list(itertools.islice(self.points(), count))
@@ -113,7 +107,7 @@ SHRINK = Fraction(1, 2)
 
 
 def make_bumps(
-    points: Sequence[Point],
+    points: Sequence[Sequence[Fraction]],
     box: Box,
     context: Context,
 ) -> list[Bump]:
@@ -128,7 +122,7 @@ def make_bumps(
 
 
 def bump_prefixes(
-    points: Sequence[Point],
+    points: Sequence[Sequence[Fraction]],
     box: Box,
     context: Context,
 ) -> list[tuple[Bump, ...]]:
@@ -136,8 +130,14 @@ def bump_prefixes(
     pass.  Each pair's half distance is computed once, when the later
     point joins; every point keeps the running minimum of its boundary
     distance and its half distances to the points joined so far, and its
-    bump is rebuilt only when that minimum shrinks."""
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    bump is rebuilt only when that minimum shrinks.
+
+    The centres are the points as Points, a Point given kept as it is.
+    Each pair's squared distance is formed in integers, from the points'
+    numerators over their own common denominators (_integral), and
+    _sqrt_lower gets it as the reduced Fraction that Fraction arithmetic
+    on the coordinates gives."""
+    pts = [p if isinstance(p, Point) else Point(map(Fraction, p)) for p in points]
     if len(set(pts)) != len(pts):
         raise ValueError("duplicate points")
     for p in pts:
@@ -147,21 +147,37 @@ def bump_prefixes(
             )
         if not all(lo < c < hi for c, (lo, hi) in zip(p, box)):
             raise ValueError(f"point {point_text(p)} not strictly inside the box")
+    integral = [_integral(p) for p in pts]
     limits: list[Fraction] = []
     bumps: list[Bump] = []
     out = []
     for nu, a in enumerate(pts):
         limit = min(min(c - lo, hi - c) for c, (lo, hi) in zip(a, box))
-        for i, b in enumerate(pts[:nu]):
-            half = _sqrt_lower(sum((ca - cb) ** 2 for ca, cb in zip(a, b))) / 2
+        xs, da = integral[nu]
+        for i, (ys, db) in enumerate(integral[:nu]):
+            d2 = Fraction(_cross_distance(xs, db, ys, da), (da * db) ** 2)
+            half = _sqrt_lower(d2) / 2
             limit = min(limit, half)
             if half < limits[i]:
                 limits[i] = half
-                bumps[i] = _bump(context, b, half)
+                bumps[i] = _bump(context, pts[i], half)
         limits.append(limit)
         bumps.append(_bump(context, a, limit))
         out.append(tuple(bumps))
     return out
+
+
+def _integral(point: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
+    """(numerators, d): the point's coordinates as integer numerators over
+    d, the least common multiple of their own denominators."""
+    d = math.lcm(*(c.denominator for c in point))
+    return tuple(c.numerator * (d // c.denominator) for c in point), d
+
+
+def _cross_distance(xs: tuple[int, ...], dy: int, ys: tuple[int, ...], dx: int) -> int:
+    """The squared distance of the points xs / dx and ys / dy, times
+    (dx * dy)^2: sum((x * dy - y * dx)^2), by cross-multiplication."""
+    return sum((x * dy - y * dx) ** 2 for x, y in zip(xs, ys))
 
 
 def _bump(context: Context, center: Point, limit: Fraction) -> Bump:
@@ -213,35 +229,77 @@ class TaylorPolynomials:
 
 class BumpScan:
     """Which bump of a stage holds a point, decided exactly, for the stages
-    of one sequence.  Their bumps are centred on prefixes of the same
-    points, in point order, so bump j of every stage has the same centre:
-    the squared distance from a point to centre j is computed once for
-    all stages, and each bump's squared outer radius once for the stages
-    that share the bump.  At most POINTS points keep their distances."""
+    of one sequence.  It serves only the bumps of bump_prefixes: stage
+    nu's bumps are centred on points[:nu + 1], in point order, so bump j
+    of every stage has the same centre c_j, and r_out_j <= d_jk / 4 for
+    every other centre c_k of the stage (SHRINK = 1/2 of at most half the
+    distance).  A point z in bump j's open support then has
+    d(z, c_k) >= d_jk - d(z, c_j) > 3 d_jk / 4 > d(z, c_j): c_j is its
+    strictly nearest centre.  So the scan keeps, for each point it is
+    asked about, a nearest centre of every prefix, one comparison per
+    centre as the prefix grows, and tests only that bump.  Where two
+    centres tie for nearest, no bump holds the point, and the test of
+    either bump says so.
+
+    Distances are compared in integers: the point and each centre are
+    integer numerators over their own denominators (_integral), and
+    d(z, c_j)^2 = S_j / (dz * d_j)^2 with the integer S_j of
+    _cross_distance, so comparisons cross-multiply.  At most POINTS points
+    keep their nearest centres."""
 
     POINTS = 1024
 
     def __init__(self):
-        self._distances: dict[Point, list[Fraction]] = {}
-        self._radii: dict[Bump, Fraction] = {}
+        self._centres: list[tuple[tuple[int, ...], int]] = []
+        self._nearest: dict[Sequence, _Nearest] = {}
 
-    def __call__(self, point: Point, bumps: Sequence[Bump]) -> Bump | None:
-        """The first bump whose open support holds the point; None when no
+    def __call__(self, point: Sequence[Fraction], bumps: Sequence[Bump]) -> Bump | None:
+        """The bump whose open support holds the point; None when no
         support does."""
-        distances = self._distances.get(point)
-        if distances is None:
-            distances = []
-            if len(self._distances) < self.POINTS:
-                self._distances[point] = distances
-        for j, bump in enumerate(bumps):
-            if j == len(distances):
-                distances.append(sum((x - c) ** 2 for x, c in zip(point, bump.center)))
-            r2 = self._radii.get(bump)
-            if r2 is None:
-                r2 = self._radii[bump] = bump.r_out ** 2
-            if distances[j] < r2:
-                return bump
-        return None
+        if not bumps:
+            return None
+        nearest = self._nearest.get(point)
+        if nearest is None:
+            nearest = _Nearest(point)
+            if len(self._nearest) < self.POINTS:
+                self._nearest[point] = nearest
+        centres = self._centres
+        while len(centres) < len(bumps):
+            centres.append(_integral(bumps[len(centres)].center))
+        j = nearest.among(centres, len(bumps))
+        # d^2 = S_j / (dz * d_j)^2 against r_out^2
+        bump, r = bumps[j], bumps[j].r_out
+        held = nearest.distances[j] * r.denominator ** 2 < (
+            r.numerator * nearest.scale * centres[j][1]
+        ) ** 2
+        return bump if held else None
+
+
+class _Nearest:
+    """One point's integer squared distances S_j to the centres (see
+    BumpScan) and, per prefix length m, the index of its nearest centre
+    among the first m, the first of them on a tie."""
+
+    __slots__ = ("numerators", "scale", "distances", "prefixes")
+
+    def __init__(self, point: Sequence[Fraction]):
+        self.numerators, self.scale = _integral(point)
+        self.distances: list[int] = []
+        self.prefixes: list[int] = []
+
+    def among(self, centres: list[tuple[tuple[int, ...], int]], m: int) -> int:
+        """The nearest of the first m centres."""
+        distances, prefixes = self.distances, self.prefixes
+        while len(prefixes) < m:
+            k = len(prefixes)
+            cs, dc = centres[k]
+            distances.append(_cross_distance(self.numerators, dc, cs, self.scale))
+            b = prefixes[-1] if k else k
+            # S_k / d_k^2 < S_b / d_b^2, the common dz^2 cancelled
+            if distances[k] * centres[b][1] ** 2 < distances[b] * dc ** 2:
+                b = k
+            prefixes.append(b)
+        return prefixes[m - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -418,8 +476,9 @@ def construct_sequence(
     Each point is solved once, when a stage first uses it, at the last
     stage's level; stage nu reads each of its points' results at level
     l_nu (the triangular solve reports every level), and glue builds the
-    stages from those jets."""
-    pts = [tuple(Fraction(c) for c in p) for p in points]
+    stages from those jets.  Each point is held as one Point, which
+    every stage's jets, bumps and scan share."""
+    pts = [Point(map(Fraction, p)) for p in points]
     orders = validate_schedule(orders)
     if len(pts) != len(orders):
         raise ValueError("need one level per stage")

@@ -26,7 +26,27 @@ from .frozen import Frozen, Value
 from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_rational
 
-Point = tuple[Fraction, ...]
+
+class Point(tuple, Frozen):
+    """A point of a sequence: the tuple of its rational coordinates, with
+    its hash computed once, in __new__, as MultiIndex's is.
+
+    Sequence points key the solves, the stage jets (which verify reads at
+    every stage and point), the polynomials and the bump scan, and hashing
+    a tuple of Fractions hashes every coordinate again.  A Point equals the plain tuple of its
+    coordinates and hashes as that tuple, so each finds the other's dict
+    entries; it prints as that tuple, and a slice of it is a plain tuple.
+    Point(p) is p itself when p is a Point."""
+
+    def __new__(cls, coordinates):
+        if type(coordinates) is cls:
+            return coordinates
+        self = tuple.__new__(cls, coordinates)
+        self.__dict__["_hash"] = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
 
 
 class Jet(Value):

@@ -40,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .construct import SolutionSequence, glue, validate_schedule
-from .jets import Jet, PdeOperator
+from .jets import Jet, PdeOperator, Point
 from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_expression, parse_rational
 from .printer import to_text
@@ -193,7 +193,7 @@ def sequence_from_json(data: dict) -> SolutionSequence:
     _check_keys("manifest", data, _TOP_KEYS, optional={"header"})
     op = operator_from_json(data["operator"])
     points = tuple(
-        tuple(parse_rational(c) for c in a) for a in _array("points", data["points"], list)
+        Point(parse_rational(c) for c in a) for a in _array("points", data["points"], list)
     )
     orders = tuple(validate_schedule(_array("orders", data["orders"], int)))
     if not len(points) == len(orders) == len(_array("stages", data["stages"])):

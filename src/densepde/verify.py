@@ -29,13 +29,11 @@ from .expr import (
     substitute,
 )
 from .frozen import Frozen, Value
-from .jets import Jet, PdeOperator
+from .jets import Jet, PdeOperator, Point
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 from .printer import point_text
 from .taylor import derivative, jet_bindings, series
-
-Point = tuple[Fraction, ...]
 
 DEFAULT_FLOAT_TOL = 1e-10
 
@@ -178,6 +176,14 @@ def _scan(
     ExactnessUnavailable, and the other entries keep their own flags.
     Returns the report and the deciding evaluations (mu, i, p, value,
     was_exact, zero) in order.
+
+    The values D^p read off one series object depend only on the series,
+    the order and the mode, so they are read once per (series, order,
+    mode) and replayed for every (mu, i) whose term_series returns that
+    object; verify_solution's returns one object for the stages that
+    share a point's bindings.  The cache holds each series itself, so no
+    id it is keyed by is reused while the scan runs, even where
+    term_series keeps no series alive.
     """
     if arithmetic not in ("auto", "exact", "float"):
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
@@ -186,16 +192,24 @@ def _scan(
     fails: list[list[Failure]] = [[] for _ in points]
     decided = []
     truncation = len(approximate) - 1
+    # (id(series), order, mode) -> (series, its D^p values in multi_indices order)
+    checked: dict[tuple[int, int, str], tuple[dict, list]] = {}
     for mu, approx in enumerate(approximate):
         mode = "float" if approx or arithmetic == "float" else "auto"
         for i, (a, order) in enumerate(zip(points, orders)):
             coefficients = term_series(mu, i, order, mode)
+            key = (id(coefficients), order, mode)
+            hit = checked.get(key)
+            if hit is None:
+                hit = checked[key] = (coefficients, [
+                    derivative(coefficients, p, exact=mode != "float")
+                    for p in multi_indices(len(a), order)
+                ])
             ok = True
-            for p in multi_indices(len(a), order):
+            for p, value in zip(multi_indices(len(a), order), hit[1]):
                 deciding = stage_orders is None or (
                     i <= mu and p.order <= stage_orders[mu]
                 )
-                value = derivative(coefficients, p, exact=mode != "float")
                 was_exact = not isinstance(value, float)
                 if deciding and arithmetic == "exact" and not (was_exact or approx):
                     raise ExactnessUnavailable(

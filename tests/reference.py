@@ -9,8 +9,12 @@ prolong(op, L) as expressions in jet space, take their jet gradients, and
 evaluate both at the point.  The tests compare the two.
 
 densepde.construct builds the bumps of every prefix of a point sequence
-in one pass; set_bumps computes the bumps of one point set by the
-per-set loop over every pair.
+in one pass, with integer squared distances; set_bumps computes the
+bumps of one point set by the per-set loop over every pair, and
+fraction_bump_prefixes the one pass in Fraction arithmetic.
+construct.BumpScan tests only a point's nearest centre, comparing
+integers; LinearBumpScan tests every bump of the stage in turn, in
+Fractions.
 
 densepde.taylor.jet_bindings shifts the jet values' Taylor series slot
 to slot; shift and keyed_bindings do it keyed by multi-index and re-key
@@ -169,9 +173,53 @@ def set_bumps(points, box, context):
                 continue
             d2 = sum((ca - cb) ** 2 for ca, cb in zip(a, b))
             limit = min(limit, _sqrt_lower(d2) / 2)
-        r_out = SHRINK * limit
-        out.append(Bump(a, r_out / 2, r_out, context.space_vars(), zero_index(context.n)))
+        out.append(_bump(context, a, limit))
     return out
+
+
+def _bump(context, center, limit):
+    r_out = SHRINK * limit
+    return Bump(center, r_out / 2, r_out, context.space_vars(), zero_index(context.n))
+
+
+def fraction_bump_prefixes(points, box, context):
+    """Entry nu: the bumps of points[:nu + 1], from one pass in Fraction
+    arithmetic; each point's bump is rebuilt when its running minimum of
+    boundary distance and half distances to the points joined so far
+    shrinks."""
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    limits, bumps, out = [], [], []
+    for nu, a in enumerate(pts):
+        limit = min(min(c - lo, hi - c) for c, (lo, hi) in zip(a, box))
+        for i, b in enumerate(pts[:nu]):
+            half = _sqrt_lower(sum((ca - cb) ** 2 for ca, cb in zip(a, b))) / 2
+            limit = min(limit, half)
+            if half < limits[i]:
+                limits[i] = half
+                bumps[i] = _bump(context, b, half)
+        limits.append(limit)
+        bumps.append(_bump(context, a, limit))
+        out.append(tuple(bumps))
+    return out
+
+
+class LinearBumpScan:
+    """The first bump of a stage whose open support holds a point, found by
+    testing every bump in turn, with Fraction squared distances; the
+    distance to centre j is kept per point for all stages, as the stages
+    of one sequence share their centres."""
+
+    def __init__(self):
+        self._distances: dict[tuple, list[Fraction]] = {}
+
+    def __call__(self, point, bumps):
+        distances = self._distances.setdefault(point, [])
+        for j, bump in enumerate(bumps):
+            if j == len(distances):
+                distances.append(sum((x - c) ** 2 for x, c in zip(point, bump.center)))
+            if distances[j] < bump.r_out ** 2:
+                return bump
+        return None
 
 
 # ---------------------------------------------------------------------------

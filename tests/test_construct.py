@@ -27,7 +27,7 @@ from densepde.expr import (
     spow,
     ssum,
 )
-from densepde.jets import Jet, parse_pde_text
+from densepde.jets import Jet, Point, parse_pde_text
 from densepde.manifest import sequence_from_json, sequence_to_json
 from densepde.multiindex import MultiIndex, multi_indices
 from densepde.parser import Context, parse_expression
@@ -173,6 +173,90 @@ class TestBumpScan:
         for bumps, a in queries:
             want = next((b for b in bumps if bump_region(b, a) != "outside"), None)
             assert scan(a, bumps) is want
+
+
+@st.composite
+def rational_point_sets(draw):
+    """(points, queries) in the unit cube of 1 to 3 dimensions: distinct
+    points strictly inside it, and more points of the cube, some of them
+    on its boundary.  The coordinates are dyadic, or over denominators
+    2 to 12 mixed as the diagonal scheme gives them."""
+    n = draw(st.integers(1, 3))
+    dyadic = draw(st.booleans())
+
+    def points(count, margin):
+        def coordinate():
+            scale = 2 ** draw(st.integers(1, 5)) if dyadic else draw(st.integers(2, 12))
+            return F(draw(st.integers(margin, scale - margin)), scale)
+
+        return [tuple(coordinate() for _ in range(n)) for _ in range(count)]
+
+    inside = list(dict.fromkeys(points(draw(st.integers(1, 8)), 1)))
+    return inside, points(draw(st.integers(0, 4)), 0)
+
+
+def midpoints(pts):
+    """The midpoint of every pair of the points: equidistant from both."""
+    return [
+        tuple((x + y) / 2 for x, y in zip(a, b))
+        for i, a in enumerate(pts) for b in pts[i + 1:]
+    ]
+
+
+class TestIntegerGeometry:
+    """bump_prefixes and BumpScan on integer numerators against their
+    Fraction references in tests/reference.py."""
+
+    @given(rational_point_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_bump_prefixes_match_the_fraction_pass(self, case):
+        pts, _ = case
+        box = ((F(0), F(1)),) * len(pts[0])
+        ctx = Context(("x", "y", "z")[: len(pts[0])])
+        got = bump_prefixes(pts, box, ctx)
+        want = reference.fraction_bump_prefixes(pts, box, ctx)
+        assert got == want
+        for bumps in got:
+            assert all(type(b.center) is Point for b in bumps)
+            assert all(type(r) is F for b in bumps for r in (b.r_in, b.r_out))
+
+    @given(rational_point_sets(), st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_nearest_centre_scan_matches_the_linear_scan(self, case, rng):
+        pts, others = case
+        ctx = Context(("x", "y", "z")[: len(pts[0])])
+        prefixes = bump_prefixes(pts, ((F(0), F(1)),) * len(pts[0]), ctx)
+        queries = [(bumps, a) for bumps in prefixes for a in pts + others + midpoints(pts)]
+        rng.shuffle(queries)  # stages in any order, as verify's witness scan may ask
+        scan, linear = BumpScan(), reference.LinearBumpScan()
+        for bumps, a in queries:
+            assert scan(a, bumps) is linear(a, bumps)
+
+    @given(rational_point_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_a_tie_for_the_nearest_centre_holds_no_bump(self, case):
+        pts, _ = case
+        ctx = Context(("x", "y", "z")[: len(pts[0])])
+        prefixes = bump_prefixes(pts, ((F(0), F(1)),) * len(pts[0]), ctx)
+        scan = BumpScan()
+        for bumps in prefixes:
+            centres = [b.center for b in bumps]
+            for z in midpoints(centres):
+                d2 = sorted(sum((x - c) ** 2 for x, c in zip(z, a)) for a in centres)
+                if d2[0] == d2[1]:
+                    assert scan(z, bumps) is None
+
+    def test_a_later_centre_breaks_a_tie(self):
+        # (1/2,) ties between 1/4 and 3/4, then lies in the bump of 17/32
+        ctx = Context(("x",))
+        prefixes = bump_prefixes([(F(1, 4),), (F(3, 4),), (F(17, 32),)], UNIT, ctx)
+        z = (F(1, 2),)
+        for order in ((1, 2), (2, 1)):
+            scan = BumpScan()
+            got = {nu: scan(z, prefixes[nu]) for nu in order}
+            assert got[1] is None
+            assert got[2] is prefixes[2][2]
+            assert bump_region(got[2], z) != "outside"
 
 
 class TestComponentSeries:

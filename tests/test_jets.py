@@ -23,7 +23,9 @@ from densepde.expr import (
     simplify,
     substitute,
 )
-from densepde.jets import Jet, normalize_homogeneous, parse_pde_text, prolong
+from densepde.construct import DensePointStream, construct_sequence
+from densepde.jets import Jet, Point, normalize_homogeneous, parse_pde_text, prolong
+from densepde.manifest import sequence_from_json, sequence_to_json
 from densepde.multiindex import (
     MultiIndex,
     multi_indices,
@@ -31,6 +33,7 @@ from densepde.multiindex import (
     zero_index,
 )
 from densepde.parser import Context, parse_expression
+from densepde.printer import point_text
 from densepde.ranges import JetSolveResult, RankCertificate
 from densepde.verify import Failure, VanishingEntry, VanishingReport
 from reference import (
@@ -220,6 +223,52 @@ def test_expr_nodes_of_another_class_differ():
     children = (Var(X), Var(Y))
     assert Sum(children) != Prod(children)
     assert Sum(children).__eq__(Prod(children)) is NotImplemented
+
+
+class TestPoint:
+    """A Point is the tuple of its coordinates with a hash computed once:
+    equal to the plain tuple and hashed as it, in either direction of a
+    dict lookup."""
+
+    PLAIN = (F(1, 2), F(-3, 4), F(5))
+
+    def test_equal_to_the_plain_tuple_with_its_hash(self):
+        p = Point(self.PLAIN)
+        assert p == self.PLAIN and self.PLAIN == p and not p != self.PLAIN
+        assert hash(p) == hash(self.PLAIN)
+        assert type(p) is Point and type(p[1:]) is tuple and p[1:] == self.PLAIN[1:]
+
+    def test_keys_find_each_other(self):
+        p = Point(self.PLAIN)
+        assert {p: "point"}[self.PLAIN] == "point"
+        assert {self.PLAIN: "plain"}[p] == "plain"
+        assert len({p, self.PLAIN}) == 1
+
+    def test_a_point_of_a_point_is_itself_and_immutable(self):
+        p = Point(self.PLAIN)
+        assert Point(p) is p
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        assert hash(Point(iter(self.PLAIN))) == hash(self.PLAIN)
+
+    def test_point_text_and_repr_are_the_plain_tuple_s(self):
+        p = Point(self.PLAIN)
+        assert point_text(p) == point_text(self.PLAIN) == "(1/2, -3/4, 5)"
+        assert repr(p) == repr(self.PLAIN)
+
+    def test_a_sequence_holds_points_and_its_manifest_loads_points(self):
+        op = parse_pde_text(
+            "dim: 2\nvars: x y\norder: 2\ndomain: (0,1) (0,1)\neq: u_xx + u_yy - 1\n"
+        )
+        seq = construct_sequence(op, DensePointStream(op.domain).prefix(3), (0, 1, 1))
+        loaded = sequence_from_json(sequence_to_json(seq))
+        for s in (seq, loaded):
+            assert all(type(a) is Point for a in s.points)
+            # the stages' jets and bumps key and centre on those objects
+            last = s.stages[-1]
+            assert all(a is b for a, b in zip(s.points, last.jets))
+            assert all(a is b.center for a, b in zip(s.points, last.bumps))
+        assert loaded.points == seq.points
 
 
 class TestTotalDerivative:

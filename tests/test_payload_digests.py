@@ -33,6 +33,11 @@ PINNED = {
         "8c9e2beae8eda6acbd52c91b8fae4520f4fecc7472c066d7abf39a5b370f9c27",
         "1ff0b6667ad69a83543c6d7d0d12e8e95aa66cbe7e2a14cdc4c5947949177f9e",
     ),
+    "poisson-48": (
+        lambda: parse_pde_text(POISSON), (1,) * 48,
+        "a661d681aa95b633ebd3d3904fbb3a79af3668baa5a449536f712a1b44a823a6",
+        "fd357810685012ac6707ca82681e851786cc3eb89c4a539e7f08be0e8479e9b1",
+    ),
     "lewy-0122": (
         lewy_operator, (0, 1, 2, 2),
         "aa77d270150907992913d5176288efe14f1f236cf368b56dbb7ed04060bbb141",

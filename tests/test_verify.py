@@ -88,6 +88,21 @@ class TestModelSequence:
         assert not report.entries[0].exact
         assert report.arithmetic == "float"
 
+    def test_series_that_no_one_keeps_are_not_confused(self):
+        # each call builds a new series and keeps none: CPython hands a freed
+        # dict's address to the next one, so a scan that replayed the values
+        # of a series by its bare id() would replay another series' values
+        one = {MultiIndex((0,)): F(1)}
+
+        def term_series(mu, i, order, mode):
+            return dict(one) if mu == i else {}
+
+        report, _ = verify_module._scan(
+            [False] * 4, [(F(k, 5),) for k in range(1, 5)], [0] * 4, "auto", 1e-10, term_series
+        )
+        assert [e.witness for e in report.entries] == [1, 2, 3, None]
+        assert [[f.term for f in e.failures] for e in report.entries] == [[0], [1], [2], [3]]
+
     def test_schedules_must_match(self):
         with pytest.raises(ValueError):
             example_sequence([F(0), F(1, 2)], [3, 2])
