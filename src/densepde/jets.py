@@ -91,13 +91,16 @@ class Jet(Value):
             raise ValueError("cannot extend a jet by truncation")
         if order == self.order:
             return self
-        vals = {
-            (u, p): v for (u, p), v in self.values.items() if p.order <= order
-        }
+        # the keys are this jet's own (u, p) tuples, not copies
+        vals = {key: v for key, v in self.values.items() if key[1].order <= order}
         out = Jet.__new__(Jet)
-        out.__dict__.update(n=self.n, k=self.k, order=order, values=vals)
+        d = out.__dict__  # key by key, as __init__ does: update() would copy a key table
+        d["n"] = self.n
+        d["k"] = self.k
+        d["order"] = order
+        d["values"] = vals
         if self.exact:
-            out.__dict__["exact"] = True
+            d["exact"] = True
         return out
 
 

@@ -68,10 +68,14 @@ def _check_point(op: PdeOperator, x: Sequence) -> None:
         raise ValueError(f"point {point_text(x)} outside the domain box")
 
 
-def jet_columns(n: int, k: int, order: int) -> list[Column]:
-    """Column layout of the linear systems: jet coordinates of order <=
-    `order`, graded-lex in the multi-index, then by unknown."""
-    return [(u, p) for p in multi_indices(n, order) for u in range(1, k + 1)]
+@lru_cache(maxsize=64)
+def jet_columns(n: int, k: int, order: int, lowest: int = 0) -> tuple[Column, ...]:
+    """Column layout of the linear systems: jet coordinates (u, p) with
+    lowest <= |p| <= order, graded-lex in p, then by unknown.  The jets
+    solved with them share these (u, p) tuples as their keys."""
+    return tuple(
+        (u, p) for p in multi_indices(n, order) if p.order >= lowest for u in range(1, k + 1)
+    )
 
 
 def _mode(exact: bool) -> str:
@@ -388,11 +392,11 @@ def solve_jets_triangular(
         known.update(solved)
         # the arithmetic of level 0 carries to every later level
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
-        coefficients = _gradient_values(op, x, known, exact)
+        coefficients = _gradient_values(op, x, known, exact, base_known=True)
         # one set of bindings for the solve, grown by each level's jets
         bindings = jet_bindings(op.jet_variables, jet_coefficients(known, k, exact), sys.level)
         for lam in range(1, sys.level + 1):
-            columns = [(u, q) for q in multi_indices_of_order(n, m + lam) for u in range(1, k + 1)]
+            columns = jet_columns(n, k, m + lam, m + lam)
             a, b = _assemble(
                 coefficients,
                 _bound_series(op, x, bindings, sys.level, exact),
@@ -435,14 +439,27 @@ def solve_jets_triangular(
     )
 
 
-def _gradient_values(op: PdeOperator, x, jets: dict, exact: bool) -> list[dict]:
+def _gradient_values(
+    op: PdeOperator, x, jets: dict, exact: bool, base_known: bool = False
+) -> list[dict]:
     """Per equation, each jet partial's value at x and the jets {(u, q):
     value}, as a constant series: the coefficients of _assemble at a
-    level whose lower jets are known."""
+    level whose lower jets are known.  In float arithmetic with every base
+    jet in `jets` (`base_known`), one call of op.compiled_base's Jacobian
+    gives them all: the floats evaluate_float gives, by compile_float's
+    contract."""
+    zero = zero_index(op.n)
+    if base_known and not exact:
+        columns, _, jacobian = op.compiled_base
+        flat = jacobian([*x, *map(jets.__getitem__, columns)])
+        width = len(columns)
+        return [
+            {c: {zero: flat[j * width + columns.index(c)]} for c in g}
+            for j, g in enumerate(op.gradients)
+        ]
     evaluate = evaluate_exact if exact else evaluate_float
     values = dict(zip(op.context.space_vars(), x))
     values.update({op.context.jet(u, q): v for (u, q), v in jets.items()})
-    zero = zero_index(op.n)
     return [{c: {zero: evaluate(d, values)} for c, d in g.items()} for g in op.gradients]
 
 
@@ -561,6 +578,9 @@ def _residuals(op: PdeOperator, x, jet: Jet, top: int, bindings: dict) -> list:
 # aggregated range reports
 
 class RangeEntry:
+    # one per point and level of a range check: slots keep a large report small
+    __slots__ = ("point", "level", "outcome", "certificate", "jet", "residual", "detail")
+
     def __init__(
         self,
         point: tuple,
@@ -656,16 +676,17 @@ def range_condition_check(
     linear = linearize(top)
     entries = []
     for x in points:
+        point = tuple(x)  # one tuple for all of the point's entries
         if linear is not None:
             for cert, floor in _certify(linear, x, range(l_max + 1)):
                 if floor is None:
                     entries.append(
-                        RangeEntry(tuple(x), cert.level, "rank-certified", certificate=cert)
+                        RangeEntry(point, cert.level, "rank-certified", certificate=cert)
                     )
                 else:
                     entries.append(
                         RangeEntry(
-                            tuple(x), cert.level, "no-solution",
+                            point, cert.level, "no-solution",
                             certificate=cert,
                             residual=floor,
                             detail="rank deficiency: inconsistent linear system",
@@ -675,7 +696,7 @@ def range_condition_check(
         for level, res in enumerate(solve_jets_triangular(top, x, tol=tol).levels):
             entries.append(
                 RangeEntry(
-                    tuple(x), level, res.status,
+                    point, level, res.status,
                     jet=res.jet,
                     residual=res.residual,
                     detail=res.detail,

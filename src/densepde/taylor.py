@@ -39,6 +39,15 @@ keys and order are those the Fraction walk (_Walk) gives.  Any other node,
 a float binding, and anything _Walk rejects (an unbound jet variable, an
 axis the point lacks, a point that is not finite) hand the whole tree to
 _Walk, which stays the reference and raises its own errors.
+
+In "float" mode the same polynomial trees, at a rational point with every
+jet variable bound, are served from a tape (_replay): the first call for
+a (tree identity, order, structure) runs _Walk once with registers in
+place of the non-zero coordinates and the binding values, recording its
+float + and * (constants fold as it runs), and later calls replay them.
+The structure is which coordinates are zero and each binding's slot keys,
+in order, cut to the walk's slots, so the floats, keys and order are
+_Walk's; anything else, and every error, is left to _Walk.
 """
 
 from __future__ import annotations
@@ -617,6 +626,137 @@ _INTEGER_RULES = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the float tape: _Walk's float operations on a polynomial tree, recorded
+# once per (tree, order, structure) and replayed at every point
+
+class _Register:
+    """A float of a recording walk: each + and * on it appends (multiply?,
+    a, b, destination) to the tape's operations.  IEEE + and * commute, so
+    x + r records as r + x."""
+
+    __slots__ = ("tape", "index")
+
+    def __init__(self, tape: tuple[list, list], value: float | None = None):
+        self.tape = tape
+        self.index = len(tape[0])
+        tape[0].append(value)
+
+    def op(self, multiply: bool, other) -> _Register:
+        out = _Register(self.tape)
+        self.tape[1].extend((multiply, self.index, _index(self.tape, other), out.index))
+        return out
+
+    def __add__(self, other):
+        return self.op(False, other)
+
+    def __mul__(self, other):
+        return self.op(True, other)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _index(tape: tuple[list, list], x) -> int:
+    """The register of x: its own, or a new one holding the float x."""
+    return (x if type(x) is _Register else _Register(tape, x)).index
+
+
+def _tape(e: Expr, point, lay: _Layout, flags, jets, shapes) -> tuple:
+    """Run _Walk's float walk of e once, on registers for the non-zero
+    coordinates (`flags`) and then each jet variable's bound slots
+    (`shapes`).  Returns the registers after those inputs (each a folded
+    constant or None), the operations as one flat tuple, four ints each,
+    and the output multi-indices and registers in slot order."""
+    tape: tuple[list, list] = ([], [])
+    walk = _Walk(point, lay, "float", {})
+    walk.coords = coords = []
+    for f in flags:
+        coords.append(_Register(tape) if f else 0.0)
+    for v, keys in zip(jets, shapes):
+        walk.jets[v] = bound = {}
+        for k in keys:
+            bound[k] = _Register(tape)
+    inputs = len(tape[0])
+    out = walk(e)
+    slots = sorted(out)
+    registers = [_index(tape, out[k]) for k in slots]
+    return tape[0][inputs:], tuple(tape[1]), tuple(map(lay.indices.__getitem__, slots)), registers
+
+
+def _polynomial_jets(e: Expr) -> tuple[JetVar, ...] | None:
+    """The jet variables of a tree of Const, Var, Sum, Prod and Pow nodes
+    with integer exponents >= 0, or None for any other tree.  The scan is
+    breadth first, so a bump factor ends it at once."""
+    jets: dict[JetVar, None] = {}
+    nodes = [e]
+    for node in nodes:
+        t = type(node)
+        if t is Sum:
+            nodes += node.terms
+        elif t is Prod:
+            nodes += node.factors
+        elif t is Pow and node.exponent.denominator == 1 and node.exponent >= 0:
+            nodes.append(node.base)
+        elif t is Var:
+            if isinstance(node.var, JetVar):
+                jets[node.var] = None
+        elif t is not Const:
+            return None
+    return tuple(jets)
+
+
+_HELD = 32  # polynomial trees with tapes, and tapes per tree; a full cache is emptied
+# id(tree) -> (tree, its jet variables, {(order, flags, *shapes): tape})
+_TAPES: dict[int, tuple[Expr, tuple, dict]] = {}
+
+
+def _replay(e: Expr, point: Sequence, lay: _Layout, bindings: Mapping):
+    """series(e, point, lay.order, "float", bindings) off a tape, or None
+    where no tape serves: _walk then gives the result or its own error."""
+    entry = _TAPES.get(id(e))
+    if entry is None:
+        jets = _polynomial_jets(e)
+        if jets is None:
+            return None
+        if len(_TAPES) >= _HELD:
+            _TAPES.clear()
+        # the entry holds the tree, so no other tree takes its id
+        entry = _TAPES[id(e)] = (e, jets, {})
+    _, jets, tapes = entry
+    if not set(map(type, point)) <= {Fraction}:
+        return None
+    try:
+        values = list(map(float, point))
+        key = [lay.order, tuple(map(bool, values))]
+        values = list(filter(None, values))
+        for v in jets:
+            bound = bindings.get(v)
+            if bound is None:
+                return None
+            keys = tuple(filter(lay.size.__gt__, bound))  # the slots below the walk's size
+            key.append(keys)
+            values += map(float, map(bound.__getitem__, keys))
+    except OverflowError:
+        return None
+    key = tuple(key)
+    tape = tapes.get(key)
+    if tape is None:
+        if len(tapes) >= _HELD:
+            tapes.clear()
+        try:
+            tape = tapes[key] = _tape(e, point, lay, key[1], jets, key[2:])
+        except (ArithmeticError, EvaluationError):
+            return None
+    rest, ops, indices, registers = tape
+    r = values + rest
+    step = iter(ops)
+    for multiply, a, b, d in zip(step, step, step, step):
+        r[d] = r[a] * r[b] if multiply else r[a] + r[b]
+    out = dict(zip(indices, map(r.__getitem__, registers)))
+    # _walk names the first coefficient that is not finite
+    return out if all(map(math.isfinite, out.values())) else None
+
+
 def series(
     e: Expr,
     point: Sequence,
@@ -639,15 +779,22 @@ def series(
     EvaluationError is raised instead, also for a binding beyond floats.
 
     Outside "float" mode, a polynomial tree whose jet variables are bound
-    to Fraction series is walked over integers, to the same Fractions
-    (see the module docstring); every other tree goes through _Walk.
+    to Fraction series is walked over integers, to the same Fractions; in
+    "float" mode a polynomial tree with every jet variable bound replays
+    the float operations _Walk recorded for it, keyed by the tree's
+    identity, the order and the structure (see the module docstring).
+    Every other tree goes through _Walk.
     """
     if mode not in MODES:
         raise ValueError(f"unknown arithmetic {mode!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
     lay = _layout(len(point), order)
-    if mode != "float":
+    if mode == "float":
+        out = _replay(e, point, lay, bindings or {})
+        if out is not None:
+            return out
+    else:
         try:
             num, den = _IntegerWalk(point, lay, bindings or {})(e)
         except _Unserved:

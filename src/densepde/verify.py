@@ -174,8 +174,9 @@ def _scan(
     ("float" when float is asked for or the term is flagged approximate);
     in "exact" mode a deciding entry that is not exact raises
     ExactnessUnavailable, and the other entries keep their own flags.
-    Returns the report and the deciding evaluations (mu, i, p, value,
-    was_exact, zero) in order.
+    Returns the report and, of the deciding evaluations, whether all were
+    exact and the ones not zero, (mu, i, p, value) in order: a scan keeps
+    no record of each deciding zero.
 
     The values D^p read off one series object depend only on the series,
     the order and the mode, so they are read once per (series, order,
@@ -190,7 +191,7 @@ def _scan(
     witness: list[int | None] = [0] * len(points)
     exact = [True] * len(points)
     fails: list[list[Failure]] = [[] for _ in points]
-    decided = []
+    decided_exact, failing = True, []
     truncation = len(approximate) - 1
     # (id(series), order, mode) -> (series, its D^p values in multi_indices order)
     checked: dict[tuple[int, int, str], tuple[dict, list]] = {}
@@ -221,7 +222,9 @@ def _scan(
                     fails[i].append(Failure(mu, p, float(value)))
                     ok = False
                 if deciding:
-                    decided.append((mu, i, p, value, was_exact, zero))
+                    decided_exact = decided_exact and was_exact
+                    if not zero:
+                        failing.append((mu, i, p, value))
             if not ok:
                 witness[i] = mu + 1 if mu < truncation else None
     entries = tuple(
@@ -229,7 +232,7 @@ def _scan(
         for a, order, wit, ex, fl in zip(points, orders, witness, exact, fails)
     )
     label = "float" if arithmetic == "float" or not all(exact) else "exact"
-    return VanishingReport(truncation, label, tol, entries), decided
+    return VanishingReport(truncation, label, tol, entries), (decided_exact, failing)
 
 
 def check_vanishing(
@@ -441,17 +444,14 @@ def verify_solution(
                 computed[key] = series(g, seq.points[i], order, mode, jets)
             return computed[key]
 
-        report, decided = _scan(
+        report, (exact, failing) = _scan(
             approximate, seq.points, [top] * len(seq.points), arithmetic, tol,
             term_series, seq.orders,
         )
         reports.append(report)
-        for nu, i, p, value, was_exact, zero in decided:
-            all_exact = all_exact and was_exact
-            if not zero:
-                failures.append(
-                    VerificationFailure(j, nu, seq.points[i], p, float(value))
-                )
+        all_exact = all_exact and exact
+        for nu, i, p, value in failing:
+            failures.append(VerificationFailure(j, nu, seq.points[i], p, float(value)))
     mode = "exact" if all_exact else "float"
     return VerificationResult(mode, tol, tuple(reports), tuple(failures))
 

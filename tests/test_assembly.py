@@ -180,6 +180,28 @@ def test_float_level_systems_match_the_prolonged_rows(op, top, x):
         assert_close(b, ref_b)
 
 
+TWO_EQUATIONS = pde(2, 1, "(-1,1) (-1,1)", "u_x*u_y + sin(y)*u^2 - x", "u_x - exp(u)*y")
+
+
+@pytest.mark.parametrize(
+    "op,x",
+    [(op, x) for op, _, x in FLOAT] + [(TWO_EQUATIONS, (F(1, 3), F(-1, 2)))],
+    ids=FLOAT_IDS + ["two-equations"],
+)
+def test_compiled_symbol_is_the_evaluated_symbol(op, x):
+    # with every base jet known, the jet partials come off
+    # op.compiled_base's Jacobian in one call: bit for bit the floats
+    # evaluate_float gives, in the same order
+    base = some_jet(op, op.order, False)
+    zero = zero_index(op.n)
+
+    def hexed(values):
+        return [[(c, s[zero].hex()) for c, s in g.items()] for g in values]
+
+    compiled = _gradient_values(op, x, base, False, base_known=True)
+    assert hexed(compiled) == hexed(_gradient_values(op, x, base, False))
+
+
 def test_float_stacked_rows_match_the_prolonged_rows():
     op, top, x = FLOAT[0]
     a, b = _stacked(linearize(prolong(op, top)), x, False)

@@ -32,6 +32,7 @@ from densepde.expr import (
     squot,
     ssum,
 )
+from densepde.jets import parse_pde_text
 from densepde.multiindex import MultiIndex, multi_indices, zero_index
 from densepde.parser import Context
 from densepde.systems import lewy_operator
@@ -430,6 +431,128 @@ def test_exact_mode_on_a_served_tree_returns_only_fractions():
     got = series(e, (F(1, 2), F(-2, 5)), 2, "exact", bound)
     assert got and all(type(c) is F for c in got.values())
     assert bits(got) == bits(walked(e, (F(1, 2), F(-2, 5)), 2, "exact", bound))
+
+
+# ---------------------------------------------------------------------------
+# the float tape against _Walk, which stays its reference
+
+# zeros of both signs, small values, and values across the whole float
+# range, whose products overflow
+FLOAT_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2, 2),
+    st.floats(allow_nan=False, allow_infinity=False),
+    SMALL,
+)
+
+
+@st.composite
+def tape_cases(draw):
+    """A polynomial tree and an order, with two or three (point, bindings)
+    pairs, drawn apart, to take it through in turn: where their zero
+    coordinates or bound slots differ, a tape recorded for one must not
+    serve another."""
+    n = draw(st.integers(1, 3))
+    jets = [JET_CONTEXTS[n].jet(u, p) for u in (1, 2) for p in multi_indices(n, 1)]
+    e = draw(polynomial_trees(n, jets))
+    order = draw(st.integers(0, 4))
+    coordinate = st.one_of(st.just(F(0)), st.fractions(-2, 2, max_denominator=8), HUGE)
+    uses = []
+    for _ in range(draw(st.integers(2, 3))):
+        bound_order = order + draw(st.integers(0, 1))
+        indices = multi_indices(n, bound_order + 1)
+        coefficients = [
+            draw(st.dictionaries(st.sampled_from(indices), FLOAT_VALUES)) for _ in range(2)
+        ]
+        point = draw(st.tuples(*[coordinate] * n))
+        uses.append((point, jet_bindings(jets, coefficients, bound_order)))
+    return e, order, uses
+
+
+def replayed(e, point, order, bindings):
+    """The tape's series, or None where no tape serves."""
+    return taylor._replay(e, point, taylor._layout(len(point), order), bindings)
+
+
+@given(tape_cases())
+@settings(max_examples=300, deadline=None)
+def test_float_tape_matches_walk(case):
+    # float for float, bit for bit (-0.0 included), with the same keys in
+    # the same order, each pair twice: the first call of a structure
+    # records its tape, the second replays it
+    e, order, uses = case
+    for point, bound in uses * 2:
+        want = walked(e, point, order, "float", bound)
+        assert bits(outcome(e, point, order, "float", bound)) == bits(want)
+        served = replayed(e, point, order, bound)
+        # every binding is given and every float finite: the tape serves
+        # exactly where _Walk gives a series
+        assert (served is None) == isinstance(want, Exception)
+        if served is not None:
+            assert bits(served) == bits(want)
+
+
+def test_tape_errors_are_the_walks():
+    ctx = Context(("x", "y"), ("u",))
+    x, y = (Var(v) for v in ctx.space_vars())
+    ux = ctx.jet(1, (1, 0))
+    u = Var(ux)
+    point = (F(0), F(1, 3))
+    square = Sum((Prod((u, u)), x))
+    # a Fraction binding beyond the float range
+    huge = {ux: {0: F(10**400)}}
+    got = outcome(square, point, 1, "float", huge)
+    assert str(got).startswith("series evaluation failed: ")
+    assert bits(got) == bits(walked(square, point, 1, "float", huge))
+    # coefficients (0,2), (1,1) and (2,0) overflow; the first in slot order is named
+    big = {ux: {0: 1.0, 1: 1e200, 2: 1e200}}
+    got = outcome(square, point, 2, "float", big)
+    assert str(got) == f"coefficient {MultiIndex((0, 2))} is not finite"
+    assert bits(got) == bits(walked(square, point, 2, "float", big))
+    # no tape serves an unbound jet variable, a quotient, a function, a
+    # bump, or a negative or fractional power: _Walk gives the result or
+    # its own error
+    bound = {ux: {0: 0.5, 1: -0.0, 2: 2.0}}
+    bump = Bump((F(0), F(0)), F(1, 4), F(1, 2), ctx.space_vars(), zero_index(2))
+    for e, bindings in [
+        (Sum((x, u)), {}),
+        (Quot(y, Sum((u, x))), bound),
+        (Quot(u, x), bound),
+        (Sum((sfn("exp", u), y)), bound),
+        (Prod((bump, u)), bound),
+        (Pow(Sum((u, y)), F(-2)), bound),
+        (Pow(x, F(-1)), bound),
+        (Pow(Sum((u, y)), F(1, 2)), bound),
+    ]:
+        assert replayed(e, point, 2, bindings) is None, e
+        assert bits(outcome(e, point, 2, "float", bindings)) == bits(
+            walked(e, point, 2, "float", bindings)
+        ), e
+
+
+def test_tapes_are_keyed_by_tree_identity_and_bounded():
+    text = "dim: 2\nvars: x y\norder: 1\ndomain: (-1,1) (-1,1)\neq: u_x^2 + u_y^2 - 1 - x^2\n"
+    first, again = (parse_pde_text(text).equations[0] for _ in range(2))
+    assert first == again and first is not again
+    ctx = JET_CONTEXTS[2]
+    bound = {ctx.jet(1, (1, 0)): {0: 0.25, 1: -0.0, 3: 1e-3}, ctx.jet(1, (0, 1)): {0: -1.5, 2: 3.0}}
+    point = (F(1, 2), F(0))
+    want = bits(walked(first, point, 2, "float", bound))
+    taylor._TAPES.clear()  # room for both trees, whatever ran before
+    # a re-parsed equal operator records its own tape, to the same bits
+    assert bits(series(first, point, 2, "float", bound)) == want
+    assert bits(series(again, point, 2, "float", bound)) == want
+    assert taylor._TAPES[id(first)][0] is first and taylor._TAPES[id(again)][0] is again
+    # more distinct trees, or structures of one tree, than the bound
+    # never grow the cache past it
+    x = Var(CONTEXTS[1].space(1))
+    for i in range(taylor._HELD + 3):
+        tree = Sum((Prod((x, x)), Const(F(i))))
+        assert series(tree, (F(1, 3),), 2, "float") == walked(tree, (F(1, 3),), 2, "float")
+        assert len(taylor._TAPES) <= taylor._HELD
+    for order in range(taylor._HELD + 3):
+        series(tree, (F(1, 3),), order, "float")
+        assert len(taylor._TAPES[id(tree)][2]) <= taylor._HELD
 
 
 def test_jet_coefficients_round_trip_jet_of_function():
