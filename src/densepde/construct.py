@@ -44,7 +44,9 @@ class DensePointStream(Frozen):
         for lo, hi in box:
             if not lo < hi:
                 raise ValueError("degenerate box interval")
-        self.__dict__.update(box=box, scheme=scheme)
+        d = self.__dict__
+        d["box"] = box
+        d["scheme"] = scheme
 
     def points(self) -> Iterator[tuple[Fraction, ...]]:
         """The stream, as plain tuples.  Each unit coordinate is mapped
@@ -309,7 +311,9 @@ class AssembledFunction(Frozen):
     """Finite sum of bump * polynomial pieces with disjoint supports."""
 
     def __init__(self, context: Context, pieces: tuple[tuple[Bump, Expr], ...]):
-        self.__dict__.update(context=context, pieces=pieces)
+        d = self.__dict__
+        d["context"] = context
+        d["pieces"] = pieces
 
     def expression(self) -> Expr:
         return self._expression
@@ -341,7 +345,12 @@ class DiscreteSolve(Frozen):
         polynomials: TaylorPolynomials,
         scan: BumpScan,
     ):
-        self.__dict__.update(jets=jets, bumps=bumps, level=level, polynomials=polynomials, scan=scan)
+        d = self.__dict__
+        d["jets"] = jets
+        d["bumps"] = bumps
+        d["level"] = level
+        d["polynomials"] = polynomials
+        d["scan"] = scan
 
     @cached_property
     def exact(self) -> bool:
@@ -420,7 +429,11 @@ class SolutionSequence(Frozen):
             raise ValueError("points, orders and stages must align")
         if any(b < a for a, b in zip(orders, orders[1:])):
             raise ValueError("order schedule must be non-decreasing")
-        self.__dict__.update(operator=operator, points=points, orders=orders, stages=stages)
+        d = self.__dict__
+        d["operator"] = operator
+        d["points"] = points
+        d["orders"] = orders
+        d["stages"] = stages
 
     @property
     def stage_count(self) -> int:

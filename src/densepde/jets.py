@@ -64,8 +64,13 @@ class Jet(Value):
         order: int,
         values: Mapping[tuple[int, MultiIndex], Fraction | float],
     ):
-        expected = {(u, p) for u in range(1, k + 1) for p in multi_indices(n, order)}
-        if set(values) != expected:
+        # dense: as many values as the layout has keys, and every key among them
+        indices = multi_indices(n, order)
+        units = range(1, k + 1)
+        if len(values) != k * len(indices) or not all(
+            (u, p) in values for p in indices for u in units
+        ):
+            expected = {(u, p) for p in indices for u in units}
             missing = expected - set(values)
             extra = set(values) - expected
             raise ValueError(f"jet not dense: missing {missing}, extra {extra}")
@@ -163,25 +168,37 @@ class PdeOperator(Frozen):
         return not any(jet_variables(d) for g in self.gradients for d in g.values())
 
     @cached_property
-    def compiled_base(self) -> tuple[tuple, Callable, Callable]:
-        """(columns, residual, jacobian): the equations compiled once, with
-        expr.compile_float, for the Newton solve of a nonlinear base.
+    def compiled_base(self) -> tuple[tuple, Callable, Callable, tuple[int, ...]]:
+        """(columns, residual, jacobian, positions): the equations compiled
+        once, with expr.compile_float, for the Newton solve of a nonlinear
+        base and the symbol of every later level.
 
         `columns` are the base jets the equations contain, in graded-lex
         order, then unknown; `residual` and the Jacobian in those jets
         (row-major, flat) are float functions of the space values followed
-        by the jets in `columns`."""
+        by the jets in `columns`.  `positions` gives the place in the flat
+        Jacobian of each jet partial, in equation order, then gradient key
+        order."""
         columns = sorted(
             {c for g in self.gradients for c in g},
             key=lambda uq: (uq[1].grlex_key(), uq[0]),
         )
         variables = self.context.space_vars() + tuple(self.context.jet(u, q) for u, q in columns)
         partials = [g.get(c, ZERO) for g in self.gradients for c in columns]
+        width = len(columns)
         return (
             tuple(columns),
             compile_float(self.equations, variables),
             compile_float(partials, variables),
+            tuple(j * width + columns.index(c) for j, g in enumerate(self.gradients) for c in g),
         )
+
+    @cached_property
+    def layout(self) -> tuple:
+        """(n, k, m, the jet gradient keys of each equation): what the index
+        work of a jet solve at a point depends on, so equal layouts share
+        the range analysis' level plans."""
+        return (self.n, self.k, self.order, tuple(tuple(g) for g in self.gradients))
 
     @property
     def n(self) -> int:

@@ -119,6 +119,18 @@ def multi_indices_of_order(n: int, order: int) -> tuple[MultiIndex, ...]:
     return full[len(full) - math.comb(n + order - 1, order):]
 
 
+@lru_cache(maxsize=64)
+def jet_columns(n: int, k: int, order: int, lowest: int = 0) -> tuple[tuple[int, MultiIndex], ...]:
+    """The jet coordinates (u, p) of k unknowns with lowest <= |p| <= order,
+    graded-lex in p, then by unknown: the column layout of the range
+    analysis' linear systems and of the jet values a jet solve binds
+    (taylor.shift_plan).  The jets solved with them share these (u, p)
+    tuples as their keys."""
+    return tuple(
+        (u, p) for p in multi_indices(n, order) if p.order >= lowest for u in range(1, k + 1)
+    )
+
+
 def _of_order(n, total):
     if n == 1:
         return [(total,)]

@@ -17,6 +17,16 @@ of a linear operator, in every jet, which its rank certificates need.
 The solver takes the least-norm solution of each level, after a Newton
 root search at level 0 when the base equations are not affine.
 
+The index work of that rule is the same at every point, so it is planned
+once: _row_plan records, for each row, which coefficient lands in which
+column with which weight, keyed by the equations' jet gradient keys, the
+rows, the columns and which coefficients the partials' series hold; and
+_level_plan holds, per operator layout (PdeOperator.layout), level and
+solve order, the level's row plan, its columns' q! and the
+taylor.shift_plan by which the jet variables' bindings grow from its
+solved jets.  At a point _assemble and taylor.bind_jets then do only
+arithmetic.  Each cache holds at most _PLANS plans.
+
 The solver is triangular: level l of a solve never looks at a row or a
 jet above level l, so one solve of a point at the top level also gives
 the solve at every lower level.  The range check and the staged
@@ -28,7 +38,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain
 from operator import add, sub
 from typing import Sequence
 
@@ -44,12 +54,23 @@ from .linalg import (
     float_rank,
     residual_floor,
 )
-from .multiindex import MultiIndex, multi_indices, multi_indices_of_order, zero_index
+from .multiindex import (
+    MultiIndex,
+    jet_columns,
+    multi_indices,
+    multi_indices_of_order,
+    zero_index,
+)
 from .newton import multistart_newton
 from .printer import point_text
-from .taylor import bind_jets, jet_bindings, jet_coefficients, series
-
-Column = tuple[int, MultiIndex]
+from .taylor import (
+    bind_jets,
+    jet_bindings,
+    jet_coefficients,
+    series,
+    shift_plan,
+    taylor_coefficients,
+)
 
 # A float affine level solve counts as consistent when its least-squares
 # residual floor is at most max(tol, CONSISTENCY_FLOOR), so no tolerance
@@ -68,16 +89,6 @@ def _check_point(op: PdeOperator, x: Sequence) -> None:
         raise ValueError(f"point {point_text(x)} outside the domain box")
 
 
-@lru_cache(maxsize=64)
-def jet_columns(n: int, k: int, order: int, lowest: int = 0) -> tuple[Column, ...]:
-    """Column layout of the linear systems: jet coordinates (u, p) with
-    lowest <= |p| <= order, graded-lex in p, then by unknown.  The jets
-    solved with them share these (u, p) tuples as their keys."""
-    return tuple(
-        (u, p) for p in multi_indices(n, order) if p.order >= lowest for u in range(1, k + 1)
-    )
-
-
 def _mode(exact: bool) -> str:
     """The taylor.series mode of expr.exact_arithmetic's verdict."""
     return "auto" if exact else "float"
@@ -90,51 +101,107 @@ def linearize(sys: ProlongedSystem) -> ProlongedSystem | None:
     return sys if sys.operator.affine else None
 
 
-@lru_cache(maxsize=256)
-def _leibniz(p: MultiIndex) -> dict[tuple, tuple[tuple, int]]:
-    """p - q -> (q, p! / q!) for every q <= p, componentwise, each
-    multi-index as its tuple of entries."""
-    out = {}
-    for q in product(*(range(e + 1) for e in p.entries)):
-        weight = p.factorial() // math.prod(map(math.factorial, q))
-        out[tuple(map(sub, p.entries, q))] = (q, weight)
-    return out
+_PLANS = 64  # row plans, and level plans, held at most; the least recently used go first
 
 
-def _assemble(coefficients, offsets, indices, columns):
-    """Matrix A and right-hand side b of the prolonged rows (j, p) at a
-    point, for p in `indices` and then j in equation order, in the jet
-    `columns`.  An entry that no term reaches, and b at a row without
-    c_{j,p}, is the int 0 in either arithmetic (linalg.Row).
+@lru_cache(maxsize=_PLANS)
+def _row_plan(keys, indices, columns, shape) -> tuple[int, tuple]:
+    """The index work of _assemble for the rows (j, p), p in `indices` and
+    then j in equation order, in the jet `columns`: (width, rows), a row
+    (p!, p, j - 1, cells).  keys[j - 1] are the jet gradient keys of G_j,
+    and shape[e] the multi-indices, in series order, of the coefficients
+    given for the e-th gradient partial over all equations.
 
-    coefficients[j - 1] maps each jet (u, alpha) of G_j to the Taylor
-    series at the point of its coefficient a_{j,u,alpha} = dG_j/du_alpha,
-    and offsets[j - 1] is the series c_j of G_j (_equation_series).  By
-    the Leibniz rule the entry at row (j, p), column (u, alpha + q) is the
-    sum of (p!/q!) c_{p-q}(a_{j,u,alpha}) over q <= p, and b = -p! c_{j,p}.
-    A jet that is not a column counts as known: its terms are in c_j."""
+    The cells are the row's terms, three ints each, flat: the column of
+    (u, alpha + q), the position in _assemble's values of the coefficient
+    at p - q of the partial in (u, alpha), and the Leibniz weight p!/q!.
+    A term whose column is absent has no cell.  Cells come by column, then
+    position: each column's terms in the order that a walk over the
+    gradient keys, then each series, meets them."""
     index = {(u, q.entries): i for i, (u, q) in enumerate(columns)}
-    a, b = [], []
+    shapes = iter(shape)
+    partials, at = [], 0  # per equation: (u, alpha, first position, rests)
+    for g in keys:
+        partials.append([])
+        for (u, alpha), rests in zip(g, shapes):  # g first: shapes stays at the next partial
+            partials[-1].append((u, alpha.entries, at, rests))
+            at += len(rests)
+    rows = []
     for p in indices:
-        terms, factor = _leibniz(p), p.factorial()
-        for g, offset in zip(coefficients, offsets):
-            entries: dict[int, object] = {}
-            for (u, alpha), s in g.items():
-                for rest, c in s.items():
-                    term = terms.get(rest.entries)
-                    if term is None:
+        factor = p.factorial()
+        for j, g in enumerate(partials):
+            cells = []
+            for u, alpha, first, rests in g:
+                for s, rest in enumerate(rests):
+                    q = tuple(map(sub, p.entries, rest.entries))
+                    if min(q) < 0:
                         continue
-                    q, weight = term
-                    i = index.get((u, tuple(map(add, alpha.entries, q))))
+                    i = index.get((u, tuple(map(add, alpha, q))))
                     if i is not None:
-                        t = c if weight == 1 else weight * c
-                        entries[i] = entries[i] + t if i in entries else t
-            row = [0] * len(columns)
-            for i, v in entries.items():
-                row[i] = v
-            a.append(row)
-            c = offset.get(p)
-            b.append(0 if c is None else -(factor * c))
+                        cells.append((i, first + s, factor // math.prod(map(math.factorial, q))))
+            cells.sort()
+            rows.append((factor, p, j, tuple(chain.from_iterable(cells))))
+    return len(columns), tuple(rows)
+
+
+@lru_cache(maxsize=_PLANS)
+def _level_plan(variables, layout, lam: int, top: int) -> tuple:
+    """Every index decision of level lam of a solve to level `top`, for
+    the operator layout (n, k, m, the gradient keys of each equation) and
+    its jet variables: (columns, rows, factorials, bind).
+
+    The columns are the level's new jets, jet_columns of order m + lam
+    (every base jet at level 0); rows the _row_plan of the level's rows
+    in them, the partials constant series (at level 0, of an affine base
+    with no seed); factorials each column's q!; and bind the
+    taylor.shift_plan by which the jet variables read the level's Taylor
+    coefficients, to order `top`.  A solve then does only arithmetic at a
+    point."""
+    n, k, m, keys = layout
+    if lam:
+        columns, indices = jet_columns(n, k, m + lam, m + lam), multi_indices_of_order(n, lam)
+    else:
+        columns, indices = jet_columns(n, k, m), (zero_index(n),)
+    return (
+        columns,
+        _row_plan(keys, indices, columns, _constant(n, keys)),
+        tuple(q.factorial() for _, q in columns),
+        shift_plan(tuple(variables), k, top, m + lam if lam else 0, m + lam),
+    )
+
+
+def _constant(n: int, keys) -> tuple:
+    """The _row_plan shape of constant series: one coefficient, at 0, per
+    gradient partial."""
+    return ((zero_index(n),),) * sum(map(len, keys))
+
+
+def _assemble(plan, values, offsets):
+    """Matrix A and right-hand side b of the planned rows (_row_plan) at a
+    point.  An entry that no term reaches, and b at a row without c_{j,p},
+    is the int 0 in either arithmetic (linalg.Row).
+
+    `values` are the given coefficients of the Taylor series at the point
+    of the gradient partials a_{j,u,alpha} = dG_j/du_alpha, in the plan's
+    shape, and offsets[j - 1] is the series c_j of G_j (_equation_series).
+    By the Leibniz rule the entry at row (j, p), column (u, alpha + q) is
+    the sum of (p!/q!) c_{p-q}(a_{j,u,alpha}) over q <= p, its first term
+    assigned, not added to 0, and b = -p! c_{j,p}.  A jet that is not a
+    column counts as known: its terms are in c_j."""
+    width, rows = plan
+    a, b = [], []
+    for factor, p, j, cells in rows:
+        row = [0] * width
+        last = -1
+        step = iter(cells)
+        for i, at, weight in zip(step, step, step):
+            c = values[at]
+            t = c if weight == 1 else weight * c
+            row[i] = row[i] + t if i == last else t
+            last = i
+        a.append(row)
+        c = offsets[j].get(p)
+        b.append(0 if c is None else -(factor * c))
     return a, b
 
 
@@ -144,15 +211,13 @@ def _stacked(sys: ProlongedSystem, x: Sequence, exact: bool):
     in jet_columns order (_assemble, with every jet a column)."""
     op, level, mode = sys.operator, sys.level, _mode(exact)
     # the partials of an affine system are jet-free
-    coefficients = [
-        {c: series(d, x, level, mode) for c, d in g.items()} for g in op.gradients
-    ]
-    return _assemble(
-        coefficients,
-        _equation_series(op, x, {}, level, exact),
-        multi_indices(op.n, level),
-        jet_columns(op.n, op.k, sys.top_order),
+    coefficients = [series(d, x, level, mode) for g in op.gradients for d in g.values()]
+    plan = _row_plan(
+        op.layout[3], multi_indices(op.n, level), jet_columns(op.n, op.k, sys.top_order),
+        tuple(tuple(s) for s in coefficients),
     )
+    values = [c for s in coefficients for c in s.values()]
+    return _assemble(plan, values, _equation_series(op, x, {}, level, exact))
 
 
 class RankCertificate(Value):
@@ -179,10 +244,15 @@ class RankCertificate(Value):
         arithmetic: str,
         tolerance: float | None = None,
     ):
-        self.__dict__.update(
-            point=point, level=level, rank_p=rank_p, rank_q=rank_q, n_rows=n_rows,
-            n_cols=n_cols, arithmetic=arithmetic, tolerance=tolerance,
-        )
+        d = self.__dict__
+        d["point"] = point
+        d["level"] = level
+        d["rank_p"] = rank_p
+        d["rank_q"] = rank_q
+        d["n_rows"] = n_rows
+        d["n_cols"] = n_cols
+        d["arithmetic"] = arithmetic
+        d["tolerance"] = tolerance
 
     @property
     def holds(self) -> bool:
@@ -300,11 +370,14 @@ class JetSolveResult(Value):
         detail: str = "",
         levels: tuple["JetSolveResult", ...] = (),
     ):
-        self.__dict__.update(
-            status=status,  # solved | no-solution | solver-failed
-            jet=jet, residual=residual, arithmetic=arithmetic,
-            failed_level=failed_level, detail=detail, levels=levels,
-        )
+        d = self.__dict__
+        d["status"] = status  # solved | no-solution | solver-failed
+        d["jet"] = jet
+        d["residual"] = residual
+        d["arithmetic"] = arithmetic
+        d["failed_level"] = failed_level
+        d["detail"] = detail
+        d["levels"] = levels
 
     @property
     def solved(self) -> bool:
@@ -348,7 +421,11 @@ def solve_jets_triangular(
     is solved by a minimum-norm linear solve with the lower-order jets
     held fixed.  Every level's system is assembled at the point
     (_assemble); the result is exact whenever level 0 was.  No row of the
-    system above level 0 is built.
+    system above level 0 is built.  Each level's index work comes from
+    its plan (_level_plan), made once per operator layout, level and
+    solve order: at the point the solve assembles its rows from the
+    gradient values and the series, and grows the jet variables' bindings
+    from the solved values in column order (taylor.bind_jets).
 
     Level l of the solve reads only the rows and jets of level <= l, so
     the point is solved once for all levels: result.levels[l] is the jet
@@ -359,9 +436,9 @@ def solve_jets_triangular(
     """
     op = sys.operator
     _check_point(op, x)
-    n, k, m = op.n, op.k, op.order
+    n, k, m, top = op.n, op.k, op.order, sys.level
     seed_vals = _seed_values(seed)
-    base_cols = jet_columns(n, k, m)
+    base_cols, base_rows, factorials, bind = _level_plan(op.jet_variables, op.layout, 0, top)
     for u, p in seed_vals:
         if (u, p) not in base_cols:
             raise ValueError(
@@ -377,36 +454,38 @@ def solve_jets_triangular(
                 "the equations are solved exactly at this point: "
                 "seed values must be rational"
             )
-        free_cols = [c for c in base_cols if c not in known]
+        free_cols = base_cols
+        rows = base_rows
+        if known:
+            free_cols = tuple(c for c in base_cols if c not in known)
+            keys = op.layout[3]
+            rows = _row_plan(keys, (zero_index(n),), free_cols, _constant(n, keys))
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
         cast = Fraction if exact else float
         known = {c: cast(v) for c, v in known.items()}
         a, b = _assemble(
-            _gradient_values(op, x, known, exact),
-            _equation_series(op, x, known, 0, exact),
-            [zero_index(n)], free_cols,
+            rows, _gradient_values(op, x, known, exact), _equation_series(op, x, known, 0, exact)
         )
-        solved, failure = _solve_affine(free_cols, a, b, exact, tol, 0)
+        values, failure = _solve_affine(a, b, exact, tol, 0)
+        solved = dict(zip(free_cols, values))
     lam = 0
     if failure is None:
         known.update(solved)
         # the arithmetic of level 0 carries to every later level
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
-        coefficients = _gradient_values(op, x, known, exact, base_known=True)
+        gradient = _gradient_values(op, x, known, exact, base_known=True)
         # one set of bindings for the solve, grown by each level's jets
-        bindings = jet_bindings(op.jet_variables, jet_coefficients(known, k, exact), sys.level)
-        for lam in range(1, sys.level + 1):
-            columns = jet_columns(n, k, m + lam, m + lam)
-            a, b = _assemble(
-                coefficients,
-                _bound_series(op, x, bindings, sys.level, exact),
-                multi_indices_of_order(n, lam), columns,
-            )
-            solved, failure = _solve_affine(columns, a, b, exact, tol, lam)
+        bindings = {v: {} for v in op.jet_variables}
+        values = [known[c] for c in base_cols]
+        bind_jets(bindings, bind, taylor_coefficients(base_cols, values, factorials, exact))
+        for lam in range(1, top + 1):
+            columns, rows, factorials, bind = _level_plan(op.jet_variables, op.layout, lam, top)
+            a, b = _assemble(rows, gradient, _bound_series(op, x, bindings, top, exact))
+            values, failure = _solve_affine(a, b, exact, tol, lam)
             if failure is not None:
                 break
-            known.update(solved)
-            bind_jets(bindings, jet_coefficients(solved, k, exact), sys.level)
+            known.update(zip(columns, values))
+            bind_jets(bindings, bind, taylor_coefficients(columns, values, factorials, exact))
 
     passed = sys.level if failure is None else lam - 1
     levels = []
@@ -441,26 +520,21 @@ def solve_jets_triangular(
 
 def _gradient_values(
     op: PdeOperator, x, jets: dict, exact: bool, base_known: bool = False
-) -> list[dict]:
-    """Per equation, each jet partial's value at x and the jets {(u, q):
-    value}, as a constant series: the coefficients of _assemble at a
-    level whose lower jets are known.  In float arithmetic with every base
-    jet in `jets` (`base_known`), one call of op.compiled_base's Jacobian
-    gives them all: the floats evaluate_float gives, by compile_float's
-    contract."""
-    zero = zero_index(op.n)
+) -> list:
+    """Each jet partial's value at x and the jets {(u, q): value}, in
+    equation order, then gradient key order: the values of _assemble at
+    a level whose lower jets are known, each a constant series.  In float
+    arithmetic with every base jet in `jets` (`base_known`), one call of
+    op.compiled_base's Jacobian gives them all, read by position: the
+    floats evaluate_float gives, by compile_float's contract."""
     if base_known and not exact:
-        columns, _, jacobian = op.compiled_base
+        columns, _, jacobian, positions = op.compiled_base
         flat = jacobian([*x, *map(jets.__getitem__, columns)])
-        width = len(columns)
-        return [
-            {c: {zero: flat[j * width + columns.index(c)]} for c in g}
-            for j, g in enumerate(op.gradients)
-        ]
+        return list(map(flat.__getitem__, positions))
     evaluate = evaluate_exact if exact else evaluate_float
     values = dict(zip(op.context.space_vars(), x))
     values.update({op.context.jet(u, q): v for (u, q), v in jets.items()})
-    return [{c: {zero: evaluate(d, values)} for c, d in g.items()} for g in op.gradients]
+    return [evaluate(d, values) for g in op.gradients for d in g.values()]
 
 
 def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) -> list[dict]:
@@ -480,24 +554,22 @@ def _bound_series(op: PdeOperator, x, bindings: dict, order: int, exact: bool) -
     return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
 
 
-def _solve_affine(
-    columns, a, b, exact: bool, tol: float, level: int
-) -> tuple[dict, JetSolveResult | None]:
-    """Minimum-norm solve of A y = b for the jets `columns` of `level`:
-    exact when `exact`, float otherwise, with the residual floor deciding
-    consistency.  Returns ({column: value}, None), or ({}, the failed
+def _solve_affine(a, b, exact: bool, tol: float, level: int) -> tuple[list, JetSolveResult | None]:
+    """Minimum-norm solve of A y = b for the jets of `level`: exact when
+    `exact`, float otherwise, with the residual floor deciding
+    consistency.  Returns (y in column order, None), or ([], the failed
     JetSolveResult) when the system is inconsistent."""
     detail = "inconsistent affine system at level 0" if level == 0 else "inconsistent level"
     if exact:
         solution = exact_least_norm(a, b)
         if solution is None:
             floor = exact_residual_floor(a, b)
-            return {}, JetSolveResult("no-solution", None, floor, "exact", level, detail)
-        return dict(zip(columns, solution)), None
+            return [], JetSolveResult("no-solution", None, floor, "exact", level, detail)
+        return solution, None
     xsol, floor = float_least_norm(a, b)
     if floor > max(tol, CONSISTENCY_FLOOR):
-        return {}, JetSolveResult("no-solution", None, floor, "float", level, detail)
-    return {c: float(v) for c, v in zip(columns, xsol)}, None
+        return [], JetSolveResult("no-solution", None, floor, "float", level, detail)
+    return [float(v) for v in xsol], None
 
 
 def _solve_newton_base(
@@ -506,7 +578,7 @@ def _solve_newton_base(
     """Damped multistart Newton on the level-0 rows for the jets `cols`,
     through their residual and Jacobian compiled once per operator; the
     result as _solve_affine's."""
-    present, residual, jacobian = op.compiled_base
+    present, residual, jacobian, _ = op.compiled_base
     width = len(present)
     space_f = [float(v) for v in x]
 
@@ -556,20 +628,20 @@ def _residuals(op: PdeOperator, x, jet: Jet, top: int, bindings: dict) -> list:
     F_{j,p} = p! c_{j,p} for the series c_j of each equation with its jet
     variables bound to the jet, `bindings` (taylor.jet_bindings of the
     jet's coefficients in its arithmetic), taken to the solve's `top`
-    order: one series per equation, read in row order, with each level's
-    value the running maximum at its last row.  A jet is exact only when
-    level 0 ran exactly, so the equations are rational-closed and every
-    coefficient is a Fraction."""
+    order: one series per equation, read in the row order of each level's
+    plan (_level_plan), with each level's value the running maximum at
+    its last row.  A jet is exact only when level 0 ran exactly, so the
+    equations are rational-closed and every coefficient is a Fraction."""
     exact = jet.exact
     offsets = _bound_series(op, x, bindings, top, exact)
     worst = 0
     running = []
     for level in range(jet.order - op.order + 1):
-        for p in multi_indices_of_order(op.n, level):
-            for offset in offsets:
-                c = offset.get(p)
-                if c is not None:
-                    worst = max(worst, abs(p.factorial() * c))
+        _, (_, rows), _, _ = _level_plan(op.jet_variables, op.layout, level, top)
+        for factor, p, j, _ in rows:
+            c = offsets[j].get(p)
+            if c is not None:
+                worst = max(worst, abs(factor * c))
         running.append(worst)
     return running
 

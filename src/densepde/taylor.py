@@ -73,7 +73,7 @@ from .expr import (
     Variable,
     bump_region,
 )
-from .multiindex import MultiIndex, multi_indices
+from .multiindex import MultiIndex, jet_columns, multi_indices
 
 Coefficient = Fraction | float
 MODES = ("auto", "exact", "float")
@@ -828,26 +828,81 @@ def _walk(
     return result
 
 
+def taylor_coefficients(columns, values, factorials, exact: bool) -> list[Coefficient]:
+    """The Taylor coefficient v / q! of each jet value v of a column (u, q)
+    in `columns`, with q! given in `factorials`: a Fraction each when
+    `exact`, a float (v / q! correctly rounded) otherwise, and
+    EvaluationError for one outside the float range."""
+    if exact:
+        values = (v if type(v) is Fraction else Fraction(v) for v in values)
+        return [v if f == 1 else v / f for v, f in zip(values, factorials)]
+    out = []
+    for (u, q), v, f in zip(columns, values, factorials):
+        try:
+            out.append(float(v if f == 1 else v / f))
+        except OverflowError:
+            raise EvaluationError(f"jet value {u};{q} is beyond the float range") from None
+    return out
+
+
 def jet_coefficients(
     values: Mapping[tuple[int, MultiIndex], Coefficient], k: int, exact: bool
 ) -> list[dict[MultiIndex, Coefficient]]:
     """Per unknown u = 1..k, the Taylor coefficients {q: v / q!} of the jet
-    values {(u, q): v}, zeros included: a Fraction each when `exact`, a
-    float (v / q! correctly rounded) otherwise, and EvaluationError for
-    one outside the float range."""
+    values {(u, q): v}, zeros included (taylor_coefficients)."""
     out: list[dict[MultiIndex, Coefficient]] = [{} for _ in range(k)]
-    for (u, q), v in values.items():
-        f = q.factorial()
-        if exact:
-            if type(v) is not Fraction:
-                v = Fraction(v)
-            out[u - 1][q] = v if f == 1 else v / f
-        else:
-            try:
-                out[u - 1][q] = float(v if f == 1 else v / f)
-            except OverflowError:
-                raise EvaluationError(f"jet value {u};{q} is beyond the float range") from None
+    factorials = [q.factorial() for _, q in values]
+    for (u, q), c in zip(values, taylor_coefficients(values, values.values(), factorials, exact)):
+        out[u - 1][q] = c
     return out
+
+
+_SHIFT_PLANS = 128  # shift plans held at most; the least recently used go first
+
+
+@lru_cache(maxsize=_SHIFT_PLANS)
+def shift_plan(
+    variables: tuple[JetVar, ...], k: int, order: int, lowest: int, highest: int
+) -> tuple[tuple[JetVar, tuple[int, ...]], ...]:
+    """How the jet variables read the Taylor coefficients of k unknowns'
+    jets in the columns jet_columns(n, k, highest, lowest): per variable
+    u_alpha, in the given order, (u_alpha, its entries), an entry for each
+    |q| <= order in slot order whose q + alpha is a column: the slot of q,
+    the column of (u, q + alpha) and (q + alpha)! / q!, three ints each,
+    flat.  bind_jets applies it."""
+    out = []
+    for v in variables:
+        alpha, u = v.index, v.unknown
+        top = multi_indices(alpha.n, order + alpha.order)
+        below = len(multi_indices(alpha.n, lowest - 1))  # slots under the lowest column
+        entries: list[int] = []
+        for slot, src, factor in _shift_plan(alpha, order):
+            if lowest <= top[src].order <= highest:
+                entries += (slot, (src - below) * k + u - 1, factor)
+        out.append((v, tuple(entries)))
+    return tuple(out)
+
+
+def bind_jets(
+    bindings: dict[JetVar, dict[int, Coefficient]],
+    plan: tuple[tuple[JetVar, tuple[int, ...]], ...],
+    coefficients: Sequence[Coefficient | None],
+) -> None:
+    """Add to the slot series of each jet variable in `bindings` the slots
+    that a shift_plan fills from the Taylor coefficients of its columns,
+    `coefficients` in column order, None where one is not given: each
+    entry (slot, column, factor) sets the slot to factor * c for the
+    column's c.  The new slots follow the old ones, in slot order; so
+    bindings grown level by level, each level's columns above the orders
+    bound before, as a jet solve grows them, hold the same slots in the
+    same order as jet_bindings of all the coefficients at once."""
+    for v, entries in plan:
+        out = bindings[v]
+        step = iter(entries)
+        for slot, i, factor in zip(step, step, step):
+            c = coefficients[i]
+            if c is not None:
+                out[slot] = c if factor == 1 else factor * c
 
 
 def jet_bindings(
@@ -857,51 +912,17 @@ def jet_bindings(
     to the alpha-shift, to `order`, of the series s = coefficients[u - 1],
     as a slot series: c_q = (q + alpha)! / q! * s_{q + alpha} in the slot
     of q, for every |q| <= order whose s_{q + alpha} is given, a zero
-    included."""
+    included (bind_jets of a shift_plan over every column that a shift
+    reads)."""
+    variables = tuple(variables)
     bindings: dict[JetVar, dict[int, Coefficient]] = {v: {} for v in variables}
-    bind_jets(bindings, coefficients, order)
+    if variables and any(coefficients):
+        k = len(coefficients)
+        highest = order + max(v.index.order for v in variables)
+        columns = jet_columns(variables[0].index.n, k, highest)
+        given = [coefficients[u - 1].get(q) for u, q in columns]
+        bind_jets(bindings, shift_plan(variables, k, order, 0, highest), given)
     return bindings
-
-
-def bind_jets(
-    bindings: dict[JetVar, dict[int, Coefficient]],
-    coefficients: Sequence[Mapping[MultiIndex, Coefficient]],
-    order: int,
-) -> None:
-    """Add to each jet variable's slot series in `bindings` (jet_bindings)
-    the slots that the given coefficients fill.  Every slot bound before
-    must come from coefficients of lower order than each one given now:
-    the new slots, taken in the shift plan's order, then follow the old
-    ones in slot order, so bindings grown order by order, as a jet solve
-    grows them, hold the same slots in the same order as jet_bindings of
-    all the coefficients at once."""
-    if not bindings:
-        return
-    n = next(iter(bindings)).index.n
-    slot = _slots(n, order + max(v.index.order for v in bindings))
-    # each unknown's given coefficients by slot, up to the highest order a
-    # shift reads
-    rows: list[dict[int, Coefficient]] = []
-    for s in coefficients:
-        row = {}
-        for p, c in s.items():
-            k = slot.get(p)
-            if k is not None:
-                row[k] = c
-        rows.append(row)
-    lowest = min((p.order for s in coefficients for p in s), default=0)
-    for v, out in bindings.items():
-        row = rows[v.unknown - 1]
-        if not row:
-            continue
-        # the shifts of the q with |q| < lowest - |alpha| read no given
-        # coefficient: skip their slots
-        below = lowest - v.index.order
-        skip = math.comb(n + below - 1, n) if below > 0 else 0
-        for k, src, factor in _shift_plan(v.index, order)[skip:]:
-            c = row.get(src)
-            if c is not None:
-                out[k] = c if factor == 1 else factor * c
 
 
 def derivative(s: Mapping[MultiIndex, Coefficient], p: MultiIndex, exact: bool = True):

@@ -57,7 +57,10 @@ class FunctionSequence(Frozen):
                 raise ValueError("sequence terms must not contain jet variables")
         if approximate is not None and len(approximate) != len(terms):
             raise ValueError("need one approximate flag per term")
-        self.__dict__.update(context=context, terms=terms, approximate=approximate)
+        d = self.__dict__
+        d["context"] = context
+        d["terms"] = terms
+        d["approximate"] = approximate
 
     @property
     def truncation(self) -> int:
@@ -95,7 +98,10 @@ class Failure(Value):
     _fields = ("term", "index", "value")
 
     def __init__(self, term: int, index: MultiIndex, value: float):
-        self.__dict__.update(term=term, index=index, value=value)
+        d = self.__dict__
+        d["term"] = term
+        d["index"] = index
+        d["value"] = value
 
 
 class VanishingEntry(Value):
@@ -109,9 +115,12 @@ class VanishingEntry(Value):
         exact: bool,
         failures: tuple[Failure, ...] = (),
     ):
-        self.__dict__.update(
-            point=point, order=order, witness=witness, exact=exact, failures=failures
-        )
+        d = self.__dict__
+        d["point"] = point
+        d["order"] = order
+        d["witness"] = witness
+        d["exact"] = exact
+        d["failures"] = failures
 
     @property
     def holds(self) -> bool:
@@ -128,9 +137,11 @@ class VanishingReport(Value):
         tolerance: float,
         entries: tuple[VanishingEntry, ...],
     ):
-        self.__dict__.update(
-            truncation=truncation, arithmetic=arithmetic, tolerance=tolerance, entries=entries
-        )
+        d = self.__dict__
+        d["truncation"] = truncation
+        d["arithmetic"] = arithmetic
+        d["tolerance"] = tolerance
+        d["entries"] = entries
 
     @property
     def holds(self) -> bool:
@@ -323,7 +334,12 @@ def symbolic_series(
 
 class VerificationFailure(Frozen):
     def __init__(self, equation: int, stage: int, point: Point, index: MultiIndex, value: float):
-        self.__dict__.update(equation=equation, stage=stage, point=point, index=index, value=value)
+        d = self.__dict__
+        d["equation"] = equation
+        d["stage"] = stage
+        d["point"] = point
+        d["index"] = index
+        d["value"] = value
 
     def describe(self) -> str:
         return (
@@ -344,9 +360,11 @@ class VerificationResult(Frozen):
         reports: tuple[VanishingReport, ...],
         failures: tuple[VerificationFailure, ...],
     ):
-        self.__dict__.update(
-            arithmetic=arithmetic, tolerance=tolerance, reports=reports, failures=failures
-        )
+        d = self.__dict__
+        d["arithmetic"] = arithmetic
+        d["tolerance"] = tolerance
+        d["reports"] = reports
+        d["failures"] = failures
 
     @property
     def passed(self) -> bool:

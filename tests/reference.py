@@ -16,9 +16,13 @@ construct.BumpScan tests only a point's nearest centre, comparing
 integers; LinearBumpScan tests every bump of the stage in turn, in
 Fractions.
 
-densepde.taylor.jet_bindings shifts the jet values' Taylor series slot
-to slot; shift and keyed_bindings do it keyed by multi-index and re-key
-the result to the slots series reads.
+densepde.ranges plans the index work of each level of a jet solve once
+per operator layout (_level_plan), so that at a point _assemble and
+taylor.bind_jets only do arithmetic.  assemble and grow_bindings do the
+same work term by term, value by value, as the plans replaced: the
+Leibniz rule over every q <= p, and the shift of each jet variable.
+shift and keyed_bindings give taylor.jet_bindings keyed by multi-index,
+re-keyed to the slots series reads.
 
 The chain-rule oracles: total_derivative (one total derivative D_i of
 an expression in jet space), differentiate_multi (D^p of an expression
@@ -38,7 +42,10 @@ dense point sets).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import product
+from operator import add, sub
 from typing import Sequence
 
 from densepde.construct import SHRINK, _sqrt_lower
@@ -223,7 +230,64 @@ class LinearBumpScan:
 
 
 # ---------------------------------------------------------------------------
-# jet bindings keyed by multi-index
+# the jet solve's hand-offs, term by term
+
+def leibniz(p: MultiIndex) -> dict[tuple, tuple[tuple, int]]:
+    """p - q -> (q, p! / q!) for every q <= p, componentwise, each
+    multi-index as its tuple of entries."""
+    out = {}
+    for q in product(*(range(e + 1) for e in p.entries)):
+        weight = p.factorial() // math.prod(map(math.factorial, q))
+        out[tuple(map(sub, p.entries, q))] = (q, weight)
+    return out
+
+
+def assemble(coefficients, offsets, indices, columns):
+    """ranges._assemble term by term: matrix A and right-hand side b of the
+    prolonged rows (j, p), p in `indices` and then j in equation order, in
+    the jet `columns`.  coefficients[j - 1] maps each jet (u, alpha) of G_j
+    to the Taylor series of dG_j/du_alpha, offsets[j - 1] is the series of
+    G_j.  The entry at (j, p), (u, alpha + q) sums (p!/q!) c_{p-q} over
+    q <= p, in the order of the gradient keys, then of each series; an
+    entry no term reaches, and b at a row without c_{j,p}, is the int 0."""
+    index = {(u, q.entries): i for i, (u, q) in enumerate(columns)}
+    a, b = [], []
+    for p in indices:
+        terms, factor = leibniz(p), p.factorial()
+        for g, offset in zip(coefficients, offsets):
+            entries: dict[int, object] = {}
+            for (u, alpha), s in g.items():
+                for rest, c in s.items():
+                    term = terms.get(rest.entries)
+                    if term is None:
+                        continue
+                    q, weight = term
+                    i = index.get((u, tuple(map(add, alpha.entries, q))))
+                    if i is not None:
+                        t = c if weight == 1 else weight * c
+                        entries[i] = entries[i] + t if i in entries else t
+            row = [0] * len(columns)
+            for i, v in entries.items():
+                row[i] = v
+            a.append(row)
+            c = offset.get(p)
+            b.append(0 if c is None else -(factor * c))
+    return a, b
+
+
+def grow_bindings(bindings, coefficients, order: int) -> None:
+    """taylor.bind_jets value by value: each jet variable u_alpha's slot
+    series gains c_q = (q + alpha)! / q! * s_{q + alpha}, for s =
+    coefficients[u - 1] and each |q| <= order in slot order whose
+    s_{q + alpha} is given."""
+    for v, out in bindings.items():
+        for slot, q in enumerate(multi_indices(v.index.n, order)):
+            p = q + v.index
+            c = coefficients[v.unknown - 1].get(p)
+            if c is not None:
+                factor = p.factorial() // q.factorial()
+                out[slot] = c if factor == 1 else factor * c
+
 
 def shift(s, alpha: MultiIndex, order: int) -> dict:
     """The series of D^alpha w, to `order`, from the series s of w, which

@@ -5,22 +5,33 @@ one Leibniz-rule assembly (ranges._assemble).  Each must equal the
 prolonged-row reference (tests/reference.py): Fraction for Fraction on
 rational data, to 1e-12 relative in floats.  An entry that no term
 reaches is the int 0 in either arithmetic.
+
+The assembly and the growth of the jet bindings run from plans made once
+per layout (ranges._row_plan, taylor.shift_plan).  On random layouts they
+must give what the term-by-term references give (reference.assemble and
+reference.grow_bindings), bit for bit: the same keys in the same order,
+equal Fractions, floats with the same bits, -0.0 included.
 """
 
 import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densepde import jets, ranges
 from densepde.construct import DensePointStream, construct_sequence
+from densepde.expr import JetVar
 from densepde.jets import Jet, parse_pde_text, prolong
 from densepde.multiindex import multi_indices, multi_indices_of_order, zero_index
 from densepde.ranges import (
     _assemble,
     _equation_series,
     _gradient_values,
+    _constant,
+    _level_plan,
     _residuals,
+    _row_plan,
     _stacked,
     jet_columns,
     linearize,
@@ -29,7 +40,7 @@ from densepde.ranges import (
     solve_jets_triangular,
 )
 from densepde.systems import lewy_operator
-from densepde.taylor import jet_bindings, jet_coefficients
+from densepde.taylor import bind_jets, jet_bindings, jet_coefficients, shift_plan
 
 import reference
 
@@ -79,17 +90,19 @@ def below(values, order):
 def level_systems(op, top, x, exact):
     """(assembled, reference) level systems for levels 1..top, every one
     at the same jet values below its top order, assembled as the solver
-    does: the coefficients are the gradient values at the base jets."""
+    does: from the level's plan, with the gradient values at the base
+    jets."""
     system = prolong(op, top)
     values = some_jet(op, op.order + top, exact)
     base = below(values, op.order + 1)
-    coefficients = _gradient_values(op, x, base, exact)
+    gradient = _gradient_values(op, x, base, exact)
     for lam in range(1, top + 1):
         known = below(values, op.order + lam)
         offsets = _equation_series(op, x, known, top, exact)
-        columns = reference.level_columns(op, lam)
+        columns, rows, _, _ = _level_plan(op.jet_variables, op.layout, lam, top)
+        assert list(columns) == reference.level_columns(op, lam)
         yield (
-            _assemble(coefficients, offsets, multi_indices_of_order(op.n, lam), columns),
+            _assemble(rows, gradient, offsets),
             reference.level_system(system, x, known, lam, exact),
         )
 
@@ -100,14 +113,15 @@ def base_systems(op, x, exact):
     system = prolong(op, 0)
     rows = [(j, zero_index(op.n)) for j in range(1, op.r + 1)]
     base_cols = jet_columns(op.n, op.k, op.order)
+    keys = op.layout[3]
     pin = F(3, 7) if exact else 3 / 7
     for known in ({}, {base_cols[0]: pin}):
-        columns = [c for c in base_cols if c not in known]
+        columns = tuple(c for c in base_cols if c not in known)
         yield (
             _assemble(
+                _row_plan(keys, (zero_index(op.n),), columns, _constant(op.n, keys)),
                 _gradient_values(op, x, known, exact),
                 _equation_series(op, x, known, 0, exact),
-                [zero_index(op.n)], columns,
             ),
             reference.row_system(system, rows, columns, reference.assignment(op, x, known), exact),
         )
@@ -117,6 +131,11 @@ def absent(v) -> bool:
     """Whether v is the int 0 that stands for an entry no term reaches;
     any other int is no entry of an assembled system."""
     return type(v) is int and v == 0
+
+
+def bits(v):
+    """v's type and value, a float by its bits: -0.0 is not 0.0."""
+    return type(v), v.hex() if type(v) is float else v
 
 
 def assert_fractions(a, b):
@@ -190,16 +209,12 @@ TWO_EQUATIONS = pde(2, 1, "(-1,1) (-1,1)", "u_x*u_y + sin(y)*u^2 - x", "u_x - ex
 )
 def test_compiled_symbol_is_the_evaluated_symbol(op, x):
     # with every base jet known, the jet partials come off
-    # op.compiled_base's Jacobian in one call: bit for bit the floats
-    # evaluate_float gives, in the same order
+    # op.compiled_base's Jacobian in one call, read by position: bit for
+    # bit the floats evaluate_float gives, in the same order
     base = some_jet(op, op.order, False)
-    zero = zero_index(op.n)
-
-    def hexed(values):
-        return [[(c, s[zero].hex()) for c, s in g.items()] for g in values]
-
     compiled = _gradient_values(op, x, base, False, base_known=True)
-    assert hexed(compiled) == hexed(_gradient_values(op, x, base, False))
+    evaluated = _gradient_values(op, x, base, False)
+    assert list(map(float.hex, compiled)) == list(map(float.hex, evaluated))
 
 
 def test_float_stacked_rows_match_the_prolonged_rows():
@@ -255,13 +270,13 @@ def test_grown_bindings_match_bindings_of_the_known_jets(monkeypatch, op, top, x
     # the solver grows one set of bindings level by level; each level's
     # series, and the final residual walk, must see the bindings that
     # jet_bindings gives of the jets known then, slot for slot in the same
-    # order, with equal values of the same type (so float walks are
-    # bit-identical)
+    # order, with values of the same type that are equal Fractions or the
+    # same floats bit for bit (so float walks are bit-identical)
     seen = []
 
     def record(op_, x_, bindings, order, exact):
         if order == top:
-            snapshot = {v: [(k, type(c), c) for k, c in s.items()] for v, s in bindings.items()}
+            snapshot = {v: [(k, bits(c)) for k, c in s.items()] for v, s in bindings.items()}
             if not seen or seen[-1] != snapshot:
                 seen.append(snapshot)
         return bound_series(op_, x_, bindings, order, exact)
@@ -276,7 +291,7 @@ def test_grown_bindings_match_bindings_of_the_known_jets(monkeypatch, op, top, x
     for level in range(top + 1):
         known = below(values, op.order + level + 1)
         bindings = jet_bindings(op.jet_variables, jet_coefficients(known, op.k, exact), top)
-        want.append({v: [(k, type(c), c) for k, c in s.items()] for v, s in bindings.items()})
+        want.append({v: [(k, bits(c)) for k, c in s.items()] for v, s in bindings.items()})
     assert seen == want
 
 
@@ -308,3 +323,92 @@ class TestNoRowAboveLevelZero:
     def test_construct(self, op):
         points = DensePointStream(op.domain).prefix(3)
         assert construct_sequence(op, points, [1, 2, 3]).stage_count == 3
+
+
+# ---------------------------------------------------------------------------
+# the plans against the term-by-term references, bit for bit
+
+FLOATS = st.sampled_from([-0.0, 0.0, 1.0, -1.5, 0.1, 2.0**-60, -3e20, 7.25])
+FRACTIONS = st.sampled_from([F(1), F(-1, 3), F(5, 7), F(-2), F(11, 13)])
+
+
+@st.composite
+def layouts(draw):
+    """(n, k, m, gradient keys of one or two equations), each equation's
+    keys some base jets in jet_gradient order."""
+    n, k, m = draw(st.integers(1, 3)), draw(st.integers(1, 2)), draw(st.integers(0, 2))
+    base = jet_columns(n, k, m)
+    keys = tuple(
+        tuple(sorted(
+            draw(st.sets(st.sampled_from(base), min_size=1, max_size=4)),
+            key=lambda c: (c[0], c[1].grlex_key()),
+        ))
+        for _ in range(draw(st.integers(1, 2)))
+    )
+    return n, k, m, keys
+
+
+def some(data, items):
+    """A random part of items, in their order."""
+    return tuple(c for c in items if data.draw(st.integers(0, 4)))
+
+
+def bitwise(values):
+    return [bits(v) for v in values]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_planned_rows_are_the_term_by_term_rows(data):
+    # a level's rows in its top-order jets from constant series, as the
+    # solver assembles them, or the stacked rows in every jet of order
+    # <= m + level from full series; some columns left out as known jets
+    # and exact zeros left out of each series
+    n, k, m, keys = data.draw(layouts())
+    level = data.draw(st.integers(0, 4))
+    exact, full = data.draw(st.booleans()), data.draw(st.booleans())
+    pool = FRACTIONS if exact else FLOATS
+    if full:
+        indices, rests = multi_indices(n, level), multi_indices(n, level)
+    else:
+        indices, rests = multi_indices_of_order(n, level), multi_indices(n, 0)
+    columns = some(data, jet_columns(n, k, m + level, 0 if full else m + level))
+    series = [{r: data.draw(pool) for r in some(data, rests)} for g in keys for _ in g]
+    offsets = [{p: data.draw(pool) for p in some(data, multi_indices(n, level))} for _ in keys]
+    partials = iter(series)
+    coefficients = [dict(zip(g, partials)) for g in keys]
+    want_a, want_b = reference.assemble(coefficients, offsets, indices, columns)
+    plan = _row_plan(keys, indices, columns, tuple(tuple(s) for s in series))
+    got_a, got_b = _assemble(plan, [c for s in series for c in s.values()], offsets)
+    assert [bitwise(row) for row in got_a] == [bitwise(row) for row in want_a]
+    assert bitwise(got_b) == bitwise(want_b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_planned_bindings_are_the_value_by_value_bindings(data):
+    # bindings grown level by level from each level's jets, as a solve to
+    # `top` grows them, and jet_bindings of sparse coefficients
+    n, k, m, keys = data.draw(layouts())
+    top, exact = data.draw(st.integers(0, 4)), data.draw(st.booleans())
+    pool = FRACTIONS if exact else FLOATS
+    variables = tuple(JetVar(u, alpha, f"u{u}_{alpha}") for u, alpha in sorted(set(sum(keys, ()))))
+
+    def items(bindings):
+        return [(v, [(slot, bits(c)) for slot, c in s.items()]) for v, s in bindings.items()]
+
+    got, want = ({v: {} for v in variables} for _ in range(2))
+    for lam in range(top + 1):
+        lowest, highest = (0, m) if lam == 0 else (m + lam, m + lam)
+        columns = jet_columns(n, k, highest, lowest)
+        values = [data.draw(pool) for _ in columns]
+        bind_jets(got, shift_plan(variables, k, top, lowest, highest), values)
+        keyed = [{} for _ in range(k)]
+        for (u, q), c in zip(columns, values):
+            keyed[u - 1][q] = c
+        reference.grow_bindings(want, keyed, top)
+        assert items(got) == items(want)
+    sparse = [{q: data.draw(pool) for q in some(data, multi_indices(n, top + m))} for _ in range(k)]
+    assert items(jet_bindings(variables, sparse, top)) == items(
+        reference.keyed_bindings(variables, sparse, top)
+    )

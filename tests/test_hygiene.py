@@ -3,6 +3,8 @@ no module of the package or of its tests imports a name it never uses,
 the package's imports sit at module level, every name the package
 re-exports is used by the package or a demo, and every private
 module-level function, class or assignment is read by the package.
+No constructor fills an instance __dict__ with update(), which gives the
+instance a dict of its own keys, not one that shares its class's.
 The package has no runtime dependencies: importing it loads no numpy, and
 it generates no class code: it loads neither dataclasses nor inspect.  Nor
 does it load tempfile or csv, with or without the site module.
@@ -148,6 +150,19 @@ def test_imports_at_module_level():
                     if (name, fn.name) not in LOCAL_IMPORTS_ALLOWED:
                         local.append(f"{name}:{node.lineno} in {fn.name}")
     assert local == []
+
+
+def test_instance_dicts_are_filled_key_by_key():
+    # d[key] = value, one key at a time, keeps an instance's dict sharing
+    # its key table with the other instances of its class;
+    # __dict__.update() builds a table per instance
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if "__dict__.update(" in line
+    ]
+    assert found == []
 
 
 def _after_import(expression: str, *flags: str) -> str:

@@ -310,6 +310,30 @@ class TestJet:
         with pytest.raises(ValueError):
             Jet(1, 1, 1, {(1, MultiIndex((0,))): F(1)})
 
+    @pytest.mark.parametrize("change", ["missing", "extra", "above-order", "unknown-beyond-k"])
+    def test_a_jet_that_is_not_dense_is_refused(self, change):
+        # n = 2, k = 2, order 1: six keys; each change leaves the count or
+        # the keys wrong, and the error names what is missing and extra
+        values = {(u, p): F(u) for p in multi_indices(2, 1) for u in (1, 2)}
+        gone, added = (2, MultiIndex((0, 1))), None
+        if change == "missing":
+            del values[gone]
+        elif change == "extra":
+            gone, added = None, (1, MultiIndex((2, 0)))
+        elif change == "above-order":
+            del values[gone]
+            added = (2, MultiIndex((0, 2)))
+        else:
+            del values[gone]
+            added = (3, MultiIndex((0, 1)))
+        if added is not None:
+            values[added] = F(5)
+        with pytest.raises(ValueError, match="jet not dense") as info:
+            Jet(2, 2, 1, values)
+        assert f"missing {({gone} if gone else set())}" in str(info.value)
+        assert f"extra {({added} if added else set())}" in str(info.value)
+        assert Jet(2, 2, 1, {(u, p): F(u) for p in multi_indices(2, 1) for u in (1, 2)}).order == 1
+
     def test_of_function_exact(self):
         u = parse_expression("x^3 + x*y", CTX)
         jet = jet_of_function(u, CTX, (F(1, 2), F(1, 3)), 2)

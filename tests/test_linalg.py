@@ -24,11 +24,11 @@ from densepde.linalg import (
     float_rank,
     residual_floor,
 )
-from densepde.multiindex import multi_indices_of_order
 from densepde.ranges import (
     _assemble,
     _equation_series,
     _gradient_values,
+    _level_plan,
     _stacked,
     solve_jets_triangular,
 )
@@ -244,12 +244,11 @@ def lewy_deep_systems():
         def below(order):
             return {c: v for c, v in values.items() if c[1].order < order}
 
-        coefficients = _gradient_values(op, x, below(op.order + 1), True)
+        gradient = _gradient_values(op, x, below(op.order + 1), True)
         for lam in (4, 5):
-            top = op.order + lam
-            columns = [(u, q) for q in multi_indices_of_order(op.n, top) for u in range(1, op.k + 1)]
-            offsets = _equation_series(op, x, below(top), lam, True)
-            yield _assemble(coefficients, offsets, multi_indices_of_order(op.n, lam), columns)
+            _, rows, _, _ = _level_plan(op.jet_variables, op.layout, lam, 5)
+            offsets = _equation_series(op, x, below(op.order + lam), lam, True)
+            yield _assemble(rows, gradient, offsets)
 
 
 def test_least_norm_of_lewy_deep_levels_matches_reference():
