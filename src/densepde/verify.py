@@ -6,7 +6,11 @@ A sequence (w_nu) satisfies the vanishing condition at a point x for
 derivative order l when some witness index nu exists with
 D^p w_mu(x) = 0 for every mu >= nu and every |p| <= l.  Checks work on a
 finite truncation of the sequence and report the witness found, so a PASS
-is exhaustive up to the truncation.
+is exhaustive up to the truncation.  Only a sequence's tail decides, as
+in Rosinger's ideals, which are defined by vanishing from some index on:
+at each point the one scan (_scan) reads the terms from the last one down
+and stops at the first that does not vanish, whose index plus one is the
+witness.
 """
 
 from __future__ import annotations
@@ -177,73 +181,90 @@ def _scan(
     stage_orders: Sequence[int] | None = None,
 ) -> tuple[VanishingReport, list]:
     """The one place a sequence is evaluated at points: term_series(mu,
-    i, order, mode) gives the Taylor series of w_mu at z_i up to order_i
-    once, and every D^p w_mu(z_i) = p! c_p (|p| <= order_i) is read off it.
+    i, order, mode) gives the Taylor series of w_mu at z_i up to order_i,
+    and every D^p w_mu(z_i) = p! c_p (|p| <= order_i) is read off it.
 
-    Without stage_orders every entry decides; with them only i <= mu,
-    |p| <= stage_orders[mu] do.  Each series is computed in "auto"
-    ("float" when float is asked for or the term is flagged approximate);
-    in "exact" mode a deciding entry that is not exact raises
-    ExactnessUnavailable, and the other entries keep their own flags.
-    Returns the report and, of the deciding evaluations, whether all were
-    exact and the ones not zero, (mu, i, p, value) in order: a scan keeps
-    no record of each deciding zero.
+    At each point the scan reads the terms from the last one down, and
+    the witness is the last term with a nonzero D^p, plus one (None when
+    that is the last term, 0 when none is).  Without stage_orders every
+    entry decides, and the scan stops at the first term with a nonzero
+    D^p: the terms below it cannot move the witness.  With them, every
+    term mu >= i is read, and its entries |p| <= stage_orders[mu] decide;
+    below i the scan stops, as without them, at the first term with a
+    nonzero D^p, or before it reads one when a term mu >= i had one.
+    Each series is computed in "auto" ("float" when float is asked for
+    or the term is flagged approximate); in "exact" mode a deciding entry
+    that is not exact raises ExactnessUnavailable.  An entry's exact flag
+    and its failures cover the values the scan read.  Returns the report
+    and, of the deciding evaluations, whether all were exact and the ones
+    not zero, (mu, i, p, value) in that order: a scan keeps no record of
+    each deciding zero.
 
-    The values D^p read off one series object depend only on the series,
-    the order and the mode, so they are read once per (series, order,
-    mode) and replayed for every (mu, i) whose term_series returns that
-    object; verify_solution's returns one object for the stages that
-    share a point's bindings.  The cache holds each series itself, so no
-    id it is keyed by is reused while the scan runs, even where
-    term_series keeps no series alive.
+    Consecutive terms whose term_series at z_i is the same series object,
+    read in the same mode with the same deciding order, are checked once,
+    and the result counts for each of them; verify_solution's returns one
+    object for the stages that share a point's bindings.  The scan holds
+    the last series it checked, so its id is not reused while compared.
     """
     if arithmetic not in ("auto", "exact", "float"):
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
-    witness: list[int | None] = [0] * len(points)
-    exact = [True] * len(points)
-    fails: list[list[Failure]] = [[] for _ in points]
-    decided_exact, failing = True, []
     truncation = len(approximate) - 1
-    # (id(series), order, mode) -> (series, its D^p values in multi_indices order)
-    checked: dict[tuple[int, int, str], tuple[dict, list]] = {}
-    for mu, approx in enumerate(approximate):
-        mode = "float" if approx or arithmetic == "float" else "auto"
-        for i, (a, order) in enumerate(zip(points, orders)):
+    modes = ["float" if approx or arithmetic == "float" else "auto" for approx in approximate]
+    entries = []
+    decided_exact, failing = True, []
+    for i, (a, order) in enumerate(zip(points, orders)):
+        indices = multi_indices(len(a), order)
+        witness, exact, fails = 0, True, []
+        run = None  # (series, mode, deciding order, its check)
+        for mu in range(truncation, -1, -1):
+            read_all = stage_orders is not None and mu >= i
+            if fails and not read_all:
+                break
+            mode = modes[mu]
+            # the deciding order: every |p| without stage_orders, none below i
+            limit = order if stage_orders is None else stage_orders[mu] if read_all else -1
             coefficients = term_series(mu, i, order, mode)
-            key = (id(coefficients), order, mode)
-            hit = checked.get(key)
-            if hit is None:
-                hit = checked[key] = (coefficients, [
-                    derivative(coefficients, p, exact=mode != "float")
-                    for p in multi_indices(len(a), order)
-                ])
-            ok = True
-            for p, value in zip(multi_indices(len(a), order), hit[1]):
-                deciding = stage_orders is None or (
-                    i <= mu and p.order <= stage_orders[mu]
-                )
-                was_exact = not isinstance(value, float)
-                if deciding and arithmetic == "exact" and not (was_exact or approx):
+            if run is None or run[0] is not coefficients or run[1:3] != (mode, limit):
+                run = (coefficients, mode, limit, _check(
+                    coefficients, indices, mode, limit, arithmetic == "exact", tol, mu, i
+                ))
+            read_exact, limit_exact, nonzero = run[3]
+            exact = exact and read_exact
+            decided_exact = decided_exact and limit_exact
+            if nonzero:
+                if not fails:
+                    witness = mu + 1 if mu < truncation else None
+                fails.extend(Failure(mu, p, float(value)) for p, value in nonzero)
+                failing.extend((mu, i, p, value) for p, value in nonzero if p.order <= limit)
+        fails.sort(key=lambda f: f.term)
+        entries.append(VanishingEntry(a, order, witness, exact, tuple(fails)))
+    failing.sort(key=lambda f: f[:2])
+    label = "float" if arithmetic == "float" or not all(e.exact for e in entries) else "exact"
+    return VanishingReport(truncation, label, tol, tuple(entries)), (decided_exact, failing)
+
+
+def _check(coefficients, indices, mode, limit, exact_only, tol, mu, i):
+    """One series' D^p (p in indices): whether all of them, and the ones
+    with |p| <= limit, are exact, and the ones not zero, (p, value) in
+    order.  With exact_only, a deciding one (|p| <= limit) that is not
+    exact raises ExactnessUnavailable unless the mode is "float", which a
+    term flagged approximate always is."""
+    read_exact = limit_exact = True
+    nonzero = []
+    for p in indices:
+        value = derivative(coefficients, p, exact=mode != "float")
+        was_exact = not isinstance(value, float)
+        if not was_exact:
+            if p.order <= limit:
+                if exact_only and mode != "float":
                     raise ExactnessUnavailable(
                         f"D^{p} of term {mu} at point {i} is not exact"
                     )
-                exact[i] = exact[i] and was_exact
-                zero = value == 0 if was_exact else abs(value) <= tol
-                if not zero:
-                    fails[i].append(Failure(mu, p, float(value)))
-                    ok = False
-                if deciding:
-                    decided_exact = decided_exact and was_exact
-                    if not zero:
-                        failing.append((mu, i, p, value))
-            if not ok:
-                witness[i] = mu + 1 if mu < truncation else None
-    entries = tuple(
-        VanishingEntry(a, order, wit, ex, tuple(fl))
-        for a, order, wit, ex, fl in zip(points, orders, witness, exact, fails)
-    )
-    label = "float" if arithmetic == "float" or not all(exact) else "exact"
-    return VanishingReport(truncation, label, tol, entries), (decided_exact, failing)
+                limit_exact = False
+            read_exact = False
+        if value != 0 if was_exact else abs(value) > tol:
+            nonzero.append((p, value))
+    return read_exact, limit_exact, nonzero
 
 
 def check_vanishing(
@@ -253,13 +274,15 @@ def check_vanishing(
     arithmetic: str = "auto",
     tol: float = DEFAULT_FLOAT_TOL,
 ) -> VanishingReport:
-    """Exhaustive vanishing-condition scan over the truncation.
+    """Vanishing-condition scan over the truncation.
 
     For each (point, order) pair the witness is the least nu such that all
     later terms have every derivative up to the order equal to zero at the
     point.  In exact arithmetic "zero" is literal; in float arithmetic it
-    means within tol in absolute value.  The report is labelled "exact"
-    only when every evaluation was exact.
+    means within tol in absolute value.  The terms are read from the last
+    one down, only until one does not vanish (_scan); an entry's exact
+    flag and failures cover those terms, and the report is labelled
+    "exact" only when every evaluation read was exact.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
     if isinstance(orders, int):
@@ -397,36 +420,42 @@ def verify_solution(
     z_0..z_nu of that stage, all derivatives of the error term up to the
     stage order vanish at the point.  That gives every (point, order) pair
     a witness no later than the stage that introduced it.  An empty
-    sequence passes vacuously and is flagged degenerate.
+    sequence passes vacuously and is flagged degenerate, labelled as a
+    non-empty one would be: "float" when float is asked for, "exact"
+    otherwise.
 
-    One pass per equation reads every D^p of the error term w_nu = G_j
-    (stage nu), up to the top stage order, off one truncated Taylor series
-    at each point, and yields both the witness report and the pass/fail
-    verdict.  No error term is built symbolically: G_j is evaluated in
-    series arithmetic with each jet variable (u, alpha) bound to the
-    alpha-shift of the series of stage nu's component u, read off the
-    stage's jets and bumps (DiscreteSolve.component_series) once per
-    (stage, point) to the top order plus the operator order.  At its own
-    points a stage's series depend on the jet alone, so the bindings are
-    built once per Jet object at each point, as in TaylorPolynomials, and
-    the series of G_j once per distinct bindings: stages that share a
-    point's Jet share both.
-    Where a stage is zero near a point, the bindings are empty and the
-    series of G_j there is computed once for all such stages.  Only the
-    pass/fail entries (point z_i with i <= nu, |p| <= l_nu) use the
-    requested arithmetic, decide the "exact" label and may raise
-    ExactnessUnavailable in "exact" mode.  The rest of the witness scan
-    evaluates earlier stages at later points, possibly inside a bump's
-    transition annulus; it runs in "auto" (or "float") and keeps its own
-    per-entry flags.
+    One backward scan per equation (_scan) reads the D^p of the error
+    term w_nu = G_j (stage nu), up to the top stage order, off one
+    truncated Taylor series at each point, and yields both the witness
+    report and the pass/fail verdict.  No error term is built
+    symbolically: G_j is evaluated in series arithmetic with each jet
+    variable (u, alpha) bound to the alpha-shift of the series of stage
+    nu's component u, read off the stage's jets and bumps
+    (DiscreteSolve.component_series) to the top order plus the operator
+    order.  At z_i every stage nu >= i is read, and its entries |p| <=
+    l_nu are the pass/fail entries: they use the requested arithmetic,
+    decide the "exact" label and may raise ExactnessUnavailable in
+    "exact" mode.  There a stage's series depend on the jet alone, so the
+    bindings are built once per Jet object at each point, as in
+    TaylorPolynomials, and the series of G_j once per distinct bindings:
+    stages that share a point's Jet share both, and the scan checks them
+    once.  Below i the scan reads earlier stages at z_i, in "auto" (or
+    "float"), only until one does not vanish there, which locates the
+    witness; where such a stage is zero near z_i, the bindings are empty
+    and the series of G_j is computed once for all such stages.
     """
+    if arithmetic not in ("auto", "exact", "float"):
+        raise ValueError(f"unknown arithmetic {arithmetic!r}")
     if seq.stage_count == 0:
-        return VerificationResult(arithmetic, tol, (), ())
+        return VerificationResult("float" if arithmetic == "float" else "exact", tol, (), ())
     top = max(seq.orders)
     approximate = [not stage.exact for stage in seq.stages]
     unbound = {v: {} for v in op.jet_variables}
-    bindings: dict[tuple[int, int], dict] = {}
-    at_centre: dict[tuple[int, str], tuple[Jet, dict]] = {}
+    # (i, id(jet), mode) -> (jet, bindings at the centre z_i), the jet kept
+    # so that its id names it; (mu, i) -> bindings of stage mu at a later
+    # point z_i
+    at_centre: dict[tuple[int, int, str], tuple[Jet, dict]] = {}
+    later: dict[tuple[int, int], dict] = {}
 
     def bind(mu: int, i: int, mode: str) -> dict:
         components = seq.stages[mu].component_series(seq.points[i], top + op.order, mode)
@@ -436,23 +465,25 @@ def verify_solution(
         """Each jet variable (u, alpha) of the equations bound to the
         alpha-shift of the series of stage mu's component u at z_i;
         `unbound` where every component's series there is empty."""
-        if (mu, i) not in bindings:
-            if i > mu:  # a later point, maybe in one of the stage's bumps
-                bindings[(mu, i)] = bind(mu, i, mode)
-            else:  # a bump centre: the jet there alone decides
-                jet = seq.stages[mu].jets[seq.points[i]]
-                hit = at_centre.get((i, mode))
-                if hit is None or hit[0] is not jet:
-                    hit = at_centre[(i, mode)] = (jet, bind(mu, i, mode))
-                bindings[(mu, i)] = hit[1]
-        return bindings[(mu, i)]
+        if i > mu:  # a later point, maybe in one of the stage's bumps
+            hit = later.get((mu, i))
+            if hit is None:
+                hit = later[(mu, i)] = bind(mu, i, mode)
+            return hit
+        # a bump centre: the jet there alone decides
+        jet = seq.stages[mu].jets[seq.points[i]]
+        key = (i, id(jet), mode)
+        hit = at_centre.get(key)
+        if hit is None:
+            hit = at_centre[key] = (jet, bind(mu, i, mode))
+        return hit[1]
 
     reports: list[VanishingReport] = []
     failures: list[VerificationFailure] = []
     all_exact = True
     for j, g in enumerate(op.equations, start=1):
         # (i, order, mode, id(bindings)) -> series; every bindings dict
-        # lives as long as `bindings`, so an id names one of them
+        # lives as long as the caches above, so an id names one of them
         computed: dict[tuple[int, int, str, int], dict] = {}
 
         def term_series(mu, i, order, mode, g=g, computed=computed):

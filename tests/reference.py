@@ -33,6 +33,10 @@ apply_operator (an operator's classical action on functions).  The tests
 check prolongation and the error terms of the constructed sequences
 against them.
 
+densepde.verify scans each point's terms from the last one down and
+stops at the first that does not vanish; exhaustive_scan reads every
+term at every point, as verify did before, and locates the same witness.
+
 The ideal-property oracles: constant_sequence, diagonal_probe (membership
 of one function in the ideal slice at a set of points, by the vanishing
 condition on its constant sequence), and SingularityComplement with
@@ -51,6 +55,7 @@ from typing import Sequence
 from densepde.construct import SHRINK, _sqrt_lower
 from densepde.expr import (
     Bump,
+    ExactnessUnavailable,
     Expr,
     differentiate,
     evaluate_exact,
@@ -68,7 +73,9 @@ from densepde.ranges import CONSISTENCY_FLOOR, jet_columns, solve_jets_triangula
 from densepde.taylor import derivative, series
 from densepde.verify import (
     DEFAULT_FLOAT_TOL,
+    Failure,
     FunctionSequence,
+    VanishingEntry,
     VanishingReport,
     check_vanishing,
 )
@@ -378,6 +385,55 @@ def apply_operator(op: PdeOperator, u: Expr | Sequence[Expr], point: Sequence):
     return tuple(
         evaluate_at_jet(g, op.context, point, jet) for g in op.equations
     )
+
+
+# ---------------------------------------------------------------------------
+# verify's witness scan, every term at every point
+
+def exhaustive_scan(
+    approximate, points, orders, arithmetic, tol, term_series, stage_orders=None
+):
+    """verify._scan's report and (decided_exact, failing), from every term
+    at every point: each D^p w_mu(z_i) (|p| <= order_i) is read off
+    term_series(mu, i, order_i, mode), and the witness at z_i is the last
+    term with a nonzero one, plus one.  Without stage_orders every entry
+    decides; with them only i <= mu, |p| <= stage_orders[mu] do.  Every
+    entry's exact flag and failures cover all the terms."""
+    if arithmetic not in ("auto", "exact", "float"):
+        raise ValueError(f"unknown arithmetic {arithmetic!r}")
+    witness = [0] * len(points)
+    exact = [True] * len(points)
+    fails = [[] for _ in points]
+    decided_exact, failing = True, []
+    truncation = len(approximate) - 1
+    for mu, approx in enumerate(approximate):
+        mode = "float" if approx or arithmetic == "float" else "auto"
+        for i, (a, order) in enumerate(zip(points, orders)):
+            coefficients = term_series(mu, i, order, mode)
+            ok = True
+            for p in multi_indices(len(a), order):
+                value = derivative(coefficients, p, exact=mode != "float")
+                deciding = stage_orders is None or (i <= mu and p.order <= stage_orders[mu])
+                was_exact = not isinstance(value, float)
+                if deciding and arithmetic == "exact" and not (was_exact or approx):
+                    raise ExactnessUnavailable(f"D^{p} of term {mu} at point {i} is not exact")
+                exact[i] = exact[i] and was_exact
+                zero = value == 0 if was_exact else abs(value) <= tol
+                if not zero:
+                    fails[i].append(Failure(mu, p, float(value)))
+                    ok = False
+                if deciding:
+                    decided_exact = decided_exact and was_exact
+                    if not zero:
+                        failing.append((mu, i, p, value))
+            if not ok:
+                witness[i] = mu + 1 if mu < truncation else None
+    entries = tuple(
+        VanishingEntry(a, order, wit, ex, tuple(fl))
+        for a, order, wit, ex, fl in zip(points, orders, witness, exact, fails)
+    )
+    label = "float" if arithmetic == "float" or not all(exact) else "exact"
+    return VanishingReport(truncation, label, tol, entries), (decided_exact, failing)
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,25 @@
 """Verifier: vanishing condition, ideal properties at truncation,
 probes, closure."""
 
+import itertools
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from densepde import expr as expr_module
 from densepde import verify as verify_module
-from densepde.construct import DensePointStream, DiscreteSolve, construct_sequence
+from densepde.construct import (
+    BumpScan,
+    DensePointStream,
+    DiscreteSolve,
+    SolutionSequence,
+    construct_sequence,
+)
 from densepde.expr import (
     Const,
+    ExactnessUnavailable,
     Var,
     differentiate,
     simplify,
@@ -33,6 +43,7 @@ from reference import (
     SingularityComplement,
     constant_sequence,
     diagonal_probe,
+    exhaustive_scan,
     family_closure_check,
 )
 
@@ -218,9 +229,9 @@ eq: u_x - u
         assert not result.failures
 
     def test_exact_label_from_pass_fail_evaluations(self):
-        # from the 11th point on, the witness scan evaluates earlier stages
-        # inside a bump's transition annulus; that must neither downgrade
-        # the label nor raise in exact mode
+        # an earlier stage read at a later point may put it inside a bump's
+        # transition annulus, where auto mode evaluates in float; that must
+        # neither downgrade the label nor raise in exact mode
         op = parse_pde_text(
             "dim: 2\nvars: x y\norder: 2\ndomain: (0,1) (0,1)\n"
             "eq: u_xx + u_yy - 1 - x*y\n"
@@ -252,8 +263,6 @@ eq: u_x - u
         broken = DiscreteSolve(
             {**stage.jets, a: wrong}, stage.bumps, stage.level, stage.polynomials, stage.scan
         )
-        from densepde.construct import SolutionSequence
-
         bad = SolutionSequence(
             op, seq.points, seq.orders, (seq.stages[0], broken)
         )
@@ -309,9 +318,184 @@ eq: u_x - u
             verify_solution(op, seq, arithmetic="rational")
 
     def test_empty_sequence_is_degenerate_pass(self):
+        # labelled as a non-empty sequence would be, and the arithmetic is
+        # checked before the sequence is found empty
         op = parse_pde_text(self.TRANSPORT)
-        from densepde.construct import SolutionSequence
-
         empty = SolutionSequence(op, (), (), ())
-        result = verify_solution(op, empty)
-        assert result.passed and result.degenerate
+        for arithmetic, label in (("auto", "exact"), ("exact", "exact"), ("float", "float")):
+            result = verify_solution(op, empty, arithmetic=arithmetic)
+            assert result.passed and result.degenerate
+            assert result.arithmetic == label
+        with pytest.raises(ValueError):
+            verify_solution(op, empty, arithmetic="rational")
+
+
+# ---------------------------------------------------------------------------
+# the backward witness scan against the exhaustive one
+
+OPERATORS = {
+    "poisson": "dim: 2\nvars: x y\norder: 2\ndomain: (0,1) (0,1)\neq: u_xx + u_yy - 1 - x*y\n",
+    "transport": "dim: 1\nvars: x\norder: 1\ndomain: (0,1)\neq: u_x - u - x\n",
+    # G(0) = 0: where an earlier stage is zero near a later point its error
+    # term vanishes there too, so the scan reads on below it
+    "laplace": "dim: 2\nvars: x y\norder: 2\ndomain: (0,1) (0,1)\neq: u_xx + u_yy\n",
+    "homogeneous-transport": "dim: 1\nvars: x\norder: 1\ndomain: (0,1)\neq: u_x - u\n",
+}
+
+
+def _float_stage(stage):
+    """The stage with every jet value a float, so its terms are flagged
+    approximate."""
+    jets = {
+        a: Jet(j.n, j.k, j.order, {key: float(v) for key, v in j.values.items()})
+        for a, j in stage.jets.items()
+    }
+    return DiscreteSolve(jets, stage.bumps, stage.level, stage.polynomials, stage.scan)
+
+
+@st.composite
+def staged_sequences(draw):
+    """A constructed sequence (1-8 stages, levels 0-2) of one of OPERATORS,
+    maybe with one stored jet value perturbed in its manifest (a FAIL
+    case) and maybe with one stage's jets in float."""
+    name = draw(st.sampled_from(sorted(OPERATORS)))
+    op = parse_pde_text(OPERATORS[name])
+    schedule = sorted(draw(st.lists(st.integers(0, 2), min_size=1, max_size=8)))
+    points = DensePointStream(op.domain).prefix(len(schedule))
+    seq = construct_sequence(op, points, schedule, seed={(1, (0,) * op.n): 1})
+    if draw(st.booleans()):
+        data = sequence_to_json(seq)
+        stored = [jet for stage in data["stages"] for jet in stage["jets"] if jet]
+        jet = draw(st.sampled_from(stored))
+        key = draw(st.sampled_from(sorted(jet["values"])))
+        shift = draw(st.sampled_from([F(1), F(-1, 2), F(1, 3)]))
+        jet["values"][key] = str(F(jet["values"][key]) + shift)
+        seq = sequence_from_json(data)
+    if draw(st.booleans()):
+        nu = draw(st.integers(0, len(schedule) - 1))
+        stages = list(seq.stages)
+        stages[nu] = _float_stage(stages[nu])
+        seq = SolutionSequence(op, seq.points, seq.orders, tuple(stages))
+    return op, seq
+
+
+def _outcome(op, seq, arithmetic):
+    try:
+        return verify_solution(op, seq, arithmetic=arithmetic)
+    except ExactnessUnavailable:
+        return ExactnessUnavailable
+
+
+def _failure_key(f):
+    return (f.equation, f.stage, f.point, f.index, f.value)
+
+
+def assert_reads_a_subset(report, oracle):
+    """Same witnesses; each entry's exact flag, and the report's label,
+    may only go from float to exact, and an entry's failures are some of
+    the oracle's."""
+    assert (report.truncation, report.tolerance) == (oracle.truncation, oracle.tolerance)
+    assert len(report.entries) == len(oracle.entries)
+    for entry, want in zip(report.entries, oracle.entries):
+        assert (entry.point, entry.order, entry.witness) == (want.point, want.order, want.witness)
+        assert entry.exact or not want.exact
+        assert all(f in want.failures for f in entry.failures)
+    if report.arithmetic != oracle.arithmetic:
+        assert (oracle.arithmetic, report.arithmetic) == ("float", "exact")
+
+
+class TestBackwardScan:
+    @given(staged_sequences(), st.sampled_from(["auto", "exact", "float"]))
+    @settings(max_examples=60, deadline=None)
+    def test_verify_solution_matches_the_exhaustive_scan(self, case, arithmetic):
+        op, seq = case
+        result = _outcome(op, seq, arithmetic)
+        with mock.patch.object(verify_module, "_scan", exhaustive_scan):
+            oracle = _outcome(op, seq, arithmetic)
+        if oracle is ExactnessUnavailable or result is ExactnessUnavailable:
+            assert result is oracle
+            return
+        assert (result.passed, result.arithmetic) == (oracle.passed, oracle.arithmetic)
+        assert [_failure_key(f) for f in result.failures] == [
+            _failure_key(f) for f in oracle.failures
+        ]
+        assert len(result.reports) == len(oracle.reports)
+        for report, want in zip(result.reports, oracle.reports):
+            assert_reads_a_subset(report, want)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([0, 0, 0, 1, F(1, 3), 0.0, 2.5e-11, 0.5]), st.booleans()),
+            min_size=1, max_size=40,
+        ),
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.lists(st.booleans(), min_size=6, max_size=6),
+        st.one_of(st.none(), st.lists(st.integers(0, 1), min_size=6, max_size=6)),
+        st.sampled_from(["auto", "exact", "float"]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_scan_rule_matches_the_exhaustive_scan(
+        self, cells, terms, count, approximate, stage_orders, arithmetic
+    ):
+        # a table of series (order 1 on the line), each term's series at a
+        # point maybe the same object as the term above it, as the stages
+        # that share a point's bindings give; without stage_orders the
+        # check_vanishing rule, with them verify_solution's
+        approximate = approximate[:terms]
+        points = [(F(k, count + 1),) for k in range(1, count + 1)]
+        table, cell = {}, itertools.cycle(cells)
+        for i in range(count):
+            for mu in range(terms):
+                value, same = next(cell)
+                if same and mu and approximate[mu] == approximate[mu - 1]:
+                    table[(mu, i)] = table[(mu - 1, i)]
+                elif value == 0 and not isinstance(value, float):
+                    table[(mu, i)] = {}  # an exact zero is left out of a series
+                else:
+                    table[(mu, i)] = {MultiIndex((1,)): value}
+
+        def term_series(mu, i, order, mode):
+            s = table[(mu, i)]
+            return {p: float(c) for p, c in s.items()} if mode == "float" else s
+
+        if stage_orders is not None:
+            stage_orders = sorted(stage_orders[:terms])
+
+        def outcome(scan):
+            try:
+                return scan(
+                    approximate, points, [1] * count, arithmetic, 1e-10, term_series, stage_orders
+                )
+            except ExactnessUnavailable:
+                return ExactnessUnavailable
+
+        got, want = outcome(verify_module._scan), outcome(exhaustive_scan)
+        if got is ExactnessUnavailable or want is ExactnessUnavailable:
+            # every deciding entry is read when stage_orders are given; without
+            # them the scan may stop above the inexact one
+            assert got is want or (stage_orders is None and got is not ExactnessUnavailable)
+            return
+        (report, (exact, failing)), (oracle, (oracle_exact, oracle_failing)) = got, want
+        assert_reads_a_subset(report, oracle)
+        if stage_orders is not None:
+            assert (exact, failing) == (oracle_exact, oracle_failing)
+
+    def test_verify_reads_about_one_earlier_stage_per_point(self, monkeypatch):
+        # each point's witness is located by the first earlier stage read
+        # there, so verify asks the bump scan about once per point, not once
+        # per (earlier stage, later point) pair: 276 at N = 24
+        op = parse_pde_text(OPERATORS["poisson"])
+        n = 24
+        seq = construct_sequence(op, DensePointStream(op.domain).prefix(n), [1] * n)
+        calls = []
+        real = BumpScan.__call__
+
+        def counting(self, point, bumps):
+            calls.append(point)
+            return real(self, point, bumps)
+
+        monkeypatch.setattr(BumpScan, "__call__", counting)
+        result = verify_solution(op, seq)
+        assert result.passed and result.arithmetic == "exact"
+        assert 0 < len(calls) <= 2 * n
