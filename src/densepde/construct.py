@@ -335,20 +335,19 @@ class DiscreteSolve(Frozen):
     the bumps centred on the points, both in point order.  The glued
     functions, one per unknown, are derived from them when first read,
     with the polynomials of `polynomials`; `scan` finds the bump that
-    holds a point.  The stages of a sequence share both."""
+    holds a point.  The stages of a sequence share both, and the sequence
+    holds each stage's level (SolutionSequence.orders)."""
 
     def __init__(
         self,
         jets: dict[Point, Jet],
         bumps: tuple[Bump, ...],
-        level: int,
         polynomials: TaylorPolynomials,
         scan: BumpScan,
     ):
         d = self.__dict__
         d["jets"] = jets
         d["bumps"] = bumps
-        d["level"] = level
         d["polynomials"] = polynomials
         d["scan"] = scan
 
@@ -397,17 +396,16 @@ def glue(
     op: PdeOperator,
     points: Sequence[Point],
     stage_jets: Sequence[dict[Point, Jet]],
-    orders: Sequence[int],
 ) -> tuple[DiscreteSolve, ...]:
     """The stages of a sequence: stage nu glues the jets stage_jets[nu] at
-    points[:nu + 1], solved at level orders[nu], with the bumps of that
-    prefix.  The stages share one TaylorPolynomials and one BumpScan, and
-    build no polynomial until their functions are read."""
+    points[:nu + 1] with the bumps of that prefix.  The stages share one
+    TaylorPolynomials and one BumpScan, and build no polynomial until
+    their functions are read; their levels are the sequence's orders."""
     polynomials, scan = TaylorPolynomials(op.context), BumpScan()
     prefixes = bump_prefixes(points, op.domain, op.context)
     return tuple(
-        DiscreteSolve(jets, bumps, level, polynomials, scan)
-        for jets, bumps, level in zip(stage_jets, prefixes, orders)
+        DiscreteSolve(jets, bumps, polynomials, scan)
+        for jets, bumps in zip(stage_jets, prefixes)
     )
 
 
@@ -507,11 +505,11 @@ def construct_sequence(
             if not res.solved:
                 partial = SolutionSequence(
                     op, tuple(pts[:nu]), tuple(orders[:nu]),
-                    glue(op, pts[:nu], stage_jets, orders[:nu]),
+                    glue(op, pts[:nu], stage_jets),
                 )
                 raise ConstructionError(nu, a, res, partial)
             jets[a] = res.jet
         stage_jets.append(jets)
     return SolutionSequence(
-        op, tuple(pts), tuple(orders), glue(op, pts, stage_jets, orders)
+        op, tuple(pts), tuple(orders), glue(op, pts, stage_jets)
     )

@@ -226,7 +226,7 @@ def sequence_from_json(data: dict) -> SolutionSequence:
         for a, jet in stage_jets[nu].items():
             if jet is None:
                 stage_jets[nu][a] = stage_jets[nu + 1][a].truncate(op.order + orders[nu])
-    return SolutionSequence(op, points, orders, glue(op, points, stage_jets, orders))
+    return SolutionSequence(op, points, orders, glue(op, points, stage_jets))
 
 
 # ---------------------------------------------------------------------------

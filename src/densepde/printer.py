@@ -26,12 +26,8 @@ def _is_atom(e: Expr) -> bool:
     if isinstance(e, Var) or isinstance(e, Fn):
         return True
     if isinstance(e, Const):
-        return v_nonneg_int_or_simple(e.value)
+        return e.value >= 0 and e.value.denominator == 1
     return False
-
-
-def v_nonneg_int_or_simple(v: Fraction) -> bool:
-    return v >= 0 and v.denominator == 1
 
 
 def _print(e: Expr) -> str:
@@ -86,6 +82,4 @@ def _print_factor(e: Expr) -> str:
 def _print_power_level(e: Expr) -> str:
     if _is_atom(e):
         return _print(e)
-    if isinstance(e, Fn):
-        return f"{e.name}({_print(e.arg)})"
     return f"({_print(e)})"

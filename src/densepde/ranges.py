@@ -14,6 +14,9 @@ three callers: level 0 of an affine base, in the jets no seed pins;
 every later level, in its top-order jets, where the partials reduce to
 their values at the solved base jet (the symbol); and the stacked rows
 of a linear operator, in every jet, which its rank certificates need.
+The first two bind their known jets, a level-0 seed or the solved
+jets below, by the level plans, and read every float partial off the
+compiled Jacobian of PdeOperator.compiled_base (_gradient_values).
 The solver takes the least-norm solution of each level, after a Newton
 root search at level 0 when the base equations are not affine.
 
@@ -42,7 +45,7 @@ from itertools import chain
 from operator import add, sub
 from typing import Sequence
 
-from .expr import evaluate_exact, evaluate_float, exact_arithmetic
+from .expr import evaluate_exact, exact_arithmetic
 from .frozen import Value
 from .jets import Jet, PdeOperator, ProlongedSystem, prolong
 from .linalg import (
@@ -63,14 +66,7 @@ from .multiindex import (
 )
 from .newton import multistart_newton
 from .printer import point_text
-from .taylor import (
-    bind_jets,
-    jet_bindings,
-    jet_coefficients,
-    series,
-    shift_plan,
-    taylor_coefficients,
-)
+from .taylor import bind_jets, series, shift_plan, taylor_coefficients
 
 # A float affine level solve counts as consistent when its least-squares
 # residual floor is at most max(tol, CONSISTENCY_FLOOR), so no tolerance
@@ -183,7 +179,7 @@ def _assemble(plan, values, offsets):
 
     `values` are the given coefficients of the Taylor series at the point
     of the gradient partials a_{j,u,alpha} = dG_j/du_alpha, in the plan's
-    shape, and offsets[j - 1] is the series c_j of G_j (_equation_series).
+    shape, and offsets[j - 1] is the series c_j of G_j (_bound_series).
     By the Leibniz rule the entry at row (j, p), column (u, alpha + q) is
     the sum of (p!/q!) c_{p-q}(a_{j,u,alpha}) over q <= p, its first term
     assigned, not added to 0, and b = -p! c_{j,p}.  A jet that is not a
@@ -217,7 +213,8 @@ def _stacked(sys: ProlongedSystem, x: Sequence, exact: bool):
         tuple(tuple(s) for s in coefficients),
     )
     values = [c for s in coefficients for c in s.values()]
-    return _assemble(plan, values, _equation_series(op, x, {}, level, exact))
+    unbound = {v: {} for v in op.jet_variables}
+    return _assemble(plan, values, _bound_series(op, x, unbound, level, exact))
 
 
 class RankCertificate(Value):
@@ -424,8 +421,10 @@ def solve_jets_triangular(
     system above level 0 is built.  Each level's index work comes from
     its plan (_level_plan), made once per operator layout, level and
     solve order: at the point the solve assembles its rows from the
-    gradient values and the series, and grows the jet variables' bindings
-    from the solved values in column order (taylor.bind_jets).
+    gradient values (_gradient_values) and the equations' series with the
+    known jets bound (_bound_series).  Level 0 of an affine base binds
+    its seeds, and every later level the jets solved below it, through
+    the plans' shift plans, in column order (taylor.bind_jets).
 
     Level l of the solve reads only the rows and jets of level <= l, so
     the point is solved once for all levels: result.levels[l] is the jet
@@ -454,17 +453,23 @@ def solve_jets_triangular(
                 "the equations are solved exactly at this point: "
                 "seed values must be rational"
             )
-        free_cols = base_cols
-        rows = base_rows
+        exact = exact_arithmetic(op.equations, [*x, *known.values()])
+        cast = Fraction if exact else float
+        known = {c: cast(v) for c, v in known.items()}
+        free_cols, rows = base_cols, base_rows
+        # the seeds are bound as every later level binds its solved jets,
+        # and an unseeded jet reads as 0
+        seeds = {v: {} for v in op.jet_variables}
         if known:
             free_cols = tuple(c for c in base_cols if c not in known)
             keys = op.layout[3]
             rows = _row_plan(keys, (zero_index(n),), free_cols, _constant(n, keys))
-        exact = exact_arithmetic(op.equations, [*x, *known.values()])
-        cast = Fraction if exact else float
-        known = {c: cast(v) for c, v in known.items()}
+            given = dict(zip(known, taylor_coefficients(
+                known, known.values(), [q.factorial() for _, q in known], exact
+            )))
+            bind_jets(seeds, bind, [given.get(c) for c in base_cols])
         a, b = _assemble(
-            rows, _gradient_values(op, x, known, exact), _equation_series(op, x, known, 0, exact)
+            rows, _gradient_values(op, x, known, exact), _bound_series(op, x, seeds, 0, exact)
         )
         values, failure = _solve_affine(a, b, exact, tol, 0)
         solved = dict(zip(free_cols, values))
@@ -473,7 +478,7 @@ def solve_jets_triangular(
         known.update(solved)
         # the arithmetic of level 0 carries to every later level
         exact = exact_arithmetic(op.equations, [*x, *known.values()])
-        gradient = _gradient_values(op, x, known, exact, base_known=True)
+        gradient = _gradient_values(op, x, known, exact)
         # one set of bindings for the solve, grown by each level's jets
         bindings = {v: {} for v in op.jet_variables}
         values = [known[c] for c in base_cols]
@@ -518,39 +523,30 @@ def solve_jets_triangular(
     )
 
 
-def _gradient_values(
-    op: PdeOperator, x, jets: dict, exact: bool, base_known: bool = False
-) -> list:
+def _gradient_values(op: PdeOperator, x, jets: dict, exact: bool) -> list:
     """Each jet partial's value at x and the jets {(u, q): value}, in
     equation order, then gradient key order: the values of _assemble at
-    a level whose lower jets are known, each a constant series.  In float
-    arithmetic with every base jet in `jets` (`base_known`), one call of
-    op.compiled_base's Jacobian gives them all, read by position: the
-    floats evaluate_float gives, by compile_float's contract."""
-    if base_known and not exact:
+    level 0 of an affine base and at a level whose lower jets are known,
+    each a constant series.  Exact values come from evaluate_exact; float
+    ones off one call of op.compiled_base's Jacobian, read by position:
+    the floats evaluate_float gives, by compile_float's contract.  A jet
+    not in `jets` is passed as 0.0: only the base of an affine operator
+    leaves jets unknown, and its partials hold no jet."""
+    if not exact:
         columns, _, jacobian, positions = op.compiled_base
-        flat = jacobian([*x, *map(jets.__getitem__, columns)])
+        flat = jacobian([*x, *(jets.get(c, 0.0) for c in columns)])
         return list(map(flat.__getitem__, positions))
-    evaluate = evaluate_exact if exact else evaluate_float
     values = dict(zip(op.context.space_vars(), x))
     values.update({op.context.jet(u, q): v for (u, q), v in jets.items()})
-    return [evaluate(d, values) for g in op.gradients for d in g.values()]
-
-
-def _equation_series(op: PdeOperator, x, jets: dict, order: int, exact: bool) -> list[dict]:
-    """The Taylor series c_j, to `order`, of each base equation at x along
-    the Taylor polynomial of the jets {(u, q): value}, a missing jet
-    reading as 0: so p! c_{j,p} is the prolonged row F_{j,p} at those
-    jets.  Each jet variable u_alpha is bound to the alpha-shift of the
-    series q -> value(u, q) / q!; the arithmetic is taylor.series mode
-    "auto" when `exact`, "float" otherwise."""
-    bindings = jet_bindings(op.jet_variables, jet_coefficients(jets, op.k, exact), order)
-    return _bound_series(op, x, bindings, order, exact)
+    return [evaluate_exact(d, values) for g in op.gradients for d in g.values()]
 
 
 def _bound_series(op: PdeOperator, x, bindings: dict, order: int, exact: bool) -> list[dict]:
     """The Taylor series c_j, to `order`, of each base equation at x with
-    the jet variables bound by `bindings` (taylor.jet_bindings)."""
+    the jet variables bound by `bindings`, slot series (taylor.bind_jets):
+    so p! c_{j,p} is the prolonged row F_{j,p} at the bound jets, a jet
+    variable bound to the empty series reading as 0.  The arithmetic is
+    taylor.series mode "auto" when `exact`, "float" otherwise."""
     return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
 
 

@@ -37,7 +37,7 @@ from .jets import Jet, PdeOperator, Point
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 from .printer import point_text
-from .taylor import derivative, jet_bindings, series
+from .taylor import MODES, derivative, jet_bindings, series
 
 DEFAULT_FLOAT_TOL = 1e-10
 
@@ -206,7 +206,7 @@ def _scan(
     object for the stages that share a point's bindings.  The scan holds
     the last series it checked, so its id is not reused while compared.
     """
-    if arithmetic not in ("auto", "exact", "float"):
+    if arithmetic not in MODES:
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
     truncation = len(approximate) - 1
     modes = ["float" if approx or arithmetic == "float" else "auto" for approx in approximate]
@@ -444,7 +444,7 @@ def verify_solution(
     witness; where such a stage is zero near z_i, the bindings are empty
     and the series of G_j is computed once for all such stages.
     """
-    if arithmetic not in ("auto", "exact", "float"):
+    if arithmetic not in MODES:
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
     if seq.stage_count == 0:
         return VerificationResult("float" if arithmetic == "float" else "exact", tol, (), ())

@@ -70,7 +70,7 @@ from densepde.multiindex import MultiIndex, multi_indices, multi_indices_of_orde
 from densepde.parser import Context
 from densepde.printer import point_text
 from densepde.ranges import CONSISTENCY_FLOOR, jet_columns, solve_jets_triangular
-from densepde.taylor import derivative, series
+from densepde.taylor import derivative, jet_bindings, jet_coefficients, series
 from densepde.verify import (
     DEFAULT_FLOAT_TOL,
     Failure,
@@ -113,6 +113,16 @@ def stacked_rows(op, x, level, exact):
     rows = [(j, p) for j, p, _ in system.items()]
     columns = jet_columns(op.n, op.k, system.top_order)
     return row_system(system, rows, columns, assignment(op, x, {}), exact)
+
+
+def equation_series(op, x, jets, order, exact):
+    """The Taylor series c_j, to `order`, of each base equation at x along
+    the Taylor polynomial of the jets {(u, q): value}, a missing jet
+    reading as 0, so that p! c_{j,p} is the prolonged row F_{j,p} at those
+    jets: each jet variable bound by taylor.jet_bindings, all at once."""
+    bindings = jet_bindings(op.jet_variables, jet_coefficients(jets, op.k, exact), order)
+    mode = "auto" if exact else "float"
+    return [series(g, x, order, mode, bindings) for g in op.equations]
 
 
 def level_columns(op, lam):

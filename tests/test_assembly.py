@@ -21,12 +21,12 @@ from hypothesis import given, settings, strategies as st
 
 from densepde import jets, ranges
 from densepde.construct import DensePointStream, construct_sequence
-from densepde.expr import JetVar
+from densepde.expr import JetVar, evaluate_float
 from densepde.jets import Jet, parse_pde_text, prolong
 from densepde.multiindex import multi_indices, multi_indices_of_order, zero_index
 from densepde.ranges import (
     _assemble,
-    _equation_series,
+    _bound_series,
     _gradient_values,
     _constant,
     _level_plan,
@@ -40,7 +40,7 @@ from densepde.ranges import (
     solve_jets_triangular,
 )
 from densepde.systems import lewy_operator
-from densepde.taylor import bind_jets, jet_bindings, jet_coefficients, shift_plan
+from densepde.taylor import bind_jets, jet_bindings, jet_coefficients, shift_plan, taylor_coefficients
 
 import reference
 
@@ -98,7 +98,7 @@ def level_systems(op, top, x, exact):
     gradient = _gradient_values(op, x, base, exact)
     for lam in range(1, top + 1):
         known = below(values, op.order + lam)
-        offsets = _equation_series(op, x, known, top, exact)
+        offsets = reference.equation_series(op, x, known, top, exact)
         columns, rows, _, _ = _level_plan(op.jet_variables, op.layout, lam, top)
         assert list(columns) == reference.level_columns(op, lam)
         yield (
@@ -109,19 +109,24 @@ def level_systems(op, top, x, exact):
 
 def base_systems(op, x, exact):
     """(assembled, reference) level-0 systems of an affine base: in every
-    base jet, and with the first base jet pinned to a seed value."""
+    base jet, and with the first base jet pinned to a seed value, bound
+    as the solver binds it: by the level-0 plan's shift plan, None for
+    each unseeded jet."""
     system = prolong(op, 0)
     rows = [(j, zero_index(op.n)) for j in range(1, op.r + 1)]
-    base_cols = jet_columns(op.n, op.k, op.order)
+    base_cols, _, factorials, bind = _level_plan(op.jet_variables, op.layout, 0, 0)
     keys = op.layout[3]
     pin = F(3, 7) if exact else 3 / 7
     for known in ({}, {base_cols[0]: pin}):
         columns = tuple(c for c in base_cols if c not in known)
+        given = taylor_coefficients(base_cols, [known.get(c, 0) for c in base_cols], factorials, exact)
+        seeds = {v: {} for v in op.jet_variables}
+        bind_jets(seeds, bind, [g if c in known else None for c, g in zip(base_cols, given)])
         yield (
             _assemble(
                 _row_plan(keys, (zero_index(op.n),), columns, _constant(op.n, keys)),
                 _gradient_values(op, x, known, exact),
-                _equation_series(op, x, known, 0, exact),
+                _bound_series(op, x, seeds, 0, exact),
             ),
             reference.row_system(system, rows, columns, reference.assignment(op, x, known), exact),
         )
@@ -200,20 +205,27 @@ def test_float_level_systems_match_the_prolonged_rows(op, top, x):
 
 
 TWO_EQUATIONS = pde(2, 1, "(-1,1) (-1,1)", "u_x*u_y + sin(y)*u^2 - x", "u_x - exp(u)*y")
+DRIFT = pde(2, 2, "(0,1) (0,1)", "u_xx + u_yy - exp(x)*u_x - y")
+SEEDED = {jet_columns(2, 1, 0)[0]: 3 / 7}
 
 
 @pytest.mark.parametrize(
-    "op,x",
-    [(op, x) for op, _, x in FLOAT] + [(TWO_EQUATIONS, (F(1, 3), F(-1, 2)))],
-    ids=FLOAT_IDS + ["two-equations"],
+    "op,x,known",
+    [(op, x, some_jet(op, op.order, False)) for op, _, x in FLOAT]
+    + [(TWO_EQUATIONS, (F(1, 3), F(-1, 2)), some_jet(TWO_EQUATIONS, 1, False))]
+    + [(op, (F(1, 2), F(1, 3)), known) for op in (EXP_COEFFICIENT, DRIFT) for known in ({}, SEEDED)],
+    ids=FLOAT_IDS + ["two-equations"]
+    + [f"{name}-{seeds}" for name in ("exp-coefficient", "drift") for seeds in ("unseeded", "seeded")],
 )
-def test_compiled_symbol_is_the_evaluated_symbol(op, x):
-    # with every base jet known, the jet partials come off
-    # op.compiled_base's Jacobian in one call, read by position: bit for
-    # bit the floats evaluate_float gives, in the same order
-    base = some_jet(op, op.order, False)
-    compiled = _gradient_values(op, x, base, False, base_known=True)
-    evaluated = _gradient_values(op, x, base, False)
+def test_compiled_symbol_is_the_evaluated_symbol(op, x, known):
+    # the float jet partials come off op.compiled_base's Jacobian in one
+    # call, read by position: bit for bit the floats evaluate_float gives,
+    # in the same order; with every base jet known, and at level 0 of an
+    # affine base, where a jet not known is passed as 0.0 and no partial
+    # reads it
+    compiled = _gradient_values(op, x, known, False)
+    values = reference.assignment(op, x, known)
+    evaluated = [evaluate_float(d, values) for g in op.gradients for d in g.values()]
     assert list(map(float.hex, compiled)) == list(map(float.hex, evaluated))
 
 

@@ -26,13 +26,14 @@ from densepde.linalg import (
 )
 from densepde.ranges import (
     _assemble,
-    _equation_series,
     _gradient_values,
     _level_plan,
     _stacked,
     solve_jets_triangular,
 )
 from densepde.systems import lewy_operator
+
+import reference
 
 
 def reference_rref(rows):
@@ -247,7 +248,7 @@ def lewy_deep_systems():
         gradient = _gradient_values(op, x, below(op.order + 1), True)
         for lam in (4, 5):
             _, rows, _, _ = _level_plan(op.jet_variables, op.layout, lam, 5)
-            offsets = _equation_series(op, x, below(op.order + lam), lam, True)
+            offsets = reference.equation_series(op, x, below(op.order + lam), lam, True)
             yield _assemble(rows, gradient, offsets)
 
 

@@ -119,7 +119,7 @@ def with_first_jets(seq, *jets):
         stage[seq.points[0]] = jet
     return SolutionSequence(
         seq.operator, seq.points, seq.orders,
-        glue(seq.operator, seq.points, stage_jets, seq.orders),
+        glue(seq.operator, seq.points, stage_jets),
     )
 
 

@@ -261,7 +261,7 @@ eq: u_x - u
         values = (F(1, 16), F(1, 2), F(2))
         wrong = Jet(1, 1, 2, {(1, MultiIndex((k,))): v for k, v in enumerate(values)})
         broken = DiscreteSolve(
-            {**stage.jets, a: wrong}, stage.bumps, stage.level, stage.polynomials, stage.scan
+            {**stage.jets, a: wrong}, stage.bumps, stage.polynomials, stage.scan
         )
         bad = SolutionSequence(
             op, seq.points, seq.orders, (seq.stages[0], broken)
@@ -350,7 +350,7 @@ def _float_stage(stage):
         a: Jet(j.n, j.k, j.order, {key: float(v) for key, v in j.values.items()})
         for a, j in stage.jets.items()
     }
-    return DiscreteSolve(jets, stage.bumps, stage.level, stage.polynomials, stage.scan)
+    return DiscreteSolve(jets, stage.bumps, stage.polynomials, stage.scan)
 
 
 @st.composite
