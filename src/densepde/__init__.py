@@ -49,7 +49,6 @@ from .ranges import (
     solve_jets_triangular,
 )
 from .construct import (
-    AssembledFunction,
     ConstructionError,
     DensePointStream,
     DiscreteSolve,

@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
 
-from .expr import Bump, Const, Expr, Var, evaluate_float, spow, sprod, ssum
+from .expr import Bump, Const, Expr, Var, spow, sprod, ssum
 from .frozen import Frozen
 from .jets import Jet, PdeOperator, Point, prolong
 from .multiindex import MultiIndex, multi_indices, zero_index
@@ -134,21 +134,12 @@ def bump_prefixes(
     distance and its half distances to the points joined so far, and its
     bump is rebuilt only when that minimum shrinks.
 
-    The centres are the points as Points, a Point given kept as it is.
-    Each pair's squared distance is formed in integers, from the points'
+    The centres are the points as _checked_points gives them.  Each
+    pair's squared distance is formed in integers, from the points'
     numerators over their own common denominators (_integral), and
     _sqrt_lower gets it as the reduced Fraction that Fraction arithmetic
     on the coordinates gives."""
-    pts = [p if isinstance(p, Point) else Point(map(Fraction, p)) for p in points]
-    if len(set(pts)) != len(pts):
-        raise ValueError("duplicate points")
-    for p in pts:
-        if len(p) != len(box):
-            raise ValueError(
-                f"point {point_text(p)}: dimension {len(p)}, box dimension {len(box)}"
-            )
-        if not all(lo < c < hi for c, (lo, hi) in zip(p, box)):
-            raise ValueError(f"point {point_text(p)} not strictly inside the box")
+    pts = _checked_points(points, box)
     integral = [_integral(p) for p in pts]
     limits: list[Fraction] = []
     bumps: list[Bump] = []
@@ -167,6 +158,23 @@ def bump_prefixes(
         bumps.append(_bump(context, a, limit))
         out.append(tuple(bumps))
     return out
+
+
+def _checked_points(points: Sequence[Sequence[Fraction]], box: Box) -> list[Point]:
+    """The points as Points, a Point given kept as it is; ValueError
+    unless they are distinct, of the box's dimension and strictly inside
+    it."""
+    pts = [p if isinstance(p, Point) else Point(map(Fraction, p)) for p in points]
+    if len(set(pts)) != len(pts):
+        raise ValueError("duplicate points")
+    for p in pts:
+        if len(p) != len(box):
+            raise ValueError(
+                f"point {point_text(p)}: dimension {len(p)}, box dimension {len(box)}"
+            )
+        if not all(lo < c < hi for c, (lo, hi) in zip(p, box)):
+            raise ValueError(f"point {point_text(p)} not strictly inside the box")
+    return pts
 
 
 def _integral(point: Sequence[Fraction]) -> tuple[tuple[int, ...], int]:
@@ -305,38 +313,15 @@ class _Nearest:
 
 
 # ---------------------------------------------------------------------------
-# assembled functions
-
-class AssembledFunction(Frozen):
-    """Finite sum of bump * polynomial pieces with disjoint supports."""
-
-    def __init__(self, context: Context, pieces: tuple[tuple[Bump, Expr], ...]):
-        d = self.__dict__
-        d["context"] = context
-        d["pieces"] = pieces
-
-    def expression(self) -> Expr:
-        return self._expression
-
-    @cached_property
-    def _expression(self) -> Expr:
-        """The glued sum, built on first use and kept."""
-        return ssum([sprod([bump, poly]) for bump, poly in self.pieces])
-
-    def value(self, point: Sequence) -> float:
-        assignment = {
-            v: x for v, x in zip(self.context.space_vars(), point)
-        }
-        return evaluate_float(self.expression(), assignment)
-
+# stages
 
 class DiscreteSolve(Frozen):
     """Result of solving on a finite point set: the jet at each point and
     the bumps centred on the points, both in point order.  The glued
-    functions, one per unknown, are derived from them when first read,
-    with the polynomials of `polynomials`; `scan` finds the bump that
-    holds a point.  The stages of a sequence share both, and the sequence
-    holds each stage's level (SolutionSequence.orders)."""
+    functions, one Expr per unknown, sum bump * Taylor polynomial over the
+    points; they are built when first read, with the polynomials of
+    `polynomials`, and `scan` finds the bump that holds a point.  The
+    stages of a sequence share both (SolutionSequence.stages)."""
 
     def __init__(
         self,
@@ -356,14 +341,11 @@ class DiscreteSolve(Frozen):
         return all(j.exact for j in self.jets.values())
 
     @cached_property
-    def functions(self) -> tuple[AssembledFunction, ...]:
-        context = self.polynomials.context
+    def functions(self) -> tuple[Expr, ...]:
         polys = [self.polynomials(b.center, self.jets[b.center]) for b in self.bumps]
         return tuple(
-            AssembledFunction(
-                context, tuple((bump, poly[unknown]) for bump, poly in zip(self.bumps, polys))
-            )
-            for unknown in range(context.k)
+            ssum([sprod([bump, poly[unknown]]) for bump, poly in zip(self.bumps, polys)])
+            for unknown in range(self.polynomials.context.k)
         )
 
     def component_series(
@@ -392,57 +374,53 @@ class DiscreteSolve(Frozen):
         ]
 
 
-def glue(
-    op: PdeOperator,
-    points: Sequence[Point],
-    stage_jets: Sequence[dict[Point, Jet]],
-) -> tuple[DiscreteSolve, ...]:
-    """The stages of a sequence: stage nu glues the jets stage_jets[nu] at
-    points[:nu + 1] with the bumps of that prefix.  The stages share one
-    TaylorPolynomials and one BumpScan, and build no polynomial until
-    their functions are read; their levels are the sequence's orders."""
-    polynomials, scan = TaylorPolynomials(op.context), BumpScan()
-    prefixes = bump_prefixes(points, op.domain, op.context)
-    return tuple(
-        DiscreteSolve(jets, bumps, polynomials, scan)
-        for jets, bumps in zip(stage_jets, prefixes)
-    )
-
-
 # ---------------------------------------------------------------------------
 # staged sequences
 
 class SolutionSequence(Frozen):
     """The staged sequence: stage nu solves on the points z_0..z_nu at
-    prolongation level l_nu."""
+    prolongation level l_nu = orders[nu], and jets[nu] holds its jet at
+    each of them, {Point: Jet}.  That is all a sequence is: the bumps
+    follow from the points, and the stages are glued from both when
+    first read."""
 
     def __init__(
         self,
         operator: PdeOperator,
-        points: tuple[Point, ...],
-        orders: tuple[int, ...],
-        stages: tuple[DiscreteSolve, ...],
+        points: Sequence[Point],
+        orders: Sequence[int],
+        jets: Sequence[dict[Point, Jet]],
     ):
-        if len(points) != len(orders) or len(points) != len(stages):
-            raise ValueError("points, orders and stages must align")
-        if any(b < a for a, b in zip(orders, orders[1:])):
-            raise ValueError("order schedule must be non-decreasing")
+        if not len(points) == len(orders) == len(jets):
+            raise ValueError("points, orders and jets must align")
+        validate_schedule(orders)
         d = self.__dict__
         d["operator"] = operator
-        d["points"] = points
-        d["orders"] = orders
-        d["stages"] = stages
+        d["points"] = tuple(_checked_points(points, operator.domain))
+        d["orders"] = tuple(orders)
+        d["jets"] = tuple(jets)
 
     @property
     def stage_count(self) -> int:
-        return len(self.stages)
+        return len(self.points)
 
     @cached_property
     def exact(self) -> bool:
-        return all(s.exact for s in self.stages)
+        return all(j.exact for jets in self.jets for j in jets.values())
 
-    def stage_expressions(self, nu: int) -> list[Expr]:
-        return [f.expression() for f in self.stages[nu].functions]
+    @cached_property
+    def stages(self) -> tuple[DiscreteSolve, ...]:
+        """Stage nu glues the jets jets[nu] at points[:nu + 1] with the
+        bumps of that prefix.  The stages share one TaylorPolynomials and
+        one BumpScan, and build no polynomial until their functions are
+        read."""
+        op = self.operator
+        polynomials, scan = TaylorPolynomials(op.context), BumpScan()
+        prefixes = bump_prefixes(self.points, op.domain, op.context)
+        return tuple(
+            DiscreteSolve(jets, bumps, polynomials, scan)
+            for jets, bumps in zip(self.jets, prefixes)
+        )
 
 
 class ConstructionError(Exception):
@@ -486,9 +464,8 @@ def construct_sequence(
 
     Each point is solved once, when a stage first uses it, at the last
     stage's level; stage nu reads each of its points' results at level
-    l_nu (the triangular solve reports every level), and glue builds the
-    stages from those jets.  Each point is held as one Point, which
-    every stage's jets, bumps and scan share."""
+    l_nu (the triangular solve reports every level).  Each point is held
+    as one Point, which every stage's jets, bumps and scan share."""
     pts = [Point(map(Fraction, p)) for p in points]
     orders = validate_schedule(orders)
     if len(pts) != len(orders):
@@ -503,13 +480,8 @@ def construct_sequence(
                 solves[a] = solve_jets_triangular(top, a, seed=seed, tol=tol)
             res = solves[a].levels[level]
             if not res.solved:
-                partial = SolutionSequence(
-                    op, tuple(pts[:nu]), tuple(orders[:nu]),
-                    glue(op, pts[:nu], stage_jets),
-                )
+                partial = SolutionSequence(op, pts[:nu], orders[:nu], stage_jets)
                 raise ConstructionError(nu, a, res, partial)
             jets[a] = res.jet
         stage_jets.append(jets)
-    return SolutionSequence(
-        op, tuple(pts), tuple(orders), glue(op, pts, stage_jets)
-    )
+    return SolutionSequence(op, pts, orders, stage_jets)

@@ -11,23 +11,26 @@ record per point, all in the last stage.  A load checks the records in
 stage order, then fills the nulls from the last stage back, so the
 stages of one level share each point's Jet object.
 
-The bumps are rebuilt on load by the same routine that built them
-(``construct.glue``), and the glued functions are derived from the
-stored jets when read, so verification checks the stored jets
-themselves; an edited jet still verifies only where it is another
+A sequence is these jets (construct.SolutionSequence): the bumps follow
+from the points, and the stages are glued from both when first read,
+after a load as after a construction, so verification checks the stored
+jets themselves; an edited jet still verifies only where it is another
 solution.  Loading rejects another version (version 3 repeated every
 stage's jets), a field of the wrong JSON type, unknown or missing keys
 (top level, operator, stage and jet records), an operator whose dim
-differs from its number of variables or domain intervals, a stage count
-other than the point count, a stage without exactly one entry per stage
-point, a null in the last stage, a jet whose order is not m + l_nu, a
-jet value keyed other than "u;(p_1,...,p_n)" as a dump spells one of
-the jet's coordinates, a jet whose values do not match its arithmetic
-flag (exact: strings, float: numbers), a float value that is not finite
-(NaN, an infinity, a number beyond the float range), and a float jet of
-an operator whose jets are exact at every rational point (rational-closed
-equations, affine in the base jets), which can only be a downgraded exact
-claim; the command line exits 2 on each.
+differs from its number of variables or domain intervals, a decreasing
+or negative level schedule, a stage count other than the point count, a
+stage without exactly one entry per stage point, a null in the last
+stage, a jet whose order is not m + l_nu, a jet value keyed other than
+"u;(p_1,...,p_n)" as a dump spells one of the jet's coordinates, a jet
+whose values do not match its arithmetic flag (exact: strings, float:
+numbers), a float value that is not finite (NaN, an infinity, a number
+beyond the float range), and a float jet of an operator whose jets are
+exact at every rational point (rational-closed equations, affine in the
+base jets), which can only be a downgraded exact claim, and, as a
+constructed sequence does, points that repeat, have another dimension
+than the box or do not lie strictly inside it; the command line exits 2
+on each.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .construct import SolutionSequence, glue, validate_schedule
+from .construct import SolutionSequence, validate_schedule
+from .expr import evaluate_float
 from .jets import Jet, PdeOperator, Point
 from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_expression, parse_rational
@@ -167,12 +171,12 @@ def _loads_as_truncation(jet: Jet, later: Jet, order: int) -> bool:
 
 def sequence_to_json(seq: SolutionSequence) -> dict:
     records = []
-    for nu, stage in enumerate(seq.stages):
-        later = seq.stages[nu + 1].jets if nu + 1 < seq.stage_count else {}
+    for nu, jets in enumerate(seq.jets):
+        later = seq.jets[nu + 1] if nu + 1 < seq.stage_count else {}
         order = seq.operator.order + seq.orders[nu]
         records.append({"jets": [
-            None if a in later and _loads_as_truncation(stage.jets[a], later[a], order)
-            else jet_to_json(stage.jets[a])
+            None if a in later and _loads_as_truncation(jets[a], later[a], order)
+            else jet_to_json(jets[a])
             for a in seq.points[: nu + 1]
         ]})
     return {
@@ -226,7 +230,7 @@ def sequence_from_json(data: dict) -> SolutionSequence:
         for a, jet in stage_jets[nu].items():
             if jet is None:
                 stage_jets[nu][a] = stage_jets[nu + 1][a].truncate(op.order + orders[nu])
-    return SolutionSequence(op, points, orders, glue(op, points, stage_jets))
+    return SolutionSequence(op, points, orders, stage_jets)
 
 
 # ---------------------------------------------------------------------------
@@ -289,10 +293,10 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
     No field needs quoting: names are letters and digits, values are
     float reprs.
     """
-    ctx, box = seq.operator.context, seq.operator.domain
-    functions = seq.stages[-1].functions
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
+    ctx, box = seq.operator.context, seq.operator.domain
+    functions = seq.stages[-1].functions
     axes = [
         [lo + (hi - lo) * Fraction(i, resolution + 1) for i in range(1, resolution + 1)]
         for lo, hi in box
@@ -300,6 +304,7 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
     lines = [",".join([*ctx.space_names, "unknown", "value"])]
     for point in itertools.product(*axes):
         coordinates = [repr(float(c)) for c in point]
+        assignment = dict(zip(ctx.space_vars(), point))
         for name, fn in zip(ctx.unknown_names, functions):
-            lines.append(",".join([*coordinates, name, repr(fn.value(point))]))
+            lines.append(",".join([*coordinates, name, repr(evaluate_float(fn, assignment))]))
     return "\n".join(lines) + "\n"

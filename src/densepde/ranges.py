@@ -382,14 +382,10 @@ class JetSolveResult(Value):
 
 
 def _seed_values(seed) -> dict:
+    """The seed {(u, exponent tuple): value} keyed (u, MultiIndex)."""
     if seed is None:
         return {}
-    if isinstance(seed, Jet):
-        return dict(seed.values)
-    return {
-        (u, MultiIndex(p) if isinstance(p, tuple) else p): v
-        for (u, p), v in seed.items()
-    }
+    return {(u, MultiIndex(p)): v for (u, p), v in seed.items()}
 
 
 def solves_exactly(op: PdeOperator) -> bool:
@@ -409,7 +405,8 @@ def solve_jets_triangular(
     """Solve all prolonged equations at the point x for a dense jet of
     order m + level, and report every lower level on the way.
 
-    Level 0 solves the base equations for the jets up to order m: by a
+    The seed, if given, maps (u, exponent tuple) to a value.  Level 0
+    solves the base equations for the jets up to order m: by a
     minimum-norm linear solve when they are affine (seed entries are then
     pinned as hard constraints, and must be rational when
     expr.exact_arithmetic makes the equations exact at x), by damped
@@ -421,10 +418,11 @@ def solve_jets_triangular(
     system above level 0 is built.  Each level's index work comes from
     its plan (_level_plan), made once per operator layout, level and
     solve order: at the point the solve assembles its rows from the
-    gradient values (_gradient_values) and the equations' series with the
-    known jets bound (_bound_series).  Level 0 of an affine base binds
-    its seeds, and every later level the jets solved below it, through
-    the plans' shift plans, in column order (taylor.bind_jets).
+    gradient values (_gradient_values, read once per solve) and the
+    equations' series with the known jets bound (_bound_series).  Level 0
+    of an affine base binds its seeds, and every later level the jets
+    solved below it, through the plans' shift plans, in column order
+    (taylor.bind_jets).
 
     Level l of the solve reads only the rows and jets of level <= l, so
     the point is solved once for all levels: result.levels[l] is the jet
@@ -445,7 +443,9 @@ def solve_jets_triangular(
                 f"unknown 1..{k}, multi-index of {n} entries and order <= {m}"
             )
     known = {c: seed_vals[c] for c in base_cols if c in seed_vals}
+    gradient = None
     if not op.affine:
+        exact = False
         solved, failure = _solve_newton_base(op, base_cols, x, seed_vals, tol)
     else:
         if exact_arithmetic(op.equations, x) and not exact_arithmetic((), known.values()):
@@ -468,17 +468,18 @@ def solve_jets_triangular(
                 known, known.values(), [q.factorial() for _, q in known], exact
             )))
             bind_jets(seeds, bind, [given.get(c) for c in base_cols])
-        a, b = _assemble(
-            rows, _gradient_values(op, x, known, exact), _bound_series(op, x, seeds, 0, exact)
-        )
+        gradient = _gradient_values(op, x, known, exact)
+        a, b = _assemble(rows, gradient, _bound_series(op, x, seeds, 0, exact))
         values, failure = _solve_affine(a, b, exact, tol, 0)
         solved = dict(zip(free_cols, values))
     lam = 0
     if failure is None:
         known.update(solved)
-        # the arithmetic of level 0 carries to every later level
-        exact = exact_arithmetic(op.equations, [*x, *known.values()])
-        gradient = _gradient_values(op, x, known, exact)
+        # the arithmetic of level 0 carries to every later level, and so do
+        # an affine base's partials, which hold no jet; a Newton base's
+        # partials are read at its solved jets
+        if gradient is None:
+            gradient = _gradient_values(op, x, known, exact)
         # one set of bindings for the solve, grown by each level's jets
         bindings = {v: {} for v in op.jet_variables}
         values = [known[c] for c in base_cols]
@@ -496,7 +497,6 @@ def solve_jets_triangular(
     levels = []
     if passed >= 0:
         jet = Jet(n, k, m + passed, known)
-        exact = jet.exact
         limit = 0 if exact else tol
         first = None  # the first level whose rows exceed the limit
         for level, residual in enumerate(_residuals(op, x, jet, sys.level, bindings)):

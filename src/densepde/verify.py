@@ -306,7 +306,7 @@ def error_sequence(op: PdeOperator, seq) -> list[FunctionSequence]:
     """One sequence per equation: w_{j,nu} = G_j applied to stage nu.
 
     Jet variables in G_j are replaced by the matching symbolic derivatives
-    of the assembled stage functions.  verify_solution does not build
+    of the glued stage functions.  verify_solution does not build
     these; they are the symbolic reference its Taylor path is tested
     against.
     """
@@ -314,7 +314,7 @@ def error_sequence(op: PdeOperator, seq) -> list[FunctionSequence]:
     space = ctx.space_vars()
     per_equation: list[list[Expr]] = [[] for _ in op.equations]
     for nu in range(seq.stage_count):
-        components = seq.stage_expressions(nu)
+        components = seq.stages[nu].functions
         tables = [_DerivativeTable(ctx, comp) for comp in components]
         for j, g in enumerate(op.equations):
             mapping = {

@@ -12,6 +12,7 @@ import pytest
 
 from densepde.cli import main
 from densepde.construct import DensePointStream, construct_sequence
+from densepde.expr import evaluate_float
 from densepde.jets import parse_pde_text
 from densepde.manifest import (
     load_sequence,
@@ -163,8 +164,10 @@ class TestManifest:
         seq = construct_sequence(op, DensePointStream(op.domain).prefix(3), [1, 1, 1])
         axis = [F(i, 5) for i in range(1, 5)]
         (fn,) = seq.stages[-1].functions
+        x_var, y_var = op.context.space_vars()
         expected = [
-            f"{float(x)!r},{float(y)!r},u,{fn.value((x, y))!r}" for x in axis for y in axis
+            f"{float(x)!r},{float(y)!r},u,{evaluate_float(fn, {x_var: x, y_var: y})!r}"
+            for x in axis for y in axis
         ]
         assert sample_grid(seq, 4).splitlines()[1:] == expected
 

@@ -1,5 +1,6 @@
 """Constructor: dense streams, bumps, Taylor glue, staged sequences."""
 
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -10,6 +11,7 @@ from densepde.construct import (
     BumpScan,
     ConstructionError,
     DensePointStream,
+    SolutionSequence,
     bump_prefixes,
     construct_sequence,
     make_bumps,
@@ -270,8 +272,8 @@ class TestComponentSeries:
     def assert_matches_tree(op, seq, mode):
         order = max(seq.orders) + op.order
         exact = mode != "float"
-        for nu, stage in enumerate(seq.stages):
-            expressions = seq.stage_expressions(nu)
+        for stage in seq.stages:
+            expressions = stage.functions
             for point in seq.points:
                 got = stage.component_series(point, order, mode)
                 assert len(got) == len(expressions) == op.k
@@ -346,7 +348,7 @@ class TestDiscreteSolve:
         pts = [(F(1, 4),), (F(3, 4),)]
         ds = construct_sequence(op, pts, [2] * 2, seed={(1, (0,)): 1}).stages[-1]
         assert ds.exact
-        e = ds.functions[0].expression()
+        e = ds.functions[0]
         x = op.context.space(1)
         # at each construction point the glued function takes the pinned
         # jet value; off all supports it is exactly zero
@@ -358,7 +360,7 @@ class TestDiscreteSolve:
         op = parse_pde_text(TRANSPORT)
         a = (F(1, 4),)
         ds = construct_sequence(op, [a], [2], seed={(1, (0,)): 1}).stages[-1]
-        e = ds.functions[0].expression()
+        e = ds.functions[0]
         ctx = op.context
         d = differentiate(e, ctx.space(1))
         assert evaluate_exact(d, {ctx.space(1): a[0]}) == ds.jets[a].value(
@@ -392,6 +394,22 @@ class TestSequence:
         op = parse_pde_text(TRANSPORT)
         with pytest.raises(ValueError):
             construct_sequence(op, [(F(1, 4),), (F(3, 4),)], [2, 1])
+
+    @pytest.mark.parametrize("points, orders, message", [
+        ([(F(1, 4),), (F(1, 4),)], [1, 1], "duplicate points"),
+        ([(F(1, 4),), (F(3, 2),)], [1, 1], "point (3/2) not strictly inside the box"),
+        ([(F(1, 4),), (F(1, 4), F(1, 2))], [1, 1], "dimension 2, box dimension 1"),
+        ([(F(1, 4),), (F(3, 4),)], [1, 0], "order schedule must be non-decreasing"),
+        ([(F(1, 4),), (F(3, 4),)], [1], "points, orders and jets must align"),
+    ], ids=["duplicate", "outside", "dimension", "decreasing", "unaligned"])
+    def test_sequence_checks_its_inputs(self, points, orders, message):
+        # the checks a load and a construction share, made once, when the
+        # sequence is built from its jets
+        op = parse_pde_text(TRANSPORT)
+        jet = Jet(1, 1, 2, {(1, MultiIndex((k,))): F(1) for k in range(3)})
+        jets = [{Point(p): jet for p in points[: nu + 1]} for nu in range(len(points))]
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SolutionSequence(op, [Point(p) for p in points], orders, jets)
 
     def test_partial_sequence_on_failure(self):
         mixed = parse_pde_text("""
@@ -526,6 +544,30 @@ class TestOneSolvePerPoint:
         assert taken == list(op.equations)
 
 
+class TestStagesGluedWhenRead:
+    """A sequence is its jets: construction, dump and load place no bump,
+    and the first read of its stages places every prefix's bumps in one
+    pass."""
+
+    def test_bumps_placed_once_when_first_read(self, monkeypatch):
+        calls = []
+        original = construct.bump_prefixes
+
+        def counting(points, box, context):
+            calls.append(len(points))
+            return original(points, box, context)
+
+        monkeypatch.setattr(construct, "bump_prefixes", counting)
+        op = parse_pde_text(POISSON)
+        pts = DensePointStream(op.domain).prefix(4)
+        seq = construct_sequence(op, pts, [1] * 4)
+        loaded = sequence_from_json(sequence_to_json(seq))
+        assert calls == []
+        assert loaded.stages is loaded.stages
+        assert calls == [4]
+        assert [len(stage.bumps) for stage in loaded.stages] == [1, 2, 3, 4]
+
+
 class TestOnePolynomialPerJet:
     """Construction and load expand no jet into its Taylor polynomial;
     reading the glued functions of every stage in order expands each
@@ -549,11 +591,11 @@ class TestOnePolynomialPerJet:
         seq = construct_sequence(op, pts, [1] * 12)
         loaded = sequence_from_json(sequence_to_json(seq))
         assert expansions == []
-        built = [seq.stage_expressions(nu) for nu in range(12)]
+        built = [stage.functions for stage in seq.stages]
         assert expansions == [(a, 3) for a in pts]
         expansions.clear()
         for nu in range(12):
-            assert loaded.stage_expressions(nu) == built[nu]
+            assert loaded.stages[nu].functions == built[nu]
         assert expansions == [(a, 3) for a in pts]
 
     def test_rising_level_expands_again(self, expansions):
@@ -561,8 +603,8 @@ class TestOnePolynomialPerJet:
         pts = [(F(1, 4),), (F(3, 4),), (F(1, 8),)]
         seq = construct_sequence(op, pts, [0, 1, 1], seed={(1, (0,)): 1})
         assert expansions == []
-        for nu in range(3):
-            seq.stage_expressions(nu)
+        for stage in seq.stages:
+            stage.functions
         assert expansions == [(pts[0], 1), (pts[0], 2), (pts[1], 2), (pts[2], 2)]
 
     def test_polynomial_unchanged_by_sharing(self):

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from densepde import linalg
+from densepde import linalg, ranges
 from densepde.construct import DensePointStream
 from densepde.expr import EvaluationError
 from densepde.jets import parse_pde_text, prolong
@@ -273,6 +273,26 @@ eq: u_x^2 + 1
             solve_jets_triangular(prolong(op(EIKONAL), 1), x)
         with pytest.raises(ValueError, match=message):
             rank_condition(op(LAPLACE), x, 1)
+
+    @pytest.mark.parametrize("text, x, seed", [
+        (POISSON, (F(1, 4), F(1, 2)), None),
+        (POISSON, (0.25, 0.5), {(1, (0, 0)): 1}),
+        (EIKONAL, (F(1, 4), F(1, 2)), None),
+    ], ids=["affine-exact", "affine-float-seeded", "newton"])
+    def test_partials_read_once_per_solve(self, monkeypatch, text, x, seed):
+        # an affine base's partials hold no jet, so its level-0 values serve
+        # every level; a Newton base's are read once, at its solved jets
+        calls = []
+        original = ranges._gradient_values
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(ranges, "_gradient_values", counting)
+        res = solve_jets_triangular(prolong(op(text), 2), x, seed=seed)
+        assert res.solved
+        assert len(calls) == 1
 
     def test_inconsistent_linear_reports_level(self):
         res = solve_jets_triangular(prolong(op(DEGENERATE), 0), (F(1, 2),))

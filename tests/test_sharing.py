@@ -19,7 +19,7 @@ import pytest
 from densepde import manifest as manifest_module
 from densepde.cli import main
 from densepde.construct import (
-    DensePointStream, DiscreteSolve, SolutionSequence, construct_sequence, glue,
+    DensePointStream, DiscreteSolve, SolutionSequence, construct_sequence,
 )
 from densepde.jets import Jet, parse_pde_text
 from densepde.manifest import sequence_from_json, sequence_to_json, write_json
@@ -114,13 +114,10 @@ def test_dumped_records_are_independent():
 
 def with_first_jets(seq, *jets):
     """`seq` with the jets at z_0 of its first stages replaced by `jets`."""
-    stage_jets = [dict(stage.jets) for stage in seq.stages]
+    stage_jets = [dict(stage) for stage in seq.jets]
     for stage, jet in zip(stage_jets, jets):
         stage[seq.points[0]] = jet
-    return SolutionSequence(
-        seq.operator, seq.points, seq.orders,
-        glue(seq.operator, seq.points, stage_jets),
-    )
+    return SolutionSequence(seq.operator, seq.points, seq.orders, stage_jets)
 
 
 @pytest.mark.parametrize("convert", [

@@ -13,7 +13,6 @@ from densepde import verify as verify_module
 from densepde.construct import (
     BumpScan,
     DensePointStream,
-    DiscreteSolve,
     SolutionSequence,
     construct_sequence,
 )
@@ -256,15 +255,11 @@ eq: u_x - u
             op, [(F(1, 4),), (F(3, 4),)], [1, 1], seed={(1, (0,)): 1}
         )
         # sabotage: store the jet of x^2 at (1/4,) in stage 1
-        stage = seq.stages[1]
         a = (F(1, 4),)
         values = (F(1, 16), F(1, 2), F(2))
         wrong = Jet(1, 1, 2, {(1, MultiIndex((k,))): v for k, v in enumerate(values)})
-        broken = DiscreteSolve(
-            {**stage.jets, a: wrong}, stage.bumps, stage.polynomials, stage.scan
-        )
         bad = SolutionSequence(
-            op, seq.points, seq.orders, (seq.stages[0], broken)
+            op, seq.points, seq.orders, (seq.jets[0], {**seq.jets[1], a: wrong})
         )
         result = verify_solution(op, bad)
         assert not result.passed
@@ -343,14 +338,13 @@ OPERATORS = {
 }
 
 
-def _float_stage(stage):
-    """The stage with every jet value a float, so its terms are flagged
+def _float_stage(jets):
+    """A stage's jets with every value a float, so its terms are flagged
     approximate."""
-    jets = {
+    return {
         a: Jet(j.n, j.k, j.order, {key: float(v) for key, v in j.values.items()})
-        for a, j in stage.jets.items()
+        for a, j in jets.items()
     }
-    return DiscreteSolve(jets, stage.bumps, stage.polynomials, stage.scan)
 
 
 @st.composite
@@ -373,9 +367,9 @@ def staged_sequences(draw):
         seq = sequence_from_json(data)
     if draw(st.booleans()):
         nu = draw(st.integers(0, len(schedule) - 1))
-        stages = list(seq.stages)
-        stages[nu] = _float_stage(stages[nu])
-        seq = SolutionSequence(op, seq.points, seq.orders, tuple(stages))
+        jets = list(seq.jets)
+        jets[nu] = _float_stage(jets[nu])
+        seq = SolutionSequence(op, seq.points, seq.orders, jets)
     return op, seq
 
 
