@@ -41,8 +41,8 @@ print(
 )
 from densepde import MultiIndex  # noqa: E402
 
-ux = res.jet.value(1, MultiIndex((1, 0)))
-uy = res.jet.value(1, MultiIndex((0, 1)))
+ux = res.jet.values[(1, MultiIndex((1, 0)))]
+uy = res.jet.values[(1, MultiIndex((0, 1)))]
 print(f"gradient at the point: ({ux:.6f}, {uy:.6f}); |grad|^2 = {ux*ux+uy*uy:.6f}")
 # note u itself is not among the equation's jets, so it keeps its
 # default 0 -- the information is in the derivatives

@@ -255,7 +255,9 @@ class BumpScan:
     integer numerators over their own denominators (_integral), and
     d(z, c_j)^2 = S_j / (dz * d_j)^2 with the integer S_j of
     _cross_distance, so comparisons cross-multiply.  At most POINTS points
-    keep their nearest centres."""
+    keep their nearest centres; a point past that displaces the one that
+    came first, so a large sampling grid does not leave the sequence's own
+    points without theirs."""
 
     POINTS = 1024
 
@@ -270,9 +272,9 @@ class BumpScan:
             return None
         nearest = self._nearest.get(point)
         if nearest is None:
-            nearest = _Nearest(point)
-            if len(self._nearest) < self.POINTS:
-                self._nearest[point] = nearest
+            nearest = self._nearest[point] = _Nearest(point)
+            if len(self._nearest) > self.POINTS:
+                del self._nearest[next(iter(self._nearest))]
         centres = self._centres
         while len(centres) < len(bumps):
             centres.append(_integral(bumps[len(centres)].center))
@@ -319,9 +321,12 @@ class DiscreteSolve(Frozen):
     """Result of solving on a finite point set: the jet at each point and
     the bumps centred on the points, both in point order.  The glued
     functions, one Expr per unknown, sum bump * Taylor polynomial over the
-    points; they are built when first read, with the polynomials of
-    `polynomials`, and `scan` finds the bump that holds a point.  The
-    stages of a sequence share both (SolutionSequence.stages)."""
+    points; their supports are disjoint, so near any point at most one
+    piece decides them, and `piece` is the one place that finds it.  The
+    glued trees are built when first read, with the polynomials of
+    `polynomials`, as the reference for the pieces; `scan` finds the bump
+    that holds a point.  The stages of a sequence share both
+    (SolutionSequence.stages)."""
 
     def __init__(
         self,
@@ -348,29 +353,40 @@ class DiscreteSolve(Frozen):
             for unknown in range(self.polynomials.context.k)
         )
 
+    def piece(self, point: Sequence[Fraction]) -> tuple[Jet, Bump | None] | None:
+        """The bump * polynomial piece that decides the glued functions
+        near the point, as (the jet at its centre, its bump).  At one of
+        the stage's own points the bump is 1 to every order, so the piece
+        is (that point's jet, None).  Elsewhere it is the bump whose open
+        support holds the point, with the jet at its centre; None when no
+        support does, where the functions vanish near the point."""
+        jet = self.jets.get(point)
+        if jet is not None:
+            return jet, None
+        bump = self.scan(point, self.bumps)
+        return None if bump is None else (self.jets[bump.center], bump)
+
     def component_series(
         self, point: Point, order: int, mode: str = "auto"
     ) -> list[dict[MultiIndex, Fraction | float]]:
         """Per unknown, taylor.series of the glued function at the point,
-        read off the jets and bumps.  At one of the stage's own points, the
-        centre of its bump, the bump is 1 to every order, and c_p is the
-        jet's D^p u / p! (|p| <= order), a Fraction unless mode is "float".
-        Elsewhere the supports are disjoint, so at most one holds the
-        point: the series is that one bump * polynomial piece's, or empty
-        where none does."""
+        read off its piece: at one of the stage's own points c_p is the
+        jet's D^p u / p! (|p| <= order), a Fraction unless mode is "float";
+        elsewhere the series of the bump * polynomial piece, or empty
+        where no piece holds the point."""
         context = self.polynomials.context
-        jet = self.jets.get(point)
-        if jet is not None:
+        piece = self.piece(point)
+        if piece is None:
+            return [{} for _ in range(context.k)]
+        jet, bump = piece
+        if bump is None:
             return [
                 {p: c for p, c in coefficients.items() if c and p.order <= order}
                 for coefficients in jet_coefficients(jet.values, context.k, mode != "float")
             ]
-        bump = self.scan(point, self.bumps)
-        if bump is None:
-            return [{} for _ in range(context.k)]
         return [
             series(sprod([bump, poly]), point, order, mode)
-            for poly in self.polynomials(bump.center, self.jets[bump.center])
+            for poly in self.polynomials(bump.center, jet)
         ]
 
 

@@ -82,34 +82,6 @@ class Expr(Value):
 
     __slots__ = ()
 
-    def __add__(self, other):
-        return ssum([self, as_expr(other)])
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return ssum([self, sprod([MINUS_ONE, as_expr(other)])])
-
-    def __rsub__(self, other):
-        return ssum([as_expr(other), sprod([MINUS_ONE, self])])
-
-    def __mul__(self, other):
-        return sprod([self, as_expr(other)])
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return squot(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return squot(as_expr(other), self)
-
-    def __pow__(self, exponent):
-        return spow(self, Fraction(exponent))
-
-    def __neg__(self):
-        return sprod([MINUS_ONE, self])
-
     def __str__(self):
         from .printer import to_text
 
@@ -214,16 +186,6 @@ class Bump(Expr):
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
 MINUS_ONE = Const(Fraction(-1))
-
-
-def as_expr(x) -> Expr:
-    if isinstance(x, Expr):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return Const(Fraction(x))
-    if isinstance(x, float):
-        return Const(Fraction(x))
-    raise TypeError(f"cannot convert {x!r} to Expr")
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .expr import (
+    MINUS_ONE,
     ZERO,
     Expr,
     SpaceVar,
@@ -84,9 +85,6 @@ class Jet(Value):
     def exact(self) -> bool:
         """Whether every value is exact, computed once per jet."""
         return exact_arithmetic((), self.values.values())
-
-    def value(self, unknown: int, p: MultiIndex):
-        return self.values[(unknown, p)]
 
     def truncate(self, order: int) -> "Jet":
         """The jet's values of order <= `order`, this jet at its own order.
@@ -223,7 +221,7 @@ def normalize_homogeneous(F: Expr, f: Expr) -> Expr:
     """Fold the right-hand side into the operator: returns F - f simplified."""
     if jet_variables(f):
         raise ValueError("right-hand side must depend on space variables only")
-    return simplify(F - f)
+    return simplify(ssum([F, sprod([MINUS_ONE, f])]))
 
 
 def jet_gradient(e: Expr) -> dict[tuple[int, MultiIndex], Expr]:

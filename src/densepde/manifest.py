@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .construct import SolutionSequence, validate_schedule
-from .expr import evaluate_float
+from .expr import Sum, evaluate_float, sprod
 from .jets import Jet, PdeOperator, Point
 from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_expression, parse_rational
@@ -286,7 +286,15 @@ def load_sequence(path: str) -> SolutionSequence:
 
 def sample_grid(seq: SolutionSequence, resolution: int) -> str:
     """CSV samples of the last stage's glued functions on a uniform
-    interior grid.
+    interior grid, the float values evaluate_float gives them.
+
+    A glued function sums bump * polynomial pieces, and at each grid point
+    only the piece that holds it (DiscreteSolve.piece) is evaluated: the
+    sum's other pieces are exact zeros there, so a zero sample is 0.0, and
+    where no piece holds the point every sample is.  At a stage point the
+    bump is 1, and the polynomial alone is evaluated.  A function of one
+    piece is that piece, evaluated as it is: outside its support its value
+    is a zero signed as the polynomial is.
 
     Header: the space variable names, then ``unknown`` and ``value``.
     One row per grid point per unknown, rows in grid-lexicographic order.
@@ -296,7 +304,7 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
     if resolution < 1:
         raise ValueError("resolution must be >= 1")
     ctx, box = seq.operator.context, seq.operator.domain
-    functions = seq.stages[-1].functions
+    stage = seq.stages[-1]
     axes = [
         [lo + (hi - lo) * Fraction(i, resolution + 1) for i in range(1, resolution + 1)]
         for lo, hi in box
@@ -305,6 +313,17 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
     for point in itertools.product(*axes):
         coordinates = [repr(float(c)) for c in point]
         assignment = dict(zip(ctx.space_vars(), point))
-        for name, fn in zip(ctx.unknown_names, functions):
-            lines.append(",".join([*coordinates, name, repr(evaluate_float(fn, assignment))]))
+        piece = stage.piece(point)
+        if piece is not None:
+            jet, bump = piece
+            polys = stage.polynomials(point if bump is None else bump.center, jet)
+        for u, (name, fn) in enumerate(zip(ctx.unknown_names, stage.functions)):
+            if not isinstance(fn, Sum):
+                value = evaluate_float(fn, assignment)
+            elif piece is None:
+                value = 0.0
+            else:
+                term = polys[u] if bump is None else sprod([bump, polys[u]])
+                value = 0.0 + evaluate_float(term, assignment)
+            lines.append(",".join([*coordinates, name, repr(value)]))
     return "\n".join(lines) + "\n"

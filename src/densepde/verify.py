@@ -33,7 +33,7 @@ from .expr import (
     substitute,
 )
 from .frozen import Frozen, Value
-from .jets import Jet, PdeOperator, Point
+from .jets import PdeOperator, Point
 from .multiindex import MultiIndex, multi_indices, zero_index
 from .parser import Context
 from .printer import point_text
@@ -270,33 +270,27 @@ def _check(coefficients, indices, mode, limit, exact_only, tol, mu, i):
 def check_vanishing(
     seq: FunctionSequence,
     points: Sequence[Point],
-    orders: int | Sequence[int],
+    order: int,
     arithmetic: str = "auto",
     tol: float = DEFAULT_FLOAT_TOL,
 ) -> VanishingReport:
     """Vanishing-condition scan over the truncation.
 
-    For each (point, order) pair the witness is the least nu such that all
-    later terms have every derivative up to the order equal to zero at the
-    point.  In exact arithmetic "zero" is literal; in float arithmetic it
-    means within tol in absolute value.  The terms are read from the last
-    one down, only until one does not vanish (_scan); an entry's exact
-    flag and failures cover those terms, and the report is labelled
-    "exact" only when every evaluation read was exact.
+    For each point the witness is the least nu such that all later terms
+    have every derivative up to the order equal to zero at the point.  In
+    exact arithmetic "zero" is literal; in float arithmetic it means
+    within tol in absolute value.  The terms are read from the last one
+    down, only until one does not vanish (_scan); an entry's exact flag
+    and failures cover those terms, and the report is labelled "exact"
+    only when every evaluation read was exact.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
-    if isinstance(orders, int):
-        order_list = [orders] * len(pts)
-    else:
-        order_list = list(orders)
-        if len(order_list) != len(pts):
-            raise ValueError("need one order per point")
     approximate = [seq.is_approximate(mu) for mu in range(len(seq.terms))]
 
     def term_series(mu, i, order, mode):
         return series(seq.terms[mu], pts[i], order, mode)
 
-    return _scan(approximate, pts, order_list, arithmetic, tol, term_series)[0]
+    return _scan(approximate, pts, [order] * len(pts), arithmetic, tol, term_series)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -435,14 +429,15 @@ def verify_solution(
     order.  At z_i every stage nu >= i is read, and its entries |p| <=
     l_nu are the pass/fail entries: they use the requested arithmetic,
     decide the "exact" label and may raise ExactnessUnavailable in
-    "exact" mode.  There a stage's series depend on the jet alone, so the
-    bindings are built once per Jet object at each point, as in
-    TaylorPolynomials, and the series of G_j once per distinct bindings:
-    stages that share a point's Jet share both, and the scan checks them
-    once.  Below i the scan reads earlier stages at z_i, in "auto" (or
-    "float"), only until one does not vanish there, which locates the
-    witness; where such a stage is zero near z_i, the bindings are empty
-    and the series of G_j is computed once for all such stages.
+    "exact" mode.  Below i the scan reads earlier stages at z_i, in
+    "auto" (or "float"), only until one does not vanish there, which
+    locates the witness.  A stage's series at z_i follow from the piece
+    that holds z_i (DiscreteSolve.piece), so the bindings are built once
+    per piece, mode and point, and the series of G_j once per distinct
+    bindings: stages that share a piece at z_i share both, and the scan
+    checks them once.  Where no piece holds z_i the stage is zero near
+    it: every such stage shares the empty bindings, with no series of its
+    components, and one series of G_j.
     """
     if arithmetic not in MODES:
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
@@ -451,31 +446,25 @@ def verify_solution(
     top = max(seq.orders)
     approximate = [not stage.exact for stage in seq.stages]
     unbound = {v: {} for v in op.jet_variables}
-    # (i, id(jet), mode) -> (jet, bindings at the centre z_i), the jet kept
-    # so that its id names it; (mu, i) -> bindings of stage mu at a later
-    # point z_i
-    at_centre: dict[tuple[int, int, str], tuple[Jet, dict]] = {}
-    later: dict[tuple[int, int], dict] = {}
-
-    def bind(mu: int, i: int, mode: str) -> dict:
-        components = seq.stages[mu].component_series(seq.points[i], top + op.order, mode)
-        return jet_bindings(op.jet_variables, components, top) if any(components) else unbound
+    # (i, id(jet), id(bump), mode) -> (piece, bindings), the piece kept so
+    # that its ids name it
+    bound: dict[tuple[int, int, int, str], tuple] = {}
 
     def stage_jets(mu: int, i: int, mode: str) -> dict:
         """Each jet variable (u, alpha) of the equations bound to the
         alpha-shift of the series of stage mu's component u at z_i;
-        `unbound` where every component's series there is empty."""
-        if i > mu:  # a later point, maybe in one of the stage's bumps
-            hit = later.get((mu, i))
-            if hit is None:
-                hit = later[(mu, i)] = bind(mu, i, mode)
-            return hit
-        # a bump centre: the jet there alone decides
-        jet = seq.stages[mu].jets[seq.points[i]]
-        key = (i, id(jet), mode)
-        hit = at_centre.get(key)
+        `unbound` where no piece holds z_i or every series there is
+        empty."""
+        stage = seq.stages[mu]
+        piece = stage.piece(seq.points[i])
+        if piece is None:
+            return unbound
+        key = (i, id(piece[0]), id(piece[1]), mode)
+        hit = bound.get(key)
         if hit is None:
-            hit = at_centre[key] = (jet, bind(mu, i, mode))
+            components = stage.component_series(seq.points[i], top + op.order, mode)
+            bindings = jet_bindings(op.jet_variables, components, top) if any(components) else unbound
+            hit = bound[key] = (piece, bindings)
         return hit[1]
 
     reports: list[VanishingReport] = []
@@ -483,7 +472,7 @@ def verify_solution(
     all_exact = True
     for j, g in enumerate(op.equations, start=1):
         # (i, order, mode, id(bindings)) -> series; every bindings dict
-        # lives as long as the caches above, so an id names one of them
+        # lives as long as `bound`, so an id names one of them
         computed: dict[tuple[int, int, str, int], dict] = {}
 
         def term_series(mu, i, order, mode, g=g, computed=computed):

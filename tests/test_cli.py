@@ -1,6 +1,8 @@
 """Command-line interface and manifest round-trips."""
 
+import collections
 import copy
+import itertools
 import json
 import math
 import os
@@ -10,6 +12,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from densepde import taylor as taylor_module
 from densepde.cli import main
 from densepde.construct import DensePointStream, construct_sequence
 from densepde.expr import evaluate_float
@@ -79,6 +82,21 @@ order: 1
 domain: (0,1)
 eq: u_x^2 + 1
 """
+
+
+# (problem, schedule, point scheme, resolution) of sampled sequences
+GRID_CASES = [
+    (POISSON, [1, 1, 1], "dyadic", 4),
+    # 24 pieces; most grid points lie in no support
+    (POISSON, [1] * 24, "dyadic", 20),
+    # the grid runs through all five stage points
+    (POISSON, [1] * 5, "dyadic", 3),
+    # float jets
+    (EIKONAL, [1, 1, 2, 2], "dyadic", 7),
+    # two unknowns; w's glued function has one nonzero piece, which is
+    # -0.0 at grid points outside its support where its polynomial is negative
+    (LEWY, [0, 1, 1], "diagonal", 3),
+]
 
 
 def add_overlapping_bumps(raw):
@@ -160,16 +178,38 @@ class TestManifest:
         assert lines[1] == "0.25,u,1.0"
 
     def test_grid_samples_match_pointwise_values(self):
+        """Each sample is evaluate_float of the last stage's glued function
+        there, whichever piece holds the grid point, if any."""
+        for text, schedule, scheme, resolution in GRID_CASES:
+            op = parse_pde_text(text)
+            points = DensePointStream(op.domain, scheme).prefix(len(schedule))
+            seq = construct_sequence(op, points, schedule)
+            ctx, functions = op.context, seq.stages[-1].functions
+            axes = [
+                [lo + (hi - lo) * F(i, resolution + 1) for i in range(1, resolution + 1)]
+                for lo, hi in op.domain
+            ]
+            expected = []
+            for point in itertools.product(*axes):
+                assignment = dict(zip(ctx.space_vars(), point))
+                for name, fn in zip(ctx.unknown_names, functions):
+                    value = evaluate_float(fn, assignment)
+                    expected.append(",".join([*(repr(float(c)) for c in point), name, repr(value)]))
+            assert sample_grid(seq, resolution).splitlines()[1:] == expected, text
+
+    def test_grid_samples_evaluate_one_bump_per_point(self, monkeypatch):
+        """24 pieces, but a grid point lies in at most one support, and
+        only that piece is evaluated there."""
         op = parse_pde_text(POISSON)
-        seq = construct_sequence(op, DensePointStream(op.domain).prefix(3), [1, 1, 1])
-        axis = [F(i, 5) for i in range(1, 5)]
-        (fn,) = seq.stages[-1].functions
-        x_var, y_var = op.context.space_vars()
-        expected = [
-            f"{float(x)!r},{float(y)!r},u,{evaluate_float(fn, {x_var: x, y_var: y})!r}"
-            for x in axis for y in axis
-        ]
-        assert sample_grid(seq, 4).splitlines()[1:] == expected
+        seq = construct_sequence(op, DensePointStream(op.domain).prefix(24), [1] * 24)
+        evaluated = []
+        region = taylor_module.bump_region
+        monkeypatch.setattr(
+            taylor_module, "bump_region",
+            lambda bump, point: evaluated.append(point) or region(bump, point),
+        )
+        assert len(sample_grid(seq, 20).splitlines()) == 401
+        assert evaluated and max(collections.Counter(evaluated).values()) == 1
 
 
     def test_failed_write_leaves_the_old_file_and_no_temp_file(self, tmp_path):

@@ -21,6 +21,8 @@ from densepde.expr import (
     evaluate_float,
     jet_variables,
     simplify,
+    sprod,
+    ssum,
     substitute,
 )
 from densepde.construct import DensePointStream, construct_sequence
@@ -291,11 +293,11 @@ class TestTotalDerivative:
     def test_leibniz(self):
         a = parse_expression("u_x", CTX)
         b = parse_expression("x*u_y", CTX)
-        prod = simplify(a * b)
+        prod = simplify(sprod([a, b]))
         lhs = total_derivative(prod, CTX, 1)
-        rhs = simplify(
-            total_derivative(a, CTX, 1) * b + a * total_derivative(b, CTX, 1)
-        )
+        rhs = simplify(ssum([
+            sprod([total_derivative(a, CTX, 1), b]), sprod([a, total_derivative(b, CTX, 1)])
+        ]))
         # simplify does not expand products, so compare by exact evaluation
         u = parse_expression("x^3*y - y^2", CTX)
         point = (F(1, 3), F(2, 5))
@@ -338,14 +340,14 @@ class TestJet:
         u = parse_expression("x^3 + x*y", CTX)
         jet = jet_of_function(u, CTX, (F(1, 2), F(1, 3)), 2)
         assert jet.exact
-        assert jet.value(1, MultiIndex((2, 0))) == 3  # 6x at 1/2
-        assert jet.value(1, MultiIndex((1, 1))) == 1
+        assert jet.values[(1, MultiIndex((2, 0)))] == 3  # 6x at 1/2
+        assert jet.values[(1, MultiIndex((1, 1)))] == 1
 
     def test_of_function_float(self):
         u = parse_expression("sin(x)", Context(("x",)))
         jet = jet_of_function(u, Context(("x",)), (0.5,), 1)
         assert not jet.exact
-        assert jet.value(1, MultiIndex((1,))) == pytest.approx(math.cos(0.5))
+        assert jet.values[(1, MultiIndex((1,)))] == pytest.approx(math.cos(0.5))
 
     def test_truncate(self):
         u = parse_expression("x^2", Context(("x",)))

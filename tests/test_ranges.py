@@ -210,7 +210,7 @@ class TestTriangularSolve:
         res = solve_jets_triangular(sys, (F(1, 2),), seed={(1, (0,)): 1})
         assert res.solved and res.arithmetic == "exact"
         for order in range(8):
-            assert res.jet.value(1, MultiIndex((order,))) == 1
+            assert res.jet.values[(1, MultiIndex((order,)))] == 1
 
     def test_unseeded_homogeneous_is_min_norm_zero(self):
         sys = prolong(op(TRANSPORT), 2)
@@ -228,8 +228,8 @@ class TestTriangularSolve:
         sys = prolong(op(EIKONAL), 0)
         res = solve_jets_triangular(sys, (F(0), F(0)))
         assert res.solved
-        ux = res.jet.value(1, MultiIndex((1, 0)))
-        uy = res.jet.value(1, MultiIndex((0, 1)))
+        ux = res.jet.values[(1, MultiIndex((1, 0)))]
+        uy = res.jet.values[(1, MultiIndex((0, 1)))]
         # the first root found: the fill-0 start is stationary, and fill
         # 1.0 converges to the +1 branch
         assert ux * ux + uy * uy == pytest.approx(1.0, abs=1e-10)
@@ -416,7 +416,7 @@ class TestPerLevelResults:
         for seed in (0.5, F(1, 2)):
             res = solve_jets_triangular(sys, (0.5, 0.25), seed={(1, (0, 0)): seed})
             assert res.solved and res.arithmetic == "float"
-            assert res.jet.value(1, MultiIndex((0, 0))) == 0.5
+            assert res.jet.values[(1, MultiIndex((0, 0)))] == 0.5
         with pytest.raises(ValueError, match="rational"):
             solve_jets_triangular(sys, (F(1, 2), F(1, 4)), seed={(1, (0, 0)): 0.5})
 

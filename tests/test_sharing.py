@@ -3,8 +3,8 @@
 Stage nu of a constructed sequence holds at each of its points the
 truncation of stage nu + 1's jet there.  A dump stores such a jet as
 null, a load parses each stored record once and gives the stages of one
-level the same Jet, and verify builds the series at a bump centre once
-per Jet.  A record stored in place of a null is still judged on its own.
+level the same Jet, and verify builds the series of the piece that
+holds a point once per piece.  A record stored in place of a null is still judged on its own.
 """
 
 import contextlib
@@ -16,13 +16,14 @@ from fractions import Fraction
 
 import pytest
 
+from densepde import construct as construct_module
 from densepde import manifest as manifest_module
 from densepde.cli import main
 from densepde.construct import (
     DensePointStream, DiscreteSolve, SolutionSequence, construct_sequence,
 )
 from densepde.jets import Jet, parse_pde_text
-from densepde.manifest import sequence_from_json, sequence_to_json, write_json
+from densepde.manifest import sample_grid, sequence_from_json, sequence_to_json, write_json
 from densepde.multiindex import MultiIndex
 from densepde.verify import verify_solution
 
@@ -31,6 +32,13 @@ vars: x y
 order: 2
 domain: (0,1) (0,1)
 eq: u_xx + u_yy - 1 - x*y
+"""
+
+LAPLACE = """dim: 2
+vars: x y
+order: 2
+domain: (0,1) (0,1)
+eq: u_xx + u_yy
 """
 
 EIKONAL = """dim: 2
@@ -83,6 +91,46 @@ def test_verify_expands_each_distinct_centre_jet_once(monkeypatch):
     monkeypatch.setattr(DiscreteSolve, "component_series", counted)
     assert verify_solution(seq.operator, seq).passed
     assert sorted(centres) == sorted(seq.points)
+
+
+@pytest.mark.parametrize("scheme", ["dyadic", "diagonal"])
+def test_verify_binds_each_piece_once(monkeypatch, scheme):
+    """48 homogeneous Laplace stages at level 1: every stage vanishes at
+    every later point, so the witness scan reads all 1,128 (stage, later
+    point) pairs.  A point that no support holds is bound without a
+    series, and the stages that share the piece holding a point share its
+    bindings, so at most one series per stage is read off a piece."""
+    op = parse_pde_text(LAPLACE)
+    points = DensePointStream(op.domain, scheme).prefix(48)
+    seq = construct_sequence(op, points, [1] * 48)
+    off_centre = []
+    expand = DiscreteSolve.component_series
+
+    def counted(self, point, order, mode="auto"):
+        if point not in self.jets:
+            off_centre.append(point)
+        return expand(self, point, order, mode)
+
+    monkeypatch.setattr(DiscreteSolve, "component_series", counted)
+    assert verify_solution(op, seq).passed
+    assert len(off_centre) <= seq.stage_count
+
+
+def test_grid_samples_leave_verify_its_nearest_centres(monkeypatch):
+    """A grid of 1,600 points passes through the bump scan that the
+    stages share, which keeps 1,024 points; verify after it still finds
+    each sequence point's nearest centres once."""
+    op = parse_pde_text(LAPLACE)
+    seq = construct_sequence(op, DensePointStream(op.domain).prefix(48), [1] * 48)
+    assert len(sample_grid(seq, 40).splitlines()) == 1601
+    made = []
+    init = construct_module._Nearest.__init__
+    monkeypatch.setattr(
+        construct_module._Nearest, "__init__",
+        lambda self, point: made.append(point) or init(self, point),
+    )
+    assert verify_solution(op, seq).passed
+    assert len(made) <= seq.stage_count
 
 
 def test_a_dump_stores_one_record_per_point():

@@ -574,7 +574,7 @@ def test_jet_coefficients_round_trip_jet_of_function():
             if jet.exact:
                 assert {p: a for p, a in coefficients.items() if a} == want
                 assert {p: p.factorial() * a for p, a in coefficients.items()} == {
-                    p: jet.value(unknown, p) for p in indices
+                    p: jet.values[(unknown, p)] for p in indices
                 }
             else:
                 # v / p! rounds once, so p! c_p / p! may differ from c_p
@@ -673,12 +673,12 @@ def test_jet_of_function_matches_symbolic():
     point = (F(1, 3), F(-1, 2))
     exact = jet_of_function([u, u], ctx, point, 3)
     assert exact.exact
-    assert {p: exact.value(1, p) for p in multi_indices(2, 3) if exact.value(1, p)} == {
+    assert {p: exact.values[(1, p)] for p in multi_indices(2, 3) if exact.values[(1, p)]} == {
         p: c * p.factorial() for p, c in symbolic_series(u, ctx, point, 3).items()
     }
     mixed = jet_of_function([u, v], ctx, point, 3)
     assert not mixed.exact
     for p, c in symbolic_series(v, ctx, point, 3, mode="float").items():
-        assert mixed.value(2, p) == pytest.approx(c * p.factorial(), rel=1e-12)
+        assert mixed.values[(2, p)] == pytest.approx(c * p.factorial(), rel=1e-12)
     with pytest.raises(ExactnessUnavailable):
         jet_of_function([u, v], ctx, point, 3, exact=True)

@@ -23,6 +23,7 @@ from densepde.expr import (
     differentiate,
     simplify,
     spow,
+    sprod,
     ssum,
 )
 from densepde.jets import Jet, parse_pde_text
@@ -146,7 +147,7 @@ class TestIdealProperties:
         # multiplying by an arbitrary smooth sequence preserves vanishing
         other = parse_expression("1 + x^2", CTX)
         prod = FunctionSequence(
-            CTX, tuple(simplify(w * other) for w in self.seq.terms)
+            CTX, tuple(simplify(sprod([w, other])) for w in self.seq.terms)
         )
         before = check_vanishing(self.seq, self.points, 1, arithmetic="exact")
         after = check_vanishing(prod, self.points, 1, arithmetic="exact")
@@ -158,7 +159,7 @@ class TestIdealProperties:
         other = model([0, F(1, 2)], [3, 4])
         total = FunctionSequence(
             CTX,
-            tuple(simplify(a + b) for a, b in zip(self.seq.terms, other.terms)),
+            tuple(simplify(ssum([a, b])) for a, b in zip(self.seq.terms, other.terms)),
         )
         assert check_vanishing(total, self.points, 1, arithmetic="exact").holds
 
