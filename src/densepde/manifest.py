@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .construct import SolutionSequence, validate_schedule
-from .expr import Sum, evaluate_float, sprod
+from .expr import evaluate_float, sprod
 from .jets import Jet, PdeOperator, Point
 from .multiindex import MultiIndex, multi_indices
 from .parser import Context, parse_expression, parse_rational
@@ -290,11 +290,10 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
 
     A glued function sums bump * polynomial pieces, and at each grid point
     only the piece that holds it (DiscreteSolve.piece) is evaluated: the
-    sum's other pieces are exact zeros there, so a zero sample is 0.0, and
-    where no piece holds the point every sample is.  At a stage point the
-    bump is 1, and the polynomial alone is evaluated.  A function of one
-    piece is that piece, evaluated as it is: outside its support its value
-    is a zero signed as the polynomial is.
+    sum's other pieces are exact zeros there.  At a stage point the bump
+    is 1, and the polynomial alone is evaluated.  Where no piece holds
+    the point every sample is 0.0, and a zero sample is always 0.0, never
+    -0.0, whatever sign the piece's polynomial has.
 
     Header: the space variable names, then ``unknown`` and ``value``.
     One row per grid point per unknown, rows in grid-lexicographic order.
@@ -314,16 +313,15 @@ def sample_grid(seq: SolutionSequence, resolution: int) -> str:
         coordinates = [repr(float(c)) for c in point]
         assignment = dict(zip(ctx.space_vars(), point))
         piece = stage.piece(point)
-        if piece is not None:
+        if piece is None:
+            values = [0.0] * ctx.k
+        else:
             jet, bump = piece
             polys = stage.polynomials(point if bump is None else bump.center, jet)
-        for u, (name, fn) in enumerate(zip(ctx.unknown_names, stage.functions)):
-            if not isinstance(fn, Sum):
-                value = evaluate_float(fn, assignment)
-            elif piece is None:
-                value = 0.0
-            else:
-                term = polys[u] if bump is None else sprod([bump, polys[u]])
-                value = 0.0 + evaluate_float(term, assignment)
+            values = [
+                0.0 + evaluate_float(poly if bump is None else sprod([bump, poly]), assignment)
+                for poly in polys
+            ]
+        for name, value in zip(ctx.unknown_names, values):
             lines.append(",".join([*coordinates, name, repr(value)]))
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ witness.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Sequence
 
 from .expr import (
@@ -70,9 +71,6 @@ class FunctionSequence(Frozen):
     def truncation(self) -> int:
         return len(self.terms) - 1
 
-    def is_approximate(self, mu: int) -> bool:
-        return bool(self.approximate and self.approximate[mu])
-
 
 # ---------------------------------------------------------------------------
 # derivative cache
@@ -96,35 +94,19 @@ class _DerivativeTable:
 # ---------------------------------------------------------------------------
 # vanishing reports
 
-class Failure(Value):
-    """A derivative D^index of term `term` that is not zero at a point."""
-
-    _fields = ("term", "index", "value")
-
-    def __init__(self, term: int, index: MultiIndex, value: float):
-        d = self.__dict__
-        d["term"] = term
-        d["index"] = index
-        d["value"] = value
-
-
 class VanishingEntry(Value):
-    _fields = ("point", "order", "witness", "exact", "failures")
+    """A point's witness for one order: None when the last term does not
+    vanish there, and whether every value the scan read there was
+    exact."""
 
-    def __init__(
-        self,
-        point: Point,
-        order: int,
-        witness: int | None,
-        exact: bool,
-        failures: tuple[Failure, ...] = (),
-    ):
+    _fields = ("point", "order", "witness", "exact")
+
+    def __init__(self, point: Point, order: int, witness: int | None, exact: bool):
         d = self.__dict__
         d["point"] = point
         d["order"] = order
         d["witness"] = witness
         d["exact"] = exact
-        d["failures"] = failures
 
     @property
     def holds(self) -> bool:
@@ -174,15 +156,15 @@ class VanishingReport(Value):
 def _scan(
     approximate: Sequence[bool],
     points: Sequence[Point],
-    orders: Sequence[int],
+    order: int,
     arithmetic: str,
     tol: float,
-    term_series: Callable[[int, int, int, str], dict],
+    term_series: Callable[[int, int, str], dict],
     stage_orders: Sequence[int] | None = None,
 ) -> tuple[VanishingReport, list]:
     """The one place a sequence is evaluated at points: term_series(mu,
-    i, order, mode) gives the Taylor series of w_mu at z_i up to order_i,
-    and every D^p w_mu(z_i) = p! c_p (|p| <= order_i) is read off it.
+    i, mode) gives the Taylor series of w_mu at z_i up to the order, and
+    every D^p w_mu(z_i) = p! c_p (|p| <= order) is read off it.
 
     At each point the scan reads the terms from the last one down, and
     the witness is the last term with a nonzero D^p, plus one (None when
@@ -195,16 +177,17 @@ def _scan(
     Each series is computed in "auto" ("float" when float is asked for
     or the term is flagged approximate); in "exact" mode a deciding entry
     that is not exact raises ExactnessUnavailable.  An entry's exact flag
-    and its failures cover the values the scan read.  Returns the report
-    and, of the deciding evaluations, whether all were exact and the ones
-    not zero, (mu, i, p, value) in that order: a scan keeps no record of
-    each deciding zero.
+    covers the values the scan read.  Returns the report and, of the
+    deciding evaluations, whether all were exact and the ones not zero,
+    (mu, i, p, value) in that order: a scan keeps no record of each
+    deciding zero, nor of the other values not zero.
 
     Consecutive terms whose term_series at z_i is the same series object,
     read in the same mode with the same deciding order, are checked once,
     and the result counts for each of them; verify_solution's returns one
-    object for the stages that share a point's bindings.  The scan holds
-    the last series it checked, so its id is not reused while compared.
+    object for the stages that share the piece holding a point.  The
+    scan holds the last series it checked, so its id is not reused while
+    compared.
     """
     if arithmetic not in MODES:
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
@@ -212,18 +195,18 @@ def _scan(
     modes = ["float" if approx or arithmetic == "float" else "auto" for approx in approximate]
     entries = []
     decided_exact, failing = True, []
-    for i, (a, order) in enumerate(zip(points, orders)):
+    for i, a in enumerate(points):
         indices = multi_indices(len(a), order)
-        witness, exact, fails = 0, True, []
+        witness, exact, failed = 0, True, False
         run = None  # (series, mode, deciding order, its check)
         for mu in range(truncation, -1, -1):
             read_all = stage_orders is not None and mu >= i
-            if fails and not read_all:
+            if failed and not read_all:
                 break
             mode = modes[mu]
             # the deciding order: every |p| without stage_orders, none below i
             limit = order if stage_orders is None else stage_orders[mu] if read_all else -1
-            coefficients = term_series(mu, i, order, mode)
+            coefficients = term_series(mu, i, mode)
             if run is None or run[0] is not coefficients or run[1:3] != (mode, limit):
                 run = (coefficients, mode, limit, _check(
                     coefficients, indices, mode, limit, arithmetic == "exact", tol, mu, i
@@ -232,12 +215,11 @@ def _scan(
             exact = exact and read_exact
             decided_exact = decided_exact and limit_exact
             if nonzero:
-                if not fails:
+                if not failed:
                     witness = mu + 1 if mu < truncation else None
-                fails.extend(Failure(mu, p, float(value)) for p, value in nonzero)
+                    failed = True
                 failing.extend((mu, i, p, value) for p, value in nonzero if p.order <= limit)
-        fails.sort(key=lambda f: f.term)
-        entries.append(VanishingEntry(a, order, witness, exact, tuple(fails)))
+        entries.append(VanishingEntry(a, order, witness, exact))
     failing.sort(key=lambda f: f[:2])
     label = "float" if arithmetic == "float" or not all(e.exact for e in entries) else "exact"
     return VanishingReport(truncation, label, tol, tuple(entries)), (decided_exact, failing)
@@ -281,16 +263,17 @@ def check_vanishing(
     exact arithmetic "zero" is literal; in float arithmetic it means
     within tol in absolute value.  The terms are read from the last one
     down, only until one does not vanish (_scan); an entry's exact flag
-    and failures cover those terms, and the report is labelled "exact"
-    only when every evaluation read was exact.
+    covers those terms, and the report is labelled "exact" only when
+    every evaluation read was exact.  A term flagged in seq.approximate
+    is read in float.
     """
     pts = [tuple(Fraction(c) for c in p) for p in points]
-    approximate = [seq.is_approximate(mu) for mu in range(len(seq.terms))]
 
-    def term_series(mu, i, order, mode):
+    def term_series(mu, i, mode):
         return series(seq.terms[mu], pts[i], order, mode)
 
-    return _scan(approximate, pts, [order] * len(pts), arithmetic, tol, term_series)[0]
+    approximate = seq.approximate or (False,) * len(seq.terms)
+    return _scan(approximate, pts, order, arithmetic, tol, term_series)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -432,12 +415,12 @@ def verify_solution(
     "exact" mode.  Below i the scan reads earlier stages at z_i, in
     "auto" (or "float"), only until one does not vanish there, which
     locates the witness.  A stage's series at z_i follow from the piece
-    that holds z_i (DiscreteSolve.piece), so the bindings are built once
-    per piece, mode and point, and the series of G_j once per distinct
-    bindings: stages that share a piece at z_i share both, and the scan
-    checks them once.  Where no piece holds z_i the stage is zero near
-    it: every such stage shares the empty bindings, with no series of its
-    components, and one series of G_j.
+    that holds z_i (DiscreteSolve.piece), so one cache, keyed by the
+    piece, point and mode, holds the bindings and each equation's series:
+    stages that share a piece at z_i share one series of G_j, and the
+    scan checks them once.  Where no piece holds z_i the stage is zero
+    near it: every such stage, and every piece whose components have an
+    empty series there, shares the empty bindings and one series of G_j.
     """
     if arithmetic not in MODES:
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
@@ -445,51 +428,42 @@ def verify_solution(
         return VerificationResult("float" if arithmetic == "float" else "exact", tol, (), ())
     top = max(seq.orders)
     approximate = [not stage.exact for stage in seq.stages]
+    count = len(op.equations)
     unbound = {v: {} for v in op.jet_variables}
-    # (i, id(jet), id(bump), mode) -> (piece, bindings), the piece kept so
-    # that its ids name it
-    bound: dict[tuple[int, int, int, str], tuple] = {}
+    # (i, id(jet), id(bump), mode), or (i, mode) where no piece holds z_i
+    # -> (piece, bindings, the series of each G_j or None), the piece kept
+    # so that its ids name it
+    cache: dict[tuple, tuple] = {}
 
-    def stage_jets(mu: int, i: int, mode: str) -> dict:
-        """Each jet variable (u, alpha) of the equations bound to the
-        alpha-shift of the series of stage mu's component u at z_i;
-        `unbound` where no piece holds z_i or every series there is
-        empty."""
-        stage = seq.stages[mu]
-        piece = stage.piece(seq.points[i])
-        if piece is None:
-            return unbound
-        key = (i, id(piece[0]), id(piece[1]), mode)
-        hit = bound.get(key)
+    def term_series(j: int, mu: int, i: int, mode: str) -> dict:
+        """The series of G_j (stage mu) at z_i to the top order."""
+        stage, point = seq.stages[mu], seq.points[i]
+        piece = stage.piece(point)
+        key = (i, mode) if piece is None else (i, id(piece[0]), id(piece[1]), mode)
+        hit = cache.get(key)
         if hit is None:
-            components = stage.component_series(seq.points[i], top + op.order, mode)
-            bindings = jet_bindings(op.jet_variables, components, top) if any(components) else unbound
-            hit = bound[key] = (piece, bindings)
-        return hit[1]
+            components = stage.component_series(point, top + op.order, mode) if piece else ()
+            if any(components):
+                bindings, computed = jet_bindings(op.jet_variables, components, top), [None] * count
+            else:
+                _, bindings, computed = cache.setdefault((i, mode), (None, unbound, [None] * count))
+            hit = cache[key] = (piece, bindings, computed)
+        _, bindings, computed = hit
+        if computed[j] is None:
+            computed[j] = series(op.equations[j], point, top, mode, bindings)
+        return computed[j]
 
     reports: list[VanishingReport] = []
     failures: list[VerificationFailure] = []
     all_exact = True
-    for j, g in enumerate(op.equations, start=1):
-        # (i, order, mode, id(bindings)) -> series; every bindings dict
-        # lives as long as `bound`, so an id names one of them
-        computed: dict[tuple[int, int, str, int], dict] = {}
-
-        def term_series(mu, i, order, mode, g=g, computed=computed):
-            jets = stage_jets(mu, i, mode)
-            key = (i, order, mode, id(jets))
-            if key not in computed:
-                computed[key] = series(g, seq.points[i], order, mode, jets)
-            return computed[key]
-
+    for j in range(count):
         report, (exact, failing) = _scan(
-            approximate, seq.points, [top] * len(seq.points), arithmetic, tol,
-            term_series, seq.orders,
+            approximate, seq.points, top, arithmetic, tol, partial(term_series, j), seq.orders
         )
         reports.append(report)
         all_exact = all_exact and exact
         for nu, i, p, value in failing:
-            failures.append(VerificationFailure(j, nu, seq.points[i], p, float(value)))
+            failures.append(VerificationFailure(j + 1, nu, seq.points[i], p, float(value)))
     mode = "exact" if all_exact else "float"
     return VerificationResult(mode, tol, tuple(reports), tuple(failures))
 

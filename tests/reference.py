@@ -73,7 +73,6 @@ from densepde.ranges import CONSISTENCY_FLOOR, jet_columns, solve_jets_triangula
 from densepde.taylor import derivative, jet_bindings, jet_coefficients, series
 from densepde.verify import (
     DEFAULT_FLOAT_TOL,
-    Failure,
     FunctionSequence,
     VanishingEntry,
     VanishingReport,
@@ -401,25 +400,24 @@ def apply_operator(op: PdeOperator, u: Expr | Sequence[Expr], point: Sequence):
 # verify's witness scan, every term at every point
 
 def exhaustive_scan(
-    approximate, points, orders, arithmetic, tol, term_series, stage_orders=None
+    approximate, points, order, arithmetic, tol, term_series, stage_orders=None
 ):
     """verify._scan's report and (decided_exact, failing), from every term
-    at every point: each D^p w_mu(z_i) (|p| <= order_i) is read off
-    term_series(mu, i, order_i, mode), and the witness at z_i is the last
-    term with a nonzero one, plus one.  Without stage_orders every entry
+    at every point: each D^p w_mu(z_i) (|p| <= order) is read off
+    term_series(mu, i, mode), and the witness at z_i is the last term
+    with a nonzero one, plus one.  Without stage_orders every entry
     decides; with them only i <= mu, |p| <= stage_orders[mu] do.  Every
-    entry's exact flag and failures cover all the terms."""
+    entry's exact flag covers all the terms."""
     if arithmetic not in ("auto", "exact", "float"):
         raise ValueError(f"unknown arithmetic {arithmetic!r}")
     witness = [0] * len(points)
     exact = [True] * len(points)
-    fails = [[] for _ in points]
     decided_exact, failing = True, []
     truncation = len(approximate) - 1
     for mu, approx in enumerate(approximate):
         mode = "float" if approx or arithmetic == "float" else "auto"
-        for i, (a, order) in enumerate(zip(points, orders)):
-            coefficients = term_series(mu, i, order, mode)
+        for i, a in enumerate(points):
+            coefficients = term_series(mu, i, mode)
             ok = True
             for p in multi_indices(len(a), order):
                 value = derivative(coefficients, p, exact=mode != "float")
@@ -430,7 +428,6 @@ def exhaustive_scan(
                 exact[i] = exact[i] and was_exact
                 zero = value == 0 if was_exact else abs(value) <= tol
                 if not zero:
-                    fails[i].append(Failure(mu, p, float(value)))
                     ok = False
                 if deciding:
                     decided_exact = decided_exact and was_exact
@@ -439,8 +436,7 @@ def exhaustive_scan(
             if not ok:
                 witness[i] = mu + 1 if mu < truncation else None
     entries = tuple(
-        VanishingEntry(a, order, wit, ex, tuple(fl))
-        for a, order, wit, ex, fl in zip(points, orders, witness, exact, fails)
+        VanishingEntry(a, order, wit, ex) for a, wit, ex in zip(points, witness, exact)
     )
     label = "float" if arithmetic == "float" or not all(exact) else "exact"
     return VanishingReport(truncation, label, tol, entries), (decided_exact, failing)

@@ -19,6 +19,8 @@ from densepde.expr import evaluate_float
 from densepde.jets import parse_pde_text
 from densepde.manifest import (
     load_sequence,
+    operator_from_json,
+    operator_to_json,
     read_json,
     sample_grid,
     save_sequence,
@@ -93,9 +95,18 @@ GRID_CASES = [
     (POISSON, [1] * 5, "dyadic", 3),
     # float jets
     (EIKONAL, [1, 1, 2, 2], "dyadic", 7),
-    # two unknowns; w's glued function has one nonzero piece, which is
-    # -0.0 at grid points outside its support where its polynomial is negative
+    # two unknowns; w's glued function has one nonzero piece, whose
+    # polynomial is negative at grid points outside its support
     (LEWY, [0, 1, 1], "diagonal", 3),
+]
+
+# equations whose printed text takes the printer's rarer branches: a sum
+# as a factor, a fractional or negative power (text, its printed form)
+PRINTED = [
+    ("(1+x^2)*u_xy^2 - 3/4*u_yy*u - u_x - x", "(-1)*x - u_x - 3/4*u*u_yy + u_xy^2*(1 + x^2)"),
+    ("u_x - u^(1/2)", "u_x - u^(1/2)"),
+    ("(u_x + 1)^(-2) - x", "(-1)*x + (1 + u_x)^(-2)"),
+    ("u_xx*(x - 1/2)*(y+1) - 2", "(-2) + u_xx*((-1/2) + x)*(1 + y)"),
 ]
 
 
@@ -168,6 +179,15 @@ class TestManifest:
         with pytest.raises(ValueError):
             sequence_from_json({"format": "something-else"})
 
+    @pytest.mark.parametrize("equation, printed", PRINTED)
+    def test_operator_round_trip_through_printed_text(self, equation, printed):
+        """A manifest stores each equation as its printed text, which
+        parses back to the same tree."""
+        op = parse_pde_text(POISSON.replace("u_xx + u_yy - 1 - x*y", equation))
+        data = operator_to_json(op)
+        assert data["equations"] == [printed]
+        assert operator_from_json(data).equations == op.equations
+
     def test_grid_samples_header_and_rows(self):
         _, seq = self.build()
         text = sample_grid(seq, 3)
@@ -179,7 +199,8 @@ class TestManifest:
 
     def test_grid_samples_match_pointwise_values(self):
         """Each sample is evaluate_float of the last stage's glued function
-        there, whichever piece holds the grid point, if any."""
+        there, whichever piece holds the grid point, if any, with a zero
+        written as 0.0, never -0.0."""
         for text, schedule, scheme, resolution in GRID_CASES:
             op = parse_pde_text(text)
             points = DensePointStream(op.domain, scheme).prefix(len(schedule))
@@ -193,9 +214,11 @@ class TestManifest:
             for point in itertools.product(*axes):
                 assignment = dict(zip(ctx.space_vars(), point))
                 for name, fn in zip(ctx.unknown_names, functions):
-                    value = evaluate_float(fn, assignment)
+                    value = 0.0 + evaluate_float(fn, assignment)
                     expected.append(",".join([*(repr(float(c)) for c in point), name, repr(value)]))
-            assert sample_grid(seq, resolution).splitlines()[1:] == expected, text
+            samples = sample_grid(seq, resolution).splitlines()[1:]
+            assert samples == expected, text
+            assert not any(line.endswith(",-0.0") for line in samples), text
 
     def test_grid_samples_evaluate_one_bump_per_point(self, monkeypatch):
         """24 pieces, but a grid point lies in at most one support, and
@@ -598,6 +621,56 @@ eq: 0*u - 1
     def test_usage_error_bad_points(self, pde_file, capsys):
         assert main(["range", pde_file, "--points", "1/2,1/2"]) == 2
 
+    def test_no_points_rejected(self, pde_file, capsys):
+        assert main(["range", pde_file, "--points", ";"]) == 2
+        assert_one_error_line(capsys, "no points given")
+
+    def test_schedule_length_must_match_point_count(self, pde_file, capsys):
+        assert main(["construct", pde_file, "--schedule", "1,1", "--count", "3"]) == 2
+        assert_one_error_line(capsys, "schedule length 2 != point count 3")
+
+    @pytest.mark.parametrize("equation, message", [
+        ("u_xx $ 1", "at offset 5: unexpected character '$'"),
+        ("u_xx )", "at offset 5: unexpected ')'"),
+        ("u_xx^x", "at offset 5: exponent must be a rational constant"),
+        ("sin x", "at offset 4: expected '(' after function sin"),
+        ("sin(x", "at offset 5: unbalanced parentheses: expected ')'"),
+        ("u_", "at offset 0: malformed subscript: empty"),
+        ("q + u_xx", "at offset 0: unknown identifier 'q'"),
+    ])
+    def test_bad_equation_text_gives_its_offset(self, tmp_path, capsys, equation, message):
+        path = tmp_path / "bad.pde"
+        path.write_text(POISSON.replace("u_xx + u_yy - 1 - x*y", equation))
+        assert main(["range", str(path)]) == 2
+        assert_one_error_line(capsys, message)
+
+    @pytest.mark.parametrize("edit, message", [
+        (("vars: x y", "vars x y"), "bad.pde:2: expected 'key: value'"),
+        (("order: 2", "order: 2\nfoo: 1"), "bad.pde:4: unknown header 'foo'"),
+        (("eq: u_xx + u_yy - 1 - x*y", ""), "bad.pde: no 'eq:' lines"),
+        (("dim: 2", "dim: 3"), "bad.pde: dim is 3 but vars lists 2 names"),
+        (("(0,1) (0,1)", "(0,1)"), "bad.pde: domain needs 2 intervals, got 1"),
+        (("(0,1) (0,1)", "(0,1,2) (0,1)"), "bad.pde: bad interval (0,1,2)"),
+    ], ids=["no-colon", "unknown-header", "no-eq", "dim", "interval-count", "interval"])
+    def test_bad_header_names_the_file(self, tmp_path, capsys, edit, message):
+        path = tmp_path / "bad.pde"
+        path.write_text(POISSON.replace(*edit))
+        assert main(["range", str(path)]) == 2
+        assert_one_error_line(capsys, message)
+
+    def test_manifest_equation_above_declared_order_rejected(self, tmp_path, capsys):
+        pde = tmp_path / "poisson.pde"
+        pde.write_text(POISSON)
+        out = str(tmp_path / "out")
+        assert main(["construct", str(pde), "--schedule", "0,1", "--count", "2", "--out", out]) == 0
+        path = f"{out}/sequence.json"
+        raw = read_json(path)
+        raw["operator"]["equations"] = ["u_xxx - 1"]
+        write_json(path, raw)
+        capsys.readouterr()
+        assert main(["verify", path]) == 2
+        assert_one_error_line(capsys, "jet u_xxx of order 3 exceeds declared order 2")
+
     def test_zero_denominator_point(self, pde_file, capsys):
         assert main(["range", pde_file, "--level", "1", "--points", "1/0"]) == 2
         assert_one_error_line(capsys, "'1/0' is not a rational number")
@@ -653,6 +726,29 @@ eq: 0*u - 1
     def test_demo_lewy(self, capsys):
         assert main(["demo", "lewy"]) == 0
         assert "PASS" in capsys.readouterr().out
+
+
+class TestOutputs:
+    def test_range_in_float_certifies_in_float(self, tmp_path, capsys):
+        path = tmp_path / "poisson.pde"
+        path.write_text(POISSON)
+        assert main(["range", str(path), "--arith", "float"]) == 0
+        data, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+        certificates = [
+            entry["certificate"] for levels in data["points"].values() for entry in levels.values()
+        ]
+        assert certificates and all(c["arithmetic"] == "float" for c in certificates)
+
+    def test_verify_out_writes_the_payload_under_a_header(self, pde_file, tmp_path, capsys):
+        out = str(tmp_path / "out")
+        assert main(["construct", pde_file, "--schedule", "0,1", "--count", "2", "--out", out]) == 0
+        path = f"{out}/sequence.json"
+        assert main(["verify", path, "--out", out]) == 0
+        written = read_json(f"{out}/verification.json")
+        header = written.pop("header")
+        assert header
+        seq = load_sequence(path)
+        assert written == verify_solution(seq.operator, seq).to_json()
 
 
 def exit_code(argv) -> int:

@@ -37,7 +37,7 @@ from densepde.multiindex import (
 from densepde.parser import Context, parse_expression
 from densepde.printer import point_text
 from densepde.ranges import JetSolveResult, RankCertificate
-from densepde.verify import Failure, VanishingEntry, VanishingReport
+from densepde.verify import VanishingEntry, VanishingReport
 from reference import (
     apply_operator,
     differentiate_multi,
@@ -148,14 +148,10 @@ VALUE_TYPES = {
         ("status", "jet", "residual", "arithmetic", "failed_level", "detail"),
         JetSolveResult("no-solution", None, 0.5, "exact", 0, "inconsistent level"),
     ),
-    "Failure": (
-        lambda: Failure(1, MultiIndex((1, 0)), 0.25), ("term", "index", "value"),
-        Failure(2, MultiIndex((1, 0)), 0.25),
-    ),
     "VanishingEntry": (
         lambda: VanishingEntry((F(1, 2),), 1, 0, True),
-        ("point", "order", "witness", "exact", "failures"),
-        VanishingEntry((F(1, 2),), 1, None, True, (Failure(1, MultiIndex((1,)), 0.25),)),
+        ("point", "order", "witness", "exact"),
+        VanishingEntry((F(1, 2),), 1, None, True),
     ),
     "VanishingReport": (
         lambda: VanishingReport(2, "exact", 1e-10, (VanishingEntry((F(1, 2),), 1, 0, True),)),

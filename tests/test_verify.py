@@ -32,7 +32,6 @@ from densepde.multiindex import MultiIndex
 from densepde.parser import Context, parse_expression
 from densepde.systems import lewy_operator
 from densepde.verify import (
-    Failure,
     FunctionSequence,
     check_vanishing,
     error_sequence,
@@ -85,7 +84,6 @@ class TestModelSequence:
         report = check_vanishing(bad, [(F(1, 2),)], 0)
         assert not report.holds
         assert report.entries[0].witness is None
-        assert report.entries[0].failures
 
     def test_label_comes_from_evaluations(self):
         # a float-flagged term is evaluated in float even in exact mode,
@@ -105,14 +103,16 @@ class TestModelSequence:
         # of a series by its bare id() would replay another series' values
         one = {MultiIndex((0,)): F(1)}
 
-        def term_series(mu, i, order, mode):
+        def term_series(mu, i, mode):
             return dict(one) if mu == i else {}
 
-        report, _ = verify_module._scan(
-            [False] * 4, [(F(k, 5),) for k in range(1, 5)], [0] * 4, "auto", 1e-10, term_series
-        )
+        points = [(F(k, 5),) for k in range(1, 5)]
+        report, _ = verify_module._scan([False] * 4, points, 0, "auto", 1e-10, term_series)
         assert [e.witness for e in report.entries] == [1, 2, 3, None]
-        assert [[f.term for f in e.failures] for e in report.entries] == [[0], [1], [2], [3]]
+        _, (_, failing) = verify_module._scan(
+            [False] * 4, points, 0, "auto", 1e-10, term_series, [0] * 4
+        )
+        assert [(mu, i) for mu, i, _, _ in failing] == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
     def test_schedules_must_match(self):
         with pytest.raises(ValueError):
@@ -305,7 +305,7 @@ eq: u_x - u
                 e for e in result.reports[f.equation - 1].entries
                 if e.point == f.point
             )
-            assert Failure(f.stage, f.index, f.value) in entry.failures
+            assert entry.witness is None or entry.witness > f.stage
 
     def test_unknown_arithmetic_rejected(self):
         op = parse_pde_text(self.TRANSPORT)
@@ -387,14 +387,12 @@ def _failure_key(f):
 
 def assert_reads_a_subset(report, oracle):
     """Same witnesses; each entry's exact flag, and the report's label,
-    may only go from float to exact, and an entry's failures are some of
-    the oracle's."""
+    may only go from float to exact."""
     assert (report.truncation, report.tolerance) == (oracle.truncation, oracle.tolerance)
     assert len(report.entries) == len(oracle.entries)
     for entry, want in zip(report.entries, oracle.entries):
         assert (entry.point, entry.order, entry.witness) == (want.point, want.order, want.witness)
         assert entry.exact or not want.exact
-        assert all(f in want.failures for f in entry.failures)
     if report.arithmetic != oracle.arithmetic:
         assert (oracle.arithmetic, report.arithmetic) == ("float", "exact")
 
@@ -450,7 +448,7 @@ class TestBackwardScan:
                 else:
                     table[(mu, i)] = {MultiIndex((1,)): value}
 
-        def term_series(mu, i, order, mode):
+        def term_series(mu, i, mode):
             s = table[(mu, i)]
             return {p: float(c) for p, c in s.items()} if mode == "float" else s
 
@@ -460,7 +458,7 @@ class TestBackwardScan:
         def outcome(scan):
             try:
                 return scan(
-                    approximate, points, [1] * count, arithmetic, 1e-10, term_series, stage_orders
+                    approximate, points, 1, arithmetic, 1e-10, term_series, stage_orders
                 )
             except ExactnessUnavailable:
                 return ExactnessUnavailable
