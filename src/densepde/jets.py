@@ -11,6 +11,7 @@ from typing import Callable, Sequence
 from .expr import (
     MINUS_ONE,
     ZERO,
+    EvaluationError,
     Expr,
     SpaceVar,
     Var,
@@ -25,7 +26,7 @@ from .expr import (
 )
 from .frozen import Frozen, Value
 from .multiindex import MultiIndex, multi_indices
-from .parser import Context, parse_rational
+from .parser import Context, ParseError, parse_rational
 
 
 class Point(tuple, Frozen):
@@ -320,22 +321,23 @@ def parse_pde_text(text: str, name: str = "<pde>") -> PdeOperator:
     (per-axis rational intervals like ``(0,1)``), then one or more ``eq:``
     lines; an ``= expr`` right-hand side is folded in on load.
     """
-    fields: dict[str, str] = {}
-    eq_lines: list[str] = []
+    fields, lines = {}, {}  # each header's value, and the "name:line" that gave it
+    eq_lines: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition(":")
         key = key.strip().lower()
+        where = f"{name}:{lineno}"
         if not sep:
-            raise ValueError(f"{name}:{lineno}: expected 'key: value'")
+            raise ValueError(f"{where}: expected 'key: value'")
         if key == "eq":
-            eq_lines.append(value.strip())
+            eq_lines.append((where, value.strip()))
         elif key in ("dim", "vars", "unknowns", "order", "domain"):
-            fields[key] = value.strip()
+            fields[key], lines[key] = value.strip(), where
         else:
-            raise ValueError(f"{name}:{lineno}: unknown header {key!r}")
+            raise ValueError(f"{where}: unknown header {key!r}")
     for required in ("dim", "vars", "order", "domain"):
         if required not in fields:
             raise ValueError(f"{name}: missing '{required}:' header")
@@ -344,20 +346,20 @@ def parse_pde_text(text: str, name: str = "<pde>") -> PdeOperator:
     n = int(fields["dim"])
     space_names = fields["vars"].split()
     if len(space_names) != n:
-        raise ValueError(f"{name}: dim is {n} but vars lists {len(space_names)} names")
+        raise ValueError(f"{lines['vars']}: dim is {n} but vars lists {len(space_names)} names")
     unknown_names = fields.get("unknowns", "u").split()
     order = int(fields["order"])
     context = Context(space_names, unknown_names, max_jet_order=order)
-    domain = _parse_domain(fields["domain"], n, name)
+    domain = _parse_domain(fields["domain"], n, lines["domain"])
     equations = []
-    for text_eq in eq_lines:
+    for where, text_eq in eq_lines:
         lhs_text, sep, rhs_text = text_eq.partition("=")
-        lhs = context.parse(lhs_text.strip())
-        if sep:
-            rhs = context.parse(rhs_text.strip())
-            equations.append(normalize_homogeneous(lhs, rhs))
-        else:
-            equations.append(simplify(lhs))
+        try:
+            lhs = context.parse(lhs_text.strip())
+            rhs = context.parse(rhs_text.strip()) if sep else None
+            equations.append(simplify(lhs) if rhs is None else normalize_homogeneous(lhs, rhs))
+        except (ParseError, ValueError, EvaluationError) as exc:
+            raise ValueError(f"{where}: {exc}") from None
     return PdeOperator(context, order, tuple(equations), domain)
 
 

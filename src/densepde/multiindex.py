@@ -13,16 +13,12 @@ class MultiIndex(Frozen):
 
     Multi-indices key most dicts of the package, so this is the one value
     type that writes its own equality and hash instead of taking
-    frozen.Value's: the hash is computed once, in __init__, and equality
-    compares the one field directly.  Both keep the rule of frozen.Value:
-    equal when of one class with equal entries, hash((entries,)).  Derived
-    from Value instead, the seed-0 eikonal-float benchmark pipeline ran
-    15 % longer (0.112 -> 0.131 s, best of 15, Python 3.11.7 on a 2-vCPU
-    VM) when it called __eq__ 13,434 times.  Most of those calls compared
-    two equal objects: multi_indices now hands out one object per
-    multi-index, a dict lookup then matches on identity without calling
-    __eq__, and the pipeline calls it 648 times.  The order |p| is stored
-    too; factorial() is computed once per object, on first use."""
+    frozen.Value's (which made the seed-0 eikonal-float pipeline 15 %
+    slower): the hash is computed once, in __init__, and equality compares
+    the one field, by frozen.Value's rule.  multi_indices hands out one
+    object per multi-index, so dict lookups match on identity.  The order
+    |p| is stored too; factorial() is computed once per object.  Sums of
+    multi-indices are taken in taylor's slot tables."""
 
     def __init__(self, entries: tuple[int, ...]):
         if any(e < 0 for e in entries):
@@ -46,11 +42,6 @@ class MultiIndex(Frozen):
     @property
     def n(self) -> int:
         return len(self.entries)
-
-    def __add__(self, other: "MultiIndex") -> "MultiIndex":
-        if len(other.entries) != len(self.entries):
-            raise ValueError("dimension mismatch")
-        return MultiIndex(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def plus_axis(self, axis: int) -> "MultiIndex":
         """Increment the entry for 1-based axis."""

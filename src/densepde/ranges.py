@@ -14,21 +14,20 @@ three callers: level 0 of an affine base, in the jets no seed pins;
 every later level, in its top-order jets, where the partials reduce to
 their values at the solved base jet (the symbol); and the stacked rows
 of a linear operator, in every jet, which its rank certificates need.
-The first two bind their known jets, a level-0 seed or the solved
-jets below, by the level plans, and read every float partial off the
-compiled Jacobian of PdeOperator.compiled_base (_gradient_values).
-The solver takes the least-norm solution of each level, after a Newton
-root search at level 0 when the base equations are not affine.
+The first two read every float partial off the compiled Jacobian of
+PdeOperator.compiled_base (_gradient_values).  The solver takes the
+least-norm solution of each level, after a Newton root search at level 0
+when the base equations are not affine.
 
 The index work of that rule is the same at every point, so it is planned
-once: _row_plan records, for each row, which coefficient lands in which
-column with which weight, keyed by the equations' jet gradient keys, the
-rows, the columns and which coefficients the partials' series hold; and
-_level_plan holds, per operator layout (PdeOperator.layout), level and
-solve order, the level's row plan, its columns' q! and the
-taylor.shift_plan by which the jet variables' bindings grow from its
-solved jets.  At a point _assemble and taylor.bind_jets then do only
-arithmetic.  Each cache holds at most _PLANS plans.
+once, in ints read off the slot tables of taylor._Layout, where every
+multi-index sum is taken: _row_plan records, per jet gradient keys, rows,
+columns and series shape, which coefficient lands in which column with
+which weight; _level_plan holds, per operator layout (PdeOperator.layout),
+level and solve order, the level's columns, row plan, the columns' q!
+and the taylor.shift_plan that binds its known jets, a level-0 seed or
+the solved jets below.  Each cache holds at most _PLANS plans; at a
+point _assemble and taylor.bind_jets do only arithmetic.
 
 The solver is triangular: level l of a solve never looks at a row or a
 jet above level l, so one solve of a point at the top level also gives
@@ -42,7 +41,6 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import add, sub
 from typing import Sequence
 
 from .expr import evaluate_exact, exact_arithmetic
@@ -66,7 +64,7 @@ from .multiindex import (
 )
 from .newton import multistart_newton
 from .printer import point_text
-from .taylor import bind_jets, series, shift_plan, taylor_coefficients
+from .taylor import _layout, bind_jets, series_each, shift_plan, taylor_coefficients
 
 # A float affine level solve counts as consistent when its least-squares
 # residual floor is at most max(tol, CONSISTENCY_FLOOR), so no tolerance
@@ -104,39 +102,44 @@ _PLANS = 64  # row plans, and level plans, held at most; the least recently used
 def _row_plan(keys, indices, columns, shape) -> tuple[int, tuple]:
     """The index work of _assemble for the rows (j, p), p in `indices` and
     then j in equation order, in the jet `columns`: (width, rows), a row
-    (p!, p, j - 1, cells).  keys[j - 1] are the jet gradient keys of G_j,
-    and shape[e] the multi-indices, in series order, of the coefficients
-    given for the e-th gradient partial over all equations.
+    (p!, p, j - 1, cells), for `indices` every multi-index of the orders
+    |indices[0]| to |indices[-1]|.  keys[j - 1] are the jet gradient keys
+    of G_j, and shape[e] the multi-indices, in series order, of the
+    coefficients given for the e-th gradient partial over all equations.
 
     The cells are the row's terms, three ints each, flat: the column of
     (u, alpha + q), the position in _assemble's values of the coefficient
-    at p - q of the partial in (u, alpha), and the Leibniz weight p!/q!.
-    A term whose column is absent has no cell.  Cells come by column, then
-    position: each column's terms in the order that a walk over the
-    gradient keys, then each series, meets them."""
-    index = {(u, q.entries): i for i, (u, q) in enumerate(columns)}
-    shapes = iter(shape)
-    partials, at = [], 0  # per equation: (u, alpha, first position, rests)
-    for g in keys:
-        partials.append([])
+    at p - q of the partial in (u, alpha), and the Leibniz weight p!/q!,
+    the sums and q! read off the slot table.  A term whose column is
+    absent has no cell.  Cells come by column, then position: each
+    column's terms in the order that a walk over the gradient keys, then
+    each series, meets them."""
+    n, low, top = indices[0].n, indices[0].order, indices[-1].order
+    lay = _layout(n, max((alpha.order for g in keys for _, alpha in g), default=0) + top)
+    slot, times, factorials = lay.slot, lay.times, lay.factorials
+    where = {u: [None] * lay.size for u, _ in chain(*keys)}  # (u, slot) -> column
+    for i, (u, q) in enumerate(columns):
+        if u in where and q.entries in slot:
+            where[u][slot[q.entries]] = i
+    first, m = slot[indices[0].entries], len(keys)
+    cells: list[list] = [[] for _ in range(len(indices) * m)]  # row (p, j) at (p - first) * m + j
+    shapes, at = iter(shape), 0
+    for j, g in enumerate(keys):
         for (u, alpha), rests in zip(g, shapes):  # g first: shapes stays at the next partial
-            partials[-1].append((u, alpha.entries, at, rests))
-            at += len(rests)
-    rows = []
-    for p in indices:
-        factor = p.factorial()
-        for j, g in enumerate(partials):
-            cells = []
-            for u, alpha, first, rests in g:
-                for s, rest in enumerate(rests):
-                    q = tuple(map(sub, p.entries, rest.entries))
-                    if min(q) < 0:
-                        continue
-                    i = index.get((u, tuple(map(add, alpha, q))))
+            shifted, column = times[slot[alpha.entries]], where[u]
+            for rest in rests:
+                sums, d = times[slot[rest.entries]], rest.order
+                # the q with low <= |rest + q| <= top
+                for q in range(len(multi_indices(n, low - d - 1)), len(multi_indices(n, top - d))):
+                    i = column[shifted[q]]
                     if i is not None:
-                        cells.append((i, first + s, factor // math.prod(map(math.factorial, q))))
-            cells.sort()
-            rows.append((factor, p, j, tuple(chain.from_iterable(cells))))
+                        p = sums[q]
+                        cells[(p - first) * m + j].append((i, at, factorials[p] // factorials[q]))
+                at += 1
+    rows = [
+        (factorials[first + r], p, j, tuple(chain.from_iterable(sorted(cells[r * m + j]))))
+        for r, p in enumerate(indices) for j in range(m)
+    ]
     return len(columns), tuple(rows)
 
 
@@ -151,18 +154,15 @@ def _level_plan(variables, layout, lam: int, top: int) -> tuple:
     in them, the partials constant series (at level 0, of an affine base
     with no seed); factorials each column's q!; and bind the
     taylor.shift_plan by which the jet variables read the level's Taylor
-    coefficients, to order `top`.  A solve then does only arithmetic at a
-    point."""
+    coefficients, to order `top`."""
     n, k, m, keys = layout
-    if lam:
-        columns, indices = jet_columns(n, k, m + lam, m + lam), multi_indices_of_order(n, lam)
-    else:
-        columns, indices = jet_columns(n, k, m), (zero_index(n),)
+    lowest = m + lam if lam else 0
+    columns = jet_columns(n, k, m + lam, lowest)
     return (
         columns,
-        _row_plan(keys, indices, columns, _constant(n, keys)),
+        _row_plan(keys, multi_indices_of_order(n, lam), columns, _constant(n, keys)),
         tuple(q.factorial() for _, q in columns),
-        shift_plan(tuple(variables), k, top, m + lam if lam else 0, m + lam),
+        shift_plan(tuple(variables), k, top, lowest, m + lam),
     )
 
 
@@ -207,7 +207,7 @@ def _stacked(sys: ProlongedSystem, x: Sequence, exact: bool):
     in jet_columns order (_assemble, with every jet a column)."""
     op, level, mode = sys.operator, sys.level, _mode(exact)
     # the partials of an affine system are jet-free
-    coefficients = [series(d, x, level, mode) for g in op.gradients for d in g.values()]
+    coefficients = series_each([d for g in op.gradients for d in g.values()], x, level, mode)
     plan = _row_plan(
         op.layout[3], multi_indices(op.n, level), jet_columns(op.n, op.k, sys.top_order),
         tuple(tuple(s) for s in coefficients),
@@ -413,16 +413,11 @@ def solve_jets_triangular(
     multistart Newton from the seed otherwise, keeping the first root found.
     Each later level is affine in its newly introduced top-order jets and
     is solved by a minimum-norm linear solve with the lower-order jets
-    held fixed.  Every level's system is assembled at the point
-    (_assemble); the result is exact whenever level 0 was.  No row of the
-    system above level 0 is built.  Each level's index work comes from
-    its plan (_level_plan), made once per operator layout, level and
-    solve order: at the point the solve assembles its rows from the
-    gradient values (_gradient_values, read once per solve) and the
-    equations' series with the known jets bound (_bound_series).  Level 0
-    of an affine base binds its seeds, and every later level the jets
-    solved below it, through the plans' shift plans, in column order
-    (taylor.bind_jets).
+    held fixed.  Each level is assembled at the point by its plan
+    (_level_plan), from the gradient values (_gradient_values, read once
+    per solve) and the equations' series with the known jets bound
+    (_bound_series): the seeds, then each level's solved jets, bound by
+    the plans' shift plans.  The result is exact whenever level 0 was.
 
     Level l of the solve reads only the rows and jets of level <= l, so
     the point is solved once for all levels: result.levels[l] is the jet
@@ -547,7 +542,7 @@ def _bound_series(op: PdeOperator, x, bindings: dict, order: int, exact: bool) -
     so p! c_{j,p} is the prolonged row F_{j,p} at the bound jets, a jet
     variable bound to the empty series reading as 0.  The arithmetic is
     taylor.series mode "auto" when `exact`, "float" otherwise."""
-    return [series(g, x, order, _mode(exact), bindings) for g in op.equations]
+    return series_each(op.equations, x, order, _mode(exact), bindings)
 
 
 def _solve_affine(a, b, exact: bool, tol: float, level: int) -> tuple[list, JetSolveResult | None]:

@@ -19,13 +19,16 @@ Duvenaud, "Taylor-mode automatic differentiation for higher-order
 derivatives", 2019).
 
 Inside, a series is a dict from slot to coefficient, where slot k is the
-k-th multi-index of the graded-lex enumeration multi_indices(n, order).
-The enumeration up to a lower order is a prefix of the one up to a higher
-order, so series truncated at different orders share their slots.  The
-jet variables' bindings are slot series too (jet_bindings), which a walk
-reads when the tree first reaches them, cut to its slots.  In "float"
-mode every coefficient is a float, a zero included, so the walk keeps
-every coefficient it computes; otherwise it drops exact zeros.
+k-th multi-index of the graded-lex enumeration multi_indices(n, order), a
+prefix of the enumeration to any higher order.  The slot table of each
+(n, order), _Layout, is the one place where two multi-indices are added:
+the series arithmetic, the jet variables' shifts and the jet solver's
+plans read each slot sum and q! off it.  At most 32 tables, 256 shifts
+(_shift_plan) and 128 shift plans (shift_plan) are held.  The bindings
+are slot series (jet_bindings), which a walk reads when the tree first
+reaches them, cut to its slots.  In "float" mode every coefficient is a
+float, a zero included, so the walk keeps every coefficient it computes;
+otherwise it drops exact zeros.
 
 Outside "float" mode, a polynomial tree (Const, Var, Sum, Prod and Pow
 nodes, integer exponents >= 0) whose jet variables are bound to Fraction
@@ -54,7 +57,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from .expr import (
@@ -80,57 +83,61 @@ MODES = ("auto", "exact", "float")
 
 
 class _Layout:
-    """Slot tables of n-variate series truncated at total degree `order`."""
+    """The slot table of series in n variables to total degree `order`:
+    slot[p.entries] is p's slot, factorials[s] its p!, axis[s] its first
+    nonzero axis i (0 for s = 0) and weight[s] = s_i; unit[a] and square[a]
+    are the slots of e_a and 2 e_a (None above the order); times[a][b] is
+    the slot of a + b, |a + b| <= order; splits[s], built when first read,
+    is (a, b, a_i, b_i) over a + b = s, with i = axis[s]."""
 
     def __init__(self, n: int, order: int):
         self.order = order
-        self.indices = multi_indices(n, order)
-        self.size = len(self.indices)
-        slot = {p.entries: k for k, p in enumerate(self.indices)}
-        self.unit = [slot.get(_unit(n, a, 1)) for a in range(n)]
-        self.square = [slot.get(_unit(n, a, 2)) for a in range(n)]
-        # times[a][b]: slot of index a + index b, for |a + b| <= order
-        self.times: list[dict[int, int]] = [{} for _ in self.indices]
-        # weight[s] = s_i and splits[s] = (a, b, a_i, b_i) over a + b = s,
-        # with i the first nonzero axis of s (any axis for s = 0)
-        axis = [max(p.first_nonzero_axis() - 1, 0) for p in self.indices]
-        self.weight = [p.entries[i] for p, i in zip(self.indices, axis)]
-        self.splits: list[list[tuple[int, int, int, int]]] = [[] for _ in self.indices]
-        for a, pa in enumerate(self.indices):
-            for b, pb in enumerate(self.indices):
-                if pa.order + pb.order > order:
-                    break
-                s = slot[tuple(x + y for x, y in zip(pa.entries, pb.entries))]
-                self.times[a][b] = s
-                i = axis[s]
-                self.splits[s].append((a, b, pa.entries[i], pb.entries[i]))
+        self.indices = indices = multi_indices(n, order)
+        self.size = size = len(indices)
+        self.slot = slot = {p.entries: k for k, p in enumerate(indices)}
+        self.factorials = [p.factorial() for p in indices]
+        below = len(multi_indices(n, order - 1))  # the slots of order < order
+        axes = [[p.entries[i] for p in indices[:below]] for i in range(n)]
+        up = [  # up[i][s]: the slot of s + e_i
+            list(map(slot.__getitem__, zip(*axes[:i], [e + 1 for e in axes[i]], *axes[i + 1 :])))
+            for i in range(n)
+        ]
+        self.unit = [step[0] if order >= 1 else None for step in up]
+        self.square = [step[step[0]] if order >= 2 else None for step in up]
+        # the row of a is the row of a - e_i stepped up along i; in slot
+        # order the first step up to a is from the least a - e_i, i = axis[a]
+        self.axis = axis = [0] * size
+        rows: list = [range(size)] + [None] * (size - 1)
+        for s in range(below):
+            for i, step in enumerate(up):
+                a = step[s]
+                if rows[a] is None:
+                    axis[a] = i
+                    width = len(multi_indices(n, order - indices[a].order))  # its b
+                    rows[a] = list(map(step.__getitem__, rows[s][:width]))
+        self.weight = [p.entries[i] for p, i in zip(indices, axis)]
+        self.times: list[dict[int, int]] = [dict(enumerate(row)) for row in rows]
+
+    @cached_property
+    def splits(self) -> list[list[tuple[int, int, int, int]]]:
+        entries, axis = [p.entries for p in self.indices], self.axis
+        out: list[list[tuple[int, int, int, int]]] = [[] for _ in entries]
+        for a, row in enumerate(self.times):
+            for b, s in row.items():
+                out[s].append((a, b, entries[a][axis[s]], entries[b][axis[s]]))
+        return out
 
 
-def _unit(n: int, axis: int, power: int) -> tuple[int, ...]:
-    return tuple(power if a == axis else 0 for a in range(n))
-
-
-@lru_cache(maxsize=32)
-def _layout(n: int, order: int) -> _Layout:
-    return _Layout(n, order)
-
-
-@lru_cache(maxsize=32)
-def _slots(n: int, order: int) -> dict[MultiIndex, int]:
-    """The slot of each multi-index p with |p| <= order."""
-    return {p: k for k, p in enumerate(multi_indices(n, order))}
+_layout = lru_cache(maxsize=32)(_Layout)  # the slot table of (n, order), made once
 
 
 @lru_cache(maxsize=256)
 def _shift_plan(alpha: MultiIndex, order: int) -> tuple[tuple[int, int, int], ...]:
     """(slot of q, slot of q + alpha, (q + alpha)! / q!) for |q| <= order,
-    in slot order."""
-    slot = _slots(alpha.n, order + alpha.order)
-    plan = []
-    for k, q in enumerate(multi_indices(alpha.n, order)):
-        p = q + alpha
-        plan.append((k, slot[p], p.factorial() // q.factorial()))
-    return tuple(plan)
+    in slot order, off the slot table of order order + |alpha|."""
+    lay = _layout(alpha.n, order + alpha.order)
+    f = lay.factorials
+    return tuple((q, p, f[p] // f[q]) for q, p in lay.times[lay.slot[alpha.entries]].items())
 
 
 # ---------------------------------------------------------------------------
@@ -770,7 +777,6 @@ def series(
     `point` gives the space coordinates, axis 1 first.  `bindings` gives
     the series of each jet variable at the point as a slot series, to
     `order` or beyond (jet_bindings); a missing slot is an exact zero.
-    A binding is read when the walk first reaches its variable.
     Modes: "auto" keeps each coefficient exact (Fraction) when every
     input to it is exact and float otherwise; "exact" raises
     ExactnessUnavailable unless every coefficient is exact; "float"
@@ -778,31 +784,37 @@ def series(
     NaN or inf, and no float overflow or zero division escapes:
     EvaluationError is raised instead, also for a binding beyond floats.
 
-    Outside "float" mode, a polynomial tree whose jet variables are bound
-    to Fraction series is walked over integers, to the same Fractions; in
-    "float" mode a polynomial tree with every jet variable bound replays
-    the float operations _Walk recorded for it, keyed by the tree's
-    identity, the order and the structure (see the module docstring).
-    Every other tree goes through _Walk.
+    A polynomial tree is walked over integers, to the same Fractions, or
+    in "float" mode replays the float operations _Walk recorded for it;
+    every other tree goes through _Walk (see the module docstring).
     """
+    return series_each((e,), point, order, mode, bindings)[0]
+
+
+def series_each(trees: Sequence[Expr], point: Sequence, order: int, mode="auto", bindings=None):
+    """series of each tree at one point, order, mode and bindings.  The
+    trees share one integer walk, which converts each binding once."""
     if mode not in MODES:
         raise ValueError(f"unknown arithmetic {mode!r}")
     if order < 0:
         raise ValueError("order must be >= 0")
-    lay = _layout(len(point), order)
-    if mode == "float":
-        out = _replay(e, point, lay, bindings or {})
-        if out is not None:
-            return out
-    else:
-        try:
-            num, den = _IntegerWalk(point, lay, bindings or {})(e)
-        except _Unserved:
-            pass
-        else:
-            indices = lay.indices
-            return {indices[k]: Fraction(num[k], den) for k in sorted(num)}
-    return _walk(e, point, lay, mode, bindings or {})
+    lay, bindings = _layout(len(point), order), bindings or {}
+    try:
+        integer = None if mode == "float" else _IntegerWalk(point, lay, bindings)
+    except _Unserved:
+        integer = None
+    out = []
+    for e in trees:
+        s = _replay(e, point, lay, bindings) if mode == "float" else None
+        if integer is not None:
+            try:
+                num, den = integer(e)
+            except _Unserved:
+                pass
+            else:
+                s = {lay.indices[k]: Fraction(num[k], den) for k in sorted(num)}
+        out.append(_walk(e, point, lay, mode, bindings) if s is None else s)
+    return out
 
 
 def _walk(
@@ -872,13 +884,13 @@ def shift_plan(
     flat.  bind_jets applies it."""
     out = []
     for v in variables:
-        alpha, u = v.index, v.unknown
-        top = multi_indices(alpha.n, order + alpha.order)
-        below = len(multi_indices(alpha.n, lowest - 1))  # slots under the lowest column
+        u, n, d = v.unknown, v.index.n, v.index.order
+        below = len(multi_indices(n, lowest - 1))  # the slots under the lowest column
+        # the q with lowest <= |q + alpha| <= highest, in slot order
+        q = slice(len(multi_indices(n, lowest - d - 1)), len(multi_indices(n, highest - d)))
         entries: list[int] = []
-        for slot, src, factor in _shift_plan(alpha, order):
-            if lowest <= top[src].order <= highest:
-                entries += (slot, (src - below) * k + u - 1, factor)
+        for slot, src, factor in _shift_plan(v.index, order)[q]:
+            entries += (slot, (src - below) * k + u - 1, factor)
         out.append((v, tuple(entries)))
     return tuple(out)
 

@@ -22,7 +22,11 @@ taylor.bind_jets only do arithmetic.  assemble and grow_bindings do the
 same work term by term, value by value, as the plans replaced: the
 Leibniz rule over every q <= p, and the shift of each jet variable.
 shift and keyed_bindings give taylor.jet_bindings keyed by multi-index,
-re-keyed to the slots series reads.
+re-keyed to the slots series reads.  taylor._Layout, where every plan
+reads its multi-index sums, builds the row of each slot a of its table
+from the row of a - e_i, one step up along axis i; slot_table builds the
+same tables pair by pair by tuple arithmetic, and plus adds two
+multi-indices the same way.
 
 The chain-rule oracles: total_derivative (one total derivative D_i of
 an expression in jet space), differentiate_multi (D^p of an expression
@@ -248,6 +252,38 @@ class LinearBumpScan:
 # ---------------------------------------------------------------------------
 # the jet solve's hand-offs, term by term
 
+def slot_table(n: int, order: int) -> dict:
+    """taylor._Layout's tables by tuple arithmetic, pair by pair: unit and
+    square, the slots of e_a and 2 e_a (None above the order); times[a][b],
+    the slot of a + b for |a + b| <= order; weight[s] = s_i and splits[s],
+    (a, b, a_i, b_i) over a + b = s, with i the first nonzero axis of s
+    (axis 1 for s = 0)."""
+    indices = multi_indices(n, order)
+    slot = {p.entries: k for k, p in enumerate(indices)}
+
+    def unit(a, power):
+        return slot.get(tuple(power if b == a else 0 for b in range(n)))
+
+    axis = [max(p.first_nonzero_axis() - 1, 0) for p in indices]
+    times: list[dict[int, int]] = [{} for _ in indices]
+    splits: list[list[tuple]] = [[] for _ in indices]
+    for a, pa in enumerate(indices):
+        for b, pb in enumerate(indices):
+            if pa.order + pb.order > order:
+                break
+            s = slot[tuple(map(add, pa.entries, pb.entries))]
+            times[a][b] = s
+            i = axis[s]
+            splits[s].append((a, b, pa.entries[i], pb.entries[i]))
+    return {
+        "unit": [unit(a, 1) for a in range(n)],
+        "square": [unit(a, 2) for a in range(n)],
+        "times": times,
+        "weight": [p.entries[i] for p, i in zip(indices, axis)],
+        "splits": splits,
+    }
+
+
 def leibniz(p: MultiIndex) -> dict[tuple, tuple[tuple, int]]:
     """p - q -> (q, p! / q!) for every q <= p, componentwise, each
     multi-index as its tuple of entries."""
@@ -298,7 +334,7 @@ def grow_bindings(bindings, coefficients, order: int) -> None:
     s_{q + alpha} is given."""
     for v, out in bindings.items():
         for slot, q in enumerate(multi_indices(v.index.n, order)):
-            p = q + v.index
+            p = plus(q, v.index)
             c = coefficients[v.unknown - 1].get(p)
             if c is not None:
                 factor = p.factorial() // q.factorial()
@@ -311,10 +347,15 @@ def shift(s, alpha: MultiIndex, order: int) -> dict:
     for every q whose s_{q + alpha} is given."""
     out = {}
     for q in multi_indices(alpha.n, order):
-        c = s.get(q + alpha)
+        c = s.get(plus(q, alpha))
         if c is not None:
-            out[q] = (q + alpha).factorial() // q.factorial() * c
+            out[q] = plus(q, alpha).factorial() // q.factorial() * c
     return out
+
+
+def plus(p: MultiIndex, q: MultiIndex) -> MultiIndex:
+    """p + q by tuple arithmetic."""
+    return MultiIndex(tuple(map(add, p.entries, q.entries)))
 
 
 def keyed_bindings(variables, coefficients, order: int) -> dict:

@@ -637,20 +637,23 @@ eq: 0*u - 1
         ("sin(x", "at offset 5: unbalanced parentheses: expected ')'"),
         ("u_", "at offset 0: malformed subscript: empty"),
         ("q + u_xx", "at offset 0: unknown identifier 'q'"),
+        ("u_xx + 1/0", "literal division by zero"),
     ])
     def test_bad_equation_text_gives_its_offset(self, tmp_path, capsys, equation, message):
+        # after the file and line: the bad equation is the second of two
+        # eq: lines, on line 6
         path = tmp_path / "bad.pde"
-        path.write_text(POISSON.replace("u_xx + u_yy - 1 - x*y", equation))
+        path.write_text(POISSON + f"eq: {equation}\n")
         assert main(["range", str(path)]) == 2
-        assert_one_error_line(capsys, message)
+        assert_one_error_line(capsys, f"error: {path}:6: {message}")
 
     @pytest.mark.parametrize("edit, message", [
         (("vars: x y", "vars x y"), "bad.pde:2: expected 'key: value'"),
         (("order: 2", "order: 2\nfoo: 1"), "bad.pde:4: unknown header 'foo'"),
         (("eq: u_xx + u_yy - 1 - x*y", ""), "bad.pde: no 'eq:' lines"),
-        (("dim: 2", "dim: 3"), "bad.pde: dim is 3 but vars lists 2 names"),
-        (("(0,1) (0,1)", "(0,1)"), "bad.pde: domain needs 2 intervals, got 1"),
-        (("(0,1) (0,1)", "(0,1,2) (0,1)"), "bad.pde: bad interval (0,1,2)"),
+        (("dim: 2", "dim: 3"), "bad.pde:2: dim is 3 but vars lists 2 names"),
+        (("(0,1) (0,1)", "(0,1)"), "bad.pde:4: domain needs 2 intervals, got 1"),
+        (("(0,1) (0,1)", "(0,1,2) (0,1)"), "bad.pde:4: bad interval (0,1,2)"),
     ], ids=["no-colon", "unknown-header", "no-eq", "dim", "interval-count", "interval"])
     def test_bad_header_names_the_file(self, tmp_path, capsys, edit, message):
         path = tmp_path / "bad.pde"

@@ -18,6 +18,7 @@ import pytest
 
 from densepde import construct as construct_module
 from densepde import manifest as manifest_module
+from densepde import ranges, taylor
 from densepde.cli import main
 from densepde.construct import (
     DensePointStream, DiscreteSolve, SolutionSequence, construct_sequence,
@@ -25,6 +26,8 @@ from densepde.construct import (
 from densepde.jets import Jet, parse_pde_text
 from densepde.manifest import sample_grid, sequence_from_json, sequence_to_json, write_json
 from densepde.multiindex import MultiIndex
+from densepde.ranges import range_condition_check
+from densepde.systems import lewy_operator
 from densepde.verify import verify_solution
 
 POISSON = """dim: 2
@@ -131,6 +134,31 @@ def test_grid_samples_leave_verify_its_nearest_centres(monkeypatch):
     )
     assert verify_solution(op, seq).passed
     assert len(made) <= seq.stage_count
+
+
+def test_the_equations_of_a_bound_series_share_their_conversions(monkeypatch):
+    """The Lewy system ranged at 2 points to level 5 and constructed at 3
+    points at levels 3, 4 and 5 (the seed-0 lewy-deep pipeline).  Its two
+    equations read 4 jet variables each, v_z and w_z in both, so each of
+    the 23 _bound_series calls converts 6 bindings, not 8."""
+    counts = {"calls": 0, "conversions": 0}
+    bound, convert = ranges._bound_series, taylor._IntegerWalk.jet
+
+    def counted_call(*args):
+        counts["calls"] += 1
+        return bound(*args)
+
+    def counted_conversion(self, v):
+        counts["conversions"] += 1
+        return convert(self, v)
+
+    monkeypatch.setattr(ranges, "_bound_series", counted_call)
+    monkeypatch.setattr(taylor._IntegerWalk, "jet", counted_conversion)
+    op = lewy_operator()
+    points = DensePointStream(op.domain).prefix(3)
+    assert range_condition_check(op, points[:2], 5).all_ok
+    construct_sequence(op, points, [3, 4, 5])
+    assert counts == {"calls": 23, "conversions": 138}
 
 
 def test_a_dump_stores_one_record_per_point():

@@ -43,7 +43,7 @@ from densepde.verify import (
     symbolic_series,
     verify_solution,
 )
-from reference import differentiate_multi, jet_of_function, keyed_bindings, shift
+from reference import differentiate_multi, jet_of_function, keyed_bindings, shift, slot_table
 
 CONTEXTS = {n: Context(("x", "y", "z")[:n]) for n in (1, 2, 3)}
 SMALL = st.fractions(min_value=-2, max_value=2, max_denominator=4)
@@ -244,6 +244,26 @@ def test_shift_and_bindings():
     assert bound[ctx.jet(1, MultiIndex((1,)))] == {0: F(1), 1: F(2)}
     s = series(g, (F(1, 2),), 2, bindings=bound)
     assert [derivative(s, p) for p in multi_indices(1, 2)] == [F(1, 4), F(3, 2), F(6)]
+
+
+@given(st.integers(1, 4), st.integers(0, 6), st.data())
+@settings(max_examples=100, deadline=None)
+def test_slot_table_is_the_pairwise_tuple_sums(n, order, data):
+    # each table of taylor._Layout, and the key order of each times row,
+    # is that of the pair loop over tuples; a series moved by the slots of
+    # _shift_plan is reference.shift of it
+    lay = taylor._Layout(n, order)
+    want = slot_table(n, order)
+    assert {name: getattr(lay, name) for name in want} == want
+    assert [list(row) for row in lay.times] == [list(row) for row in want["times"]]
+    indices = multi_indices(n, order)
+    alpha = data.draw(st.sampled_from(indices))
+    s = data.draw(st.dictionaries(st.sampled_from(indices), SMALL))
+    moved = {}
+    for q, p, factor in taylor._shift_plan(alpha, order - alpha.order):
+        if indices[p] in s:
+            moved[indices[q]] = factor * s[indices[p]]
+    assert list(moved.items()) == list(shift(s, alpha, order - alpha.order).items())
 
 
 JET_CONTEXTS = {n: Context(("x", "y", "z")[:n], ("u", "v")) for n in (1, 2, 3)}
