@@ -96,7 +96,7 @@ class _Layout:
         self.size = size = len(indices)
         self.slot = slot = {p.entries: k for k, p in enumerate(indices)}
         self.factorials = [p.factorial() for p in indices]
-        below = len(multi_indices(n, order - 1))  # the slots of order < order
+        below = len(multi_indices(n, order - 1))  # the slots under the top order
         axes = [[p.entries[i] for p in indices[:below]] for i in range(n)]
         up = [  # up[i][s]: the slot of s + e_i
             list(map(slot.__getitem__, zip(*axes[:i], [e + 1 for e in axes[i]], *axes[i + 1 :])))
@@ -113,7 +113,7 @@ class _Layout:
                 a = step[s]
                 if rows[a] is None:
                     axis[a] = i
-                    width = len(multi_indices(n, order - indices[a].order))  # its b
+                    width = len(multi_indices(n, order - indices[a].order))  # |b| <= order - |a|
                     rows[a] = list(map(step.__getitem__, rows[s][:width]))
         self.weight = [p.entries[i] for p, i in zip(indices, axis)]
         self.times: list[dict[int, int]] = [dict(enumerate(row)) for row in rows]
